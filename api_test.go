@@ -105,12 +105,12 @@ func TestFacadeBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := prog.NewStore()
-	nodo := prog.NewNODO(reg, st2, 2)
+	nodo := prog.NewNODO(reg, st2, prog.NewThreadPool(2))
 	if nodo.Name() != "NODO" {
 		t.Fatal("NODO name")
 	}
 	st3 := prog.NewStore()
-	calvin := prog.NewCalvin(reg, st3, 2, 5, "Calvin-50")
+	calvin := prog.NewCalvin(reg, st3, prog.NewVirtualPool(2), 5, "Calvin-50")
 	if calvin.Name() != "Calvin-50" {
 		t.Fatal("Calvin name")
 	}

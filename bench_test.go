@@ -78,7 +78,7 @@ func BenchmarkFig3Throughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, sys := range harness.SimComparisonSystems() {
+		for _, sys := range harness.ComparisonSystems() {
 			b.Run(fmt.Sprintf("%dWH/%s", w, sys.Name), func(b *testing.B) {
 				benchFigPoint(b, sys, wl, 40)
 			})
@@ -92,7 +92,7 @@ func BenchmarkFig4Throughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sys := range harness.SimComparisonSystems() {
+	for _, sys := range harness.ComparisonSystems() {
 		b.Run(sys.Name, func(b *testing.B) {
 			benchFigPoint(b, sys, wl, 40)
 		})
@@ -106,7 +106,7 @@ func BenchmarkFig5Variants(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sys := range harness.SimVariantSystems() {
+	for _, sys := range harness.VariantSystems() {
 		b.Run(sys.Name, func(b *testing.B) {
 			benchFigPoint(b, sys, wl, 40)
 		})

@@ -107,7 +107,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rows, err := harness.RunComparison(harness.SimComparisonSystems(), wls, opts)
+		rows, err := harness.RunComparison(harness.ComparisonSystems(), wls, opts)
 		if err != nil {
 			return err
 		}
@@ -119,7 +119,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rows, err := harness.RunComparison(harness.SimComparisonSystems(), []harness.Workload{wl}, opts)
+		rows, err := harness.RunComparison(harness.ComparisonSystems(), []harness.Workload{wl}, opts)
 		if err != nil {
 			return err
 		}

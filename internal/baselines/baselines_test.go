@@ -164,7 +164,7 @@ func TestSEQBasics(t *testing.T) {
 func TestNODONeverAborts(t *testing.T) {
 	reg := registry(t)
 	st := freshStore()
-	nodo := NewNODO(reg, st, 8)
+	nodo := NewNODO(reg, st, engine.NewThreadPool(8))
 	if nodo.Name() != "NODO" {
 		t.Fatalf("name = %q", nodo.Name())
 	}
@@ -193,7 +193,7 @@ func TestNODOMatchesSEQ(t *testing.T) {
 	stSeq := freshStore()
 	seq := NewSEQ(reg, stSeq)
 	stNodo := freshStore()
-	nodo := NewNODO(reg, stNodo, 8)
+	nodo := NewNODO(reg, stNodo, engine.NewThreadPool(8))
 	for _, b := range batches {
 		if _, err := seq.ExecuteBatch(b); err != nil {
 			t.Fatal(err)
@@ -213,7 +213,7 @@ func TestNODODeterministicAcrossWorkers(t *testing.T) {
 	var first uint64
 	for i, workers := range []int{1, 4, 8} {
 		st := freshStore()
-		nodo := NewNODO(reg, st, workers)
+		nodo := NewNODO(reg, st, engine.NewThreadPool(workers))
 		for _, b := range batches {
 			if _, err := nodo.ExecuteBatch(b); err != nil {
 				t.Fatal(err)
@@ -231,7 +231,7 @@ func TestNODODeterministicAcrossWorkers(t *testing.T) {
 func TestCalvinStalenessCausesAborts(t *testing.T) {
 	reg := registry(t)
 	st := freshStore()
-	calvin := NewCalvin(reg, st, 4, 2, "Calvin-20")
+	calvin := NewCalvin(reg, st, engine.NewThreadPool(4), 2, "Calvin-20")
 	if calvin.Name() != "Calvin-20" {
 		t.Fatalf("name = %q", calvin.Name())
 	}
@@ -296,7 +296,7 @@ func TestCalvinZeroStalenessNoAborts(t *testing.T) {
 	// must commit cleanly.
 	reg := registry(t)
 	st := freshStore()
-	calvin := NewCalvin(reg, st, 4, 0, "Calvin-0")
+	calvin := NewCalvin(reg, st, engine.NewThreadPool(4), 0, "Calvin-0")
 	if _, err := calvin.ExecuteBatch([]engine.Request{
 		{Seq: 1, TxName: "redirect", Inputs: ival("p", 3, "to", 55)},
 	}); err != nil {
@@ -323,7 +323,7 @@ func TestCalvinDeterministicAcrossWorkers(t *testing.T) {
 	var firstAborts int
 	for i, workers := range []int{1, 4, 8} {
 		st := freshStore()
-		calvin := NewCalvin(reg, st, workers, 3, "Calvin-30")
+		calvin := NewCalvin(reg, st, engine.NewThreadPool(workers), 3, "Calvin-30")
 		aborts := 0
 		for _, b := range batches {
 			res, err := calvin.ExecuteBatch(b)
@@ -359,7 +359,7 @@ func TestCalvinAbortsGrowWithStaleness(t *testing.T) {
 	batches := randomBatches(23, 15, 60)
 	abortsAt := func(staleness uint64) int {
 		st := freshStore()
-		calvin := NewCalvin(reg, st, 4, staleness, "Calvin")
+		calvin := NewCalvin(reg, st, engine.NewThreadPool(4), staleness, "Calvin")
 		total := 0
 		for _, b := range batches {
 			res, err := calvin.ExecuteBatch(b)
@@ -393,7 +393,7 @@ func TestEngineLowerAbortsThanCalvin(t *testing.T) {
 		engAborts += res.Aborts
 	}
 	stC := freshStore()
-	calvin := NewCalvin(reg, stC, 4, 10, "Calvin-100")
+	calvin := NewCalvin(reg, stC, engine.NewThreadPool(4), 10, "Calvin-100")
 	calvinAborts := 0
 	for _, b := range batches {
 		res, err := calvin.ExecuteBatch(b)

@@ -11,14 +11,10 @@ package baselines
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"prognosticator/internal/engine"
 	"prognosticator/internal/lang"
 	"prognosticator/internal/locktable"
-	"prognosticator/internal/profile"
 	"prognosticator/internal/store"
 )
 
@@ -28,40 +24,23 @@ import (
 // execution strays outside the key-set predicted by that stale
 // reconnaissance aborts and is re-submitted by the client in the next batch.
 type Calvin struct {
-	reg     *engine.Registry
-	st      *store.Store
-	workers int
+	reg  *engine.Registry
+	st   *store.Store
+	pool engine.Pool
 	// staleness in batch epochs between reconnaissance and delivery.
 	staleness uint64
-	lt        *locktable.Table
-	carry     []*calvinTx
+	carry     []*engine.Task
 	label     string
 }
 
 var _ engine.Executor = (*Calvin)(nil)
 
-type calvinTx struct {
-	req    engine.Request
-	prog   *lang.Program
-	prof   *profile.Profile
-	class  profile.Class
-	ks     *profile.KeySet
-	entry  *locktable.Entry
-	aborts int
-	out    *engine.TxOutcome
-}
-
-// NewCalvin returns a Calvin executor with the given reconnaissance
-// staleness in batch epochs (the paper's Calvin-100/Calvin-200 use N ms /
-// 10 ms batches = 10 and 20 epochs).
-func NewCalvin(reg *engine.Registry, st *store.Store, workers int, stalenessEpochs uint64, label string) *Calvin {
-	if workers <= 0 {
-		workers = 4
-	}
-	return &Calvin{
-		reg: reg, st: st, workers: workers,
-		staleness: stalenessEpochs, lt: locktable.New(), label: label,
-	}
+// NewCalvin returns a Calvin executor on pool (not shared with another
+// executor) with the given reconnaissance staleness in batch epochs (the
+// paper's Calvin-100/Calvin-200 use N ms / 10 ms batches = 10 and 20
+// epochs).
+func NewCalvin(reg *engine.Registry, st *store.Store, pool engine.Pool, stalenessEpochs uint64, label string) *Calvin {
+	return &Calvin{reg: reg, st: st, pool: pool, staleness: stalenessEpochs, label: label}
 }
 
 // Name implements engine.Executor.
@@ -73,144 +52,65 @@ func (c *Calvin) Pending() int { return len(c.carry) }
 
 // ExecuteBatch implements engine.Executor.
 func (c *Calvin) ExecuteBatch(batch []engine.Request) (*engine.BatchResult, error) {
-	start := time.Now()
-	epoch := c.st.BeginEpoch()
-	writer := c.st.WriterAt(epoch)
+	// Carried-over transactions re-enter ahead of the new batch (they are
+	// older in the total order).
+	b, err := engine.BeginBatch(c.pool, c.reg, c.st, c.carry, batch)
+	if err != nil {
+		return nil, err
+	}
+	c.carry = nil
+	writer := b.Writer
 
 	// Reconnaissance snapshot: N epochs older than the fresh snapshot a
 	// Prognosticator replica would use.
 	prepEpoch := uint64(0)
-	if epoch-1 > c.staleness {
+	if epoch := b.Res.Epoch; epoch-1 > c.staleness {
 		prepEpoch = epoch - 1 - c.staleness
 	}
 	snap := c.st.ViewAt(prepEpoch)
 
-	// Carried-over transactions re-enter ahead of the new batch (they are
-	// older in the total order).
-	txs := make([]*calvinTx, 0, len(c.carry)+len(batch))
-	txs = append(txs, c.carry...)
-	c.carry = nil
-	res := &engine.BatchResult{Epoch: epoch, Start: start,
-		Outcomes: make([]engine.TxOutcome, 0, len(txs)+len(batch))}
-	for _, req := range batch {
-		prog, ok := c.reg.Programs[req.TxName]
-		if !ok {
-			return nil, fmt.Errorf("calvin: unknown transaction %q", req.TxName)
-		}
-		prof := c.reg.Profiles[req.TxName]
-		tx := &calvinTx{req: req, prog: prog, prof: prof, class: c.reg.Classes[req.TxName]}
-		txs = append(txs, tx)
-	}
-	// (Re-)bind outcome slots for everything processed in this batch.
-	res.Outcomes = make([]engine.TxOutcome, len(txs))
-	for i, tx := range txs {
-		res.Outcomes[i] = engine.TxOutcome{Seq: tx.req.Seq, TxName: tx.req.TxName, Class: tx.class}
-		tx.out = &res.Outcomes[i]
-		if tx.class == profile.ClassROT {
-			res.ROTs++
-		} else {
-			res.Updates++
-		}
-	}
-
 	// Client-side preparation against the stale snapshot (the paper's
-	// Calvin still benefits from the SE profiles: only pivots are read).
-	for _, tx := range txs {
-		t0 := time.Now()
-		ks, err := tx.prof.Instantiate(tx.req.Inputs, snap)
+	// Calvin still benefits from the SE profiles: only pivots are read). A
+	// dedicated client thread did this N ms ago, off the replica's critical
+	// path, so it is not pool work — only the stale snapshot matters.
+	for _, tx := range b.Tasks {
+		ks, err := tx.Prof.Instantiate(tx.Req.Inputs, snap)
 		if err != nil {
-			return nil, fmt.Errorf("calvin: instantiate %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
+			return nil, fmt.Errorf("calvin: instantiate %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}
-		tx.ks = ks
-		tx.entry = &locktable.Entry{Seq: tx.req.Seq, Keys: locktable.BuildKeys(ks.Reads, ks.Writes), Payload: tx}
-		tx.out.Prepare += time.Since(t0)
+		tx.KS = ks
+		tx.Entry = &locktable.Entry{Seq: tx.Req.Seq, Keys: locktable.BuildKeys(ks.Reads, ks.Writes)}
 	}
 
 	// Strict in-order lock acquisition by the single scheduler thread — no
 	// DT-first reordering, and read-only transactions take (exclusive)
-	// locks like everything else, Calvin's single-scheduler design.
-	sort.Slice(txs, func(i, j int) bool { return txs[i].req.Seq < txs[j].req.Seq })
-	c.lt.Reset()
-	readyCh := make(chan *locktable.Entry, len(txs)+1)
-	for _, tx := range txs {
-		if c.lt.Enqueue(tx.entry) {
-			readyCh <- tx.entry
+	// locks like everything else, Calvin's single-scheduler design. Under
+	// those locks OLLP validation applies: any access outside the
+	// reconnaissance key-set aborts the transaction.
+	sort.Slice(b.Tasks, func(i, j int) bool { return b.Tasks[i].Req.Seq < b.Tasks[j].Req.Seq })
+	failed, _, err := c.pool.Round(b.Tasks, nil, func(tx *engine.Task) (engine.Work, error) {
+		ov := engine.NewOverlay(writer)
+		ov.Guard(tx.KS.Reads, tx.KS.Writes)
+		resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
+		if err != nil {
+			return engine.Work{}, fmt.Errorf("calvin: execute %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}
-	}
-	if len(txs) == 0 {
-		close(readyCh)
-	}
-
-	var remaining atomic.Int32
-	remaining.Store(int32(len(txs)))
-	var failedMu sync.Mutex
-	var failed []*calvinTx
-	var errOnce sync.Once
-	var firstErr error
-	var wg sync.WaitGroup
-	for w := 0; w < c.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for entry := range readyCh {
-				tx := entry.Payload.(*calvinTx)
-				ok, err := c.execute(tx, writer)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-				}
-				if err == nil && !ok {
-					tx.aborts++
-					tx.out.Aborts++
-					failedMu.Lock()
-					failed = append(failed, tx)
-					failedMu.Unlock()
-				}
-				c.lt.Release(entry, func(n *locktable.Entry) { readyCh <- n })
-				if remaining.Add(-1) == 0 {
-					close(readyCh)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		work := engine.Work{Reads: len(resu.Reads), Writes: len(resu.Writes), Abort: ov.Violated()}
+		if !work.Abort {
+			ov.Flush(writer)
+		}
+		return work, nil
+	}, false, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	// Aborted transactions go back to the client, which re-runs
 	// reconnaissance and re-submits them in a future batch.
-	sort.Slice(failed, func(i, j int) bool { return failed[i].req.Seq < failed[j].req.Seq })
 	for _, tx := range failed {
-		tx.out.Pending = true
-		c.carry = append(c.carry, tx)
+		tx.Out.Pending = true
 	}
-
-	res.FailRound = 0
-	for i := range res.Outcomes {
-		res.Aborts += res.Outcomes[i].Aborts
-	}
-	if epoch%16 == 0 && epoch > c.staleness+1 {
-		c.st.GC(epoch - c.staleness - 1)
-	}
-	res.End = time.Now()
-	return res, nil
-}
-
-// execute runs one transaction under its locks with OLLP validation: any
-// access outside the reconnaissance key-set aborts it.
-func (c *Calvin) execute(tx *calvinTx, writer *store.WriteView) (bool, error) {
-	t0 := time.Now()
-	defer func() { tx.out.Exec += time.Since(t0) }()
-	ov := engine.NewOverlay(writer)
-	ov.Guard(tx.ks.Reads, tx.ks.Writes)
-	if _, err := lang.Run(tx.prog, tx.req.Inputs, ov); err != nil {
-		return false, fmt.Errorf("calvin: execute %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
-	}
-	if ov.Violated() {
-		return false, nil
-	}
-	ov.Flush(writer)
-	tx.out.Done = time.Now()
-	tx.out.Pending = false
-	return true, nil
+	c.carry = failed
+	// The stale snapshot must stay readable.
+	return b.End(c.staleness + 1), nil
 }

@@ -2,14 +2,10 @@ package baselines
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"prognosticator/internal/engine"
 	"prognosticator/internal/lang"
 	"prognosticator/internal/locktable"
-	"prognosticator/internal/profile"
 	"prognosticator/internal/store"
 )
 
@@ -18,123 +14,68 @@ import (
 // every transaction is an IT — but transactions touching different keys of
 // the same table serialize needlessly, capping parallelism.
 type NODO struct {
-	reg     *engine.Registry
-	st      *store.Store
-	workers int
-	lt      *locktable.Table
+	reg  *engine.Registry
+	st   *store.Store
+	pool engine.Pool
 }
 
 var _ engine.Executor = (*NODO)(nil)
 
-// NewNODO returns a NODO executor.
-func NewNODO(reg *engine.Registry, st *store.Store, workers int) *NODO {
-	if workers <= 0 {
-		workers = 4
-	}
-	return &NODO{reg: reg, st: st, workers: workers, lt: locktable.New()}
+// NewNODO returns a NODO executor on pool (not shared with another executor).
+func NewNODO(reg *engine.Registry, st *store.Store, pool engine.Pool) *NODO {
+	return &NODO{reg: reg, st: st, pool: pool}
 }
 
 // Name implements engine.Executor.
 func (n *NODO) Name() string { return "NODO" }
 
-type nodoTx struct {
-	req   engine.Request
-	prog  *lang.Program
-	entry *locktable.Entry
-	out   *engine.TxOutcome
-}
-
 // ExecuteBatch implements engine.Executor.
 func (n *NODO) ExecuteBatch(batch []engine.Request) (*engine.BatchResult, error) {
-	start := time.Now()
-	epoch := n.st.BeginEpoch()
-	writer := n.st.WriterAt(epoch)
-	res := &engine.BatchResult{Epoch: epoch, Start: start,
-		Outcomes: make([]engine.TxOutcome, len(batch))}
-
-	txs := make([]*nodoTx, len(batch))
-	for i, req := range batch {
-		prog, ok := n.reg.Programs[req.TxName]
-		if !ok {
-			return nil, fmt.Errorf("nodo: unknown transaction %q", req.TxName)
-		}
-		class := n.reg.Classes[req.TxName]
-		res.Outcomes[i] = engine.TxOutcome{Seq: req.Seq, TxName: req.TxName, Class: class}
-		if class == profile.ClassROT {
-			res.ROTs++
-		} else {
-			res.Updates++
-		}
+	b, err := engine.BeginBatch(n.pool, n.reg, n.st, nil, batch)
+	if err != nil {
+		return nil, err
+	}
+	writer := b.Writer
+	for _, tx := range b.Tasks {
 		// Conflict class = set of tables; lock keys are table names with
 		// read/write modes from the static analysis.
-		txs[i] = &nodoTx{req: req, prog: prog, out: &res.Outcomes[i],
-			entry: &locktable.Entry{Seq: req.Seq, Keys: n.reg.TableLocks[req.TxName]}}
-		txs[i].entry.Payload = txs[i]
+		tx.Entry = &locktable.Entry{Seq: tx.Req.Seq, Keys: n.reg.TableLocks[tx.Req.TxName]}
 	}
-
-	n.lt.Reset()
-	readyCh := make(chan *locktable.Entry, len(txs)+1)
-	for _, tx := range txs {
-		if n.lt.Enqueue(tx.entry) {
-			readyCh <- tx.entry
+	_, _, err = n.pool.Round(b.Tasks, nil, func(tx *engine.Task) (engine.Work, error) {
+		ov := engine.NewOverlay(writer)
+		resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
+		if err != nil {
+			return engine.Work{}, fmt.Errorf("nodo: execute %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}
+		ov.Flush(writer)
+		return engine.Work{Reads: len(resu.Reads), Writes: len(resu.Writes)}, nil
+	}, false, 0)
+	if err != nil {
+		return nil, err
 	}
-	if len(txs) == 0 {
-		close(readyCh)
-	}
-	var remaining atomic.Int32
-	remaining.Store(int32(len(txs)))
-	var errOnce sync.Once
-	var firstErr error
-	var wg sync.WaitGroup
-	for w := 0; w < n.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for entry := range readyCh {
-				tx := entry.Payload.(*nodoTx)
-				t0 := time.Now()
-				ov := engine.NewOverlay(writer)
-				if _, err := lang.Run(tx.prog, tx.req.Inputs, ov); err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("nodo: execute %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
-					})
-				} else {
-					ov.Flush(writer)
-				}
-				tx.out.Exec += time.Since(t0)
-				tx.out.Done = time.Now()
-				n.lt.Release(entry, func(nx *locktable.Entry) { readyCh <- nx })
-				if remaining.Add(-1) == 0 {
-					close(readyCh)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if epoch%16 == 0 && epoch > 1 {
-		n.st.GC(epoch - 1)
-	}
-	res.End = time.Now()
-	return res, nil
+	return b.End(1), nil
 }
 
 // SEQ executes every transaction of the batch sequentially on a single
-// thread, in the agreed order — the trivially correct deterministic
+// worker, in the agreed order — the trivially correct deterministic
 // baseline (§IV-B).
 type SEQ struct {
-	reg *engine.Registry
-	st  *store.Store
+	reg  *engine.Registry
+	st   *store.Store
+	pool engine.Pool
 }
 
 var _ engine.Executor = (*SEQ)(nil)
 
-// NewSEQ returns a sequential executor.
+// NewSEQ returns a sequential executor on the calling goroutine.
 func NewSEQ(reg *engine.Registry, st *store.Store) *SEQ {
-	return &SEQ{reg: reg, st: st}
+	return NewSEQWithPool(reg, st, engine.NewThreadPool(1))
+}
+
+// NewSEQWithPool returns a sequential executor on one worker of pool (not
+// shared with another executor).
+func NewSEQWithPool(reg *engine.Registry, st *store.Store, pool engine.Pool) *SEQ {
+	return &SEQ{reg: reg, st: st, pool: pool}
 }
 
 // Name implements engine.Executor.
@@ -142,33 +83,20 @@ func (s *SEQ) Name() string { return "SEQ" }
 
 // ExecuteBatch implements engine.Executor.
 func (s *SEQ) ExecuteBatch(batch []engine.Request) (*engine.BatchResult, error) {
-	start := time.Now()
-	epoch := s.st.BeginEpoch()
-	writer := s.st.WriterAt(epoch)
-	res := &engine.BatchResult{Epoch: epoch, Start: start,
-		Outcomes: make([]engine.TxOutcome, len(batch))}
-	for i, req := range batch {
-		prog, ok := s.reg.Programs[req.TxName]
-		if !ok {
-			return nil, fmt.Errorf("seq: unknown transaction %q", req.TxName)
-		}
-		class := s.reg.Classes[req.TxName]
-		res.Outcomes[i] = engine.TxOutcome{Seq: req.Seq, TxName: req.TxName, Class: class}
-		if class == profile.ClassROT {
-			res.ROTs++
-		} else {
-			res.Updates++
-		}
-		t0 := time.Now()
-		if _, err := lang.Run(prog, req.Inputs, writer); err != nil {
-			return nil, fmt.Errorf("seq: execute %s(seq %d): %w", req.TxName, req.Seq, err)
-		}
-		res.Outcomes[i].Exec = time.Since(t0)
-		res.Outcomes[i].Done = time.Now()
+	b, err := engine.BeginBatch(s.pool, s.reg, s.st, nil, batch)
+	if err != nil {
+		return nil, err
 	}
-	if epoch%16 == 0 && epoch > 1 {
-		s.st.GC(epoch - 1)
+	writer := b.Writer
+	err = s.pool.Serial(b.Tasks, func(tx *engine.Task) (engine.Work, error) {
+		resu, err := lang.Run(tx.Prog, tx.Req.Inputs, writer)
+		if err != nil {
+			return engine.Work{}, fmt.Errorf("seq: execute %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
+		}
+		return engine.Work{Reads: len(resu.Reads), Writes: len(resu.Writes)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.End = time.Now()
-	return res, nil
+	return b.End(1), nil
 }

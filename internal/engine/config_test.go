@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"testing"
-
-	"prognosticator/internal/value"
-)
+import "testing"
 
 // TestExclusiveLocksSerializeSharedReads: the ablation mode must force
 // read-read conflicts to serialize — observable through virtual makespan.
@@ -62,50 +58,5 @@ func TestExclusiveLocksStillDeterministic(t *testing.T) {
 		} else if h != first {
 			t.Fatal("exclusive-lock mode diverged across runs")
 		}
-	}
-}
-
-// TestGCHorizonRetainsHistory: a nonzero horizon must keep old versions
-// readable for stale-snapshot consumers.
-func TestGCHorizonRetainsHistory(t *testing.T) {
-	reg := bankRegistry(t)
-	st := bankStore()
-	e := New(reg, st, Config{Workers: 2, GCHorizon: 20})
-	for i := 0; i < 18; i++ { // cross the gcEvery=16 boundary
-		if _, err := e.ExecuteBatch([]Request{
-			req(uint64(i+1), "deposit", ival("k", 1, "amt", 1)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Epoch 18 now; horizon 20 > 18 means nothing was GC'd: epoch-3
-	// history is still visible.
-	rec, ok := st.Get(3, value.NewKey("ACC", value.Int(1)))
-	if !ok {
-		t.Fatal("historical version lost despite GC horizon")
-	}
-	if f, _ := rec.Field("bal"); f.MustInt() != 103 {
-		t.Fatalf("epoch-3 balance = %v, want 103", f)
-	}
-}
-
-func TestSimExclusiveMatchesRealExclusive(t *testing.T) {
-	reg := bankRegistry(t)
-	batches := randomBatches(51, 5, 30)
-	cfg := Config{Workers: 4, ExclusiveLocks: true}
-	stReal := bankStore()
-	real := New(reg, stReal, cfg)
-	stSim := bankStore()
-	sim := NewSim(reg, stSim, cfg)
-	for _, b := range batches {
-		if _, err := real.ExecuteBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.ExecuteBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if stReal.StateHash(stReal.Epoch()) != stSim.StateHash(stSim.Epoch()) {
-		t.Fatal("exclusive-mode sim diverged from real engine")
 	}
 }

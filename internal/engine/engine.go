@@ -2,9 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"prognosticator/internal/lang"
@@ -15,28 +12,41 @@ import (
 )
 
 // Engine is the Prognosticator executor. One goroutine (the caller of
-// ExecuteBatch) plays the Queuer; Config.Workers worker goroutines execute
-// transactions. Batches must be executed one at a time.
+// ExecuteBatch) plays the Queuer; the pool's workers execute transactions.
+// Batches must be executed one at a time.
 type Engine struct {
-	reg *Registry
-	st  *store.Store
-	cfg Config
-	lt  *locktable.Table
+	reg  *Registry
+	st   *store.Store
+	cfg  Config
+	pool Pool
 }
 
 var _ Executor = (*Engine)(nil)
 
-// New returns an engine over the given catalog and store.
+// New returns an engine over the given catalog and store, running on
+// Config.Workers goroutines.
 func New(reg *Registry, st *store.Store, cfg Config) *Engine {
-	e := &Engine{reg: reg, st: st, cfg: cfg.withDefaults(), lt: locktable.New()}
-	e.lt.EnableTrace(e.cfg.TraceLocks)
-	return e
+	return NewWithPool(reg, st, cfg, NewThreadPool(cfg.Workers))
+}
+
+// NewSim returns the same engine on Config.Workers virtual workers: results
+// carry VDone / VirtualMakespan, and Prepare/Exec hold virtual durations.
+func NewSim(reg *Registry, st *store.Store, cfg Config) *Engine {
+	return NewWithPool(reg, st, cfg, NewVirtualPool(cfg.Workers))
+}
+
+// NewWithPool returns an engine on the given pool, which it must not share
+// with another executor; Config.Workers is ignored in favour of the pool's.
+func NewWithPool(reg *Registry, st *store.Store, cfg Config, pool Pool) *Engine {
+	cfg = cfg.withDefaults()
+	pool.table().EnableTrace(cfg.TraceLocks)
+	return &Engine{reg: reg, st: st, cfg: cfg, pool: pool}
 }
 
 // LockTable exposes the engine's lock table. Tests use it to plant
 // mutations (locktable.Table.SetUnsafeLIFOGrants) and inspect traces; the
-// engine owns it and resets it every execution round.
-func (e *Engine) LockTable() *locktable.Table { return e.lt }
+// pool owns it and resets it every execution round.
+func (e *Engine) LockTable() *locktable.Table { return e.pool.table() }
 
 // Name implements Executor.
 func (e *Engine) Name() string { return e.cfg.VariantName() }
@@ -44,26 +54,65 @@ func (e *Engine) Name() string { return e.cfg.VariantName() }
 // Store returns the underlying store (for state-hash checks).
 func (e *Engine) Store() *store.Store { return e.st }
 
-// txRuntime carries one request through the batch pipeline.
-type txRuntime struct {
-	req   Request
-	prog  *lang.Program
-	prof  *profile.Profile
-	class profile.Class
-	ks    *profile.KeySet
-	entry *locktable.Entry
-	out   *TxOutcome
-	// Operation counts of the most recent execution attempt and of the
-	// preparation, for the virtual-time cost model (sim.go), plus the
-	// accumulated virtual durations.
-	lastReads, lastWrites int
-	prepReads, prepWrites int
-	prepFull              bool // preparation ran the full logic (recon)
-	vExec, vPrep          time.Duration
-	// directKS caches the input-only part of a pivot-free DT's key-set: it
-	// never changes across MF re-preparation rounds, so only the indirect
-	// part is re-instantiated against the updated store state.
-	directKS *profile.KeySet
+// Batch is the frame every executor's ExecuteBatch shares: a fresh epoch,
+// one Task per request bound to its outcome slot, and the result under
+// construction.
+type Batch struct {
+	Res    *BatchResult
+	Tasks  []*Task
+	Writer *store.WriteView
+	pool   Pool
+	st     *store.Store
+}
+
+// BeginBatch opens the next epoch and binds carry (tasks held over from an
+// earlier batch, which re-enter first) and batch to fresh outcome slots.
+func BeginBatch(pool Pool, reg *Registry, st *store.Store, carry []*Task, batch []Request) (*Batch, error) {
+	start := time.Now()
+	epoch := st.BeginEpoch()
+	n := len(carry) + len(batch)
+	res := &BatchResult{Epoch: epoch, Start: start, Outcomes: make([]TxOutcome, n)}
+	tasks := append(make([]*Task, 0, n), carry...)
+	fresh := make([]Task, len(batch))
+	for i, req := range batch {
+		prog, ok := reg.Programs[req.TxName]
+		if !ok {
+			return nil, fmt.Errorf("engine: unknown transaction %q", req.TxName)
+		}
+		fresh[i] = Task{Req: req, Prog: prog, Prof: reg.Profiles[req.TxName], Class: reg.Classes[req.TxName]}
+		tasks = append(tasks, &fresh[i])
+	}
+	for i, tx := range tasks {
+		res.Outcomes[i] = TxOutcome{Seq: tx.Req.Seq, TxName: tx.Req.TxName, Class: tx.Class}
+		tx.Out = &res.Outcomes[i]
+		if tx.Class == profile.ClassROT {
+			res.ROTs++
+		} else {
+			res.Updates++
+		}
+	}
+	pool.begin()
+	return &Batch{Res: res, Tasks: tasks, Writer: st.WriterAt(epoch), pool: pool, st: st}, nil
+}
+
+// gcEvery is the store-GC cadence in batches: version GC sweeps every key,
+// so it is amortized.
+const gcEvery = 16
+
+// End closes the batch: it sums the aborts, garbage-collects versions more
+// than retain epochs behind this one every gcEvery batches, and stamps the
+// makespan.
+func (b *Batch) End(retain uint64) *BatchResult {
+	res := b.Res
+	if res.Epoch%gcEvery == 0 && res.Epoch > retain {
+		b.st.GC(res.Epoch - retain)
+	}
+	for i := range res.Outcomes {
+		res.Aborts += res.Outcomes[i].Aborts
+	}
+	res.VirtualMakespan = b.pool.end()
+	res.End = time.Now()
+	return res
 }
 
 // ExecuteBatch implements Executor. Phases (§III-C):
@@ -79,222 +128,94 @@ type txRuntime struct {
 //  4. Failed transactions are re-executed sequentially (SF) or re-prepared
 //     and re-enqueued in rounds (MF).
 func (e *Engine) ExecuteBatch(batch []Request) (*BatchResult, error) {
-	start := time.Now()
-	epoch := e.st.BeginEpoch()
-	snap := e.st.ViewAt(epoch - 1)
-	writer := e.st.WriterAt(epoch)
-	res := &BatchResult{Epoch: epoch, Start: start, Outcomes: make([]TxOutcome, len(batch))}
+	b, err := BeginBatch(e.pool, e.reg, e.st, nil, batch)
+	if err != nil {
+		return nil, err
+	}
+	res, writer := b.Res, b.Writer
+	snap := e.st.ViewAt(res.Epoch - 1)
 
-	rotQueues := make([][]*txRuntime, e.cfg.Workers)
-	var dts, its []*txRuntime
+	workers := e.pool.Workers()
+	rotQueues := make([][]*Task, workers)
+	var dts, its []*Task
 	rotIdx := 0
-	for i, req := range batch {
-		prog, ok := e.reg.Programs[req.TxName]
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown transaction %q", req.TxName)
-		}
-		prof := e.reg.Profiles[req.TxName]
-		class := e.reg.Classes[req.TxName]
-		res.Outcomes[i] = TxOutcome{Seq: req.Seq, TxName: req.TxName, Class: class}
-		tx := &txRuntime{req: req, prog: prog, prof: prof, class: class, out: &res.Outcomes[i]}
-		switch class {
+	for _, tx := range b.Tasks {
+		switch tx.Class {
 		case profile.ClassROT:
 			// Round-robin distribution into per-worker local queues keeps
 			// ROT execution coordination-free (§III-C).
-			rotQueues[rotIdx%e.cfg.Workers] = append(rotQueues[rotIdx%e.cfg.Workers], tx)
+			rotQueues[rotIdx%workers] = append(rotQueues[rotIdx%workers], tx)
 			rotIdx++
-			res.ROTs++
 		case profile.ClassDT:
 			dts = append(dts, tx)
-			res.Updates++
 		default:
 			its = append(its, tx)
-			res.Updates++
 		}
 	}
 	// DTs ahead of ITs so they execute earlier, shrinking the window in
 	// which their pivot predictions can go stale.
-	updates := make([]*txRuntime, 0, len(dts)+len(its))
+	updates := make([]*Task, 0, len(dts)+len(its))
 	updates = append(updates, dts...)
 	updates = append(updates, its...)
 
-	var errOnce sync.Once
-	var firstErr error
-	reportErr := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-	}
+	helpers := e.cfg.Queue == QueueMulti
+	execROT := func(tx *Task) (Work, error) { return e.execROT(tx, snap) }
+	prepare := func(tx *Task) (Work, error) { return e.prepare(tx, snap, snap) }
+	// MF rounds re-prepare against the current (partially executed) state.
+	reprepare := func(tx *Task) (Work, error) { return e.prepare(tx, writer, writer) }
+	execUpdate := func(tx *Task) (Work, error) { return e.execUpdate(tx, writer) }
+	execDirect := func(tx *Task) (Work, error) { return e.execDirect(tx, writer) }
 
 	// Phase 1: ROT execution overlapped with key-set preparation.
-	prepCh := make(chan *txRuntime, len(updates)+1)
-	for _, tx := range updates {
-		prepCh <- tx
-	}
-	close(prepCh)
-	var wg sync.WaitGroup
-	for w := 0; w < e.cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, rot := range rotQueues[w] {
-				if err := e.execROT(rot, snap); err != nil {
-					reportErr(err)
-				}
-			}
-			if e.cfg.Queue == QueueMulti {
-				for tx := range prepCh {
-					if err := e.prepare(tx, snap); err != nil {
-						reportErr(err)
-					}
-				}
-			}
-		}(w)
-	}
-	// The Queuer always participates in preparation; in 1Q mode it is the
-	// only preparer.
-	for tx := range prepCh {
-		if err := e.prepare(tx, snap); err != nil {
-			reportErr(err)
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := e.pool.Lanes(rotQueues, execROT, updates, prepare, helpers); err != nil {
+		return nil, err
 	}
 
 	// Phases 2+3: enqueue and execute.
-	failed, trace, err := e.executeRound(updates, writer, 0)
+	failed, trace, err := e.pool.Round(updates, nil, execUpdate, false, 0)
 	if err != nil {
 		return nil, err
 	}
 	res.LockTrace = trace
 
-	// Phase 4: failed transactions.
-	switch e.cfg.Fail {
-	case FailSequential:
-		if len(failed) > 0 {
-			res.FailRound = 1
-			sortBySeq(failed)
-			for _, tx := range failed {
-				if err := e.execDirect(tx, writer); err != nil {
-					return nil, err
-				}
-			}
-		}
-	default: // FailReenqueue
-		for round := 0; len(failed) > 0; round++ {
-			res.FailRound = round + 1
-			sortBySeq(failed)
-			// Re-prepare against the current (partially executed) state.
-			for _, tx := range failed {
-				if err := e.prepareWith(tx, writer); err != nil {
-					return nil, err
-				}
-			}
+	// Phase 4: failed transactions, in agreed order. MF re-prepares and
+	// re-enqueues them round by round for as long as rounds make progress:
+	// a round that commits nothing means the profile mispredicts
+	// persistently (e.g. read-own-write aliasing outside the profile's
+	// model). SF, and MF once stuck, re-execute them sequentially and
+	// unguarded, which is always correct and deterministic, takes no locks
+	// and leaves no trace.
+	reenqueue := e.cfg.Fail == FailReenqueue
+	for round := 1; len(failed) > 0; round++ {
+		res.FailRound = round
+		if reenqueue {
 			prev := len(failed)
-			failed, trace, err = e.executeRound(failed, writer, round+1)
+			failed, trace, err = e.pool.Round(failed, reprepare, execUpdate, helpers, round)
 			if err != nil {
 				return nil, err
 			}
 			res.LockTrace = append(res.LockTrace, trace...)
-			// Robustness fallback: a round that commits nothing means the
-			// profile mispredicts persistently (e.g. read-own-write
-			// aliasing outside the profile's model). Sequential unguarded
-			// re-execution is always correct and deterministic.
-			if len(failed) >= prev || round >= maxFailRounds {
-				sortBySeq(failed)
-				for _, tx := range failed {
-					if err := e.execDirect(tx, writer); err != nil {
-						return nil, err
-					}
-				}
-				failed = nil
+			if len(failed) < prev && round <= maxFailRounds {
+				continue
 			}
 		}
-	}
-
-	// Version GC sweeps every key, so amortize it over gcEvery batches.
-	if epoch%gcEvery == 0 {
-		if horizon := e.cfg.GCHorizon; epoch > horizon {
-			e.st.GC(epoch - horizon)
+		if err := e.pool.Serial(failed, execDirect); err != nil {
+			return nil, err
 		}
+		break
 	}
-	for i := range res.Outcomes {
-		res.Aborts += res.Outcomes[i].Aborts
-	}
-	res.End = time.Now()
-	return res, nil
+	return b.End(0), nil
 }
-
-// gcEvery is the store-GC cadence in batches.
-const gcEvery = 16
 
 // maxFailRounds bounds MF convergence; each round commits at least the
 // first failed transaction of every conflict chain, so hitting this limit
 // indicates a bug rather than contention.
 const maxFailRounds = 1000
 
-func sortBySeq(txs []*txRuntime) {
-	sort.Slice(txs, func(i, j int) bool { return txs[i].req.Seq < txs[j].req.Seq })
-}
-
-// executeRound enqueues the given transactions (in slice order) and drains
-// the ready queue with the worker pool. It returns the transactions that
-// failed pivot validation or key-set guarding, plus — with
-// Config.TraceLocks — the round's lock grant/release trace. Sequential
-// fallback execution (execDirect) takes no locks and leaves no trace.
-func (e *Engine) executeRound(txs []*txRuntime, writer *store.WriteView, round int) ([]*txRuntime, []locktable.Record, error) {
-	if len(txs) == 0 {
-		return nil, nil, nil
-	}
-	e.lt.Reset()
-	readyCh := make(chan *locktable.Entry, len(txs)+1)
-	for _, tx := range txs {
-		if e.lt.Enqueue(tx.entry) {
-			readyCh <- tx.entry
-		}
-	}
-	var remaining atomic.Int32
-	remaining.Store(int32(len(txs)))
-	var failedMu sync.Mutex
-	var failed []*txRuntime
-	var errOnce sync.Once
-	var firstErr error
-	var wg sync.WaitGroup
-	for w := 0; w < e.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for entry := range readyCh {
-				tx := entry.Payload.(*txRuntime)
-				ok, err := e.execUpdate(tx, writer)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-				}
-				if err == nil && !ok {
-					tx.out.Aborts++
-					failedMu.Lock()
-					failed = append(failed, tx)
-					failedMu.Unlock()
-				}
-				e.lt.Release(entry, func(n *locktable.Entry) { readyCh <- n })
-				if remaining.Add(-1) == 0 {
-					close(readyCh)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	return failed, e.lt.CollectTrace(round), nil
-}
-
 // execROT runs a read-only transaction against the snapshot; no locks, no
 // writes, results discarded (a real deployment would return them to the
 // client).
-func (e *Engine) execROT(tx *txRuntime, snap *store.ReadView) error {
-	t0 := time.Now()
+func (e *Engine) execROT(tx *Task, snap *store.ReadView) (Work, error) {
 	var kv lang.KV = snap
 	var ov *Overlay
 	if e.cfg.RecordFootprints {
@@ -302,36 +223,23 @@ func (e *Engine) execROT(tx *txRuntime, snap *store.ReadView) error {
 		ov.Record()
 		kv = ov
 	}
-	resu, err := lang.Run(tx.prog, tx.req.Inputs, kv)
+	resu, err := lang.Run(tx.Prog, tx.Req.Inputs, kv)
 	if err != nil {
-		return fmt.Errorf("engine: ROT %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
+		return Work{}, fmt.Errorf("engine: ROT %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 	}
 	if ov != nil {
-		tx.out.ReadSet, _ = ov.Footprints()
+		tx.Out.ReadSet, _ = ov.Footprints()
 	}
-	tx.lastReads, tx.lastWrites = len(resu.Reads), 0
-	tx.out.Emitted = resu.Emitted
-	tx.out.Exec += time.Since(t0)
-	tx.out.Done = time.Now()
-	return nil
+	tx.Out.Emitted = resu.Emitted
+	return Work{Reads: len(resu.Reads)}, nil
 }
 
-// prepare computes the key-set of an update transaction against the
-// beginning-of-batch snapshot.
-func (e *Engine) prepare(tx *txRuntime, snap *store.ReadView) error {
-	return e.prepareReader(tx, snap, snap)
-}
-
-// prepareWith re-prepares against the current batch state (MF rounds).
-func (e *Engine) prepareWith(tx *txRuntime, writer *store.WriteView) error {
-	return e.prepareReader(tx, writer, writer)
-}
-
-// prepareReader computes the key-set using kv for reconnaissance reads and
-// pr for pivot reads, then builds the lock-table entry.
-func (e *Engine) prepareReader(tx *txRuntime, kv lang.KV, pr profile.PivotReader) error {
-	t0 := time.Now()
-	defer func() { tx.out.Prepare += time.Since(t0) }()
+// prepare computes the key-set of an update transaction using kv for
+// reconnaissance reads and pr for pivot reads — the beginning-of-batch
+// snapshot, or the current batch state in MF rounds — then builds the
+// lock-table entry.
+func (e *Engine) prepare(tx *Task, kv lang.KV, pr profile.PivotReader) (Work, error) {
+	var work Work
 	switch e.cfg.Prepare {
 	case PrepareRecon:
 		// OLLP-style reconnaissance: run the full transaction logic on the
@@ -339,15 +247,14 @@ func (e *Engine) prepareReader(tx *txRuntime, kv lang.KV, pr profile.PivotReader
 		// key-set. This is the structural cost of the -R variants: a full
 		// execution per preparation, vs only pivot reads for SE profiles.
 		ov := NewOverlay(kv)
-		resu, err := lang.Run(tx.prog, tx.req.Inputs, ov)
+		resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
 		if err != nil {
-			return fmt.Errorf("engine: reconnaissance %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
+			return Work{}, fmt.Errorf("engine: reconnaissance %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}
-		tx.ks = &profile.KeySet{Reads: resu.Reads, Writes: resu.Writes}
-		tx.prepReads, tx.prepWrites, tx.prepFull = len(resu.Reads), len(resu.Writes), true
+		tx.KS = &profile.KeySet{Reads: resu.Reads, Writes: resu.Writes}
+		work = Work{Reads: len(resu.Reads), Writes: len(resu.Writes)}
 	default:
-		var ks *profile.KeySet
-		if e.reg.PivotFree[tx.req.TxName] {
+		if e.reg.PivotFree[tx.Req.TxName] {
 			// §III-C client-side prediction: the traversal is proven
 			// pivot-free, so the direct part of the key-set is instantiated
 			// from the inputs alone — computed once and reused across MF
@@ -357,52 +264,49 @@ func (e *Engine) prepareReader(tx *txRuntime, kv lang.KV, pr profile.PivotReader
 				var direct *profile.KeySet
 				var err error
 				if e.cfg.DirectMemo != nil {
-					direct, err = e.cfg.DirectMemo.InstantiateDirect(tx.prof, tx.req.Inputs)
+					direct, err = e.cfg.DirectMemo.InstantiateDirect(tx.Prof, tx.Req.Inputs)
 				} else {
-					direct, err = tx.prof.InstantiateDirect(tx.req.Inputs)
+					direct, err = tx.Prof.InstantiateDirect(tx.Req.Inputs)
 				}
 				if err != nil {
-					return fmt.Errorf("engine: instantiate direct %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
+					return Work{}, fmt.Errorf("engine: instantiate direct %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 				}
 				tx.directKS = direct
 			}
-			indirect, err := tx.prof.InstantiateIndirect(tx.req.Inputs, pr)
+			indirect, err := tx.Prof.InstantiateIndirect(tx.Req.Inputs, pr)
 			if err != nil {
-				return fmt.Errorf("engine: instantiate indirect %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
+				return Work{}, fmt.Errorf("engine: instantiate indirect %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 			}
-			ks = profile.Merge(tx.directKS, indirect)
-			tx.out.DirectKeys = len(tx.directKS.Reads) + len(tx.directKS.Writes)
+			tx.KS = profile.Merge(tx.directKS, indirect)
+			tx.Out.DirectKeys = len(tx.directKS.Reads) + len(tx.directKS.Writes)
 		} else {
-			full, err := tx.prof.Instantiate(tx.req.Inputs, pr)
+			full, err := tx.Prof.Instantiate(tx.Req.Inputs, pr)
 			if err != nil {
-				return fmt.Errorf("engine: instantiate %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
+				return Work{}, fmt.Errorf("engine: instantiate %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 			}
-			ks = full
+			tx.KS = full
 		}
-		tx.ks = ks
-		tx.prepReads, tx.prepWrites, tx.prepFull = len(ks.Pivots), 0, false
+		work = Work{Reads: len(tx.KS.Pivots), Traversal: true}
 	}
-	lockKeys := locktable.BuildKeys(tx.ks.Reads, tx.ks.Writes)
+	lockKeys := locktable.BuildKeys(tx.KS.Reads, tx.KS.Writes)
 	if e.cfg.ExclusiveLocks {
 		for i := range lockKeys {
 			lockKeys[i].Write = true
 		}
 	}
-	tx.entry = &locktable.Entry{Seq: tx.req.Seq, Keys: lockKeys, Payload: tx}
-	return nil
+	tx.Entry = &locktable.Entry{Seq: tx.Req.Seq, Keys: lockKeys}
+	return work, nil
 }
 
 // execUpdate validates and executes one update transaction while it holds
-// all its locks. It returns ok=false when the transaction must abort
-// (stale pivot observation or key-set guard violation).
-func (e *Engine) execUpdate(tx *txRuntime, writer *store.WriteView) (bool, error) {
-	t0 := time.Now()
-	defer func() { tx.out.Exec += time.Since(t0) }()
+// all its locks. It reports Abort when the transaction must abort (stale
+// pivot observation or key-set guard violation).
+func (e *Engine) execUpdate(tx *Task, writer *store.WriteView) (Work, error) {
 	// Pivot validation (§III-C): the keys this DT locked were derived from
 	// pivot values read at prepare time; if any pivot changed since, the
 	// derived key-set may be wrong and the transaction must abort.
 	if e.cfg.Prepare == PrepareSE {
-		for _, obs := range tx.ks.Pivots {
+		for _, obs := range tx.KS.Pivots {
 			cur, found := writer.ReadPivot(obs.Key, obs.Field)
 			if !found {
 				cur = value.Int(0)
@@ -410,53 +314,46 @@ func (e *Engine) execUpdate(tx *txRuntime, writer *store.WriteView) (bool, error
 			if !cur.Equal(obs.Value) {
 				// Aborted during validation: only the pivot re-reads were
 				// performed.
-				tx.lastReads, tx.lastWrites = len(tx.ks.Pivots), 0
-				return false, nil
+				return Work{Reads: len(tx.KS.Pivots), Abort: true}, nil
 			}
 		}
 	}
 	ov := NewOverlay(writer)
-	ov.Guard(tx.ks.Reads, tx.ks.Writes)
+	ov.Guard(tx.KS.Reads, tx.KS.Writes)
 	if e.cfg.RecordFootprints {
 		ov.Record()
 	}
-	resu, err := lang.Run(tx.prog, tx.req.Inputs, ov)
+	resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
 	if err != nil {
-		return false, fmt.Errorf("engine: execute %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
+		return Work{}, fmt.Errorf("engine: execute %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 	}
-	tx.lastReads = len(tx.ks.Pivots) + len(resu.Reads)
-	tx.lastWrites = len(resu.Writes)
-	if ov.Violated() {
-		return false, nil
+	work := Work{Reads: len(tx.KS.Pivots) + len(resu.Reads), Writes: len(resu.Writes), Abort: ov.Violated()}
+	if work.Abort {
+		return work, nil
 	}
 	ov.Flush(writer)
 	if e.cfg.RecordFootprints {
-		tx.out.ReadSet, tx.out.WriteSet = ov.Footprints()
+		tx.Out.ReadSet, tx.Out.WriteSet = ov.Footprints()
 	}
-	tx.out.Emitted = resu.Emitted
-	tx.out.Done = time.Now()
-	return true, nil
+	tx.Out.Emitted = resu.Emitted
+	return work, nil
 }
 
 // execDirect runs a transaction with exclusive access (SF re-execution): no
 // guard, no validation — sequential execution cannot conflict.
-func (e *Engine) execDirect(tx *txRuntime, writer *store.WriteView) error {
-	t0 := time.Now()
+func (e *Engine) execDirect(tx *Task, writer *store.WriteView) (Work, error) {
 	ov := NewOverlay(writer)
 	if e.cfg.RecordFootprints {
 		ov.Record()
 	}
-	resu, err := lang.Run(tx.prog, tx.req.Inputs, ov)
+	resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
 	if err != nil {
-		return fmt.Errorf("engine: sequential re-exec %s(seq %d): %w", tx.req.TxName, tx.req.Seq, err)
+		return Work{}, fmt.Errorf("engine: sequential re-exec %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 	}
-	tx.lastReads, tx.lastWrites = len(resu.Reads), len(resu.Writes)
 	ov.Flush(writer)
 	if e.cfg.RecordFootprints {
-		tx.out.ReadSet, tx.out.WriteSet = ov.Footprints()
+		tx.Out.ReadSet, tx.Out.WriteSet = ov.Footprints()
 	}
-	tx.out.Emitted = resu.Emitted
-	tx.out.Exec += time.Since(t0)
-	tx.out.Done = time.Now()
-	return nil
+	tx.Out.Emitted = resu.Emitted
+	return Work{Reads: len(resu.Reads), Writes: len(resu.Writes)}, nil
 }

@@ -349,7 +349,7 @@ func TestVariantNamesAndDefaults(t *testing.T) {
 		}
 	}
 	def := Config{}.withDefaults()
-	if def.Workers != 4 || def.Prepare != PrepareSE || def.Queue != QueueMulti || def.Fail != FailReenqueue {
+	if NewThreadPool(0).Workers() != 4 || NewVirtualPool(0).Workers() != 4 || def.Prepare != PrepareSE || def.Queue != QueueMulti || def.Fail != FailReenqueue {
 		t.Fatalf("defaults = %+v", def)
 	}
 }

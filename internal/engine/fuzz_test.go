@@ -115,33 +115,6 @@ func TestFuzzEngineSurvivesMispredictions(t *testing.T) {
 	}
 }
 
-// TestFuzzSimMatchesEngineUnderMispredictions: the virtual-time simulator
-// must track the threaded engine through the fallback path too.
-func TestFuzzSimMatchesEngineUnderMispredictions(t *testing.T) {
-	reg := fuzzEngineRegistry(t)
-	batches := fuzzBatches(21, 6, 20)
-	stReal := fuzzStore()
-	real := New(reg, stReal, Config{Workers: 4})
-	stSim := fuzzStore()
-	sim := NewSim(reg, stSim, Config{Workers: 4})
-	for _, b := range batches {
-		r1, err := real.ExecuteBatch(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := sim.ExecuteBatch(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.Aborts != r2.Aborts {
-			t.Fatalf("abort counts differ: %d vs %d", r1.Aborts, r2.Aborts)
-		}
-	}
-	if stReal.StateHash(stReal.Epoch()) != stSim.StateHash(stSim.Epoch()) {
-		t.Fatal("sim diverged from engine under misprediction fallback")
-	}
-}
-
 // TestReadOwnWriteExactMatchPredicted: the direct (syntactically identical
 // key) read-own-write pattern must be handled by the profile itself — no
 // aborts at all.

@@ -90,9 +90,6 @@ type Config struct {
 	Prepare PrepareMode
 	Queue   QueueMode
 	Fail    FailMode
-	// GCHorizon is how many epochs of history to retain behind the
-	// current one (baselines with stale reads need more than the default).
-	GCHorizon uint64
 	// ExclusiveLocks disables shared read grants in the lock table — the
 	// literal reading of the paper's Fig. 2, kept as an ablation: hot
 	// catalog reads then serialize the workload (see the
@@ -129,9 +126,6 @@ func (c Config) VariantName() string {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
 	if c.Prepare == 0 {
 		c.Prepare = PrepareSE
 	}
@@ -165,8 +159,8 @@ type TxOutcome struct {
 	// without pivot reads (pivot-free DTs only; zero elsewhere).
 	DirectKeys int
 	// VDone is the transaction's completion offset in VIRTUAL time from
-	// the batch start; set only by the virtual-time simulator (sim.go),
-	// which models an N-core replica on whatever host runs it.
+	// the batch start; set only by the virtual pool, which models an
+	// N-core replica on whatever host runs it.
 	VDone time.Duration
 	// ReadSet and WriteSet are the committed execution's observed read
 	// footprint (first read per key, before any own write) and final write
@@ -195,7 +189,7 @@ type BatchResult struct {
 	ROTs      int
 	Updates   int
 	FailRound int // number of re-execution rounds needed
-	// VirtualMakespan is the batch's span in virtual time (simulator only).
+	// VirtualMakespan is the batch's span in virtual time (virtual pool only).
 	VirtualMakespan time.Duration
 	// LockTrace is the batch's lock grant/release record stream across all
 	// execution rounds, recorded only with Config.TraceLocks.

@@ -20,40 +20,29 @@ import (
 
 // PrognosticatorSystem returns the engine under a named variant config.
 func PrognosticatorSystem(name string, cfg engine.Config) System {
-	return System{Name: name, New: func(reg *engine.Registry, st *store.Store, workers int) engine.Executor {
-		c := cfg
-		c.Workers = workers
-		return engine.New(reg, st, c)
-	}}
-}
-
-// SimPrognosticatorSystem returns the virtual-time engine variant.
-func SimPrognosticatorSystem(name string, cfg engine.Config) System {
-	return System{Name: name, New: func(reg *engine.Registry, st *store.Store, workers int) engine.Executor {
-		c := cfg
-		c.Workers = workers
-		return engine.NewSim(reg, st, c)
+	return System{Name: name, New: func(reg *engine.Registry, st *store.Store, pool engine.Pool) engine.Executor {
+		return engine.NewWithPool(reg, st, cfg, pool)
 	}}
 }
 
 // CalvinSystem returns the Calvin baseline with the given staleness epochs.
 func CalvinSystem(name string, stalenessEpochs uint64) System {
-	return System{Name: name, New: func(reg *engine.Registry, st *store.Store, workers int) engine.Executor {
-		return baselines.NewCalvin(reg, st, workers, stalenessEpochs, name)
+	return System{Name: name, New: func(reg *engine.Registry, st *store.Store, pool engine.Pool) engine.Executor {
+		return baselines.NewCalvin(reg, st, pool, stalenessEpochs, name)
 	}}
 }
 
 // NODOSystem returns the NODO baseline.
 func NODOSystem() System {
-	return System{Name: "NODO", New: func(reg *engine.Registry, st *store.Store, workers int) engine.Executor {
-		return baselines.NewNODO(reg, st, workers)
+	return System{Name: "NODO", New: func(reg *engine.Registry, st *store.Store, pool engine.Pool) engine.Executor {
+		return baselines.NewNODO(reg, st, pool)
 	}}
 }
 
 // SEQSystem returns the sequential baseline.
 func SEQSystem() System {
-	return System{Name: "SEQ", New: func(reg *engine.Registry, st *store.Store, workers int) engine.Executor {
-		return baselines.NewSEQ(reg, st)
+	return System{Name: "SEQ", New: func(reg *engine.Registry, st *store.Store, pool engine.Pool) engine.Executor {
+		return baselines.NewSEQWithPool(reg, st, pool)
 	}}
 }
 
@@ -70,28 +59,6 @@ func ComparisonSystems() []System {
 	}
 }
 
-// SimComparisonSystems is the §IV-B line-up on virtual-time executors; use
-// with Options.Virtual.
-func SimComparisonSystems() []System {
-	mk := func(name string, staleness uint64) System {
-		return System{Name: name, New: func(reg *engine.Registry, st *store.Store, workers int) engine.Executor {
-			return baselines.NewSimCalvin(reg, st, workers, staleness, name)
-		}}
-	}
-	return []System{
-		SimPrognosticatorSystem("MQ-MF", engine.Config{Queue: engine.QueueMulti, Fail: engine.FailReenqueue}),
-		SimPrognosticatorSystem("MQ-SF", engine.Config{Queue: engine.QueueMulti, Fail: engine.FailSequential}),
-		mk("Calvin-100", 10),
-		mk("Calvin-200", 20),
-		{Name: "NODO", New: func(reg *engine.Registry, st *store.Store, workers int) engine.Executor {
-			return baselines.NewSimNODO(reg, st, workers)
-		}},
-		{Name: "SEQ", New: func(reg *engine.Registry, st *store.Store, workers int) engine.Executor {
-			return baselines.NewSimSEQ(reg, st)
-		}},
-	}
-}
-
 // VariantSystems returns the eight §IV-C Prognosticator variants:
 // {MQ,1Q} x {SF,MF} x {SE,R}.
 func VariantSystems() []System {
@@ -101,20 +68,6 @@ func VariantSystems() []System {
 			for _, p := range []engine.PrepareMode{engine.PrepareSE, engine.PrepareRecon} {
 				cfg := engine.Config{Queue: q, Fail: f, Prepare: p}
 				out = append(out, PrognosticatorSystem(cfg.VariantName(), cfg))
-			}
-		}
-	}
-	return out
-}
-
-// SimVariantSystems is the variant grid on virtual-time executors.
-func SimVariantSystems() []System {
-	var out []System
-	for _, q := range []engine.QueueMode{engine.QueueMulti, engine.QueueSingle} {
-		for _, f := range []engine.FailMode{engine.FailSequential, engine.FailReenqueue} {
-			for _, p := range []engine.PrepareMode{engine.PrepareSE, engine.PrepareRecon} {
-				cfg := engine.Config{Queue: q, Fail: f, Prepare: p}
-				out = append(out, SimPrognosticatorSystem(cfg.VariantName(), cfg))
 			}
 		}
 	}
@@ -200,13 +153,9 @@ type VariantRow struct {
 
 // RunVariants sweeps the eight Prognosticator variants (Fig. 5).
 func RunVariants(workloads []Workload, opts Options) ([]VariantRow, error) {
-	systems := VariantSystems()
-	if opts.Virtual {
-		systems = SimVariantSystems()
-	}
 	var rows []VariantRow
 	for _, wl := range workloads {
-		for _, sys := range systems {
+		for _, sys := range VariantSystems() {
 			sw, err := MaxSustainable(sys, wl, opts)
 			if err != nil {
 				return nil, err

@@ -45,7 +45,7 @@ func TestVirtualGolden(t *testing.T) {
 	got := map[string]goldenPoint{}
 	for _, wl := range []Workload{tp, rb} {
 		for lineup, systems := range map[string][]System{
-			"comparison": SimComparisonSystems(), "variant": SimVariantSystems(),
+			"comparison": ComparisonSystems(), "variant": VariantSystems(),
 		} {
 			for _, sys := range systems {
 				var st *store.Store

@@ -31,10 +31,11 @@ type Workload struct {
 	NewGen func(seed int64) RequestGen
 }
 
-// System names an executor construction.
+// System names an executor construction on the worker pool the harness
+// builds from Options.Workers and Options.Virtual.
 type System struct {
 	Name string
-	New  func(reg *engine.Registry, st *store.Store, workers int) engine.Executor
+	New  func(reg *engine.Registry, st *store.Store, pool engine.Pool) engine.Executor
 }
 
 // Options tunes a sweep. The defaults reproduce the paper's methodology at
@@ -49,11 +50,11 @@ type Options struct {
 	Growth        float64       // batch-size multiplier between points
 	Workers       int           // paper: 20 threads
 	Seed          int64
-	// Virtual selects virtual-time accounting: executors must be the Sim*
-	// variants (engine.NewSim, baselines.NewSim*), which schedule real
-	// executions across N virtual workers and report VDone /
+	// Virtual runs every system on engine.NewVirtualPool instead of
+	// engine.NewThreadPool: real executions scheduled across Workers
+	// virtual workers, latency and throughput read off VDone /
 	// VirtualMakespan. This reproduces the paper's 20-core testbed on any
-	// host (see internal/engine/sim.go) and runs without wall-clock pacing.
+	// host and runs without wall-clock pacing.
 	Virtual bool
 }
 
@@ -152,7 +153,11 @@ const maxConsecutiveFails = 2
 func RunPoint(sys System, wl Workload, batchSize int, opts Options) (*Point, error) {
 	opts = opts.withDefaults()
 	st := wl.NewStore()
-	exec := sys.New(wl.Registry, st, opts.Workers)
+	pool := engine.NewThreadPool(opts.Workers)
+	if opts.Virtual {
+		pool = engine.NewVirtualPool(opts.Workers)
+	}
+	exec := sys.New(wl.Registry, st, pool)
 	gen := wl.NewGen(opts.Seed)
 
 	lat := metrics.NewHistogram()

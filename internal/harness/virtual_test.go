@@ -30,7 +30,7 @@ func TestVirtualRunPointDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := SimPrognosticatorSystem("MQ-MF", engineConfigMQMF())
+	sys := PrognosticatorSystem("MQ-MF", engineConfigMQMF())
 	first, err := RunPoint(sys, wl, 16, virtualOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -60,12 +60,11 @@ func TestVirtualParallelismShapesThroughput(t *testing.T) {
 	}
 	opts := virtualOpts()
 	opts.Workers = 16
-	mqmf, err := MaxSustainable(SimPrognosticatorSystem("MQ-MF", engineConfigMQMF()), wl, opts)
+	mqmf, err := MaxSustainable(PrognosticatorSystem("MQ-MF", engineConfigMQMF()), wl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqSys := System{Name: "SEQ", New: SimComparisonSystems()[5].New}
-	seq, err := MaxSustainable(seqSys, wl, opts)
+	seq, err := MaxSustainable(SEQSystem(), wl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,57 +83,17 @@ func TestVirtualReconSlowerThanSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := virtualOpts()
-	se, err := RunPoint(SimPrognosticatorSystem("MQ-MF", engineConfigMQMF()), wl, 32, opts)
+	se, err := RunPoint(PrognosticatorSystem("MQ-MF", engineConfigMQMF()), wl, 32, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rCfg := engine.Config{Queue: engine.QueueMulti, Fail: engine.FailReenqueue, Prepare: engine.PrepareRecon}
-	recon, err := RunPoint(SimPrognosticatorSystem("MQ-MF-R", rCfg), wl, 32, opts)
+	recon, err := RunPoint(PrognosticatorSystem("MQ-MF-R", rCfg), wl, 32, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if recon.MeanPrepare <= se.MeanPrepare {
 		t.Fatalf("recon prepare (%v) must exceed SE prepare (%v)",
 			recon.MeanPrepare, se.MeanPrepare)
-	}
-}
-
-// TestVirtualMatchesRealState: the harness-level wiring of the simulator
-// must evolve the same store state as the threaded engine over a full
-// sweep point.
-func TestVirtualMatchesRealState(t *testing.T) {
-	wl, err := TPCCWorkload(tinyTPCC(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := virtualOpts()
-	opts.Batches = 6
-	// Run identical request streams through a sim executor and a real
-	// executor outside the harness, then compare.
-	stSim := wl.NewStore()
-	sim := engine.NewSim(wl.Registry, stSim, engineConfigMQMF())
-	stReal := wl.NewStore()
-	real := engine.New(wl.Registry, stReal, engineConfigMQMF())
-	gen1 := wl.NewGen(3)
-	gen2 := wl.NewGen(3)
-	seq := uint64(0)
-	for b := 0; b < 5; b++ {
-		var b1, b2 []engine.Request
-		for i := 0; i < 30; i++ {
-			seq++
-			tx, in := gen1.Next()
-			b1 = append(b1, engine.Request{Seq: seq, TxName: tx, Inputs: in})
-			tx2, in2 := gen2.Next()
-			b2 = append(b2, engine.Request{Seq: seq, TxName: tx2, Inputs: in2})
-		}
-		if _, err := sim.ExecuteBatch(b1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := real.ExecuteBatch(b2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if stSim.StateHash(stSim.Epoch()) != stReal.StateHash(stReal.Epoch()) {
-		t.Fatal("simulator state diverged from threaded engine state")
 	}
 }

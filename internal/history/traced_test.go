@@ -39,11 +39,11 @@ func blindRegistry(t testing.TB) *engine.Registry {
 
 // runBlindBatch executes one batch of three conflicting blind writes to the
 // same key and converts the result into a recorded history plus lock trace.
-func runBlindBatch(t *testing.T, lifo bool) ([]Op, map[uint64][]locktable.Record, int64) {
+func runBlindBatch(t *testing.T, newEngine func(*engine.Registry, *store.Store, engine.Config) *engine.Engine, lifo bool) ([]Op, map[uint64][]locktable.Record, int64) {
 	t.Helper()
 	reg := blindRegistry(t)
 	st := store.New()
-	e := engine.New(reg, st, engine.Config{Workers: 4, RecordFootprints: true, TraceLocks: true})
+	e := newEngine(reg, st, engine.Config{Workers: 4, RecordFootprints: true, TraceLocks: true})
 	e.LockTable().SetUnsafeLIFOGrants(lifo)
 
 	batch := []engine.Request{
@@ -90,33 +90,39 @@ func runBlindBatch(t *testing.T, lifo bool) ([]Op, map[uint64][]locktable.Record
 // give it nothing to detect with); the lock-grant-traced checker must
 // reject it as a DSG cycle.
 func TestCheckTracedCatchesLIFOGrants(t *testing.T) {
-	// Healthy FIFO table: both checkers accept, final state is seq 3's.
-	ops, traces, final := runBlindBatch(t, false)
-	if err := Check(ops, nil); err != nil {
-		t.Fatalf("untraced checker rejected a correct run: %v", err)
-	}
-	if err := CheckTraced(ops, traces, nil); err != nil {
-		t.Fatalf("traced checker rejected a correct run: %v", err)
-	}
-	if final != 103 {
-		t.Fatalf("correct run final value = %d, want the agreed-last write 103", final)
-	}
+	for name, newEngine := range map[string]func(*engine.Registry, *store.Store, engine.Config) *engine.Engine{
+		"threads": engine.New, "virtual": engine.NewSim,
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Healthy FIFO table: both checkers accept, final state is seq 3's.
+			ops, traces, final := runBlindBatch(t, newEngine, false)
+			if err := Check(ops, nil); err != nil {
+				t.Fatalf("untraced checker rejected a correct run: %v", err)
+			}
+			if err := CheckTraced(ops, traces, nil); err != nil {
+				t.Fatalf("traced checker rejected a correct run: %v", err)
+			}
+			if final != 103 {
+				t.Fatalf("correct run final value = %d, want the agreed-last write 103", final)
+			}
 
-	// Planted bug: the untraced checker MUST miss it (that is what makes
-	// the traced variant worth building), the traced one MUST flag it.
-	ops, traces, final = runBlindBatch(t, true)
-	if err := Check(ops, nil); err != nil {
-		t.Fatalf("untraced checker unexpectedly caught the LIFO bug (test premise broken): %v", err)
-	}
-	err := CheckTraced(ops, traces, nil)
-	if err == nil {
-		t.Fatal("traced checker accepted a history executed under LIFO lock grants")
-	}
-	if !strings.Contains(err.Error(), "DSG cycle") {
-		t.Fatalf("traced checker rejected for the wrong reason: %v", err)
-	}
-	if final != 102 {
-		t.Fatalf("LIFO run final value = %d, want 102 (seq 2 committed last under reversed grants)", final)
+			// Planted bug: the untraced checker MUST miss it (that is what makes
+			// the traced variant worth building), the traced one MUST flag it.
+			ops, traces, final = runBlindBatch(t, newEngine, true)
+			if err := Check(ops, nil); err != nil {
+				t.Fatalf("untraced checker unexpectedly caught the LIFO bug (test premise broken): %v", err)
+			}
+			err := CheckTraced(ops, traces, nil)
+			if err == nil {
+				t.Fatal("traced checker accepted a history executed under LIFO lock grants")
+			}
+			if !strings.Contains(err.Error(), "DSG cycle") {
+				t.Fatalf("traced checker rejected for the wrong reason: %v", err)
+			}
+			if final != 102 {
+				t.Fatalf("LIFO run final value = %d, want 102 (seq 2 committed last under reversed grants)", final)
+			}
+		})
 	}
 }
 

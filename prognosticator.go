@@ -165,6 +165,9 @@ type (
 	TxOutcome = engine.TxOutcome
 	// Executor is implemented by the engine and all baselines.
 	Executor = engine.Executor
+	// Pool is the set of workers an executor runs its batches on: real
+	// goroutines, or virtual clocks under the evaluation's cost model.
+	Pool = engine.Pool
 )
 
 // Engine construction.
@@ -172,6 +175,8 @@ var (
 	NewRegistry     = engine.NewRegistry
 	NewRegistryWith = engine.NewRegistryWith
 	NewEngine       = engine.New
+	NewThreadPool   = engine.NewThreadPool
+	NewVirtualPool  = engine.NewVirtualPool
 )
 
 // RegistryOptions configures registration (strict lint, soundness checks).
@@ -220,9 +225,9 @@ const (
 // Baselines of the paper's evaluation.
 var (
 	// NewCalvin builds the Calvin baseline (client reconnaissance N batch
-	// epochs ahead).
+	// epochs ahead) on a Pool of its own.
 	NewCalvin = baselines.NewCalvin
-	// NewNODO builds the table-granularity baseline.
+	// NewNODO builds the table-granularity baseline on a Pool of its own.
 	NewNODO = baselines.NewNODO
 	// NewSEQ builds the single-threaded baseline.
 	NewSEQ = baselines.NewSEQ
