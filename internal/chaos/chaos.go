@@ -181,9 +181,9 @@ func (in *Injector) Step(i int) error {
 	}
 	f := in.plan[i]
 	in.mu.Unlock()
-	// Chaos anchors are scheduler yield points: under the cooperative
-	// scheduler the picker may interleave other actors before the fault
-	// lands, and where it does so is itself a pure function of the seed.
+	// Chaos anchors are yield points: on a simulated clock the picker may
+	// interleave other actors before the fault lands, and where it does so
+	// is itself a pure function of the seed.
 	vclock.Yield(in.c.Clock())
 	in.stepMu.Lock()
 	applied, err := in.apply(f)

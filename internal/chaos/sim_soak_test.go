@@ -15,7 +15,6 @@ import (
 	"prognosticator/internal/profile"
 	"prognosticator/internal/raft"
 	"prognosticator/internal/replica"
-	"prognosticator/internal/sched"
 	"prognosticator/internal/sequencer"
 	"prognosticator/internal/store"
 	"prognosticator/internal/value"
@@ -69,7 +68,7 @@ func bankBatch(rng *rand.Rand, txs int) []replica.Request {
 
 // simTrace accumulates the replayable event log of one simulated run. Every
 // line carries its virtual timestamp, and under the cooperative scheduler
-// (internal/sched) the timestamps are part of the replay contract: the
+// (vclock.Sim.Run) the timestamps are part of the replay contract: the
 // entire interleaving — which actor runs when, which message arrives first,
 // when elections fire — is a pure function of the seed, so two same-seed
 // runs must produce byte-identical traces, timestamps included.
@@ -115,7 +114,7 @@ func runSimChaosSoak(t *testing.T, seed int64) (string, uint64) {
 	tr := &simTrace{sim: sim}
 	var want uint64
 
-	if err := sched.Run(sim, func() {
+	if err := sim.Run(func() {
 		c, err := replica.NewCluster(replica.ClusterConfig{
 			Replicas: 3,
 			Seed:     seed,
@@ -280,7 +279,7 @@ func runSimOverloadSoak(t *testing.T, seed int64) (string, uint64) {
 	tr := &simTrace{sim: sim}
 	var want uint64
 
-	if err := sched.Run(sim, func() {
+	if err := sim.Run(func() {
 		c, err := replica.NewCluster(replica.ClusterConfig{
 			Replicas: 3,
 			Seed:     seed,
@@ -477,7 +476,7 @@ func simSerializabilityRun(t *testing.T, seed int64, reg *engine.Registry, popul
 	dir := t.TempDir()
 
 	rec := history.NewRecorder()
-	if err := sched.Run(sim, func() {
+	if err := sim.Run(func() {
 		c, err := replica.NewCluster(replica.ClusterConfig{
 			Replicas: 3,
 			Seed:     seed,

@@ -43,11 +43,6 @@ func NewWithPool(reg *Registry, st *store.Store, cfg Config, pool Pool) *Engine 
 	return &Engine{reg: reg, st: st, cfg: cfg, pool: pool}
 }
 
-// LockTable exposes the engine's lock table. Tests use it to plant
-// mutations (locktable.Table.SetUnsafeLIFOGrants) and inspect traces; the
-// pool owns it and resets it every execution round.
-func (e *Engine) LockTable() *locktable.Table { return e.pool.table() }
-
 // Name implements Executor.
 func (e *Engine) Name() string { return e.cfg.VariantName() }
 

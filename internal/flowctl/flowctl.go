@@ -18,10 +18,10 @@
 // Determinism contract: admission (Admit) never blocks — it sheds
 // immediately — and every wait in the package (Backoff.Sleep, deadline
 // waits) goes through the injected vclock.Clock, with jitter drawn from
-// vclock.Hash64 over (seed, attempt) rather than a shared rng. Under the
-// cooperative scheduler (internal/sched) those clock calls are the yield
-// points, which is what makes the simulated overload soak's admit/shed
-// sequence bit-replayable from a seed.
+// vclock.Hash64 over (seed, attempt) rather than a shared rng. On a simulated
+// clock (vclock.Sim.Run) those clock calls are the actor's yield points,
+// which is what makes the simulated overload soak's admit/shed sequence
+// bit-replayable from a seed.
 package flowctl
 
 import (

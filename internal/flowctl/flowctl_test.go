@@ -1,13 +1,13 @@
 package flowctl
 
 import (
-	"prognosticator/internal/vclock"
-
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"testing"
 	"time"
+
+	"prognosticator/internal/vclock"
 )
 
 // TestBackoffJitterDeterministic pins the exact jitter sequence for a fixed
@@ -194,48 +194,64 @@ func TestInflightLimit(t *testing.T) {
 	}
 }
 
+// onSim runs body as the root actor of a fresh simulated clock: virtual
+// Sleeps are the actor's gates, so the script runs in zero real time. body
+// runs on an actor goroutine and must report with t.Error, not t.Fatal.
+func onSim(t *testing.T, seed int64, body func(clk vclock.Clock)) {
+	t.Helper()
+	sim := vclock.NewSim(seed)
+	if err := sim.Run(func() { body(sim.Clock()) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRateLimitFakeClock(t *testing.T) {
-	sim := vclock.NewSim(1)
-	clk := sim.Clock()
-	vclock.Hold(clk)
-	defer vclock.Release(clk)
-	c := NewController(Config{SubmitRate: 10, SubmitBurst: 2, Clock: clk})
-	// Burst of 2 admits, third sheds.
-	for i := 0; i < 2; i++ {
+	onSim(t, 1, func(clk vclock.Clock) {
+		c := NewController(Config{SubmitRate: 10, SubmitBurst: 2, Clock: clk})
+		// Burst of 2 admits, third sheds.
+		for i := 0; i < 2; i++ {
+			rel, err := c.Admit()
+			if err != nil {
+				t.Errorf("burst Admit %d = %v", i, err)
+				return
+			}
+			rel()
+		}
+		if _, err := c.Admit(); !errors.Is(err, ErrOverload) {
+			t.Errorf("over-burst Admit = %v, want ErrOverload", err)
+			return
+		}
+		// 100ms at 10/s refills exactly one token.
+		clk.Sleep(100 * time.Millisecond)
 		rel, err := c.Admit()
 		if err != nil {
-			t.Fatalf("burst Admit %d = %v", i, err)
+			t.Errorf("post-refill Admit = %v", err)
+			return
 		}
 		rel()
-	}
-	if _, err := c.Admit(); !errors.Is(err, ErrOverload) {
-		t.Fatalf("over-burst Admit = %v, want ErrOverload", err)
-	}
-	// 100ms at 10/s refills exactly one token.
-	clk.Sleep(100 * time.Millisecond)
-	rel, err := c.Admit()
-	if err != nil {
-		t.Fatalf("post-refill Admit = %v", err)
-	}
-	rel()
-	if _, err := c.Admit(); !errors.Is(err, ErrOverload) {
-		t.Fatal("second post-refill Admit admitted")
-	}
-	// A long idle caps the bucket at burst, not rate*elapsed.
-	clk.Sleep(time.Hour)
-	for i := 0; i < 2; i++ {
-		rel, err := c.Admit()
-		if err != nil {
-			t.Fatalf("capped-refill Admit %d = %v", i, err)
+		if _, err := c.Admit(); !errors.Is(err, ErrOverload) {
+			t.Error("second post-refill Admit admitted")
+			return
 		}
-		rel()
-	}
-	if _, err := c.Admit(); !errors.Is(err, ErrOverload) {
-		t.Fatal("bucket exceeded burst after idle")
-	}
-	if c.Counters().Snapshot()["shed-rate"] != 3 {
-		t.Fatalf("shed-rate = %v", c.Counters().Snapshot())
-	}
+		// A long idle caps the bucket at burst, not rate*elapsed.
+		clk.Sleep(time.Hour)
+		for i := 0; i < 2; i++ {
+			rel, err := c.Admit()
+			if err != nil {
+				t.Errorf("capped-refill Admit %d = %v", i, err)
+				return
+			}
+			rel()
+		}
+		if _, err := c.Admit(); !errors.Is(err, ErrOverload) {
+			t.Error("bucket exceeded burst after idle")
+			return
+		}
+		if c.Counters().Snapshot()["shed-rate"] != 3 {
+			t.Errorf("shed-rate = %v", c.Counters().Snapshot())
+			return
+		}
+	})
 }
 
 func TestRetryBudget(t *testing.T) {
@@ -275,70 +291,81 @@ func TestRetryBudget(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	sim := vclock.NewSim(1)
-	clk := sim.Clock()
-	vclock.Hold(clk)
-	defer vclock.Release(clk)
-	c := NewController(Config{BreakerThreshold: 3, BreakerCooldown: time.Second, Clock: clk})
+	onSim(t, 1, func(clk vclock.Clock) {
+		c := NewController(Config{BreakerThreshold: 3, BreakerCooldown: time.Second, Clock: clk})
 
-	// Failures below the threshold keep the breaker closed.
-	c.RecordRouteFailure()
-	c.RecordRouteFailure()
-	if c.BreakerState() != Closed {
-		t.Fatal("tripped below threshold")
-	}
-	if _, err := c.Admit(); err != nil {
-		t.Fatalf("closed-breaker Admit = %v", err)
-	}
-	// Third consecutive failure trips it open; admissions shed.
-	c.RecordRouteFailure()
-	if c.BreakerState() != Open {
-		t.Fatal("did not trip at threshold")
-	}
-	if _, err := c.Admit(); !errors.Is(err, ErrOverload) || !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open-breaker Admit = %v, want ErrCircuitOpen (wrapping ErrOverload)", err)
-	}
-	// After the cooldown one half-open probe is admitted, a second sheds.
-	clk.Sleep(2 * time.Second)
-	rel, err := c.Admit()
-	if err != nil {
-		t.Fatalf("half-open probe Admit = %v", err)
-	}
-	rel()
-	if c.BreakerState() != HalfOpen {
-		t.Fatalf("state after probe admit = %v", c.BreakerState())
-	}
-	if _, err := c.Admit(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("second half-open probe admitted")
-	}
-	// A failed probe re-opens; cooldown restarts.
-	c.RecordRouteFailure()
-	if c.BreakerState() != Open {
-		t.Fatal("failed probe did not re-open")
-	}
-	clk.Sleep(2 * time.Second)
-	rel, err = c.Admit()
-	if err != nil {
-		t.Fatalf("second probe Admit = %v", err)
-	}
-	rel()
-	// A successful probe closes the breaker and resets the failure count.
-	c.RecordRouteSuccess()
-	if c.BreakerState() != Closed {
-		t.Fatal("successful probe did not close")
-	}
-	c.RecordRouteFailure()
-	c.RecordRouteFailure()
-	if c.BreakerState() != Closed {
-		t.Fatal("failure count not reset after close")
-	}
-	snap := c.Counters().Snapshot()
-	if snap["breaker-trips"] != 2 || snap["shed-breaker"] != 2 {
-		t.Fatalf("counters = %v", snap)
-	}
-	if Closed.String() != "closed" || Open.String() != "open" || HalfOpen.String() != "half-open" {
-		t.Fatal("BreakerState.String mismatch")
-	}
+		// Failures below the threshold keep the breaker closed.
+		c.RecordRouteFailure()
+		c.RecordRouteFailure()
+		if c.BreakerState() != Closed {
+			t.Error("tripped below threshold")
+			return
+		}
+		if _, err := c.Admit(); err != nil {
+			t.Errorf("closed-breaker Admit = %v", err)
+			return
+		}
+		// Third consecutive failure trips it open; admissions shed.
+		c.RecordRouteFailure()
+		if c.BreakerState() != Open {
+			t.Error("did not trip at threshold")
+			return
+		}
+		if _, err := c.Admit(); !errors.Is(err, ErrOverload) || !errors.Is(err, ErrCircuitOpen) {
+			t.Errorf("open-breaker Admit = %v, want ErrCircuitOpen (wrapping ErrOverload)", err)
+			return
+		}
+		// After the cooldown one half-open probe is admitted, a second sheds.
+		clk.Sleep(2 * time.Second)
+		rel, err := c.Admit()
+		if err != nil {
+			t.Errorf("half-open probe Admit = %v", err)
+			return
+		}
+		rel()
+		if c.BreakerState() != HalfOpen {
+			t.Errorf("state after probe admit = %v", c.BreakerState())
+			return
+		}
+		if _, err := c.Admit(); !errors.Is(err, ErrCircuitOpen) {
+			t.Error("second half-open probe admitted")
+			return
+		}
+		// A failed probe re-opens; cooldown restarts.
+		c.RecordRouteFailure()
+		if c.BreakerState() != Open {
+			t.Error("failed probe did not re-open")
+			return
+		}
+		clk.Sleep(2 * time.Second)
+		rel, err = c.Admit()
+		if err != nil {
+			t.Errorf("second probe Admit = %v", err)
+			return
+		}
+		rel()
+		// A successful probe closes the breaker and resets the failure count.
+		c.RecordRouteSuccess()
+		if c.BreakerState() != Closed {
+			t.Error("successful probe did not close")
+			return
+		}
+		c.RecordRouteFailure()
+		c.RecordRouteFailure()
+		if c.BreakerState() != Closed {
+			t.Error("failure count not reset after close")
+			return
+		}
+		snap := c.Counters().Snapshot()
+		if snap["breaker-trips"] != 2 || snap["shed-breaker"] != 2 {
+			t.Errorf("counters = %v", snap)
+			return
+		}
+		if Closed.String() != "closed" || Open.String() != "open" || HalfOpen.String() != "half-open" {
+			t.Error("BreakerState.String mismatch")
+			return
+		}
+	})
 }
 
 func TestControllerBackoffSeeding(t *testing.T) {
@@ -369,56 +396,53 @@ func TestControllerBackoffSeeding(t *testing.T) {
 // bit-identical admit/shed sequences — the property chaos soaks rely on to
 // replay a failing seed.
 func TestAdmitShedSequenceReplayable(t *testing.T) {
-	run := func(seed int64) string {
-		sim := vclock.NewSim(seed)
-		clk := sim.Clock()
-		vclock.Hold(clk)
-		defer vclock.Release(clk)
-		c := NewController(Config{
-			MaxInflight:      2,
-			SubmitRate:       20,
-			SubmitBurst:      3,
-			BreakerThreshold: 2,
-			BreakerCooldown:  40 * time.Millisecond,
-			Seed:             seed,
-			Clock:            clk,
-		})
-		bo := c.NewBackoff()
-		var seq []string
-		for i := 0; i < 40; i++ {
-			rel, err := c.Admit()
-			switch {
-			case err == nil:
-				seq = append(seq, "admit")
-				// Route failures on a deterministic pattern to exercise the
-				// breaker's open/half-open transitions.
-				if vclock.Hash64(uint64(seed), uint64(i))%3 == 0 {
-					c.RecordRouteFailure()
-				} else {
-					c.RecordRouteSuccess()
+	run := func(seed int64) (seq []string, elapsed time.Duration) {
+		onSim(t, seed, func(clk vclock.Clock) {
+			t0 := clk.Now()
+			c := NewController(Config{
+				MaxInflight:      2,
+				SubmitRate:       20,
+				SubmitBurst:      3,
+				BreakerThreshold: 2,
+				BreakerCooldown:  40 * time.Millisecond,
+				Seed:             seed,
+				Clock:            clk,
+			})
+			bo := c.NewBackoff()
+			for i := 0; i < 40; i++ {
+				rel, err := c.Admit()
+				switch {
+				case err == nil:
+					seq = append(seq, "admit")
+					// Route failures on a deterministic pattern to exercise the
+					// breaker's open/half-open transitions.
+					if vclock.Hash64(uint64(seed), uint64(i))%3 == 0 {
+						c.RecordRouteFailure()
+					} else {
+						c.RecordRouteSuccess()
+					}
+					rel()
+				case errors.Is(err, ErrCircuitOpen):
+					seq = append(seq, "shed-breaker")
+				default:
+					seq = append(seq, "shed")
 				}
-				rel()
-			case errors.Is(err, ErrCircuitOpen):
-				seq = append(seq, "shed-breaker")
-			default:
-				seq = append(seq, "shed")
+				clk.Sleep(bo.Next())
 			}
-			clk.Sleep(bo.Next())
+			elapsed = clk.Since(t0)
+		})
+		return seq, elapsed
+	}
+	a, aElapsed := run(5)
+	b, bElapsed := run(5)
+	if fmt.Sprint(a) != fmt.Sprint(b) || aElapsed != bElapsed {
+		t.Fatalf("same-seed admit/shed sequences differ:\n%v now=%v\n%v now=%v", a, aElapsed, b, bElapsed)
+	}
+	// The script must exercise both outcomes (whole entries, so a
+	// "shed-breaker" does not stand in for a rate/inflight "shed").
+	for _, want := range []string{"shed", "admit"} {
+		if !slices.Contains(a, want) {
+			t.Fatalf("scenario never produced %q: %v", want, a)
 		}
-		return fmt.Sprintf("%v now=%v", seq, sim.Now().Sub(vclock.NewSim(0).Now()))
-	}
-	a, b := run(5), run(5)
-	if a != b {
-		t.Fatalf("same-seed admit/shed sequences differ:\n%s\n%s", a, b)
-	}
-	shed := false
-	for _, w := range []string{"shed", "admit"} {
-		if !strings.Contains(a, w) {
-			t.Fatalf("scenario never produced %q: %s", w, a)
-		}
-		shed = true
-	}
-	if !shed {
-		t.Fatal("unreachable")
 	}
 }

@@ -122,8 +122,9 @@ type Table struct {
 	// batch starts executing (EnableTrace); it must not be toggled while
 	// Enqueue/Release are running.
 	traceOn bool
-	// unsafeLIFO is a test-only mutation hook (SetUnsafeLIFOGrants): grant
-	// the NEWEST compatible waiter instead of the FIFO prefix. Mutual
+	// unsafeLIFO is a mutation hook only this package's tests can set
+	// (SetUnsafeLIFOGrants in export_test.go): grant the NEWEST compatible
+	// waiter instead of the FIFO prefix. Mutual
 	// exclusion is preserved — only the conflict ORDER is corrupted — so
 	// the bug is invisible to state-hash checks on commutative workloads
 	// and to the untraced serializability checker, but a lock-grant-traced
@@ -248,7 +249,7 @@ func (q *keyQueue) grantScan(t *Table) []*Entry {
 	return ready
 }
 
-// grantScanLIFO is the planted-bug variant behind SetUnsafeLIFOGrants: it
+// grantScanLIFO is the planted-bug variant behind unsafeLIFO: it
 // grants at most one waiter per scan, choosing the NEWEST compatible one.
 // Grants remain mutually exclusive (a write is granted only when nothing is
 // granted; a read only when no write is granted), so execution atomicity is
@@ -356,13 +357,6 @@ func (t *Table) Release(e *Entry, onReady func(*Entry)) {
 // called while the table is quiescent (no Enqueue/Release in flight) —
 // normally once, right after New.
 func (t *Table) EnableTrace(on bool) { t.traceOn = on }
-
-// SetUnsafeLIFOGrants plants a deliberate ordering bug for mutation
-// testing: grant scans pick the NEWEST compatible waiter instead of the
-// FIFO prefix (see grantScanLIFO). Only safe for single-key workloads —
-// multi-key transactions can deadlock under reversed grant order, which is
-// one of the reasons the real table is FIFO. Test-only.
-func (t *Table) SetUnsafeLIFOGrants(on bool) { t.unsafeLIFO = on }
 
 // CollectTrace returns every grant/release record accumulated since the
 // last Reset, stamped with the given engine round and sorted by (Key, Pos)

@@ -7,9 +7,8 @@
 // instead of sleeping.
 //
 // All time flows through an injected vclock.Clock: artificial delays are
-// clock timers (virtual under simulation — zero real sleeps), every enqueued
-// message holds a simulation event token until its receiver acknowledges it,
-// and loss/delay decisions come from per-(from,to) hash streams rather than a
+// clock timers (virtual under simulation — zero real sleeps), every enqueue
+// is published to the simulation's idle actors, and loss/delay decisions come from per-(from,to) hash streams rather than a
 // shared rng, so the fault pattern each link sees is independent of goroutine
 // scheduling — the property whole-cluster seed replay rests on.
 package memnet
@@ -84,8 +83,8 @@ type Network struct {
 func New(seed int64) *Network { return NewWithClock(seed, nil) }
 
 // NewWithClock returns a network whose artificial delays run on clk (nil =
-// wall clock). Under a vclock.Sim clock, delivery holds simulation event
-// tokens: receivers must vclock.Ack each message consumed from an Inbox.
+// wall clock). On a vclock.Sim clock every enqueue is published, so receivers
+// polling an Inbox from an actor loop park with vclock.Idle between polls.
 func NewWithClock(seed int64, clk vclock.Clock) *Network {
 	return &Network{
 		clk:       vclock.Or(clk),
@@ -130,9 +129,7 @@ func (n *Network) SetDelay(min, max time.Duration) {
 // SetDown marks a node crashed (true) or recovered (false). A down node
 // neither sends nor receives; drops are counted as DroppedDown. Taking a node
 // down also discards its queued inbox and cancels in-flight delayed messages
-// addressed to it — a crashed process loses its socket buffers, and under
-// simulation their event tokens must be released or virtual time would stall
-// waiting on a receiver that no longer exists.
+// addressed to it — a crashed process loses its socket buffers.
 func (n *Network) SetDown(name string, down bool) {
 	n.mu.Lock()
 	if down {
@@ -165,13 +162,12 @@ func (n *Network) Drain(name string) int {
 	return n.drainInbox(e)
 }
 
-// drainInbox empties e's inbox, releasing each message's event token.
+// drainInbox empties e's inbox.
 func (n *Network) drainInbox(e *Endpoint) int {
 	dropped := 0
 	for {
 		select {
 		case <-e.inbox:
-			vclock.Release(n.clk)
 			dropped++
 		default:
 			return dropped
@@ -180,8 +176,7 @@ func (n *Network) drainInbox(e *Endpoint) int {
 }
 
 // cancelPendingLocked cancels every undelivered delayed send to name,
-// crediting counter once per canceled message. No event tokens are held for
-// messages still riding a timer, so cancellation only stops the timers.
+// crediting counter once per canceled message.
 func (n *Network) cancelPendingLocked(name string, counter *int64) {
 	for id, ds := range n.pending[name] {
 		ds.canceled = true
@@ -259,9 +254,7 @@ type Endpoint struct {
 // Name returns the endpoint's address.
 func (e *Endpoint) Name() string { return e.name }
 
-// Inbox returns the delivery channel. Under a simulated clock, consumers must
-// call vclock.Ack for every message received (after vclock.Wake), retiring
-// the event token the sender holds on its behalf.
+// Inbox returns the delivery channel.
 func (e *Endpoint) Inbox() <-chan Message { return e.inbox }
 
 // Overflows returns how many inbound messages were dropped because THIS
@@ -346,28 +339,21 @@ func (e *Endpoint) Send(to string, payload any) {
 	n.mu.Unlock()
 }
 
-// enqueueLocked places msg in dst's inbox (or drops on overflow), holding a
-// simulation event token across the handoff. Callers hold n.mu; the lock is
-// released before the overflow token release, which may advance virtual time
-// and re-enter the network from a timer callback.
+// enqueueLocked places msg in dst's inbox (or drops on overflow). Callers
+// hold n.mu; it is released here.
 func (n *Network) enqueueLocked(dst *Endpoint, msg Message) {
-	vclock.Hold(n.clk) // before the receiver can possibly consume it
-	delivered := false
 	select {
 	case dst.inbox <- msg:
 		n.stats.Delivered++
-		delivered = true
 	default:
 		n.stats.DroppedOverflow++
 		dst.overflows++
-	}
-	n.mu.Unlock()
-	if !delivered {
-		vclock.Release(n.clk)
+		n.mu.Unlock()
 		return
 	}
-	// Cooperative scheduling: an enqueued message is a published event —
-	// idle poll-loop actors (the receiver among them) re-poll their inboxes.
+	n.mu.Unlock()
+	// On a simulated clock an enqueued message is a published event — idle
+	// poll-loop actors (the receiver among them) re-poll their inboxes.
 	vclock.Publish(n.clk)
 }
 

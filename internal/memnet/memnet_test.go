@@ -246,91 +246,99 @@ func TestDrainCancelsInFlightDelayedSends(t *testing.T) {
 	}
 }
 
-// Same cancellation property under the simulated clock: after Drain, pushing
-// virtual time far past the delay must deliver nothing and leak no event
-// token (a leaked token would stall the advance and hang the Sleep below).
-func TestSimDrainCancelsDelayedSend(t *testing.T) {
-	sim := vclock.NewSim(1)
-	clk := sim.Clock()
-	vclock.Hold(clk)
-	defer vclock.Release(clk)
+// onSim runs body as the root actor of a fresh simulated clock; it runs on
+// an actor goroutine, so it reports with t.Error, not t.Fatal.
+func onSim(t *testing.T, seed int64, body func(sim *vclock.Sim, n *Network)) {
+	t.Helper()
+	sim := vclock.NewSim(seed)
+	if err := sim.Run(func() { body(sim, NewWithClock(seed, sim.Clock())) }); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	n := NewWithClock(1, clk)
-	a, b := n.Endpoint("a"), n.Endpoint("b")
-	n.SetDelay(50*time.Millisecond, 60*time.Millisecond)
-	a.Send("b", "in-flight")
-	if got := n.Drain("b"); got != 0 {
-		t.Fatalf("Drain discarded %d queued messages, want 0", got)
-	}
-	clk.Sleep(500 * time.Millisecond)
-	select {
-	case m := <-b.Inbox():
-		t.Fatalf("canceled delayed message delivered: %+v", m)
-	default:
-	}
-	if got := n.Stats().DroppedCanceled; got != 1 {
-		t.Fatalf("DroppedCanceled = %d, want 1", got)
-	}
+// Same cancellation property under the simulated clock: after Drain, pushing
+// virtual time far past the delay must deliver nothing, and the delay timer
+// itself must be gone (the only fire is the Sleep's own wake).
+func TestSimDrainCancelsDelayedSend(t *testing.T) {
+	onSim(t, 1, func(sim *vclock.Sim, n *Network) {
+		clk := n.Clock()
+		a, b := n.Endpoint("a"), n.Endpoint("b")
+		n.SetDelay(50*time.Millisecond, 60*time.Millisecond)
+		a.Send("b", "in-flight")
+		if got := n.Drain("b"); got != 0 {
+			t.Errorf("Drain discarded %d queued messages, want 0", got)
+		}
+		clk.Sleep(500 * time.Millisecond)
+		select {
+		case m := <-b.Inbox():
+			t.Errorf("canceled delayed message delivered: %+v", m)
+		default:
+		}
+		if s := n.Stats(); s.DroppedCanceled != 1 || s.Delivered != 0 {
+			t.Errorf("stats = %+v, want DroppedCanceled 1, Delivered 0", s)
+		}
+		if got := sim.Advances(); got != 1 {
+			t.Errorf("timer fires = %d, want 1 (the canceled delay timer must not fire)", got)
+		}
+	})
 }
 
 // Delayed delivery on the simulated clock: the delay elapses in virtual time
-// (no real sleeping), and the message's event token hands off cleanly from
-// the timer callback to the receiver's Ack.
+// (no real sleeping), and the enqueue is published, so a receiver parked
+// idle on its inbox poll wakes at the delivery instant.
 func TestSimDelayedDelivery(t *testing.T) {
-	sim := vclock.NewSim(2)
-	clk := sim.Clock()
-	vclock.Hold(clk)
-	defer vclock.Release(clk)
+	onSim(t, 2, func(_ *vclock.Sim, n *Network) {
+		clk := n.Clock()
+		a, b := n.Endpoint("a"), n.Endpoint("b")
+		n.SetDelay(20*time.Millisecond, 40*time.Millisecond)
+		start := clk.Now()
+		a.Send("b", "slow")
 
-	n := NewWithClock(2, clk)
-	a, b := n.Endpoint("a"), n.Endpoint("b")
-	n.SetDelay(20*time.Millisecond, 40*time.Millisecond)
-	start := clk.Now()
-	a.Send("b", "slow")
-
-	vclock.Park(clk)
-	m := <-b.Inbox()
-	vclock.Wake(clk)
-	vclock.Ack(clk)
-
-	if m.Payload.(string) != "slow" {
-		t.Fatalf("payload = %v", m.Payload)
-	}
-	elapsed := clk.Since(start)
-	if elapsed < 20*time.Millisecond || elapsed > 40*time.Millisecond {
-		t.Fatalf("virtual delay = %v, want within [20ms, 40ms]", elapsed)
-	}
-	if got := n.Stats().Delivered; got != 1 {
-		t.Fatalf("Delivered = %d, want 1", got)
-	}
+		var m Message
+		for got := false; !got; {
+			select {
+			case m = <-b.Inbox():
+				got = true
+			default:
+				vclock.Idle(clk)
+			}
+		}
+		if m.Payload.(string) != "slow" {
+			t.Errorf("payload = %v", m.Payload)
+		}
+		elapsed := clk.Since(start)
+		if elapsed < 20*time.Millisecond || elapsed > 40*time.Millisecond {
+			t.Errorf("virtual delay = %v, want within [20ms, 40ms]", elapsed)
+		}
+		if got := n.Stats().Delivered; got != 1 {
+			t.Errorf("Delivered = %d, want 1", got)
+		}
+	})
 }
 
 // SetDown must discard the crashed node's queued inbox and cancel in-flight
-// delayed sends, releasing their event tokens — otherwise virtual time would
-// stall waiting on a receiver that no longer exists.
-func TestSimSetDownReleasesQueuedTokens(t *testing.T) {
-	sim := vclock.NewSim(3)
-	clk := sim.Clock()
-	vclock.Hold(clk)
-	defer vclock.Release(clk)
-
-	n := NewWithClock(3, clk)
-	a, b := n.Endpoint("a"), n.Endpoint("b")
-	a.Send("b", "queued") // immediate: holds an event token in b's inbox
-	n.SetDelay(50*time.Millisecond, 60*time.Millisecond)
-	a.Send("b", "in-flight")
-	n.SetDown("b", true)
-	// If either the queued token or the delayed timer survived, this Sleep
-	// would hang: busy would never reach zero, or the fired delivery would
-	// hold a token no one acknowledges.
-	clk.Sleep(time.Second)
-	select {
-	case m := <-b.Inbox():
-		t.Fatalf("crashed node received %+v", m)
-	default:
-	}
-	s := n.Stats()
-	if s.DroppedDown != 1 {
-		t.Fatalf("DroppedDown = %d, want 1 (the canceled in-flight send)", s.DroppedDown)
-	}
+// delayed sends: a crashed process loses its socket buffers, and nothing
+// addressed to its previous life may surface later in virtual time.
+func TestSimSetDownDiscardsQueuedAndInFlight(t *testing.T) {
+	onSim(t, 3, func(sim *vclock.Sim, n *Network) {
+		clk := n.Clock()
+		a, b := n.Endpoint("a"), n.Endpoint("b")
+		a.Send("b", "queued") // immediate: sits in b's inbox
+		n.SetDelay(50*time.Millisecond, 60*time.Millisecond)
+		a.Send("b", "in-flight")
+		n.SetDown("b", true)
+		clk.Sleep(time.Second)
+		select {
+		case m := <-b.Inbox():
+			t.Errorf("crashed node received %+v", m)
+		default:
+		}
+		s := n.Stats()
+		if s.Delivered != 1 || s.DroppedDown != 1 {
+			t.Errorf("stats = %+v, want Delivered 1 (queued, then discarded), DroppedDown 1 (the canceled in-flight send)", s)
+		}
+		if got := sim.Advances(); got != 1 {
+			t.Errorf("timer fires = %d, want 1 (the canceled delay timer must not fire)", got)
+		}
+	})
 }

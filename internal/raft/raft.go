@@ -166,7 +166,8 @@ type Config struct {
 	SnapshotChunkSize int
 	// Clock is the time source for election and heartbeat timers. Nil uses
 	// the wall clock; a vclock.Sim clock runs the node in virtual time, where
-	// the event loop participates in the simulation's token accounting.
+	// the event loop is a cooperative actor of the simulation (Start must
+	// then be called from inside Sim.Run).
 	Clock vclock.Clock
 }
 
@@ -231,9 +232,9 @@ type Node struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	// runDone flips when the event loop returns; under the cooperative
-	// scheduler Stop awaits it instead of blocking on wg.Wait while holding
-	// the run baton (which would deadlock the single-threaded world).
+	// runDone flips when the event loop returns; on a simulated clock Stop
+	// awaits it instead of blocking on wg.Wait while holding the run baton
+	// (which would deadlock the one-actor-at-a-time world).
 	runDone atomic.Bool
 
 	electionDeadline time.Time
@@ -368,23 +369,18 @@ func (n *Node) Start() {
 	n.resetElectionDeadlineLocked()
 	n.mu.Unlock()
 	n.wg.Add(1)
-	if vclock.Scheduled(n.clk) {
-		// Cooperative scheduling: the loop becomes an actor; GoNamed
-		// registers it synchronously so spawn order is deterministic.
-		vclock.GoNamed(n.clk, "raft:"+n.id, n.run)
-		return
-	}
-	vclock.Hold(n.clk) // run token, transferred to the loop goroutine
-	go n.run()
+	// On a simulated clock the loop becomes an actor; GoNamed registers it
+	// synchronously so spawn order is deterministic.
+	vclock.GoNamed(n.clk, "raft:"+n.id, n.run)
 }
 
 // Stop terminates the node (crash-stop). Committed records still queued on
 // the apply channel are discarded — exactly what a crash does.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() { close(n.stopCh) })
-	// Under the cooperative scheduler the loop actor is parked at a gate;
-	// Await lets it run, observe the closed stop channel and exit before we
-	// block on the WaitGroup (a plain Wait would hold the baton forever).
+	// On a simulated clock the loop actor is parked at a gate; Await lets it
+	// run, observe the closed stop channel and exit before we block on the
+	// WaitGroup (a plain Wait would hold the baton forever).
 	vclock.Await(n.clk, n.runDone.Load)
 	n.wg.Wait()
 	for {
@@ -471,36 +467,29 @@ func (n *Node) Propose(cmd []byte) (uint64, uint64, bool) {
 func (n *Node) run() {
 	defer n.wg.Done()
 	defer n.runDone.Store(true)
-	defer vclock.Release(n.clk) // run token held since Start (no-op when scheduled)
 	tick := n.cfg.HeartbeatInterval / 2
-	if vclock.Scheduled(n.clk) {
+	if vclock.IsSim(n.clk) {
 		n.runSched(tick)
 		return
 	}
 	tm := n.clk.NewTimer(tick)
 	defer tm.Stop()
 	for {
-		vclock.Park(n.clk)
 		select {
 		case <-n.stopCh:
-			vclock.Wake(n.clk)
 			return
 		case msg := <-n.ep.Inbox():
-			vclock.Wake(n.clk)
-			vclock.Ack(n.clk) // retire the message's event token
 			n.handle(msg)
 		case <-tm.C():
-			vclock.Wake(n.clk)
-			vclock.Ack(n.clk) // retire the timer's fire token
 			n.tick()
 			tm.Reset(tick)
 		}
 	}
 }
 
-// runSched is the event loop under the cooperative scheduler. A blocking
-// select would reintroduce runtime nondeterminism (Go resolves ready arms
-// racily before the actor ever reaches a scheduler gate), so the loop polls
+// runSched is the event loop on a simulated clock. A blocking select would
+// reintroduce runtime nondeterminism (Go resolves ready arms racily before
+// the actor ever reaches a scheduler gate), so the loop polls
 // its inputs in a fixed priority order — stop, inbox, tick — handles ONE
 // event per iteration, and yields after each so the seeded picker controls
 // the interleaving. A fully empty poll parks the actor until the next
@@ -516,7 +505,6 @@ func (n *Node) runSched(tick time.Duration) {
 		}
 		select {
 		case msg := <-n.ep.Inbox():
-			vclock.Ack(n.clk) // no-op under the scheduler; kept for symmetry
 			n.handle(msg)
 			vclock.Yield(n.clk)
 			continue
@@ -844,20 +832,12 @@ func (n *Node) applySnapshotLocked(index, snapTerm uint64, data []byte) bool {
 
 // deliverLocked places one committed record on the apply channel. Returns
 // false if the node stopped before delivery.
-//
-// Queued records deliberately carry NO simulation event token: the apply
-// channel models work pending over time (a throttled consumer is a
-// legitimate straggler whose backlog must not freeze virtual time), unlike
-// transport inboxes whose messages are instantaneous events. Under a
-// simulated clock the consumer drains this channel from a polled loop
-// (replica.Start), so consumption is scheduled by timers, not by the
-// Park/Wake handoff protocol.
 func (n *Node) deliverLocked(c Committed) bool {
 	select {
 	case n.applyCh <- c:
-		// Under the cooperative scheduler the consumer is a polled actor
-		// (replica apply loop); publish so it re-polls without waiting for
-		// unrelated traffic or the next timer fire.
+		// On a simulated clock the consumer is a polled actor (replica
+		// apply loop); publish so it re-polls without waiting for unrelated
+		// traffic or the next timer fire.
 		vclock.Publish(n.clk)
 		return true
 	case <-n.stopCh:

@@ -80,8 +80,8 @@ type Replica struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	// runDone flips when the apply loop returns; under the cooperative
-	// scheduler Stop awaits it before wg.Wait (see raft.Node.Stop).
+	// runDone flips when the apply loop returns; on a simulated clock Stop
+	// awaits it before wg.Wait (see raft.Node.Stop).
 	runDone atomic.Bool
 }
 
@@ -144,23 +144,11 @@ func (r *Replica) Resume(rep RecoveryReport) {
 	}
 }
 
-// applyPollInterval is the simulated-clock apply loop's drain cadence in
-// virtual time. Records on the apply channel carry no event tokens (see
-// raft.Node.deliverLocked), so under a simulated clock the loop polls:
-// consumption is scheduled by timers and a throttled (SetApplyDelay)
-// straggler's backlog cannot freeze virtual time.
-const applyPollInterval = 200 * time.Microsecond
-
 // Start launches the apply loop consuming committed entries.
 func (r *Replica) Start(applyCh <-chan raft.Committed, onError func(error)) {
 	r.wg.Add(1)
-	if vclock.Scheduled(r.clk) {
-		vclock.GoNamed(r.clk, "apply:"+r.ID, func() { r.runSchedApply(applyCh, onError) })
-		return
-	}
 	if vclock.IsSim(r.clk) {
-		vclock.Hold(r.clk) // run token, transferred to the loop goroutine
-		go r.runSimApply(applyCh, onError)
+		vclock.GoNamed(r.clk, "apply:"+r.ID, func() { r.runSchedApply(applyCh, onError) })
 		return
 	}
 	go r.runWallApply(applyCh, onError)
@@ -185,11 +173,7 @@ func (r *Replica) runWallApply(applyCh <-chan raft.Committed, onError func(error
 	}
 }
 
-// runSimApply drains the apply channel on a virtual-time poll tick. Between
-// ticks the goroutine parks, so all pending timers (including this loop's
-// own tick) can fire; stop is honored immediately even while parked, which
-// keeps crash-stop independent of virtual time advancing.
-// runSchedApply drains the apply channel under the cooperative scheduler:
+// runSchedApply drains the apply channel as an actor of a simulated clock:
 // one committed record per iteration (each apply is followed by a Yield so
 // the picker controls interleaving), parking idle when the channel is
 // empty. Raft's deliverLocked publishes on every enqueue, so the actor is
@@ -219,49 +203,11 @@ func (r *Replica) runSchedApply(applyCh <-chan raft.Committed, onError func(erro
 	}
 }
 
-func (r *Replica) runSimApply(applyCh <-chan raft.Committed, onError func(error)) {
-	defer r.wg.Done()
-	defer r.runDone.Store(true)
-	defer vclock.Release(r.clk)
-	for {
-		for {
-			select {
-			case <-r.stopCh:
-				return
-			case c := <-applyCh:
-				if err := r.applyOne(c); err != nil {
-					if onError != nil {
-						onError(err)
-					}
-					return
-				}
-				continue
-			default:
-			}
-			break
-		}
-		// The poll timer is armed ONLY while parked: applyOne may sleep in
-		// virtual time (SetApplyDelay), and an armed timer firing unread
-		// during that sleep would hold its fire token and freeze the clock.
-		tm := r.clk.NewTimer(applyPollInterval)
-		vclock.Park(r.clk)
-		select {
-		case <-r.stopCh:
-			vclock.Wake(r.clk)
-			tm.Stop()
-			return
-		case <-tm.C():
-			vclock.Wake(r.clk)
-			vclock.Ack(r.clk) // retire the tick's fire token
-		}
-	}
-}
-
 // Stop terminates the apply loop.
 func (r *Replica) Stop() {
 	r.stopOnce.Do(func() { close(r.stopCh) })
-	// Under the cooperative scheduler, let the loop actor observe the stop
-	// and exit before blocking the baton on wg.Wait.
+	// On a simulated clock, let the loop actor observe the stop and exit
+	// before blocking the baton on wg.Wait.
 	vclock.Await(r.clk, r.runDone.Load)
 	r.wg.Wait()
 }
@@ -377,8 +323,8 @@ func (r *Replica) snapshotLocked() error {
 	r.snapTaken++
 	if compact := r.snapCfg.Compact; compact != nil {
 		idx := snap.Index
-		// Under the cooperative scheduler this spawns a (short-lived) actor,
-		// so compaction timing — which decides whether a lagging follower is
+		// On a simulated clock this spawns a (short-lived) actor, so
+		// compaction timing — which decides whether a lagging follower is
 		// caught up by entry replay or InstallSnapshot — replays from the
 		// seed instead of racing the apply loop.
 		vclock.GoNamed(r.clk, "compact:"+r.ID, func() { _ = compact(idx, encoded) })
@@ -762,8 +708,9 @@ type ClusterConfig struct {
 	// Clock is the time source threaded through every layer: raft timers,
 	// flow control, memnet delays, apply throttles, and all submit-path
 	// deadlines. Nil uses the wall clock. A vclock.Sim clock runs the whole
-	// cluster in virtual time, making a run a pure function of (Seed, config).
-	// Not supported with TCP (real sockets need real time).
+	// cluster in virtual time, making a run a pure function of (Seed, config);
+	// the cluster must then be built and driven from inside that clock's
+	// Sim.Run. Not supported with TCP (real sockets need real time).
 	Clock vclock.Clock
 	// OnApply, when non-nil, observes every non-duplicate batch application
 	// on every replica (the history recorder's tap): replica ID, raft index,

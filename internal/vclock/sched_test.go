@@ -1,4 +1,4 @@
-package sched
+package vclock
 
 import (
 	"fmt"
@@ -6,23 +6,21 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"prognosticator/internal/vclock"
 )
 
 // TestRunSingleActor: a lone actor that sleeps and exits drives virtual
 // time itself.
 func TestRunSingleActor(t *testing.T) {
-	sim := vclock.NewSim(1)
+	sim := NewSim(1)
 	clk := sim.Clock()
 	var woke time.Time
-	if err := Run(sim, func() {
+	if err := sim.Run(func() {
 		clk.Sleep(5 * time.Second)
 		woke = clk.Now()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := woke.Sub(vclock.NewSim(1).Now()); got != 5*time.Second {
+	if got := woke.Sub(NewSim(1).Now()); got != 5*time.Second {
 		t.Fatalf("slept %v of virtual time, want 5s", got)
 	}
 	if sim.Advances() == 0 {
@@ -35,16 +33,16 @@ func TestRunSingleActor(t *testing.T) {
 // full execution trace.
 func TestInterleavingIsSeedStable(t *testing.T) {
 	run := func(seed int64) string {
-		sim := vclock.NewSim(seed)
+		sim := NewSim(seed)
 		clk := sim.Clock()
 		var trace strings.Builder
-		if err := Run(sim, func() {
+		if err := sim.Run(func() {
 			for i := 0; i < 4; i++ {
 				i := i
-				vclock.GoNamed(clk, fmt.Sprintf("worker-%d", i), func() {
+				GoNamed(clk, fmt.Sprintf("worker-%d", i), func() {
 					for j := 0; j < 3; j++ {
 						fmt.Fprintf(&trace, "w%d.%d@%d ", i, j, clk.Now().UnixNano())
-						vclock.Yield(clk)
+						Yield(clk)
 						clk.Sleep(time.Duration(i+1) * time.Millisecond)
 					}
 				})
@@ -70,12 +68,12 @@ func TestInterleavingIsSeedStable(t *testing.T) {
 // TestPublishWakesIdler: an actor idle-parked in a poll loop is re-readied
 // by a Publish from another actor.
 func TestPublishWakesIdler(t *testing.T) {
-	sim := vclock.NewSim(3)
+	sim := NewSim(3)
 	clk := sim.Clock()
 	var got atomic.Int64
-	if err := Run(sim, func() {
+	if err := sim.Run(func() {
 		ch := make(chan int64, 8)
-		vclock.GoNamed(clk, "consumer", func() {
+		GoNamed(clk, "consumer", func() {
 			for {
 				select {
 				case v := <-ch:
@@ -83,20 +81,20 @@ func TestPublishWakesIdler(t *testing.T) {
 						return
 					}
 					got.Add(v)
-					vclock.Yield(clk)
+					Yield(clk)
 					continue
 				default:
 				}
-				vclock.Idle(clk)
+				Idle(clk)
 			}
 		})
 		for i := int64(1); i <= 5; i++ {
 			ch <- i
-			vclock.Publish(clk)
-			vclock.Yield(clk)
+			Publish(clk)
+			Yield(clk)
 		}
 		ch <- -1
-		vclock.Publish(clk)
+		Publish(clk)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +106,12 @@ func TestPublishWakesIdler(t *testing.T) {
 // TestAwait: stop-style shutdown — close a channel, Await the loop actor's
 // exit flag, then WaitGroup-wait without deadlocking the baton.
 func TestAwait(t *testing.T) {
-	sim := vclock.NewSim(9)
+	sim := NewSim(9)
 	clk := sim.Clock()
-	if err := Run(sim, func() {
+	if err := sim.Run(func() {
 		stop := make(chan struct{})
 		var done atomic.Bool
-		vclock.GoNamed(clk, "loop", func() {
+		GoNamed(clk, "loop", func() {
 			defer done.Store(true)
 			for {
 				select {
@@ -121,12 +119,12 @@ func TestAwait(t *testing.T) {
 					return
 				default:
 				}
-				vclock.Idle(clk)
+				Idle(clk)
 			}
 		})
-		vclock.Yield(clk) // let the loop reach its idle gate at least once
+		Yield(clk) // let the loop reach its idle gate at least once
 		close(stop)
-		vclock.Await(clk, done.Load)
+		Await(clk, done.Load)
 		if !done.Load() {
 			t.Error("Await returned before the loop exited")
 		}
@@ -138,10 +136,10 @@ func TestAwait(t *testing.T) {
 // TestAwaitImmediate: a predicate that is already true returns without
 // parking.
 func TestAwaitImmediate(t *testing.T) {
-	sim := vclock.NewSim(4)
+	sim := NewSim(4)
 	clk := sim.Clock()
-	if err := Run(sim, func() {
-		vclock.Await(clk, func() bool { return true })
+	if err := sim.Run(func() {
+		Await(clk, func() bool { return true })
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +148,11 @@ func TestAwaitImmediate(t *testing.T) {
 // TestDeadlockDetected: all actors idle with no pending timers is reported
 // as an error, not a hang.
 func TestDeadlockDetected(t *testing.T) {
-	sim := vclock.NewSim(5)
+	sim := NewSim(5)
 	clk := sim.Clock()
-	err := Run(sim, func() {
+	err := sim.Run(func() {
 		for {
-			vclock.Idle(clk) // idles forever; no timers exist
+			Idle(clk) // idles forever; no timers exist
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
@@ -165,16 +163,16 @@ func TestDeadlockDetected(t *testing.T) {
 // TestAfterFuncRunsInAdvance: AfterFunc callbacks fire inline during time
 // advances and may Publish to wake idle actors.
 func TestAfterFuncRunsInAdvance(t *testing.T) {
-	sim := vclock.NewSim(6)
+	sim := NewSim(6)
 	clk := sim.Clock()
 	var delivered atomic.Bool
-	if err := Run(sim, func() {
+	if err := sim.Run(func() {
 		var ping atomic.Bool
 		clk.AfterFunc(10*time.Millisecond, func() {
 			ping.Store(true)
-			vclock.Publish(clk)
+			Publish(clk)
 		})
-		vclock.Await(clk, ping.Load)
+		Await(clk, ping.Load)
 		delivered.Store(true)
 	}); err != nil {
 		t.Fatal(err)
@@ -188,18 +186,18 @@ func TestAfterFuncRunsInAdvance(t *testing.T) {
 // and exit cleanly, and their registration order is deterministic.
 func TestNestedSpawn(t *testing.T) {
 	run := func() string {
-		sim := vclock.NewSim(11)
+		sim := NewSim(11)
 		clk := sim.Clock()
 		var order strings.Builder
-		if err := Run(sim, func() {
+		if err := sim.Run(func() {
 			for i := 0; i < 3; i++ {
 				i := i
-				vclock.GoNamed(clk, fmt.Sprintf("outer-%d", i), func() {
+				GoNamed(clk, fmt.Sprintf("outer-%d", i), func() {
 					fmt.Fprintf(&order, "o%d ", i)
-					vclock.GoNamed(clk, fmt.Sprintf("inner-%d", i), func() {
+					GoNamed(clk, fmt.Sprintf("inner-%d", i), func() {
 						fmt.Fprintf(&order, "i%d ", i)
 					})
-					vclock.Yield(clk)
+					Yield(clk)
 				})
 			}
 		}); err != nil {
@@ -216,20 +214,16 @@ func TestNestedSpawn(t *testing.T) {
 // count replays.
 func TestPicksCounted(t *testing.T) {
 	picks := func() uint64 {
-		sim := vclock.NewSim(13)
+		sim := NewSim(13)
 		clk := sim.Clock()
-		s := &Scheduler{sim: sim, clk: clk, seed: sim.Seed(), gate: make(chan struct{})}
-		sim.SetScheduler(s)
-		defer sim.SetScheduler(nil)
-		s.GoActor("main", func() {
+		if err := sim.Run(func() {
 			for i := 0; i < 3; i++ {
-				vclock.Yield(clk)
+				Yield(clk)
 			}
-		})
-		if err := s.loop(); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
-		return s.Picks()
+		return sim.Picks()
 	}
 	a, b := picks(), picks()
 	if a == 0 || a != b {
@@ -241,15 +235,15 @@ func TestPicksCounted(t *testing.T) {
 // (which runs inline on the scheduler goroutine during a time advance) are
 // no-ops rather than deadlocks; Publish from there is fully functional.
 func TestGatesNoopDuringAdvance(t *testing.T) {
-	sim := vclock.NewSim(8)
+	sim := NewSim(8)
 	clk := sim.Clock()
 	var ran atomic.Bool
-	if err := Run(sim, func() {
+	if err := sim.Run(func() {
 		clk.AfterFunc(time.Millisecond, func() {
-			vclock.Yield(clk)
-			vclock.Idle(clk)
+			Yield(clk)
+			Idle(clk)
 			ran.Store(true)
-			vclock.Publish(clk)
+			Publish(clk)
 		})
 		clk.Sleep(5 * time.Millisecond)
 	}); err != nil {

@@ -12,32 +12,36 @@ import (
 // bucket refills, deadlines — is identical across same-seed runs.
 var simEpoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// Sim is a seeded virtual clock. Obtain Clock handles with Clock(); register
-// goroutine/event tokens with the package helpers (Hold/Release/Park/Wake/
-// Ack/Go). Virtual time advances only when the busy counter reaches zero:
-// the goroutine whose Release zeroed it pops the earliest pending timer,
-// sets now to its deadline, and fires it (the fire token wakes the waiter or
-// runs the AfterFunc inline).
+// Sim is a seeded virtual clock and the cooperative scheduler of the actors
+// running on it (see Run). Obtain Clock handles with Clock(). Virtual time
+// advances only from Run's loop, when no actor is runnable: it pops the
+// earliest pending timer, sets now to its deadline, and fires it (delivering
+// the tick, waking the sleeper, or running the AfterFunc inline).
 type Sim struct {
 	seed int64
 
 	mu       sync.Mutex
 	now      time.Time
-	busy     int
 	timers   timerHeap
 	seq      uint64
 	advances uint64
-	// sched, when non-nil, is the attached cooperative scheduler: token
-	// accounting turns off (inc/dec become no-ops) and virtual time advances
-	// only from the scheduler's loop via AdvanceNext.
-	sched Scheduler
+
+	// Actor set, guarded by mu (see sched.go).
+	running   bool // inside Run
+	actors    []*actor
+	exitCount int
+	current   *actor // holder of the run baton, nil while advancing
+	advancing bool   // an AfterFunc may be running inline on the Run goroutine
+	pickCtr   uint64
+	gate      chan struct{} // actor -> Run loop: "I am parked at a gate"
 }
 
-// NewSim returns a simulated clock seeded with seed. The seed does not
-// perturb the clock itself (time is driven purely by timer deadlines); it is
-// carried so layers can derive decision streams via Hash64(Seed(), ...).
+// NewSim returns a simulated clock seeded with seed. The seed picks the
+// actor interleaving (see Run) but does not perturb time itself, which is
+// driven purely by timer deadlines; layers also derive their own decision
+// streams from it via Hash64(Seed(), ...).
 func NewSim(seed int64) *Sim {
-	return &Sim{seed: seed, now: simEpoch}
+	return &Sim{seed: seed, now: simEpoch, gate: make(chan struct{})}
 }
 
 // Seed returns the simulation seed.
@@ -63,90 +67,11 @@ func (s *Sim) Advances() uint64 {
 	return s.advances
 }
 
-// Stats returns the busy-token count and pending-timer count, for debugging
-// stalled simulations (a hang with busy > 0 and no runnable goroutine means
-// a leaked token; busy == 0 with no timers means a real deadlock).
-func (s *Sim) Stats() (busy, pendingTimers int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.busy, s.timers.Len()
-}
-
-// SetScheduler attaches (or, with nil, detaches) a cooperative scheduler.
-// Must be called while the simulation is quiescent — before any actors run,
-// or after all of them have exited.
-func (s *Sim) SetScheduler(sched Scheduler) {
-	s.mu.Lock()
-	s.sched = sched
-	s.mu.Unlock()
-}
-
-func (s *Sim) scheduler() Scheduler {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sched
-}
-
-// AdvanceNext fires the earliest pending timer on the calling goroutine —
-// the cooperative scheduler's advance step, used when every actor is idle
-// or sleeping. It reports whether a timer fired (false means the heap is
-// empty: with no runnable actor that is a genuine deadlock, which the
-// scheduler reports). AfterFunc callbacks run inline on the caller.
-func (s *Sim) AdvanceNext() bool {
-	s.mu.Lock()
-	fn, fired := s.advanceLocked()
-	s.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
-	return fired
-}
-
-func (s *Sim) inc() {
-	s.mu.Lock()
-	if s.sched != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.busy++
-	s.mu.Unlock()
-}
-
-// dec retires one busy token. If the counter hits zero, this goroutine
-// performs the advance: pop the earliest timer, move now, fire. Channel
-// timers are delivered under the lock (buffered, never blocks); AfterFunc
-// callbacks run outside the lock holding the fire token, which dec then
-// retires in the next loop iteration (an AfterFunc chain is a loop, not
-// recursion).
-func (s *Sim) dec() {
-	for {
-		s.mu.Lock()
-		if s.sched != nil {
-			s.mu.Unlock()
-			return
-		}
-		s.busy--
-		if s.busy < 0 {
-			s.mu.Unlock()
-			panic("vclock: busy token released twice (Park/Release without matching Wake/Hold)")
-		}
-		var fn func()
-		if s.busy == 0 {
-			fn, _ = s.advanceLocked()
-		}
-		s.mu.Unlock()
-		if fn == nil {
-			return
-		}
-		fn()
-	}
-}
-
 // advanceLocked fires the earliest pending timer, if any. Exactly one timer
 // fires per advance; ties on the deadline fire in creation order across
 // successive advances at the same virtual instant. Returns a non-nil func
-// for AfterFunc timers (run it outside the lock, then release its token)
-// and whether a timer fired at all.
+// for AfterFunc timers (run it outside the lock) and whether a timer fired
+// at all.
 func (s *Sim) advanceLocked() (func(), bool) {
 	if s.timers.Len() == 0 {
 		return nil, false
@@ -156,9 +81,6 @@ func (s *Sim) advanceLocked() (func(), bool) {
 		s.now = tm.when
 	}
 	s.advances++
-	if s.sched == nil {
-		s.busy++ // fire token: transferred to the waiter or retired after fn
-	}
 	tm.state = timerFired
 	if tm.fn != nil {
 		return tm.fn, true
@@ -177,21 +99,11 @@ func (c *SimClock) Sim() *Sim { return c.s }
 func (c *SimClock) Now() time.Time                  { return c.s.Now() }
 func (c *SimClock) Since(t time.Time) time.Duration { return c.s.Now().Sub(t) }
 
-// Sleep blocks for d of virtual time: the caller's run token is released and
-// the timer's fire token wakes it, so the busy accounting is seamless. Under
-// a cooperative scheduler the calling actor parks and its wake is scheduled
-// by the scheduler's advance loop.
+// Sleep blocks the calling actor for d of virtual time.
 func (c *SimClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.s.sleep(d)
 	}
-	if sched := c.s.scheduler(); sched != nil {
-		sched.Sleep(d)
-		return
-	}
-	tm := c.s.addTimer(d, nil)
-	c.s.dec()
-	<-tm.ch // fire token becomes our run token
 }
 
 func (c *SimClock) After(d time.Duration) <-chan time.Time { return c.NewTimer(d).C() }
@@ -244,42 +156,27 @@ type simTimerHandle struct {
 func (h *simTimerHandle) C() <-chan time.Time { return h.t.ch }
 
 // Stop cancels a pending timer. If the timer already fired but its tick was
-// never read, Stop drains the channel and retires the orphaned fire token —
-// otherwise a raced `select` arm (e.g. a stop signal beating the tick) would
-// stall virtual time forever.
+// never read (another poll arm, e.g. a stop signal, was served first), Stop
+// drains the channel so a re-armed timer cannot deliver the stale tick.
 func (h *simTimerHandle) Stop() bool {
 	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
 	t := h.t
 	switch t.state {
 	case timerPending:
 		heap.Remove(&h.s.timers, t.idx)
 		t.state = timerStopped
-		h.s.mu.Unlock()
 		return true
 	case timerFired:
 		if t.ch != nil {
 			select {
 			case <-t.ch:
-				// Unread tick: retire its fire token (under a scheduler
-				// there is none — draining the channel suffices). We hold
-				// the lock, so decrement directly; busy stays > 0.
-				if h.s.sched == nil {
-					h.s.busy--
-					if h.s.busy < 0 {
-						h.s.mu.Unlock()
-						panic("vclock: timer fire token released twice")
-					}
-				}
 			default:
 			}
 		}
 		t.state = timerStopped
-		h.s.mu.Unlock()
-		return false
-	default:
-		h.s.mu.Unlock()
-		return false
 	}
+	return false
 }
 
 // Reset re-arms the timer for d from the current virtual now.
@@ -306,8 +203,8 @@ func (h *simTimerHandle) Reset(d time.Duration) bool {
 func (s *Sim) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return fmt.Sprintf("sim(seed=%d now=%s busy=%d timers=%d advances=%d)",
-		s.seed, s.now.Format(time.RFC3339Nano), s.busy, s.timers.Len(), s.advances)
+	return fmt.Sprintf("sim(seed=%d now=%s timers=%d advances=%d picks=%d)",
+		s.seed, s.now.Format(time.RFC3339Nano), s.timers.Len(), s.advances, s.pickCtr)
 }
 
 // timerHeap orders timers by (deadline, creation seq).

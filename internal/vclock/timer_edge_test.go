@@ -7,161 +7,171 @@ import (
 
 // TestSimTimerEdgeCases pins the timer-state transitions the cluster's
 // backoff and election paths lean on: zero/negative durations, Reset after a
-// fire (tick read or unread), Reset after Stop, and both directions of the
-// select race between a tick delivery and a competing stop signal. Each case
-// runs on a fresh Sim so virtual timestamps are absolute.
+// fire (tick read or unread), Reset after Stop, and both orders of a tick
+// delivery against a competing stop signal. Each case runs as the root actor
+// of a fresh Sim so virtual timestamps are absolute; waits are the same
+// poll-and-Idle loops the production event loops use.
 func TestSimTimerEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T, sim *Sim, clk Clock)
 	}{
 		{"after-zero-fires-at-now", func(t *testing.T, sim *Sim, clk Clock) {
-			ch := clk.After(0)
-			Park(clk)
-			at := <-ch // fire token becomes our run token
+			at := awaitTick(clk, clk.After(0))
 			if got := at.Sub(simEpoch); got != 0 {
-				t.Fatalf("After(0) fired at +%v, want +0", got)
+				t.Errorf("After(0) fired at +%v, want +0", got)
 			}
 			if sim.Advances() != 1 {
-				t.Fatalf("advances = %d, want 1 (a zero-delta fire still counts)", sim.Advances())
+				t.Errorf("advances = %d, want 1 (a zero-delta fire still counts)", sim.Advances())
 			}
 		}},
 		{"after-negative-clamps-to-zero", func(t *testing.T, sim *Sim, clk Clock) {
-			ch := clk.After(-time.Second)
-			Park(clk)
-			at := <-ch
+			at := awaitTick(clk, clk.After(-time.Second))
 			if got := at.Sub(simEpoch); got != 0 {
-				t.Fatalf("After(-1s) fired at +%v, want +0 (clamped)", got)
+				t.Errorf("After(-1s) fired at +%v, want +0 (clamped)", got)
 			}
 		}},
 		{"reset-after-fire-unread", func(t *testing.T, sim *Sim, clk Clock) {
 			tm := clk.NewTimer(time.Millisecond)
-			Park(clk) // quiescence: fires at +1ms, tick left in the channel
-			Wake(clk)
+			clk.Sleep(time.Millisecond) // fires at +1ms, tick left in the channel
 			if tm.Reset(time.Millisecond) {
-				t.Fatal("Reset on fired timer returned true")
+				t.Error("Reset on fired timer returned true")
 			}
 			// The stale +1ms tick must have been drained: the only tick left
 			// to read is the re-armed one.
-			Park(clk)
-			at := <-tm.C()
+			at := awaitTick(clk, tm.C())
 			if got := at.Sub(simEpoch); got != 2*time.Millisecond {
-				t.Fatalf("re-armed timer fired at +%v, want +2ms", got)
+				t.Errorf("re-armed timer fired at +%v, want +2ms", got)
 			}
 		}},
 		{"reset-after-fire-read", func(t *testing.T, sim *Sim, clk Clock) {
 			tm := clk.NewTimer(time.Millisecond)
-			Park(clk)
-			at := <-tm.C()
+			at := awaitTick(clk, tm.C())
 			if got := at.Sub(simEpoch); got != time.Millisecond {
-				t.Fatalf("timer fired at +%v, want +1ms", got)
+				t.Errorf("timer fired at +%v, want +1ms", got)
 			}
 			if tm.Reset(2 * time.Millisecond) {
-				t.Fatal("Reset on fired+read timer returned true")
+				t.Error("Reset on fired+read timer returned true")
 			}
-			Park(clk)
-			at = <-tm.C()
+			at = awaitTick(clk, tm.C())
 			if got := at.Sub(simEpoch); got != 3*time.Millisecond {
-				t.Fatalf("re-armed timer fired at +%v, want +3ms (2ms past the 1ms now)", got)
+				t.Errorf("re-armed timer fired at +%v, want +3ms (2ms past the 1ms now)", got)
 			}
 		}},
 		{"reset-after-stop-rearms", func(t *testing.T, sim *Sim, clk Clock) {
 			tm := clk.NewTimer(time.Hour)
 			if !tm.Stop() {
-				t.Fatal("Stop on pending timer returned false")
+				t.Error("Stop on pending timer returned false")
 			}
 			if tm.Reset(time.Millisecond) {
-				t.Fatal("Reset on stopped timer returned true")
+				t.Error("Reset on stopped timer returned true")
 			}
-			Park(clk)
-			at := <-tm.C()
+			at := awaitTick(clk, tm.C())
 			if got := at.Sub(simEpoch); got != time.Millisecond {
-				t.Fatalf("reset-after-stop fired at +%v, want +1ms", got)
+				t.Errorf("reset-after-stop fired at +%v, want +1ms", got)
 			}
-			if _, pending := sim.Stats(); pending != 0 {
-				t.Fatalf("pending timers = %d, want 0", pending)
+			if n := pendingTimers(sim); n != 0 {
+				t.Errorf("pending timers = %d, want 0", n)
 			}
 		}},
 		{"stop-is-idempotent", func(t *testing.T, sim *Sim, clk Clock) {
 			tm := clk.NewTimer(time.Hour)
 			if !tm.Stop() {
-				t.Fatal("first Stop returned false")
+				t.Error("first Stop returned false")
 			}
 			if tm.Stop() {
-				t.Fatal("second Stop on an already-stopped timer returned true")
+				t.Error("second Stop on an already-stopped timer returned true")
 			}
-			if _, pending := sim.Stats(); pending != 0 {
-				t.Fatalf("pending timers = %d, want 0", pending)
+			if n := pendingTimers(sim); n != 0 {
+				t.Errorf("pending timers = %d, want 0", n)
 			}
 		}},
-		{"stop-wins-delivery-race", func(t *testing.T, sim *Sim, clk Clock) {
+		{"stop-before-tick", func(t *testing.T, sim *Sim, clk Clock) {
 			// The shutdown signal arrives before the timer deadline: the
-			// select takes the stop arm and Stop cancels a pending timer.
+			// loop serves the stop arm and Stop cancels a pending timer.
 			tm := clk.NewTimer(time.Hour)
-			stop := make(chan struct{}, 1)
-			clk.AfterFunc(time.Millisecond, func() {
-				Hold(clk)
-				stop <- struct{}{}
-			})
-			Park(clk)
-			select {
-			case <-stop:
-				Wake(clk)
-				Ack(clk)
-			case <-tm.C():
-				t.Fatal("timer arm won against an earlier stop signal")
+			stop, ticks := stopAfter(clk, time.Millisecond), 0
+			pollStopOrTick(clk, stop, tm, &ticks)
+			if ticks != 0 {
+				t.Errorf("timer arm served %d times against an earlier stop signal", ticks)
 			}
 			if !tm.Stop() {
-				t.Fatal("Stop on still-pending timer returned false")
+				t.Error("Stop on still-pending timer returned false")
 			}
-			if _, pending := sim.Stats(); pending != 0 {
-				t.Fatalf("pending timers = %d, want 0", pending)
+			if n := pendingTimers(sim); n != 0 {
+				t.Errorf("pending timers = %d, want 0", n)
 			}
 			clk.Sleep(time.Millisecond) // time must still advance cleanly
 		}},
-		{"delivery-wins-stop-race", func(t *testing.T, sim *Sim, clk Clock) {
+		{"tick-before-stop", func(t *testing.T, sim *Sim, clk Clock) {
 			// The tick is delivered and read before the shutdown signal: the
 			// event loop sees one tick, then the stop, and the final Stop on
-			// the fired timer reports false without stalling virtual time.
+			// the fired timer reports false.
 			tm := clk.NewTimer(time.Millisecond)
-			stop := make(chan struct{}, 1)
-			clk.AfterFunc(2*time.Millisecond, func() {
-				Hold(clk)
-				stop <- struct{}{}
-			})
-			ticks := 0
-		loop:
-			for {
-				Park(clk)
-				select {
-				case <-stop:
-					Wake(clk)
-					Ack(clk)
-					break loop
-				case at := <-tm.C(): // fire token becomes our run token
-					if got := at.Sub(simEpoch); got != time.Millisecond {
-						t.Fatalf("tick at +%v, want +1ms", got)
-					}
-					ticks++
-				}
-			}
+			stop, ticks := stopAfter(clk, 2*time.Millisecond), 0
+			pollStopOrTick(clk, stop, tm, &ticks)
 			if ticks != 1 {
-				t.Fatalf("ticks = %d, want 1", ticks)
+				t.Errorf("ticks = %d, want 1", ticks)
 			}
 			if tm.Stop() {
-				t.Fatal("Stop on fired+read timer returned true")
+				t.Error("Stop on fired+read timer returned true")
 			}
-			clk.Sleep(time.Millisecond) // no orphaned token: must not hang
+		}},
+		{"stop-and-tick-same-instant", func(t *testing.T, sim *Sim, clk Clock) {
+			// Both arms become ready before the loop polls again: the fixed
+			// poll priority serves stop, the tick stays unread, and Stop
+			// drains it so a later Reset delivers exactly one fresh tick.
+			tm := clk.NewTimer(time.Millisecond)
+			stop, ticks := stopAfter(clk, time.Millisecond), 0
+			clk.Sleep(time.Millisecond)
+			pollStopOrTick(clk, stop, tm, &ticks)
+			if ticks != 0 {
+				t.Errorf("tick arm served %d times although stop was ready first in poll order", ticks)
+			}
+			if tm.Stop() {
+				t.Error("Stop on fired+unread timer returned true")
+			}
+			tm.Reset(time.Millisecond)
+			if got := awaitTick(clk, tm.C()).Sub(simEpoch); got != 2*time.Millisecond {
+				t.Errorf("re-armed timer delivered +%v, want the fresh +2ms tick", got)
+			}
 		}},
 	}
 	for i, tc := range cases {
 		tc, seed := tc, int64(20+i)
 		t.Run(tc.name, func(t *testing.T) {
-			sim := NewSim(seed)
-			clk := sim.Clock()
-			Hold(clk)
-			defer Release(clk)
-			tc.run(t, sim, clk)
+			runSim(t, seed, func(sim *Sim, clk Clock) { tc.run(t, sim, clk) })
 		})
+	}
+}
+
+// stopAfter returns a channel that receives a stop signal after d, published
+// the way memnet and raft publish their events.
+func stopAfter(clk Clock, d time.Duration) <-chan struct{} {
+	stop := make(chan struct{}, 1)
+	clk.AfterFunc(d, func() {
+		stop <- struct{}{}
+		Publish(clk)
+	})
+	return stop
+}
+
+// pollStopOrTick is the event-loop shape of raft's runSched: poll stop, then
+// the tick, in that fixed priority; park idle when neither is ready. It
+// returns when stop is served, counting the ticks served before it.
+func pollStopOrTick(clk Clock, stop <-chan struct{}, tm Timer, ticks *int) {
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		select {
+		case <-tm.C():
+			*ticks++
+			continue
+		default:
+		}
+		Idle(clk)
 	}
 }

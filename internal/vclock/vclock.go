@@ -2,37 +2,37 @@
 // implementations: Wall (production, delegating to package time) and Sim (a
 // seeded virtual clock for deterministic whole-cluster tests).
 //
-// The simulated clock advances virtual time only at quiescence — when every
-// registered goroutine is blocked and no cross-goroutine event (network
-// message, raft apply record, timer fire) is in flight. Code that runs on the
-// simulated clock therefore executes in milliseconds of real time with zero
-// real sleeps, and a whole run is a pure function of (seed, config).
+// A Sim is both the clock and the cooperative scheduler of everything that
+// runs on it: (*Sim).Run(root) runs root as the first actor and drives the
+// actor set to completion, one actor at a time. An actor is a clock-aware
+// goroutine spawned through Go/GoNamed; it runs until it reaches a gate — a
+// virtual Sleep, an explicit Yield after handling one event, Idle when a
+// full poll of its inputs found nothing, or Await — and then hands the run
+// baton back. The next runnable actor is picked by a seeded hash over the
+// ready set (in spawn order, itself deterministic because actors register
+// synchronously in their spawner), and virtual time advances only when every
+// actor is idle or sleeping. The ENTIRE interleaving, virtual timestamps
+// included, is therefore a pure function of (seed, config), and a run
+// executes in milliseconds of real time with zero real sleeps.
 //
-// Accounting model: the Sim keeps a single busy counter. Every running
-// goroutine contributes one token (Hold at spawn / Release at exit, or use
-// Go), and every undelivered event contributes one token (Hold before making
-// it receivable, Release/Ack after the receiver consumed it). A goroutine
-// about to block on a non-clock channel Parks (releases its run token) and
-// Wakes on return (re-acquires it); the clock's own Sleep/Timer primitives do
-// this internally, transferring the timer-fire token to the woken goroutine.
-// When the counter hits zero the releasing goroutine pops the earliest
-// pending timer, moves virtual now to its deadline, and fires it.
+// There are exactly two clock modes, told apart by the clock's type (IsSim):
+// on Wall the helpers Yield/Idle/Publish/Await are no-ops and Go is the go
+// statement, so production code paths carry no simulation cost beyond an
+// interface call; on a Sim clock every one of them — and Sleep — must be
+// called from an actor of a running Run, and panics naming the call
+// otherwise (Publish alone is safe from any goroutine at any time). Event
+// loops written for both modes keep one blocking select for Wall and one
+// poll-and-Idle loop for Sim: a blocking select would let the Go runtime,
+// not the seed, resolve which ready arm wins.
 //
-// All helpers (Hold/Release/Park/Wake/Ack/Go) are no-ops on non-Sim clocks,
-// so production code paths carry no simulation cost beyond an interface call.
-//
-// # Cooperative scheduling
-//
-// The token model makes the event SEQUENCE a function of the seed, but not
-// the interleaving: several goroutines runnable at the same virtual instant
-// are ordered by the Go runtime (select fairness), which can shift virtual
-// timestamps between same-seed runs. For bit-identical replay a Scheduler
-// (internal/sched) can be attached via (*Sim).SetScheduler: clock-aware
-// goroutines then become cooperative actors that run one at a time, yielding
-// at Sleep, Go/GoActor spawns, and the explicit Yield/Idle/Await gates, and a
-// seeded picker chooses the next runnable actor. While a scheduler is
-// attached the token helpers are no-ops (the scheduler subsumes them) and
-// virtual time advances only from the scheduler's own loop.
+// Two kinds of goroutines intentionally stay OUTSIDE the actor set: pure
+// compute workers that never touch the clock (the engine's batch workers —
+// their results are made deterministic by the lock table, and they run to
+// completion while the spawning actor holds the baton), and anything on the
+// wall clock. An actor must never hold a mutex across a gate: the baton
+// holder blocking on a mutex owned by a gated actor would deadlock the
+// world. Gates in this codebase are only ever reached between lock regions
+// (Sleep in backoff loops, Yield/Idle at poll-loop tops).
 package vclock
 
 import (
@@ -47,58 +47,29 @@ type Clock interface {
 	Now() time.Time
 	// Since returns Now().Sub(t).
 	Since(t time.Time) time.Duration
-	// Sleep blocks for d (virtual time on Sim: the calling goroutine parks
-	// and the fire token wakes it; no real time elapses).
+	// Sleep blocks for d (virtual time on Sim: the calling actor parks until
+	// its wake timer fires; no real time elapses).
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the fire time after d. Prefer
-	// NewTimer in long-lived loops: an abandoned After channel on the Sim
-	// clock leaks its fire token and stalls virtual time.
+	// After returns a channel that delivers the fire time after d.
 	After(d time.Duration) <-chan time.Time
 	// NewTimer returns a timer that fires once after d.
 	NewTimer(d time.Duration) Timer
-	// AfterFunc runs f after d on some goroutine (inline on the advancing
-	// goroutine under Sim). The returned timer's Stop cancels a pending f.
+	// AfterFunc runs f after d on some goroutine (inline on the Run
+	// goroutine, between actors, under Sim). The returned timer's Stop
+	// cancels a pending f.
 	AfterFunc(d time.Duration, f func()) Timer
 }
 
-// Timer mirrors time.Timer behind an interface so the Sim can account for
-// fire tokens. C returns nil for AfterFunc timers.
+// Timer mirrors time.Timer behind an interface so the Sim can supply virtual
+// timers. C returns nil for AfterFunc timers.
 type Timer interface {
 	C() <-chan time.Time
 	// Stop cancels the timer, reporting whether it was still pending. On the
-	// Sim clock Stop also consumes an already-fired-but-unread tick so the
-	// fire token cannot leak.
+	// Sim clock Stop also drains an already-fired-but-unread tick, so a
+	// following Reset cannot deliver a stale one.
 	Stop() bool
 	// Reset re-arms the timer for d, reporting whether it was still pending.
 	Reset(d time.Duration) bool
-}
-
-// Scheduler is the cooperative-scheduling hook a Sim can carry (see
-// internal/sched for the implementation; the interface lives here to avoid
-// an import cycle). All methods except GoActor and Publish must be called
-// from the currently running actor.
-type Scheduler interface {
-	// GoActor spawns fn as a new actor. The actor is registered
-	// synchronously (so registration order — and therefore actor identity —
-	// is deterministic) and starts running when the picker first selects it.
-	GoActor(name string, fn func())
-	// Yield parks the calling actor at a resumption gate: the scheduler may
-	// run other ready actors before resuming it.
-	Yield()
-	// Idle parks the calling actor until the next published event or timer
-	// fire. Poll loops call it when a full poll found nothing to do.
-	Idle()
-	// Publish marks a cross-actor event (message enqueued, channel closed,
-	// actor exited): every idle actor becomes ready and will re-poll. Safe
-	// from any goroutine.
-	Publish()
-	// Sleep blocks the calling actor for d of virtual time.
-	Sleep(d time.Duration)
-	// Await blocks the calling actor until pred() is true, publishing once
-	// so other actors can make the predicate true. pred is evaluated only
-	// while the caller holds the run baton, so it may read state written by
-	// other actors without extra locking.
-	Await(pred func() bool)
 }
 
 // Wall is the production clock backed by package time.
@@ -133,113 +104,68 @@ func Or(clk Clock) Clock {
 }
 
 // IsSim reports whether clk is a simulated clock.
-func IsSim(clk Clock) bool { _, ok := clk.(*SimClock); return ok }
+func IsSim(clk Clock) bool { return simOf(clk) != nil }
 
-// schedOf returns clk's attached cooperative scheduler, or nil.
-func schedOf(clk Clock) Scheduler {
+// simOf returns the simulation behind clk, nil for any other clock.
+func simOf(clk Clock) *Sim {
 	if sc, ok := clk.(*SimClock); ok {
-		return sc.s.scheduler()
+		return sc.s
 	}
 	return nil
 }
 
-// Scheduled reports whether clk is a simulated clock with a cooperative
-// scheduler attached. Event loops switch from Park/Wake selects to
-// deterministic poll-and-Idle loops when it returns true.
-func Scheduled(clk Clock) bool { return schedOf(clk) != nil }
-
-// Yield is a deterministic preemption point: under a cooperative scheduler
-// the calling actor parks and the seeded picker chooses the next runnable
-// actor (possibly the caller again). No-op everywhere else.
+// Yield is a deterministic preemption point: on a Sim clock the calling
+// actor parks and the seeded picker chooses the next runnable actor
+// (possibly the caller again). No-op on other clocks.
 func Yield(clk Clock) {
-	if s := schedOf(clk); s != nil {
-		s.Yield()
+	if s := simOf(clk); s != nil {
+		s.yield()
 	}
 }
 
 // Idle parks the calling actor until the next published event or timer
-// fire; poll loops call it after a full poll found nothing. No-op without a
-// scheduler.
+// fire; poll loops call it after a full poll found nothing. No-op on
+// non-Sim clocks.
 func Idle(clk Clock) {
-	if s := schedOf(clk); s != nil {
-		s.Idle()
+	if s := simOf(clk); s != nil {
+		s.idle()
 	}
 }
 
-// Publish signals a cross-actor event (message enqueued, channel closed):
-// idle actors re-poll. Safe from any goroutine; no-op without a scheduler.
+// Publish signals a cross-actor event that does not go through the clock (a
+// message placed in an inbox, a channel closed): every idle actor becomes
+// ready and re-polls. Safe from any goroutine; no-op on non-Sim clocks.
 func Publish(clk Clock) {
-	if s := schedOf(clk); s != nil {
-		s.Publish()
+	if s := simOf(clk); s != nil {
+		s.publish()
 	}
 }
 
-// Await blocks until pred() is true. Under a cooperative scheduler the
-// calling actor parks between evaluations so other actors can run; without
-// one it returns immediately (callers follow it with their own blocking
-// wait, e.g. WaitGroup.Wait, which the scheduler-mode Await exists to make
-// safe).
+// Await blocks until pred() is true. On a Sim clock the calling actor parks
+// between evaluations so other actors can run, and pred is evaluated only
+// while the caller holds the run baton, so it may read state written by
+// other actors without extra locking. On other clocks it returns immediately
+// (callers follow it with their own blocking wait, e.g. WaitGroup.Wait,
+// which Await exists to make safe under the one-actor-at-a-time rule).
 func Await(clk Clock, pred func() bool) {
-	if s := schedOf(clk); s != nil {
-		s.Await(pred)
+	if s := simOf(clk); s != nil {
+		s.await(pred)
 	}
 }
 
-// Hold registers one unit of pending work (a running goroutine or an
-// undelivered event) with clk's simulation; no-op on other clocks and under
-// a cooperative scheduler (which subsumes token accounting). Virtual time
-// cannot advance while any unit is held.
-func Hold(clk Clock) {
-	if sc, ok := clk.(*SimClock); ok {
-		sc.s.inc()
-	}
-}
-
-// Release retires a unit registered with Hold; if it was the last, the
-// calling goroutine advances virtual time to the next timer deadline.
-func Release(clk Clock) {
-	if sc, ok := clk.(*SimClock); ok {
-		sc.s.dec()
-	}
-}
-
-// Park releases the calling goroutine's run token immediately before it
-// blocks on a non-clock channel operation (e.g. a select over a message
-// inbox). Pair with Wake on every select arm. Never call holding a lock a
-// woken peer might need.
-func Park(clk Clock) { Release(clk) }
-
-// Wake re-acquires the calling goroutine's run token after a Park-ed block
-// returns. Call it first on every select arm, before Ack.
-func Wake(clk Clock) { Hold(clk) }
-
-// Ack retires the event token of a message just consumed from a channel the
-// sender Hold-ed for. Call after Wake (the consumer's own token keeps the
-// system busy while it processes the message).
-func Ack(clk Clock) { Release(clk) }
-
-// Go runs fn on a new goroutine that counts as busy for its whole lifetime
-// (the Hold happens before spawn, so there is no gap in which the sim could
-// advance). Use instead of the go statement for clock-aware code. Under a
-// cooperative scheduler fn becomes a new actor, registered synchronously by
-// the caller so spawn order — and thus the whole interleaving — stays
-// deterministic.
+// Go runs fn on a new goroutine. Use instead of the go statement for
+// clock-aware code: on a Sim clock fn becomes a new actor, registered
+// synchronously by the caller so spawn order — and thus the whole
+// interleaving — stays deterministic, and started when the picker first
+// selects it.
 func Go(clk Clock, fn func()) {
 	GoNamed(clk, "", fn)
 }
 
-// GoNamed is Go with an actor name for scheduler diagnostics.
+// GoNamed is Go with an actor name for deadlock diagnostics.
 func GoNamed(clk Clock, name string, fn func()) {
-	if sc, ok := clk.(*SimClock); ok {
-		if s := sc.s.scheduler(); s != nil {
-			s.GoActor(name, fn)
-			return
-		}
-		sc.s.inc()
-		go func() {
-			defer sc.s.dec()
-			fn()
-		}()
+	if s := simOf(clk); s != nil {
+		s.goActor(name, fn)
 		return
 	}
 	go fn()

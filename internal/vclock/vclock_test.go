@@ -2,10 +2,41 @@ package vclock
 
 import (
 	"fmt"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// runSim runs body as the root actor of a fresh Sim and fails the test on
+// deadlock.
+func runSim(t *testing.T, seed int64, body func(sim *Sim, clk Clock)) *Sim {
+	t.Helper()
+	sim := NewSim(seed)
+	if err := sim.Run(func() { body(sim, sim.Clock()) }); err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+// awaitTick is the actor-side wait for a timer channel: poll, and park idle
+// until the next fire when the tick is not there yet.
+func awaitTick(clk Clock, ch <-chan time.Time) time.Time {
+	for {
+		select {
+		case at := <-ch:
+			return at
+		default:
+		}
+		Idle(clk)
+	}
+}
+
+func pendingTimers(s *Sim) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.timers.Len()
+}
 
 func TestWallBasics(t *testing.T) {
 	clk := Or(nil)
@@ -43,38 +74,35 @@ func TestWallBasics(t *testing.T) {
 		t.Fatal("wall AfterFunc did not run")
 	}
 	<-clk.After(time.Millisecond)
-	// Hold/Release/Park/Wake/Ack are no-ops on Wall.
-	Hold(clk)
-	Release(clk)
-	Park(clk)
-	Wake(clk)
-	Ack(clk)
+	// The actor gates are no-ops on Wall; Go is the go statement.
+	Yield(clk)
+	Idle(clk)
+	Publish(clk)
+	Await(clk, func() bool { return false })
 	ran := make(chan struct{})
 	Go(clk, func() { close(ran) })
 	<-ran
 }
 
 func TestSimSleepAdvancesVirtualTime(t *testing.T) {
-	sim := NewSim(1)
-	clk := sim.Clock()
-	if !IsSim(clk) {
-		t.Fatal("sim clock not detected by IsSim")
-	}
-	if clk.(*SimClock).Sim() != sim {
-		t.Fatal("SimClock.Sim mismatch")
-	}
-	Hold(clk) // the test goroutine registers as busy
-	defer Release(clk)
-	start := clk.Now()
-	real0 := time.Now()
-	clk.Sleep(10 * time.Hour)
-	if got := clk.Since(start); got != 10*time.Hour {
-		t.Fatalf("virtual Sleep advanced %v, want 10h", got)
-	}
-	if elapsed := time.Since(real0); elapsed > 5*time.Second {
-		t.Fatalf("virtual sleep took %v of real time", elapsed)
-	}
-	clk.Sleep(0) // no-op, must not deadlock
+	sim := runSim(t, 1, func(sim *Sim, clk Clock) {
+		if !IsSim(clk) {
+			t.Error("sim clock not detected by IsSim")
+		}
+		if clk.(*SimClock).Sim() != sim {
+			t.Error("SimClock.Sim mismatch")
+		}
+		start := clk.Now()
+		real0 := time.Now()
+		clk.Sleep(10 * time.Hour)
+		if got := clk.Since(start); got != 10*time.Hour {
+			t.Errorf("virtual Sleep advanced %v, want 10h", got)
+		}
+		if elapsed := time.Since(real0); elapsed > 5*time.Second {
+			t.Errorf("virtual sleep took %v of real time", elapsed)
+		}
+		clk.Sleep(0) // no-op, must not deadlock
+	})
 	if sim.Advances() != 1 {
 		t.Fatalf("advances = %d, want 1", sim.Advances())
 	}
@@ -83,29 +111,20 @@ func TestSimSleepAdvancesVirtualTime(t *testing.T) {
 	}
 }
 
-func TestSimTimerOrderingAcrossGoroutines(t *testing.T) {
-	sim := NewSim(7)
-	clk := sim.Clock()
-	Hold(clk)
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-	for _, d := range []struct {
-		name  string
-		sleep time.Duration
-	}{{"c", 30 * time.Millisecond}, {"a", 10 * time.Millisecond}, {"b", 20 * time.Millisecond}} {
-		d := d
-		wg.Add(1)
-		Go(clk, func() {
-			defer wg.Done()
-			clk.Sleep(d.sleep)
-			mu.Lock()
-			order = append(order, fmt.Sprintf("%s@%v", d.name, clk.Since(simEpoch)))
-			mu.Unlock()
-		})
-	}
-	Release(clk) // let the sim run the three sleepers
-	wg.Wait()
+func TestSimTimerOrderingAcrossActors(t *testing.T) {
+	var order []string // actors run one at a time: no lock needed
+	runSim(t, 7, func(sim *Sim, clk Clock) {
+		for _, d := range []struct {
+			name  string
+			sleep time.Duration
+		}{{"c", 30 * time.Millisecond}, {"a", 10 * time.Millisecond}, {"b", 20 * time.Millisecond}} {
+			d := d
+			Go(clk, func() {
+				clk.Sleep(d.sleep)
+				order = append(order, fmt.Sprintf("%s@%v", d.name, clk.Since(simEpoch)))
+			})
+		}
+	})
 	want := "[a@10ms b@20ms c@30ms]"
 	if got := fmt.Sprintf("%v", order); got != want {
 		t.Fatalf("wake order = %v, want %v", got, want)
@@ -113,164 +132,142 @@ func TestSimTimerOrderingAcrossGoroutines(t *testing.T) {
 }
 
 func TestSimAfterFuncChain(t *testing.T) {
-	sim := NewSim(2)
-	clk := sim.Clock()
-	Hold(clk)
 	var fired []time.Duration
-	clk.AfterFunc(5*time.Millisecond, func() {
-		fired = append(fired, clk.Since(simEpoch))
+	runSim(t, 2, func(sim *Sim, clk Clock) {
 		clk.AfterFunc(5*time.Millisecond, func() {
 			fired = append(fired, clk.Since(simEpoch))
+			clk.AfterFunc(5*time.Millisecond, func() {
+				fired = append(fired, clk.Since(simEpoch))
+			})
 		})
+		// Sleep past both: the chain runs inline on the Run goroutine.
+		clk.Sleep(50 * time.Millisecond)
 	})
-	// Sleep past both: the chain runs inline on this goroutine's dec loop.
-	clk.Sleep(50 * time.Millisecond)
-	Release(clk)
 	if len(fired) != 2 || fired[0] != 5*time.Millisecond || fired[1] != 10*time.Millisecond {
 		t.Fatalf("AfterFunc chain fired at %v", fired)
 	}
 }
 
-func TestSimParkWakeMessagePassing(t *testing.T) {
-	sim := NewSim(3)
-	clk := sim.Clock()
-	Hold(clk)
-	inbox := make(chan int, 16)
-	stop := make(chan struct{})
-	got := make(chan int, 16)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	Go(clk, func() {
-		defer wg.Done()
-		for {
-			Park(clk)
-			select {
-			case <-stop:
-				Wake(clk)
-				return
-			case v := <-inbox:
-				Wake(clk)
-				Ack(clk)
-				got <- v
-			}
+// TestSimTimerStopAndReset pins Stop on a fired-but-unread timer (another
+// poll arm was served first): it reports false and drains the stale tick.
+// Stop on a pending timer cancels it outright; Reset re-arms at a new
+// deadline.
+func TestSimTimerStopAndReset(t *testing.T) {
+	runSim(t, 4, func(sim *Sim, clk Clock) {
+		tm := clk.NewTimer(time.Millisecond)
+		clk.Sleep(time.Millisecond) // the timer fires first, tick left unread
+		if tm.Stop() {
+			t.Error("Stop on fired timer returned true")
+		}
+		select {
+		case at := <-tm.C():
+			t.Errorf("Stop left a stale tick (+%v) in the channel", at.Sub(simEpoch))
+		default:
+		}
+		tm2 := clk.NewTimer(time.Hour)
+		if !tm2.Stop() {
+			t.Error("Stop on pending timer returned false")
+		}
+		if n := pendingTimers(sim); n != 0 {
+			t.Errorf("pending timers after stops: %d", n)
+		}
+		tm3 := clk.NewTimer(time.Hour)
+		if !tm3.Reset(time.Millisecond) {
+			t.Error("Reset on pending timer returned false")
+		}
+		if got := awaitTick(clk, tm3.C()).Sub(simEpoch); got != 2*time.Millisecond {
+			t.Errorf("reset timer fired at +%v, want +2ms (1ms past the 1ms now)", got)
 		}
 	})
-	// Delayed send: schedule via AfterFunc; the event token is held only
-	// once the message is actually enqueued.
-	clk.AfterFunc(time.Second, func() {
-		Hold(clk)
-		inbox <- 42
-	})
-	clk.Sleep(2 * time.Second) // advances past the delivery
-	select {
-	case v := <-got:
-		if v != 42 {
-			t.Fatalf("got %d", v)
-		}
-	default:
-		t.Fatal("delayed message not delivered after virtual sleep")
-	}
-	close(stop)
-	wg.Wait()
-	Release(clk)
-}
-
-// TestSimTimerStopConsumesFiredToken pins the select-race guard: a timer that
-// fired while its owner was parked (but whose tick the owner never read,
-// because another select arm won) leaves an orphaned fire token; Stop must
-// retire it, or virtual time stalls forever.
-func TestSimTimerStopConsumesFiredToken(t *testing.T) {
-	sim := NewSim(4)
-	clk := sim.Clock()
-	Hold(clk)
-	tm := clk.NewTimer(time.Millisecond)
-	Park(clk) // quiescence: the timer fires, tick left unread
-	Wake(clk)
-	if tm.Stop() {
-		t.Fatal("Stop on fired timer returned true")
-	}
-	// The orphaned fire token must have been retired: this Sleep hangs if
-	// busy never reaches zero again.
-	clk.Sleep(time.Millisecond)
-	// Stop on a pending timer cancels it outright.
-	tm2 := clk.NewTimer(time.Hour)
-	if !tm2.Stop() {
-		t.Fatal("Stop on pending timer returned false")
-	}
-	if _, pending := sim.Stats(); pending != 0 {
-		t.Fatalf("pending timers after stops: %d", pending)
-	}
-	// Reset re-arms at a new deadline.
-	tm3 := clk.NewTimer(time.Hour)
-	if !tm3.Reset(time.Millisecond) {
-		t.Fatal("Reset on pending timer returned false")
-	}
-	Park(clk)
-	at := <-tm3.C() // fire token becomes this goroutine's run token
-	if got := at.Sub(simEpoch); got != 3*time.Millisecond {
-		t.Fatalf("reset timer fired at +%v, want +3ms (1ms past the 2ms now)", got)
-	}
-	Release(clk)
 }
 
 func TestSimAfterChannel(t *testing.T) {
-	sim := NewSim(5)
-	clk := sim.Clock()
-	Hold(clk)
-	ch := clk.After(time.Minute)
-	Park(clk)
-	at := <-ch // woken by the fire; its token becomes our run token
-	if got := at.Sub(simEpoch); got != time.Minute {
-		t.Fatalf("After fired at +%v, want +1m", got)
-	}
-	_ = sim.String() // smoke the debug formatter
-	if busy, _ := sim.Stats(); busy != 1 {
-		t.Fatalf("busy = %d, want 1 (this goroutine)", busy)
-	}
-	Release(clk)
-}
-
-func TestSimDoubleReleasePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double release did not panic")
+	sim := runSim(t, 5, func(sim *Sim, clk Clock) {
+		if got := awaitTick(clk, clk.After(time.Minute)).Sub(simEpoch); got != time.Minute {
+			t.Errorf("After fired at +%v, want +1m", got)
 		}
-	}()
-	sim := NewSim(6)
-	Release(sim.Clock())
+	})
+	if got := sim.String(); !strings.Contains(got, "seed=5") || !strings.Contains(got, "advances=1") {
+		t.Fatalf("debug formatter: %s", got)
+	}
 }
 
-// TestSimDeterministicTrace runs the same multi-goroutine scenario twice with
+// TestSimMisusePanics: a gate reached on a Sim clock with no Run in progress
+// would wait forever for a baton nobody hands out; each call must instead
+// fail fast, naming itself. Publish alone is legal from anywhere.
+func TestSimMisusePanics(t *testing.T) {
+	cases := []struct {
+		op   string
+		call func(clk Clock)
+	}{
+		{"Sleep", func(clk Clock) { clk.Sleep(time.Millisecond) }},
+		{"Yield", func(clk Clock) { Yield(clk) }},
+		{"Idle", func(clk Clock) { Idle(clk) }},
+		{"Await", func(clk Clock) { Await(clk, func() bool { return false }) }},
+		{"Go", func(clk Clock) { Go(clk, func() {}) }},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.op, func(t *testing.T) {
+			clk := NewSim(6).Clock()
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "vclock: "+tc.op+" ") || !strings.Contains(msg, "outside Sim.Run") {
+					t.Fatalf("%s outside Run: recovered %q, want a panic naming the call", tc.op, msg)
+				}
+			}()
+			tc.call(clk)
+		})
+	}
+	t.Run("Publish", func(t *testing.T) {
+		Publish(NewSim(6).Clock()) // must neither panic nor block
+	})
+	t.Run("after-Run", func(t *testing.T) {
+		// The misuse check must not be fooled by a finished Run's last actor.
+		sim := runSim(t, 6, func(*Sim, Clock) {})
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Yield after Run returned did not panic")
+			}
+		}()
+		Yield(sim.Clock())
+	})
+	t.Run("blocking-gate-in-AfterFunc", func(t *testing.T) {
+		// An AfterFunc runs inline on the Run goroutine: a blocking gate
+		// there would stall the advance loop itself.
+		var got atomic.Value
+		runSim(t, 6, func(sim *Sim, clk Clock) {
+			clk.AfterFunc(time.Millisecond, func() {
+				defer func() { got.Store(fmt.Sprint(recover())) }()
+				clk.Sleep(time.Millisecond)
+			})
+			clk.Sleep(2 * time.Millisecond)
+		})
+		if msg, _ := got.Load().(string); !strings.Contains(msg, "Sleep from an AfterFunc callback") {
+			t.Fatalf("Sleep inside AfterFunc: recovered %q", msg)
+		}
+	})
+}
+
+// TestSimDeterministicTrace runs the same multi-actor scenario twice with
 // the same seed and requires identical event traces: wake order, virtual
-// timestamps, advance counts. The per-step nanosecond term makes every
-// cumulative deadline unique, so the trace cannot depend on how the runtime
-// schedules timer creation.
+// timestamps, advance counts.
 func TestSimDeterministicTrace(t *testing.T) {
 	run := func(seed int64) string {
-		sim := NewSim(seed)
-		clk := sim.Clock()
-		Hold(clk)
-		var mu sync.Mutex
 		var trace []string
-		var wg sync.WaitGroup
-		for i := 0; i < 5; i++ {
-			i := i
-			wg.Add(1)
-			Go(clk, func() {
-				defer wg.Done()
-				for step := 0; step < 3; step++ {
-					ms := time.Duration(Hash64(uint64(seed), uint64(i), uint64(step))%1000) * time.Millisecond
-					eps := time.Duration(i+1) * time.Duration(1<<(4*(step+1))) * time.Nanosecond
-					clk.Sleep(ms + eps)
-					mu.Lock()
-					trace = append(trace, fmt.Sprintf("g%d.%d@%v", i, step, clk.Since(simEpoch)))
-					mu.Unlock()
-				}
-			})
-		}
-		Release(clk)
-		wg.Wait()
-		return fmt.Sprintf("%v advances=%d now=%v", trace, sim.Advances(), sim.Now().Sub(simEpoch))
+		sim := runSim(t, seed, func(sim *Sim, clk Clock) {
+			for i := 0; i < 5; i++ {
+				i := i
+				Go(clk, func() {
+					for step := 0; step < 3; step++ {
+						ms := time.Duration(Hash64(uint64(seed), uint64(i), uint64(step))%1000) * time.Millisecond
+						clk.Sleep(ms)
+						trace = append(trace, fmt.Sprintf("g%d.%d@%v", i, step, clk.Since(simEpoch)))
+					}
+				})
+			}
+		})
+		return fmt.Sprintf("%v advances=%d picks=%d now=%v", trace, sim.Advances(), sim.Picks(), sim.Now().Sub(simEpoch))
 	}
 	a, b := run(11), run(11)
 	if a != b {
