@@ -1,0 +1,477 @@
+// Package replica ties the pieces into a System Replica (paper Fig. 1): a
+// Raft node delivering ordered batches, a deterministic executor applying
+// them, an optional write-ahead log for durability, and a state hash for
+// divergence detection. A Cluster helper assembles a full in-process
+// deployment (N replicas + dispatchers) for the examples, tests and
+// cmd/replicad — including per-replica crash and rejoin: a crashed node's
+// store is rebuilt from its newest snapshot plus the WAL suffix above it,
+// then caught up through Raft to the live commit index, while apply-time
+// batch-ID deduplication makes client resubmission after an ambiguous leader
+// change idempotent. With snapshots enabled a replica periodically captures
+// its store (see snapshot.go), compacts its raft log below the snapshot
+// index, and prunes acknowledged entries from the dedup table, so recovery
+// time, log size and dedup memory all stay bounded in a long-lived
+// deployment.
+package replica
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"prognosticator/internal/engine"
+	"prognosticator/internal/raft"
+	"prognosticator/internal/sequencer"
+	"prognosticator/internal/store"
+	"prognosticator/internal/vclock"
+	"prognosticator/internal/wal"
+)
+
+// Replica applies committed batches to a deterministic executor.
+type Replica struct {
+	ID   string
+	exec engine.Executor
+	st   *store.Store
+	log  *wal.Log // nil disables durability
+	clk  vclock.Clock
+
+	// onApply, when non-nil, observes every non-duplicate batch application
+	// (index, batch ID, requests, outcomes) from the apply loop — the history
+	// recorder's tap. Set before Start.
+	onApply func(index uint64, id string, reqs []engine.Request, res *engine.BatchResult)
+
+	mu          sync.Mutex
+	lastApplied uint64 // raft index of last applied batch
+	batches     int
+	// appliedIDs maps each applied batch's idempotency ID to the raft index
+	// of its first (and only executed) occurrence. Rebuilt from the WAL on
+	// recovery, so deduplication decisions are identical across crashes and
+	// across replicas: every replica sees the same committed sequence and
+	// skips the same duplicates.
+	appliedIDs  map[string]uint64
+	deduped     int // duplicate batches skipped (idempotent resubmission)
+	redelivered int // already-applied entries re-delivered by raft after restart
+
+	// dedupWM is the acknowledged low-water mark: every ID first applied at
+	// an index <= dedupWM has been acknowledged to its client, so no further
+	// committed occurrence of it can exist and its dedup entry can go.
+	// Pruning waits until lastApplied >= dedupWM — a duplicate occurrence
+	// can commit anywhere up to the watermark.
+	dedupWM    uint64
+	dedupDirty bool
+
+	snapCfg   SnapshotConfig
+	lastSnap  uint64 // raft index of the newest taken or installed snapshot
+	snapTaken int
+	installed int // snapshots installed from a leader's InstallSnapshot
+
+	// applyDelay throttles the apply loop (nanoseconds per batch) — the
+	// chaos slow-apply fault: a replica that falls behind without crashing.
+	applyDelay atomic.Int64
+
+	stopCh   chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+	// runDone flips when the apply loop returns; on a simulated clock Stop
+	// awaits it before wg.Wait (see raft.Node.Stop).
+	runDone atomic.Bool
+}
+
+// SnapshotConfig enables periodic store snapshotting on a replica.
+type SnapshotConfig struct {
+	// Every takes a snapshot each time this many raft entries have been
+	// applied since the last one (0 disables snapshotting).
+	Every uint64
+	// Dir is where encoded snapshot files land (required when the replica
+	// also has a WAL: after a snapshot the WAL prefix is dropped, so
+	// recovery depends on the snapshot file being there).
+	Dir string
+	// Compact, when non-nil, is invoked (asynchronously) with each new
+	// snapshot so the consensus log can truncate below it — wire it to
+	// raft.Node.Compact.
+	Compact func(index uint64, data []byte) error
+}
+
+// EnableSnapshots configures periodic snapshotting. Must be called before
+// Start.
+func (r *Replica) EnableSnapshots(cfg SnapshotConfig) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.snapCfg = cfg
+}
+
+// New returns a replica applying batches through exec. wlog may be nil.
+func New(id string, exec engine.Executor, st *store.Store, wlog *wal.Log) *Replica {
+	return &Replica{
+		ID: id, exec: exec, st: st, log: wlog, clk: vclock.Wall,
+		appliedIDs: map[string]uint64{},
+		stopCh:     make(chan struct{}),
+	}
+}
+
+// SetClock sets the replica's time source (default: wall clock). Must be
+// called before Start.
+func (r *Replica) SetClock(clk vclock.Clock) { r.clk = vclock.Or(clk) }
+
+// OnApply registers an observer called from the apply loop for every
+// non-duplicate batch application, in apply order. Must be set before Start.
+// Duplicate and re-delivered batches are not reported — the observer sees
+// exactly the executed history.
+func (r *Replica) OnApply(fn func(index uint64, id string, reqs []engine.Request, res *engine.BatchResult)) {
+	r.onApply = fn
+}
+
+// Resume seeds the replica's apply position from a recovery, so that Raft's
+// re-delivery of committed entries above the snapshot index skips everything
+// the recovered store already contains. Must be called before Start.
+func (r *Replica) Resume(rep RecoveryReport) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.lastApplied = rep.LastIndex
+	r.batches = rep.Batches
+	r.lastSnap = rep.SnapshotIndex
+	r.dedupWM = rep.Watermark
+	for id, idx := range rep.AppliedIDs {
+		r.appliedIDs[id] = idx
+	}
+}
+
+// Start launches the apply loop consuming committed entries.
+func (r *Replica) Start(applyCh <-chan raft.Committed, onError func(error)) {
+	r.wg.Add(1)
+	if vclock.IsSim(r.clk) {
+		vclock.GoNamed(r.clk, "apply:"+r.ID, func() { r.runSchedApply(applyCh, onError) })
+		return
+	}
+	go r.runWallApply(applyCh, onError)
+}
+
+// runWallApply blocks on the apply channel directly (real time).
+func (r *Replica) runWallApply(applyCh <-chan raft.Committed, onError func(error)) {
+	defer r.wg.Done()
+	defer r.runDone.Store(true)
+	for {
+		select {
+		case <-r.stopCh:
+			return
+		case c := <-applyCh:
+			if err := r.applyOne(c); err != nil {
+				if onError != nil {
+					onError(err)
+				}
+				return
+			}
+		}
+	}
+}
+
+// runSchedApply drains the apply channel as an actor of a simulated clock:
+// one committed record per iteration (each apply is followed by a Yield so
+// the picker controls interleaving), parking idle when the channel is
+// empty. Raft's deliverLocked publishes on every enqueue, so the actor is
+// re-readied promptly; stop is polled first, so crash-stop needs no pending
+// events to make progress.
+func (r *Replica) runSchedApply(applyCh <-chan raft.Committed, onError func(error)) {
+	defer r.wg.Done()
+	defer r.runDone.Store(true)
+	for {
+		select {
+		case <-r.stopCh:
+			return
+		default:
+		}
+		select {
+		case c := <-applyCh:
+			if err := r.applyOne(c); err != nil {
+				if onError != nil {
+					onError(err)
+				}
+				return
+			}
+			vclock.Yield(r.clk)
+		default:
+			vclock.Idle(r.clk)
+		}
+	}
+}
+
+// Stop terminates the apply loop.
+func (r *Replica) Stop() {
+	r.stopOnce.Do(func() { close(r.stopCh) })
+	// On a simulated clock, let the loop actor observe the stop and exit
+	// before blocking the baton on wg.Wait.
+	vclock.Await(r.clk, r.runDone.Load)
+	r.wg.Wait()
+}
+
+// SetApplyDelay throttles the apply loop: every batch apply sleeps d first
+// (0 restores full speed). Safe to call while the loop runs.
+func (r *Replica) SetApplyDelay(d time.Duration) {
+	r.applyDelay.Store(int64(d))
+}
+
+func (r *Replica) applyOne(c raft.Committed) error {
+	if d := time.Duration(r.applyDelay.Load()); d > 0 {
+		r.clk.Sleep(d)
+	}
+	if c.Snapshot != nil {
+		return r.installSnapshot(c)
+	}
+	b, err := sequencer.DecodeBatch(c)
+	if err != nil {
+		return fmt.Errorf("replica %s: %w", r.ID, err)
+	}
+	r.mu.Lock()
+	if c.Index <= r.lastApplied {
+		// Raft re-delivers the uncompacted suffix after a restart; the
+		// recovered prefix is already in the store.
+		r.redelivered++
+		r.mu.Unlock()
+		return nil
+	}
+	if b.ID != "" {
+		if _, dup := r.appliedIDs[b.ID]; dup {
+			// A resubmitted batch committed twice (ambiguous leader change
+			// mid-submit): execute the first occurrence only. The duplicate
+			// is not WAL-logged either, so recovery replays it exactly once.
+			r.deduped++
+			r.lastApplied = c.Index
+			r.pruneDedupLocked()
+			r.mu.Unlock()
+			return nil
+		}
+	}
+	r.mu.Unlock()
+	// Durability first: log the ordered batch (with its raft index, so
+	// recovery reconstructs identical sequence numbers), then apply.
+	// Recovery replays the log through a fresh engine; determinism
+	// guarantees the same end state.
+	if r.log != nil {
+		if err := r.log.Append(envelope(c.Index, c.Cmd)); err != nil {
+			return fmt.Errorf("replica %s: wal: %w", r.ID, err)
+		}
+	}
+	res, err := r.exec.ExecuteBatch(b.Requests)
+	if err != nil {
+		return fmt.Errorf("replica %s: apply batch %d: %w", r.ID, c.Index, err)
+	}
+	if r.onApply != nil {
+		r.onApply(c.Index, b.ID, b.Requests, res)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.lastApplied = c.Index
+	r.batches++
+	if b.ID != "" {
+		r.appliedIDs[b.ID] = c.Index
+	}
+	r.pruneDedupLocked()
+	if r.snapCfg.Every > 0 && r.lastApplied >= r.lastSnap+r.snapCfg.Every {
+		if err := r.snapshotLocked(); err != nil {
+			return fmt.Errorf("replica %s: snapshot at %d: %w", r.ID, c.Index, err)
+		}
+	}
+	return nil
+}
+
+// snapshotLocked captures the store at the current apply position, persists
+// the snapshot, drops the now-redundant WAL prefix, and hands the snapshot
+// to the consensus layer for log compaction. Called from the apply loop, so
+// the store is quiescent. The raft Compact call runs on its own goroutine:
+// raft delivers committed entries while holding its lock, so calling back
+// into it synchronously from the apply loop could deadlock on a full apply
+// channel.
+func (r *Replica) snapshotLocked() error {
+	snap := &StoreSnapshot{
+		Index:      r.lastApplied,
+		Batches:    r.batches,
+		Watermark:  r.dedupWM,
+		AppliedIDs: make(map[string]uint64, len(r.appliedIDs)),
+	}
+	for id, idx := range r.appliedIDs {
+		snap.AppliedIDs[id] = idx
+	}
+	snap.Pairs = CaptureStore(r.st)
+	encoded, err := EncodeSnapshot(snap)
+	if err != nil {
+		return err
+	}
+	if r.snapCfg.Dir != "" {
+		if err := WriteSnapshotFile(r.snapCfg.Dir, snap.Index, encoded); err != nil {
+			return err
+		}
+		if r.log != nil {
+			// Every WAL record is now <= snap.Index and covered by the
+			// durable snapshot file: rotate and drop the old segments.
+			if err := r.log.Rotate(); err != nil {
+				return fmt.Errorf("wal rotate: %w", err)
+			}
+			if err := r.log.DropSegmentsBelow(r.log.CurrentSegment()); err != nil {
+				return fmt.Errorf("wal compact: %w", err)
+			}
+		}
+	}
+	r.lastSnap = snap.Index
+	r.snapTaken++
+	if compact := r.snapCfg.Compact; compact != nil {
+		idx := snap.Index
+		// On a simulated clock this spawns a (short-lived) actor, so
+		// compaction timing — which decides whether a lagging follower is
+		// caught up by entry replay or InstallSnapshot — replays from the
+		// seed instead of racing the apply loop.
+		vclock.GoNamed(r.clk, "compact:"+r.ID, func() { _ = compact(idx, encoded) })
+	}
+	return nil
+}
+
+// installSnapshot restores the store from a leader-shipped snapshot — the
+// catch-up path for a replica so far behind that the entries it needs were
+// compacted away.
+func (r *Replica) installSnapshot(c raft.Committed) error {
+	r.mu.Lock()
+	if c.Index <= r.lastApplied {
+		r.redelivered++
+		r.mu.Unlock()
+		return nil
+	}
+	r.mu.Unlock()
+	snap, err := DecodeSnapshot(c.Snapshot)
+	if err != nil {
+		return fmt.Errorf("replica %s: install snapshot at %d: %w", r.ID, c.Index, err)
+	}
+	RestoreStore(r.st, snap)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.snapCfg.Dir != "" {
+		// Persist the installed snapshot so a crash right after install
+		// recovers from it, then drop the stale WAL prefix (every record
+		// is below the snapshot index).
+		if err := WriteSnapshotFile(r.snapCfg.Dir, snap.Index, c.Snapshot); err != nil {
+			return fmt.Errorf("replica %s: install snapshot at %d: %w", r.ID, c.Index, err)
+		}
+		if r.log != nil {
+			if err := r.log.Rotate(); err != nil {
+				return fmt.Errorf("replica %s: install snapshot: wal rotate: %w", r.ID, err)
+			}
+			if err := r.log.DropSegmentsBelow(r.log.CurrentSegment()); err != nil {
+				return fmt.Errorf("replica %s: install snapshot: wal compact: %w", r.ID, err)
+			}
+		}
+	}
+	r.lastApplied = c.Index
+	r.batches = snap.Batches
+	r.appliedIDs = make(map[string]uint64, len(snap.AppliedIDs))
+	for id, idx := range snap.AppliedIDs {
+		r.appliedIDs[id] = idx
+	}
+	if snap.Watermark > r.dedupWM {
+		r.dedupWM = snap.Watermark
+	}
+	r.lastSnap = c.Index
+	r.installed++
+	return nil
+}
+
+// SetDedupWatermark raises the acknowledged low-water mark: the caller
+// asserts that every batch ID first applied at an index <= wm has been
+// acknowledged to its client, so no further committed occurrence of it can
+// appear and its dedup entry may be dropped once this replica has applied
+// through wm.
+func (r *Replica) SetDedupWatermark(wm uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if wm > r.dedupWM {
+		r.dedupWM = wm
+		r.dedupDirty = true
+	}
+	r.pruneDedupLocked()
+}
+
+func (r *Replica) pruneDedupLocked() {
+	if !r.dedupDirty || r.lastApplied < r.dedupWM {
+		return
+	}
+	for id, idx := range r.appliedIDs {
+		if idx <= r.dedupWM {
+			delete(r.appliedIDs, id)
+		}
+	}
+	r.dedupDirty = false
+}
+
+// AppliedID reports whether a batch with the given idempotency ID has been
+// applied by this replica (and not yet pruned past the dedup watermark).
+func (r *Replica) AppliedID(id string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, ok := r.appliedIDs[id]
+	return ok
+}
+
+// LastApplied returns the Raft index of the last applied batch.
+func (r *Replica) LastApplied() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lastApplied
+}
+
+// Batches returns the number of batches this replica's store state
+// reflects: batches executed live plus batches replayed from the WAL at
+// recovery. Duplicates and re-deliveries are never counted, so under an
+// exactly-once workload this equals the number of distinct submitted
+// batches.
+func (r *Replica) Batches() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.batches
+}
+
+// Deduped returns how many duplicate batch resubmissions were skipped.
+func (r *Replica) Deduped() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.deduped
+}
+
+// Redelivered returns how many already-applied entries Raft re-delivered
+// (the catch-up prefix after a restart).
+func (r *Replica) Redelivered() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.redelivered
+}
+
+// DedupSize returns the number of live entries in the dedup table — bounded
+// by watermark pruning, not by deployment lifetime.
+func (r *Replica) DedupSize() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.appliedIDs)
+}
+
+// DedupWatermark returns the acknowledged low-water mark.
+func (r *Replica) DedupWatermark() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dedupWM
+}
+
+// Snapshots returns how many snapshots this replica captured itself.
+func (r *Replica) Snapshots() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.snapTaken
+}
+
+// SnapshotsInstalled returns how many leader-shipped snapshots were
+// installed (far-behind catch-up).
+func (r *Replica) SnapshotsInstalled() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.installed
+}
+
+// StateHash returns the order-independent hash of the replica's current
+// store state.
+func (r *Replica) StateHash() uint64 { return r.st.StateHash(r.st.Epoch()) }

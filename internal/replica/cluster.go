@@ -1,0 +1,680 @@
+package replica
+
+import (
+	"fmt"
+	"path/filepath"
+	"sync"
+	"time"
+
+	"prognosticator/internal/engine"
+	"prognosticator/internal/flowctl"
+	"prognosticator/internal/memnet"
+	"prognosticator/internal/raft"
+	"prognosticator/internal/sequencer"
+	"prognosticator/internal/store"
+	"prognosticator/internal/tcpnet"
+	"prognosticator/internal/vclock"
+	"prognosticator/internal/wal"
+)
+
+// Cluster is an in-process deployment: N Raft nodes, one replica each, and
+// a dispatcher per node. It is the top-level object the examples, tests,
+// cmd/replicad and the chaos harness drive. Consensus traffic flows over
+// simulated channels (memnet, the default) or real loopback TCP sockets
+// (tcpnet). With DataDir set, every node persists its Raft state and its
+// replica WAL, enabling per-replica Crash and Restart.
+//
+// The exported slices are stable for the lifetime of the cluster object;
+// their ELEMENTS are replaced by Restart. Code that may run concurrently
+// with crash/restart (the chaos harness, SubmitBatch retries) must use the
+// accessor methods, which lock.
+type Cluster struct {
+	Net         *memnet.Network // nil when running over TCP
+	Endpoints   []*tcpnet.Endpoint
+	Nodes       []*raft.Node
+	Replicas    []*Replica
+	Dispatchers []*sequencer.Dispatcher
+
+	cfg      ClusterConfig
+	clk      vclock.Clock
+	ids      []string
+	dataDir  string
+	idPrefix string // boot nonce making batch IDs unique across cluster lifetimes
+	tcpDir   *tcpnet.Directory
+
+	flow *flowctl.Controller
+
+	mu          sync.Mutex
+	down        []bool
+	generations []int
+	storages    []*raft.FileStorage
+	wlogs       []*wal.Log
+	recoveries  []RecoveryReport
+	batchSeq    uint64
+	applyDelays []time.Duration // reapplied on Restart (slow-apply fault)
+	lossProb    float64         // fault state reapplied to restarted endpoints
+	delayMin    time.Duration
+	delayMax    time.Duration
+
+	// floors tracks, per in-flight or abandoned batch ID, the leader commit
+	// index observed just before its FIRST proposal. By leader completeness
+	// every committed occurrence of that ID sits at an index above its floor,
+	// so min(floors) bounds how far the dedup watermark may advance while
+	// submissions run concurrently (see ackCommit).
+	floorMu sync.Mutex
+	floors  map[string]*submitFloor
+
+	errMu sync.Mutex
+	err   error
+}
+
+// ClusterConfig configures NewCluster.
+type ClusterConfig struct {
+	Replicas int
+	Seed     int64
+	// NewExecutor builds each replica's executor over its private store. It
+	// is called again on Restart: the factory must produce the same initial
+	// state (e.g. the same Populate) so WAL replay rebuilds on top of it.
+	NewExecutor func(replicaID string, st *store.Store) (engine.Executor, error)
+	// Raft overrides the consensus timing (zero = defaults).
+	Raft raft.Config
+	// TCP routes consensus over real loopback sockets instead of the
+	// in-process simulated network. Crash closes the node's endpoint;
+	// Restart re-listens on a fresh port and the directory re-routes peers.
+	TCP bool
+	// SnapshotEvery, with DataDir set, makes each replica capture a store
+	// snapshot every N applied entries, compact its raft log below it and
+	// prune its WAL prefix (0 disables snapshotting).
+	SnapshotEvery uint64
+	// DataDir enables durability: node i persists its Raft state under
+	// DataDir/<id>/raft and its replica WAL under DataDir/<id>/wal.
+	// Required for Crash/Restart (a node restarting without persisted
+	// term/vote could double-vote).
+	DataDir string
+	// WALSync selects the replica WAL fsync policy (default SyncOS: the
+	// in-process fault model crashes goroutines, not machines).
+	WALSync wal.SyncPolicy
+	// QuorumSubmit makes SubmitBatch report success once a majority of
+	// replicas applied the batch (the committed entry is durable; laggards
+	// catch up through Raft). Default false waits for every live replica —
+	// the right semantics when callers compare all state hashes immediately
+	// after submit.
+	QuorumSubmit bool
+	// Flow is the admission/retry policy enforced on the submit path. The
+	// zero value disables every limit (unbounded queues, unlimited retries),
+	// preserving pre-flow-control behavior; Flow.Seed defaults to Seed so a
+	// seeded cluster has fully deterministic backoff jitter.
+	Flow flowctl.Config
+	// SubmitWindow bounds how long one proposal is waited on before the
+	// batch is re-proposed (idempotently) through the then-current leader
+	// (default 2s). A proposal can be lost without any error signal when its
+	// leader crashes after accepting it but before replicating it; chaos and
+	// slow-apply scenarios tune this down to re-route faster.
+	SubmitWindow time.Duration
+	// Clock is the time source threaded through every layer: raft timers,
+	// flow control, memnet delays, apply throttles, and all submit-path
+	// deadlines. Nil uses the wall clock. A vclock.Sim clock runs the whole
+	// cluster in virtual time, making a run a pure function of (Seed, config);
+	// the cluster must then be built and driven from inside that clock's
+	// Sim.Run. Not supported with TCP (real sockets need real time).
+	Clock vclock.Clock
+	// OnApply, when non-nil, observes every non-duplicate batch application
+	// on every replica (the history recorder's tap): replica ID, raft index,
+	// batch idempotency ID, the ordered requests and their outcomes.
+	OnApply func(replicaID string, index uint64, batchID string, reqs []engine.Request, res *engine.BatchResult)
+}
+
+// NewCluster assembles and starts an in-process cluster.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+	if cfg.Replicas <= 0 {
+		cfg.Replicas = 3
+	}
+	if cfg.NewExecutor == nil {
+		return nil, fmt.Errorf("replica: cluster needs a NewExecutor factory")
+	}
+	if cfg.SubmitWindow == 0 {
+		cfg.SubmitWindow = defaultSubmitWindow
+	}
+	if cfg.Flow.Seed == 0 {
+		cfg.Flow.Seed = cfg.Seed
+	}
+	if cfg.TCP && vclock.IsSim(cfg.Clock) {
+		return nil, fmt.Errorf("replica: simulated clock is not supported over TCP (real sockets need real time)")
+	}
+	clk := vclock.Or(cfg.Clock)
+	if cfg.Flow.Clock == nil {
+		cfg.Flow.Clock = clk
+	}
+	if cfg.Raft.Clock == nil {
+		cfg.Raft.Clock = clk
+	}
+	c := &Cluster{
+		cfg:     cfg,
+		clk:     clk,
+		dataDir: cfg.DataDir,
+		// The boot nonce comes from the injected clock: under simulation the
+		// virtual epoch is fixed, so batch IDs — and everything derived from
+		// them — are identical across same-seed runs.
+		idPrefix: fmt.Sprintf("%x", clk.Now().UnixNano()),
+		flow:     flowctl.NewController(cfg.Flow),
+		floors:   map[string]*submitFloor{},
+	}
+	n := cfg.Replicas
+	c.ids = make([]string, n)
+	for i := range c.ids {
+		c.ids[i] = fmt.Sprintf("replica-%d", i)
+	}
+	c.Nodes = make([]*raft.Node, n)
+	c.Replicas = make([]*Replica, n)
+	c.Dispatchers = make([]*sequencer.Dispatcher, n)
+	c.down = make([]bool, n)
+	c.generations = make([]int, n)
+	c.storages = make([]*raft.FileStorage, n)
+	c.wlogs = make([]*wal.Log, n)
+	c.recoveries = make([]RecoveryReport, n)
+	c.applyDelays = make([]time.Duration, n)
+	if cfg.TCP {
+		tcpnet.Register(raft.WireTypes()...)
+		c.tcpDir = tcpnet.NewDirectory()
+		c.Endpoints = make([]*tcpnet.Endpoint, n)
+	} else {
+		c.Net = memnet.NewWithClock(cfg.Seed, clk)
+	}
+	for i := range c.ids {
+		if err := c.startNode(i); err != nil {
+			return nil, err
+		}
+	}
+	for i := range c.Nodes {
+		c.launch(i)
+	}
+	return c, nil
+}
+
+// startNode builds (or rebuilds, on restart) node i: transport endpoint,
+// raft node with optional persistent storage, a fresh store recovered from
+// the newest snapshot plus the WAL suffix above it, and a dispatcher. It
+// does not start the event loops. Callers hold no cluster lock; the built
+// components are installed under c.mu.
+func (c *Cluster) startNode(i int) error {
+	id := c.ids[i]
+	c.mu.Lock()
+	gen := c.generations[i]
+	c.mu.Unlock()
+	seed := c.cfg.Seed + int64(i)*7919 + int64(gen)*104729
+	var node *raft.Node
+	var ep *tcpnet.Endpoint
+	if c.cfg.TCP {
+		var err error
+		ep, err = tcpnet.Listen(id, "127.0.0.1:0", c.tcpDir)
+		if err != nil {
+			return fmt.Errorf("replica: cluster transport for %s: %w", id, err)
+		}
+		node = raft.NewNodeWithTransport(id, c.ids, ep, c.cfg.Raft, seed)
+	} else {
+		node = raft.NewNode(id, c.ids, c.Net, c.cfg.Raft, seed)
+	}
+	fail := func(err error) error {
+		if ep != nil {
+			ep.Close()
+		}
+		return err
+	}
+	var storage *raft.FileStorage
+	if c.dataDir != "" {
+		stg, err := raft.OpenFileStorage(filepath.Join(c.dataDir, id, "raft"))
+		if err != nil {
+			return fail(fmt.Errorf("replica: cluster raft storage for %s: %w", id, err))
+		}
+		if err := node.UseStorage(stg); err != nil {
+			_ = stg.Close()
+			return fail(fmt.Errorf("replica: cluster raft storage for %s: %w", id, err))
+		}
+		storage = stg
+	}
+	st := store.New()
+	exec, err := c.cfg.NewExecutor(id, st)
+	if err != nil {
+		if storage != nil {
+			_ = storage.Close()
+		}
+		return fail(fmt.Errorf("replica: cluster executor for %s: %w", id, err))
+	}
+	var wlog *wal.Log
+	var recovered RecoveryReport
+	if c.dataDir != "" {
+		wdir := c.WALDir(i)
+		recovered, err = RecoverWithSnapshot(wdir, c.SnapDir(i), exec, st)
+		if err != nil {
+			_ = storage.Close()
+			return fail(fmt.Errorf("replica: cluster recovery for %s: %w", id, err))
+		}
+		wlog, err = wal.Open(wdir, wal.Options{Sync: c.cfg.WALSync})
+		if err != nil {
+			_ = storage.Close()
+			return fail(fmt.Errorf("replica: cluster wal for %s: %w", id, err))
+		}
+	}
+	rep := New(id, exec, st, wlog)
+	rep.SetClock(c.clk)
+	if onApply := c.cfg.OnApply; onApply != nil {
+		rep.OnApply(func(index uint64, batchID string, reqs []engine.Request, res *engine.BatchResult) {
+			onApply(id, index, batchID, reqs, res)
+		})
+	}
+	rep.Resume(recovered)
+	if c.cfg.SnapshotEvery > 0 && c.dataDir != "" {
+		rep.EnableSnapshots(SnapshotConfig{
+			Every:   c.cfg.SnapshotEvery,
+			Dir:     c.SnapDir(i),
+			Compact: node.Compact,
+		})
+	}
+	disp := sequencer.NewDispatcher(node)
+	disp.SetMaxQueue(c.cfg.Flow.MaxQueue)
+	c.mu.Lock()
+	c.Nodes[i] = node
+	c.Replicas[i] = rep
+	c.Dispatchers[i] = disp
+	c.storages[i] = storage
+	c.wlogs[i] = wlog
+	c.recoveries[i] = recovered
+	// A restarted node rejoins with the cluster's standing fault state: the
+	// slow-apply throttle and, over TCP, the per-endpoint loss/delay (memnet
+	// keeps its own state across restarts; a fresh TCP endpoint starts clean).
+	rep.SetApplyDelay(c.applyDelays[i])
+	if c.cfg.TCP {
+		c.Endpoints[i] = ep
+		if c.lossProb > 0 || c.delayMax > 0 {
+			ep.SetFault(c.lossProb, c.delayMin, c.delayMax, c.cfg.Seed+int64(i))
+		}
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+// launch starts node i's event loops.
+func (c *Cluster) launch(i int) {
+	node, rep := c.node(i), c.replica(i)
+	node.Start()
+	rep.Start(node.Apply(), c.recordErr)
+}
+
+// --- locked accessors (safe against concurrent Restart) ---
+
+func (c *Cluster) node(i int) *raft.Node {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Nodes[i]
+}
+
+func (c *Cluster) replica(i int) *Replica {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Replicas[i]
+}
+
+func (c *Cluster) dispatcher(i int) *sequencer.Dispatcher {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Dispatchers[i]
+}
+
+// NodeAt returns node i (safe against concurrent Restart).
+func (c *Cluster) NodeAt(i int) *raft.Node { return c.node(i) }
+
+// ReplicaAt returns replica i (safe against concurrent Restart).
+func (c *Cluster) ReplicaAt(i int) *Replica { return c.replica(i) }
+
+// IDs returns the member names, index-aligned with the replica slices.
+func (c *Cluster) IDs() []string {
+	out := make([]string, len(c.ids))
+	copy(out, c.ids)
+	return out
+}
+
+// Size returns the cluster membership size.
+func (c *Cluster) Size() int { return len(c.ids) }
+
+// WALDir returns replica i's WAL directory ("" without persistence).
+func (c *Cluster) WALDir(i int) string {
+	if c.dataDir == "" {
+		return ""
+	}
+	return filepath.Join(c.dataDir, c.ids[i], "wal")
+}
+
+// RaftDir returns node i's Raft storage directory ("" without persistence).
+func (c *Cluster) RaftDir(i int) string {
+	if c.dataDir == "" {
+		return ""
+	}
+	return filepath.Join(c.dataDir, c.ids[i], "raft")
+}
+
+// SnapDir returns replica i's snapshot directory ("" without persistence).
+func (c *Cluster) SnapDir(i int) string {
+	if c.dataDir == "" {
+		return ""
+	}
+	return filepath.Join(c.dataDir, c.ids[i], "snap")
+}
+
+// LastRecovery returns the recovery report from replica i's most recent
+// (re)start — the initial boot, or the latest Restart.
+func (c *Cluster) LastRecovery(i int) RecoveryReport {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.recoveries[i]
+}
+
+// IsDown reports whether replica i is currently crashed.
+func (c *Cluster) IsDown(i int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.down[i]
+}
+
+// DownReplicas returns the indices of currently crashed replicas.
+func (c *Cluster) DownReplicas() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []int
+	for i, d := range c.down {
+		if d {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Crash stops replica i like a process kill: its apply loop and Raft node
+// halt, its network presence disappears (memnet SetDown, or the TCP endpoint
+// closes), and its WAL and Raft storage files are closed. State survives on
+// disk; the node rejoins via Restart. Requires persistence (DataDir).
+func (c *Cluster) Crash(i int) error {
+	if c.dataDir == "" {
+		return fmt.Errorf("replica: crash requires DataDir persistence (a node without persisted term/vote could double-vote on rejoin)")
+	}
+	c.mu.Lock()
+	if c.down[i] {
+		c.mu.Unlock()
+		return fmt.Errorf("replica: %s is already down", c.ids[i])
+	}
+	c.down[i] = true
+	node, rep := c.Nodes[i], c.Replicas[i]
+	storage, wlog := c.storages[i], c.wlogs[i]
+	var ep *tcpnet.Endpoint
+	if c.cfg.TCP {
+		ep = c.Endpoints[i]
+	}
+	c.mu.Unlock()
+	// Cut network traffic first (the node is gone from the fabric), then
+	// stop the loops, then close the files they were writing. Over TCP the
+	// endpoint close kills the listener and every open connection; peers'
+	// sends fail and drop, exactly like datagrams to a dead host.
+	if c.Net != nil {
+		c.Net.SetDown(c.ids[i], true)
+	}
+	if ep != nil {
+		ep.Close()
+	}
+	rep.Stop()
+	node.Stop()
+	if wlog != nil {
+		_ = wlog.Close()
+	}
+	if storage != nil {
+		_ = storage.Close()
+	}
+	return nil
+}
+
+// Restart rejoins a crashed replica: a fresh store is rebuilt from its
+// newest snapshot plus the (repaired) WAL suffix above it, the Raft node
+// reloads its persisted term/vote/snapshot/log, and re-delivery from the
+// live leader catches the replica up to the commit index. The executor is
+// rebuilt through the NewExecutor factory. Over TCP the node re-listens on a
+// fresh port; the shared directory re-routes peers on their next dial.
+func (c *Cluster) Restart(i int) error {
+	c.mu.Lock()
+	if !c.down[i] {
+		c.mu.Unlock()
+		return fmt.Errorf("replica: %s is not down", c.ids[i])
+	}
+	c.generations[i]++
+	c.mu.Unlock()
+	if c.Net != nil {
+		// A fresh process would not see datagrams addressed to its previous
+		// life: drain the inbox before rejoining the fabric.
+		c.Net.Drain(c.ids[i])
+		c.Net.SetDown(c.ids[i], false)
+	}
+	if err := c.startNode(i); err != nil {
+		if c.Net != nil {
+			c.Net.SetDown(c.ids[i], true)
+		}
+		return err
+	}
+	c.launch(i)
+	c.mu.Lock()
+	c.down[i] = false
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *Cluster) recordErr(err error) {
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// Err returns the first replica apply error, if any.
+func (c *Cluster) Err() error {
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	return c.err
+}
+
+// Stop shuts the cluster down.
+func (c *Cluster) Stop() {
+	for i := range c.ids {
+		c.replica(i).Stop()
+	}
+	for i := range c.ids {
+		c.node(i).Stop()
+	}
+	c.mu.Lock()
+	storages, wlogs := c.storages, c.wlogs
+	c.mu.Unlock()
+	for _, w := range wlogs {
+		if w != nil {
+			_ = w.Close()
+		}
+	}
+	for _, s := range storages {
+		if s != nil {
+			_ = s.Close()
+		}
+	}
+	if c.Net != nil {
+		c.Net.Close()
+	}
+	for _, ep := range c.Endpoints {
+		ep.Close()
+	}
+}
+
+// Flow returns the cluster's flow-control controller (admission counters,
+// inflight gauges, breaker state).
+func (c *Cluster) Flow() *flowctl.Controller { return c.flow }
+
+// Clock returns the cluster's time source — the injected simulated clock in
+// deterministic tests, wall time otherwise. Chaos injectors use it to place
+// scheduler yield points at fault anchors.
+func (c *Cluster) Clock() vclock.Clock { return c.clk }
+
+// QueueHighWater returns the deepest any live dispatcher's request queue has
+// been — the overload-soak assertion that the configured bound held.
+func (c *Cluster) QueueHighWater() int {
+	hw := 0
+	for i := range c.ids {
+		if q := c.dispatcher(i).QueueHighWater(); q > hw {
+			hw = q
+		}
+	}
+	return hw
+}
+
+// SetApplyDelay throttles replica i's apply loop (the chaos slow-apply
+// fault; 0 restores full speed). The throttle survives Crash/Restart.
+func (c *Cluster) SetApplyDelay(i int, d time.Duration) {
+	c.mu.Lock()
+	c.applyDelays[i] = d
+	rep := c.Replicas[i]
+	c.mu.Unlock()
+	rep.SetApplyDelay(d)
+}
+
+// SetLoss sets the cluster-wide message-loss probability, on either
+// transport: the memnet fabric, or per-endpoint injection over real TCP
+// sockets. Restarted TCP endpoints rejoin with the standing fault.
+func (c *Cluster) SetLoss(p float64) {
+	c.mu.Lock()
+	c.lossProb = p
+	c.mu.Unlock()
+	c.applyNetFaults()
+}
+
+// SetDelay sets the cluster-wide artificial delivery delay range on either
+// transport (0,0 clears it).
+func (c *Cluster) SetDelay(min, max time.Duration) {
+	c.mu.Lock()
+	c.delayMin, c.delayMax = min, max
+	c.mu.Unlock()
+	c.applyNetFaults()
+}
+
+func (c *Cluster) applyNetFaults() {
+	c.mu.Lock()
+	loss, dmin, dmax := c.lossProb, c.delayMin, c.delayMax
+	var eps []*tcpnet.Endpoint
+	if c.cfg.TCP {
+		eps = make([]*tcpnet.Endpoint, len(c.Endpoints))
+		copy(eps, c.Endpoints)
+	}
+	c.mu.Unlock()
+	if c.Net != nil {
+		c.Net.SetLoss(loss)
+		c.Net.SetDelay(dmin, dmax)
+		return
+	}
+	for i, ep := range eps {
+		if ep != nil && !c.IsDown(i) {
+			ep.SetFault(loss, dmin, dmax, c.cfg.Seed+int64(i))
+		}
+	}
+}
+
+// WaitLeader blocks until some live node is leader, returning its index.
+// When several nodes claim leadership (a stale leader isolated in a minority
+// partition never learns it was deposed), the claimant with the highest term
+// wins — only it can commit.
+func (c *Cluster) WaitLeader(within time.Duration) (int, error) {
+	return c.waitLeader(flowctl.AfterClock(c.clk, within))
+}
+
+func (c *Cluster) waitLeader(dl flowctl.Deadline) (int, error) {
+	bo := c.flow.NewBackoff()
+	for {
+		best, bestTerm := -1, uint64(0)
+		for i := range c.ids {
+			if c.IsDown(i) {
+				continue
+			}
+			if role, term := c.node(i).Status(); role == raft.Leader && term > bestTerm {
+				best, bestTerm = i, term
+			}
+		}
+		if best >= 0 {
+			return best, nil
+		}
+		if err := bo.Sleep(dl); err != nil {
+			return -1, fmt.Errorf("replica: no leader: %w", err)
+		}
+	}
+}
+
+// WaitCaughtUp blocks until every live replica has applied at least the
+// leader's current commit index (and a leader exists). After a Restart and a
+// Heal, this is the quiesce point where all state hashes must agree.
+func (c *Cluster) WaitCaughtUp(within time.Duration) error {
+	dl := flowctl.AfterClock(c.clk, within)
+	bo := c.flow.NewBackoff()
+	for {
+		if err := c.Err(); err != nil {
+			return err
+		}
+		li, err := c.waitLeader(dl)
+		if err != nil {
+			return err
+		}
+		target := c.node(li).CommitIndex()
+		done := true
+		for i := range c.ids {
+			if c.IsDown(i) {
+				continue
+			}
+			if c.replica(i).LastApplied() < target {
+				done = false
+				break
+			}
+		}
+		if done {
+			return nil
+		}
+		if err := bo.Sleep(dl); err != nil {
+			return fmt.Errorf("replica: not caught up to index %d within %v: %w", target, within, err)
+		}
+	}
+}
+
+// WaitSnapshot blocks until node i's raft log has been compacted at or above
+// minIndex — the handshake a test (or operator) uses to know the replica's
+// snapshot both exists on disk and has truncated the consensus log.
+func (c *Cluster) WaitSnapshot(i int, minIndex uint64, within time.Duration) error {
+	dl := flowctl.AfterClock(c.clk, within)
+	bo := c.flow.NewBackoff()
+	for {
+		if got := c.node(i).SnapshotIndex(); got >= minIndex {
+			return nil
+		}
+		if err := bo.Sleep(dl); err != nil {
+			return fmt.Errorf("replica: %s not compacted to %d within %v (at %d): %w",
+				c.ids[i], minIndex, within, c.node(i).SnapshotIndex(), err)
+		}
+	}
+}
+
+// StateHashes returns every replica's state hash (crashed replicas report
+// their state as of the crash).
+func (c *Cluster) StateHashes() []uint64 {
+	out := make([]uint64, len(c.ids))
+	for i := range c.ids {
+		out[i] = c.replica(i).StateHash()
+	}
+	return out
+}
+
+// Converged reports whether all replicas currently hash identically.
+func (c *Cluster) Converged() bool {
+	hs := c.StateHashes()
+	for _, h := range hs[1:] {
+		if h != hs[0] {
+			return false
+		}
+	}
+	return true
+}
