@@ -124,11 +124,11 @@ type Table struct {
 	traceOn bool
 	// unsafeLIFO is a mutation hook only this package's tests can set
 	// (SetUnsafeLIFOGrants in export_test.go): grant the NEWEST compatible
-	// waiter instead of the FIFO prefix. Mutual
-	// exclusion is preserved — only the conflict ORDER is corrupted — so
-	// the bug is invisible to state-hash checks on commutative workloads
-	// and to the untraced serializability checker, but a lock-grant-traced
-	// checker must catch it.
+	// waiter instead of the FIFO prefix. Mutual exclusion is preserved —
+	// only the conflict ORDER is corrupted — so the bug is invisible to
+	// state-hash checks on commutative workloads and to the untraced
+	// serializability checker, but a lock-grant-traced checker must catch
+	// it.
 	unsafeLIFO bool
 }
 

@@ -8,9 +8,10 @@
 //
 // All time flows through an injected vclock.Clock: artificial delays are
 // clock timers (virtual under simulation — zero real sleeps), every enqueue
-// is published to the simulation's idle actors, and loss/delay decisions come from per-(from,to) hash streams rather than a
-// shared rng, so the fault pattern each link sees is independent of goroutine
-// scheduling — the property whole-cluster seed replay rests on.
+// is published to the simulation's idle actors, and loss/delay decisions
+// come from per-(from,to) hash streams rather than a shared rng, so the
+// fault pattern each link sees is independent of goroutine scheduling — the
+// property whole-cluster seed replay rests on.
 package memnet
 
 import (
