@@ -254,16 +254,61 @@ func BenchmarkStore(b *testing.B) {
 	}
 	epoch := st.BeginEpoch()
 	b.Run("Get", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			st.Get(epoch, value.NewKey("T", value.Int(int64(i%10000))))
 		}
 	})
 	b.Run("Put", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			st.Put(epoch, value.NewKey("T", value.Int(int64(i%10000))), rec)
 		}
 	})
 }
+
+// BenchmarkValueRecord measures the record operations a transaction pays per
+// row it touches, on a ten-field row.
+func BenchmarkValueRecord(b *testing.B) {
+	names := []string{"balance", "city", "credit", "deliveryCnt", "discount", "first", "last", "paymentCnt", "since", "ytdPayment"}
+	vals := make([]value.Value, len(names))
+	for i := range vals {
+		vals[i] = value.Int(int64(i))
+	}
+	shape := value.NewShape(names...)
+	row := shape.Record(vals...)
+	b.Run("Record", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = shape.Record(vals...)
+		}
+	})
+	b.Run("Field", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink, _ = row.Field(names[i%len(names)])
+		}
+	})
+	b.Run("WithField", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = row.WithField("discount", vals[i%len(vals)])
+		}
+	})
+	b.Run("Hash", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hash = row.Hash()
+		}
+	})
+}
+
+// Results of the measured calls in BenchmarkValueRecord, kept where the
+// compiler cannot drop them.
+var (
+	sink value.Value
+	hash uint64
+)
 
 // BenchmarkEngineBatch measures real (thread-parallel) batch execution of
 // the TPC-C mix — the wall-clock path used by replicas, as opposed to the
@@ -279,6 +324,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 	e := engine.New(reg, st, engine.Config{Workers: 4})
 	gen := tpcc.NewGenerator(cfg, 1)
 	seq := uint64(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch := make([]engine.Request, 100)

@@ -57,12 +57,16 @@ func TestRunPointTPCC(t *testing.T) {
 	}
 }
 
+// The two tests below need a point that meets the SLA. A wall-clock p99 under
+// 5 ms is the box's to give and a loaded one does not, so they run on the
+// virtual pool, where time is the same on every run.
+
 func TestMaxSustainableFindsAPoint(t *testing.T) {
 	wl, err := TPCCWorkload(tinyTPCC(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := MaxSustainable(SEQSystem(), wl, fastOpts())
+	sw, err := MaxSustainable(SEQSystem(), wl, virtualOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestRunComparisonSmall(t *testing.T) {
 		PrognosticatorSystem("MQ-MF", engineConfigMQMF()),
 		SEQSystem(),
 	}
-	rows, err := RunComparison(systems, []Workload{wl}, fastOpts())
+	rows, err := RunComparison(systems, []Workload{wl}, virtualOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

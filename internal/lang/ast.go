@@ -80,8 +80,24 @@ type FieldInit struct {
 	E    Expr
 }
 
-// Rec builds a record value.
-type Rec struct{ Fields []FieldInit }
+// Rec builds a record value. RecE fills in shape, the field names sorted once
+// so that every record the expression yields shares them; a Rec built as a
+// bare literal has none and sorts on every evaluation.
+type Rec struct {
+	Fields []FieldInit
+	shape  *value.Shape
+}
+
+func (r Rec) recordShape() *value.Shape {
+	if r.shape != nil {
+		return r.shape
+	}
+	names := make([]string, len(r.Fields))
+	for i, f := range r.Fields {
+		names[i] = f.Name
+	}
+	return value.NewShape(names...)
+}
 
 func (Const) exprNode()    {}
 func (ParamRef) exprNode() {}

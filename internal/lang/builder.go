@@ -73,7 +73,11 @@ func Idx(e, i Expr) Expr { return Index{E: e, I: i} }
 func F(name string, e Expr) FieldInit { return FieldInit{Name: name, E: e} }
 
 // RecE builds a record literal.
-func RecE(fields ...FieldInit) Expr { return Rec{Fields: fields} }
+func RecE(fields ...FieldInit) Expr {
+	r := Rec{Fields: fields}
+	r.shape = r.recordShape()
+	return r
+}
 
 // Set assigns an expression to a local.
 func Set(dst string, e Expr) Stmt { return Assign{Dst: dst, E: e} }

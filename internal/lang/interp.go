@@ -307,15 +307,16 @@ func (in *interp) eval(e Expr) (value.Value, error) {
 		}
 		return el, nil
 	case Rec:
-		fields := make(map[string]value.Value, len(x.Fields))
+		var buf [8]value.Value // most record literals fit; keeps vals off the heap
+		vals := buf[:0]
 		for _, f := range x.Fields {
 			v, err := in.eval(f.E)
 			if err != nil {
 				return value.Value{}, err
 			}
-			fields[f.Name] = v
+			vals = append(vals, v)
 		}
-		return value.Record(fields), nil
+		return x.recordShape().Record(vals...), nil
 	default:
 		return value.Value{}, fmt.Errorf("lang: %s: unknown expression %T", in.prog.Name, e)
 	}

@@ -818,7 +818,7 @@ func (p *parser) primary() (Expr, error) {
 			}
 			fields = append(fields, FieldInit{Name: name, E: e})
 		}
-		return Rec{Fields: fields}, nil
+		return RecE(fields...), nil
 	default:
 		return nil, p.errf("expected expression, found %q", t.text)
 	}

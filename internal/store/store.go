@@ -8,7 +8,7 @@
 package store
 
 import (
-	"hash/fnv"
+	"slices"
 	"sync"
 
 	"prognosticator/internal/value"
@@ -29,17 +29,44 @@ type Store struct {
 type shard struct {
 	mu    sync.RWMutex
 	items map[value.Encoded]*chain
+	// dirty lists every chain GC can change: those with more than one
+	// version or with a tombstone as their only one. A chain enters on the
+	// write that makes it so and leaves in the GC that finds it with one
+	// live version (or removes it), so GC never looks at the rest of items.
+	dirty []dirtyChain
 }
 
+type dirtyChain struct {
+	key value.Encoded // to remove the chain from items
+	c   *chain
+}
+
+// chain is the version history of one key. The newest version is inline, so
+// a key written once — nearly every key — is this one object.
 type chain struct {
-	versions []version // ascending by epoch; at most one per epoch
+	version           // the newest
+	older   []version // the rest, ascending by epoch; nil for most keys
+	dirty   bool      // on the shard's dirty list
 }
 
+// version is the value of a key from an epoch on, or a tombstone: the key
+// does not exist from that epoch on. The tombstone mark shares a word with
+// the epoch; a flag of its own would push chain into the next size class.
 type version struct {
-	epoch   uint64
-	val     value.Value
-	deleted bool
+	stamp uint64 // epoch<<1, plus 1 for a tombstone
+	val   value.Value
 }
+
+func newVersion(epoch uint64, v value.Value, tombstone bool) version {
+	ver := version{stamp: epoch << 1, val: v}
+	if tombstone {
+		ver.stamp |= 1
+	}
+	return ver
+}
+
+func (v version) epoch() uint64   { return v.stamp >> 1 }
+func (v version) tombstone() bool { return v.stamp&1 != 0 }
 
 // New returns an empty store at epoch 0.
 func New() *Store {
@@ -50,10 +77,28 @@ func New() *Store {
 	return s
 }
 
+// shardFor picks the shard by FNV-1a (32 bit) of the encoding.
 func (s *Store) shardFor(e value.Encoded) *shard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(e))
-	return &s.shards[h.Sum32()&(shardCount-1)]
+	h := uint32(2166136261)
+	for i := 0; i < len(e); i++ {
+		h = (h ^ uint32(e[i])) * 16777619
+	}
+	return &s.shards[h&(shardCount-1)]
+}
+
+// at returns the value of the key visible at the given epoch: that of the
+// newest version with version.epoch <= epoch. found is false if there is no
+// such version or it is a tombstone.
+func (c *chain) at(epoch uint64) (v value.Value, found bool) {
+	if c.epoch() <= epoch {
+		return c.val, !c.tombstone()
+	}
+	for i := len(c.older) - 1; i >= 0; i-- {
+		if ver := c.older[i]; ver.epoch() <= epoch {
+			return ver.val, !ver.tombstone()
+		}
+	}
+	return value.Value{}, false
 }
 
 // Epoch returns the current batch epoch.
@@ -77,29 +122,34 @@ func (s *Store) BeginEpoch() uint64 {
 // overwrites (conflicting transactions within a batch are serialized by the
 // lock table, so the last write in queue order wins, deterministically).
 func (s *Store) Put(epoch uint64, k value.Key, v value.Value) {
-	s.putVersion(epoch, k, version{epoch: epoch, val: v})
+	s.putVersion(k, newVersion(epoch, v, false))
 }
 
 // Delete removes k at the given epoch (a tombstone version).
 func (s *Store) Delete(epoch uint64, k value.Key) {
-	s.putVersion(epoch, k, version{epoch: epoch, deleted: true})
+	s.putVersion(k, newVersion(epoch, value.Value{}, true))
 }
 
-func (s *Store) putVersion(epoch uint64, k value.Key, ver version) {
+func (s *Store) putVersion(k value.Key, ver version) {
 	e := k.Encode()
 	sh := s.shardFor(e)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	c, ok := sh.items[e]
-	if !ok {
-		c = &chain{}
+	switch {
+	case !ok:
+		c = &chain{version: ver}
 		sh.items[e] = c
+	case c.epoch() == ver.epoch():
+		c.version = ver
+	default:
+		c.older = append(c.older, c.version)
+		c.version = ver
 	}
-	if n := len(c.versions); n > 0 && c.versions[n-1].epoch == epoch {
-		c.versions[n-1] = ver
-		return
+	if !c.dirty && (len(c.older) > 0 || ver.tombstone()) {
+		c.dirty = true
+		sh.dirty = append(sh.dirty, dirtyChain{e, c})
 	}
-	c.versions = append(c.versions, ver)
 }
 
 // Get returns the value of k visible at the given epoch: the newest version
@@ -114,64 +164,55 @@ func (s *Store) Get(epoch uint64, k value.Key) (value.Value, bool) {
 	if !ok {
 		return value.Value{}, false
 	}
-	for i := len(c.versions) - 1; i >= 0; i-- {
-		if c.versions[i].epoch <= epoch {
-			if c.versions[i].deleted {
-				return value.Value{}, false
-			}
-			return c.versions[i].val, true
-		}
-	}
-	return value.Value{}, false
+	return c.at(epoch)
 }
 
 // GC drops versions that no reader at epoch >= keepFrom can observe: for
 // each key, all but the newest version with epoch <= keepFrom, plus every
 // newer version, are retained. Tombstones that become the oldest retained
-// version are dropped entirely.
+// version are dropped entirely. It visits the dirty chains only; a chain
+// that still has history or a tombstone afterwards stays listed, so a later
+// call finishes the job without the key being written again.
 func (s *Store) GC(keepFrom uint64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for e, c := range sh.items {
-			idx := -1 // newest version <= keepFrom
-			for j, v := range c.versions {
-				if v.epoch <= keepFrom {
+		kept := sh.dirty[:0]
+		for _, d := range sh.dirty {
+			c := d.c
+			if c.epoch() <= keepFrom {
+				c.older = nil
+			} else {
+				idx := -1 // newest older version <= keepFrom
+				for j, v := range c.older {
+					if v.epoch() > keepFrom {
+						break
+					}
 					idx = j
-				} else {
-					break
+				}
+				if idx > 0 {
+					c.older = slices.Delete(c.older, 0, idx)
 				}
 			}
-			if idx > 0 {
-				c.versions = append(c.versions[:0], c.versions[idx:]...)
-			}
-			if len(c.versions) == 1 && c.versions[0].deleted {
-				delete(sh.items, e)
+			switch {
+			case len(c.older) > 0:
+				kept = append(kept, d)
+			case c.tombstone():
+				delete(sh.items, d.key)
+			default:
+				c.dirty = false
 			}
 		}
+		clear(sh.dirty[len(kept):]) // let go of the keys and chains that left
+		sh.dirty = kept
 		sh.mu.Unlock()
 	}
 }
 
 // Len returns the number of live keys at the current epoch.
 func (s *Store) Len() int {
-	epoch := s.Epoch()
 	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, c := range sh.items {
-			for j := len(c.versions) - 1; j >= 0; j-- {
-				if c.versions[j].epoch <= epoch {
-					if !c.versions[j].deleted {
-						n++
-					}
-					break
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	s.ForEach(s.Epoch(), func(value.Encoded, value.Value) { n++ })
 	return n
 }
 
@@ -181,24 +222,7 @@ func (s *Store) Len() int {
 // internal/replica.
 func (s *Store) StateHash(epoch uint64) uint64 {
 	var acc uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for e, c := range sh.items {
-			for j := len(c.versions) - 1; j >= 0; j-- {
-				if c.versions[j].epoch <= epoch {
-					if !c.versions[j].deleted {
-						h := fnv.New64a()
-						_, _ = h.Write([]byte(e))
-						kh := h.Sum64()
-						acc += kh*31 + c.versions[j].val.Hash()
-					}
-					break
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	s.ForEach(epoch, func(e value.Encoded, v value.Value) { acc += e.Hash()*31 + v.Hash() })
 	return acc
 }
 
@@ -212,12 +236,13 @@ func (s *Store) Restore(items map[value.Encoded]value.Value) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.items = make(map[value.Encoded]*chain)
+		sh.dirty = nil // every chain below is one live version
 		sh.mu.Unlock()
 	}
 	for e, v := range items {
 		sh := s.shardFor(e)
 		sh.mu.Lock()
-		sh.items[e] = &chain{versions: []version{{epoch: 1, val: v}}}
+		sh.items[e] = &chain{version: newVersion(1, v, false)}
 		sh.mu.Unlock()
 	}
 	s.mu.Lock()
@@ -232,13 +257,8 @@ func (s *Store) ForEach(epoch uint64, fn func(k value.Encoded, v value.Value)) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for e, c := range sh.items {
-			for j := len(c.versions) - 1; j >= 0; j-- {
-				if c.versions[j].epoch <= epoch {
-					if !c.versions[j].deleted {
-						fn(e, c.versions[j].val)
-					}
-					break
-				}
+			if v, ok := c.at(epoch); ok {
+				fn(e, v)
 			}
 		}
 		sh.mu.RUnlock()

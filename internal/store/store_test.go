@@ -56,8 +56,8 @@ func TestOverwriteWithinEpoch(t *testing.T) {
 	}
 	// Version chain must not grow.
 	sh := s.shardFor(k(1).Encode())
-	if n := len(sh.items[k(1).Encode()].versions); n != 1 {
-		t.Fatalf("version chain len = %d, want 1", n)
+	if n := len(sh.items[k(1).Encode()].older); n != 0 {
+		t.Fatalf("older versions = %d, want 0", n)
 	}
 }
 
@@ -90,8 +90,8 @@ func TestGC(t *testing.T) {
 		t.Fatalf("epoch5 after GC = %v", got)
 	}
 	sh := s.shardFor(k(1).Encode())
-	if n := len(sh.items[k(1).Encode()].versions); n != 2 {
-		t.Fatalf("versions after GC = %d, want 2", n)
+	if n := len(sh.items[k(1).Encode()].older); n != 1 {
+		t.Fatalf("older versions after GC = %d, want 1", n)
 	}
 }
 

@@ -26,9 +26,12 @@ type Encoded string
 
 // Encode returns the canonical encoding of k. Table names and string parts
 // are escaped so that distinct keys never collide. This sits on the hot
-// path of every lock-table and overlay operation, hence the manual buffer.
+// path of every lock-table and overlay operation, hence the manual buffer:
+// it lives on the stack for any key of ordinary length, so the returned
+// string is the only allocation.
 func (k Key) Encode() Encoded {
-	buf := make([]byte, 0, len(k.Table)+12*len(k.Parts))
+	var stack [64]byte
+	buf := stack[:0]
 	buf = append(buf, escape(k.Table)...)
 	for _, p := range k.Parts {
 		buf = append(buf, '/')
@@ -40,11 +43,7 @@ func (k Key) Encode() Encoded {
 			buf = append(buf, 's')
 			buf = append(buf, escape(p.s)...)
 		case KindBool:
-			if p.b {
-				buf = append(buf, 'b', '1')
-			} else {
-				buf = append(buf, 'b', '0')
-			}
+			buf = append(buf, 'b', '0'+byte(p.i))
 		default:
 			buf = append(buf, '?')
 			buf = append(buf, escape(p.String())...)
@@ -52,6 +51,10 @@ func (k Key) Encode() Encoded {
 	}
 	return Encoded(buf)
 }
+
+// Hash returns the FNV-1a hash of the encoding: the key's share of a state
+// hash.
+func (e Encoded) Hash() uint64 { return fnvString(fnvOffset64, string(e)) }
 
 func escape(s string) string {
 	if !strings.ContainsAny(s, "/%") {

@@ -1,21 +1,22 @@
 // Package value implements the dynamically typed value system shared by the
 // stored-procedure language, the symbolic-execution engine and the data
-// store. Values are immutable by convention: code that receives a Value must
-// not mutate its list or record contents; use the Set*/Append helpers, which
-// copy.
+// store. Values are immutable: no exported operation changes a list or
+// record once it is built — WithField and Append copy, Fields and Elems
+// return copies — and the package relies on that to let a record share its
+// sorted field-name slice with every WithField copy of it and with every
+// other record built from the same Shape.
 package value
 
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Kind identifies the dynamic type of a Value.
-type Kind int
+type Kind uint8
 
 // Value kinds. KindInvalid is the zero Kind so that the zero Value is
 // distinguishable from any real value.
@@ -49,12 +50,22 @@ func (k Kind) String() string {
 // Value is a dynamically typed database value. The zero Value is invalid.
 type Value struct {
 	kind Kind
-	i    int64
-	s    string
-	b    bool
-	list []Value
-	rec  map[string]Value
+	i    int64     // the integer; 0 or 1 for a bool
+	s    string    // the string
+	c    *compound // the list or record; non-nil exactly for those kinds
 }
+
+// compound is the payload of a list (names nil) or of a record: names holds
+// the field names in ascending order without duplicates and elems[i] is the
+// value of names[i]. Neither slice is written after construction, which is
+// what allows names to be shared between records.
+type compound struct {
+	names []string
+	elems []Value
+}
+
+// empty is the payload of every empty list and record.
+var empty = &compound{}
 
 // Int returns an integer value.
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
@@ -63,22 +74,78 @@ func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 func Str(s string) Value { return Value{kind: KindString, s: s} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.i = 1
+	}
+	return v
+}
 
 // List returns a list value holding the given elements. The slice is copied.
-func List(elems ...Value) Value {
-	cp := make([]Value, len(elems))
-	copy(cp, elems)
-	return Value{kind: KindList, list: cp}
+func List(elems ...Value) Value { return listOf(slices.Clone(elems)) }
+
+// listOf wraps elems, which the caller gives up.
+func listOf(elems []Value) Value {
+	if len(elems) == 0 {
+		return Value{kind: KindList, c: empty}
+	}
+	return Value{kind: KindList, c: &compound{elems: elems}}
 }
 
 // Record returns a record value with the given fields. The map is copied.
 func Record(fields map[string]Value) Value {
-	cp := make(map[string]Value, len(fields))
-	for k, v := range fields {
-		cp[k] = v
+	if len(fields) == 0 {
+		return Value{kind: KindRecord, c: empty}
 	}
-	return Value{kind: KindRecord, rec: cp}
+	names := make([]string, 0, len(fields))
+	for k := range fields {
+		names = append(names, k)
+	}
+	slices.Sort(names)
+	elems := make([]Value, len(names))
+	for i, k := range names {
+		elems[i] = fields[k]
+	}
+	return Value{kind: KindRecord, c: &compound{names: names, elems: elems}}
+}
+
+// Shape is a fixed set of record field names. Every record built from one
+// Shape shares the Shape's sorted name slice, so a table's rows cost their
+// values only; it is also the way to build a record without a map.
+type Shape struct {
+	names []string // ascending, no duplicates
+	slot  []int    // slot[i] is the index in names of the i-th declared name
+}
+
+// NewShape returns the shape with the given field names, declared in any
+// order. A name may repeat; see Record.
+func NewShape(names ...string) *Shape {
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	slot := make([]int, len(names))
+	for i, n := range names {
+		slot[i], _ = slices.BinarySearch(sorted, n)
+	}
+	return &Shape{names: sorted, slot: slot}
+}
+
+// Record returns the record whose i-th declared field is vals[i]; of the
+// values of a repeated name the last one wins, as in a map literal built in
+// order. It panics unless there is one value per declared name.
+func (sh *Shape) Record(vals ...Value) Value {
+	if len(vals) != len(sh.slot) {
+		panic(fmt.Sprintf("value: Shape.Record: %d values for %d fields", len(vals), len(sh.slot)))
+	}
+	if len(vals) == 0 {
+		return Value{kind: KindRecord, c: empty}
+	}
+	elems := make([]Value, len(sh.names))
+	for i, v := range vals {
+		elems[sh.slot[i]] = v
+	}
+	return Value{kind: KindRecord, c: &compound{names: sh.names, elems: elems}}
 }
 
 // Kind reports the dynamic kind of v.
@@ -94,7 +161,7 @@ func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
 func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 
 // AsBool returns the boolean payload. It reports false if v is not a bool.
-func (v Value) AsBool() (bool, bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (bool, bool) { return v.kind == KindBool && v.i != 0, v.kind == KindBool }
 
 // MustInt returns the integer payload or panics. Intended for tests and for
 // callers that have already validated the kind.
@@ -118,81 +185,109 @@ func (v Value) MustBool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("value: MustBool on %s", v.kind))
 	}
-	return v.b
+	return v.i != 0
+}
+
+// list returns the elements of a list and nil for any other kind.
+func (v Value) list() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return v.c.elems
+}
+
+// record returns the sorted field names of a record and their values, and
+// nil slices for any other kind.
+func (v Value) record() ([]string, []Value) {
+	if v.kind != KindRecord {
+		return nil, nil
+	}
+	return v.c.names, v.c.elems
 }
 
 // Len returns the number of elements of a list or fields of a record, and 0
 // for scalars.
 func (v Value) Len() int {
-	switch v.kind {
-	case KindList:
-		return len(v.list)
-	case KindRecord:
-		return len(v.rec)
-	default:
+	if v.c == nil {
 		return 0
 	}
+	return len(v.c.elems)
 }
 
 // Index returns element i of a list value. It reports false when v is not a
 // list or i is out of range.
 func (v Value) Index(i int) (Value, bool) {
-	if v.kind != KindList || i < 0 || i >= len(v.list) {
+	l := v.list()
+	if i < 0 || i >= len(l) {
 		return Value{}, false
 	}
-	return v.list[i], true
+	return l[i], true
 }
 
 // Field returns the named field of a record value. It reports false when v
 // is not a record or the field is absent.
 func (v Value) Field(name string) (Value, bool) {
-	if v.kind != KindRecord {
+	names, elems := v.record()
+	i := find(names, name)
+	if i < 0 {
 		return Value{}, false
 	}
-	f, ok := v.rec[name]
-	return f, ok
+	return elems[i], true
+}
+
+// find returns the index of name in names, or -1. A hit needs equality only,
+// and over the few names a record has, a scan that rejects most of them on
+// length alone is some 2.5 times faster than a binary search.
+func find(names []string, name string) int {
+	for i, n := range names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // WithField returns a copy of record v with field name set to f. If v is not
-// a record a fresh single-field record is returned.
+// a record a fresh single-field record is returned. Replacing an existing
+// field copies the values and keeps sharing the names.
 func (v Value) WithField(name string, f Value) Value {
-	cp := make(map[string]Value, len(v.rec)+1)
-	for k, e := range v.rec {
-		cp[k] = e
+	names, elems := v.record()
+	if i := find(names, name); i >= 0 {
+		elems = slices.Clone(elems)
+		elems[i] = f
+	} else {
+		i, _ = slices.BinarySearch(names, name)
+		names = insertAt(names, i, name)
+		elems = insertAt(elems, i, f)
 	}
-	cp[name] = f
-	return Value{kind: KindRecord, rec: cp}
+	return Value{kind: KindRecord, c: &compound{names: names, elems: elems}}
+}
+
+// insertAt returns a copy of s with x inserted before index i.
+func insertAt[T any](s []T, i int, x T) []T {
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out
 }
 
 // Fields returns the field names of a record in sorted order.
 func (v Value) Fields() []string {
-	if v.kind != KindRecord {
-		return nil
-	}
-	names := make([]string, 0, len(v.rec))
-	for k := range v.rec {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
+	names, _ := v.record()
+	return slices.Clone(names)
 }
 
 // Elems returns a copy of the elements of a list value.
-func (v Value) Elems() []Value {
-	if v.kind != KindList {
-		return nil
-	}
-	cp := make([]Value, len(v.list))
-	copy(cp, v.list)
-	return cp
-}
+func (v Value) Elems() []Value { return slices.Clone(v.list()) }
 
 // Append returns a copy of list v with elems appended.
 func (v Value) Append(elems ...Value) Value {
-	cp := make([]Value, 0, len(v.list)+len(elems))
-	cp = append(cp, v.list...)
+	l := v.list()
+	cp := make([]Value, 0, len(l)+len(elems))
+	cp = append(cp, l...)
 	cp = append(cp, elems...)
-	return Value{kind: KindList, list: cp}
+	return listOf(cp)
 }
 
 // Equal reports deep equality of two values. Values of different kinds are
@@ -202,33 +297,12 @@ func (v Value) Equal(o Value) bool {
 		return false
 	}
 	switch v.kind {
-	case KindInt:
+	case KindInt, KindBool:
 		return v.i == o.i
 	case KindString:
 		return v.s == o.s
-	case KindBool:
-		return v.b == o.b
-	case KindList:
-		if len(v.list) != len(o.list) {
-			return false
-		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
-				return false
-			}
-		}
-		return true
-	case KindRecord:
-		if len(v.rec) != len(o.rec) {
-			return false
-		}
-		for k, e := range v.rec {
-			oe, ok := o.rec[k]
-			if !ok || !e.Equal(oe) {
-				return false
-			}
-		}
-		return true
+	case KindList, KindRecord:
+		return slices.Equal(v.c.names, o.c.names) && slices.EqualFunc(v.c.elems, o.c.elems, Value.Equal)
 	default:
 		return true // two invalid values are equal
 	}
@@ -242,32 +316,23 @@ func (v Value) Compare(o Value) int {
 		return cmpInt(int64(v.kind), int64(o.kind))
 	}
 	switch v.kind {
-	case KindInt:
+	case KindInt, KindBool:
 		return cmpInt(v.i, o.i)
 	case KindString:
 		return strings.Compare(v.s, o.s)
-	case KindBool:
-		return cmpInt(boolInt(v.b), boolInt(o.b))
-	case KindList:
-		for i := 0; i < len(v.list) && i < len(o.list); i++ {
-			if c := v.list[i].Compare(o.list[i]); c != 0 {
+	case KindList, KindRecord:
+		ve, oe := v.c.elems, o.c.elems
+		for i := 0; i < len(ve) && i < len(oe); i++ {
+			if v.kind == KindRecord {
+				if c := strings.Compare(v.c.names[i], o.c.names[i]); c != 0 {
+					return c
+				}
+			}
+			if c := ve[i].Compare(oe[i]); c != 0 {
 				return c
 			}
 		}
-		return cmpInt(int64(len(v.list)), int64(len(o.list)))
-	case KindRecord:
-		vf, of := v.Fields(), o.Fields()
-		for i := 0; i < len(vf) && i < len(of); i++ {
-			if c := strings.Compare(vf[i], of[i]); c != 0 {
-				return c
-			}
-			a, _ := v.Field(vf[i])
-			b, _ := o.Field(of[i])
-			if c := a.Compare(b); c != 0 {
-				return c
-			}
-		}
-		return cmpInt(int64(len(vf)), int64(len(of)))
+		return cmpInt(int64(len(ve)), int64(len(oe)))
 	default:
 		return 0
 	}
@@ -284,50 +349,52 @@ func cmpInt(a, b int64) int {
 	}
 }
 
-func boolInt(b bool) int64 {
-	if b {
-		return 1
+// FNV-1a, 64 bit: the constants of hash/fnv, folded over a running state so
+// that hashing neither allocates a hasher nor converts strings to bytes.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
 	}
-	return 0
+	return h
 }
 
 // Hash returns a stable 64-bit hash of the value, suitable for replica state
 // comparison. It is stable across processes (FNV-1a over the canonical
 // encoding).
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	v.hashInto(h)
-	return h.Sum64()
-}
+func (v Value) Hash() uint64 { return v.hash(fnvOffset64) }
 
-type hasher interface{ Write(p []byte) (int, error) }
-
-func (v Value) hashInto(h hasher) {
-	var tag [1]byte
-	tag[0] = byte(v.kind)
-	_, _ = h.Write(tag[:])
+// hash folds v's canonical encoding into the FNV-1a state h: the kind byte,
+// then an int in decimal, a string as is, a bool as one byte, list elements
+// in order, record fields as name then value in name order.
+func (v Value) hash(h uint64) uint64 {
+	h = fnvByte(h, byte(v.kind))
 	switch v.kind {
 	case KindInt:
-		_, _ = h.Write([]byte(strconv.FormatInt(v.i, 10)))
-	case KindString:
-		_, _ = h.Write([]byte(v.s))
-	case KindBool:
-		if v.b {
-			_, _ = h.Write([]byte{1})
-		} else {
-			_, _ = h.Write([]byte{0})
+		var buf [20]byte // len("-9223372036854775808")
+		for _, b := range strconv.AppendInt(buf[:0], v.i, 10) {
+			h = fnvByte(h, b)
 		}
+	case KindString:
+		h = fnvString(h, v.s)
+	case KindBool:
+		h = fnvByte(h, byte(v.i))
 	case KindList:
-		for _, e := range v.list {
-			e.hashInto(h)
+		for _, e := range v.c.elems {
+			h = e.hash(h)
 		}
 	case KindRecord:
-		for _, k := range v.Fields() {
-			_, _ = h.Write([]byte(k))
-			f, _ := v.Field(k)
-			f.hashInto(h)
+		for i, e := range v.c.elems {
+			h = e.hash(fnvString(h, v.c.names[i]))
 		}
 	}
+	return h
 }
 
 // String renders the value for debugging and key encoding. The rendering is
@@ -345,10 +412,10 @@ func (v Value) render(sb *strings.Builder) {
 	case KindString:
 		sb.WriteString(strconv.Quote(v.s))
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.b))
+		sb.WriteString(strconv.FormatBool(v.i != 0))
 	case KindList:
 		sb.WriteByte('[')
-		for i, e := range v.list {
+		for i, e := range v.c.elems {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -357,14 +424,13 @@ func (v Value) render(sb *strings.Builder) {
 		sb.WriteByte(']')
 	case KindRecord:
 		sb.WriteByte('{')
-		for i, k := range v.Fields() {
+		for i, e := range v.c.elems {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			sb.WriteString(k)
+			sb.WriteString(v.c.names[i])
 			sb.WriteByte(':')
-			f, _ := v.Field(k)
-			f.render(sb)
+			e.render(sb)
 		}
 		sb.WriteByte('}')
 	default:
@@ -384,18 +450,24 @@ type jsonValue struct {
 }
 
 func (v Value) toJSON() jsonValue {
-	jv := jsonValue{K: v.kind, I: v.i, S: v.s, B: v.b}
-	if v.kind == KindList {
-		jv.L = make([]jsonValue, len(v.list))
-		for i, e := range v.list {
+	jv := jsonValue{K: v.kind}
+	switch v.kind {
+	case KindInt:
+		jv.I = v.i
+	case KindString:
+		jv.S = v.s
+	case KindBool:
+		jv.B = v.i != 0
+	case KindList:
+		jv.L = make([]jsonValue, len(v.c.elems))
+		for i, e := range v.c.elems {
 			jv.L[i] = e.toJSON()
 		}
-	}
-	if v.kind == KindRecord {
-		jv.R = make(map[string]*jsonValue, len(v.rec))
-		for k, e := range v.rec {
+	case KindRecord:
+		jv.R = make(map[string]*jsonValue, len(v.c.elems))
+		for i, e := range v.c.elems {
 			ejv := e.toJSON()
-			jv.R[k] = &ejv
+			jv.R[v.c.names[i]] = &ejv
 		}
 	}
 	return jv
@@ -414,13 +486,13 @@ func fromJSON(jv jsonValue) Value {
 		for i, e := range jv.L {
 			elems[i] = fromJSON(e)
 		}
-		return Value{kind: KindList, list: elems}
+		return listOf(elems)
 	case KindRecord:
 		rec := make(map[string]Value, len(jv.R))
 		for k, e := range jv.R {
 			rec[k] = fromJSON(*e)
 		}
-		return Value{kind: KindRecord, rec: rec}
+		return Record(rec)
 	default:
 		return Value{}
 	}

@@ -88,6 +88,10 @@ func TestListCopiesInput(t *testing.T) {
 	if e.MustInt() != 1 {
 		t.Fatal("List must copy its input slice")
 	}
+	l.Elems()[0] = Int(99)
+	if e, _ := l.Index(0); e.MustInt() != 1 {
+		t.Fatal("Elems must return a copy")
+	}
 }
 
 func TestRecordOps(t *testing.T) {

@@ -46,27 +46,25 @@ func Schema() *lang.Schema {
 	)
 }
 
-// Populate loads the initial state at epoch 0.
+// Populate loads the initial state at epoch 0. Each table's rows are built
+// from one value.Shape, so they share their field names.
 func Populate(st *store.Store, cfg Config) {
+	var (
+		user    = value.NewShape("name", "rating", "balance", "nbComments")
+		item    = value.NewShape("sellerId", "price", "maxBid", "nbBids", "quantity", "nbBuyNow")
+		counter = value.NewShape("next")
+	)
 	for u := 1; u <= cfg.Users; u++ {
-		st.Put(0, value.NewKey(TUsers, value.Int(int64(u))), value.Record(map[string]value.Value{
-			"name": value.Str(fmt.Sprintf("user-%d", u)), "rating": value.Int(0),
-			"balance": value.Int(0), "nbComments": value.Int(0),
-		}))
+		st.Put(0, value.NewKey(TUsers, value.Int(int64(u))),
+			user.Record(value.Str(fmt.Sprintf("user-%d", u)), value.Int(0), value.Int(0), value.Int(0)))
 	}
 	for i := 1; i <= cfg.Items; i++ {
-		st.Put(0, value.NewKey(TItems, value.Int(int64(i))), value.Record(map[string]value.Value{
-			"sellerId": value.Int(int64(1 + i%cfg.Users)), "price": value.Int(int64(10 + i%90)),
-			"maxBid": value.Int(0), "nbBids": value.Int(0),
-			"quantity": value.Int(10), "nbBuyNow": value.Int(0),
-		}))
+		st.Put(0, value.NewKey(TItems, value.Int(int64(i))),
+			item.Record(value.Int(int64(1+i%cfg.Users)), value.Int(int64(10+i%90)),
+				value.Int(0), value.Int(0), value.Int(10), value.Int(0)))
 	}
-	st.Put(0, value.NewKey(TIDs, value.Str("users")), value.Record(map[string]value.Value{
-		"next": value.Int(int64(cfg.Users + 1)),
-	}))
-	st.Put(0, value.NewKey(TIDs, value.Str("items")), value.Record(map[string]value.Value{
-		"next": value.Int(int64(cfg.Items + 1)),
-	}))
+	st.Put(0, value.NewKey(TIDs, value.Str("users")), counter.Record(value.Int(int64(cfg.Users+1))))
+	st.Put(0, value.NewKey(TIDs, value.Str("items")), counter.Record(value.Int(int64(cfg.Items+1))))
 }
 
 // StoreBidProg: place a bid on an item. DT — the bid's slot index is the

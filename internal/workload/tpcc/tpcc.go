@@ -82,41 +82,37 @@ func Schema() *lang.Schema {
 	)
 }
 
-// Populate loads the initial state at epoch 0.
+// Populate loads the initial state at epoch 0. Each table's rows are built
+// from one value.Shape, so they share their field names.
 func Populate(st *store.Store, cfg Config) {
-	rec := func(fields map[string]value.Value) value.Value { return value.Record(fields) }
+	var (
+		item      = value.NewShape("price", "name")
+		warehouse = value.NewShape("ytd", "tax")
+		stock     = value.NewShape("quantity", "ytd", "orderCnt", "remoteCnt")
+		district  = value.NewShape("nextOId", "nextDeliveryOId", "ytd", "tax")
+		customer  = value.NewShape("balance", "ytdPayment", "paymentCnt", "deliveryCnt", "discount")
+		history   = value.NewShape("amount", "count")
+	)
 	for i := 1; i <= cfg.Items; i++ {
-		st.Put(0, value.NewKey(TItem, value.Int(int64(i))), rec(map[string]value.Value{
-			"price": value.Int(int64(100 + i%9900)),
-			"name":  value.Str(fmt.Sprintf("item-%d", i)),
-		}))
+		st.Put(0, value.NewKey(TItem, value.Int(int64(i))),
+			item.Record(value.Int(int64(100+i%9900)), value.Str(fmt.Sprintf("item-%d", i))))
 	}
 	for w := 1; w <= cfg.Warehouses; w++ {
 		wi := int64(w)
-		st.Put(0, value.NewKey(TWarehouse, value.Int(wi)), rec(map[string]value.Value{
-			"ytd": value.Int(0), "tax": value.Int(10),
-		}))
+		st.Put(0, value.NewKey(TWarehouse, value.Int(wi)), warehouse.Record(value.Int(0), value.Int(10)))
 		for i := 1; i <= cfg.Items; i++ {
-			st.Put(0, value.NewKey(TStock, value.Int(wi), value.Int(int64(i))), rec(map[string]value.Value{
-				"quantity": value.Int(50), "ytd": value.Int(0),
-				"orderCnt": value.Int(0), "remoteCnt": value.Int(0),
-			}))
+			st.Put(0, value.NewKey(TStock, value.Int(wi), value.Int(int64(i))),
+				stock.Record(value.Int(50), value.Int(0), value.Int(0), value.Int(0)))
 		}
 		for d := 1; d <= Districts; d++ {
 			di := int64(d)
-			st.Put(0, value.NewKey(TDistrict, value.Int(wi), value.Int(di)), rec(map[string]value.Value{
-				"nextOId": value.Int(1), "nextDeliveryOId": value.Int(1),
-				"ytd": value.Int(0), "tax": value.Int(5),
-			}))
+			st.Put(0, value.NewKey(TDistrict, value.Int(wi), value.Int(di)),
+				district.Record(value.Int(1), value.Int(1), value.Int(0), value.Int(5)))
 			for c := 1; c <= cfg.CustomersPerDistrict; c++ {
 				st.Put(0, value.NewKey(TCustomer, value.Int(wi), value.Int(di), value.Int(int64(c))),
-					rec(map[string]value.Value{
-						"balance": value.Int(-1000), "ytdPayment": value.Int(1000),
-						"paymentCnt": value.Int(1), "deliveryCnt": value.Int(0),
-						"discount": value.Int(5),
-					}))
+					customer.Record(value.Int(-1000), value.Int(1000), value.Int(1), value.Int(0), value.Int(5)))
 				st.Put(0, value.NewKey(THistory, value.Int(wi), value.Int(di), value.Int(int64(c))),
-					rec(map[string]value.Value{"amount": value.Int(1000), "count": value.Int(1)}))
+					history.Record(value.Int(1000), value.Int(1)))
 			}
 		}
 	}
