@@ -199,6 +199,7 @@ func BenchmarkProfileInstantiate(b *testing.B) {
 			inputs = gen.DeliveryInputs()
 		}
 		b.Run(tx, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := prof.Instantiate(inputs, snap); err != nil {
 					b.Fatal(err)
@@ -219,6 +220,7 @@ func BenchmarkLockTable(b *testing.B) {
 			{Key: value.NewKey("U", value.Int(int64(i%8))).Encode()},
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := &locktable.Entry{Seq: uint64(i), Keys: keys[i%len(keys)]}

@@ -42,10 +42,11 @@ func (c *countingReader) ReadPivot(k value.Key, field string) (value.Value, bool
 	return c.inner.ReadPivot(k, field)
 }
 
-// TestSplitInstantiationMatchesFull checks, at the profile level, that
-// direct + indirect instantiation reproduces the full instantiation: same
-// key multiset, same pivot observations, and zero pivot reads for the
-// direct half.
+// TestSplitInstantiationMatchesFull checks, at the profile level, that the
+// split instantiation reproduces the full one — same key multiset, same
+// pivot observations — with the direct part first, whether it is evaluated
+// in the same traversal or handed in, and zero pivot reads for the direct
+// part alone.
 func TestSplitInstantiationMatchesFull(t *testing.T) {
 	reg := bankRegistry(t)
 	st := bankStore()
@@ -64,29 +65,33 @@ func TestSplitInstantiationMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := &countingReader{inner: snap}
-	indirect, err := prof.InstantiateIndirect(inputs, counting)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(direct.Pivots) != 0 {
 		t.Fatalf("direct part recorded pivot observations: %v", direct.Pivots)
 	}
-	if counting.calls == 0 {
-		t.Fatal("indirect part read no pivots; chase must read PTR")
-	}
-	merged := profile.Merge(direct, indirect)
-	if !reflect.DeepEqual(merged.Pivots, full.Pivots) {
-		t.Fatalf("pivot observations differ:\nsplit: %v\nfull:  %v", merged.Pivots, full.Pivots)
-	}
-	if got, want := keyEncSet(merged.Reads), keyEncSet(full.Reads); !reflect.DeepEqual(got, want) {
-		t.Fatalf("read sets differ: %v vs %v", got, want)
-	}
-	if got, want := keyEncSet(merged.Writes), keyEncSet(full.Writes); !reflect.DeepEqual(got, want) {
-		t.Fatalf("write sets differ: %v vs %v", got, want)
-	}
 	if len(direct.Reads)+len(direct.Writes) == 0 {
 		t.Fatal("chase has direct accesses (GET PTR[p]); direct part is empty")
+	}
+	for _, given := range []*profile.KeySet{nil, direct} {
+		counting := &countingReader{inner: snap}
+		split, err := prof.InstantiateSplit(inputs, counting, given)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counting.calls == 0 {
+			t.Fatal("split instantiation read no pivots; chase must read PTR")
+		}
+		if !reflect.DeepEqual(split.Pivots, full.Pivots) {
+			t.Fatalf("pivot observations differ:\nsplit: %v\nfull:  %v", split.Pivots, full.Pivots)
+		}
+		if got, want := keyEncSet(split.Reads), keyEncSet(full.Reads); !reflect.DeepEqual(got, want) {
+			t.Fatalf("read sets differ: %v vs %v", got, want)
+		}
+		if got, want := keyEncSet(split.Writes), keyEncSet(full.Writes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("write sets differ: %v vs %v", got, want)
+		}
+		if !reflect.DeepEqual(split.Direct(), direct) {
+			t.Fatalf("direct prefix differs:\nsplit:  %v\ndirect: %v", split.Direct(), direct)
+		}
 	}
 }
 

@@ -15,10 +15,11 @@ import (
 // ExecuteBatch) plays the Queuer; the pool's workers execute transactions.
 // Batches must be executed one at a time.
 type Engine struct {
-	reg  *Registry
-	st   *store.Store
-	cfg  Config
-	pool Pool
+	reg    *Registry
+	st     *store.Store
+	cfg    Config
+	pool   Pool
+	frames frameList
 }
 
 var _ Executor = (*Engine)(nil)
@@ -211,14 +212,16 @@ const maxFailRounds = 1000
 // writes, results discarded (a real deployment would return them to the
 // client).
 func (e *Engine) execROT(tx *Task, snap *store.ReadView) (Work, error) {
+	f := e.frames.get()
+	defer e.frames.put(f)
 	var kv lang.KV = snap
 	var ov *Overlay
 	if e.cfg.RecordFootprints {
-		ov = NewOverlay(snap)
+		ov = f.overlay(snap)
 		ov.Record()
 		kv = ov
 	}
-	resu, err := lang.Run(tx.Prog, tx.Req.Inputs, kv)
+	resu, err := f.run.Run(tx.Prog, tx.Req.Inputs, kv)
 	if err != nil {
 		return Work{}, fmt.Errorf("engine: ROT %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 	}
@@ -241,52 +244,52 @@ func (e *Engine) prepare(tx *Task, kv lang.KV, pr profile.PivotReader) (Work, er
 		// snapshot, buffering (and discarding) its writes, to discover the
 		// key-set. This is the structural cost of the -R variants: a full
 		// execution per preparation, vs only pivot reads for SE profiles.
-		ov := NewOverlay(kv)
-		resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
+		f := e.frames.get()
+		defer e.frames.put(f)
+		resu, err := f.run.Run(tx.Prog, tx.Req.Inputs, f.overlay(kv))
 		if err != nil {
 			return Work{}, fmt.Errorf("engine: reconnaissance %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}
-		tx.KS = &profile.KeySet{Reads: resu.Reads, Writes: resu.Writes}
+		// The discovered keys outlive the frame they were built in.
+		tx.KS = &profile.KeySet{Reads: value.CloneKeys(resu.Reads), Writes: value.CloneKeys(resu.Writes)}
 		work = Work{Reads: len(resu.Reads), Writes: len(resu.Writes)}
 	default:
+		var err error
 		if e.reg.PivotFree[tx.Req.TxName] {
 			// §III-C client-side prediction: the traversal is proven
 			// pivot-free, so the direct part of the key-set is instantiated
-			// from the inputs alone — computed once and reused across MF
-			// re-preparation rounds — and only pivot-dependent accesses
-			// touch the store.
-			if tx.directKS == nil {
-				var direct *profile.KeySet
-				var err error
-				if e.cfg.DirectMemo != nil {
-					direct, err = e.cfg.DirectMemo.InstantiateDirect(tx.Prof, tx.Req.Inputs)
-				} else {
-					direct, err = tx.Prof.InstantiateDirect(tx.Req.Inputs)
-				}
-				if err != nil {
+			// from the inputs alone — once: an MF re-preparation round takes
+			// it from the key-set it replaces — and only pivot-dependent
+			// accesses touch the store.
+			var direct *profile.KeySet
+			switch {
+			case tx.KS != nil:
+				direct = tx.KS.Direct()
+			case e.cfg.DirectMemo != nil:
+				if direct, err = e.cfg.DirectMemo.InstantiateDirect(tx.Prof, tx.Req.Inputs); err != nil {
 					return Work{}, fmt.Errorf("engine: instantiate direct %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 				}
-				tx.directKS = direct
 			}
-			indirect, err := tx.Prof.InstantiateIndirect(tx.Req.Inputs, pr)
-			if err != nil {
-				return Work{}, fmt.Errorf("engine: instantiate indirect %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
+			tx.KS, err = tx.Prof.InstantiateSplit(tx.Req.Inputs, pr, direct)
+			if err == nil {
+				tx.Out.DirectKeys = tx.KS.DirectReads + tx.KS.DirectWrites
 			}
-			tx.KS = profile.Merge(tx.directKS, indirect)
-			tx.Out.DirectKeys = len(tx.directKS.Reads) + len(tx.directKS.Writes)
 		} else {
-			full, err := tx.Prof.Instantiate(tx.Req.Inputs, pr)
-			if err != nil {
-				return Work{}, fmt.Errorf("engine: instantiate %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
-			}
-			tx.KS = full
+			tx.KS, err = tx.Prof.Instantiate(tx.Req.Inputs, pr)
+		}
+		if err != nil {
+			return Work{}, fmt.Errorf("engine: instantiate %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}
 		work = Work{Reads: len(tx.KS.Pivots), Traversal: true}
 	}
-	lockKeys := locktable.BuildKeys(tx.KS.Reads, tx.KS.Writes)
+	// The lock requests double as the execution guard: reads ∪ writes,
+	// deduplicated, with the write bit.
+	tx.guard = locktable.BuildKeys(tx.KS.Reads, tx.KS.Writes)
+	lockKeys := tx.guard
 	if e.cfg.ExclusiveLocks {
-		for i := range lockKeys {
-			lockKeys[i].Write = true
+		lockKeys = make([]locktable.LockKey, len(tx.guard))
+		for i, lk := range tx.guard {
+			lockKeys[i] = locktable.LockKey{Key: lk.Key, Write: true}
 		}
 	}
 	tx.Entry = &locktable.Entry{Seq: tx.Req.Seq, Keys: lockKeys}
@@ -313,42 +316,55 @@ func (e *Engine) execUpdate(tx *Task, writer *store.WriteView) (Work, error) {
 			}
 		}
 	}
-	ov := NewOverlay(writer)
-	ov.Guard(tx.KS.Reads, tx.KS.Writes)
-	if e.cfg.RecordFootprints {
-		ov.Record()
-	}
-	resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
+	f := e.frames.get()
+	defer e.frames.put(f)
+	ov := f.overlay(writer)
+	ov.guardLocks(tx.guard)
+	resu, err := e.run(f, ov, tx, "execute")
 	if err != nil {
-		return Work{}, fmt.Errorf("engine: execute %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
+		return Work{}, err
 	}
 	work := Work{Reads: len(tx.KS.Pivots) + len(resu.Reads), Writes: len(resu.Writes), Abort: ov.Violated()}
 	if work.Abort {
 		return work, nil
 	}
-	ov.Flush(writer)
-	if e.cfg.RecordFootprints {
-		tx.Out.ReadSet, tx.Out.WriteSet = ov.Footprints()
-	}
-	tx.Out.Emitted = resu.Emitted
+	e.commit(ov, tx, resu, writer)
 	return work, nil
 }
 
 // execDirect runs a transaction with exclusive access (SF re-execution): no
 // guard, no validation — sequential execution cannot conflict.
 func (e *Engine) execDirect(tx *Task, writer *store.WriteView) (Work, error) {
-	ov := NewOverlay(writer)
+	f := e.frames.get()
+	defer e.frames.put(f)
+	ov := f.overlay(writer)
+	resu, err := e.run(f, ov, tx, "sequential re-exec")
+	if err != nil {
+		return Work{}, err
+	}
+	e.commit(ov, tx, resu, writer)
+	return Work{Reads: len(resu.Reads), Writes: len(resu.Writes)}, nil
+}
+
+// run executes tx's program on the frame against its overlay. The result
+// belongs to the frame.
+func (e *Engine) run(f *frame, ov *Overlay, tx *Task, what string) (*lang.Result, error) {
 	if e.cfg.RecordFootprints {
 		ov.Record()
 	}
-	resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
+	resu, err := f.run.Run(tx.Prog, tx.Req.Inputs, ov)
 	if err != nil {
-		return Work{}, fmt.Errorf("engine: sequential re-exec %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
+		return nil, fmt.Errorf("engine: %s %s(seq %d): %w", what, tx.Req.TxName, tx.Req.Seq, err)
 	}
+	return resu, nil
+}
+
+// commit publishes a violation-free execution: the buffered writes go to
+// the store and what the outcome keeps is taken out of the frame.
+func (e *Engine) commit(ov *Overlay, tx *Task, resu *lang.Result, writer *store.WriteView) {
 	ov.Flush(writer)
 	if e.cfg.RecordFootprints {
 		tx.Out.ReadSet, tx.Out.WriteSet = ov.Footprints()
 	}
 	tx.Out.Emitted = resu.Emitted
-	return Work{Reads: len(resu.Reads), Writes: len(resu.Writes)}, nil
 }

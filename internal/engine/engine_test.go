@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -636,5 +637,91 @@ func TestBatchResultEpochAdvances(t *testing.T) {
 	}
 	if fmt.Sprintf("%s", e.Name()) != "MQ-MF" {
 		t.Fatalf("Name = %s", e.Name())
+	}
+}
+
+// TestFingerprintPinned: fingerprints are recorded in chaos histories and
+// compared across runs, so the bytes are pinned — against constants printed
+// by the fmt-based formulation this replaced, and against that formulation
+// itself over enough values to meet hashes with leading zeros.
+func TestFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		v    value.Value
+		want string
+	}{
+		{value.Value{}, "58a4d2dd6cb88e2c"},
+		{value.Int(-42), "de5e4d17de016a82"},
+		{value.Str("a/b"), "91effcb63cbad899"},
+		{value.Record(map[string]value.Value{"quantity": value.Int(50), "ytd": value.Int(0)}), "1f6a103fd235a996"},
+		{value.List(value.Int(1), value.Str("x")), "96219dbcbfa7ae68"},
+	} {
+		if got := Fingerprint(c.v); got != c.want {
+			t.Errorf("Fingerprint(%v) = %s, want %s", c.v, got, c.want)
+		}
+	}
+	padded := 0
+	for i := int64(0); i < 2000; i++ {
+		v := value.Int(i)
+		h := fnv.New64a()
+		fmt.Fprint(h, v.String())
+		want := fmt.Sprintf("%016x", h.Sum64())
+		if got := Fingerprint(v); got != want {
+			t.Fatalf("Fingerprint(%v) = %s, want %s", v, got, want)
+		}
+		if want[0] == '0' {
+			padded++
+		}
+	}
+	if padded == 0 {
+		t.Fatal("no fingerprint with a leading zero was checked")
+	}
+}
+
+// TestReconKeySetOutlivesFrame: reconnaissance discovers a key-set by running
+// the program on a frame, and the key-set stays with the task for the rest of
+// the batch while the frame goes on to other transactions. The keys must have
+// left the frame — list, parts and all — not point into it.
+func TestReconKeySetOutlivesFrame(t *testing.T) {
+	reg := bankRegistry(t)
+	st := bankStore()
+	e := New(reg, st, Config{Prepare: PrepareRecon, Workers: 1})
+	b, err := BeginBatch(e.pool, reg, st, nil, []Request{
+		req(1, "chase", ival("p", 3, "amt", 10)),
+		req(2, "deposit", ival("k", 7, "amt", 5)),
+		req(3, "chase", ival("p", 4, "amt", 1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := st.ViewAt(b.Res.Epoch - 1)
+	render := func(ks *profile.KeySet) string {
+		s := ""
+		for _, k := range append(append([]value.Key{}, ks.Reads...), ks.Writes...) {
+			// The memo and a fresh encoding of Table and Parts, side by side.
+			s += string(k.Encode()) + "=" + string(value.Key{Table: k.Table, Parts: k.Parts}.Encode()) + " "
+		}
+		return s
+	}
+	var prepared []string
+	for _, tx := range b.Tasks {
+		if _, err := e.prepare(tx, snap, snap); err != nil {
+			t.Fatal(err)
+		}
+		prepared = append(prepared, render(tx.KS))
+	}
+	if len(e.frames.free) != 1 {
+		t.Fatalf("%d frames after three preparations on one goroutine, want the one reused", len(e.frames.free))
+	}
+	for i, tx := range b.Tasks {
+		if got := render(tx.KS); got != prepared[i] {
+			t.Errorf("key-set of %s(seq %d) changed under later preparations:\nnow:  %s\nthen: %s", tx.Req.TxName, tx.Req.Seq, got, prepared[i])
+		}
+		res, err := lang.Run(tx.Prog, tx.Req.Inputs, NewOverlay(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := render(&profile.KeySet{Reads: res.Reads, Writes: res.Writes}); prepared[i] != want {
+			t.Errorf("key-set of %s(seq %d) = %s, a fresh run touches %s", tx.Req.TxName, tx.Req.Seq, prepared[i], want)
+		}
 	}
 }

@@ -10,3 +10,8 @@ var (
 	FuzzStore     = fuzzStore
 	FuzzBatches   = fuzzBatches
 )
+
+// UseFreshFrames makes e build a new execution frame for every transaction
+// and drop it afterwards: the everything-fresh reference that frame reuse
+// must be indistinguishable from.
+func UseFreshFrames(e *Engine) { e.frames.fresh = true }

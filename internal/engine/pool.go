@@ -24,10 +24,10 @@ type Task struct {
 	KS    *profile.KeySet
 	Entry *locktable.Entry
 	Out   *TxOutcome
-	// directKS caches the input-only part of a pivot-free DT's key-set: it
-	// never changes across MF re-preparation rounds, so only the indirect
-	// part is re-instantiated against the updated store state.
-	directKS *profile.KeySet
+	// guard is the lock-request list as prepared — reads ∪ writes with the
+	// true write bit — which the execution is held to. Entry.Keys is the same
+	// list, except under Config.ExclusiveLocks.
+	guard []locktable.LockKey
 }
 
 // Work is what one step reports back to the pool: the store operations it
@@ -100,7 +100,7 @@ func NewThreadPool(workers int) Pool {
 func (p *threadPool) Workers() int            { return p.workers }
 func (p *threadPool) table() *locktable.Table { return p.lt }
 func (p *threadPool) begin()                  {}
-func (p *threadPool) end() time.Duration      { return 0 }
+func (p *threadPool) end() time.Duration      { p.lt.Clear(); return 0 }
 
 func timedPrep(t *Task, prep Step) error {
 	t0 := time.Now()
@@ -282,7 +282,7 @@ func NewVirtualPool(workers int) Pool {
 func (p *virtualPool) Workers() int            { return p.workers }
 func (p *virtualPool) table() *locktable.Table { return p.lt }
 func (p *virtualPool) begin()                  { p.now = 0 }
-func (p *virtualPool) end() time.Duration      { return p.now }
+func (p *virtualPool) end() time.Duration      { p.lt.Clear(); return p.now }
 
 // idle returns n clocks standing at the last barrier.
 func (p *virtualPool) idle(n int) []time.Duration {

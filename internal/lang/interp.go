@@ -49,28 +49,63 @@ type TraceFunc func(path string, locals map[string]value.Value)
 // checker uses it to validate abstract states against concrete executions.
 // A nil trace is exactly Run (no per-statement path bookkeeping).
 func RunTrace(p *Program, inputs map[string]value.Value, kv KV, trace TraceFunc) (*Result, error) {
+	return new(Frame).run(p, inputs, kv, trace)
+}
+
+// Frame is the interpreter state one execution needs and the next can reuse:
+// the locals map, the Reads/Writes lists and the slab key parts are carved
+// from. An executor that runs many transactions keeps a Frame per worker and
+// calls Run on it; the buffers then grow to the largest transaction seen and
+// nothing but Emitted is allocated per execution. A Frame is not safe for
+// concurrent use.
+type Frame struct {
+	locals map[string]value.Value
+	res    Result
+	// parts backs the Parts of every key built during the current run. When
+	// it fills up a larger slab replaces it; keys already built keep the old
+	// one alive.
+	parts []value.Value
+}
+
+// Run is lang.Run on the frame's buffers. The returned Result, its Reads and
+// Writes and the Parts of the keys in them (and of every key handed to kv)
+// belong to the frame and are valid until its next Run: copy what must
+// outlive that. Emitted is allocated per run and is the caller's.
+func (f *Frame) Run(p *Program, inputs map[string]value.Value, kv KV) (*Result, error) {
+	return f.run(p, inputs, kv, nil)
+}
+
+func (f *Frame) run(p *Program, inputs map[string]value.Value, kv KV, trace TraceFunc) (*Result, error) {
 	for _, prm := range p.Params {
 		if _, ok := inputs[prm.Name]; !ok {
 			return nil, fmt.Errorf("lang: %s: missing input %q", p.Name, prm.Name)
 		}
 	}
-	in := &interp{prog: p, inputs: inputs, kv: kv, trace: trace,
-		locals: map[string]value.Value{},
-		res:    &Result{Emitted: map[string]value.Value{}},
+	if f.locals == nil {
+		f.locals = map[string]value.Value{}
 	}
+	// Reset at entry, not exit, so that a run that failed half-way leaves
+	// nothing behind. Clearing drops the last run's values and key strings.
+	clear(f.locals)
+	clear(f.res.Reads)
+	clear(f.res.Writes)
+	clear(f.parts)
+	f.parts = f.parts[:0]
+	f.res = Result{Emitted: map[string]value.Value{}, Reads: f.res.Reads[:0], Writes: f.res.Writes[:0]}
+	in := interp{prog: p, inputs: inputs, kv: kv, trace: trace, Frame: f}
 	if err := in.block(p.Body, "body"); err != nil {
 		return nil, err
 	}
-	return in.res, nil
+	return &f.res, nil
 }
 
+// interp is one execution in progress on a frame.
 type interp struct {
 	prog   *Program
 	inputs map[string]value.Value
 	kv     KV
-	locals map[string]value.Value
-	res    *Result
 	trace  TraceFunc
+	*Frame
 }
 
 func (in *interp) block(body []Stmt, label string) error {
@@ -193,8 +228,19 @@ func (in *interp) stmt(st Stmt, path string) error {
 	}
 }
 
+// minPartsSlab is the first slab's size in key parts: enough for a short
+// read-only transaction, small enough that a one-shot Run does not pay for
+// a buffer it will not fill.
+const minPartsSlab = 4
+
 func (in *interp) key(table string, parts []Expr) (value.Key, error) {
-	vals := make([]value.Value, len(parts))
+	n := len(parts)
+	if cap(in.parts)-len(in.parts) < n {
+		in.parts = make([]value.Value, 0, max(2*cap(in.parts), n, minPartsSlab))
+	}
+	at := len(in.parts)
+	in.parts = in.parts[:at+n]
+	vals := in.parts[at : at+n : at+n]
 	for i, e := range parts {
 		v, err := in.eval(e)
 		if err != nil {
@@ -202,7 +248,7 @@ func (in *interp) key(table string, parts []Expr) (value.Key, error) {
 		}
 		vals[i] = v
 	}
-	return value.NewKey(table, vals...), nil
+	return value.KeyOf(table, vals), nil
 }
 
 func (in *interp) evalInt(e Expr) (int64, error) {

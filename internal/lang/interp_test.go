@@ -349,3 +349,90 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameReuse: a Frame run after run gives what Run gives on fresh state
+// each time — no local, read, write or key part of one execution shows in
+// the next, whatever ran in between, a failed run included — and Emitted is
+// the caller's to keep.
+func TestFrameReuse(t *testing.T) {
+	loop := &Program{
+		Name:   "batchput",
+		Params: []Param{IntParam("n", 1, 5), ListParam("ids", IntParam("", 0, 99), 5, "n")},
+		Body: []Stmt{
+			Set("sum", C(0)),
+			ForS("i", C(0), P("n"),
+				Set("id", Idx(P("ids"), L("i"))),
+				GetS("old", "PAIR", L("id"), L("i")),
+				PutS("ACC", Key(L("id")), RecE(F("bal", L("i")))),
+				Set("sum", Add(L("sum"), L("id"))),
+			),
+			EmitS("sum", L("sum")),
+		},
+	}
+	// useSum reads a local only batchput assigns: it must fail on a reused
+	// frame exactly as on a fresh one.
+	useSum := &Program{Name: "useSum", Body: []Stmt{EmitS("sum", L("sum"))}}
+	type call struct {
+		p      *Program
+		inputs map[string]value.Value
+	}
+	ids := func(n ...int64) map[string]value.Value {
+		vs := make([]value.Value, len(n))
+		for i, x := range n {
+			vs[i] = value.Int(x)
+		}
+		return map[string]value.Value{"n": value.Int(int64(len(n))), "ids": value.List(vs...)}
+	}
+	calls := []call{
+		{loop, ids(4, 8, 15, 16, 23)},
+		{transferProg(), map[string]value.Value{"src": value.Int(1), "dst": value.Int(2), "amount": value.Int(30)}},
+		{useSum, nil},
+		{loop, ids(42)},
+		{transferProg(), map[string]value.Value{"src": value.Int(2), "dst": value.Int(1), "amount": value.Int(1)}},
+		{loop, ids(4, 8, 15, 16, 23)},
+	}
+	render := func(res *Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		var b strings.Builder
+		for _, k := range res.Reads {
+			b.WriteString("R " + k.String() + "=" + string(value.Key{Table: k.Table, Parts: k.Parts}.Encode()) + " ")
+		}
+		for _, k := range res.Writes {
+			b.WriteString("W " + k.String() + "=" + string(value.Key{Table: k.Table, Parts: k.Parts}.Encode()) + " ")
+		}
+		return b.String() + value.Record(res.Emitted).String()
+	}
+	seed := func() *mapKV {
+		kv := newMapKV()
+		kv.Put(value.NewKey("ACC", value.Int(1)), acct(100))
+		kv.Put(value.NewKey("ACC", value.Int(2)), acct(5))
+		return kv
+	}
+	var f Frame
+	kvFrame, kvFresh := seed(), seed()
+	var kept []map[string]value.Value
+	var wantKept []string
+	for i, c := range calls {
+		got, gotErr := f.Run(c.p, c.inputs, kvFrame)
+		want, wantErr := Run(c.p, c.inputs, kvFresh)
+		if g, w := render(got, gotErr), render(want, wantErr); g != w {
+			t.Fatalf("call %d (%s):\nreused frame: %s\nfresh:        %s", i, c.p.Name, g, w)
+		}
+		if gotErr == nil {
+			kept = append(kept, got.Emitted)
+			wantKept = append(wantKept, value.Record(want.Emitted).String())
+		}
+	}
+	for i, e := range kept {
+		if got := value.Record(e).String(); got != wantKept[i] {
+			t.Fatalf("Emitted of run %d changed under later runs: %s, was %s", i, got, wantKept[i])
+		}
+	}
+	for k, v := range kvFresh.m {
+		if !kvFrame.m[k].Equal(v) {
+			t.Fatalf("state diverged at %s", k)
+		}
+	}
+}

@@ -301,19 +301,26 @@ func checkSplitInstantiation(prof *profile.Profile, inputs map[string]value.Valu
 		rep.addError(fmt.Sprintf("direct instantiation recorded %d pivot observations (inputs %s)",
 			len(direct.Pivots), renderInputs(inputs)), opts)
 	}
-	indirect, err := prof.InstantiateIndirect(inputs, st)
-	if err != nil {
-		rep.addError(fmt.Sprintf("indirect instantiation failed where full instantiation succeeds: %v (inputs %s)",
-			err, renderInputs(inputs)), opts)
-		return
+	// Both ways the engine prepares: the direct part evaluated in the same
+	// traversal, and handed in from an earlier one.
+	for _, given := range []*profile.KeySet{nil, direct} {
+		split, err := prof.InstantiateSplit(inputs, st, given)
+		if err != nil {
+			rep.addError(fmt.Sprintf("split instantiation failed where full instantiation succeeds: %v (inputs %s)",
+				err, renderInputs(inputs)), opts)
+			return
+		}
+		if len(split.Pivots) != len(full.Pivots) {
+			rep.addError(fmt.Sprintf("split instantiation observed %d pivots, full observed %d (inputs %s)",
+				len(split.Pivots), len(full.Pivots), renderInputs(inputs)), opts)
+		}
+		if split.DirectReads != len(direct.Reads) || split.DirectWrites != len(direct.Writes) {
+			rep.addError(fmt.Sprintf("split instantiation marks %d+%d keys direct, direct instantiation yields %d+%d (inputs %s)",
+				split.DirectReads, split.DirectWrites, len(direct.Reads), len(direct.Writes), renderInputs(inputs)), opts)
+		}
+		sameKeySet(split.Reads, full.Reads, "read", inputs, rep, opts)
+		sameKeySet(split.Writes, full.Writes, "write", inputs, rep, opts)
 	}
-	merged := profile.Merge(direct, indirect)
-	if len(merged.Pivots) != len(full.Pivots) {
-		rep.addError(fmt.Sprintf("split instantiation observed %d pivots, full observed %d (inputs %s)",
-			len(merged.Pivots), len(full.Pivots), renderInputs(inputs)), opts)
-	}
-	sameKeySet(merged.Reads, full.Reads, "read", inputs, rep, opts)
-	sameKeySet(merged.Writes, full.Writes, "write", inputs, rep, opts)
 }
 
 // --- zone validation: concrete states vs difference-bound claims ---

@@ -20,6 +20,7 @@ package locktable
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,27 +77,66 @@ func (e *Entry) Remaining() int32 { return e.remaining.Load() }
 
 // BuildKeys constructs a deduplicated lock-request list from read and write
 // key sets; a key in both takes a write lock. First-occurrence order is
-// preserved (reads first).
+// preserved (reads first). The list is the only allocation for a key-set of
+// ordinary size.
 func BuildKeys(reads, writes []value.Key) []LockKey {
-	idx := make(map[value.Encoded]int, len(reads)+len(writes))
 	out := make([]LockKey, 0, len(reads)+len(writes))
+	var ix keyIndex
+	ix.init(cap(out))
 	for _, k := range reads {
 		e := k.Encode()
-		if _, ok := idx[e]; !ok {
-			idx[e] = len(out)
+		if slot, found := ix.find(e, out); !found {
+			ix.slots[slot] = int32(len(out) + 1)
 			out = append(out, LockKey{Key: e})
 		}
 	}
 	for _, k := range writes {
 		e := k.Encode()
-		if i, ok := idx[e]; ok {
-			out[i].Write = true
+		slot, found := ix.find(e, out)
+		if found {
+			out[ix.slots[slot]-1].Write = true
 			continue
 		}
-		idx[e] = len(out)
+		ix.slots[slot] = int32(len(out) + 1)
 		out = append(out, LockKey{Key: e, Write: true})
 	}
 	return out
+}
+
+// keyIndex finds a key's position in one transaction's lock list: an
+// open-addressing table at most half full, on the stack for up to
+// len(stack)/2 keys — a Go map here was an allocation per transaction and
+// one per few keys.
+type keyIndex struct {
+	slots []int32 // position in the list + 1; 0 marks an empty slot
+	stack [128]int32
+}
+
+var keyIndexSeed = maphash.MakeSeed()
+
+// init sizes the table for a list of up to n keys.
+func (ix *keyIndex) init(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if size <= len(ix.stack) {
+		ix.slots = ix.stack[:size]
+	} else {
+		ix.slots = make([]int32, size)
+	}
+}
+
+// find returns the slot holding e's position in keys, or the empty slot
+// where it belongs.
+func (ix *keyIndex) find(e value.Encoded, keys []LockKey) (slot int, found bool) {
+	mask := len(ix.slots) - 1
+	for slot = int(maphash.String(keyIndexSeed, string(e))) & mask; ix.slots[slot] != 0; slot = (slot + 1) & mask {
+		if keys[ix.slots[slot]-1].Key == e {
+			return slot, true
+		}
+	}
+	return slot, false
 }
 
 // ExclusiveKeys builds an all-write lock list (the ablation mode and the
@@ -135,6 +175,9 @@ type Table struct {
 type tableShard struct {
 	mu     sync.Mutex
 	queues map[value.Encoded]*keyQueue
+	// free holds the queues Reset emptied, with their entry arrays, for
+	// queueFor to hand out again: a round needs about as many as the last.
+	free []*keyQueue
 }
 
 // qent is one entry's position in one key queue.
@@ -191,7 +234,12 @@ func (t *Table) queueFor(k value.Encoded) *keyQueue {
 	defer sh.mu.Unlock()
 	q, ok := sh.queues[k]
 	if !ok {
-		q = &keyQueue{key: k}
+		if n := len(sh.free); n > 0 {
+			q, sh.free = sh.free[n-1], sh.free[:n-1]
+		} else {
+			q = &keyQueue{}
+		}
+		q.key = k
 		sh.queues[k] = q
 	}
 	return q
@@ -390,15 +438,33 @@ func (t *Table) CollectTrace(round int) []Record {
 }
 
 // Reset clears all queues (and any accumulated trace records — collect
-// before resetting). The engine calls it between rounds; it must not race
-// with Enqueue/Release.
+// before resetting) and keeps the emptied queues for the next round. The
+// engine calls it between rounds; it must not race with Enqueue/Release.
 func (t *Table) Reset() {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for k := range sh.queues {
-			delete(sh.queues, k)
+		for _, q := range sh.queues {
+			// Drop what the entries and records point at; keep the arrays.
+			clear(q.ents)
+			clear(q.recs)
+			q.key, q.ents, q.head, q.recs, q.pos = "", q.ents[:0], 0, q.recs[:0], 0
+			sh.free = append(sh.free, q)
 		}
+		clear(sh.queues)
+		sh.mu.Unlock()
+	}
+}
+
+// Clear empties the table and lets go of the queues Reset keeps: recycling
+// is for the rounds of one batch, and a table between batches holds nothing.
+// Like Reset, it must not race with Enqueue/Release.
+func (t *Table) Clear() {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		clear(sh.queues)
+		sh.free = nil
 		sh.mu.Unlock()
 	}
 }

@@ -385,3 +385,119 @@ func (a *atomic64) get() int {
 	defer a.mu.Unlock()
 	return a.v
 }
+
+// TestBuildKeysMatchesMapModel holds the map-free dedup to the obvious model
+// on random key-sets, small enough for the on-stack index and too large for
+// it, with heavy duplication.
+func TestBuildKeysMatchesMapModel(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 300; trial++ {
+		domain := 1 + r.Intn(400)
+		draw := func(n int) []value.Key {
+			keys := make([]value.Key, n)
+			for i := range keys {
+				keys[i] = value.NewKey("T", value.Int(int64(r.Intn(domain))), value.Str(string(rune('a'+r.Intn(2)))))
+			}
+			return keys
+		}
+		reads, writes := draw(r.Intn(200)), draw(r.Intn(200))
+		var want []LockKey
+		at := map[value.Encoded]int{}
+		for _, k := range reads {
+			if _, ok := at[k.Encode()]; !ok {
+				at[k.Encode()] = len(want)
+				want = append(want, LockKey{Key: k.Encode()})
+			}
+		}
+		for _, k := range writes {
+			if i, ok := at[k.Encode()]; ok {
+				want[i].Write = true
+				continue
+			}
+			at[k.Encode()] = len(want)
+			want = append(want, LockKey{Key: k.Encode(), Write: true})
+		}
+		got := BuildKeys(reads, writes)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d lock keys, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: lock key %d = %+v, want %+v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestResetRecyclesQueues: a round after Reset runs on the queues the last
+// round left — nothing of that round shows in them, and nothing is allocated
+// for them — and Clear lets them go.
+func TestResetRecyclesQueues(t *testing.T) {
+	lt := New()
+	lt.EnableTrace(true)
+	round := func(keys ...string) []Record {
+		a, b := rentry(1, keys, nil), entry(2, keys...)
+		if !lt.Enqueue(a) || lt.Enqueue(b) {
+			t.Fatalf("round on %v: reader must be ready and writer wait", keys)
+		}
+		woken := 0
+		lt.Release(a, func(e *Entry) {
+			if e != b {
+				t.Fatalf("release woke %d, want the writer", e.Seq)
+			}
+			woken++
+		})
+		if woken != 1 {
+			t.Fatalf("round on %v: writer woken %d times", keys, woken)
+		}
+		lt.Release(b, func(*Entry) { t.Fatal("no successors") })
+		if lt.PendingKeys() != 0 {
+			t.Fatalf("round on %v left pending keys", keys)
+		}
+		return lt.CollectTrace(0)
+	}
+	first := round("x", "y", "z")
+	lt.Reset()
+	if lt.Len() != 0 {
+		t.Fatalf("%d queues after Reset", lt.Len())
+	}
+	second := round("p", "q")
+	if len(first) != 12 || len(second) != 8 {
+		t.Fatalf("trace lengths %d and %d, want 12 and 8: a recycled queue kept records", len(first), len(second))
+	}
+	for _, rec := range second {
+		if rec.Key != "p" && rec.Key != "q" || rec.Pos > 3 {
+			t.Fatalf("record %+v in the second round's trace", rec)
+		}
+	}
+
+	// Same keys round after round: every queue comes from the free list.
+	lt.EnableTrace(false)
+	es := []*Entry{entry(1, "a", "b", "c"), entry(2, "c", "d"), rentry(3, []string{"a", "d", "e"}, nil)}
+	cycle := func() {
+		lt.Reset()
+		for _, e := range es {
+			lt.Enqueue(e)
+		}
+		for _, e := range es {
+			lt.Release(e, func(*Entry) {})
+		}
+	}
+	cycle()
+	// What is left is grantScan's ready list, one per entry; seven queues and
+	// their entry arrays would come on top.
+	if n := testing.AllocsPerRun(20, cycle); n > float64(len(es)) {
+		t.Errorf("a round on recycled queues allocates %v times", n)
+	}
+
+	lt.Clear()
+	if lt.Len() != 0 {
+		t.Fatalf("%d queues after Clear", lt.Len())
+	}
+	for i := range lt.shards {
+		if len(lt.shards[i].free) != 0 {
+			t.Fatalf("shard %d keeps %d queues after Clear", i, len(lt.shards[i].free))
+		}
+	}
+	round("x")
+}

@@ -18,7 +18,7 @@ import (
 // time and the engine's preparation phase.
 //
 // The cache is a bounded LRU. Cached key-sets are shared read-only; callers
-// must not mutate them (the engine's Merge copies into fresh slices).
+// must not mutate them (InstantiateSplit copies the keys into its own result).
 // Instantiation errors are never cached.
 type DirectMemo struct {
 	mu       sync.Mutex

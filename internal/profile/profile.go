@@ -15,6 +15,7 @@ package profile
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"prognosticator/internal/sym"
@@ -118,17 +119,29 @@ type Stats struct {
 }
 
 // Profile is the complete offline analysis result for one transaction type.
+// The tree is immutable once the profile is in use: Class and
+// PivotFreeTraversal are facts of the tree, computed by one walk the first
+// time either is asked and kept.
 type Profile struct {
 	TxName string
 	Root   *Node
 	Stats  Stats
+
+	factsOnce sync.Once
+	facts     walker
+}
+
+// treeFacts walks the tree once per profile. Every access costs a
+// sym.HasPivot, far too much to repeat per request.
+func (p *Profile) treeFacts() *walker {
+	p.factsOnce.Do(func() { p.facts.walk(p.Root) })
+	return &p.facts
 }
 
 // Class classifies the transaction: ROT if no path writes; IT if all key
 // expressions and all conditions are direct (input-only); DT otherwise.
 func (p *Profile) Class() Class {
-	w := &walker{}
-	w.walk(p.Root)
+	w := p.treeFacts()
 	switch {
 	case !w.writes:
 		return ClassROT
@@ -143,11 +156,7 @@ func (p *Profile) Class() Class {
 // alone (no condition depends on a pivot). Such DT profiles allow clients to
 // predict the direct part of the key-set without touching the store —
 // the optimization sketched at the end of §III-C.
-func (p *Profile) PivotFreeTraversal() bool {
-	w := &walker{}
-	w.walk(p.Root)
-	return !w.condPivot
-}
+func (p *Profile) PivotFreeTraversal() bool { return !p.treeFacts().condPivot }
 
 // NumLeaves returns the number of <PSC, RWS> pairs in the profile.
 func (p *Profile) NumLeaves() int { return countLeaves(p.Root) }
@@ -232,8 +241,21 @@ type KeySet struct {
 	Reads  []value.Key
 	Writes []value.Key
 	// Pivots lists the pivot observations made during preparation, in
-	// deterministic (first-use) order.
+	// deterministic order: those the path's conditions needed, then those
+	// the keys needed, each in first-use order.
 	Pivots []PivotObservation
+	// DirectReads and DirectWrites count the leading entries of Reads and
+	// Writes that were instantiated from the inputs alone. InstantiateSplit
+	// and InstantiateDirect set them; Instantiate keeps program order and
+	// leaves them zero.
+	DirectReads, DirectWrites int
+}
+
+// Direct returns the input-only prefix of a split key-set, sharing its keys:
+// what InstantiateSplit takes back when the same request is prepared again.
+func (ks *KeySet) Direct() *KeySet {
+	dr, dw := ks.DirectReads, ks.DirectWrites
+	return &KeySet{Reads: ks.Reads[:dr:dr], Writes: ks.Writes[:dw:dw], DirectReads: dr, DirectWrites: dw}
 }
 
 // Keys returns the union of reads and writes, deduplicated, in
@@ -251,12 +273,12 @@ func (ks *KeySet) Keys() []value.Key {
 }
 
 // Instantiate traverses the profile with concrete inputs, resolving pivot
-// variables through pr, and returns the concrete key-set of this invocation.
-// For IT/ROT profiles pr may be nil. Missing pivot items read as integer
-// zero fields, matching the concrete interpreter's semantics for absent
-// records.
+// variables through pr, and returns the concrete key-set of this invocation
+// in program order. For IT/ROT profiles pr may be nil. Missing pivot items
+// read as integer zero fields, matching the concrete interpreter's semantics
+// for absent records.
 func (p *Profile) Instantiate(inputs map[string]value.Value, pr PivotReader) (*KeySet, error) {
-	return p.instantiate(inputs, pr, nil)
+	return p.instantiate(inputs, pr, selection{direct: true, indirect: true}, nil)
 }
 
 // InstantiateDirect traverses the profile with inputs alone and returns the
@@ -267,82 +289,142 @@ func (p *Profile) InstantiateDirect(inputs map[string]value.Value) (*KeySet, err
 	if !p.PivotFreeTraversal() {
 		return nil, fmt.Errorf("profile %s: InstantiateDirect on a profile with pivot-dependent conditions", p.TxName)
 	}
-	return p.instantiate(inputs, nil, func(a Access) bool { return a.Direct })
+	return p.instantiate(inputs, nil, selection{direct: true, split: true}, nil)
 }
 
-// InstantiateIndirect is the complement of InstantiateDirect: it traverses
-// the same root-to-leaf path and returns only the accesses NOT marked
-// Direct, with the pivot observations their keys required. Merging its
-// key-set with InstantiateDirect's reproduces Instantiate exactly: direct
-// accesses never read pivots, so the observation sequence is unchanged.
-func (p *Profile) InstantiateIndirect(inputs map[string]value.Value, pr PivotReader) (*KeySet, error) {
-	return p.instantiate(inputs, pr, func(a Access) bool { return !a.Direct })
+// InstantiateSplit is Instantiate for a profile with a pivot-free traversal,
+// laid out for the engine: the accesses marked Direct come first in Reads
+// and in Writes (DirectReads and DirectWrites of them), the pivot-dependent
+// ones after, each group in program order. As sets of keys, and in its pivot
+// observations, the result equals Instantiate's: direct accesses never read
+// pivots. A non-nil direct is the direct part already known for these inputs
+// — InstantiateDirect's result, or an earlier result's Direct() — and is
+// copied in instead of being evaluated again, so a repeated preparation
+// pays only for the pivot-dependent accesses.
+func (p *Profile) InstantiateSplit(inputs map[string]value.Value, pr PivotReader, direct *KeySet) (*KeySet, error) {
+	if !p.PivotFreeTraversal() {
+		return nil, fmt.Errorf("profile %s: InstantiateSplit on a profile with pivot-dependent conditions", p.TxName)
+	}
+	return p.instantiate(inputs, pr, selection{direct: direct == nil, indirect: true, split: true}, direct)
+}
+
+// selection says which accesses of the path an instantiation evaluates, and
+// whether the direct ones are placed ahead of the others.
+type selection struct {
+	direct, indirect bool
+	split            bool
+}
+
+func (s selection) includes(a *Access) bool {
+	if a.Direct {
+		return s.direct
+	}
+	return s.indirect
+}
+
+// group is the region of the key-set's array an access goes to. Reads and
+// Writes share the array, in this order: direct reads, other reads, direct
+// writes, other writes — the direct regions empty unless the layout is split.
+func (s selection) group(a *Access) int {
+	g := 0
+	if a.Write {
+		g = 2
+	}
+	if !(s.split && a.Direct) {
+		g++
+	}
+	return g
 }
 
 // instantiate walks the root-to-leaf path selected by the inputs (and, for
-// pivot-dependent conditions, by pivot reads), collecting the accesses for
-// which include returns true (nil means all).
-func (p *Profile) instantiate(inputs map[string]value.Value, pr PivotReader, include func(Access) bool) (*KeySet, error) {
-	inst := &instantiator{inputs: inputs, pr: pr, pivotCache: map[string]value.Value{}}
-	ks := &KeySet{}
-	n := p.Root
-	for n != nil {
-		for _, a := range n.Seg {
-			if include != nil && !include(a) {
+// pivot-dependent conditions, by pivot reads) and evaluates the selected
+// accesses on it. It goes down the path once to evaluate the conditions and
+// size the result, then along the recorded path to fill it, so the key-set
+// is three allocations however long the path: the KeySet, its keys and the
+// parts of all of them.
+func (p *Profile) instantiate(inputs map[string]value.Value, pr PivotReader, sel selection, direct *KeySet) (*KeySet, error) {
+	inst := instantiator{inputs: inputs, pr: pr}
+	var pathBuf [32]*Node
+	path := pathBuf[:0]
+	var n [4]int // selected accesses per group
+	nparts := 0
+	if direct != nil {
+		n[0], n[2] = len(direct.Reads), len(direct.Writes)
+	}
+	for nd := p.Root; nd != nil; {
+		path = append(path, nd)
+		for i := range nd.Seg {
+			if a := &nd.Seg[i]; sel.includes(a) {
+				n[sel.group(a)]++
+				nparts += len(a.Key)
+			}
+		}
+		if nd.Cond == nil {
+			break
+		}
+		cv, err := inst.eval(nd.Cond)
+		if err != nil {
+			return nil, fmt.Errorf("profile %s: condition %s: %w", p.TxName, nd.Cond, err)
+		}
+		b, ok := cv.AsBool()
+		if !ok {
+			return nil, fmt.Errorf("profile %s: condition %s evaluated to %s", p.TxName, nd.Cond, cv.Kind())
+		}
+		if b {
+			nd = nd.True
+		} else {
+			nd = nd.False
+		}
+	}
+
+	// at[g] is where the next key of group g goes.
+	at := [4]int{0, n[0], n[0] + n[1], n[0] + n[1] + n[2]}
+	ks := &KeySet{DirectReads: n[0], DirectWrites: n[2]}
+	var keys []value.Key
+	if total := at[3] + n[3]; total > 0 {
+		keys = make([]value.Key, total)
+		ks.Reads, ks.Writes = keys[:at[2]:at[2]], keys[at[2]:]
+	}
+	if direct != nil {
+		copy(ks.Reads, direct.Reads)
+		copy(ks.Writes, direct.Writes)
+	}
+	inst.parts = make([]value.Value, nparts)
+	for _, nd := range path {
+		for i := range nd.Seg {
+			a := &nd.Seg[i]
+			if !sel.includes(a) {
 				continue
 			}
 			k, err := inst.key(a)
 			if err != nil {
 				return nil, fmt.Errorf("profile %s: %w", p.TxName, err)
 			}
-			if a.Write {
-				ks.Writes = append(ks.Writes, k)
-			} else {
-				ks.Reads = append(ks.Reads, k)
-			}
-		}
-		if n.Cond == nil {
-			break
-		}
-		cv, err := inst.eval(n.Cond)
-		if err != nil {
-			return nil, fmt.Errorf("profile %s: condition %s: %w", p.TxName, n.Cond, err)
-		}
-		b, ok := cv.AsBool()
-		if !ok {
-			return nil, fmt.Errorf("profile %s: condition %s evaluated to %s", p.TxName, n.Cond, cv.Kind())
-		}
-		if b {
-			n = n.True
-		} else {
-			n = n.False
+			g := sel.group(a)
+			keys[at[g]] = k
+			at[g]++
 		}
 	}
 	ks.Pivots = inst.observations
 	return ks, nil
 }
 
-// Merge combines the direct and indirect halves of a split preparation into
-// one key-set equivalent to a full Instantiate (as sets of keys; the
-// interleaving of direct and indirect accesses within Reads/Writes is not
-// preserved). Pivot observations come from the indirect half alone.
-func Merge(direct, indirect *KeySet) *KeySet {
-	return &KeySet{
-		Reads:  append(append([]value.Key{}, direct.Reads...), indirect.Reads...),
-		Writes: append(append([]value.Key{}, direct.Writes...), indirect.Writes...),
-		Pivots: indirect.Pivots,
-	}
-}
-
 type instantiator struct {
-	inputs       map[string]value.Value
-	pr           PivotReader
+	inputs map[string]value.Value
+	pr     PivotReader
+	// parts is the unused rest of the slab the path's key parts are carved
+	// from, sized by instantiate.
+	parts []value.Value
+	// pivotCache holds the pivot values read so far by variable name;
+	// allocated at the first pivot read.
 	pivotCache   map[string]value.Value
 	observations []PivotObservation
 }
 
-func (in *instantiator) key(a Access) (value.Key, error) {
-	parts := make([]value.Value, len(a.Key))
+func (in *instantiator) key(a *Access) (value.Key, error) {
+	n := len(a.Key)
+	parts := in.parts[:n:n]
+	in.parts = in.parts[n:]
 	for i, kt := range a.Key {
 		v, err := in.eval(kt)
 		if err != nil {
@@ -350,7 +432,7 @@ func (in *instantiator) key(a Access) (value.Key, error) {
 		}
 		parts[i] = v
 	}
-	return value.NewKey(a.Table, parts...), nil
+	return value.KeyOf(a.Table, parts), nil
 }
 
 func (in *instantiator) eval(t sym.Term) (value.Value, error) {
@@ -375,10 +457,13 @@ func (in *instantiator) lookup(v *sym.Var) (value.Value, bool) {
 			}
 			parts[i] = pv
 		}
-		k := value.NewKey(v.Pivot.Table, parts...)
+		k := value.KeyOf(v.Pivot.Table, parts)
 		pv, found := in.pr.ReadPivot(k, v.Pivot.Field)
 		if !found {
 			pv = value.Int(0)
+		}
+		if in.pivotCache == nil {
+			in.pivotCache = map[string]value.Value{}
 		}
 		in.pivotCache[v.Name] = pv
 		in.observations = append(in.observations, PivotObservation{Key: k, Field: v.Pivot.Field, Value: pv})

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"slices"
 	"testing"
 
 	"prognosticator/internal/lang"
@@ -300,5 +301,124 @@ func TestAccessString(t *testing.T) {
 	r := Access{Table: "T", Key: []sym.Term{ic(2)}}
 	if r.String() != "R T/2" {
 		t.Fatalf("Access.String = %q", r.String())
+	}
+}
+
+// splitProfile interleaves direct and pivot-dependent accesses on both sides
+// of an input-only branch, so the split layout has something to reorder:
+//
+//	R DIST/d (direct)   W ORDER/(pv+1)   W STOCK/d (direct)
+//	if sel == 0: R ITEM/pv   W LOG/d (direct)   else: W LOG/(pv+2)
+func splitProfile() *Profile {
+	d, sel := iv("d", 1, 10), iv("sel", 0, 1)
+	pv := sym.NewPivot("DIST", []sym.Term{d}, "next")
+	plus := func(n int64) sym.Term { return sym.Bin{Op: lang.OpAdd, L: pv, R: ic(n)} }
+	return &Profile{TxName: "split", Root: &Node{
+		Seg: []Access{
+			{Table: "DIST", Key: []sym.Term{d}, Direct: true},
+			{Table: "ORDER", Key: []sym.Term{d, plus(1)}, Write: true},
+			{Table: "STOCK", Key: []sym.Term{d}, Write: true, Direct: true},
+		},
+		Cond: sym.Bin{Op: lang.OpEq, L: sel, R: ic(0)},
+		True: &Node{Seg: []Access{
+			{Table: "ITEM", Key: []sym.Term{pv}},
+			{Table: "LOG", Key: []sym.Term{d}, Write: true, Direct: true},
+		}},
+		False: &Node{Seg: []Access{{Table: "LOG", Key: []sym.Term{plus(2)}, Write: true}}},
+	}}
+}
+
+func keyStrings(keys []value.Key) []string {
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = k.String()
+	}
+	return out
+}
+
+// TestInstantiateSplit: one traversal yields the full key-set with the direct
+// accesses first, exactly sized, the same whether the direct part is
+// evaluated or handed in, and reads each pivot once.
+func TestInstantiateSplit(t *testing.T) {
+	p := splitProfile()
+	if p.Class() != ClassDT || !p.PivotFreeTraversal() {
+		t.Fatalf("split profile: class %v, pivot-free %v", p.Class(), p.PivotFreeTraversal())
+	}
+	inputs := map[string]value.Value{"d": value.Int(3), "sel": value.Int(0)}
+	pivots := map[string]value.Value{"DIST/i3.next": value.Int(40)}
+
+	full, err := p.Instantiate(inputs, &fakePivots{vals: pivots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := keyStrings(full.Reads), []string{"DIST/i3", "ITEM/i40"}; !slices.Equal(got, want) {
+		t.Fatalf("full reads = %v, want %v", got, want)
+	}
+	if got, want := keyStrings(full.Writes), []string{"ORDER/i3/i41", "STOCK/i3", "LOG/i3"}; !slices.Equal(got, want) {
+		t.Fatalf("full writes = %v, want %v (program order)", got, want)
+	}
+	if full.DirectReads != 0 || full.DirectWrites != 0 {
+		t.Fatalf("Instantiate marks %d+%d keys direct", full.DirectReads, full.DirectWrites)
+	}
+
+	direct, err := p.InstantiateDirect(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := keyStrings(direct.Writes), []string{"STOCK/i3", "LOG/i3"}; !slices.Equal(got, want) ||
+		len(direct.Reads) != 1 || direct.DirectReads != 1 || direct.DirectWrites != 2 || len(direct.Pivots) != 0 {
+		t.Fatalf("direct = %+v", direct)
+	}
+
+	for name, given := range map[string]*KeySet{"evaluated": nil, "handed in": direct} {
+		pr := &fakePivots{vals: pivots}
+		ks, err := p.InstantiateSplit(inputs, pr, given)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := keyStrings(ks.Reads), []string{"DIST/i3", "ITEM/i40"}; !slices.Equal(got, want) {
+			t.Errorf("%s: reads = %v, want %v", name, got, want)
+		}
+		if got, want := keyStrings(ks.Writes), []string{"STOCK/i3", "LOG/i3", "ORDER/i3/i41"}; !slices.Equal(got, want) {
+			t.Errorf("%s: writes = %v, want %v (direct first)", name, got, want)
+		}
+		if ks.DirectReads != 1 || ks.DirectWrites != 2 {
+			t.Errorf("%s: %d+%d keys marked direct, want 1+2", name, ks.DirectReads, ks.DirectWrites)
+		}
+		if cap(ks.Reads) != len(ks.Reads) || cap(ks.Writes) != len(ks.Writes) {
+			t.Errorf("%s: key-set not exactly sized: reads %d/%d, writes %d/%d",
+				name, len(ks.Reads), cap(ks.Reads), len(ks.Writes), cap(ks.Writes))
+		}
+		if pr.reads != 1 || len(ks.Pivots) != 1 || ks.Pivots[0].Key.String() != "DIST/i3" {
+			t.Errorf("%s: %d pivot reads, observations %v", name, pr.reads, ks.Pivots)
+		}
+		// Direct() is what a re-preparation hands back in.
+		again, err := p.InstantiateSplit(inputs, &fakePivots{vals: map[string]value.Value{"DIST/i3.next": value.Int(50)}}, ks.Direct())
+		if err != nil {
+			t.Fatalf("%s: re-preparation: %v", name, err)
+		}
+		if got, want := keyStrings(again.Writes), []string{"STOCK/i3", "LOG/i3", "ORDER/i3/i51"}; !slices.Equal(got, want) {
+			t.Errorf("%s: re-prepared writes = %v, want %v", name, got, want)
+		}
+	}
+
+	// The other branch has no direct write after the condition.
+	inputs["sel"] = value.Int(1)
+	ks, err := p.InstantiateSplit(inputs, &fakePivots{vals: pivots}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := keyStrings(ks.Writes), []string{"STOCK/i3", "ORDER/i3/i41", "LOG/i42"}; !slices.Equal(got, want) || ks.DirectWrites != 1 {
+		t.Errorf("sel=1 writes = %v (%d direct), want %v", got, ks.DirectWrites, want)
+	}
+
+	// A pivot in a condition rules the split out, like InstantiateDirect.
+	pv := sym.NewPivot("T", []sym.Term{ic(1)}, "f")
+	condDT := &Profile{TxName: "cdt", Root: &Node{
+		Cond: sym.Bin{Op: lang.OpGt, L: pv, R: ic(0)},
+		True: &Node{Seg: []Access{{Table: "T", Key: []sym.Term{ic(1)}, Write: true}}}, False: &Node{},
+	}}
+	if _, err := condDT.InstantiateSplit(nil, &fakePivots{}, nil); err == nil {
+		t.Fatal("InstantiateSplit on a pivot-dependent traversal must error")
 	}
 }

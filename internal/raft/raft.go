@@ -16,7 +16,7 @@
 package raft
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -996,13 +996,16 @@ func (n *Node) advanceCommitLocked() {
 	if n.role != Leader {
 		return
 	}
-	matches := make([]uint64, 0, len(n.peers)+1)
-	matches = append(matches, n.lastIndexLocked())
+	// This runs on every proposal, append reply and tick: the match indexes
+	// of a cluster of up to len(buf) nodes are sorted on the stack.
+	var buf [8]uint64
+	matches := append(buf[:0], n.lastIndexLocked())
 	for _, p := range n.peers {
 		matches = append(matches, n.matchIndex[p])
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	majority := matches[len(matches)/2]
+	slices.Sort(matches)
+	// The highest index a majority has reached: len/2 nodes are above it.
+	majority := matches[len(matches)-1-len(matches)/2]
 	if majority > n.commitIndex && majority <= n.lastIndexLocked() &&
 		n.termAtLocked(majority) == n.term {
 		n.commitToLocked(majority)

@@ -1,7 +1,9 @@
 package value
 
 import (
+	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -103,5 +105,87 @@ func TestQuickKeyStringParts(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkKeyMemo asserts that a memoised key cannot be told from the plain
+// Key{Table, Parts} literal, which encodes on demand, nor either from NewKey's: same
+// Encode, String and hash, Equal and Compare blind to the memo, same JSON.
+func checkKeyMemo(t *testing.T, table string, parts []Value) {
+	t.Helper()
+	plain := Key{Table: table, Parts: parts}
+	want := plain.Encode()
+	for name, k := range map[string]Key{
+		"KeyOf":     KeyOf(table, slices.Clone(parts)),
+		"NewKey":    NewKey(table, parts...),
+		"CloneKeys": CloneKeys([]Key{KeyOf(table, slices.Clone(parts))})[0],
+	} {
+		if got := k.Encode(); got != want || k.String() != string(want) || got.Hash() != want.Hash() {
+			t.Fatalf("%s(%q, %v) encodes to %q, the literal to %q", name, table, parts, got, want)
+		}
+		if !k.Equal(plain) || !plain.Equal(k) || k.Compare(plain) != 0 || plain.Compare(k) != 0 {
+			t.Fatalf("%s(%q, %v) is not Equal/Compare-identical to the literal", name, table, parts)
+		}
+		// JSON carries Table and Parts and nothing of the memo; a decoded
+		// key has none and encodes on demand.
+		data, err := json.Marshal(k)
+		if err != nil {
+			t.Fatalf("marshal %s(%q, %v): %v", name, table, parts, err)
+		}
+		var fields map[string]json.RawMessage
+		var back Key
+		if err := json.Unmarshal(data, &fields); err != nil || len(fields) != 2 {
+			t.Fatalf("%s(%q, %v) marshals to %s", name, table, parts, data)
+		}
+		if err := json.Unmarshal(data, &back); err != nil || !back.Equal(plain) || back.Encode() != want {
+			t.Fatalf("%s decodes to %v (%v), want %v", data, back, err, plain)
+		}
+	}
+}
+
+func TestKeyMemoMatchesLiteral(t *testing.T) {
+	// The zero key still encodes, memoised or not.
+	if got := (Key{}).Encode(); got != "" {
+		t.Fatalf("zero key encodes to %q", got)
+	}
+	checkKeyMemo(t, "", nil)
+	checkKeyMemo(t, "t/%", []Value{{}})
+	for _, c := range pinned {
+		checkKeyMemo(t, "t/%", []Value{c.v})
+	}
+	r := rand.New(rand.NewSource(17))
+	for i := 0; i < 500; i++ {
+		k := randomKey(r)
+		checkKeyMemo(t, k.Table, k.Parts)
+	}
+	f := func(table string, s string, i int64, b bool) bool {
+		checkKeyMemo(t, table, []Value{Str(s), Int(i), Bool(b), List(Str(s), Int(i))})
+		return !t.Failed()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Keys that differ only in having a memo order and compare alike, and
+	// differing keys are told apart whichever side carries one.
+	a, b := KeyOf("T", []Value{Int(1)}), Key{Table: "T", Parts: []Value{Int(2)}}
+	if a.Equal(b) || b.Equal(a) || a.Compare(b) >= 0 || b.Compare(a) <= 0 {
+		t.Fatalf("%v and %v must differ and order by parts", a, b)
+	}
+}
+
+// TestKeyEncodeAllocs: a key built by KeyOf is encoded once, when it is built.
+func TestKeyEncodeAllocs(t *testing.T) {
+	parts := []Value{Int(3), Int(17)}
+	k := KeyOf("STOCK", parts)
+	var e Encoded
+	if n := testing.AllocsPerRun(100, func() { e = k.Encode() }); n != 0 || e != "STOCK/i3/i17" {
+		t.Errorf("Encode of a key built by KeyOf: %v allocations, %q", n, e)
+	}
+	if n := testing.AllocsPerRun(100, func() { k = KeyOf("STOCK", parts) }); n > 1 {
+		t.Errorf("KeyOf allocates %v times, want only the encoding", n)
+	}
+	plain := Key{Table: "STOCK", Parts: parts}
+	if n := testing.AllocsPerRun(100, func() { e = plain.Encode() }); n > 1 {
+		t.Errorf("Encode of a literal key allocates %v times, want 1", n)
 	}
 }

@@ -88,6 +88,8 @@ func FuzzValueRoundTrip(f *testing.F) {
 		if err != nil || string(again) != string(enc) {
 			t.Fatalf("re-encoding %s gave %s (%v)", enc, again, err)
 		}
+		// The same values as key parts: a memoised key is the plain key.
+		checkKeyMemo(t, v.String(), []Value{v, back})
 	})
 }
 
