@@ -18,18 +18,18 @@
 // raft log below it and prunes its WAL prefix, so crashed replicas recover
 // from snapshot + WAL suffix instead of replaying from index 1.
 //
-// Flow-control flags (-max-queue, -max-inflight, -submit-rate,
-// -retry-budget) bound the submit path: excess load is shed synchronously
-// with a typed error instead of queueing without bound, and retries draw
-// from a finite budget. -submit-window tunes how long one raft proposal is
-// waited on before the batch is idempotently re-proposed.
+// Flow-control flags (-max-inflight, -submit-rate, -retry-budget) bound the
+// submit path: excess load is shed synchronously with a typed error instead
+// of queueing without bound, and retries draw from a finite budget.
+// -submit-window tunes how long one raft proposal is waited on before the
+// batch is idempotently re-proposed.
 //
 // Usage:
 //
 //	replicad [-replicas N] [-batches N] [-txs N] [-warehouses N] [-seed N]
 //	         [-transport mem|tcp] [-chaos] [-chaos-seed N] [-datadir DIR]
-//	         [-snapshot-every N] [-max-queue N] [-max-inflight N]
-//	         [-submit-rate R] [-retry-budget R] [-submit-window D]
+//	         [-snapshot-every N] [-max-inflight N] [-submit-rate R]
+//	         [-retry-budget R] [-submit-window D]
 package main
 
 import (
@@ -68,7 +68,6 @@ func run() error {
 	chaosSteps := flag.Int("chaos-steps", 0, "fault schedule length (0 = one step per two batches, with -chaos)")
 	dataDir := flag.String("datadir", "", "persist raft state and replica WALs under this directory (required for crash/restart faults; temp dir when -chaos is set and this is empty)")
 	snapshotEvery := flag.Uint64("snapshot-every", 0, "capture a store snapshot and compact the raft log every N applied batches (0 disables; requires -datadir)")
-	maxQueue := flag.Int("max-queue", 0, "bound each dispatcher's buffered request queue; submits beyond it are shed with flowctl.ErrOverload (0 = unbounded)")
 	maxInflight := flag.Int("max-inflight", 0, "bound concurrently admitted submit batches cluster-wide (0 = unbounded)")
 	submitRate := flag.Float64("submit-rate", 0, "token-bucket admission rate in batches/second; without a token the batch is shed, never queued (0 = unlimited)")
 	retryBudget := flag.Float64("retry-budget", 0, "cap on stored retry tokens; each retry withdraws one, each acknowledged submit deposits a fraction (0 = unlimited retries)")
@@ -106,7 +105,6 @@ func run() error {
 		QuorumSubmit: *chaosOn,
 		SubmitWindow: *submitWindow,
 		Flow: flowctl.Config{
-			MaxQueue:    *maxQueue,
 			MaxInflight: *maxInflight,
 			SubmitRate:  *submitRate,
 			RetryBudget: *retryBudget,
@@ -203,8 +201,8 @@ func run() error {
 			fmt.Printf("chaos: net %+v\n", cluster.Net.Stats())
 		}
 	}
-	if *maxQueue > 0 || *maxInflight > 0 || *submitRate > 0 || *retryBudget > 0 {
-		fmt.Printf("flow: %s (queue high water %d)\n", cluster.Flow().Counters(), cluster.QueueHighWater())
+	if *maxInflight > 0 || *submitRate > 0 || *retryBudget > 0 {
+		fmt.Printf("flow: %s (inflight high water %d)\n", cluster.Flow().Counters(), cluster.Flow().InflightHighWater())
 	}
 	if *snapshotEvery > 0 {
 		for i := 0; i < cluster.Size(); i++ {

@@ -11,9 +11,7 @@ import (
 
 	"prognosticator/internal/engine"
 	"prognosticator/internal/flowctl"
-	"prognosticator/internal/raft"
 	"prognosticator/internal/replica"
-	"prognosticator/internal/sequencer"
 	"prognosticator/internal/store"
 	"prognosticator/internal/value"
 )
@@ -84,20 +82,15 @@ func (h *overloadHarness) mirror(reqs []replica.Request) {
 	for i, r := range reqs {
 		ereqs[i] = engine.Request{TxName: r.TxName, Inputs: r.Inputs}
 	}
-	data, err := sequencer.EncodeBatch(ereqs)
-	if err != nil {
-		h.t.Error(err)
-		return
-	}
 	h.refMu.Lock()
 	defer h.refMu.Unlock()
 	h.refIdx++
-	batch, err := sequencer.DecodeBatch(raft.Committed{Index: h.refIdx, Cmd: data})
+	decoded, err := encodeDecode(h.refIdx, ereqs)
 	if err != nil {
 		h.t.Error(err)
 		return
 	}
-	if _, err := h.refExec.ExecuteBatch(batch.Requests); err != nil {
+	if _, err := h.refExec.ExecuteBatch(decoded); err != nil {
 		h.t.Error(err)
 	}
 }
@@ -126,9 +119,10 @@ func (h *overloadHarness) finalBatch(rng *rand.Rand) {
 }
 
 // verify asserts the overload invariants after quiesce: typed errors only,
-// exactly-once application of exactly the admitted set, bounded dispatcher
-// queues, drained dedup tables, and convergence to the reference state.
-func (h *overloadHarness) verify(maxQueue int) {
+// exactly-once application of exactly the admitted set, inflight batches
+// within the admission bound, drained dedup tables, and convergence to the
+// reference state.
+func (h *overloadHarness) verify(maxInflight int) {
 	h.t.Helper()
 	// QuorumSubmit acks on a majority: wait for the laggard before comparing
 	// all three states.
@@ -138,16 +132,16 @@ func (h *overloadHarness) verify(maxQueue int) {
 	h.mu.Lock()
 	admitted, shed, bad := h.admitted, h.shed, h.badErrs
 	h.mu.Unlock()
-	h.t.Logf("overload: admitted=%d shed=%d flow=%s queueHW=%d inflightHW=%d",
-		admitted, shed, h.c.Flow().Counters(), h.c.QueueHighWater(), h.c.Flow().InflightHighWater())
+	h.t.Logf("overload: admitted=%d shed=%d flow=%s inflightHW=%d",
+		admitted, shed, h.c.Flow().Counters(), h.c.Flow().InflightHighWater())
 	for _, err := range bad {
 		h.t.Errorf("shed submit carried a non-flowctl error: %v", err)
 	}
 	if shed == 0 {
 		h.t.Error("sustained overload shed nothing — admission control never engaged")
 	}
-	if hw := h.c.QueueHighWater(); hw > maxQueue {
-		h.t.Errorf("dispatcher queue high water %d exceeds bound %d", hw, maxQueue)
+	if hw := h.c.Flow().InflightHighWater(); hw > maxInflight {
+		h.t.Errorf("inflight high water %d exceeds bound %d", hw, maxInflight)
 	}
 	if !h.c.Converged() {
 		h.t.Fatalf("replicas diverged: %v", h.c.StateHashes())
@@ -175,12 +169,11 @@ func (h *overloadHarness) verify(maxQueue int) {
 // plus chaos Overload bursts, against a token bucket refilling ~40/s — well
 // over 2x what admission lets through), while the chaos injector also
 // throttles replica apply loops and kills nodes. The cluster must shed
-// deterministically with typed errors, keep every dispatcher queue under its
+// deterministically with typed errors, keep the inflight batches under their
 // bound, apply exactly the admitted batches exactly once, and converge.
 func TestOverloadSoak(t *testing.T) {
 	seed := soakSeed(t)
 	const (
-		maxQueue    = 4
 		maxInflight = 3
 		workers     = 4
 	)
@@ -203,7 +196,6 @@ func TestOverloadSoak(t *testing.T) {
 		// offered load stays above 2x what admission lets through, so both
 		// the rate limiter and the inflight cap must shed.
 		Flow: flowctl.Config{
-			MaxQueue:    maxQueue,
 			MaxInflight: maxInflight,
 			SubmitRate:  15,
 		},
@@ -265,32 +257,8 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Exercise the dispatcher queue bound directly: the buffered Submit path
-	// must shed at the bound with ErrOverload, never grow past it. Discard
-	// leaves no residue for the applied-state accounting.
-	li, err := c.WaitLeader(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := c.Dispatchers[li]
-	sheds := 0
-	for i := 0; i < maxQueue+3; i++ {
-		if err := d.Submit("deposit", map[string]value.Value{
-			"k": value.Int(0), "amt": value.Int(1),
-		}); err != nil {
-			if !errors.Is(err, flowctl.ErrOverload) {
-				t.Fatalf("queue shed error = %v, want flowctl.ErrOverload", err)
-			}
-			sheds++
-		}
-	}
-	if sheds != 3 {
-		t.Errorf("queue of %d shed %d of %d excess submits, want 3", maxQueue, sheds, maxQueue+3)
-	}
-	d.Discard()
-
 	h.finalBatch(rand.New(rand.NewSource(seed * 211)))
-	h.verify(maxQueue)
+	h.verify(maxInflight)
 
 	counters := in.Counters()
 	t.Logf("fault counters: %s", counters)
@@ -320,7 +288,7 @@ func TestOverloadChaosProperty(t *testing.T) {
 }
 
 func overloadPropertyRun(t *testing.T, seed int64) {
-	const maxQueue = 4
+	const maxInflight = 2
 	reg := bankRegistry(t)
 	c, err := replica.NewCluster(replica.ClusterConfig{
 		Replicas: 3,
@@ -331,8 +299,7 @@ func overloadPropertyRun(t *testing.T, seed int64) {
 		DataDir:      t.TempDir(),
 		QuorumSubmit: true,
 		Flow: flowctl.Config{
-			MaxQueue:    maxQueue,
-			MaxInflight: 2,
+			MaxInflight: maxInflight,
 			SubmitRate:  60,
 		},
 	})
@@ -391,5 +358,5 @@ func overloadPropertyRun(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	h.finalBatch(rand.New(rand.NewSource(seed * 211)))
-	h.verify(maxQueue)
+	h.verify(maxInflight)
 }

@@ -25,7 +25,7 @@ import (
 // encodeDecode round-trips one batch through the sequencer codec at a
 // synthetic commit index, exactly as the replica apply path would see it.
 func encodeDecode(idx uint64, ereqs []engine.Request) ([]engine.Request, error) {
-	data, err := sequencer.EncodeBatch(ereqs)
+	data, err := sequencer.EncodeBatchID("", ereqs)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +290,6 @@ func runSimOverloadSoak(t *testing.T, seed int64) (string, uint64) {
 			DataDir:      dir,
 			QuorumSubmit: true,
 			Flow: flowctl.Config{
-				MaxQueue:    4,
 				MaxInflight: 3,
 				SubmitRate:  15,
 			},

@@ -11,9 +11,7 @@ import (
 
 	"prognosticator/internal/engine"
 	"prognosticator/internal/lang"
-	"prognosticator/internal/raft"
 	"prognosticator/internal/replica"
-	"prognosticator/internal/sequencer"
 	"prognosticator/internal/store"
 	"prognosticator/internal/value"
 )
@@ -180,16 +178,12 @@ func soakRun(t *testing.T, tcp bool) {
 		for i, r := range reqs {
 			ereqs[i] = engine.Request{TxName: r.TxName, Inputs: r.Inputs}
 		}
-		data, err := sequencer.EncodeBatch(ereqs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		refIdx++
-		batch, err := sequencer.DecodeBatch(raft.Committed{Index: refIdx, Cmd: data})
+		decoded, err := encodeDecode(refIdx, ereqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := refExec.ExecuteBatch(batch.Requests); err != nil {
+		if _, err := refExec.ExecuteBatch(decoded); err != nil {
 			t.Fatal(err)
 		}
 	}

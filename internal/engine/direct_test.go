@@ -114,10 +114,6 @@ func TestDirectPreparationBitIdentical(t *testing.T) {
 		{Queue: QueueMulti, Fail: FailReenqueue, Workers: 4},
 		{Queue: QueueMulti, Fail: FailSequential, Workers: 4},
 		{Queue: QueueSingle, Fail: FailReenqueue, Workers: 2},
-		// Memoized direct instantiation must be invisible to the state: the
-		// cached key-sets are pure functions of the inputs.
-		{Queue: QueueMulti, Fail: FailReenqueue, Workers: 4,
-			DirectMemo: profile.NewDirectMemo(16, nil)},
 	} {
 		regSplit := bankRegistry(t)
 		stSplit := bankStore()

@@ -262,13 +262,8 @@ func (e *Engine) prepare(tx *Task, kv lang.KV, pr profile.PivotReader) (Work, er
 			// it from the key-set it replaces — and only pivot-dependent
 			// accesses touch the store.
 			var direct *profile.KeySet
-			switch {
-			case tx.KS != nil:
+			if tx.KS != nil {
 				direct = tx.KS.Direct()
-			case e.cfg.DirectMemo != nil:
-				if direct, err = e.cfg.DirectMemo.InstantiateDirect(tx.Prof, tx.Req.Inputs); err != nil {
-					return Work{}, fmt.Errorf("engine: instantiate direct %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
-				}
 			}
 			tx.KS, err = tx.Prof.InstantiateSplit(tx.Req.Inputs, pr, direct)
 			if err == nil {

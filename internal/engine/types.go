@@ -95,12 +95,6 @@ type Config struct {
 	// catalog reads then serialize the workload (see the
 	// BenchmarkAblationLockSharing results).
 	ExclusiveLocks bool
-	// DirectMemo, when non-nil, caches InstantiateDirect results for
-	// pivot-free DTs across requests (and across executors sharing the
-	// memo). The direct key-set is a pure function of the inputs, so the
-	// cache never goes stale; a dispatcher-side prewarmer (see
-	// Registry.DirectPrewarmer) can populate it before batches arrive.
-	DirectMemo *profile.DirectMemo
 	// RecordFootprints makes every committed execution record its observed
 	// read footprint and final write footprint (key → value fingerprint)
 	// into TxOutcome.ReadSet/WriteSet — the raw material for the
@@ -310,22 +304,6 @@ func NewRegistryWith(schema *lang.Schema, opts RegistryOptions, programs ...*lan
 		r.TableLocks[p.Name] = locks
 	}
 	return r, nil
-}
-
-// DirectPrewarmer returns a hook suitable for a dispatcher's submit path:
-// for pivot-free DTs it instantiates the direct key-set into memo, so the
-// engine's later preparation is a cache hit. Other classes are skipped (their
-// preparation never calls InstantiateDirect) and instantiation errors are
-// ignored — preparation will surface them with full request context.
-func (r *Registry) DirectPrewarmer(memo *profile.DirectMemo) func(txName string, inputs map[string]value.Value) {
-	return func(txName string, inputs map[string]value.Value) {
-		if memo == nil || !r.PivotFree[txName] {
-			return
-		}
-		if prof, ok := r.Profiles[txName]; ok {
-			_, _ = memo.InstantiateDirect(prof, inputs)
-		}
-	}
 }
 
 // formatErrorFindings renders the error-severity findings, one per line.

@@ -205,7 +205,6 @@ type Breaker struct {
 	consecutive int
 	openedAt    time.Time
 	probing     bool
-	trips       int64
 }
 
 // NewBreaker returns a closed breaker reading clk for its cooldown (nil =
@@ -259,13 +258,11 @@ func (b *Breaker) Failure() bool {
 		b.state = Open
 		b.openedAt = b.clk.Now()
 		b.probing = false
-		b.trips++
 		return true
 	}
 	if b.state == Closed && b.consecutive >= b.threshold {
 		b.state = Open
 		b.openedAt = b.clk.Now()
-		b.trips++
 		return true
 	}
 	return false
@@ -276,11 +273,4 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }

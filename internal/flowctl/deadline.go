@@ -31,11 +31,6 @@ func AfterClock(clk vclock.Clock, d time.Duration) Deadline {
 // At returns a deadline at the absolute wall time t.
 func At(t time.Time) Deadline { return Deadline{at: t} }
 
-// AtClock returns a deadline at the absolute time t by clk's clock.
-func AtClock(clk vclock.Clock, t time.Time) Deadline {
-	return Deadline{at: t, clk: vclock.Or(clk)}
-}
-
 // None returns the zero deadline (never expires).
 func None() Deadline { return Deadline{} }
 

@@ -1,10 +1,10 @@
 // Package flowctl is the end-to-end flow-control and retry subsystem for the
-// submit path: admission control (bounded dispatcher queues, a cluster-wide
-// inflight-batch limit, token-bucket rate limiting), deadline propagation (a
-// Deadline carried from SubmitBatch through every wait loop so no layer waits
-// past the caller's budget), and a retry policy (seeded jittered exponential
-// backoff, a per-client retry budget, and a circuit breaker tripping on
-// consecutive leader-routing failures).
+// submit path: admission control (a cluster-wide inflight-batch limit and
+// token-bucket rate limiting), deadline propagation (a Deadline carried from
+// SubmitBatch through every wait loop so no layer waits past the caller's
+// budget), and a retry policy (seeded jittered exponential backoff, a
+// per-client retry budget, and a circuit breaker tripping on consecutive
+// leader-routing failures).
 //
 // The paper's speedup only matters if the deterministic pipeline stays up
 // under sustained traffic; without bounds, a slow replica or a retry stampede
@@ -38,9 +38,9 @@ import (
 // Typed shed/loss errors. Callers match with errors.Is.
 var (
 	// ErrOverload marks a request shed by admission control before any
-	// proposal: a full dispatcher queue, the inflight-batch limit, an empty
-	// rate-limit token bucket, or an open circuit breaker. A request failing
-	// with ErrOverload was certainly never applied.
+	// proposal: the inflight-batch limit, an empty rate-limit token bucket,
+	// or an open circuit breaker. A request failing with ErrOverload was
+	// certainly never applied.
 	ErrOverload = errors.New("flowctl: overloaded: shed by admission control")
 	// ErrDeadlineExceeded marks a wait that ran out of the caller's budget.
 	// If the request had already been proposed, its outcome is ambiguous —
@@ -58,13 +58,10 @@ var (
 var ErrCircuitOpen = fmt.Errorf("%w: circuit breaker open", ErrOverload)
 
 // Config parameterizes a Controller. The zero value disables every limit:
-// unbounded queues and inflight, unlimited rate, unlimited retries, no
-// breaker — exactly the pre-flow-control behavior, so existing deployments
-// opt in knob by knob.
+// unbounded inflight, unlimited rate, unlimited retries, no breaker —
+// exactly the pre-flow-control behavior, so existing deployments opt in knob
+// by knob.
 type Config struct {
-	// MaxQueue bounds each dispatcher's buffered request queue; Submit
-	// beyond it sheds with ErrOverload (0 = unbounded).
-	MaxQueue int
 	// MaxInflight bounds concurrently admitted submit batches cluster-wide
 	// (0 = unbounded).
 	MaxInflight int
@@ -154,14 +151,6 @@ func (c *Controller) Counters() *metrics.CounterSet {
 		return nil
 	}
 	return c.counters
-}
-
-// MaxQueue returns the configured per-dispatcher queue bound.
-func (c *Controller) MaxQueue() int {
-	if c == nil {
-		return 0
-	}
-	return c.cfg.MaxQueue
 }
 
 // Admit runs the admission pipeline — breaker, inflight limit, rate bucket —

@@ -137,7 +137,7 @@ func TestNilControllerPermissive(t *testing.T) {
 	c.RecordSuccess()
 	c.RecordRouteFailure()
 	c.RecordRouteSuccess()
-	if c.Counters() != nil || c.MaxQueue() != 0 || c.Inflight() != 0 || c.InflightHighWater() != 0 {
+	if c.Counters() != nil || c.Inflight() != 0 || c.InflightHighWater() != 0 {
 		t.Fatal("nil controller accessors not zero")
 	}
 	if c.RetryBudgetBalance() != -1 || c.BreakerState() != Closed {

@@ -306,16 +306,6 @@ func (l *Linter) Run(p *lang.Program) []Finding {
 	return out
 }
 
-// RunAll lints several programs and concatenates their findings (each
-// program's findings sorted, programs in argument order).
-func (l *Linter) RunAll(progs ...*lang.Program) []Finding {
-	var out []Finding
-	for _, p := range progs {
-		out = append(out, l.Run(p)...)
-	}
-	return out
-}
-
 // SortFindings orders findings deterministically.
 func SortFindings(fs []Finding) {
 	sort.SliceStable(fs, func(i, j int) bool {

@@ -246,10 +246,9 @@ func strHash(s string) uint64 { return vclock.HashString(s) }
 
 // Endpoint is one addressable node on the network.
 type Endpoint struct {
-	name      string
-	net       *Network
-	inbox     chan Message
-	overflows int64 // guarded by net.mu
+	name  string
+	net   *Network
+	inbox chan Message
 }
 
 // Name returns the endpoint's address.
@@ -257,15 +256,6 @@ func (e *Endpoint) Name() string { return e.name }
 
 // Inbox returns the delivery channel.
 func (e *Endpoint) Inbox() <-chan Message { return e.inbox }
-
-// Overflows returns how many inbound messages were dropped because THIS
-// endpoint's inbox was full — the per-node backpressure signal (the
-// network-wide total is Stats.DroppedOverflow).
-func (e *Endpoint) Overflows() int64 {
-	e.net.mu.Lock()
-	defer e.net.mu.Unlock()
-	return e.overflows
-}
 
 // delayedSend is one message riding a delay timer toward its destination.
 type delayedSend struct {
@@ -348,7 +338,6 @@ func (n *Network) enqueueLocked(dst *Endpoint, msg Message) {
 		n.stats.Delivered++
 	default:
 		n.stats.DroppedOverflow++
-		dst.overflows++
 		n.mu.Unlock()
 		return
 	}

@@ -161,28 +161,6 @@ func (p *Profile) PivotFreeTraversal() bool { return !p.treeFacts().condPivot }
 // NumLeaves returns the number of <PSC, RWS> pairs in the profile.
 func (p *Profile) NumLeaves() int { return countLeaves(p.Root) }
 
-// DirectAccesses counts the accesses across all tree nodes that are marked
-// Direct, along with the total. The ratio is what prognolint reports when a
-// DT's direct key-set is provable client-side.
-func (p *Profile) DirectAccesses() (direct, total int) {
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n == nil {
-			return
-		}
-		for _, a := range n.Seg {
-			total++
-			if a.Direct {
-				direct++
-			}
-		}
-		walk(n.True)
-		walk(n.False)
-	}
-	walk(p.Root)
-	return direct, total
-}
-
 func countLeaves(n *Node) int {
 	if n == nil {
 		return 0

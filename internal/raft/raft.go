@@ -9,7 +9,7 @@
 // plus snapshot-based log compaction: the application hands the node an
 // opaque snapshot of its state machine at a committed index (Compact), the
 // log prefix up to that index is discarded, and followers too far behind the
-// compacted log are caught up with an InstallSnapshot RPC instead of entry
+// compacted log are caught up with InstallSnapshotChunk RPCs instead of entry
 // replay. Safety properties (election safety — including across restarts —
 // log matching, leader completeness for committed entries) are exercised by
 // the tests in this package over the memnet fault-injecting transport.
@@ -108,26 +108,11 @@ type AppendReply struct {
 	ConflictIndex uint64
 }
 
-// InstallSnapshot ships the leader's state-machine snapshot to a follower
-// whose next needed entry has been compacted away, in a single message —
-// the fast path for snapshots no larger than Config.SnapshotChunkSize.
-// Larger snapshots go through InstallSnapshotChunk.
-type InstallSnapshot struct {
-	Term     uint64
-	Leader   string
-	Index    uint64 // last log index covered by the snapshot
-	SnapTerm uint64 // term of that entry
-	Data     []byte
-}
-
-// InstallSnapshotReply acknowledges an InstallSnapshot.
-type InstallSnapshotReply struct {
-	Term  uint64
-	Index uint64 // follower's snapshot/commit coverage after handling
-}
-
-// InstallSnapshotChunk ships one contiguous piece of a large snapshot. The
-// follower stages chunks in arrival order (Offset must equal the bytes it
+// InstallSnapshotChunk ships one contiguous piece of the leader's
+// state-machine snapshot to a follower whose next needed entry has been
+// compacted away; a snapshot no larger than Config.SnapshotChunkSize is a
+// transfer of one chunk (Offset 0, Done on the first reply). The follower
+// stages chunks in arrival order (Offset must equal the bytes it
 // already holds) and installs once the buffer reaches Total. A chunk whose
 // Offset does not match is answered with the follower's actual cursor, so a
 // transfer interrupted by loss — or restarted from scratch after a follower
@@ -160,9 +145,10 @@ type Config struct {
 	ElectionTimeoutMin time.Duration
 	ElectionTimeoutMax time.Duration
 	HeartbeatInterval  time.Duration
-	// SnapshotChunkSize is the largest snapshot shipped as a single
-	// InstallSnapshot message; bigger snapshots stream as offset-addressed
-	// chunks of this size with per-chunk acks and resume (default 256 KiB).
+	// SnapshotChunkSize is the largest piece of a snapshot shipped in one
+	// InstallSnapshotChunk message; a bigger snapshot streams as
+	// offset-addressed chunks of this size with per-chunk acks and resume
+	// (default 256 KiB).
 	SnapshotChunkSize int
 	// Clock is the time source for election and heartbeat timers. Nil uses
 	// the wall clock; a vclock.Sim clock runs the node in virtual time, where
@@ -204,7 +190,7 @@ type Node struct {
 	votedFor string
 	// log holds the entries AFTER snap.Index: logical index i lives at
 	// log[i-snap.Index-1]. snap is the zero value until the first Compact
-	// or InstallSnapshot.
+	// or InstallSnapshotChunk.
 	log         []Entry
 	snap        Snapshot
 	commitIndex uint64
@@ -614,17 +600,9 @@ func (n *Node) sendAppendLocked(peer string) {
 	}
 	if next <= n.snap.Index {
 		// The entries the follower needs were compacted away: ship the
-		// snapshot instead and resume appends from its index. Small
-		// snapshots go in one message; larger ones stream in chunks from
-		// the per-peer cursor (a heartbeat lands here again and retransmits
-		// the outstanding chunk if its ack was lost).
-		if len(n.snap.Data) <= n.cfg.SnapshotChunkSize {
-			n.ep.Send(peer, InstallSnapshot{
-				Term: n.term, Leader: n.id,
-				Index: n.snap.Index, SnapTerm: n.snap.Term, Data: n.snap.Data,
-			})
-			return
-		}
+		// snapshot instead, in chunks from the per-peer cursor, and resume
+		// appends from its index (a heartbeat lands here again and
+		// retransmits the outstanding chunk if its ack was lost).
 		off := n.xfers[peer]
 		if off >= uint64(len(n.snap.Data)) {
 			// Cursor from a transfer of an older snapshot: restart.
@@ -658,10 +636,6 @@ func (n *Node) handle(msg memnet.Message) {
 		n.onAppendEntries(msg.From, rpc)
 	case AppendReply:
 		n.onAppendReply(msg.From, rpc)
-	case InstallSnapshot:
-		n.onInstallSnapshot(msg.From, rpc)
-	case InstallSnapshotReply:
-		n.onInstallSnapshotReply(msg.From, rpc)
 	case InstallSnapshotChunk:
 		n.onInstallSnapshotChunk(msg.From, rpc)
 	case InstallSnapshotChunkReply:
@@ -782,33 +756,9 @@ func (n *Node) onAppendEntries(from string, rpc AppendEntries) {
 	n.ep.Send(from, AppendReply{Term: n.term, Success: true, MatchIndex: match})
 }
 
-func (n *Node) onInstallSnapshot(from string, rpc InstallSnapshot) {
-	if rpc.Term > n.term {
-		n.stepDownLocked(rpc.Term)
-	}
-	if rpc.Term < n.term {
-		n.ep.Send(from, InstallSnapshotReply{Term: n.term, Index: n.snap.Index})
-		return
-	}
-	n.role = Follower
-	n.leaderHint = rpc.Leader
-	n.resetElectionDeadlineLocked()
-	if rpc.Index <= n.commitIndex {
-		// Stale: everything the snapshot covers is already committed
-		// here. Tell the leader how far we actually are.
-		n.ep.Send(from, InstallSnapshotReply{Term: n.term, Index: rpc.Index})
-		return
-	}
-	if !n.applySnapshotLocked(rpc.Index, rpc.SnapTerm, rpc.Data) {
-		return
-	}
-	n.ep.Send(from, InstallSnapshotReply{Term: n.term, Index: rpc.Index})
-}
-
 // applySnapshotLocked installs a fully received snapshot: retains any
 // matching log suffix, persists, delivers to the application in commit
-// order, and advances the commit index. Shared by the single-shot and
-// chunked paths.
+// order, and advances the commit index.
 func (n *Node) applySnapshotLocked(index, snapTerm uint64, data []byte) bool {
 	if n.termAtLocked(index) == snapTerm && index <= n.lastIndexLocked() {
 		// Existing entry matches the snapshot's last entry: retain the
@@ -906,7 +856,9 @@ func (n *Node) onInstallSnapshotChunk(from string, rpc InstallSnapshotChunk) {
 		n.ep.Send(from, InstallSnapshotChunkReply{Term: n.term, Index: rpc.Index, NextOffset: have})
 		return
 	}
-	data := append([]byte(nil), n.chunkBuf...)
+	// Non-nil even when empty: Committed.Snapshot != nil is what marks the
+	// record as a snapshot.
+	data := append([]byte{}, n.chunkBuf...)
 	n.chunkBuf, n.chunkIndex, n.chunkTerm, n.chunkTotal = nil, 0, 0, 0
 	if !n.applySnapshotLocked(rpc.Index, rpc.SnapTerm, data) {
 		return
@@ -943,23 +895,6 @@ func (n *Node) onInstallSnapshotChunkReply(from string, rpc InstallSnapshotChunk
 		return
 	}
 	n.sendChunkLocked(from, rpc.NextOffset)
-}
-
-func (n *Node) onInstallSnapshotReply(from string, rpc InstallSnapshotReply) {
-	if rpc.Term > n.term {
-		n.stepDownLocked(rpc.Term)
-		return
-	}
-	if n.role != Leader || rpc.Term != n.term {
-		return
-	}
-	if rpc.Index > n.matchIndex[from] {
-		n.matchIndex[from] = rpc.Index
-	}
-	n.nextIndex[from] = n.matchIndex[from] + 1
-	n.advanceCommitLocked()
-	// Continue catch-up with regular appends above the snapshot.
-	n.sendAppendLocked(from)
 }
 
 func (n *Node) onAppendReply(from string, rpc AppendReply) {
@@ -1027,6 +962,5 @@ func (n *Node) commitToLocked(idx uint64) {
 // (e.g. tcpnet's gob streams).
 func WireTypes() []any {
 	return []any{RequestVote{}, VoteReply{}, AppendEntries{}, AppendReply{},
-		InstallSnapshot{}, InstallSnapshotReply{},
 		InstallSnapshotChunk{}, InstallSnapshotChunkReply{}}
 }

@@ -64,7 +64,7 @@ type Replica struct {
 	snapCfg   SnapshotConfig
 	lastSnap  uint64 // raft index of the newest taken or installed snapshot
 	snapTaken int
-	installed int // snapshots installed from a leader's InstallSnapshot
+	installed int // snapshots installed from a leader's InstallSnapshotChunk transfer
 
 	// applyDelay throttles the apply loop (nanoseconds per batch) — the
 	// chaos slow-apply fault: a replica that falls behind without crashing.
@@ -318,7 +318,7 @@ func (r *Replica) snapshotLocked() error {
 		idx := snap.Index
 		// On a simulated clock this spawns a (short-lived) actor, so
 		// compaction timing — which decides whether a lagging follower is
-		// caught up by entry replay or InstallSnapshot — replays from the
+		// caught up by entry replay or a snapshot install — replays from the
 		// seed instead of racing the apply loop.
 		vclock.GoNamed(r.clk, "compact:"+r.ID, func() { _ = compact(idx, encoded) })
 	}

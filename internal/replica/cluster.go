@@ -10,30 +10,28 @@ import (
 	"prognosticator/internal/flowctl"
 	"prognosticator/internal/memnet"
 	"prognosticator/internal/raft"
-	"prognosticator/internal/sequencer"
 	"prognosticator/internal/store"
 	"prognosticator/internal/tcpnet"
 	"prognosticator/internal/vclock"
 	"prognosticator/internal/wal"
 )
 
-// Cluster is an in-process deployment: N Raft nodes, one replica each, and
-// a dispatcher per node. It is the top-level object the examples, tests,
-// cmd/replicad and the chaos harness drive. Consensus traffic flows over
-// simulated channels (memnet, the default) or real loopback TCP sockets
-// (tcpnet). With DataDir set, every node persists its Raft state and its
-// replica WAL, enabling per-replica Crash and Restart.
+// Cluster is an in-process deployment: N Raft nodes with one replica each.
+// It is the top-level object the examples, tests, cmd/replicad and the
+// chaos harness drive. Consensus traffic flows over simulated channels
+// (memnet, the default) or real loopback TCP sockets (tcpnet). With DataDir
+// set, every node persists its Raft state and its replica WAL, enabling
+// per-replica Crash and Restart.
 //
 // The exported slices are stable for the lifetime of the cluster object;
 // their ELEMENTS are replaced by Restart. Code that may run concurrently
 // with crash/restart (the chaos harness, SubmitBatch retries) must use the
 // accessor methods, which lock.
 type Cluster struct {
-	Net         *memnet.Network // nil when running over TCP
-	Endpoints   []*tcpnet.Endpoint
-	Nodes       []*raft.Node
-	Replicas    []*Replica
-	Dispatchers []*sequencer.Dispatcher
+	Net       *memnet.Network // nil when running over TCP
+	Endpoints []*tcpnet.Endpoint
+	Nodes     []*raft.Node
+	Replicas  []*Replica
 
 	cfg      ClusterConfig
 	clk      vclock.Clock
@@ -101,7 +99,7 @@ type ClusterConfig struct {
 	// after submit.
 	QuorumSubmit bool
 	// Flow is the admission/retry policy enforced on the submit path. The
-	// zero value disables every limit (unbounded queues, unlimited retries),
+	// zero value disables every limit (unbounded inflight, unlimited retries),
 	// preserving pre-flow-control behavior; Flow.Seed defaults to Seed so a
 	// seeded cluster has fully deterministic backoff jitter.
 	Flow flowctl.Config
@@ -166,7 +164,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.Nodes = make([]*raft.Node, n)
 	c.Replicas = make([]*Replica, n)
-	c.Dispatchers = make([]*sequencer.Dispatcher, n)
 	c.down = make([]bool, n)
 	c.generations = make([]int, n)
 	c.storages = make([]*raft.FileStorage, n)
@@ -193,9 +190,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 // startNode builds (or rebuilds, on restart) node i: transport endpoint,
 // raft node with optional persistent storage, a fresh store recovered from
-// the newest snapshot plus the WAL suffix above it, and a dispatcher. It
-// does not start the event loops. Callers hold no cluster lock; the built
-// components are installed under c.mu.
+// the newest snapshot plus the WAL suffix above it. It does not start the
+// event loops. Callers hold no cluster lock; the built components are
+// installed under c.mu.
 func (c *Cluster) startNode(i int) error {
 	id := c.ids[i]
 	c.mu.Lock()
@@ -270,12 +267,9 @@ func (c *Cluster) startNode(i int) error {
 			Compact: node.Compact,
 		})
 	}
-	disp := sequencer.NewDispatcher(node)
-	disp.SetMaxQueue(c.cfg.Flow.MaxQueue)
 	c.mu.Lock()
 	c.Nodes[i] = node
 	c.Replicas[i] = rep
-	c.Dispatchers[i] = disp
 	c.storages[i] = storage
 	c.wlogs[i] = wlog
 	c.recoveries[i] = recovered
@@ -314,12 +308,6 @@ func (c *Cluster) replica(i int) *Replica {
 	return c.Replicas[i]
 }
 
-func (c *Cluster) dispatcher(i int) *sequencer.Dispatcher {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Dispatchers[i]
-}
-
 // NodeAt returns node i (safe against concurrent Restart).
 func (c *Cluster) NodeAt(i int) *raft.Node { return c.node(i) }
 
@@ -342,14 +330,6 @@ func (c *Cluster) WALDir(i int) string {
 		return ""
 	}
 	return filepath.Join(c.dataDir, c.ids[i], "wal")
-}
-
-// RaftDir returns node i's Raft storage directory ("" without persistence).
-func (c *Cluster) RaftDir(i int) string {
-	if c.dataDir == "" {
-		return ""
-	}
-	return filepath.Join(c.dataDir, c.ids[i], "raft")
 }
 
 // SnapDir returns replica i's snapshot directory ("" without persistence).
@@ -515,18 +495,6 @@ func (c *Cluster) Flow() *flowctl.Controller { return c.flow }
 // deterministic tests, wall time otherwise. Chaos injectors use it to place
 // scheduler yield points at fault anchors.
 func (c *Cluster) Clock() vclock.Clock { return c.clk }
-
-// QueueHighWater returns the deepest any live dispatcher's request queue has
-// been — the overload-soak assertion that the configured bound held.
-func (c *Cluster) QueueHighWater() int {
-	hw := 0
-	for i := range c.ids {
-		if q := c.dispatcher(i).QueueHighWater(); q > hw {
-			hw = q
-		}
-	}
-	return hw
-}
 
 // SetApplyDelay throttles replica i's apply loop (the chaos slow-apply
 // fault; 0 restores full speed). The throttle survives Crash/Restart.

@@ -15,7 +15,7 @@ import (
 )
 
 func encodeForTest(reqs []engine.Request) ([]byte, error) {
-	return sequencer.EncodeBatch(reqs)
+	return sequencer.EncodeBatchID("", reqs)
 }
 
 func committedForTest(idx uint64, cmd []byte) raft.Committed {
@@ -491,14 +491,13 @@ func TestClusterSurvivesLeaderCrash(t *testing.T) {
 			}
 		}
 		if leaderIdx >= 0 {
-			d := c.Dispatchers[leaderIdx]
-			d.Submit("deposit", map[string]value.Value{"k": value.Int(3), "amt": value.Int(7)})
 			var err error
-			idx, err = d.Flush()
+			idx, err = sequencer.Propose(c.Nodes[leaderIdx], "", []engine.Request{
+				{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(3), "amt": value.Int(7)}},
+			})
 			if err == nil {
 				break
 			}
-			d.Discard()
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("no new leader accepted the batch")

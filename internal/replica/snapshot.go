@@ -20,7 +20,7 @@ import (
 // needed to resume exactly where the snapshot was taken. The same encoded
 // form serves three purposes — it is written to the replica's data dir
 // (crash recovery), handed to raft.Compact as the compaction payload, and
-// shipped verbatim inside InstallSnapshot to far-behind followers.
+// shipped verbatim inside InstallSnapshotChunk to far-behind followers.
 type StoreSnapshot struct {
 	// Index is the raft index of the last batch reflected in Pairs.
 	Index uint64 `json:"index"`

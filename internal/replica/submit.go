@@ -90,11 +90,11 @@ func (c *Cluster) SubmitBatchDeadline(reqs []Request, dl flowctl.Deadline) error
 			c.finishSubmit(id, proposed)
 			return err
 		}
-		d := c.dispatcher(li)
+		node := c.node(li)
 		// The floor must be on record before the first proposal exists
 		// anywhere: every occurrence of this ID will commit above it.
-		c.registerFloor(id, d.CommitIndex())
-		idx, err := d.ProposeBatch(id, ereqs)
+		c.registerFloor(id, node.CommitIndex())
+		idx, err := sequencer.Propose(node, id, ereqs)
 		if err != nil {
 			if !errors.Is(err, sequencer.ErrNotLeader) {
 				c.finishSubmit(id, proposed)
@@ -194,7 +194,7 @@ func (c *Cluster) finishSubmit(id string, proposed bool) {
 // drop the ID's first occurrence is then also past its last, so no replica
 // can prune the entry and later meet a committed duplicate.
 func (c *Cluster) ackCommit(leader int, id string) {
-	commit := c.dispatcher(leader).CommitIndex()
+	commit := c.node(leader).CommitIndex()
 	c.floorMu.Lock()
 	if f, ok := c.floors[id]; ok {
 		f.zombie = true

@@ -1,25 +1,25 @@
-// Package sequencer implements the Client Request Dispatcher of the paper's
-// architecture (§III-A, Fig. 1): it collects incoming transaction requests
-// into batches and runs them through consensus (internal/raft) so that every
-// replica receives the same batches in the same order. Sequence numbers are
-// derived from the Raft log position, so all replicas assign identical
-// sequence numbers without further coordination.
+// Package sequencer is the wire half of the paper's Client Request
+// Dispatcher (§III-A, Fig. 1): the codec that turns a client's batch into a
+// consensus command and back, and Propose, which hands one encoded batch to
+// a Raft node (internal/raft) so that every replica receives the same
+// batches in the same order. The client already submits whole batches
+// (replica.Cluster.SubmitBatch), so nothing is buffered here. Sequence
+// numbers are derived from the Raft log position, so all replicas assign
+// identical sequence numbers without further coordination.
 package sequencer
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"prognosticator/internal/engine"
-	"prognosticator/internal/flowctl"
 	"prognosticator/internal/raft"
 	"prognosticator/internal/value"
 )
 
-// ErrNotLeader is returned by Flush when this dispatcher's Raft node is not
-// the current leader; the caller should retry on the hinted node.
+// ErrNotLeader is returned by Propose when the Raft node is not the current
+// leader; the caller should retry on the hinted node.
 var ErrNotLeader = errors.New("sequencer: not leader")
 
 // Batch is the unit of consensus: an ordered list of transaction
@@ -44,14 +44,18 @@ type wireRequest struct {
 	Inputs map[string]value.Value `json:"in"`
 }
 
-// EncodeBatch serializes a batch for proposal without an idempotency ID.
-func EncodeBatch(reqs []engine.Request) ([]byte, error) {
-	return EncodeBatchID("", reqs)
-}
+// seqStride spaces per-batch sequence numbers; a batch may hold at most
+// seqStride requests.
+const seqStride = 1 << 20
 
 // EncodeBatchID serializes a batch carrying the given idempotency ID (empty
-// disables apply-time deduplication for this batch).
+// disables apply-time deduplication for this batch). A batch of more than
+// seqStride requests is rejected here, before it can reach consensus: once
+// committed, no replica could decode it and every apply loop would stop.
 func EncodeBatchID(id string, reqs []engine.Request) ([]byte, error) {
+	if len(reqs) > seqStride {
+		return nil, fmt.Errorf("sequencer: encode: batch has %d requests (max %d)", len(reqs), seqStride)
+	}
 	wb := wireBatch{ID: id, Requests: make([]wireRequest, len(reqs))}
 	for i, r := range reqs {
 		wb.Requests[i] = wireRequest{TxName: r.TxName, Inputs: r.Inputs}
@@ -63,22 +67,9 @@ func EncodeBatchID(id string, reqs []engine.Request) ([]byte, error) {
 	return data, nil
 }
 
-// seqStride spaces per-batch sequence numbers; a batch may hold at most
-// seqStride requests.
-const seqStride = 1 << 20
-
-// DecodeCommitted turns a committed Raft entry back into requests with
-// replica-consistent sequence numbers derived from the log index.
-func DecodeCommitted(c raft.Committed) ([]engine.Request, error) {
-	b, err := DecodeBatch(c)
-	if err != nil {
-		return nil, err
-	}
-	return b.Requests, nil
-}
-
-// DecodeBatch is DecodeCommitted returning the full batch, including the
-// idempotency ID the submitter attached (empty when none).
+// DecodeBatch turns a committed Raft entry back into a batch: the requests,
+// with replica-consistent sequence numbers derived from the log index, and
+// the idempotency ID the submitter attached (empty when none).
 func DecodeBatch(c raft.Committed) (Batch, error) {
 	var wb wireBatch
 	if err := json.Unmarshal(c.Cmd, &wb); err != nil {
@@ -99,158 +90,21 @@ func DecodeBatch(c raft.Committed) (Batch, error) {
 	return b, nil
 }
 
-// Dispatcher buffers client requests and proposes them as batches through
-// its Raft node. Safe for concurrent use.
-type Dispatcher struct {
-	node     *raft.Node
-	mu       sync.Mutex
-	buf      []engine.Request
-	maxQueue int // 0 = unbounded
-	queueHW  int
-	shed     int
-	prewarm  func(txName string, inputs map[string]value.Value)
-}
-
-// NewDispatcher returns a dispatcher proposing through node.
-func NewDispatcher(node *raft.Node) *Dispatcher {
-	return &Dispatcher{node: node}
-}
-
-// SetPrewarm registers a hook invoked on every Submit with the request's
-// transaction name and inputs — the paper's client-side prediction done at
-// dispatch time: engine.Registry.DirectPrewarmer uses it to instantiate the
-// input-only key-sets of pivot-free DTs into a shared memo while the batch
-// is still being buffered, so the replicas' preparation phase hits the
-// cache. The hook runs outside the dispatcher lock.
-func (d *Dispatcher) SetPrewarm(fn func(txName string, inputs map[string]value.Value)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.prewarm = fn
-}
-
-// SetMaxQueue bounds the buffered request queue: a Submit that would push the
-// depth past n sheds with flowctl.ErrOverload instead of growing the buffer
-// (0 restores the unbounded default). The bound is what keeps a stalled
-// leader from turning into unbounded dispatcher memory under sustained
-// submit pressure.
-func (d *Dispatcher) SetMaxQueue(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.maxQueue = n
-}
-
-// QueueHighWater returns the deepest the request queue has ever been — the
-// soak assertion that the configured bound actually held.
-func (d *Dispatcher) QueueHighWater() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.queueHW
-}
-
-// Shed returns how many Submits were rejected by the queue bound.
-func (d *Dispatcher) Shed() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.shed
-}
-
-// Submit buffers one request for the next batch. With a queue bound set it
-// sheds deterministically — the request is rejected with an error wrapping
-// flowctl.ErrOverload, never queued — once the buffer is full. The error
-// may be ignored by callers running without a bound (the zero-config
-// dispatcher never sheds).
-func (d *Dispatcher) Submit(txName string, inputs map[string]value.Value) error {
-	d.mu.Lock()
-	if d.maxQueue > 0 && len(d.buf) >= d.maxQueue {
-		d.shed++
-		d.mu.Unlock()
-		return fmt.Errorf("%w: dispatcher queue full (%d buffered)", flowctl.ErrOverload, d.maxQueue)
-	}
-	fn := d.prewarm
-	d.buf = append(d.buf, engine.Request{TxName: txName, Inputs: inputs})
-	if len(d.buf) > d.queueHW {
-		d.queueHW = len(d.buf)
-	}
-	d.mu.Unlock()
-	if fn != nil {
-		fn(txName, inputs)
-	}
-	return nil
-}
-
-// Discard drops any buffered requests (used when a caller re-routes a
-// batch to a different node after a leadership change).
-func (d *Dispatcher) Discard() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.buf = d.buf[:0]
-}
-
-// CommitIndex exposes the underlying node's commit index — the submit layer
-// reads it at acknowledgment time to derive the dedup pruning watermark.
-func (d *Dispatcher) CommitIndex() uint64 {
-	return d.node.CommitIndex()
-}
-
-// Pending returns the number of buffered requests.
-func (d *Dispatcher) Pending() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.buf)
-}
-
-// Flush proposes the buffered requests as one batch without an idempotency
-// ID. It returns the Raft index assigned to the batch. On ErrNotLeader the
-// buffer is preserved so the client can retry after re-routing.
-func (d *Dispatcher) Flush() (uint64, error) {
-	return d.FlushAs("")
-}
-
-// FlushAs is Flush with an explicit idempotency ID. A caller that must
-// resubmit a batch after an ambiguous outcome (the proposal may or may not
-// have committed before leadership moved) re-flushes the same requests with
-// the same ID through the new leader; replicas apply the first committed
-// occurrence and skip any later duplicate.
-func (d *Dispatcher) FlushAs(id string) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.buf) == 0 {
-		return 0, nil
-	}
-	data, err := EncodeBatchID(id, d.buf)
-	if err != nil {
-		return 0, err
-	}
-	idx, _, ok := d.node.Propose(data)
-	if !ok {
-		return 0, fmt.Errorf("%w (hint: %s)", ErrNotLeader, d.node.LeaderHint())
-	}
-	d.buf = d.buf[:0]
-	return idx, nil
-}
-
-// ProposeBatch proposes reqs as one batch with the given idempotency ID,
-// bypassing the shared buffer entirely: the batch is encoded and handed to
-// Raft in a single step, so concurrent submitters can never interleave their
-// requests into each other's batches (Submit+FlushAs is only batch-atomic
-// for a serial caller). The prewarm hook still runs for every request. On
-// ErrNotLeader nothing is retained — the caller re-routes and re-proposes.
-func (d *Dispatcher) ProposeBatch(id string, reqs []engine.Request) (uint64, error) {
-	d.mu.Lock()
-	fn := d.prewarm
-	d.mu.Unlock()
-	if fn != nil {
-		for _, r := range reqs {
-			fn(r.TxName, r.Inputs)
-		}
-	}
+// Propose encodes reqs as one batch with the given idempotency ID and hands
+// it to node in a single step, returning the Raft index the batch was
+// assigned. A caller that must resubmit a batch after an ambiguous outcome
+// (the proposal may or may not have committed before leadership moved)
+// proposes the same requests with the same ID through the new leader;
+// replicas apply the first committed occurrence and skip any later
+// duplicate. On ErrNotLeader nothing was proposed — the caller re-routes.
+func Propose(node *raft.Node, id string, reqs []engine.Request) (uint64, error) {
 	data, err := EncodeBatchID(id, reqs)
 	if err != nil {
 		return 0, err
 	}
-	idx, _, ok := d.node.Propose(data)
+	idx, _, ok := node.Propose(data)
 	if !ok {
-		return 0, fmt.Errorf("%w (hint: %s)", ErrNotLeader, d.node.LeaderHint())
+		return 0, fmt.Errorf("%w (hint: %s)", ErrNotLeader, node.LeaderHint())
 	}
 	return idx, nil
 }

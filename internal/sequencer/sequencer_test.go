@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"prognosticator/internal/engine"
-	"prognosticator/internal/flowctl"
 	"prognosticator/internal/memnet"
 	"prognosticator/internal/raft"
 	"prognosticator/internal/value"
@@ -20,14 +19,15 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 			"s": value.Str("hello"), "l": value.List(value.Int(1), value.Int(2)),
 		}},
 	}
-	data, err := EncodeBatch(reqs)
+	data, err := EncodeBatchID("", reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeCommitted(raft.Committed{Index: 3, Cmd: data})
+	b, err := DecodeBatch(raft.Committed{Index: 3, Cmd: data})
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := b.Requests
 	if len(back) != 2 {
 		t.Fatalf("decoded %d requests", len(back))
 	}
@@ -44,30 +44,47 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := DecodeCommitted(raft.Committed{Index: 1, Cmd: []byte("{bad")}); err == nil {
+	if _, err := DecodeBatch(raft.Committed{Index: 1, Cmd: []byte("{bad")}); err == nil {
 		t.Fatal("malformed batch must error")
+	}
+}
+
+// TestEncodeRejectsOverlongBatch pins where the seqStride bound is enforced:
+// at encode time, before anything reaches raft. A batch that only DecodeBatch
+// rejected would already be committed, and its decode error would stop every
+// replica's apply loop. Zero-value requests suffice: the bound is checked
+// before marshalling.
+func TestEncodeRejectsOverlongBatch(t *testing.T) {
+	big := make([]engine.Request, seqStride+1)
+	if _, err := EncodeBatchID("big", big); err == nil {
+		t.Fatalf("EncodeBatchID accepted %d requests (max %d)", len(big), seqStride)
+	}
+	// Propose fails the same way, without touching the node.
+	if _, err := Propose(nil, "big", big); err == nil || errors.Is(err, ErrNotLeader) {
+		t.Fatalf("Propose of an over-long batch: err = %v, want an encode error", err)
 	}
 }
 
 func TestSeqOrderingAcrossBatches(t *testing.T) {
 	// Seq numbers from a later raft index always exceed those from an
 	// earlier one — the global total order the engine relies on.
-	b1, _ := EncodeBatch(make([]engine.Request, 3))
-	b2, _ := EncodeBatch(make([]engine.Request, 3))
-	r1, err := DecodeCommitted(raft.Committed{Index: 1, Cmd: b1})
+	e1, _ := EncodeBatchID("", make([]engine.Request, 3))
+	e2, _ := EncodeBatchID("", make([]engine.Request, 3))
+	b1, err := DecodeBatch(raft.Committed{Index: 1, Cmd: e1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DecodeCommitted(raft.Committed{Index: 2, Cmd: b2})
+	b2, err := DecodeBatch(raft.Committed{Index: 2, Cmd: e2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1, r2 := b1.Requests, b2.Requests
 	if r1[len(r1)-1].Seq >= r2[0].Seq {
 		t.Fatalf("batch seq ranges overlap: %d vs %d", r1[len(r1)-1].Seq, r2[0].Seq)
 	}
 }
 
-func TestDispatcherFlushThroughRaft(t *testing.T) {
+func TestProposeThroughRaft(t *testing.T) {
 	net := memnet.New(1)
 	node := raft.NewNode("n0", []string{"n0"}, net, raft.Config{
 		ElectionTimeoutMin: 20 * time.Millisecond,
@@ -88,81 +105,32 @@ func TestDispatcherFlushThroughRaft(t *testing.T) {
 		}
 		vclock.Wall.Sleep(5 * time.Millisecond)
 	}
-	d := NewDispatcher(node)
-	if idx, err := d.Flush(); err != nil || idx != 0 {
-		t.Fatalf("empty flush = %d, %v", idx, err)
-	}
-	d.Submit("tx1", map[string]value.Value{"x": value.Int(7)})
-	d.Submit("tx2", nil)
-	if d.Pending() != 2 {
-		t.Fatalf("pending = %d", d.Pending())
-	}
-	idx, err := d.Flush()
+	idx, err := Propose(node, "b1", []engine.Request{
+		{TxName: "tx1", Inputs: map[string]value.Value{"x": value.Int(7)}},
+		{TxName: "tx2"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Pending() != 0 {
-		t.Fatal("buffer not cleared after flush")
-	}
-	// The committed entry decodes back to the submitted batch.
+	// The committed entry decodes back to the proposed batch.
 	select {
 	case c := <-node.Apply():
 		if c.Index != idx {
 			t.Fatalf("applied index %d, want %d", c.Index, idx)
 		}
-		reqs, err := DecodeCommitted(c)
+		b, err := DecodeBatch(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(reqs) != 2 || reqs[0].TxName != "tx1" || reqs[1].TxName != "tx2" {
-			t.Fatalf("decoded %+v", reqs)
+		if reqs := b.Requests; b.ID != "b1" || len(reqs) != 2 || reqs[0].TxName != "tx1" || reqs[1].TxName != "tx2" {
+			t.Fatalf("decoded %+v", b)
 		}
 	case <-vclock.Wall.After(2 * time.Second):
 		t.Fatal("batch never committed")
 	}
 }
 
-// TestDispatcherQueueShedding pins the bounded-queue admission behavior:
-// with SetMaxQueue the dispatcher sheds (never queues) excess submits with
-// an error wrapping flowctl.ErrOverload, the high-water mark stops at the
-// bound, and draining the buffer re-opens admission.
-func TestDispatcherQueueShedding(t *testing.T) {
-	d := NewDispatcher(nil)
-	d.SetMaxQueue(3)
-	for i := 0; i < 3; i++ {
-		if err := d.Submit("tx", nil); err != nil {
-			t.Fatalf("submit %d under the bound rejected: %v", i, err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		err := d.Submit("tx", nil)
-		if !errors.Is(err, flowctl.ErrOverload) {
-			t.Fatalf("over-bound submit error = %v, want flowctl.ErrOverload", err)
-		}
-	}
-	if d.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3 (shed submits must not be queued)", d.Pending())
-	}
-	if hw := d.QueueHighWater(); hw != 3 {
-		t.Fatalf("queue high water = %d, want 3", hw)
-	}
-	if shed := d.Shed(); shed != 2 {
-		t.Fatalf("shed = %d, want 2", shed)
-	}
-	d.Discard()
-	if err := d.Submit("tx", nil); err != nil {
-		t.Fatalf("submit after discard rejected: %v", err)
-	}
-	// Unlimited by default: a zero bound never sheds.
-	u := NewDispatcher(nil)
-	for i := 0; i < 64; i++ {
-		if err := u.Submit("tx", nil); err != nil {
-			t.Fatalf("unbounded submit %d rejected: %v", i, err)
-		}
-	}
-}
-
-func TestFlushNotLeader(t *testing.T) {
+func TestProposeNotLeader(t *testing.T) {
 	net := memnet.New(2)
 	// Two-node cluster where the peer does not exist: n0 can never win an
 	// election... it needs 2 votes of 2. It stays follower/candidate.
@@ -174,42 +142,8 @@ func TestFlushNotLeader(t *testing.T) {
 	node.Start()
 	defer node.Stop()
 	defer net.Close()
-	d := NewDispatcher(node)
-	d.Submit("tx", nil)
-	_, err := d.Flush()
+	_, err := Propose(node, "b1", []engine.Request{{TxName: "tx"}})
 	if !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("err = %v, want ErrNotLeader", err)
-	}
-	if d.Pending() != 1 {
-		t.Fatal("buffer must survive a failed flush")
-	}
-}
-
-// TestDispatcherPrewarm checks the submit-path hook: it fires once per
-// Submit with the request's name and inputs, and Submit keeps working (and
-// never fires the hook) when none is registered.
-func TestDispatcherPrewarm(t *testing.T) {
-	d := NewDispatcher(nil) // Submit never touches the raft node
-	d.Submit("cold", nil)
-
-	type call struct {
-		tx     string
-		inputs map[string]value.Value
-	}
-	var calls []call
-	d.SetPrewarm(func(txName string, inputs map[string]value.Value) {
-		calls = append(calls, call{txName, inputs})
-	})
-	in := map[string]value.Value{"x": value.Int(7)}
-	d.Submit("tx1", in)
-	d.Submit("tx2", nil)
-	if d.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", d.Pending())
-	}
-	if len(calls) != 2 || calls[0].tx != "tx1" || calls[1].tx != "tx2" {
-		t.Fatalf("prewarm calls = %+v", calls)
-	}
-	if v, ok := calls[0].inputs["x"]; !ok || !v.Equal(value.Int(7)) {
-		t.Fatalf("prewarm inputs = %v", calls[0].inputs)
 	}
 }

@@ -113,10 +113,6 @@ type (
 	Class = profile.Class
 	// AnalysisOptions configures the symbolic execution.
 	AnalysisOptions = symexec.Options
-	// DirectMemo caches client-side predicted key-sets per (tx, inputs);
-	// wire one into EngineConfig.DirectMemo and, via
-	// Registry.DirectPrewarmer, into Dispatcher.SetPrewarm.
-	DirectMemo = profile.DirectMemo
 )
 
 // Transaction classes.
@@ -135,9 +131,6 @@ var (
 	// MarshalProfile / UnmarshalProfile serialize profiles.
 	MarshalProfile   = profile.Marshal
 	UnmarshalProfile = profile.Unmarshal
-	// NewDirectMemo returns a bounded LRU for client-side predicted
-	// key-sets (counters may be nil).
-	NewDirectMemo = profile.NewDirectMemo
 )
 
 // Storage.
