@@ -10,6 +10,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -114,6 +115,13 @@ type Injector struct {
 	stepMu      sync.Mutex
 	partitioned bool // guarded by stepMu
 	slowed      bool // guarded by stepMu: some replica has an apply throttle
+	// Loss exposure, guarded by stepMu: the probability in force, the count
+	// of the fabric's loss decisions when it came into force, and the log of
+	// the odds that every decision made under loss so far let its message
+	// through (see LossFreeOdds).
+	lossP       float64
+	lossBase    int64
+	lossFreeLog float64
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -332,11 +340,11 @@ func (in *Injector) apply(f Fault) (bool, error) {
 		in.mu.Lock()
 		p := 0.05 + in.rng.Float64()*0.20
 		in.mu.Unlock()
-		in.c.SetLoss(p)
+		in.setLoss(p)
 		return true, nil
 
 	case ClearLoss:
-		in.c.SetLoss(0)
+		in.setLoss(0)
 		return true, nil
 
 	case InjectDelay:
@@ -386,6 +394,33 @@ func (in *Injector) apply(f Fault) (bool, error) {
 	return false, fmt.Errorf("unknown fault %d", int(f))
 }
 
+// setLoss puts message-loss probability p in force (0 lifts it) and closes
+// the books on the probability it replaces: the memnet fabric made some
+// number of keep-or-drop decisions under that one, each keeping its message
+// with probability 1-p. Callers hold stepMu.
+func (in *Injector) setLoss(p float64) {
+	if in.c.Net != nil {
+		st := in.c.Net.Stats()
+		decided := st.Delivered + st.DroppedLoss + st.DroppedOverflow
+		in.lossFreeLog += float64(decided-in.lossBase) * math.Log1p(-in.lossP)
+		in.lossBase = decided
+	}
+	in.lossP = p
+	in.c.SetLoss(p)
+}
+
+// LossFreeOdds returns the probability that the loss steps applied so far
+// dropped no message at all, given how many messages the memnet fabric was
+// offered while each was in force: 1 when none was, or when loss and
+// clear-loss fired back to back with nothing sent in between. A soak may
+// demand loss drops only when this is negligible. Loss still in force is
+// counted up to the last loss, clear-loss or Quiesce.
+func (in *Injector) LossFreeOdds() float64 {
+	in.stepMu.Lock()
+	defer in.stepMu.Unlock()
+	return math.Exp(in.lossFreeLog)
+}
+
 // pickLive returns a random live replica index, or -1.
 func (in *Injector) pickLive() int {
 	var live []int
@@ -413,7 +448,7 @@ func (in *Injector) Quiesce(within time.Duration) error {
 	if in.c.Net != nil {
 		in.c.Net.Heal()
 	}
-	in.c.SetLoss(0)
+	in.setLoss(0)
 	in.c.SetDelay(0, 0)
 	if in.slowed {
 		for i := 0; i < in.c.Size(); i++ {

@@ -2,10 +2,16 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
+	"time"
 
+	"prognosticator/internal/engine"
+	"prognosticator/internal/replica"
+	"prognosticator/internal/store"
+	"prognosticator/internal/vclock"
 	"prognosticator/internal/wal"
 )
 
@@ -144,6 +150,73 @@ func TestCorruptTailEmptyLog(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNothingToCorrupt", err)
 	}
 	if _, err := os.Stat(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLossFreeOdds: the odds that loss dropped nothing stay 1 while loss and
+// clear-loss fire with nothing sent in between, and fall with every message
+// the fabric is offered while loss is in force — which is what lets a soak
+// demand loss drops exactly when traffic ran under loss.
+func TestLossFreeOdds(t *testing.T) {
+	sim := vclock.NewSim(3)
+	clk := sim.Clock()
+	reg := bankRegistry(t)
+	if err := sim.Run(func() {
+		c, err := replica.NewCluster(replica.ClusterConfig{
+			Replicas: 3, Seed: 3, Clock: clk,
+			NewExecutor: func(id string, st *store.Store) (engine.Executor, error) {
+				return engine.New(reg, st, engine.Config{Workers: 2}), nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
+		if _, err := c.WaitLeader(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		in := New(c, Config{Seed: 3})
+		step := func(f Fault) {
+			in.stepMu.Lock()
+			defer in.stepMu.Unlock()
+			if _, err := in.apply(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// On the simulated clock nothing runs between two calls of this
+		// actor, so back to back means no message in between.
+		step(InjectLoss)
+		step(ClearLoss)
+		if got := in.LossFreeOdds(); got != 1 {
+			t.Errorf("odds after loss, clear-loss back to back = %v, want 1", got)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 3; i++ { // traffic without loss does not count
+			if err := c.SubmitBatch(bankBatch(rng, 4), 30*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := in.LossFreeOdds(); got != 1 {
+			t.Errorf("odds after loss-free traffic = %v, want 1", got)
+		}
+		step(InjectLoss)
+		before := c.Net.Stats()
+		for i := 0; i < 10; i++ {
+			if err := c.SubmitBatch(bankBatch(rng, 4), 30*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := in.Quiesce(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		after := c.Net.Stats()
+		offered := after.Delivered + after.DroppedLoss - before.Delivered - before.DroppedLoss
+		// At the lowest loss rate a step draws, 5 %.
+		if got, most := in.LossFreeOdds(), math.Pow(0.95, float64(offered)); got > most || got <= 0 {
+			t.Errorf("odds after %d messages under loss = %v, want in (0, %v]", offered, got, most)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -180,6 +180,11 @@ func runSimChaosSoak(t *testing.T, seed int64) (string, uint64) {
 			t.Fatalf("final batch: %v", err)
 		}
 		mirror(final)
+		// QuorumSubmit acknowledges on a majority: wait for the third replica
+		// before comparing all three states.
+		if err := c.WaitCaughtUp(60 * time.Second); err != nil {
+			t.Fatal(err)
+		}
 
 		if !c.Converged() {
 			t.Fatalf("replicas diverged after quiesce: %v", c.StateHashes())
@@ -242,10 +247,15 @@ func TestSimChaosSoak(t *testing.T) {
 //	go test -run TestGoldenSeedReplay -v ./internal/chaos
 //
 // and copying the hashes from the failure output.
+//
+// The trace hash was last re-pinned when the acknowledgement path became
+// event-driven (the leader's commit notices add messages, submitters wake on
+// the apply instead of a backoff step, so every batch is acknowledged at an
+// earlier virtual instant); the state hash did not move.
 const (
 	goldenSeed             = 42
 	goldenStateHash uint64 = 0xbfde4f046cd3036f
-	goldenTraceHash uint64 = 0x1f4f593a10dab785
+	goldenTraceHash uint64 = 0x02f3502a6f551ba4
 )
 
 // TestGoldenSeedReplay is the cross-machine regression pin for bit-stable
@@ -537,4 +547,78 @@ func simSerializabilityRun(t *testing.T, seed int64, reg *engine.Registry, popul
 		t.Fatal(err)
 	}
 	return rec
+}
+
+// TestSimAckLatency holds the acknowledgement path to being event-driven. On
+// a fault-free simulated cluster with zero network delay nothing between a
+// proposal and its acknowledgement takes virtual time — replication, the
+// leader's commit notice, the applies and the submitter's wake-up are all
+// message- or signal-driven — so every SubmitBatch must return in less
+// virtual time than one raft tick. A follower that learnt the commit index
+// from the next heartbeat, or a submitter that polled for the apply under
+// backoff, would each add a tick or a backoff step (20 ms and 1 ms up here).
+func TestSimAckLatency(t *testing.T) {
+	seed := soakSeed(t)
+	const batchesEach = 12
+	reg := bankRegistry(t)
+	for _, tc := range []struct {
+		name       string
+		quorum     bool
+		submitters int
+	}{
+		{"all-replicas/1-submitter", false, 1},
+		{"all-replicas/2-submitters", false, 2},
+		{"quorum/1-submitter", true, 1},
+		{"quorum/2-submitters", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := vclock.NewSim(seed)
+			clk := sim.Clock()
+			const heartbeat = 40 * time.Millisecond
+			const tick = heartbeat / 2 // raft's timer period
+			if err := sim.Run(func() {
+				c, err := replica.NewCluster(replica.ClusterConfig{
+					Replicas: 3, Seed: seed, Clock: clk,
+					Raft:         raft.Config{HeartbeatInterval: heartbeat},
+					QuorumSubmit: tc.quorum,
+					NewExecutor: func(id string, st *store.Store) (engine.Executor, error) {
+						return engine.New(reg, st, engine.Config{Workers: 2}), nil
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Stop()
+				if _, err := c.WaitLeader(10 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				done := 0
+				for s := 0; s < tc.submitters; s++ {
+					rng := rand.New(rand.NewSource(seed*977 + int64(s)))
+					vclock.GoNamed(clk, fmt.Sprintf("submitter-%d", s), func() {
+						defer func() { done++ }()
+						for b := 0; b < batchesEach; b++ {
+							start := clk.Now()
+							if err := c.SubmitBatch(bankBatch(rng, 4), 10*time.Second); err != nil {
+								t.Errorf("batch %d: %v", b, err)
+								return
+							}
+							if took := clk.Since(start); took >= tick {
+								t.Errorf("batch %d acknowledged after %v of virtual time, want under one raft tick (%v)", b, took, tick)
+							}
+						}
+					})
+				}
+				vclock.Await(clk, func() bool { return done == tc.submitters })
+				if err := c.WaitCaughtUp(10 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				if !c.Converged() {
+					t.Errorf("replicas diverged: %x", c.StateHashes())
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -232,6 +232,11 @@ func soakRun(t *testing.T, tcp bool) {
 		t.Fatalf("final batch: %v", err)
 	}
 	mirror(final)
+	// QuorumSubmit acknowledges on a majority: wait for the third replica
+	// before comparing all three states.
+	if err := c.WaitCaughtUp(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	batches++
 
 	// Convergence: all replicas identical, and identical to the reference.
@@ -296,8 +301,12 @@ func soakRun(t *testing.T, tcp bool) {
 		if counters.Value("partition-leader") > 0 && stats.DroppedPartition == 0 {
 			t.Error("partition applied but no partition drops counted")
 		}
-		if counters.Value("loss") > 0 && stats.DroppedLoss == 0 {
-			t.Error("loss applied but no loss drops counted")
+		// Loss must show as drops unless too little was sent under it: a plan
+		// can fire loss and clear-loss with no traffic in between.
+		odds := in.LossFreeOdds()
+		t.Logf("odds that the loss steps dropped nothing: %.3g", odds)
+		if counters.Value("loss") > 0 && stats.DroppedLoss == 0 && odds < 1e-4 {
+			t.Errorf("loss applied but no loss drops counted (odds of that by chance: %.3g)", odds)
 		}
 	}
 	kills := counters.Value("kill-leader") + counters.Value("kill-random")

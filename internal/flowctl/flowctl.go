@@ -145,7 +145,8 @@ func NewController(cfg Config) *Controller {
 }
 
 // Counters returns the controller's counter set: admitted, shed-inflight,
-// shed-rate, shed-breaker, retries, retry-budget-exhausted, breaker-trips.
+// shed-rate, shed-breaker, retries, retry-budget-exhausted, breaker-trips,
+// backoffs (wait loops that had to start backing off).
 func (c *Controller) Counters() *metrics.CounterSet {
 	if c == nil {
 		return nil
@@ -243,6 +244,7 @@ func (c *Controller) NewBackoff() *Backoff {
 		return NewBackoff(BackoffConfig{}, 1)
 	}
 	ord := c.seedCtr.Add(1)
+	c.counters.Add("backoffs", 1)
 	return NewBackoffClock(c.cfg.Backoff, c.cfg.Seed+ord*2654435761, c.cfg.Clock)
 }
 

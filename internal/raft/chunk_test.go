@@ -222,9 +222,7 @@ func TestSnapshotShipsInChunks(t *testing.T) {
 			if !ok {
 				t.Fatal("leader refused a proposal after the transfer")
 			}
-			h.pump()
-			leader.tick() // the next heartbeat carries the advanced commit index
-			h.pump()
+			h.pump() // the leader's commit notice rides the same pump: no tick
 			select {
 			case got := <-behind.Apply():
 				if got.Snapshot != nil || got.Index != idx || string(got.Cmd) != "after-install" {

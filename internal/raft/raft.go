@@ -197,7 +197,11 @@ type Node struct {
 	votes       map[string]bool
 	nextIndex   map[string]uint64
 	matchIndex  map[string]uint64
-	leaderHint  string
+	// commitSent is, per peer, the commit index the peer reaches if it
+	// accepts what it was last sent: LeaderCommit bounded by the last index
+	// that message covered. notifyCommitLocked sends when it falls behind.
+	commitSent map[string]uint64
+	leaderHint string
 
 	// Chunked snapshot transfer state. Leader side: xfers holds, per peer
 	// mid-transfer, the offset of the outstanding (unacked) chunk — the
@@ -250,9 +254,10 @@ func NewNodeWithTransport(id string, peers []string, tr Transport, cfg Config, s
 		ep: tr, clk: vclock.Or(cfg.Clock), seed: seed,
 		role: Follower, votes: map[string]bool{},
 		nextIndex: map[string]uint64{}, matchIndex: map[string]uint64{},
-		xfers:   map[string]uint64{},
-		applyCh: make(chan Committed, 4096),
-		stopCh:  make(chan struct{}),
+		commitSent: map[string]uint64{},
+		xfers:      map[string]uint64{},
+		applyCh:    make(chan Committed, 4096),
+		stopCh:     make(chan struct{}),
 	}
 }
 
@@ -572,6 +577,7 @@ func (n *Node) becomeLeaderLocked() {
 	for _, p := range n.peers {
 		n.nextIndex[p] = lastIdx + 1
 		n.matchIndex[p] = 0
+		n.commitSent[p] = 0
 	}
 	n.matchIndex[n.id] = lastIdx
 	n.broadcastAppendLocked()
@@ -617,10 +623,36 @@ func (n *Node) sendAppendLocked(peer string) {
 	if next <= n.lastIndexLocked() {
 		entries = append(entries, n.log[next-n.snap.Index-1:]...)
 	}
+	// The suffix always reaches the leader's last index, which the commit
+	// index never exceeds.
+	n.commitSent[peer] = n.commitIndex
 	n.ep.Send(peer, AppendEntries{
 		Term: n.term, Leader: n.id,
 		PrevLogIndex: prevIdx, PrevLogTerm: prevTerm,
 		Entries: entries, LeaderCommit: n.commitIndex,
+	})
+}
+
+// notifyCommitLocked tells peer at once about a commit index it can act on
+// and has not been sent: one AppendEntries with no entries, anchored at the
+// peer's acknowledged match index, which the follower's commit rule (bounded
+// by that anchor) turns into min(commitIndex, match). A peer whose entries
+// are still unacknowledged has match below the new commit index and is sent
+// nothing — no second copy of what is in flight — until its ack raises match,
+// which lands here again. A lost notice is healed by the heartbeat.
+func (n *Node) notifyCommitLocked(peer string) {
+	match := n.matchIndex[peer]
+	commit := min(n.commitIndex, match)
+	if commit <= n.commitSent[peer] || match < n.snap.Index {
+		// Nothing new, or the anchor's term went with the compacted prefix
+		// (the peer is being caught up by a snapshot transfer).
+		return
+	}
+	n.commitSent[peer] = commit
+	n.ep.Send(peer, AppendEntries{
+		Term: n.term, Leader: n.id,
+		PrevLogIndex: match, PrevLogTerm: n.termAtLocked(match),
+		LeaderCommit: n.commitIndex,
 	})
 }
 
@@ -745,12 +777,11 @@ func (n *Node) onAppendEntries(from string, rpc AppendEntries) {
 			return
 		}
 	}
+	// Commit up to the last entry this message vouches for, not the end of
+	// the log: a suffix beyond match may be a stale one from an older term
+	// that a message without entries (a commit notice) does not overwrite.
 	match := rpc.PrevLogIndex + uint64(len(rpc.Entries))
-	if rpc.LeaderCommit > n.commitIndex {
-		lim := rpc.LeaderCommit
-		if last := n.lastIndexLocked(); lim > last {
-			lim = last
-		}
+	if lim := min(rpc.LeaderCommit, match); lim > n.commitIndex {
 		n.commitToLocked(lim)
 	}
 	n.ep.Send(from, AppendReply{Term: n.term, Success: true, MatchIndex: match})
@@ -911,6 +942,7 @@ func (n *Node) onAppendReply(from string, rpc AppendReply) {
 		}
 		n.nextIndex[from] = n.matchIndex[from] + 1
 		n.advanceCommitLocked()
+		n.notifyCommitLocked(from)
 		return
 	}
 	// Follower rejected: back up and retry.
@@ -944,6 +976,9 @@ func (n *Node) advanceCommitLocked() {
 	if majority > n.commitIndex && majority <= n.lastIndexLocked() &&
 		n.termAtLocked(majority) == n.term {
 		n.commitToLocked(majority)
+		for _, p := range n.peers {
+			n.notifyCommitLocked(p)
+		}
 	}
 }
 

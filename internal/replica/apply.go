@@ -41,6 +41,12 @@ type Replica struct {
 	// recorder's tap. Set before Start.
 	onApply func(index uint64, id string, reqs []engine.Request, res *engine.BatchResult)
 
+	// applied is notified after every committed record the apply loop has
+	// dealt with (executed, deduplicated, re-delivered or installed). It is
+	// the Cluster's, which outlives a Replica that Crash/Restart replaces;
+	// nil on a replica run without one. Set before Start.
+	applied *vclock.Signal
+
 	mu          sync.Mutex
 	lastApplied uint64 // raft index of last applied batch
 	batches     int
@@ -162,6 +168,7 @@ func (r *Replica) runWallApply(applyCh <-chan raft.Committed, onError func(error
 				}
 				return
 			}
+			r.applied.Notify()
 		}
 	}
 }
@@ -189,6 +196,7 @@ func (r *Replica) runSchedApply(applyCh <-chan raft.Committed, onError func(erro
 				}
 				return
 			}
+			r.applied.Notify()
 			vclock.Yield(r.clk)
 		default:
 			vclock.Idle(r.clk)

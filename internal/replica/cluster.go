@@ -1,9 +1,11 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prognosticator/internal/engine"
@@ -41,6 +43,15 @@ type Cluster struct {
 	tcpDir   *tcpnet.Directory
 
 	flow *flowctl.Controller
+
+	// progress is notified whenever something SubmitBatch or WaitCaughtUp
+	// waits for may have changed: a replica's apply loop dealt with a
+	// committed record, a replica crashed (the live set shrank) or rejoined
+	// (with its recovered dedup table), an apply error was recorded, the
+	// cluster stopped. Replicas come and go with Crash/Restart; the signal
+	// stays.
+	progress *vclock.Signal
+	stopped  atomic.Bool
 
 	mu          sync.Mutex
 	down        []bool
@@ -155,6 +166,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// them — are identical across same-seed runs.
 		idPrefix: fmt.Sprintf("%x", clk.Now().UnixNano()),
 		flow:     flowctl.NewController(cfg.Flow),
+		progress: vclock.NewSignal(clk),
 		floors:   map[string]*submitFloor{},
 	}
 	n := cfg.Replicas
@@ -254,6 +266,7 @@ func (c *Cluster) startNode(i int) error {
 	}
 	rep := New(id, exec, st, wlog)
 	rep.SetClock(c.clk)
+	rep.applied = c.progress
 	if onApply := c.cfg.OnApply; onApply != nil {
 		rep.OnApply(func(index uint64, batchID string, reqs []engine.Request, res *engine.BatchResult) {
 			onApply(id, index, batchID, reqs, res)
@@ -407,6 +420,7 @@ func (c *Cluster) Crash(i int) error {
 	if storage != nil {
 		_ = storage.Close()
 	}
+	c.progress.Notify()
 	return nil
 }
 
@@ -440,15 +454,19 @@ func (c *Cluster) Restart(i int) error {
 	c.mu.Lock()
 	c.down[i] = false
 	c.mu.Unlock()
+	// The rejoined replica counts as having applied whatever its recovered
+	// dedup table holds, which can complete a quorum no apply will announce.
+	c.progress.Notify()
 	return nil
 }
 
 func (c *Cluster) recordErr(err error) {
 	c.errMu.Lock()
-	defer c.errMu.Unlock()
 	if c.err == nil {
 		c.err = err
 	}
+	c.errMu.Unlock()
+	c.progress.Notify()
 }
 
 // Err returns the first replica apply error, if any.
@@ -458,8 +476,26 @@ func (c *Cluster) Err() error {
 	return c.err
 }
 
-// Stop shuts the cluster down.
+// errStopped fails a wait the cluster was stopped under.
+var errStopped = errors.New("replica: cluster stopped")
+
+// waitErr returns what ends a wait on progress early: the first apply
+// error, or the cluster having been stopped.
+func (c *Cluster) waitErr() error {
+	if err := c.Err(); err != nil {
+		return err
+	}
+	if c.stopped.Load() {
+		return errStopped
+	}
+	return nil
+}
+
+// Stop shuts the cluster down. A SubmitBatch or WaitCaughtUp still waiting
+// returns an error instead of sitting out its deadline.
 func (c *Cluster) Stop() {
+	c.stopped.Store(true)
+	c.progress.Notify()
 	for i := range c.ids {
 		c.replica(i).Stop()
 	}
@@ -555,7 +591,7 @@ func (c *Cluster) WaitLeader(within time.Duration) (int, error) {
 }
 
 func (c *Cluster) waitLeader(dl flowctl.Deadline) (int, error) {
-	bo := c.flow.NewBackoff()
+	var bo *flowctl.Backoff // built at the first wait: there usually is a leader
 	for {
 		best, bestTerm := -1, uint64(0)
 		for i := range c.ids {
@@ -569,6 +605,9 @@ func (c *Cluster) waitLeader(dl flowctl.Deadline) (int, error) {
 		if best >= 0 {
 			return best, nil
 		}
+		if bo == nil {
+			bo = c.flow.NewBackoff()
+		}
 		if err := bo.Sleep(dl); err != nil {
 			return -1, fmt.Errorf("replica: no leader: %w", err)
 		}
@@ -577,12 +616,15 @@ func (c *Cluster) waitLeader(dl flowctl.Deadline) (int, error) {
 
 // WaitCaughtUp blocks until every live replica has applied at least the
 // leader's current commit index (and a leader exists). After a Restart and a
-// Heal, this is the quiesce point where all state hashes must agree.
+// Heal, this is the quiesce point where all state hashes must agree. The
+// applies it waits for announce themselves on progress; a change of leader
+// does not, so no single wait outlasts SubmitWindow — the same bound after
+// which a submitter stops trusting the leader it proposed through.
 func (c *Cluster) WaitCaughtUp(within time.Duration) error {
 	dl := flowctl.AfterClock(c.clk, within)
-	bo := c.flow.NewBackoff()
 	for {
-		if err := c.Err(); err != nil {
+		woken := c.progress.Arm()
+		if err := c.waitErr(); err != nil {
 			return err
 		}
 		li, err := c.waitLeader(dl)
@@ -603,9 +645,12 @@ func (c *Cluster) WaitCaughtUp(within time.Duration) error {
 		if done {
 			return nil
 		}
-		if err := bo.Sleep(dl); err != nil {
-			return fmt.Errorf("replica: not caught up to index %d within %v: %w", target, within, err)
+		rem := dl.Bound(c.cfg.SubmitWindow).Remaining()
+		if rem <= 0 {
+			return fmt.Errorf("replica: not caught up to index %d within %v: %w",
+				target, within, flowctl.ErrDeadlineExceeded)
 		}
+		c.progress.Wait(woken, rem)
 	}
 }
 

@@ -53,8 +53,10 @@ type Request = struct {
 // The ClusterConfig.Flow policy gates the whole call: admission (inflight
 // limit, rate bucket, circuit breaker) may shed it with an error wrapping
 // flowctl.ErrOverload — shed batches were certainly never proposed or
-// applied — and each re-proposal spends the retry budget. Every wait runs on
-// seeded jittered backoff under the caller's deadline.
+// applied — and each re-proposal spends the retry budget. The wait for the
+// apply is woken by the replicas' apply loops; waiting for a leader and
+// re-routing run on seeded jittered backoff. All of it is under the caller's
+// deadline.
 func (c *Cluster) SubmitBatch(reqs []Request, within time.Duration) error {
 	return c.SubmitBatchDeadline(reqs, flowctl.AfterClock(c.clk, within))
 }
@@ -76,7 +78,7 @@ func (c *Cluster) SubmitBatchDeadline(reqs []Request, dl flowctl.Deadline) error
 	for i, r := range reqs {
 		ereqs[i] = engine.Request{TxName: r.TxName, Inputs: r.Inputs}
 	}
-	bo := c.flow.NewBackoff()
+	var bo *flowctl.Backoff // built at the first re-route that has to wait
 	proposed := false
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -103,6 +105,9 @@ func (c *Cluster) SubmitBatchDeadline(reqs []Request, dl flowctl.Deadline) error
 			// Leadership moved between waitLeader and the proposal: nothing
 			// was proposed on this node; back off and re-route.
 			c.flow.RecordRouteFailure()
+			if bo == nil {
+				bo = c.flow.NewBackoff()
+			}
 			if serr := bo.Sleep(dl); serr != nil {
 				c.finishSubmit(id, proposed)
 				return fmt.Errorf("replica: batch %s: no stable leader: %w", id, serr)
@@ -112,10 +117,12 @@ func (c *Cluster) SubmitBatchDeadline(reqs []Request, dl flowctl.Deadline) error
 		c.flow.RecordRouteSuccess()
 		proposed = true
 		c.noteProposed(id, idx)
-		bo.Reset() // apply-wait polls restart from the small first steps
+		// The apply loops announce every record they deal with: arm first,
+		// then check, so an apply between the two still ends the wait.
 		wdl := dl.Bound(c.cfg.SubmitWindow)
 		for {
-			if err := c.Err(); err != nil {
+			woken := c.progress.Arm()
+			if err := c.waitErr(); err != nil {
 				c.finishSubmit(id, proposed)
 				return err
 			}
@@ -124,9 +131,11 @@ func (c *Cluster) SubmitBatchDeadline(reqs []Request, dl flowctl.Deadline) error
 				c.ackCommit(li, id)
 				return nil
 			}
-			if bo.Sleep(wdl) != nil {
+			rem := wdl.Remaining()
+			if rem <= 0 {
 				break // attempt window over: re-route, or fail at the deadline
 			}
+			c.progress.Wait(woken, rem)
 		}
 		if dl.Expired() {
 			c.finishSubmit(id, proposed)
