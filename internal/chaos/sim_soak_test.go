@@ -592,11 +592,10 @@ func TestSimAckLatency(t *testing.T) {
 				if _, err := c.WaitLeader(10 * time.Second); err != nil {
 					t.Fatal(err)
 				}
-				done := 0
+				var joins []func()
 				for s := 0; s < tc.submitters; s++ {
 					rng := rand.New(rand.NewSource(seed*977 + int64(s)))
-					vclock.GoNamed(clk, fmt.Sprintf("submitter-%d", s), func() {
-						defer func() { done++ }()
+					joins = append(joins, vclock.Go(clk, fmt.Sprintf("submitter-%d", s), func() {
 						for b := 0; b < batchesEach; b++ {
 							start := clk.Now()
 							if err := c.SubmitBatch(bankBatch(rng, 4), 10*time.Second); err != nil {
@@ -607,9 +606,11 @@ func TestSimAckLatency(t *testing.T) {
 								t.Errorf("batch %d acknowledged after %v of virtual time, want under one raft tick (%v)", b, took, tick)
 							}
 						}
-					})
+					}))
 				}
-				vclock.Await(clk, func() bool { return done == tc.submitters })
+				for _, join := range joins {
+					join()
+				}
 				if err := c.WaitCaughtUp(10 * time.Second); err != nil {
 					t.Fatal(err)
 				}

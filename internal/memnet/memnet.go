@@ -84,8 +84,8 @@ type Network struct {
 func New(seed int64) *Network { return NewWithClock(seed, nil) }
 
 // NewWithClock returns a network whose artificial delays run on clk (nil =
-// wall clock). On a vclock.Sim clock every enqueue is published, so receivers
-// polling an Inbox from an actor loop park with vclock.Idle between polls.
+// wall clock). On a vclock.Sim clock every enqueue is published, so an actor
+// waiting on an Inbox in vclock.Recv wakes and re-polls.
 func NewWithClock(seed int64, clk vclock.Clock) *Network {
 	return &Network{
 		clk:       vclock.Or(clk),

@@ -294,15 +294,7 @@ func TestSimDelayedDelivery(t *testing.T) {
 		start := clk.Now()
 		a.Send("b", "slow")
 
-		var m Message
-		for got := false; !got; {
-			select {
-			case m = <-b.Inbox():
-				got = true
-			default:
-				vclock.Idle(clk)
-			}
-		}
+		_, m, _ := vclock.Recv[Message, struct{}](clk, nil, b.Inbox(), nil)
 		if m.Payload.(string) != "slow" {
 			t.Errorf("payload = %v", m.Payload)
 		}

@@ -18,7 +18,6 @@ package raft
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"prognosticator/internal/memnet"
@@ -221,11 +220,7 @@ type Node struct {
 	applyCh  chan Committed
 	stopCh   chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
-	// runDone flips when the event loop returns; on a simulated clock Stop
-	// awaits it instead of blocking on wg.Wait while holding the run baton
-	// (which would deadlock the one-actor-at-a-time world).
-	runDone atomic.Bool
+	join     func() // waits for the event loop to return; nil before Start
 
 	electionDeadline time.Time
 	// jitterCtr numbers election-deadline resets; with the seed and node id
@@ -357,23 +352,22 @@ func (n *Node) Apply() <-chan Committed { return n.applyCh }
 // Start launches the node's event loop.
 func (n *Node) Start() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.resetElectionDeadlineLocked()
-	n.mu.Unlock()
-	n.wg.Add(1)
-	// On a simulated clock the loop becomes an actor; GoNamed registers it
-	// synchronously so spawn order is deterministic.
-	vclock.GoNamed(n.clk, "raft:"+n.id, n.run)
+	n.join = vclock.Go(n.clk, "raft:"+n.id, n.run)
 }
 
-// Stop terminates the node (crash-stop). Committed records still queued on
-// the apply channel are discarded — exactly what a crash does.
+// Stop terminates the node (crash-stop); before Start it returns at once.
+// Committed records still queued on the apply channel are discarded —
+// exactly what a crash does.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() { close(n.stopCh) })
-	// On a simulated clock the loop actor is parked at a gate; Await lets it
-	// run, observe the closed stop channel and exit before we block on the
-	// WaitGroup (a plain Wait would hold the baton forever).
-	vclock.Await(n.clk, n.runDone.Load)
-	n.wg.Wait()
+	n.mu.Lock()
+	join := n.join
+	n.mu.Unlock()
+	if join != nil {
+		join()
+	}
 	for {
 		select {
 		case <-n.applyCh:
@@ -455,61 +449,24 @@ func (n *Node) Propose(cmd []byte) (uint64, uint64, bool) {
 	return idx, n.term, true
 }
 
+// run is the event loop: it takes one input per iteration in the fixed
+// priority stop, inbox, tick, handles it, and yields, so on a simulated
+// clock the seeded picker controls the interleaving.
 func (n *Node) run() {
-	defer n.wg.Done()
-	defer n.runDone.Store(true)
 	tick := n.cfg.HeartbeatInterval / 2
-	if vclock.IsSim(n.clk) {
-		n.runSched(tick)
-		return
-	}
 	tm := n.clk.NewTimer(tick)
 	defer tm.Stop()
 	for {
-		select {
-		case <-n.stopCh:
+		switch which, msg, _ := vclock.Recv(n.clk, n.stopCh, n.ep.Inbox(), tm.C()); which {
+		case 0:
 			return
-		case msg := <-n.ep.Inbox():
+		case 1:
 			n.handle(msg)
-		case <-tm.C():
+		case 2:
 			n.tick()
 			tm.Reset(tick)
 		}
-	}
-}
-
-// runSched is the event loop on a simulated clock. A blocking select would
-// reintroduce runtime nondeterminism (Go resolves ready arms racily before
-// the actor ever reaches a scheduler gate), so the loop polls
-// its inputs in a fixed priority order — stop, inbox, tick — handles ONE
-// event per iteration, and yields after each so the seeded picker controls
-// the interleaving. A fully empty poll parks the actor until the next
-// published event or timer fire.
-func (n *Node) runSched(tick time.Duration) {
-	tm := n.clk.NewTimer(tick)
-	defer tm.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		default:
-		}
-		select {
-		case msg := <-n.ep.Inbox():
-			n.handle(msg)
-			vclock.Yield(n.clk)
-			continue
-		default:
-		}
-		select {
-		case <-tm.C():
-			n.tick()
-			tm.Reset(tick)
-			vclock.Yield(n.clk)
-			continue
-		default:
-		}
-		vclock.Idle(n.clk)
+		vclock.Yield(n.clk)
 	}
 }
 

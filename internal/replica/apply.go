@@ -78,10 +78,7 @@ type Replica struct {
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
-	// runDone flips when the apply loop returns; on a simulated clock Stop
-	// awaits it before wg.Wait (see raft.Node.Stop).
-	runDone atomic.Bool
+	join     func() // waits for the apply loop to return; nil before Start
 }
 
 // SnapshotConfig enables periodic store snapshotting on a replica.
@@ -145,72 +142,41 @@ func (r *Replica) Resume(rep RecoveryReport) {
 
 // Start launches the apply loop consuming committed entries.
 func (r *Replica) Start(applyCh <-chan raft.Committed, onError func(error)) {
-	r.wg.Add(1)
-	if vclock.IsSim(r.clk) {
-		vclock.GoNamed(r.clk, "apply:"+r.ID, func() { r.runSchedApply(applyCh, onError) })
-		return
-	}
-	go r.runWallApply(applyCh, onError)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.join = vclock.Go(r.clk, "apply:"+r.ID, func() { r.run(applyCh, onError) })
 }
 
-// runWallApply blocks on the apply channel directly (real time).
-func (r *Replica) runWallApply(applyCh <-chan raft.Committed, onError func(error)) {
-	defer r.wg.Done()
-	defer r.runDone.Store(true)
+// run is the apply loop: one committed record per iteration, stop polled
+// first so crash-stop needs no pending records to make progress, and a
+// Yield after each apply so on a simulated clock the picker controls the
+// interleaving (raft publishes every record it enqueues).
+func (r *Replica) run(applyCh <-chan raft.Committed, onError func(error)) {
 	for {
-		select {
-		case <-r.stopCh:
+		which, c, _ := vclock.Recv[raft.Committed, struct{}](r.clk, r.stopCh, applyCh, nil)
+		if which == 0 {
 			return
-		case c := <-applyCh:
-			if err := r.applyOne(c); err != nil {
-				if onError != nil {
-					onError(err)
-				}
-				return
-			}
-			r.applied.Notify()
 		}
+		if err := r.applyOne(c); err != nil {
+			if onError != nil {
+				onError(err)
+			}
+			return
+		}
+		r.applied.Notify()
+		vclock.Yield(r.clk)
 	}
 }
 
-// runSchedApply drains the apply channel as an actor of a simulated clock:
-// one committed record per iteration (each apply is followed by a Yield so
-// the picker controls interleaving), parking idle when the channel is
-// empty. Raft's deliverLocked publishes on every enqueue, so the actor is
-// re-readied promptly; stop is polled first, so crash-stop needs no pending
-// events to make progress.
-func (r *Replica) runSchedApply(applyCh <-chan raft.Committed, onError func(error)) {
-	defer r.wg.Done()
-	defer r.runDone.Store(true)
-	for {
-		select {
-		case <-r.stopCh:
-			return
-		default:
-		}
-		select {
-		case c := <-applyCh:
-			if err := r.applyOne(c); err != nil {
-				if onError != nil {
-					onError(err)
-				}
-				return
-			}
-			r.applied.Notify()
-			vclock.Yield(r.clk)
-		default:
-			vclock.Idle(r.clk)
-		}
-	}
-}
-
-// Stop terminates the apply loop.
+// Stop terminates the apply loop; before Start it returns at once.
 func (r *Replica) Stop() {
 	r.stopOnce.Do(func() { close(r.stopCh) })
-	// On a simulated clock, let the loop actor observe the stop and exit
-	// before blocking the baton on wg.Wait.
-	vclock.Await(r.clk, r.runDone.Load)
-	r.wg.Wait()
+	r.mu.Lock()
+	join := r.join
+	r.mu.Unlock()
+	if join != nil {
+		join()
+	}
 }
 
 // SetApplyDelay throttles the apply loop: every batch apply sleeps d first
@@ -328,7 +294,7 @@ func (r *Replica) snapshotLocked() error {
 		// compaction timing — which decides whether a lagging follower is
 		// caught up by entry replay or a snapshot install — replays from the
 		// seed instead of racing the apply loop.
-		vclock.GoNamed(r.clk, "compact:"+r.ID, func() { _ = compact(idx, encoded) })
+		vclock.Go(r.clk, "compact:"+r.ID, func() { _ = compact(idx, encoded) })
 	}
 	return nil
 }

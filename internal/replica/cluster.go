@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,17 +24,10 @@ import (
 // chaos harness drive. Consensus traffic flows over simulated channels
 // (memnet, the default) or real loopback TCP sockets (tcpnet). With DataDir
 // set, every node persists its Raft state and its replica WAL, enabling
-// per-replica Crash and Restart.
-//
-// The exported slices are stable for the lifetime of the cluster object;
-// their ELEMENTS are replaced by Restart. Code that may run concurrently
-// with crash/restart (the chaos harness, SubmitBatch retries) must use the
-// accessor methods, which lock.
+// per-replica Crash and Restart. NodeAt and ReplicaAt return a member's
+// current node and replica; Restart replaces both.
 type Cluster struct {
-	Net       *memnet.Network // nil when running over TCP
-	Endpoints []*tcpnet.Endpoint
-	Nodes     []*raft.Node
-	Replicas  []*Replica
+	Net *memnet.Network // nil when running over TCP
 
 	cfg      ClusterConfig
 	clk      vclock.Clock
@@ -54,6 +48,9 @@ type Cluster struct {
 	stopped  atomic.Bool
 
 	mu          sync.Mutex
+	nodes       []*raft.Node
+	replicas    []*Replica
+	endpoints   []*tcpnet.Endpoint // TCP only
 	down        []bool
 	generations []int
 	storages    []*raft.FileStorage
@@ -174,8 +171,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := range c.ids {
 		c.ids[i] = fmt.Sprintf("replica-%d", i)
 	}
-	c.Nodes = make([]*raft.Node, n)
-	c.Replicas = make([]*Replica, n)
+	c.nodes = make([]*raft.Node, n)
+	c.replicas = make([]*Replica, n)
 	c.down = make([]bool, n)
 	c.generations = make([]int, n)
 	c.storages = make([]*raft.FileStorage, n)
@@ -185,16 +182,18 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.TCP {
 		tcpnet.Register(raft.WireTypes()...)
 		c.tcpDir = tcpnet.NewDirectory()
-		c.Endpoints = make([]*tcpnet.Endpoint, n)
+		c.endpoints = make([]*tcpnet.Endpoint, n)
 	} else {
 		c.Net = memnet.NewWithClock(cfg.Seed, clk)
 	}
 	for i := range c.ids {
 		if err := c.startNode(i); err != nil {
+			// Close the files and endpoints the nodes built so far hold.
+			c.Stop()
 			return nil, err
 		}
 	}
-	for i := range c.Nodes {
+	for i := range c.ids {
 		c.launch(i)
 	}
 	return c, nil
@@ -281,8 +280,8 @@ func (c *Cluster) startNode(i int) error {
 		})
 	}
 	c.mu.Lock()
-	c.Nodes[i] = node
-	c.Replicas[i] = rep
+	c.nodes[i] = node
+	c.replicas[i] = rep
 	c.storages[i] = storage
 	c.wlogs[i] = wlog
 	c.recoveries[i] = recovered
@@ -291,7 +290,7 @@ func (c *Cluster) startNode(i int) error {
 	// keeps its own state across restarts; a fresh TCP endpoint starts clean).
 	rep.SetApplyDelay(c.applyDelays[i])
 	if c.cfg.TCP {
-		c.Endpoints[i] = ep
+		c.endpoints[i] = ep
 		if c.lossProb > 0 || c.delayMax > 0 {
 			ep.SetFault(c.lossProb, c.delayMin, c.delayMax, c.cfg.Seed+int64(i))
 		}
@@ -312,13 +311,13 @@ func (c *Cluster) launch(i int) {
 func (c *Cluster) node(i int) *raft.Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.Nodes[i]
+	return c.nodes[i]
 }
 
 func (c *Cluster) replica(i int) *Replica {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.Replicas[i]
+	return c.replicas[i]
 }
 
 // NodeAt returns node i (safe against concurrent Restart).
@@ -395,11 +394,11 @@ func (c *Cluster) Crash(i int) error {
 		return fmt.Errorf("replica: %s is already down", c.ids[i])
 	}
 	c.down[i] = true
-	node, rep := c.Nodes[i], c.Replicas[i]
+	node, rep := c.nodes[i], c.replicas[i]
 	storage, wlog := c.storages[i], c.wlogs[i]
 	var ep *tcpnet.Endpoint
 	if c.cfg.TCP {
-		ep = c.Endpoints[i]
+		ep = c.endpoints[i]
 	}
 	c.mu.Unlock()
 	// Cut network traffic first (the node is gone from the fabric), then
@@ -492,19 +491,26 @@ func (c *Cluster) waitErr() error {
 }
 
 // Stop shuts the cluster down. A SubmitBatch or WaitCaughtUp still waiting
-// returns an error instead of sitting out its deadline.
+// returns an error instead of sitting out its deadline. NewCluster also
+// calls it to release a partly built cluster, whose loops never started and
+// whose later members are nil.
 func (c *Cluster) Stop() {
 	c.stopped.Store(true)
 	c.progress.Notify()
-	for i := range c.ids {
-		c.replica(i).Stop()
-	}
-	for i := range c.ids {
-		c.node(i).Stop()
-	}
 	c.mu.Lock()
-	storages, wlogs := c.storages, c.wlogs
+	reps, nodes, eps := slices.Clone(c.replicas), slices.Clone(c.nodes), slices.Clone(c.endpoints)
+	storages, wlogs := slices.Clone(c.storages), slices.Clone(c.wlogs)
 	c.mu.Unlock()
+	for _, r := range reps {
+		if r != nil {
+			r.Stop()
+		}
+	}
+	for _, n := range nodes {
+		if n != nil {
+			n.Stop()
+		}
+	}
 	for _, w := range wlogs {
 		if w != nil {
 			_ = w.Close()
@@ -518,8 +524,10 @@ func (c *Cluster) Stop() {
 	if c.Net != nil {
 		c.Net.Close()
 	}
-	for _, ep := range c.Endpoints {
-		ep.Close()
+	for _, ep := range eps {
+		if ep != nil {
+			ep.Close()
+		}
 	}
 }
 
@@ -537,7 +545,7 @@ func (c *Cluster) Clock() vclock.Clock { return c.clk }
 func (c *Cluster) SetApplyDelay(i int, d time.Duration) {
 	c.mu.Lock()
 	c.applyDelays[i] = d
-	rep := c.Replicas[i]
+	rep := c.replicas[i]
 	c.mu.Unlock()
 	rep.SetApplyDelay(d)
 }
@@ -564,11 +572,7 @@ func (c *Cluster) SetDelay(min, max time.Duration) {
 func (c *Cluster) applyNetFaults() {
 	c.mu.Lock()
 	loss, dmin, dmax := c.lossProb, c.delayMin, c.delayMax
-	var eps []*tcpnet.Endpoint
-	if c.cfg.TCP {
-		eps = make([]*tcpnet.Endpoint, len(c.Endpoints))
-		copy(eps, c.Endpoints)
-	}
+	eps := slices.Clone(c.endpoints)
 	c.mu.Unlock()
 	if c.Net != nil {
 		c.Net.SetLoss(loss)

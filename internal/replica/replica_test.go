@@ -1,16 +1,20 @@
 package replica
 
 import (
+	"errors"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
 	"prognosticator/internal/engine"
 	"prognosticator/internal/lang"
+	"prognosticator/internal/memnet"
 	"prognosticator/internal/raft"
 	"prognosticator/internal/sequencer"
 	"prognosticator/internal/store"
 	"prognosticator/internal/value"
+	"prognosticator/internal/vclock"
 	"prognosticator/internal/wal"
 )
 
@@ -92,8 +96,8 @@ func TestClusterConvergesAcrossReplicas(t *testing.T) {
 			t.Fatalf("replicas diverged after batch %d: %v", b, c.StateHashes())
 		}
 	}
-	for _, r := range c.Replicas {
-		if r.Batches() != 5 {
+	for i := 0; i < c.Size(); i++ {
+		if r := c.ReplicaAt(i); r.Batches() != 5 {
 			t.Fatalf("replica %s applied %d batches", r.ID, r.Batches())
 		}
 	}
@@ -114,8 +118,8 @@ func TestClusterAppliesEffects(t *testing.T) {
 	}{deposit(7, 10), deposit(7, 5)}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for i, rep := range c.Replicas {
-		st := rep.st
+	for i := 0; i < c.Size(); i++ {
+		st := c.ReplicaAt(i).st
 		rec, ok := st.Get(st.Epoch(), value.NewKey("ACC", value.Int(7)))
 		if !ok {
 			t.Fatalf("replica %d: ACC/7 missing", i)
@@ -452,6 +456,70 @@ func TestClusterRejectsMissingFactory(t *testing.T) {
 	}
 }
 
+// TestNewClusterFailureReleasesMembers: when building one member fails, the
+// members built before it are torn down — no TCP endpoint left accepting,
+// no raft storage or WAL file left open — and the same data directory boots
+// a working cluster straight after.
+func TestNewClusterFailureReleasesMembers(t *testing.T) {
+	cfg := clusterConfig(t, 3, nil)
+	cfg.TCP = true
+	cfg.DataDir = t.TempDir()
+	build := cfg.NewExecutor
+	cfg.NewExecutor = func(id string, st *store.Store) (engine.Executor, error) {
+		if id == "replica-2" {
+			return nil, errors.New("no executor")
+		}
+		return build(id, st)
+	}
+	openFiles := func() int {
+		fds, _ := os.ReadDir("/proc/self/fd") // nil where there is no /proc
+		return len(fds)
+	}
+	goroutines, files := runtime.NumGoroutine(), openFiles()
+	if _, err := NewCluster(cfg); err == nil {
+		t.Fatal("NewCluster succeeded with a failing factory")
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the failed NewCluster, %d before", n, goroutines)
+	}
+	if n := openFiles(); n > files {
+		t.Errorf("%d open files after the failed NewCluster, %d before", n, files)
+	}
+	cfg.NewExecutor = build
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if err := c.SubmitBatch([]Request{deposit(1, 1)}, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStopBeforeStart: a raft node and a replica stopped before they were
+// started return at once on both clocks — on a Sim without a single gate.
+func TestStopBeforeStart(t *testing.T) {
+	stop := func(clk vclock.Clock) {
+		raft.NewNode("n0", []string{"n0"}, memnet.NewWithClock(1, clk), raft.Config{Clock: clk}, 1).Stop()
+		rep := New("r0", nil, store.New(), nil)
+		rep.SetClock(clk)
+		rep.Stop()
+	}
+	t.Run("wall", func(t *testing.T) { stop(vclock.Wall) })
+	t.Run("sim", func(t *testing.T) {
+		sim := vclock.NewSim(1)
+		if err := sim.Run(func() { stop(sim.Clock()) }); err != nil {
+			t.Fatal(err)
+		}
+		if got := sim.Picks(); got != 1 {
+			t.Errorf("%d scheduling decisions, want 1 (the root actor's start)", got)
+		}
+	})
+}
+
 // TestClusterSurvivesLeaderCrash: killing the current leader mid-run must
 // not lose convergence — the surviving replicas elect a new leader and keep
 // applying identical batches.
@@ -472,11 +540,11 @@ func TestClusterSurvivesLeaderCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash the leader (both its raft node and replica).
-	c.Nodes[li].Stop()
-	c.Replicas[li].Stop()
+	c.NodeAt(li).Stop()
+	c.ReplicaAt(li).Stop()
 	// The survivors must still accept and apply batches.
 	survivors := []int{}
-	for i := range c.Replicas {
+	for i := 0; i < c.Size(); i++ {
 		if i != li {
 			survivors = append(survivors, i)
 		}
@@ -486,13 +554,13 @@ func TestClusterSurvivesLeaderCrash(t *testing.T) {
 	for {
 		var leaderIdx = -1
 		for _, i := range survivors {
-			if role, _ := c.Nodes[i].Status(); role == raft.Leader {
+			if role, _ := c.NodeAt(i).Status(); role == raft.Leader {
 				leaderIdx = i
 			}
 		}
 		if leaderIdx >= 0 {
 			var err error
-			idx, err = sequencer.Propose(c.Nodes[leaderIdx], "", []engine.Request{
+			idx, err = sequencer.Propose(c.NodeAt(leaderIdx), "", []engine.Request{
 				{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(3), "amt": value.Int(7)}},
 			})
 			if err == nil {
@@ -507,7 +575,7 @@ func TestClusterSurvivesLeaderCrash(t *testing.T) {
 	for time.Now().Before(deadline) {
 		done := true
 		for _, i := range survivors {
-			if c.Replicas[i].LastApplied() < idx {
+			if c.ReplicaAt(i).LastApplied() < idx {
 				done = false
 			}
 		}
@@ -516,12 +584,12 @@ func TestClusterSurvivesLeaderCrash(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	h0 := c.Replicas[survivors[0]].StateHash()
-	h1 := c.Replicas[survivors[1]].StateHash()
+	h0 := c.ReplicaAt(survivors[0]).StateHash()
+	h1 := c.ReplicaAt(survivors[1]).StateHash()
 	if h0 != h1 {
 		t.Fatalf("survivors diverged after leader crash: %x vs %x", h0, h1)
 	}
-	if c.Replicas[survivors[0]].LastApplied() < idx {
+	if c.ReplicaAt(survivors[0]).LastApplied() < idx {
 		t.Fatal("post-crash batch never applied")
 	}
 }
@@ -551,7 +619,7 @@ func TestClusterOverTCP(t *testing.T) {
 			t.Fatalf("TCP cluster diverged after batch %d", b)
 		}
 	}
-	if len(c.Endpoints) != 3 {
-		t.Fatalf("endpoints = %d", len(c.Endpoints))
+	if len(c.endpoints) != 3 {
+		t.Fatalf("endpoints = %d", len(c.endpoints))
 	}
 }

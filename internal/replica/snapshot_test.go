@@ -259,7 +259,7 @@ func TestClusterChunkedInstallSnapshotCrashResume(t *testing.T) {
 	totalChunks := func() int64 {
 		var n int64
 		for i := 0; i < c.Size(); i++ {
-			n += c.Nodes[i].ChunksSent()
+			n += c.NodeAt(i).ChunksSent()
 		}
 		return n
 	}
@@ -345,7 +345,7 @@ func submitTPCC(t *testing.T, c *Cluster, start, n int) {
 				}{TxName: "payment", Inputs: map[string]value.Value{
 					"wId": value.Int(1), "dId": value.Int(int64(1 + k%10)),
 					"cWId": value.Int(1), "cDId": value.Int(int64(1 + k%10)),
-					"cId":  value.Int(int64(1 + k%5)), "amount": value.Int(int64(1 + k%9)),
+					"cId": value.Int(int64(1 + k%5)), "amount": value.Int(int64(1 + k%9)),
 				}})
 				continue
 			}

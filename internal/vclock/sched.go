@@ -158,8 +158,8 @@ func (s *Sim) goActor(name string, fn func()) {
 	}()
 }
 
-// exit retires an actor and publishes the exit (an Await-ing actor must
-// re-poll its predicate), then returns the baton for good.
+// exit retires an actor and publishes the exit (a joining actor must re-poll
+// its done channel), then returns the baton for good.
 func (s *Sim) exit(a *actor) {
 	s.mu.Lock()
 	a.state = actorExited
@@ -181,7 +181,7 @@ func (s *Sim) park(a *actor, st actorState) {
 
 // gateActor returns the running actor for a gate call, nil if the call came
 // from an AfterFunc running inline on the Run goroutine during a time
-// advance (Yield and Idle are no-ops there: nothing to park). A gate reached
+// advance (Yield is a no-op there: nothing to park). A gate reached
 // with no actor running is a caller bug that would otherwise hang forever
 // waiting for a baton nobody hands out, so it panics naming the call.
 func (s *Sim) gateActor(op string) *actor {
@@ -211,12 +211,6 @@ func (s *Sim) yield() {
 	}
 }
 
-func (s *Sim) idle() {
-	if a := s.gateActor("Idle"); a != nil {
-		s.park(a, actorIdle)
-	}
-}
-
 func (s *Sim) publish() {
 	s.mu.Lock()
 	s.readyIdleLocked()
@@ -236,16 +230,19 @@ func (s *Sim) sleep(d time.Duration) {
 	s.park(a, actorSleeping)
 }
 
-// await parks until pred() is true. It publishes once so the actors that
-// will make pred true get to run even if they were idle (e.g. a stop-signal
-// poll loop after its channel closed).
-func (s *Sim) await(pred func() bool) {
-	a := s.blockingGateActor("Await")
-	first := true
-	for !pred() {
-		if first {
+// join parks the calling actor until done is closed. It publishes once so
+// the actor that will close it gets to run even if it was idle (e.g. an
+// event loop whose stop channel was just closed).
+func (s *Sim) join(done <-chan struct{}) {
+	a := s.blockingGateActor("join")
+	for published := false; ; published = true {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if !published {
 			s.publish()
-			first = false
 		}
 		s.park(a, actorIdle)
 	}

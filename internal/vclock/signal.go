@@ -51,34 +51,11 @@ func (s *Signal) Notify() {
 }
 
 // Wait blocks until armed is closed or d has passed on the signal's clock,
-// and reports whether it was the notification. This is the one place the
-// two clock modes differ: a blocking select on Wall; on a Sim clock a timer
-// and a fixed-priority poll (notification first, then the timeout) with the
-// actor parked in between, so a run stays a pure function of the seed.
+// and reports whether it was the notification. The notification is polled
+// before the timeout (see Recv).
 func (s *Signal) Wait(armed <-chan struct{}, d time.Duration) bool {
 	tm := s.clk.NewTimer(d)
 	defer tm.Stop()
-	sim := simOf(s.clk)
-	if sim == nil {
-		select {
-		case <-armed:
-			return true
-		case <-tm.C():
-			return false
-		}
-	}
-	a := sim.blockingGateActor("Signal.Wait")
-	for {
-		select {
-		case <-armed:
-			return true
-		default:
-		}
-		select {
-		case <-tm.C():
-			return false
-		default:
-		}
-		sim.park(a, actorIdle)
-	}
+	which, _, _ := Recv(s.clk, nil, armed, tm.C())
+	return which == 1
 }

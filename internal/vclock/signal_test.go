@@ -74,7 +74,7 @@ func TestSignalSim(t *testing.T) {
 		if err := sim.Run(func() {
 			for _, name := range []string{"w0", "w1", "w2"} {
 				name := name
-				GoNamed(clk, name, func() {
+				Go(clk, name, func() {
 					for want := 1; want <= 3; want++ {
 						for {
 							armed := sig.Arm()
@@ -121,12 +121,13 @@ func TestSignalSim(t *testing.T) {
 }
 
 // TestSignalWaitOutsideRun: waiting on a simulated clock from a goroutine
-// the simulation does not schedule would hang; it panics naming the call.
+// the simulation does not schedule would hang; it panics naming the wait
+// Signal.Wait goes through.
 func TestSignalWaitOutsideRun(t *testing.T) {
 	sig := NewSignal(NewSim(1).Clock())
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(r.(string), "Signal.Wait") {
-			t.Fatalf("recovered %v, want a panic naming Signal.Wait", r)
+		if r := recover(); r == nil || !strings.Contains(r.(string), "vclock: Recv ") {
+			t.Fatalf("recovered %v, want a panic naming Recv", r)
 		}
 	}()
 	sig.Wait(sig.Arm(), time.Second)

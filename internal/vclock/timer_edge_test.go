@@ -9,8 +9,8 @@ import (
 // backoff and election paths lean on: zero/negative durations, Reset after a
 // fire (tick read or unread), Reset after Stop, and both orders of a tick
 // delivery against a competing stop signal. Each case runs as the root actor
-// of a fresh Sim so virtual timestamps are absolute; waits are the same
-// poll-and-Idle loops the production event loops use.
+// of a fresh Sim so virtual timestamps are absolute; waits go through Recv,
+// as the production event loops do.
 func TestSimTimerEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
@@ -156,22 +156,14 @@ func stopAfter(clk Clock, d time.Duration) <-chan struct{} {
 	return stop
 }
 
-// pollStopOrTick is the event-loop shape of raft's runSched: poll stop, then
-// the tick, in that fixed priority; park idle when neither is ready. It
-// returns when stop is served, counting the ticks served before it.
+// pollStopOrTick is the event-loop shape of raft's run: Recv on stop, then
+// the tick, in that fixed priority. It returns when stop is served, counting
+// the ticks served before it.
 func pollStopOrTick(clk Clock, stop <-chan struct{}, tm Timer, ticks *int) {
 	for {
-		select {
-		case <-stop:
+		if which, _, _ := Recv[time.Time, struct{}](clk, stop, tm.C(), nil); which == 0 {
 			return
-		default:
 		}
-		select {
-		case <-tm.C():
-			*ticks++
-			continue
-		default:
-		}
-		Idle(clk)
+		*ticks++
 	}
 }

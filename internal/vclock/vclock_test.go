@@ -19,17 +19,10 @@ func runSim(t *testing.T, seed int64, body func(sim *Sim, clk Clock)) *Sim {
 	return sim
 }
 
-// awaitTick is the actor-side wait for a timer channel: poll, and park idle
-// until the next fire when the tick is not there yet.
+// awaitTick is the actor-side wait for a timer channel.
 func awaitTick(clk Clock, ch <-chan time.Time) time.Time {
-	for {
-		select {
-		case at := <-ch:
-			return at
-		default:
-		}
-		Idle(clk)
-	}
+	_, at, _ := Recv[time.Time, struct{}](clk, nil, ch, nil)
+	return at
 }
 
 func pendingTimers(s *Sim) int {
@@ -74,14 +67,66 @@ func TestWallBasics(t *testing.T) {
 		t.Fatal("wall AfterFunc did not run")
 	}
 	<-clk.After(time.Millisecond)
-	// The actor gates are no-ops on Wall; Go is the go statement.
+	// Yield and Publish are no-ops on Wall.
 	Yield(clk)
-	Idle(clk)
 	Publish(clk)
-	Await(clk, func() bool { return false })
-	ran := make(chan struct{})
-	Go(clk, func() { close(ran) })
-	<-ran
+}
+
+// TestRecv: on both clocks Recv takes the first ready input in the order
+// stop, a, b; a nil channel is never ready (all-nil is TestDeadlockDetected);
+// and a Recv that found nothing ready is woken by a send another actor
+// publishes and by a timer fire.
+func TestRecv(t *testing.T) {
+	ready := func(v int) chan int {
+		ch := make(chan int, 1)
+		ch <- v
+		return ch
+	}
+	tick := func() chan time.Time {
+		ch := make(chan time.Time, 1)
+		ch <- simEpoch
+		return ch
+	}
+	closed := make(chan struct{})
+	close(closed)
+	type inputs struct {
+		stop <-chan struct{}
+		a    <-chan int
+		b    <-chan time.Time
+	}
+	cases := []struct {
+		name      string
+		in        func(clk Clock) inputs
+		which, va int
+	}{
+		{"stop-beats-a-and-b", func(Clock) inputs { return inputs{closed, ready(1), tick()} }, 0, 0},
+		{"a-beats-b", func(Clock) inputs { return inputs{nil, ready(1), tick()} }, 1, 1},
+		{"b-when-a-empty", func(Clock) inputs { return inputs{nil, make(chan int), tick()} }, 2, 0},
+		{"nil-a-never-ready", func(Clock) inputs { return inputs{nil, nil, tick()} }, 2, 0},
+		{"woken-by-publish", func(clk Clock) inputs {
+			a := make(chan int, 1)
+			Go(clk, "sender", func() {
+				a <- 7
+				Publish(clk)
+			})
+			return inputs{nil, a, nil}
+		}, 1, 7},
+		{"woken-by-timer", func(clk Clock) inputs {
+			return inputs{nil, make(chan int), clk.After(5 * time.Millisecond)}
+		}, 2, 0},
+	}
+	for _, tc := range cases {
+		check := func(t *testing.T, clk Clock) {
+			in := tc.in(clk)
+			if which, va, _ := Recv(clk, in.stop, in.a, in.b); which != tc.which || va != tc.va {
+				t.Errorf("Recv = (%d, %d), want (%d, %d)", which, va, tc.which, tc.va)
+			}
+		}
+		t.Run(tc.name+"/wall", func(t *testing.T) { check(t, Wall) })
+		t.Run(tc.name+"/sim", func(t *testing.T) {
+			runSim(t, 3, func(_ *Sim, clk Clock) { check(t, clk) })
+		})
+	}
 }
 
 func TestSimSleepAdvancesVirtualTime(t *testing.T) {
@@ -119,7 +164,7 @@ func TestSimTimerOrderingAcrossActors(t *testing.T) {
 			sleep time.Duration
 		}{{"c", 30 * time.Millisecond}, {"a", 10 * time.Millisecond}, {"b", 20 * time.Millisecond}} {
 			d := d
-			Go(clk, func() {
+			Go(clk, d.name, func() {
 				clk.Sleep(d.sleep)
 				order = append(order, fmt.Sprintf("%s@%v", d.name, clk.Since(simEpoch)))
 			})
@@ -202,12 +247,16 @@ func TestSimMisusePanics(t *testing.T) {
 	}{
 		{"Sleep", func(clk Clock) { clk.Sleep(time.Millisecond) }},
 		{"Yield", func(clk Clock) { Yield(clk) }},
-		{"Idle", func(clk Clock) { Idle(clk) }},
-		{"Await", func(clk Clock) { Await(clk, func() bool { return false }) }},
-		{"Go", func(clk Clock) { Go(clk, func() {}) }},
+		{"Recv", func(clk Clock) { Recv[struct{}, struct{}](clk, nil, nil, nil) }},
+		{"Go", func(clk Clock) { Go(clk, "", func() {}) }},
+		{"join", func(clk Clock) {
+			// A join kept past the end of the Run that spawned its actor.
+			var join func()
+			_ = clk.(*SimClock).Sim().Run(func() { join = Go(clk, "", func() {}) })
+			join()
+		}},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.op, func(t *testing.T) {
 			clk := NewSim(6).Clock()
 			defer func() {
@@ -235,16 +284,19 @@ func TestSimMisusePanics(t *testing.T) {
 	t.Run("blocking-gate-in-AfterFunc", func(t *testing.T) {
 		// An AfterFunc runs inline on the Run goroutine: a blocking gate
 		// there would stall the advance loop itself.
-		var got atomic.Value
-		runSim(t, 6, func(sim *Sim, clk Clock) {
-			clk.AfterFunc(time.Millisecond, func() {
-				defer func() { got.Store(fmt.Sprint(recover())) }()
-				clk.Sleep(time.Millisecond)
+		for _, i := range []int{0, 2} { // Sleep, Recv
+			tc := cases[i]
+			var got atomic.Value
+			runSim(t, 6, func(sim *Sim, clk Clock) {
+				clk.AfterFunc(time.Millisecond, func() {
+					defer func() { got.Store(fmt.Sprint(recover())) }()
+					tc.call(clk)
+				})
+				clk.Sleep(2 * time.Millisecond)
 			})
-			clk.Sleep(2 * time.Millisecond)
-		})
-		if msg, _ := got.Load().(string); !strings.Contains(msg, "Sleep from an AfterFunc callback") {
-			t.Fatalf("Sleep inside AfterFunc: recovered %q", msg)
+			if msg, _ := got.Load().(string); !strings.Contains(msg, tc.op+" from an AfterFunc callback") {
+				t.Errorf("%s inside AfterFunc: recovered %q", tc.op, msg)
+			}
 		}
 	})
 }
@@ -258,7 +310,7 @@ func TestSimDeterministicTrace(t *testing.T) {
 		sim := runSim(t, seed, func(sim *Sim, clk Clock) {
 			for i := 0; i < 5; i++ {
 				i := i
-				Go(clk, func() {
+				Go(clk, "", func() {
 					for step := 0; step < 3; step++ {
 						ms := time.Duration(Hash64(uint64(seed), uint64(i), uint64(step))%1000) * time.Millisecond
 						clk.Sleep(ms)
