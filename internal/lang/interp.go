@@ -206,7 +206,10 @@ func (in *interp) stmt(st Stmt, path string) error {
 		if err != nil {
 			return err
 		}
-		if to-from > MaxLoopIterations {
+		// The difference is taken in uint64: as int64, to-from wraps
+		// negative when the bounds lie far apart (from near MinInt64) and
+		// the check would wave through some 2^63 iterations.
+		if to > from && uint64(to)-uint64(from) > MaxLoopIterations {
 			return fmt.Errorf("lang: %s: loop %q exceeds %d iterations", in.prog.Name, s.Var, MaxLoopIterations)
 		}
 		for i := from; i < to; i++ {

@@ -1,8 +1,10 @@
 package lang
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"prognosticator/internal/value"
 )
@@ -283,13 +285,40 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 }
 
+// TestLoopBound runs each loop under a timeout: a bound check that overflows
+// lets a loop through that would run for centuries, and the inputs that set
+// the bounds arrive off the wire unchecked.
 func TestLoopBound(t *testing.T) {
-	p := &Program{
-		Name: "bigloop",
-		Body: []Stmt{ForS("i", C(0), C(MaxLoopIterations+2), Set("x", L("i")))},
+	cases := []struct {
+		name     string
+		from, to int64
+		wantErr  bool
+	}{
+		{"over the bound", 0, MaxLoopIterations + 2, true},
+		{"at the bound", 0, MaxLoopIterations, false},
+		{"empty range", 5, 0, false},
+		{"lower bound at MinInt64", math.MinInt64, 1, true},
+		{"upper bound at MaxInt64", -1, math.MaxInt64, true},
+		{"whole int64 range", math.MinInt64, math.MaxInt64, true},
 	}
-	if _, err := Run(p, map[string]value.Value{}, newMapKV()); err == nil {
-		t.Fatal("expected loop bound error")
+	for _, c := range cases {
+		p := &Program{
+			Name: "bigloop",
+			Body: []Stmt{ForS("i", P("a"), P("b"), Set("x", L("i")))},
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(p, map[string]value.Value{"a": value.Int(c.from), "b": value.Int(c.to)}, newMapKV())
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if (err != nil) != c.wantErr {
+				t.Errorf("%s: err = %v, want error %v", c.name, err, c.wantErr)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: loop from %d to %d still running after 5s", c.name, c.from, c.to)
+		}
 	}
 }
 

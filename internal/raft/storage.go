@@ -1,9 +1,12 @@
 package raft
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 
+	"prognosticator/internal/value"
 	"prognosticator/internal/wal"
 )
 
@@ -37,12 +40,13 @@ type Storage interface {
 	Load() (term uint64, votedFor string, snap Snapshot, log []Entry, err error)
 }
 
-// FileStorage implements Storage as a WAL of JSON records. Each mutation is
-// one framed record; Load replays them. SaveSnapshot compacts the journal:
-// it rotates to a fresh segment, writes a checkpoint (state + snapshot +
-// retained tail) there, and drops all older segments. A crash between the
-// checkpoint and the drop is safe — replay sees the old records followed by
-// the checkpoint that supersedes them, never a gap.
+// FileStorage implements Storage as a WAL of binary records (see
+// storageRecord). Each mutation is one framed record; Load replays them.
+// SaveSnapshot compacts the journal: it rotates to a fresh segment, writes a
+// checkpoint (state + snapshot + retained tail) there, and drops all older
+// segments. A crash between the checkpoint and the drop is safe — replay
+// sees the old records followed by the checkpoint that supersedes them,
+// never a gap.
 type FileStorage struct {
 	log *wal.Log
 	dir string
@@ -52,7 +56,17 @@ type FileStorage struct {
 	voted string
 }
 
-// storageRecord is the journal entry format.
+// storageRecord is one journal record. It is written in the binary encoding
+// of internal/value: a kind byte, then
+//
+//	recState:  term | votedFor
+//	recAppend: first index | entry count | (term | command)...
+//	recSnap:   index | term | data
+//
+// with integers and counts as uvarints and strings and byte strings
+// length-prefixed. A journal written before that encoding holds JSON
+// records, which begin with '{' (kind and field names in the json tags
+// below); Load reads both, in any mix.
 type storageRecord struct {
 	Kind     string    `json:"k"` // "state" | "append" | "snap"
 	Term     uint64    `json:"t,omitempty"`
@@ -60,6 +74,94 @@ type storageRecord struct {
 	First    uint64    `json:"f,omitempty"`
 	Entries  []Entry   `json:"e,omitempty"`
 	Snap     *Snapshot `json:"s,omitempty"`
+}
+
+// Record kinds: the first byte of a binary journal record.
+const (
+	recState  = 1
+	recAppend = 2
+	recSnap   = 3
+)
+
+// appendBinary appends rec's binary encoding to b.
+func (rec *storageRecord) appendBinary(b []byte) []byte {
+	switch rec.Kind {
+	case "state":
+		b = append(b, recState)
+		b = binary.AppendUvarint(b, rec.Term)
+		b = value.AppendBytes(b, rec.VotedFor)
+	case "append":
+		b = append(b, recAppend)
+		b = binary.AppendUvarint(b, rec.First)
+		b = binary.AppendUvarint(b, uint64(len(rec.Entries)))
+		for _, e := range rec.Entries {
+			b = binary.AppendUvarint(b, e.Term)
+			b = value.AppendBytes(b, e.Cmd)
+		}
+	case "snap":
+		b = append(b, recSnap)
+		b = binary.AppendUvarint(b, rec.Snap.Index)
+		b = binary.AppendUvarint(b, rec.Snap.Term)
+		b = value.AppendBytes(b, rec.Snap.Data)
+	default:
+		panic(fmt.Sprintf("raft: storage record of kind %q", rec.Kind))
+	}
+	return b
+}
+
+// decodeRecord reads one journal record, binary or JSON, keeping only the
+// fields its kind has. Entry commands and snapshot data of a binary record
+// share payload's memory.
+func decodeRecord(payload []byte) (storageRecord, error) {
+	var rec storageRecord
+	if len(payload) > 0 && payload[0] == '{' {
+		var j storageRecord
+		if err := json.Unmarshal(payload, &j); err != nil {
+			return rec, err
+		}
+		switch rec.Kind = j.Kind; j.Kind {
+		case "state":
+			rec.Term, rec.VotedFor = j.Term, j.VotedFor
+		case "append":
+			rec.First, rec.Entries = j.First, j.Entries
+		case "snap":
+			rec.Snap = j.Snap
+			if rec.Snap == nil {
+				return rec, errors.New("snap record without snapshot")
+			}
+		default:
+			return rec, fmt.Errorf("record of kind %q", j.Kind)
+		}
+	} else {
+		r := value.NewReader(payload)
+		switch k := r.Byte(); k {
+		case recState:
+			rec.Kind = "state"
+			rec.Term = r.Uvarint()
+			rec.VotedFor = r.Str()
+		case recAppend:
+			rec.Kind = "append"
+			rec.First = r.Uvarint()
+			if n := r.Count(2); n > 0 { // a term and a command length each
+				rec.Entries = make([]Entry, n)
+				for i := range rec.Entries {
+					rec.Entries[i] = Entry{Term: r.Uvarint(), Cmd: r.Bytes()}
+				}
+			}
+		case recSnap:
+			rec.Kind = "snap"
+			rec.Snap = &Snapshot{Index: r.Uvarint(), Term: r.Uvarint(), Data: r.Bytes()}
+		default:
+			r.Fail("record kind %d", k)
+		}
+		if err := r.End(); err != nil {
+			return storageRecord{}, err
+		}
+	}
+	if rec.Kind == "append" && rec.First == 0 {
+		return storageRecord{}, errors.New("append with index 0")
+	}
+	return rec, nil
 }
 
 // OpenFileStorage opens (or creates) persistent Raft state in dir with the
@@ -91,11 +193,7 @@ func OpenFileStorageWith(dir string, opts wal.Options) (*FileStorage, error) {
 func (fs *FileStorage) Close() error { return fs.log.Close() }
 
 func (fs *FileStorage) append(rec storageRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("raft: storage encode: %w", err)
-	}
-	if err := fs.log.Append(data); err != nil {
+	if err := fs.log.Append(rec.appendBinary(nil)); err != nil {
 		return fmt.Errorf("raft: storage append: %w", err)
 	}
 	// Durability is governed by the log's SyncPolicy (SyncAlways by
@@ -149,17 +247,14 @@ func (fs *FileStorage) Load() (uint64, string, Snapshot, []Entry, error) {
 	var snap Snapshot
 	var log []Entry // log[i] = entry at logical index snap.Index+1+i
 	err := wal.Replay(fs.dir, func(payload []byte) error {
-		var rec storageRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := decodeRecord(payload)
+		if err != nil {
 			return fmt.Errorf("raft: storage decode: %w", err)
 		}
 		switch rec.Kind {
 		case "state":
 			term, voted = rec.Term, rec.VotedFor
 		case "append":
-			if rec.First == 0 {
-				return fmt.Errorf("raft: storage: append with index 0")
-			}
 			first, entries := rec.First, rec.Entries
 			if first <= snap.Index {
 				// Prefix already covered by a later-read snapshot
@@ -177,9 +272,6 @@ func (fs *FileStorage) Load() (uint64, string, Snapshot, []Entry, error) {
 			}
 			log = append(log, entries...)
 		case "snap":
-			if rec.Snap == nil {
-				return fmt.Errorf("raft: storage: snap record without snapshot")
-			}
 			// Re-base the tail: keep only entries above the new
 			// snapshot index.
 			if drop := rec.Snap.Index - snap.Index; drop < uint64(len(log)) {

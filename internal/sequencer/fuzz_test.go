@@ -1,6 +1,7 @@
 package sequencer
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -66,18 +67,18 @@ func sameRequests(a, b []engine.Request) bool {
 // numbers derived from the commit index — and re-encode byte-identically
 // (the codec is canonical, which is what lets idempotency IDs and dedup
 // hashes compare encoded bytes). Raw: DecodeBatch on the same bytes as an
-// arbitrary committed command must never panic, and anything it accepts must
-// itself round-trip.
+// arbitrary committed command, binary or JSON, must never panic, and
+// anything it accepts must itself round-trip; an accepted binary command
+// re-encodes to exactly its own bytes. testdata/fuzz/FuzzBatchRoundTrip holds
+// a raw command for each class of input the binary decoder rejects.
 func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add("", uint64(1), []byte{})
 	f.Add("batch-7", uint64(7), []byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4})
 	f.Add("retry", uint64(1<<40), []byte{3, 128, 2, 64, 1, 200, 0, 17})
 	f.Add("", uint64(0), []byte(`{"id":"x","reqs":[{"tx":"t","in":null}]}`))
 	f.Add("dup", uint64(9), []byte(`{"reqs":[]}`))
+	f.Add("bin", uint64(2), []byte("\x01\x01x\x01\x01t\x01\x01a\x01\x0e"))
 	f.Fuzz(func(t *testing.T, id string, idx uint64, data []byte) {
-		// JSON strings only round-trip valid UTF-8; canonicalize the ID the
-		// same way the encoder's output would arrive back.
-		id = strings.ToValidUTF8(id, "�")
 		reqs := buildFuzzBatch(data)
 		enc, err := EncodeBatchID(id, reqs)
 		if err != nil {
@@ -122,6 +123,9 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 		if rb2.ID != rb.ID || !sameRequests(rb.Requests, rb2.Requests) {
 			t.Fatalf("accepted raw command did not round-trip:\n1st: %+v\n2nd: %+v", rb, rb2)
+		}
+		if data[0] != '{' && !bytes.Equal(renc, data) {
+			t.Fatalf("accepted binary command %x re-encodes to %x", data, renc)
 		}
 	})
 }

@@ -1,10 +1,16 @@
 package sequencer
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"prognosticator/internal/vclock"
+	"math"
+	"runtime"
 	"testing"
 	"time"
+
+	"prognosticator/internal/vclock"
 
 	"prognosticator/internal/engine"
 	"prognosticator/internal/memnet"
@@ -145,5 +151,130 @@ func TestProposeNotLeader(t *testing.T) {
 	_, err := Propose(node, "b1", []engine.Request{{TxName: "tx"}})
 	if !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("err = %v, want ErrNotLeader", err)
+	}
+}
+
+// TestBatchLayout pins a batch byte for byte: committed raft entries and
+// replica WALs hold this layout. Inputs are written in name order whatever
+// order the map yields them in.
+func TestBatchLayout(t *testing.T) {
+	got, err := EncodeBatchID("b-1", []engine.Request{
+		{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(1), "amt": value.Int(-2)}},
+		{TxName: "audit"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "01" + "03622d31" + "02" + // format, ID, two requests
+		"076465706f736974" + "02" + "03616d74" + "0103" + "016b" + "0102" + // deposit{amt:-2,k:1}
+		"0561756469" + "74" + "00" // audit, no inputs
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("batch encodes to %x\nwant             %s", got, want)
+	}
+}
+
+// jsonEraBatch was printed by EncodeBatchID at commit aaf8a05, when batches
+// were JSON: every value kind, a string that JSON escapes, an invalid value
+// and a request without inputs.
+const jsonEraBatch = "{\"id\":\"legacy/\\\"id\\\"\",\"reqs\":[{\"tx\":\"newOrder\",\"in\":{\"f\":{\"k\":3},\"items\":{\"k\":4,\"l\":[{\"k\":5,\"r\":{\"id\":{\"k\":1,\"i\":7},\"qty\":{\"k\":1,\"i\":3}}},{\"k\":4},{\"k\":5}]},\"s\":{\"k\":2,\"s\":\"a/b \\\"q\\\" \\u003c\\u0026\\u003e é\\n\"},\"t\":{\"k\":3,\"b\":true},\"w\":{\"k\":1,\"i\":-9223372036854775808}}},{\"tx\":\"audit\",\"in\":null},{\"tx\":\"pay\",\"in\":{\"x\":{\"k\":0}}}]}"
+
+// TestDecodesJSONEraBatch: a JSON batch committed before the binary codec
+// still decodes, and its binary re-encoding decodes to the same batch.
+func TestDecodesJSONEraBatch(t *testing.T) {
+	want := []engine.Request{
+		{TxName: "newOrder", Inputs: map[string]value.Value{
+			"w": value.Int(math.MinInt64), "s": value.Str("a/b \"q\" <&> é\n"), "t": value.Bool(true), "f": value.Bool(false),
+			"items": value.List(value.Record(map[string]value.Value{"id": value.Int(7), "qty": value.Int(3)}), value.List(), value.Record(nil)),
+		}},
+		{TxName: "audit"},
+		{TxName: "pay", Inputs: map[string]value.Value{"x": {}}},
+	}
+	b, err := DecodeBatch(raft.Committed{Index: 5, Cmd: []byte(jsonEraBatch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.ID != `legacy/"id"` || !sameRequests(b.Requests, want) || b.Requests[2].Seq != 5*seqStride+2 {
+		t.Fatalf("decoded %+v", b)
+	}
+	enc, err := EncodeBatchID(b.ID, b.Requests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := DecodeBatch(raft.Committed{Index: 5, Cmd: enc})
+	if err != nil || again.ID != b.ID || !sameRequests(again.Requests, want) {
+		t.Fatalf("binary re-encoding decodes to %+v, %v", again, err)
+	}
+}
+
+// nestedInput returns a one-request binary batch whose only input is depth
+// lists, one inside the other.
+func nestedInput(depth int) []byte {
+	cmd := []byte{batchFormat, 0, 1, 1, 't', 1, 1, 'a'}
+	cmd = append(cmd, bytes.Repeat([]byte{byte(value.KindList), 1}, depth)...)
+	return append(cmd, byte(value.KindInt), 0)
+}
+
+// TestDecodeRejectsHostileBatch: one input per class of command the binary
+// decoder must refuse. testdata/fuzz/FuzzBatchRoundTrip holds each as a
+// corpus entry.
+func TestDecodeRejectsHostileBatch(t *testing.T) {
+	valid := nestedInput(1)
+	if _, err := DecodeBatch(raft.Committed{Index: 1, Cmd: valid}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		cmd  []byte
+	}{
+		{"empty", nil},
+		{"truncated", valid[:len(valid)-1]},
+		{"unknown format", append([]byte{0x02}, valid[1:]...)},
+		{"unknown value tag", []byte{batchFormat, 0, 1, 1, 't', 1, 1, 'a', 9}},
+		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
+		{"request count past end", []byte{batchFormat, 0, 0x80, 0x80, 0x40, 0, 0}},
+		{"input count past end", []byte{batchFormat, 0, 1, 1, 't', 0x80, 0x80, 0x40, 1, 'a', 0}},
+		{"ID length past end", []byte{batchFormat, 0xff, 0xff, 0x03, 'x'}},
+		{"nested past the bound", nestedInput(value.MaxDepth + 1)},
+		{"inputs out of order", []byte{batchFormat, 0, 1, 1, 't', 2, 1, 'b', 0, 1, 'a', 0}},
+		{"input named twice", []byte{batchFormat, 0, 1, 1, 't', 2, 1, 'a', 0, 1, 'a', 0}},
+	}
+	for _, c := range cases {
+		if b, err := DecodeBatch(raft.Committed{Index: 1, Cmd: c.cmd}); err == nil {
+			t.Errorf("%s: %x decoded to %+v", c.name, c.cmd, b)
+		}
+	}
+	if _, err := DecodeBatch(raft.Committed{Index: 1, Cmd: nestedInput(value.MaxDepth)}); err != nil {
+		t.Errorf("nested to the bound: %v", err)
+	}
+	// Over seqStride requests, each of them well-formed.
+	big := binary.AppendUvarint([]byte{batchFormat, 0}, seqStride+1)
+	big = append(big, make([]byte, 2*(seqStride+1))...)
+	if _, err := DecodeBatch(raft.Committed{Index: 1, Cmd: big}); err == nil {
+		t.Error("decoded a batch of seqStride+1 requests")
+	}
+}
+
+// TestDecodeCountCheckedBeforeAllocating: a million requests claimed by a
+// seven-byte command are refused before a million-request slice exists.
+func TestDecodeCountCheckedBeforeAllocating(t *testing.T) {
+	cmd := []byte{batchFormat, 0, 0x80, 0x80, 0x40, 0, 0}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBatch(raft.Committed{Index: 1, Cmd: cmd})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; err == nil || got > 4096 {
+		t.Fatalf("err %v after allocating %d bytes", err, got)
+	}
+}
+
+// TestEncodeRejectsTooDeep: a value no replica could decode is refused
+// before it reaches raft, like an over-long batch.
+func TestEncodeRejectsTooDeep(t *testing.T) {
+	v := value.Int(0)
+	for i := 0; i <= value.MaxDepth; i++ {
+		v = value.List(v)
+	}
+	if _, err := EncodeBatchID("deep", []engine.Request{{TxName: "t", Inputs: map[string]value.Value{"a": v}}}); err == nil {
+		t.Fatal("encoded a value nested past value.MaxDepth")
 	}
 }
