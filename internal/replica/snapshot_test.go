@@ -11,6 +11,12 @@ import (
 )
 
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
+	// Rows are not held to the input bound: one nests ten times
+	// value.MaxDepth deep.
+	deep := value.Int(1)
+	for i := 0; i < 10*value.MaxDepth; i++ {
+		deep = value.Record(map[string]value.Value{"f": deep})
+	}
 	s := &StoreSnapshot{
 		Index:      42,
 		Batches:    7,
@@ -19,6 +25,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		Pairs: []SnapPair{
 			{Key: value.NewKey("ACC", value.Int(2)).Encode(), Val: value.Int(5)},
 			{Key: value.NewKey("ACC", value.Int(1)).Encode(), Val: value.Int(9)},
+			{Key: value.NewKey("ACC", value.Int(3)).Encode(), Val: deep},
 		},
 	}
 	enc, err := EncodeSnapshot(s)
@@ -34,7 +41,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Index != 42 || got.Batches != 7 || got.Watermark != 40 ||
-		len(got.AppliedIDs) != 2 || len(got.Pairs) != 2 {
+		len(got.AppliedIDs) != 2 || len(got.Pairs) != 3 || !got.Pairs[2].Val.Equal(deep) {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 
@@ -314,7 +321,7 @@ func tpccClusterConfig(t testing.TB, replicas int) ClusterConfig {
 		OrderLinesMin: 5, OrderLinesMax: 5,
 	}
 	schema := tpcc.Schema()
-	reg, err := engine.NewRegistry(schema, tpcc.NewOrderProg(wcfg), tpcc.PaymentProg(wcfg))
+	reg, err := engine.NewRegistry(schema, tpcc.NewOrderProg(wcfg), tpcc.PaymentProg(wcfg), tpcc.DeliveryProg(wcfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,5 +429,80 @@ func TestTPCCSnapshotRecoveryGolden(t *testing.T) {
 	}
 	if c.Err() != nil {
 		t.Fatal(c.Err())
+	}
+}
+
+// TestSnapshotHoldsRowsDeeperThanInputs: delivery puts its carrierId input
+// inside an order row, so an input nested value.MaxDepth deep, which the
+// sequencer accepts, leaves a row one level deeper. Every replica must still
+// snapshot that state, and a replica restarted from the snapshot must hold
+// the deep row and reach the state of a run without snapshots.
+func TestSnapshotHoldsRowsDeeperThanInputs(t *testing.T) {
+	carrier := value.Int(3)
+	for i := 0; i < value.MaxDepth; i++ {
+		carrier = value.List(carrier)
+	}
+	deliverDeep := func(c *Cluster) {
+		submitTPCC(t, c, 0, 1) // two new orders
+		if err := c.SubmitBatch([]Request{{TxName: "delivery", Inputs: map[string]value.Value{
+			"wId": value.Int(1), "carrierId": carrier,
+		}}}, 20*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const every = 2
+	cfg := tpccClusterConfig(t, 3)
+	cfg.DataDir = t.TempDir()
+	cfg.SnapshotEvery = every
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	deliverDeep(c) // the snapshot at index 2 holds the delivered orders
+	li, err := c.WaitLeader(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := (li + 1) % c.Size()
+	if err := c.WaitSnapshot(victim, every, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
+	submitTPCC(t, c, 1, 1)
+	if err := c.Restart(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitCaughtUp(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if rec := c.LastRecovery(victim); !rec.FromSnapshot || rec.SnapshotIndex < every {
+		t.Fatalf("recovery not snapshot-seeded: %+v", rec)
+	}
+	st := c.ReplicaAt(victim).st
+	deepest := 0
+	st.ForEach(st.Epoch(), func(_ value.Encoded, v value.Value) { deepest = max(deepest, v.Depth()) })
+	if deepest != value.MaxDepth+1 {
+		t.Fatalf("deepest restored row nests %d deep, want %d", deepest, value.MaxDepth+1)
+	}
+	if !c.Converged() {
+		t.Fatalf("diverged: %v", c.StateHashes())
+	}
+	if c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+
+	ref, err := NewCluster(tpccClusterConfig(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+	deliverDeep(ref)
+	submitTPCC(t, ref, 1, 1)
+	if got, want := c.ReplicaAt(victim).StateHash(), ref.ReplicaAt(0).StateHash(); got != want {
+		t.Fatalf("snapshot-recovered state %x != reference without snapshots %x", got, want)
 	}
 }

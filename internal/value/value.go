@@ -95,9 +95,6 @@ func listOf(elems []Value) Value {
 
 // Record returns a record value with the given fields. The map is copied.
 func Record(fields map[string]Value) Value {
-	if len(fields) == 0 {
-		return Value{kind: KindRecord, c: empty}
-	}
 	names := make([]string, 0, len(fields))
 	for k := range fields {
 		names = append(names, k)
@@ -106,6 +103,15 @@ func Record(fields map[string]Value) Value {
 	elems := make([]Value, len(names))
 	for i, k := range names {
 		elems[i] = fields[k]
+	}
+	return recordOf(names, elems)
+}
+
+// recordOf wraps the ascending, distinct field names and their values, which
+// the caller gives up; names may be shared with other records.
+func recordOf(names []string, elems []Value) Value {
+	if len(elems) == 0 {
+		return Value{kind: KindRecord, c: empty}
 	}
 	return Value{kind: KindRecord, c: &compound{names: names, elems: elems}}
 }
@@ -138,14 +144,11 @@ func (sh *Shape) Record(vals ...Value) Value {
 	if len(vals) != len(sh.slot) {
 		panic(fmt.Sprintf("value: Shape.Record: %d values for %d fields", len(vals), len(sh.slot)))
 	}
-	if len(vals) == 0 {
-		return Value{kind: KindRecord, c: empty}
-	}
 	elems := make([]Value, len(sh.names))
 	for i, v := range vals {
 		elems[sh.slot[i]] = v
 	}
-	return Value{kind: KindRecord, c: &compound{names: sh.names, elems: elems}}
+	return recordOf(sh.names, elems)
 }
 
 // Kind reports the dynamic kind of v.
@@ -260,7 +263,7 @@ func (v Value) WithField(name string, f Value) Value {
 		names = insertAt(names, i, name)
 		elems = insertAt(elems, i, f)
 	}
-	return Value{kind: KindRecord, c: &compound{names: names, elems: elems}}
+	return recordOf(names, elems)
 }
 
 // insertAt returns a copy of s with x inserted before index i.
