@@ -5,8 +5,9 @@
 // agree. This is the determinism property the whole system exists for.
 //
 // With -chaos, a seeded fault schedule (internal/chaos) runs alongside the
-// workload: replicas are killed and restarted mid-batch (with WAL recovery
-// and occasional WAL tail corruption), the leader is partitioned away, and
+// workload: replicas are killed and restarted mid-batch (recovering from
+// their journal, sometimes after a crash left a torn frame at its end), the
+// leader is partitioned away, and
 // message loss/delay is injected — after which all replicas must still
 // converge. Chaos enables -datadir persistence (a temp directory when
 // unset) and runs over either transport: over tcp, partition faults are
@@ -14,9 +15,13 @@
 // crash/restart close and re-listen real sockets.
 //
 // With -snapshot-every N (requires -datadir, implied under -chaos), each
-// replica captures a store snapshot every N applied batches, compacts its
-// raft log below it and prunes its WAL prefix, so crashed replicas recover
-// from snapshot + WAL suffix instead of replaying from index 1.
+// replica captures a store snapshot every N applied batches and compacts its
+// raft journal below it, so crashed replicas recover from the snapshot plus
+// the journal above it instead of replaying from index 1.
+//
+// With -datadir, each replica keeps one durable journal, its raft storage
+// under DIR/<id>/raft, which also holds the replica's applied-index hints;
+// snapshot files go to DIR/<id>/snap.
 //
 // Flow-control flags (-max-inflight, -submit-rate, -retry-budget) bound the
 // submit path: excess load is shed synchronously with a typed error instead
@@ -66,7 +71,7 @@ func run() error {
 	chaosOn := flag.Bool("chaos", false, "run a fault schedule alongside the workload (over tcp, partition faults are skipped; loss/delay inject at the endpoints)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault schedule seed (with -chaos)")
 	chaosSteps := flag.Int("chaos-steps", 0, "fault schedule length (0 = one step per two batches, with -chaos)")
-	dataDir := flag.String("datadir", "", "persist raft state and replica WALs under this directory (required for crash/restart faults; temp dir when -chaos is set and this is empty)")
+	dataDir := flag.String("datadir", "", "keep each replica's journal (raft state, batches, applied-index hints) and snapshots under this directory (required for crash/restart faults; temp dir when -chaos is set and this is empty)")
 	snapshotEvery := flag.Uint64("snapshot-every", 0, "capture a store snapshot and compact the raft log every N applied batches (0 disables; requires -datadir)")
 	maxInflight := flag.Int("max-inflight", 0, "bound concurrently admitted submit batches cluster-wide (0 = unbounded)")
 	submitRate := flag.Float64("submit-rate", 0, "token-bucket admission rate in batches/second; without a token the batch is shed, never queued (0 = unlimited)")

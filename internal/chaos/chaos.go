@@ -1,6 +1,6 @@
 // Package chaos is a seeded, deterministic fault scheduler for the
 // in-process replicated deployment (internal/replica). It kills and restarts
-// replicas mid-batch, corrupts WAL tails before a rejoin, partitions the
+// replicas mid-batch, tears journal tails before a rejoin, partitions the
 // network around the current leader, and injects message loss and delay —
 // all from a plan derived from one seed, so a failing soak run replays with
 // the same fault schedule. The invariant it exists to attack: after every
@@ -29,13 +29,14 @@ const (
 	KillLeader Fault = iota
 	// KillRandom crashes a random live replica.
 	KillRandom
-	// RestartClean restarts one crashed replica: WAL replay, then Raft
+	// RestartClean restarts one crashed replica: journal replay, then Raft
 	// catch-up.
 	RestartClean
-	// RestartCorrupt corrupts the crashed replica's WAL tail (torn write or
-	// bit flip, alternating by rng) before restarting it, forcing the
-	// truncate-and-catch-up recovery path. If nothing is down it first
-	// crashes a random replica.
+	// RestartCorrupt leaves a damaged frame after the last record of the
+	// crashed replica's journal (torn write or bit flip, alternating by rng),
+	// as a crash mid-append does, before restarting it, forcing the
+	// truncate-on-open recovery path. If nothing is down it first crashes a
+	// random replica.
 	RestartCorrupt
 	// PartitionLeader isolates the current leader in a minority partition;
 	// the majority side must elect a successor and keep committing.

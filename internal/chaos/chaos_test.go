@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -81,56 +82,46 @@ func writeWAL(t *testing.T, dir string) int {
 	return n
 }
 
-func TestCorruptTailTorn(t *testing.T) {
-	dir := t.TempDir()
-	n := writeWAL(t, dir)
-	if err := CorruptTail(dir, CorruptTorn, rand.New(rand.NewSource(1))); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := wal.Verify(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Truncated {
-		t.Fatal("torn tail not detected")
-	}
-	if stats.Records >= n || stats.Records == 0 {
-		t.Fatalf("surviving records = %d, want a non-empty strict prefix of %d", stats.Records, n)
-	}
-	// Repair must leave a clean log with exactly the surviving prefix.
-	rep, err := wal.Repair(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Records != stats.Records {
-		t.Fatalf("repair kept %d records, verify saw %d", rep.Records, stats.Records)
-	}
-	after, err := wal.Verify(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Truncated {
-		t.Fatalf("still corrupt after repair: %+v", after)
+// checkCrashDamage corrupts a fresh n-record log with mode under rng seeds
+// 0..seeds-1 and requires what a crash mid-append leaves: every record
+// intact, a damaged frame after them, and a repair that restores the log
+// to its bytes before the damage.
+func checkCrashDamage(t *testing.T, mode CorruptMode, seeds int64) {
+	t.Helper()
+	for seed := int64(0); seed < seeds; seed++ {
+		dir := t.TempDir()
+		n := writeWAL(t, dir)
+		segs, err := wal.SegmentPaths(dir)
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segments %v, %v", segs, err)
+		}
+		clean, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CorruptTail(dir, mode, rand.New(rand.NewSource(seed))); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := wal.Verify(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Truncated || stats.Records != n || stats.BadOffset != int64(len(clean)) {
+			t.Fatalf("%v, seed %d: %+v; want all %d records intact and damage at offset %d",
+				mode, seed, stats, n, len(clean))
+		}
+		if _, err := wal.Repair(dir); err != nil {
+			t.Fatal(err)
+		}
+		if repaired, err := os.ReadFile(segs[0]); err != nil || !bytes.Equal(repaired, clean) {
+			t.Fatalf("%v, seed %d: repair left %d bytes (%v), the log held %d", mode, seed, len(repaired), err, len(clean))
+		}
 	}
 }
 
-func TestCorruptTailBitFlip(t *testing.T) {
-	dir := t.TempDir()
-	n := writeWAL(t, dir)
-	if err := CorruptTail(dir, CorruptBitFlip, rand.New(rand.NewSource(2))); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := wal.Verify(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Truncated {
-		t.Fatal("bit flip not detected by record checksums")
-	}
-	if stats.Records >= n {
-		t.Fatalf("surviving records = %d, want < %d", stats.Records, n)
-	}
-}
+func TestCorruptTailTorn(t *testing.T) { checkCrashDamage(t, CorruptTorn, 16) }
+
+func TestCorruptTailBitFlip(t *testing.T) { checkCrashDamage(t, CorruptBitFlip, 64) }
 
 func TestCorruptTailEmptyLog(t *testing.T) {
 	dir := t.TempDir()

@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 
@@ -13,11 +15,12 @@ import (
 type CorruptMode int
 
 const (
-	// CorruptTorn truncates the final segment mid-record, simulating a crash
-	// during an append (a torn write).
+	// CorruptTorn leaves a torn frame after the last record, as a crash in
+	// the middle of an append does (a torn write).
 	CorruptTorn CorruptMode = iota
-	// CorruptBitFlip flips one random bit in the tail region of the final
-	// segment, simulating media corruption; the record's checksum catches it.
+	// CorruptBitFlip leaves a whole frame after the last record with one bit
+	// flipped, as a crash does when an append's bytes reach the disk only in
+	// part; the frame's checksum catches it.
 	CorruptBitFlip
 )
 
@@ -32,11 +35,16 @@ func (m CorruptMode) String() string {
 // segment to damage.
 var ErrNothingToCorrupt = errors.New("chaos: no wal data to corrupt")
 
-// CorruptTail damages the tail of the last non-empty WAL segment in dir. The
-// damage is confined to the final region of the log, so recovery (which
-// truncates at the first corrupt record) loses at most a bounded suffix —
-// which Raft re-delivery then restores. rng drives how many bytes are torn
-// off or which bit flips.
+// tornPayload is the payload of the frame CorruptTail damages.
+var tornPayload = []byte("an append a crash cut short")
+
+// CorruptTail damages the end of the last non-empty WAL segment in dir the
+// way a crash in the middle of an append can: it adds a damaged frame after
+// the last record and changes no record. A record a log holds was
+// acknowledged once written — raft assumes its journal is stable storage —
+// so damage to one is outside what a crash does. Recovery stops at the
+// damaged frame and repair cuts it off. rng drives how many bytes of the
+// frame are torn off or which bit flips.
 func CorruptTail(dir string, mode CorruptMode, rng *rand.Rand) error {
 	segs, err := wal.SegmentPaths(dir)
 	if err != nil {
@@ -44,47 +52,39 @@ func CorruptTail(dir string, mode CorruptMode, rng *rand.Rand) error {
 	}
 	// Last non-empty segment: a freshly rolled segment may be empty.
 	var target string
-	var size int64
-	for i := len(segs) - 1; i >= 0; i-- {
+	for i := len(segs) - 1; i >= 0 && target == ""; i-- {
 		info, err := os.Stat(segs[i])
 		if err != nil {
 			return fmt.Errorf("chaos: corrupt tail: %w", err)
 		}
 		if info.Size() > 0 {
-			target, size = segs[i], info.Size()
-			break
+			target = segs[i]
 		}
 	}
 	if target == "" {
 		return ErrNothingToCorrupt
 	}
+	// The frame as the WAL writes it: payload length, CRC32-C of the length
+	// field and the payload, payload.
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(tornPayload)))
+	crc := crc32.Update(crc32.Checksum(frame, castagnoli), castagnoli, tornPayload)
+	frame = append(binary.LittleEndian.AppendUint32(frame, crc), tornPayload...)
 	switch mode {
 	case CorruptTorn:
-		// Tear off 1..16 bytes (never the whole segment).
-		n := int64(1 + rng.Intn(16))
-		if n >= size {
-			n = size - 1
-		}
-		if n <= 0 {
-			return ErrNothingToCorrupt
-		}
-		if err := os.Truncate(target, size-n); err != nil {
-			return fmt.Errorf("chaos: torn write: %w", err)
-		}
+		frame = frame[:len(frame)-1-rng.Intn(16)] // tear off 1..16 bytes
 	case CorruptBitFlip:
-		data, err := os.ReadFile(target)
-		if err != nil {
-			return fmt.Errorf("chaos: bit flip: %w", err)
-		}
-		// Flip a bit in the final quarter so only the tail records are hit.
-		lo := len(data) * 3 / 4
-		pos := lo + rng.Intn(len(data)-lo)
-		data[pos] ^= byte(1 << uint(rng.Intn(8)))
-		if err := os.WriteFile(target, data, 0o644); err != nil {
-			return fmt.Errorf("chaos: bit flip: %w", err)
-		}
+		frame[rng.Intn(len(frame))] ^= byte(1 << uint(rng.Intn(8)))
 	default:
 		return fmt.Errorf("chaos: unknown corrupt mode %d", int(mode))
 	}
-	return nil
+	f, err := os.OpenFile(target, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("chaos: corrupt tail: %w", err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("chaos: corrupt tail: %w", err)
+	}
+	return f.Close()
 }

@@ -80,7 +80,7 @@ func soakSeed(t testing.TB) int64 {
 
 // TestChaosSoak is the Jepsen-lite convergence soak: a bank workload runs
 // against a 3-replica cluster while a seeded fault schedule kills and
-// restarts replicas mid-batch, corrupts WAL tails, partitions the leader
+// restarts replicas mid-batch, tears journal tails, partitions the leader
 // away and injects message loss and delay — with snapshotting enabled, so
 // recovery paths run over compacted logs. When the dust settles, every
 // replica must hash identically to a fault-free reference execution, with
@@ -250,7 +250,7 @@ func soakRun(t *testing.T, tcp bool) {
 		}
 	}
 	// Exactly once: every replica's state reflects each batch a single time
-	// (replayed-from-WAL + live-applied, duplicates and redeliveries
+	// (replayed from the journal + live-applied, duplicates and redeliveries
 	// excluded).
 	for i := 0; i < c.Size(); i++ {
 		rep := c.ReplicaAt(i)

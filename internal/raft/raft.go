@@ -5,12 +5,13 @@
 // transactions within each batch ... by relying on a consensus algorithm
 // [17], [24]").
 //
-// Scope: optional WAL-backed persistence of term/vote/log (see Storage),
-// plus snapshot-based log compaction: the application hands the node an
-// opaque snapshot of its state machine at a committed index (Compact), the
-// log prefix up to that index is discarded, and followers too far behind the
-// compacted log are caught up with InstallSnapshotChunk RPCs instead of entry
-// replay. Safety properties (election safety — including across restarts —
+// Scope: optional WAL-backed persistence of term/vote/log (see Storage; its
+// FileStorage journal is also where the application records how far it has
+// applied, and what it recovers from), plus snapshot-based log compaction:
+// the application hands the node an opaque snapshot of its state machine at
+// a committed index (Compact), the log prefix up to that index is
+// discarded, and followers too far behind the compacted log are caught up
+// with InstallSnapshotChunk RPCs instead of entry replay. Safety properties (election safety — including across restarts —
 // log matching, leader completeness for committed entries) are exercised by
 // the tests in this package over the memnet fault-injecting transport.
 package raft

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"prognosticator/internal/value"
 	"prognosticator/internal/wal"
@@ -43,10 +44,14 @@ type Storage interface {
 // FileStorage implements Storage as a WAL of binary records (see
 // storageRecord). Each mutation is one framed record; Load replays them.
 // SaveSnapshot compacts the journal: it rotates to a fresh segment, writes a
-// checkpoint (state + snapshot + retained tail) there, and drops all older
-// segments. A crash between the checkpoint and the drop is safe — replay
-// sees the old records followed by the checkpoint that supersedes them,
-// never a gap.
+// checkpoint (state + snapshot + retained tail + applied hint) there, and
+// drops all older segments. A crash between the checkpoint and the drop is
+// safe — replay sees the old records followed by the checkpoint that
+// supersedes them, never a gap.
+//
+// It is the node's one durable journal: the application adds its
+// applied-index hints (SaveApplied), and recovers by reading the journal
+// back (ReadJournal).
 type FileStorage struct {
 	log *wal.Log
 	dir string
@@ -54,33 +59,42 @@ type FileStorage struct {
 	// vote without the caller threading them through.
 	term  uint64
 	voted string
+	// applied is the newest applied-index hint, which a checkpoint
+	// re-records. SaveApplied stores it before it writes its record and
+	// SaveSnapshot reads it after rotating, so every hint lands in the
+	// checkpoint, in a segment after it, or in both.
+	applied atomic.Uint64
 }
 
 // storageRecord is one journal record. It is written in the binary encoding
 // of internal/value: a kind byte, then
 //
-//	recState:  term | votedFor
-//	recAppend: first index | entry count | (term | command)...
-//	recSnap:   index | term | data
+//	recState:   term | votedFor
+//	recAppend:  first index | entry count | (term | command)...
+//	recSnap:    index | term | data
+//	recApplied: index
 //
 // with integers and counts as uvarints and strings and byte strings
 // length-prefixed. A journal written before that encoding holds JSON
 // records, which begin with '{' (kind and field names in the json tags
-// below); Load reads both, in any mix.
+// below); Load reads both, in any mix. An applied hint has no JSON form:
+// no journal was written as JSON after hints existed.
 type storageRecord struct {
-	Kind     string    `json:"k"` // "state" | "append" | "snap"
+	Kind     string    `json:"k"` // "state" | "append" | "snap" | "applied"
 	Term     uint64    `json:"t,omitempty"`
 	VotedFor string    `json:"v,omitempty"`
 	First    uint64    `json:"f,omitempty"`
 	Entries  []Entry   `json:"e,omitempty"`
 	Snap     *Snapshot `json:"s,omitempty"`
+	Applied  uint64    `json:"-"`
 }
 
 // Record kinds: the first byte of a binary journal record.
 const (
-	recState  = 1
-	recAppend = 2
-	recSnap   = 3
+	recState   = 1
+	recAppend  = 2
+	recSnap    = 3
+	recApplied = 4
 )
 
 // appendBinary appends rec's binary encoding to b.
@@ -103,6 +117,9 @@ func (rec *storageRecord) appendBinary(b []byte) []byte {
 		b = binary.AppendUvarint(b, rec.Snap.Index)
 		b = binary.AppendUvarint(b, rec.Snap.Term)
 		b = value.AppendBytes(b, rec.Snap.Data)
+	case "applied":
+		b = append(b, recApplied)
+		b = binary.AppendUvarint(b, rec.Applied)
 	default:
 		panic(fmt.Sprintf("raft: storage record of kind %q", rec.Kind))
 	}
@@ -151,6 +168,9 @@ func decodeRecord(payload []byte) (storageRecord, error) {
 		case recSnap:
 			rec.Kind = "snap"
 			rec.Snap = &Snapshot{Index: r.Uvarint(), Term: r.Uvarint(), Data: r.Bytes()}
+		case recApplied:
+			rec.Kind = "applied"
+			rec.Applied = r.Uvarint()
 		default:
 			r.Fail("record kind %d", k)
 		}
@@ -164,25 +184,16 @@ func decodeRecord(payload []byte) (storageRecord, error) {
 	return rec, nil
 }
 
-// OpenFileStorage opens (or creates) persistent Raft state in dir with the
-// safe default policy: every record fsynced before the append returns (a
-// node must not communicate a term, vote or entry it could forget).
+// OpenFileStorage opens (or creates) persistent Raft state in dir. Every
+// record but an applied hint is fsynced before the append returns (a node
+// must not communicate a term, vote or entry it could forget). Any torn or
+// corrupted tail left by a previous crash is truncated before the log is
+// reopened, so new appends always extend a verified-clean prefix.
 func OpenFileStorage(dir string) (*FileStorage, error) {
-	return OpenFileStorageWith(dir, wal.Options{Sync: wal.SyncAlways})
-}
-
-// OpenFileStorageWith is OpenFileStorage with an explicit WAL configuration.
-// Relaxing the sync policy below SyncAlways trades crash safety for append
-// throughput and is only sound when the fault model excludes machine
-// crashes (e.g. in-process chaos testing, where a "crash" stops goroutines
-// but never loses page-cache writes). Any torn or corrupted tail left by a
-// previous crash is truncated before the log is reopened, so new appends
-// always extend a verified-clean prefix.
-func OpenFileStorageWith(dir string, opts wal.Options) (*FileStorage, error) {
 	if _, err := wal.Repair(dir); err != nil {
 		return nil, fmt.Errorf("raft: storage repair: %w", err)
 	}
-	l, err := wal.Open(dir, opts)
+	l, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
 	if err != nil {
 		return nil, fmt.Errorf("raft: storage: %w", err)
 	}
@@ -192,12 +203,18 @@ func OpenFileStorageWith(dir string, opts wal.Options) (*FileStorage, error) {
 // Close releases the underlying log.
 func (fs *FileStorage) Close() error { return fs.log.Close() }
 
+// Syncs returns how many fsyncs the journal has issued.
+func (fs *FileStorage) Syncs() int64 { return fs.log.Syncs() }
+
+// append writes one record, fsynced unless it is an applied hint.
 func (fs *FileStorage) append(rec storageRecord) error {
-	if err := fs.log.Append(rec.appendBinary(nil)); err != nil {
+	write := fs.log.Append
+	if rec.Kind == "applied" {
+		write = fs.log.AppendNoSync
+	}
+	if err := write(rec.appendBinary(nil)); err != nil {
 		return fmt.Errorf("raft: storage append: %w", err)
 	}
-	// Durability is governed by the log's SyncPolicy (SyncAlways by
-	// default), not an unconditional fsync here.
 	return nil
 }
 
@@ -212,13 +229,26 @@ func (fs *FileStorage) Append(firstIndex uint64, entries []Entry) error {
 	return fs.append(storageRecord{Kind: "append", First: firstIndex, Entries: entries})
 }
 
+// SaveApplied records an applied-index hint: the application has applied
+// every entry up to index, which must be committed. The hint is not
+// fsynced, since losing it only makes a recovery replay less of the journal
+// and leave the rest to raft's redelivery. Unlike the Storage methods, which
+// the node calls under its lock, it is called by the application, and may
+// run concurrently with them.
+func (fs *FileStorage) SaveApplied(index uint64) error {
+	fs.applied.Store(index)
+	return fs.append(storageRecord{Kind: "applied", Applied: index})
+}
+
 // SaveSnapshot implements Storage: rotate to a fresh segment, checkpoint
-// everything live (current state, the snapshot, the retained tail), fsync,
-// then drop all older segments.
+// everything live (current state, the snapshot, the retained tail, an
+// applied hint above the snapshot), fsync, then drop all segments before
+// the checkpoint's first. A large checkpoint may itself span segments.
 func (fs *FileStorage) SaveSnapshot(snap Snapshot, tail []Entry) error {
 	if err := fs.log.Rotate(); err != nil {
 		return fmt.Errorf("raft: storage rotate: %w", err)
 	}
+	first := fs.log.CurrentSegment()
 	if err := fs.append(storageRecord{Kind: "state", Term: fs.term, VotedFor: fs.voted}); err != nil {
 		return err
 	}
@@ -231,10 +261,15 @@ func (fs *FileStorage) SaveSnapshot(snap Snapshot, tail []Entry) error {
 			return err
 		}
 	}
+	if applied := fs.applied.Load(); applied > snap.Index {
+		if err := fs.append(storageRecord{Kind: "applied", Applied: applied}); err != nil {
+			return err
+		}
+	}
 	if err := fs.log.Sync(); err != nil {
 		return fmt.Errorf("raft: storage sync: %w", err)
 	}
-	if err := fs.log.DropSegmentsBelow(fs.log.CurrentSegment()); err != nil {
+	if err := fs.log.DropSegmentsBelow(first); err != nil {
 		return fmt.Errorf("raft: storage compact: %w", err)
 	}
 	return nil
@@ -242,50 +277,79 @@ func (fs *FileStorage) SaveSnapshot(snap Snapshot, tail []Entry) error {
 
 // Load implements Storage.
 func (fs *FileStorage) Load() (uint64, string, Snapshot, []Entry, error) {
-	var term uint64
-	var voted string
-	var snap Snapshot
-	var log []Entry // log[i] = entry at logical index snap.Index+1+i
-	err := wal.Replay(fs.dir, func(payload []byte) error {
+	j, err := ReadJournal(fs.dir)
+	if err != nil {
+		return 0, "", Snapshot{}, nil, err
+	}
+	fs.term, fs.voted = j.Term, j.VotedFor
+	fs.applied.Store(j.Applied)
+	return j.Term, j.VotedFor, j.Snap, j.Log, nil
+}
+
+// Journal is what a FileStorage journal holds.
+type Journal struct {
+	Term     uint64
+	VotedFor string
+	Snap     Snapshot
+	// Log holds the entries above the snapshot: Log[i] is the entry at
+	// index Snap.Index+1+i.
+	Log []Entry
+	// Applied is the newest applied-index hint. Hints are not fsynced, so
+	// it may lag what the application applied; it never passes what was
+	// committed.
+	Applied uint64
+	// Stats describes the scan, including any torn or corrupted tail it
+	// stopped at.
+	Stats wal.Stats
+}
+
+// ReadJournal replays the journal in dir without opening it for writing: a
+// missing directory is an empty journal, and the replay stops at the first
+// torn or corrupted record.
+func ReadJournal(dir string) (Journal, error) {
+	var j Journal
+	var err error
+	j.Stats, err = wal.Replay(dir, func(payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
 			return fmt.Errorf("raft: storage decode: %w", err)
 		}
 		switch rec.Kind {
 		case "state":
-			term, voted = rec.Term, rec.VotedFor
+			j.Term, j.VotedFor = rec.Term, rec.VotedFor
 		case "append":
 			first, entries := rec.First, rec.Entries
-			if first <= snap.Index {
+			if first <= j.Snap.Index {
 				// Prefix already covered by a later-read snapshot
 				// checkpoint: keep only the part above it.
-				drop := snap.Index - first + 1
+				drop := j.Snap.Index - first + 1
 				if uint64(len(entries)) <= drop {
 					return nil
 				}
 				entries = entries[drop:]
-				first = snap.Index + 1
+				first = j.Snap.Index + 1
 			}
-			pos := first - snap.Index // 1-based position in the tail slice
-			if pos <= uint64(len(log)) {
-				log = log[:pos-1]
+			pos := first - j.Snap.Index // 1-based position in the tail slice
+			if pos <= uint64(len(j.Log)) {
+				j.Log = j.Log[:pos-1]
 			}
-			log = append(log, entries...)
+			j.Log = append(j.Log, entries...)
 		case "snap":
 			// Re-base the tail: keep only entries above the new
 			// snapshot index.
-			if drop := rec.Snap.Index - snap.Index; drop < uint64(len(log)) {
-				log = append([]Entry(nil), log[drop:]...)
+			if drop := rec.Snap.Index - j.Snap.Index; drop < uint64(len(j.Log)) {
+				j.Log = append([]Entry(nil), j.Log[drop:]...)
 			} else {
-				log = nil
+				j.Log = nil
 			}
-			snap = *rec.Snap
+			j.Snap = *rec.Snap
+		case "applied":
+			j.Applied = max(j.Applied, rec.Applied)
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, "", Snapshot{}, nil, err
+		return Journal{}, err
 	}
-	fs.term, fs.voted = term, voted
-	return term, voted, snap, log, nil
+	return j, nil
 }

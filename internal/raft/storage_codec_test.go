@@ -11,7 +11,7 @@ import (
 
 func sameRecord(a, b storageRecord) bool {
 	if a.Kind != b.Kind || a.Term != b.Term || a.VotedFor != b.VotedFor || a.First != b.First ||
-		len(a.Entries) != len(b.Entries) || (a.Snap == nil) != (b.Snap == nil) {
+		a.Applied != b.Applied || len(a.Entries) != len(b.Entries) || (a.Snap == nil) != (b.Snap == nil) {
 		return false
 	}
 	for i := range a.Entries {
@@ -33,6 +33,7 @@ func FuzzStorageRecord(f *testing.F) {
 		{Kind: "state"},
 		{Kind: "append", First: 7, Entries: []Entry{{Term: 2, Cmd: []byte("a")}, {Term: 3}}},
 		{Kind: "snap", Snap: &Snapshot{Index: 9, Term: 2, Data: []byte{0, '{'}}},
+		{Kind: "applied", Applied: 300},
 	} {
 		f.Add(rec.appendBinary(nil))
 	}
@@ -77,6 +78,8 @@ func TestStorageRecordRejectsHostileInput(t *testing.T) {
 		{"vote length past end", []byte{recState, 1, 9, 'n'}},
 		{"varint not shortest", []byte{recState, 0x81, 0x00, 0}},
 		{"append at index 0", []byte{recAppend, 0, 0}},
+		{"applied index past end", []byte{recApplied, 0x80}},
+		{"JSON applied hint", []byte(`{"k":"applied"}`)},
 		{"JSON of unknown kind", []byte(`{"k":"vote","t":1}`)},
 		{"JSON snap without snapshot", []byte(`{"k":"snap"}`)},
 		{"JSON append at index 0", []byte(`{"k":"append","e":[]}`)},
@@ -183,7 +186,7 @@ func TestLoadsJSONEraStorage(t *testing.T) {
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.Replay(dir, func(p []byte) error {
+	if _, err := wal.Replay(dir, func(p []byte) error {
 		if len(p) > 0 && p[0] == '{' {
 			t.Errorf("JSON record %s survived the checkpoint", p)
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"prognosticator/internal/memnet"
+	"prognosticator/internal/wal"
 )
 
 func TestFileStorageRoundTrip(t *testing.T) {
@@ -60,6 +61,119 @@ func TestFileStorageFreshIsEmpty(t *testing.T) {
 	term, voted, snap, log, err := fs.Load()
 	if err != nil || term != 0 || voted != "" || snap.Index != 0 || len(log) != 0 {
 		t.Fatalf("fresh storage = %d %q %+v %v %v", term, voted, snap, log, err)
+	}
+}
+
+// TestJournalAppliedHint: applied hints read back as the newest one, a
+// snapshot checkpoint re-records a hint above its index after dropping the
+// segment that held it, and a fresh journal reads as empty.
+func TestJournalAppliedHint(t *testing.T) {
+	dir := t.TempDir()
+	if j, err := ReadJournal(dir + "/missing"); err != nil || j.Applied != 0 || len(j.Log) != 0 {
+		t.Fatalf("missing journal = %+v, %v", j, err)
+	}
+	fs, err := OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []Entry{{Term: 1, Cmd: []byte("a")}, {Term: 1, Cmd: []byte("b")}, {Term: 1, Cmd: []byte("c")}}
+	if err := fs.Append(1, entries); err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []uint64{1, 3} {
+		if err := fs.SaveApplied(idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j, err := ReadJournal(dir); err != nil || j.Applied != 3 || len(j.Log) != 3 {
+		t.Fatalf("journal = %+v, %v; want hint 3 over 3 entries", j, err)
+	}
+	if err := fs.SaveSnapshot(Snapshot{Index: 2, Term: 1, Data: []byte("s2")}, entries[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := ReadJournal(dir)
+	if err != nil || j.Applied != 3 || j.Snap.Index != 2 || len(j.Log) != 1 || string(j.Log[0].Cmd) != "c" {
+		t.Fatalf("after checkpoint: %+v, %v; want hint 3, snapshot 2, entry c", j, err)
+	}
+}
+
+// TestAppliedHintRacesCheckpoints: the application writes hints while the
+// node appends entries and takes snapshot checkpoints that drop the
+// segments before them. Whatever the interleaving, the journal keeps the
+// newest hint along with the newest snapshot and the entries above it.
+func TestAppliedHintRacesCheckpoints(t *testing.T) {
+	const n, every = 200, 16
+	dir := t.TempDir()
+	fs, err := OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan uint64, n)
+	applied := make(chan error, 1)
+	go func() {
+		var err error
+		for idx := range committed {
+			if err == nil {
+				err = fs.SaveApplied(idx)
+			}
+		}
+		applied <- err
+	}()
+	var log []Entry
+	for idx := uint64(1); idx <= n; idx++ {
+		log = append(log, Entry{Term: 1, Cmd: []byte(fmt.Sprintf("e%d", idx))})
+		if err := fs.Append(idx, log[idx-1:]); err != nil {
+			t.Fatal(err)
+		}
+		committed <- idx
+		if idx%every == 0 {
+			snap := idx - every/2
+			if err := fs.SaveSnapshot(Snapshot{Index: snap, Term: 1, Data: []byte("s")}, log[snap:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(committed)
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := ReadJournal(dir)
+	last := uint64(n/every*every - every/2)
+	if err != nil || j.Applied != n || j.Snap.Index != last || uint64(len(j.Log)) != n-last {
+		t.Fatalf("journal: hint %d, snapshot %d, %d entries, %v; want hint %d, snapshot %d, %d entries",
+			j.Applied, j.Snap.Index, len(j.Log), err, n, last, n-last)
+	}
+}
+
+// TestCheckpointSpanningSegments: a snapshot larger than a segment spills
+// the checkpoint into a second segment; compaction must drop only the
+// segments before the checkpoint, not the one holding its snapshot record.
+func TestCheckpointSpanningSegments(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append(1, []Entry{{Term: 1, Cmd: []byte("a")}, {Term: 1, Cmd: []byte("b")}}); err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, wal.DefaultSegmentSize+1)
+	if err := fs.SaveSnapshot(Snapshot{Index: 1, Term: 1, Data: big}, []Entry{{Term: 1, Cmd: []byte("b")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := ReadJournal(dir)
+	if err != nil || j.Snap.Index != 1 || len(j.Snap.Data) != len(big) || len(j.Log) != 1 {
+		t.Fatalf("journal after a two-segment checkpoint: snapshot %d (%d bytes), %d entries, %v",
+			j.Snap.Index, len(j.Snap.Data), len(j.Log), err)
 	}
 }
 

@@ -1,13 +1,14 @@
 // Package replica ties the pieces into a System Replica (paper Fig. 1): a
 // Raft node delivering ordered batches, a deterministic executor applying
-// them, an optional write-ahead log for durability, and a state hash for
-// divergence detection. A Cluster helper assembles a full in-process
-// deployment (N replicas + dispatchers) for the examples, tests and
-// cmd/replicad — including per-replica crash and rejoin: a crashed node's
-// store is rebuilt from its newest snapshot plus the WAL suffix above it,
-// then caught up through Raft to the live commit index, while apply-time
-// batch-ID deduplication makes client resubmission after an ambiguous leader
-// change idempotent. With snapshots enabled a replica periodically captures
+// them, and a state hash for divergence detection. Only the agreed order is
+// durable: each node keeps one journal, its raft FileStorage, to which the
+// replica adds an applied-index hint after every batch. A Cluster helper
+// assembles a full in-process deployment (N replicas + dispatchers) for the
+// examples, tests and cmd/replicad — including per-replica crash and
+// rejoin: a crashed node's store is rebuilt from its newest snapshot plus a
+// replay of the journal above it (recovery.go), then caught up through Raft
+// to the live commit index, while apply-time batch-ID deduplication makes
+// client resubmission after an ambiguous leader change idempotent. With snapshots enabled a replica periodically captures
 // its store (see snapshot.go), compacts its raft log below the snapshot
 // index, and prunes acknowledged entries from the dedup table, so recovery
 // time, log size and dedup memory all stay bounded in a long-lived
@@ -16,6 +17,7 @@ package replica
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +27,6 @@ import (
 	"prognosticator/internal/sequencer"
 	"prognosticator/internal/store"
 	"prognosticator/internal/vclock"
-	"prognosticator/internal/wal"
 )
 
 // Replica applies committed batches to a deterministic executor.
@@ -33,8 +34,10 @@ type Replica struct {
 	ID   string
 	exec engine.Executor
 	st   *store.Store
-	log  *wal.Log // nil disables durability
 	clk  vclock.Clock
+	// journal takes an applied-index hint after every batch; nil without
+	// persistence. Set before Start.
+	journal *raft.FileStorage
 
 	// onApply, when non-nil, observes every non-duplicate batch application
 	// (index, batch ID, requests, outcomes) from the apply loop — the history
@@ -51,9 +54,9 @@ type Replica struct {
 	lastApplied uint64 // raft index of last applied batch
 	batches     int
 	// appliedIDs maps each applied batch's idempotency ID to the raft index
-	// of its first (and only executed) occurrence. Rebuilt from the WAL on
-	// recovery, so deduplication decisions are identical across crashes and
-	// across replicas: every replica sees the same committed sequence and
+	// of its first (and only executed) occurrence. Recovery rebuilds it by
+	// replaying the journal through applyOne, so deduplication decisions are
+	// identical across crashes and across replicas: every replica sees the same committed sequence and
 	// skips the same duplicates.
 	appliedIDs  map[string]uint64
 	deduped     int // duplicate batches skipped (idempotent resubmission)
@@ -86,9 +89,8 @@ type SnapshotConfig struct {
 	// Every takes a snapshot each time this many raft entries have been
 	// applied since the last one (0 disables snapshotting).
 	Every uint64
-	// Dir is where encoded snapshot files land (required when the replica
-	// also has a WAL: after a snapshot the WAL prefix is dropped, so
-	// recovery depends on the snapshot file being there).
+	// Dir is where encoded snapshot files land. Recovery restores the newer
+	// of the newest file there and the journal's snapshot record.
 	Dir string
 	// Compact, when non-nil, is invoked (asynchronously) with each new
 	// snapshot so the consensus log can truncate below it — wire it to
@@ -104,10 +106,10 @@ func (r *Replica) EnableSnapshots(cfg SnapshotConfig) {
 	r.snapCfg = cfg
 }
 
-// New returns a replica applying batches through exec. wlog may be nil.
-func New(id string, exec engine.Executor, st *store.Store, wlog *wal.Log) *Replica {
+// New returns a replica applying batches through exec to st.
+func New(id string, exec engine.Executor, st *store.Store) *Replica {
 	return &Replica{
-		ID: id, exec: exec, st: st, log: wlog, clk: vclock.Wall,
+		ID: id, exec: exec, st: st, clk: vclock.Wall,
 		appliedIDs: map[string]uint64{},
 		stopCh:     make(chan struct{}),
 	}
@@ -123,21 +125,6 @@ func (r *Replica) SetClock(clk vclock.Clock) { r.clk = vclock.Or(clk) }
 // exactly the executed history.
 func (r *Replica) OnApply(fn func(index uint64, id string, reqs []engine.Request, res *engine.BatchResult)) {
 	r.onApply = fn
-}
-
-// Resume seeds the replica's apply position from a recovery, so that Raft's
-// re-delivery of committed entries above the snapshot index skips everything
-// the recovered store already contains. Must be called before Start.
-func (r *Replica) Resume(rep RecoveryReport) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lastApplied = rep.LastIndex
-	r.batches = rep.Batches
-	r.lastSnap = rep.SnapshotIndex
-	r.dedupWM = rep.Watermark
-	for id, idx := range rep.AppliedIDs {
-		r.appliedIDs[id] = idx
-	}
 }
 
 // Start launches the apply loop consuming committed entries.
@@ -207,25 +194,16 @@ func (r *Replica) applyOne(c raft.Committed) error {
 	if b.ID != "" {
 		if _, dup := r.appliedIDs[b.ID]; dup {
 			// A resubmitted batch committed twice (ambiguous leader change
-			// mid-submit): execute the first occurrence only. The duplicate
-			// is not WAL-logged either, so recovery replays it exactly once.
+			// mid-submit): execute the first occurrence only. Recovery
+			// replays the journal through here and skips it again.
 			r.deduped++
 			r.lastApplied = c.Index
 			r.pruneDedupLocked()
 			r.mu.Unlock()
-			return nil
+			return r.hint(c.Index)
 		}
 	}
 	r.mu.Unlock()
-	// Durability first: log the ordered batch (with its raft index, so
-	// recovery reconstructs identical sequence numbers), then apply.
-	// Recovery replays the log through a fresh engine; determinism
-	// guarantees the same end state.
-	if r.log != nil {
-		if err := r.log.Append(envelope(c.Index, c.Cmd)); err != nil {
-			return fmt.Errorf("replica %s: wal: %w", r.ID, err)
-		}
-	}
 	res, err := r.exec.ExecuteBatch(b.Requests)
 	if err != nil {
 		return fmt.Errorf("replica %s: apply batch %d: %w", r.ID, c.Index, err)
@@ -234,7 +212,6 @@ func (r *Replica) applyOne(c raft.Committed) error {
 		r.onApply(c.Index, b.ID, b.Requests, res)
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.lastApplied = c.Index
 	r.batches++
 	if b.ID != "" {
@@ -242,20 +219,33 @@ func (r *Replica) applyOne(c raft.Committed) error {
 	}
 	r.pruneDedupLocked()
 	if r.snapCfg.Every > 0 && r.lastApplied >= r.lastSnap+r.snapCfg.Every {
-		if err := r.snapshotLocked(); err != nil {
-			return fmt.Errorf("replica %s: snapshot at %d: %w", r.ID, c.Index, err)
-		}
+		err = r.snapshotLocked()
+	}
+	r.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("replica %s: snapshot at %d: %w", r.ID, c.Index, err)
+	}
+	return r.hint(c.Index)
+}
+
+// hint records in the journal that every entry through index is applied,
+// so that a recovery replays the journal that far.
+func (r *Replica) hint(index uint64) error {
+	if r.journal == nil {
+		return nil
+	}
+	if err := r.journal.SaveApplied(index); err != nil {
+		return fmt.Errorf("replica %s: journal: %w", r.ID, err)
 	}
 	return nil
 }
 
 // snapshotLocked captures the store at the current apply position, persists
-// the snapshot, drops the now-redundant WAL prefix, and hands the snapshot
-// to the consensus layer for log compaction. Called from the apply loop, so
-// the store is quiescent. The raft Compact call runs on its own goroutine:
-// raft delivers committed entries while holding its lock, so calling back
-// into it synchronously from the apply loop could deadlock on a full apply
-// channel.
+// the snapshot, and hands it to the consensus layer for log compaction.
+// Called from the apply loop, so the store is quiescent. The raft Compact
+// call runs on its own goroutine: raft delivers committed entries while
+// holding its lock, so calling back into it synchronously from the apply
+// loop could deadlock on a full apply channel.
 func (r *Replica) snapshotLocked() error {
 	snap := &StoreSnapshot{
 		Index:      r.lastApplied,
@@ -275,16 +265,6 @@ func (r *Replica) snapshotLocked() error {
 		if err := WriteSnapshotFile(r.snapCfg.Dir, snap.Index, encoded); err != nil {
 			return err
 		}
-		if r.log != nil {
-			// Every WAL record is now <= snap.Index and covered by the
-			// durable snapshot file: rotate and drop the old segments.
-			if err := r.log.Rotate(); err != nil {
-				return fmt.Errorf("wal rotate: %w", err)
-			}
-			if err := r.log.DropSegmentsBelow(r.log.CurrentSegment()); err != nil {
-				return fmt.Errorf("wal compact: %w", err)
-			}
-		}
 	}
 	r.lastSnap = snap.Index
 	r.snapTaken++
@@ -301,7 +281,8 @@ func (r *Replica) snapshotLocked() error {
 
 // installSnapshot restores the store from a leader-shipped snapshot — the
 // catch-up path for a replica so far behind that the entries it needs were
-// compacted away.
+// compacted away. Raft journaled the snapshot before delivering it, so a
+// crash from here on recovers from it.
 func (r *Replica) installSnapshot(c raft.Committed) error {
 	r.mu.Lock()
 	if c.Index <= r.lastApplied {
@@ -311,40 +292,32 @@ func (r *Replica) installSnapshot(c raft.Committed) error {
 	}
 	r.mu.Unlock()
 	snap, err := DecodeSnapshot(c.Snapshot)
+	if err == nil && r.snapCfg.Dir != "" {
+		err = WriteSnapshotFile(r.snapCfg.Dir, snap.Index, c.Snapshot)
+	}
 	if err != nil {
 		return fmt.Errorf("replica %s: install snapshot at %d: %w", r.ID, c.Index, err)
 	}
+	r.restore(snap)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.installed++
+	return nil
+}
+
+// restore replaces the store and the apply position with snap's.
+func (r *Replica) restore(snap *StoreSnapshot) {
 	RestoreStore(r.st, snap)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.snapCfg.Dir != "" {
-		// Persist the installed snapshot so a crash right after install
-		// recovers from it, then drop the stale WAL prefix (every record
-		// is below the snapshot index).
-		if err := WriteSnapshotFile(r.snapCfg.Dir, snap.Index, c.Snapshot); err != nil {
-			return fmt.Errorf("replica %s: install snapshot at %d: %w", r.ID, c.Index, err)
-		}
-		if r.log != nil {
-			if err := r.log.Rotate(); err != nil {
-				return fmt.Errorf("replica %s: install snapshot: wal rotate: %w", r.ID, err)
-			}
-			if err := r.log.DropSegmentsBelow(r.log.CurrentSegment()); err != nil {
-				return fmt.Errorf("replica %s: install snapshot: wal compact: %w", r.ID, err)
-			}
-		}
-	}
-	r.lastApplied = c.Index
+	r.lastApplied = snap.Index
+	r.lastSnap = snap.Index
 	r.batches = snap.Batches
 	r.appliedIDs = make(map[string]uint64, len(snap.AppliedIDs))
-	for id, idx := range snap.AppliedIDs {
-		r.appliedIDs[id] = idx
-	}
+	maps.Copy(r.appliedIDs, snap.AppliedIDs)
 	if snap.Watermark > r.dedupWM {
 		r.dedupWM = snap.Watermark
 	}
-	r.lastSnap = c.Index
-	r.installed++
-	return nil
 }
 
 // SetDedupWatermark raises the acknowledged low-water mark: the caller
@@ -391,7 +364,7 @@ func (r *Replica) LastApplied() uint64 {
 }
 
 // Batches returns the number of batches this replica's store state
-// reflects: batches executed live plus batches replayed from the WAL at
+// reflects: batches executed live plus batches replayed from the journal at
 // recovery. Duplicates and re-deliveries are never counted, so under an
 // exactly-once workload this equals the number of distinct submitted
 // batches.

@@ -23,7 +23,8 @@ import (
 // It is the top-level object the examples, tests, cmd/replicad and the
 // chaos harness drive. Consensus traffic flows over simulated channels
 // (memnet, the default) or real loopback TCP sockets (tcpnet). With DataDir
-// set, every node persists its Raft state and its replica WAL, enabling
+// set, every node keeps one durable journal (its Raft storage, which also
+// holds its replica's applied-index hints) plus snapshot files, enabling
 // per-replica Crash and Restart. NodeAt and ReplicaAt return a member's
 // current node and replica; Restart replaces both.
 type Cluster struct {
@@ -53,8 +54,6 @@ type Cluster struct {
 	endpoints   []*tcpnet.Endpoint // TCP only
 	down        []bool
 	generations []int
-	storages    []*raft.FileStorage
-	wlogs       []*wal.Log
 	recoveries  []RecoveryReport
 	batchSeq    uint64
 	applyDelays []time.Duration // reapplied on Restart (slow-apply fault)
@@ -80,7 +79,7 @@ type ClusterConfig struct {
 	Seed     int64
 	// NewExecutor builds each replica's executor over its private store. It
 	// is called again on Restart: the factory must produce the same initial
-	// state (e.g. the same Populate) so WAL replay rebuilds on top of it.
+	// state (e.g. the same Populate) so journal replay rebuilds on top of it.
 	NewExecutor func(replicaID string, st *store.Store) (engine.Executor, error)
 	// Raft overrides the consensus timing (zero = defaults).
 	Raft raft.Config
@@ -89,16 +88,19 @@ type ClusterConfig struct {
 	// Restart re-listens on a fresh port and the directory re-routes peers.
 	TCP bool
 	// SnapshotEvery, with DataDir set, makes each replica capture a store
-	// snapshot every N applied entries, compact its raft log below it and
-	// prune its WAL prefix (0 disables snapshotting).
+	// snapshot every N applied entries and compact its raft journal below it
+	// (0 disables snapshotting).
 	SnapshotEvery uint64
-	// DataDir enables durability: node i persists its Raft state under
-	// DataDir/<id>/raft and its replica WAL under DataDir/<id>/wal.
-	// Required for Crash/Restart (a node restarting without persisted
-	// term/vote could double-vote).
+	// DataDir enables durability: node i keeps its journal (Raft state,
+	// entries and applied-index hints) under DataDir/<id>/raft and its
+	// snapshot files under DataDir/<id>/snap. A wal directory left there by
+	// a version that kept a second log per replica is ignored. Required for
+	// Crash/Restart (a node restarting without persisted term/vote could
+	// double-vote).
 	DataDir string
-	// WALSync selects the replica WAL fsync policy (default SyncOS: the
-	// in-process fault model crashes goroutines, not machines).
+	// WALSync is read by nothing. It selected the fsync policy of a
+	// per-replica log that no longer exists; the journal always fsyncs what
+	// Raft persists, and never the applied hints.
 	WALSync wal.SyncPolicy
 	// QuorumSubmit makes SubmitBatch report success once a majority of
 	// replicas applied the batch (the committed entry is durable; laggards
@@ -175,8 +177,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.replicas = make([]*Replica, n)
 	c.down = make([]bool, n)
 	c.generations = make([]int, n)
-	c.storages = make([]*raft.FileStorage, n)
-	c.wlogs = make([]*wal.Log, n)
 	c.recoveries = make([]RecoveryReport, n)
 	c.applyDelays = make([]time.Duration, n)
 	if cfg.TCP {
@@ -199,71 +199,54 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// startNode builds (or rebuilds, on restart) node i: transport endpoint,
-// raft node with optional persistent storage, a fresh store recovered from
-// the newest snapshot plus the WAL suffix above it. It does not start the
-// event loops. Callers hold no cluster lock; the built components are
-// installed under c.mu.
+// startNode builds (or rebuilds, on restart) node i: a fresh store
+// recovered from the node's snapshot and journal, transport endpoint, and a
+// raft node over the same journal. It does not start the event loops.
+// Callers hold no cluster lock; the built components are installed under
+// c.mu.
 func (c *Cluster) startNode(i int) error {
 	id := c.ids[i]
 	c.mu.Lock()
 	gen := c.generations[i]
 	c.mu.Unlock()
+	st := store.New()
+	exec, err := c.cfg.NewExecutor(id, st)
+	if err != nil {
+		return fmt.Errorf("replica: cluster executor for %s: %w", id, err)
+	}
+	rep := New(id, exec, st)
+	var recovered RecoveryReport
+	if c.dataDir != "" {
+		if recovered, err = rep.recover(c.WALDir(i), c.SnapDir(i)); err != nil {
+			return fmt.Errorf("replica: cluster recovery for %s: %w", id, err)
+		}
+	}
 	seed := c.cfg.Seed + int64(i)*7919 + int64(gen)*104729
 	var node *raft.Node
 	var ep *tcpnet.Endpoint
 	if c.cfg.TCP {
-		var err error
-		ep, err = tcpnet.Listen(id, "127.0.0.1:0", c.tcpDir)
-		if err != nil {
+		if ep, err = tcpnet.Listen(id, "127.0.0.1:0", c.tcpDir); err != nil {
 			return fmt.Errorf("replica: cluster transport for %s: %w", id, err)
 		}
 		node = raft.NewNodeWithTransport(id, c.ids, ep, c.cfg.Raft, seed)
 	} else {
 		node = raft.NewNode(id, c.ids, c.Net, c.cfg.Raft, seed)
 	}
-	fail := func(err error) error {
-		if ep != nil {
-			ep.Close()
-		}
-		return err
-	}
-	var storage *raft.FileStorage
 	if c.dataDir != "" {
-		stg, err := raft.OpenFileStorage(filepath.Join(c.dataDir, id, "raft"))
+		stg, err := raft.OpenFileStorage(c.WALDir(i))
+		if err == nil {
+			if err = node.UseStorage(stg); err != nil {
+				_ = stg.Close()
+			}
+		}
 		if err != nil {
-			return fail(fmt.Errorf("replica: cluster raft storage for %s: %w", id, err))
+			if ep != nil {
+				ep.Close()
+			}
+			return fmt.Errorf("replica: cluster raft storage for %s: %w", id, err)
 		}
-		if err := node.UseStorage(stg); err != nil {
-			_ = stg.Close()
-			return fail(fmt.Errorf("replica: cluster raft storage for %s: %w", id, err))
-		}
-		storage = stg
+		rep.journal = stg
 	}
-	st := store.New()
-	exec, err := c.cfg.NewExecutor(id, st)
-	if err != nil {
-		if storage != nil {
-			_ = storage.Close()
-		}
-		return fail(fmt.Errorf("replica: cluster executor for %s: %w", id, err))
-	}
-	var wlog *wal.Log
-	var recovered RecoveryReport
-	if c.dataDir != "" {
-		wdir := c.WALDir(i)
-		recovered, err = RecoverWithSnapshot(wdir, c.SnapDir(i), exec, st)
-		if err != nil {
-			_ = storage.Close()
-			return fail(fmt.Errorf("replica: cluster recovery for %s: %w", id, err))
-		}
-		wlog, err = wal.Open(wdir, wal.Options{Sync: c.cfg.WALSync})
-		if err != nil {
-			_ = storage.Close()
-			return fail(fmt.Errorf("replica: cluster wal for %s: %w", id, err))
-		}
-	}
-	rep := New(id, exec, st, wlog)
 	rep.SetClock(c.clk)
 	rep.applied = c.progress
 	if onApply := c.cfg.OnApply; onApply != nil {
@@ -271,7 +254,6 @@ func (c *Cluster) startNode(i int) error {
 			onApply(id, index, batchID, reqs, res)
 		})
 	}
-	rep.Resume(recovered)
 	if c.cfg.SnapshotEvery > 0 && c.dataDir != "" {
 		rep.EnableSnapshots(SnapshotConfig{
 			Every:   c.cfg.SnapshotEvery,
@@ -282,8 +264,6 @@ func (c *Cluster) startNode(i int) error {
 	c.mu.Lock()
 	c.nodes[i] = node
 	c.replicas[i] = rep
-	c.storages[i] = storage
-	c.wlogs[i] = wlog
 	c.recoveries[i] = recovered
 	// A restarted node rejoins with the cluster's standing fault state: the
 	// slow-apply throttle and, over TCP, the per-endpoint loss/delay (memnet
@@ -336,12 +316,14 @@ func (c *Cluster) IDs() []string {
 // Size returns the cluster membership size.
 func (c *Cluster) Size() int { return len(c.ids) }
 
-// WALDir returns replica i's WAL directory ("" without persistence).
+// WALDir returns node i's journal directory, its raft storage, which holds
+// the batches and applied-index hints recovery reads ("" without
+// persistence). The name is older than the one journal.
 func (c *Cluster) WALDir(i int) string {
 	if c.dataDir == "" {
 		return ""
 	}
-	return filepath.Join(c.dataDir, c.ids[i], "wal")
+	return filepath.Join(c.dataDir, c.ids[i], "raft")
 }
 
 // SnapDir returns replica i's snapshot directory ("" without persistence).
@@ -382,7 +364,7 @@ func (c *Cluster) DownReplicas() []int {
 
 // Crash stops replica i like a process kill: its apply loop and Raft node
 // halt, its network presence disappears (memnet SetDown, or the TCP endpoint
-// closes), and its WAL and Raft storage files are closed. State survives on
+// closes), and its journal is closed. State survives on
 // disk; the node rejoins via Restart. Requires persistence (DataDir).
 func (c *Cluster) Crash(i int) error {
 	if c.dataDir == "" {
@@ -395,7 +377,6 @@ func (c *Cluster) Crash(i int) error {
 	}
 	c.down[i] = true
 	node, rep := c.nodes[i], c.replicas[i]
-	storage, wlog := c.storages[i], c.wlogs[i]
 	var ep *tcpnet.Endpoint
 	if c.cfg.TCP {
 		ep = c.endpoints[i]
@@ -413,19 +394,14 @@ func (c *Cluster) Crash(i int) error {
 	}
 	rep.Stop()
 	node.Stop()
-	if wlog != nil {
-		_ = wlog.Close()
-	}
-	if storage != nil {
-		_ = storage.Close()
-	}
+	_ = rep.journal.Close()
 	c.progress.Notify()
 	return nil
 }
 
 // Restart rejoins a crashed replica: a fresh store is rebuilt from its
-// newest snapshot plus the (repaired) WAL suffix above it, the Raft node
-// reloads its persisted term/vote/snapshot/log, and re-delivery from the
+// newest snapshot plus the journal above it, the Raft node reloads its
+// persisted term/vote/snapshot/log from the same (repaired) journal, and re-delivery from the
 // live leader catches the replica up to the commit index. The executor is
 // rebuilt through the NewExecutor factory. Over TCP the node re-listens on a
 // fresh port; the shared directory re-routes peers on their next dial.
@@ -499,7 +475,6 @@ func (c *Cluster) Stop() {
 	c.progress.Notify()
 	c.mu.Lock()
 	reps, nodes, eps := slices.Clone(c.replicas), slices.Clone(c.nodes), slices.Clone(c.endpoints)
-	storages, wlogs := slices.Clone(c.storages), slices.Clone(c.wlogs)
 	c.mu.Unlock()
 	for _, r := range reps {
 		if r != nil {
@@ -511,14 +486,9 @@ func (c *Cluster) Stop() {
 			n.Stop()
 		}
 	}
-	for _, w := range wlogs {
-		if w != nil {
-			_ = w.Close()
-		}
-	}
-	for _, s := range storages {
-		if s != nil {
-			_ = s.Close()
+	for _, r := range reps {
+		if r != nil && r.journal != nil {
+			_ = r.journal.Close()
 		}
 	}
 	if c.Net != nil {

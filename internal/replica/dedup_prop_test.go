@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -106,7 +107,7 @@ func TestDedupExactlyOnceProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			s := genSchedule(rng)
 			exec := newCountingExec()
-			r := New("prop", exec, store.New(), nil)
+			r := New("prop", exec, store.New())
 
 			lastWM := uint64(0)
 			for i, id := range s.events {
@@ -158,6 +159,60 @@ func TestDedupExactlyOnceProperty(t *testing.T) {
 			}
 			if r.DedupSize() != 0 {
 				t.Fatalf("dedup table holds %d entries after full acknowledgment", r.DedupSize())
+			}
+		})
+	}
+}
+
+// TestDedupReplayFromJournal: a journal holds every committed occurrence of
+// a batch ID, duplicates included, unlike a log of executed batches. Replaying
+// it must execute each ID once and rebuild the live replica's Batches,
+// Deduped and dedup table, for random duplicate schedules.
+func TestDedupReplayFromJournal(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			s := genSchedule(rand.New(rand.NewSource(seed)))
+			dir := t.TempDir()
+			fs, err := raft.OpenFileStorage(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := New("live", newCountingExec(), store.New())
+			live.journal = fs
+			for i, id := range s.events {
+				idx := uint64(i + 1)
+				data, err := sequencer.EncodeBatchID(id, []engine.Request{{TxName: id}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Append(idx, []raft.Entry{{Term: 1, Cmd: data}}); err != nil {
+					t.Fatal(err)
+				}
+				if err := live.applyOne(raft.Committed{Index: idx, Term: 1, Cmd: data}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			exec := newCountingExec()
+			r := New("recovered", exec, store.New())
+			rep, err := r.recover(dir, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range s.first {
+				if got := exec.count(id); got != 1 {
+					t.Fatalf("replay executed %s %d times, want 1", id, got)
+				}
+			}
+			if rep.Batches != live.Batches() || r.Deduped() != live.Deduped() || rep.LastIndex != uint64(len(s.events)) {
+				t.Fatalf("recovered %d batches (%d deduped) through %d, live %d (%d) through %d",
+					rep.Batches, r.Deduped(), rep.LastIndex, live.Batches(), live.Deduped(), len(s.events))
+			}
+			if !maps.Equal(rep.AppliedIDs, live.appliedIDs) {
+				t.Fatalf("recovered dedup table %v, live %v", rep.AppliedIDs, live.appliedIDs)
 			}
 		})
 	}

@@ -130,112 +130,86 @@ func TestClusterAppliesEffects(t *testing.T) {
 	}
 }
 
-func TestWALRecoveryRebuildsState(t *testing.T) {
-	reg := testRegistry(t)
-	dir := t.TempDir()
-	wlog, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := store.New()
-	exec := engine.New(reg, st, engine.Config{Workers: 2})
-	rep := New("r0", exec, st, wlog)
-
-	// Feed committed entries directly (bypassing Raft) to exercise the
-	// WAL path in isolation.
-	applyCh := make(chan struct {
-		idx uint64
-		cmd []byte
-	})
-	_ = applyCh
-	batches := [][]byte{}
-	for b := 0; b < 4; b++ {
-		var reqs []engine.Request
-		for i := 0; i < 10; i++ {
-			reqs = append(reqs, engine.Request{TxName: "deposit",
-				Inputs: map[string]value.Value{
-					"k": value.Int(int64((b + i) % 20)), "amt": value.Int(int64(1 + i)),
-				}})
-		}
-		data, err := encodeForTest(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batches = append(batches, data)
-	}
-	for i, cmd := range batches {
-		if err := rep.applyOne(committedForTest(uint64(i+1), cmd)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := rep.StateHash()
-	if err := wlog.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash-recover: replay the WAL into a fresh store.
-	st2 := store.New()
-	exec2 := engine.New(reg, st2, engine.Config{Workers: 8})
-	rec, err := Recover(dir, exec2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Batches != len(batches) {
-		t.Fatalf("recovered %d batches, want %d", rec.Batches, len(batches))
-	}
-	if rec.LastIndex != uint64(len(batches)) {
-		t.Fatalf("recovered last index %d, want %d", rec.LastIndex, len(batches))
-	}
-	if rec.WAL.Truncated {
-		t.Fatal("clean WAL reported as truncated")
-	}
-	if got := st2.StateHash(st2.Epoch()); got != want {
-		t.Fatalf("recovered state hash %x != original %x", got, want)
-	}
-}
-
-// writeBatchesToWAL applies n batches through a replica backed by dir's WAL
-// and returns the state hash after each batch (hashes[i] = state after batch
-// i+1).
-func writeBatchesToWAL(t *testing.T, dir string, n int) []uint64 {
+// journalBatches applies cmds at raft indices 1.. through a replica whose
+// journal is dir, appending each to the journal first as raft does, and
+// returns the replica and its state hash after each batch (hashes[i] =
+// state after batch i+1).
+func journalBatches(t *testing.T, dir string, cmds [][]byte) (*Replica, []uint64) {
 	t.Helper()
-	reg := testRegistry(t)
-	wlog, err := wal.Open(dir, wal.Options{})
+	fs, err := raft.OpenFileStorage(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := store.New()
-	rep := New("r0", engine.New(reg, st, engine.Config{Workers: 2}), st, wlog)
-	hashes := make([]uint64, 0, n)
-	for b := 0; b < n; b++ {
-		var reqs []engine.Request
-		for i := 0; i < 8; i++ {
-			reqs = append(reqs, engine.Request{TxName: "deposit",
-				Inputs: map[string]value.Value{
-					"k": value.Int(int64((b*3 + i) % 20)), "amt": value.Int(int64(1 + i)),
-				}})
-		}
-		data, err := encodeForTest(reqs)
-		if err != nil {
+	rep := New("r0", engine.New(testRegistry(t), st, engine.Config{Workers: 2}), st)
+	rep.journal = fs
+	var hashes []uint64
+	for i, cmd := range cmds {
+		idx := uint64(i + 1)
+		if err := fs.Append(idx, []raft.Entry{{Term: 1, Cmd: cmd}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := rep.applyOne(committedForTest(uint64(b+1), data)); err != nil {
+		if err := rep.applyOne(committedForTest(idx, cmd)); err != nil {
 			t.Fatal(err)
 		}
 		hashes = append(hashes, rep.StateHash())
 	}
-	if err := wlog.Close(); err != nil {
+	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return hashes
+	return rep, hashes
 }
 
-// TestRecoverTruncatedTail: a crash mid-append leaves a torn final record.
-// Recovery must replay the intact prefix, report the loss, and leave the log
-// physically truncated so new appends extend a clean prefix.
+// depositBatches encodes n batches of k deposits each, deterministic in
+// (n, k, stride).
+func depositBatches(t *testing.T, n, k, stride int) [][]byte {
+	t.Helper()
+	var cmds [][]byte
+	for b := 0; b < n; b++ {
+		var reqs []engine.Request
+		for i := 0; i < k; i++ {
+			reqs = append(reqs, engine.Request{TxName: "deposit",
+				Inputs: map[string]value.Value{
+					"k": value.Int(int64((b*stride + i) % 20)), "amt": value.Int(int64(1 + i)),
+				}})
+		}
+		data, err := encodeForTest(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmds = append(cmds, data)
+	}
+	return cmds
+}
+
+func TestWALRecoveryRebuildsState(t *testing.T) {
+	dir := t.TempDir()
+	_, hashes := journalBatches(t, dir, depositBatches(t, 4, 10, 1))
+
+	// Crash-recover: replay the journal into a fresh store.
+	st2 := store.New()
+	rec, err := RecoverWithSnapshot(dir, "", engine.New(testRegistry(t), st2, engine.Config{Workers: 8}), st2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Batches != 4 || rec.LastIndex != 4 || rec.FromSnapshot {
+		t.Fatalf("recovered %+v, want 4 batches through index 4 without a snapshot", rec)
+	}
+	if rec.Journal.Truncated {
+		t.Fatal("clean journal reported as truncated")
+	}
+	if got := st2.StateHash(st2.Epoch()); got != hashes[3] {
+		t.Fatalf("recovered state hash %x != original %x", got, hashes[3])
+	}
+}
+
+// TestRecoverTruncatedTail: a crash mid-append leaves a torn final record,
+// here the last applied hint. Recovery must replay up to the previous hint,
+// report the loss, and raft's storage must truncate the journal when it
+// opens it, so new appends extend a clean prefix.
 func TestRecoverTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	hashes := writeBatchesToWAL(t, dir, 5)
+	_, hashes := journalBatches(t, dir, depositBatches(t, 5, 8, 3))
 
 	segs, err := wal.SegmentPaths(dir)
 	if err != nil || len(segs) == 0 {
@@ -246,39 +220,35 @@ func TestRecoverTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear the final record: chop a few bytes off the segment tail.
 	if err := os.Truncate(last, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
 
-	reg := testRegistry(t)
 	st := store.New()
-	rec, err := Recover(dir, engine.New(reg, st, engine.Config{Workers: 4}))
+	rec, err := RecoverWithSnapshot(dir, "", engine.New(testRegistry(t), st, engine.Config{Workers: 4}), st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Batches != 4 {
-		t.Fatalf("replayed %d batches after torn tail, want 4", rec.Batches)
+	if rec.Batches != 4 || rec.LastIndex != 4 {
+		t.Fatalf("replayed %d batches through %d after a torn tail, want 4 through 4", rec.Batches, rec.LastIndex)
 	}
-	if rec.LastIndex != 4 {
-		t.Fatalf("resume index %d, want 4", rec.LastIndex)
-	}
-	if !rec.WAL.Truncated || rec.WAL.LostBytes <= 0 {
-		t.Fatalf("loss not reported: %+v", rec.WAL)
+	if !rec.Journal.Truncated || rec.Journal.LostBytes <= 0 {
+		t.Fatalf("loss not reported: %+v", rec.Journal)
 	}
 	if got := st.StateHash(st.Epoch()); got != hashes[3] {
 		t.Fatalf("recovered state %x != state after 4 intact batches %x", got, hashes[3])
 	}
 
-	// The repaired log must accept appends and verify clean afterwards.
-	wlog, err := wal.Open(dir, wal.Options{})
+	// Opening the journal repairs it; it then takes appends and verifies
+	// clean.
+	fs, err := raft.OpenFileStorage(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wlog.Append([]byte("post-repair")); err != nil {
+	if err := fs.SaveApplied(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := wlog.Close(); err != nil {
+	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := wal.Verify(dir)
@@ -286,15 +256,15 @@ func TestRecoverTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Truncated {
-		t.Fatalf("log still corrupt after repair: %+v", stats)
+		t.Fatalf("journal still corrupt after repair: %+v", stats)
 	}
 }
 
-// TestRecoverBitFlippedTail: a flipped bit in the last record's payload fails
-// its checksum; recovery replays only the records before it.
+// TestRecoverBitFlippedTail: a flipped bit in the last record fails its
+// checksum; recovery replays only what the records before it vouch for.
 func TestRecoverBitFlippedTail(t *testing.T) {
 	dir := t.TempDir()
-	hashes := writeBatchesToWAL(t, dir, 5)
+	_, hashes := journalBatches(t, dir, depositBatches(t, 5, 8, 3))
 
 	segs, err := wal.SegmentPaths(dir)
 	if err != nil || len(segs) == 0 {
@@ -310,17 +280,16 @@ func TestRecoverBitFlippedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := testRegistry(t)
 	st := store.New()
-	rec, err := Recover(dir, engine.New(reg, st, engine.Config{Workers: 4}))
+	rec, err := RecoverWithSnapshot(dir, "", engine.New(testRegistry(t), st, engine.Config{Workers: 4}), st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Batches != 4 {
 		t.Fatalf("replayed %d batches after bit flip, want 4", rec.Batches)
 	}
-	if !rec.WAL.Truncated {
-		t.Fatalf("corruption not reported: %+v", rec.WAL)
+	if !rec.Journal.Truncated {
+		t.Fatalf("corruption not reported: %+v", rec.Journal)
 	}
 	if got := st.StateHash(st.Epoch()); got != hashes[3] {
 		t.Fatalf("recovered state %x != state after 4 intact batches %x", got, hashes[3])
@@ -328,66 +297,48 @@ func TestRecoverBitFlippedTail(t *testing.T) {
 }
 
 // TestApplyDeduplicatesBatchID: the same idempotency ID committed at two raft
-// indices executes once; recovery replays exactly one occurrence and rebuilds
-// the dedup table.
+// indices executes once; recovery replays both journal entries, skips the
+// second again, and rebuilds the dedup table.
 func TestApplyDeduplicatesBatchID(t *testing.T) {
-	reg := testRegistry(t)
-	dir := t.TempDir()
-	wlog, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := store.New()
-	rep := New("r0", engine.New(reg, st, engine.Config{Workers: 2}), st, wlog)
-
 	reqs := []engine.Request{{TxName: "deposit",
 		Inputs: map[string]value.Value{"k": value.Int(1), "amt": value.Int(10)}}}
 	data, err := sequencer.EncodeBatchID("batch-A", reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.applyOne(committedForTest(1, data)); err != nil {
-		t.Fatal(err)
-	}
-	want := rep.StateHash()
+	dir := t.TempDir()
 	// The duplicate (resubmitted after an ambiguous outcome) commits again at
 	// index 2: it must be skipped, not double-deposited.
-	if err := rep.applyOne(committedForTest(2, data)); err != nil {
-		t.Fatal(err)
-	}
+	rep, hashes := journalBatches(t, dir, [][]byte{data, data})
 	if rep.Batches() != 1 || rep.Deduped() != 1 {
 		t.Fatalf("batches=%d deduped=%d, want 1/1", rep.Batches(), rep.Deduped())
 	}
 	if rep.LastApplied() != 2 {
 		t.Fatalf("lastApplied=%d, want 2 (dup advances the watermark)", rep.LastApplied())
 	}
-	if rep.StateHash() != want {
+	if hashes[1] != hashes[0] {
 		t.Fatal("duplicate batch changed state")
 	}
-	if err := wlog.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Recovery sees only the first occurrence (dups are not logged).
 	st2 := store.New()
-	rec, err := Recover(dir, engine.New(reg, st2, engine.Config{Workers: 2}))
+	rec, err := RecoverWithSnapshot(dir, "", engine.New(testRegistry(t), st2, engine.Config{Workers: 2}), st2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Batches != 1 {
-		t.Fatalf("recovered %d batches, want 1", rec.Batches)
+	if rec.Batches != 1 || rec.LastIndex != 2 {
+		t.Fatalf("recovered %d batches through %d, want 1 through 2", rec.Batches, rec.LastIndex)
 	}
 	if idx, ok := rec.AppliedIDs["batch-A"]; !ok || idx != 1 {
 		t.Fatalf("dedup table not rebuilt: %v", rec.AppliedIDs)
 	}
-	if got := st2.StateHash(st2.Epoch()); got != want {
-		t.Fatalf("recovered state %x != original %x", got, want)
+	if got := st2.StateHash(st2.Epoch()); got != hashes[0] {
+		t.Fatalf("recovered state %x != original %x", got, hashes[0])
 	}
 }
 
 // TestClusterCrashRestartCatchUp: crash a follower mid-workload, keep
-// submitting, restart it, and require it to recover its WAL prefix and catch
-// up through Raft to full convergence.
+// submitting, restart it, and require it to recover its journal prefix and
+// catch up through Raft to full convergence.
 func TestClusterCrashRestartCatchUp(t *testing.T) {
 	cfg := clusterConfig(t, 3, nil)
 	cfg.DataDir = t.TempDir()
@@ -458,7 +409,7 @@ func TestClusterRejectsMissingFactory(t *testing.T) {
 
 // TestNewClusterFailureReleasesMembers: when building one member fails, the
 // members built before it are torn down — no TCP endpoint left accepting,
-// no raft storage or WAL file left open — and the same data directory boots
+// no journal left open — and the same data directory boots
 // a working cluster straight after.
 func TestNewClusterFailureReleasesMembers(t *testing.T) {
 	cfg := clusterConfig(t, 3, nil)
@@ -504,7 +455,7 @@ func TestNewClusterFailureReleasesMembers(t *testing.T) {
 func TestStopBeforeStart(t *testing.T) {
 	stop := func(clk vclock.Clock) {
 		raft.NewNode("n0", []string{"n0"}, memnet.NewWithClock(1, clk), raft.Config{Clock: clk}, 1).Stop()
-		rep := New("r0", nil, store.New(), nil)
+		rep := New("r0", nil, store.New())
 		rep.SetClock(clk)
 		rep.Stop()
 	}

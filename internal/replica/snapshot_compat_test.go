@@ -11,8 +11,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"prognosticator/internal/engine"
+	"prognosticator/internal/raft"
 	"prognosticator/internal/sequencer"
 	"prognosticator/internal/store"
 	"prognosticator/internal/value"
@@ -70,39 +72,77 @@ func TestInstallsMapEraSnapshot(t *testing.T) {
 	}
 }
 
-// TestRecoversJSONEraWAL recovers a replica data directory written at commit
-// aaf8a05, when batches and snapshots were JSON: a snapshot at index 4 (the
-// dedup watermark at 1), then a WAL holding batches 6 and 7 (5 was a
-// duplicate and never logged). Recovery must reach the state hash its writer
-// printed; a binary batch appended to the same WAL then makes a mixed log,
-// which must recover to the state the live replica reached.
-func TestRecoversJSONEraWAL(t *testing.T) {
-	base, walDir, snapDir := t.TempDir(), "wal", "snap"
-	for _, d := range []*string{&walDir, &snapDir} {
-		copyDir(t, filepath.Join("testdata", "json_era_recovery", *d), filepath.Join(base, *d))
-		*d = filepath.Join(base, *d)
-	}
-	reg := testRegistry(t)
-	st := store.New()
-	rep, err := RecoverWithSnapshot(walDir, snapDir, engine.New(reg, st, engine.Config{Workers: 2}), st)
+// TestRecoversJSONEraSnapshot recovers a replica from data written at
+// commit aaf8a05, when batches and snapshots were JSON: a snapshot at index
+// 4 (the dedup watermark at 1), and the batches that commit's replica logged
+// above it, 6 and 7 (5 was a duplicate and never logged). Here they sit in a
+// journal as raft holds them: the snapshot as its snap record, then a
+// duplicate of b-3 at 5, then 6 and 7. Recovery must reach the state hash
+// the fixture's writer printed, whether the snapshot comes from the journal
+// or from the file beside it; a binary batch appended to the journal then
+// makes a mixed one, which must recover to the state the live replica
+// reached.
+func TestRecoversJSONEraSnapshot(t *testing.T) {
+	fixture := filepath.Join("testdata", "json_era_recovery")
+	snapFile := filepath.Join(fixture, "snap", snapName(4))
+	snapData, err := os.ReadFile(snapFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := st.StateHash(st.Epoch()), uint64(0x67b48a6e339d2f28); got != want {
-		t.Fatalf("recovered state hashes to %#x, its writer printed %#x", got, want)
+	cmds := map[uint64][]byte{}
+	if _, err := wal.Replay(filepath.Join(fixture, "wal"), func(p []byte) error {
+		// That commit framed a logged batch as its 8-byte raft index, then
+		// the command.
+		cmds[binary.LittleEndian.Uint64(p)] = p[8:]
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	wantIDs := map[string]uint64{"b-2": 2, "b-3": 3, "b-6": 6, "b-7": 7}
-	if rep.Batches != 6 || rep.LastIndex != 7 || !rep.FromSnapshot || rep.SnapshotIndex != 4 ||
-		rep.Watermark != 1 || rep.WAL.Records != 2 || !maps.Equal(rep.AppliedIDs, wantIDs) {
-		t.Fatalf("report = %+v", rep)
+	dup, err := sequencer.EncodeBatchID("b-3", []engine.Request{
+		{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(1), "amt": value.Int(99)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fs, err := raft.OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fs.Close() }()
+	if err := fs.SaveSnapshot(raft.Snapshot{Index: 4, Term: 1, Data: snapData}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append(5, []raft.Entry{{Term: 1, Cmd: dup}, {Term: 1, Cmd: cmds[6]}, {Term: 1, Cmd: cmds[7]}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SaveApplied(7); err != nil {
+		t.Fatal(err)
 	}
 
-	wlog, err := wal.Open(walDir, wal.Options{})
-	if err != nil {
+	reg := testRegistry(t)
+	wantIDs := map[string]uint64{"b-2": 2, "b-3": 3, "b-6": 6, "b-7": 7}
+	for _, snapDir := range []string{"", filepath.Dir(snapFile)} {
+		st := store.New()
+		rep, err := RecoverWithSnapshot(dir, snapDir, engine.New(reg, st, engine.Config{Workers: 2}), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := st.StateHash(st.Epoch()), uint64(0x67b48a6e339d2f28); got != want {
+			t.Fatalf("snapshot dir %q: recovered state hashes to %#x, its writer printed %#x", snapDir, got, want)
+		}
+		if rep.Batches != 6 || rep.LastIndex != 7 || !rep.FromSnapshot || rep.SnapshotIndex != 4 ||
+			rep.Watermark != 1 || !maps.Equal(rep.AppliedIDs, wantIDs) {
+			t.Fatalf("snapshot dir %q: report = %+v", snapDir, rep)
+		}
+	}
+
+	st := store.New()
+	r := New("r0", engine.New(reg, st, engine.Config{Workers: 2}), st)
+	if _, err := r.recover(dir, ""); err != nil {
 		t.Fatal(err)
 	}
-	r := New("r0", engine.New(reg, st, engine.Config{Workers: 2}), st, wlog)
-	r.Resume(rep)
+	r.journal = fs
 	data, err := sequencer.EncodeBatchID("b-8", []engine.Request{
 		{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(3), "amt": value.Int(40)}},
 		{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(12), "amt": value.Int(1)}},
@@ -110,20 +150,66 @@ func TestRecoversJSONEraWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.Append(8, []raft.Entry{{Term: 1, Cmd: data}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.applyOne(committedForTest(8, data)); err != nil {
 		t.Fatal(err)
 	}
-	want := r.StateHash()
-	if err := wlog.Close(); err != nil {
-		t.Fatal(err)
-	}
 	st2 := store.New()
-	rep2, err := RecoverWithSnapshot(walDir, snapDir, engine.New(reg, st2, engine.Config{Workers: 4}), st2)
+	rep2, err := RecoverWithSnapshot(dir, "", engine.New(reg, st2, engine.Config{Workers: 4}), st2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.StateHash(st2.Epoch()); got != want || rep2.Batches != 7 || rep2.LastIndex != 8 || rep2.AppliedIDs["b-8"] != 8 {
-		t.Fatalf("mixed log recovers to %#x (report %+v), live replica reached %#x", got, rep2, want)
+	if got, want := st2.StateHash(st2.Epoch()), r.StateHash(); got != want || rep2.Batches != 7 || rep2.LastIndex != 8 || rep2.AppliedIDs["b-8"] != 8 {
+		t.Fatalf("mixed journal recovers to %#x (report %+v), live replica reached %#x", got, rep2, want)
+	}
+}
+
+// TestBootsTwoLogDataDir boots a data directory written at commit 3e99bb4,
+// when each replica kept a log of its own beside raft's: three replicas
+// that took 6 batches, with a snapshot at 4 and both logs holding 5 and 6.
+// The journals hold no applied hints, and the wal directories are ignored,
+// so each replica boots at its snapshot. Raft has no leader no-op: 5 and 6
+// apply once the new leader commits an entry of its own term, the batch the
+// test submits. The cluster must then equal a run that never restarted.
+func TestBootsTwoLogDataDir(t *testing.T) {
+	cfg := clusterConfig(t, 3, nil)
+	cfg.DataDir = t.TempDir()
+	cfg.SnapshotEvery = 4
+	for _, id := range []string{"replica-0", "replica-1", "replica-2"} {
+		for _, d := range []string{"raft", "snap", "wal"} {
+			copyDir(t, filepath.Join("testdata", "two_log_datadir", id, d), filepath.Join(cfg.DataDir, id, d))
+		}
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for i := 0; i < c.Size(); i++ {
+		if rec := c.LastRecovery(i); !rec.FromSnapshot || rec.Batches != 4 || rec.LastIndex != 4 {
+			t.Fatalf("replica %d recovered %+v, want the snapshot at 4 and nothing from its wal directory", i, rec)
+		}
+	}
+	submitDeposits(t, c, 6, 1)
+	if err := c.WaitCaughtUp(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewCluster(clusterConfig(t, 1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+	submitDeposits(t, ref, 0, 7)
+	want := ref.ReplicaAt(0).StateHash()
+	for i := 0; i < c.Size(); i++ {
+		if got, n := c.ReplicaAt(i).StateHash(), c.ReplicaAt(i).Batches(); got != want || n != 7 {
+			t.Fatalf("replica %d reached %#x after %d batches, the reference %#x after 7", i, got, n, want)
+		}
 	}
 }
 

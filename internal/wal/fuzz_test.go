@@ -48,7 +48,7 @@ func checkRepaired(t *testing.T, dir string, intactBefore int) {
 		t.Fatalf("repair changed the intact prefix: %d records, want %d", clean.Records, intactBefore)
 	}
 	replayed := 0
-	if err := Replay(dir, func([]byte) error { replayed++; return nil }); err != nil {
+	if _, err := Replay(dir, func([]byte) error { replayed++; return nil }); err != nil {
 		t.Fatalf("replay after repair: %v", err)
 	}
 	if replayed != intactBefore {
@@ -68,7 +68,7 @@ func checkRepaired(t *testing.T, dir string, intactBefore int) {
 	}
 	var last []byte
 	total := 0
-	if err := Replay(dir, func(p []byte) error { total++; last = append([]byte(nil), p...); return nil }); err != nil {
+	if _, err := Replay(dir, func(p []byte) error { total++; last = append([]byte(nil), p...); return nil }); err != nil {
 		t.Fatalf("replay after append: %v", err)
 	}
 	if total != intactBefore+1 || !bytes.Equal(last, marker) {
@@ -167,7 +167,7 @@ func TestWALRepairSeededCorruption(t *testing.T) {
 			t.Fatalf("seed %d: repair: %v", seed, err)
 		}
 		i := 0
-		err = Replay(dir, func(p []byte) error {
+		_, err = Replay(dir, func(p []byte) error {
 			if i >= len(payloads) || !bytes.Equal(p, payloads[i]) {
 				t.Fatalf("seed %d: record %d is not a prefix of the original log", seed, i)
 			}

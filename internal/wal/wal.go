@@ -1,8 +1,8 @@
 // Package wal implements a segmented append-only write-ahead log with
-// CRC-framed records. Replicas (internal/replica) log each committed batch's
-// write-set before applying it, so a restarted replica can rebuild its store
-// deterministically. Records survive crashes up to the last fully written
-// frame; a torn or corrupted tail is detected by per-record checksums
+// CRC-framed records. It is the file format of each node's one durable
+// journal (internal/raft's FileStorage): term, vote, log entries, snapshots
+// and the replica's applied-index hints. Records survive crashes up to the
+// last fully written frame; a torn or corrupted tail is detected by per-record checksums
 // (covering both the length header and the payload) and truncated on
 // recovery, never propagated. Repair physically removes the damaged suffix
 // so a reopened log continues from a verified-clean prefix.
@@ -58,21 +58,14 @@ const (
 	// SyncAlways fsyncs after every append — what consensus state needs
 	// before communicating a promise.
 	SyncAlways
-	// SyncInterval fsyncs every Options.SyncEvery appends (group
-	// durability: bounded loss window, amortized fsync cost).
-	SyncInterval
 )
 
 // String returns the policy name.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
+	if p == SyncAlways {
 		return "always"
-	case SyncInterval:
-		return "interval"
-	default:
-		return "os"
 	}
+	return "os"
 }
 
 // Log is a segmented write-ahead log. All methods are safe for concurrent
@@ -86,9 +79,10 @@ type Log struct {
 	curSize     int64
 	closed      bool
 
-	sync        SyncPolicy
-	syncEvery   int
-	sinceSync   int
+	sync SyncPolicy
+	// unsynced reports that the current segment holds records written since
+	// its last fsync.
+	unsynced    bool
 	syncedCount int64
 }
 
@@ -98,8 +92,6 @@ type Options struct {
 	SegmentSize int64
 	// Sync selects the fsync policy (default SyncOS).
 	Sync SyncPolicy
-	// SyncEvery is the append interval for SyncInterval; 0 means 32.
-	SyncEvery int
 }
 
 // Open opens (or creates) a log in dir. Existing segments are preserved;
@@ -107,9 +99,6 @@ type Options struct {
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentSize == 0 {
 		opts.SegmentSize = DefaultSegmentSize
-	}
-	if opts.SyncEvery == 0 {
-		opts.SyncEvery = 32
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
@@ -122,10 +111,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
 	}
-	l := &Log{
-		dir: dir, segmentSize: opts.SegmentSize, curIdx: next,
-		sync: opts.Sync, syncEvery: opts.SyncEvery,
-	}
+	l := &Log{dir: dir, segmentSize: opts.SegmentSize, curIdx: next, sync: opts.Sync}
 	if err := l.openSegment(); err != nil {
 		return nil, err
 	}
@@ -180,13 +166,22 @@ func (l *Log) openSegment() error {
 	}
 	l.cur = f
 	l.curSize = 0
+	l.unsynced = false
 	return nil
 }
 
 // Append writes one record and flushes it to the OS; the configured
 // SyncPolicy decides whether it is also fsynced. It returns after the frame
 // is fully written; rotation happens transparently.
-func (l *Log) Append(payload []byte) error {
+func (l *Log) Append(payload []byte) error { return l.append(payload, l.sync == SyncAlways) }
+
+// AppendNoSync writes one record like Append but never fsyncs it, whatever
+// the policy: for a record whose loss its reader tolerates. It becomes
+// durable with the next fsync of its segment — a later synced append, or,
+// on a SyncAlways log, the rotation that closes the segment.
+func (l *Log) AppendNoSync(payload []byte) error { return l.append(payload, false) }
+
+func (l *Log) append(payload []byte, sync bool) error {
 	if len(payload) > MaxRecordSize {
 		return fmt.Errorf("%w (%d bytes)", ErrTooLarge, len(payload))
 	}
@@ -205,8 +200,8 @@ func (l *Log) Append(payload []byte) error {
 		return fmt.Errorf("wal: append payload: %w", err)
 	}
 	l.curSize += int64(frameHeader + len(payload))
-	l.sinceSync++
-	if l.sync == SyncAlways || (l.sync == SyncInterval && l.sinceSync >= l.syncEvery) {
+	l.unsynced = true
+	if sync {
 		if err := l.syncLocked(); err != nil {
 			return err
 		}
@@ -233,7 +228,7 @@ func (l *Log) syncLocked() error {
 	if err := l.cur.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	l.sinceSync = 0
+	l.unsynced = false
 	l.syncedCount++
 	return nil
 }
@@ -246,7 +241,16 @@ func (l *Log) Syncs() int64 {
 	return l.syncedCount
 }
 
+// rotateLocked closes the current segment and opens the next. On a
+// SyncAlways log it first fsyncs a segment holding unsynced records: a
+// machine crash that tore one of them would make Repair discard every later
+// segment, fsynced records included.
 func (l *Log) rotateLocked() error {
+	if l.sync == SyncAlways && l.unsynced {
+		if err := l.syncLocked(); err != nil {
+			return err
+		}
+	}
 	if err := l.cur.Close(); err != nil {
 		return fmt.Errorf("wal: rotate close: %w", err)
 	}
@@ -335,18 +339,12 @@ type Stats struct {
 // Replay stops at the FIRST torn or corrupted record and does not resume in
 // later segments: everything after a corruption point is treated as lost,
 // never silently skipped over (a mid-log gap would otherwise replay an
-// inconsistent suffix). Use ReplayAll for the corruption details, and Repair
-// to physically truncate the damaged suffix before appending new records.
-// Replay may run on an open log but only observes completed appends.
-func Replay(dir string, fn func(payload []byte) error) error {
-	_, err := ReplayAll(dir, fn)
-	return err
-}
-
-// ReplayAll is Replay returning scan statistics: how many records were
-// intact and how much data (if any) follows the first corruption point. A
-// missing directory is an empty log, not an error.
-func ReplayAll(dir string, fn func(payload []byte) error) (Stats, error) {
+// inconsistent suffix). The returned Stats say how many records were intact
+// and how much data (if any) follows the first corruption point; Repair
+// physically truncates that suffix before new records are appended. A
+// missing directory is an empty log, not an error. Replay may run on an
+// open log but only observes completed appends.
+func Replay(dir string, fn func(payload []byte) error) (Stats, error) {
 	return scan(dir, fn)
 }
 

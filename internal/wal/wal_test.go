@@ -22,7 +22,7 @@ func openT(t *testing.T, dir string, opts Options) *Log {
 func collect(t *testing.T, dir string) [][]byte {
 	t.Helper()
 	var out [][]byte
-	if err := Replay(dir, func(p []byte) error {
+	if _, err := Replay(dir, func(p []byte) error {
 		cp := make([]byte, len(p))
 		copy(cp, p)
 		out = append(out, cp)
@@ -338,23 +338,52 @@ func TestSyncPolicies(t *testing.T) {
 		t.Fatalf("SyncAlways issued %d fsyncs, want 3", got)
 	}
 
-	l2 := openT(t, t.TempDir(), Options{Sync: SyncInterval, SyncEvery: 2})
-	for i := 0; i < 5; i++ {
-		if err := l2.Append([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
+	if err := l.AppendNoSync([]byte("hint")); err != nil {
+		t.Fatal(err)
 	}
-	if got := l2.Syncs(); got != 2 {
-		t.Fatalf("SyncInterval(2) issued %d fsyncs after 5 appends, want 2", got)
+	if got := l.Syncs(); got != 3 {
+		t.Fatalf("AppendNoSync on a SyncAlways log issued an fsync (%d, want 3)", got)
+	}
+	if got := collect(t, dir); len(got) != 4 || string(got[3]) != "hint" {
+		t.Fatalf("replayed %q, want the unsynced record last", got)
 	}
 
 	l3 := openT(t, t.TempDir(), Options{})
 	if err := l3.Append([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
+	if err := l3.Rotate(); err != nil {
+		t.Fatal(err)
+	}
 	if got := l3.Syncs(); got != 0 {
 		t.Fatalf("SyncOS issued %d fsyncs, want 0", got)
 	}
+}
+
+// TestRotateSyncsUnsyncedRecords: on a SyncAlways log, closing a segment
+// that holds an unsynced record costs exactly one fsync, whether Rotate or
+// the size threshold closes it; a segment whose records are all synced
+// closes without one. Otherwise a machine crash could tear the unsynced
+// record while later segments' fsynced records survive, and Repair, which
+// cuts the log at the first bad frame, would discard those.
+func TestRotateSyncsUnsyncedRecords(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{Sync: SyncAlways, SegmentSize: 64})
+	step := func(what string, op func() error, want int64) {
+		t.Helper()
+		before := l.Syncs()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Syncs() - before; got != want {
+			t.Fatalf("%s: %d fsyncs, want %d", what, got, want)
+		}
+	}
+	step("unsynced write", func() error { return l.AppendNoSync([]byte("hint")) }, 0)
+	step("rotate after it", l.Rotate, 1)
+	step("rotate an empty segment", l.Rotate, 0)
+	step("synced write", func() error { return l.Append([]byte("entry")) }, 1)
+	step("rotate after it", l.Rotate, 0)
+	step("unsynced write filling the segment", func() error { return l.AppendNoSync(make([]byte, 64)) }, 1)
 }
 
 func TestSegmentPaths(t *testing.T) {
@@ -386,18 +415,18 @@ func TestReplayCallbackError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("stop")
-	err := Replay(dir, func([]byte) error { return sentinel })
+	_, err := Replay(dir, func([]byte) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("replay error = %v", err)
 	}
 }
 
 func TestReplayEmptyAndMissingDir(t *testing.T) {
-	if err := Replay(t.TempDir(), func([]byte) error { return errors.New("no") }); err != nil {
+	if _, err := Replay(t.TempDir(), func([]byte) error { return errors.New("no") }); err != nil {
 		t.Fatalf("empty dir replay = %v", err)
 	}
 	// Missing directory is not an error (fresh replica).
-	if err := Replay(filepath.Join(t.TempDir(), "nope"), func([]byte) error { return nil }); err != nil {
+	if _, err := Replay(filepath.Join(t.TempDir(), "nope"), func([]byte) error { return nil }); err != nil {
 		t.Fatalf("missing dir replay = %v", err)
 	}
 }
