@@ -10,9 +10,9 @@
 // leader is partitioned away, and
 // message loss/delay is injected — after which all replicas must still
 // converge. Chaos enables -datadir persistence (a temp directory when
-// unset) and runs over either transport: over tcp, partition faults are
-// skipped (memnet-only) while loss/delay inject at the endpoints and
-// crash/restart close and re-listen real sockets.
+// unset) and runs every fault over either transport: over tcp, messages
+// pass the same fault filter before the socket write, and crash/restart
+// close and re-listen real sockets.
 //
 // With -snapshot-every N (requires -datadir, implied under -chaos), each
 // replica captures a store snapshot every N applied batches and compacts its
@@ -68,7 +68,7 @@ func run() error {
 	warehouses := flag.Int("warehouses", 4, "TPC-C warehouses")
 	seed := flag.Int64("seed", 1, "workload seed")
 	transport := flag.String("transport", "mem", "consensus transport: mem (simulated) or tcp (loopback sockets)")
-	chaosOn := flag.Bool("chaos", false, "run a fault schedule alongside the workload (over tcp, partition faults are skipped; loss/delay inject at the endpoints)")
+	chaosOn := flag.Bool("chaos", false, "run a fault schedule alongside the workload (every fault runs over either transport)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault schedule seed (with -chaos)")
 	chaosSteps := flag.Int("chaos-steps", 0, "fault schedule length (0 = one step per two batches, with -chaos)")
 	dataDir := flag.String("datadir", "", "keep each replica's journal (raft state, batches, applied-index hints) and snapshots under this directory (required for crash/restart faults; temp dir when -chaos is set and this is empty)")
@@ -202,9 +202,7 @@ func run() error {
 		}
 		fmt.Printf("\nchaos: converged after quiesce, state hash %016x, every batch applied exactly once\n", hashes[0])
 		fmt.Printf("chaos: faults %s\n", injector.Counters())
-		if cluster.Net != nil {
-			fmt.Printf("chaos: net %+v\n", cluster.Net.Stats())
-		}
+		fmt.Printf("chaos: net %+v\n", cluster.Net.Stats())
 	}
 	if *maxInflight > 0 || *submitRate > 0 || *retryBudget > 0 {
 		fmt.Printf("flow: %s (inflight high water %d)\n", cluster.Flow().Counters(), cluster.Flow().InflightHighWater())

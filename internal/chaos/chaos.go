@@ -294,10 +294,7 @@ func (in *Injector) apply(f Fault) (bool, error) {
 		return true, in.c.Restart(victim)
 
 	case PartitionLeader:
-		if in.partitioned || in.c.Net == nil {
-			// Partitions, loss and delay are simulated-network faults; over
-			// TCP (Net == nil) the schedule still runs, these steps just
-			// count as skipped while crash/restart hit real sockets.
+		if in.partitioned {
 			return false, nil
 		}
 		// Partitioning with a replica already down (3-node cluster: isolated
@@ -327,7 +324,7 @@ func (in *Injector) apply(f Fault) (bool, error) {
 		return true, nil
 
 	case HealPartition:
-		if !in.partitioned || in.c.Net == nil {
+		if !in.partitioned {
 			return false, nil
 		}
 		in.c.Net.Heal()
@@ -335,9 +332,8 @@ func (in *Injector) apply(f Fault) (bool, error) {
 		return true, nil
 
 	case InjectLoss:
-		// Loss and delay are transport-abstracted (Cluster routes them to
-		// the memnet fabric or to per-endpoint TCP fault hooks), so these
-		// faults hit real sockets too.
+		// Like partitions, loss and delay act in the cluster's one fault
+		// filter, which real sockets pass too.
 		in.mu.Lock()
 		p := 0.05 + in.rng.Float64()*0.20
 		in.mu.Unlock()
@@ -400,12 +396,10 @@ func (in *Injector) apply(f Fault) (bool, error) {
 // number of keep-or-drop decisions under that one, each keeping its message
 // with probability 1-p. Callers hold stepMu.
 func (in *Injector) setLoss(p float64) {
-	if in.c.Net != nil {
-		st := in.c.Net.Stats()
-		decided := st.Delivered + st.DroppedLoss + st.DroppedOverflow
-		in.lossFreeLog += float64(decided-in.lossBase) * math.Log1p(-in.lossP)
-		in.lossBase = decided
-	}
+	st := in.c.Net.Stats()
+	decided := st.Delivered + st.DroppedLoss + st.DroppedOverflow
+	in.lossFreeLog += float64(decided-in.lossBase) * math.Log1p(-in.lossP)
+	in.lossBase = decided
 	in.lossP = p
 	in.c.SetLoss(p)
 }
@@ -446,9 +440,7 @@ func (in *Injector) Quiesce(within time.Duration) error {
 	in.stepMu.Lock()
 	defer in.stepMu.Unlock()
 	in.partitioned = false
-	if in.c.Net != nil {
-		in.c.Net.Heal()
-	}
+	in.c.Net.Heal()
 	in.setLoss(0)
 	in.c.SetDelay(0, 0)
 	if in.slowed {

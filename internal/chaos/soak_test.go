@@ -87,9 +87,10 @@ func soakSeed(t testing.TB) int64 {
 // every submitted batch applied exactly once and dedup memory fully pruned.
 func TestChaosSoak(t *testing.T) { soakRun(t, false) }
 
-// TestChaosSoakTCP is the same soak over real loopback TCP sockets:
-// simulated-network faults (partition, loss, delay) are skipped, while
-// crash/restart faults close and re-listen real endpoints.
+// TestChaosSoakTCP is the same soak over real loopback TCP sockets: every
+// fault runs, the network ones (partition, loss, delay) in the fault filter
+// the frames pass before the socket write, while crash/restart faults close
+// and re-listen real endpoints.
 func TestChaosSoakTCP(t *testing.T) { soakRun(t, true) }
 
 func soakRun(t *testing.T, tcp bool) {
@@ -292,22 +293,20 @@ func soakRun(t *testing.T, tcp bool) {
 	if int(counters.Value("skipped")) >= stepIdx {
 		t.Errorf("all %d fired fault steps were skipped — the schedule exercised nothing", stepIdx)
 	}
-	if c.Net != nil {
-		stats := c.Net.Stats()
-		t.Logf("net stats: %+v", stats)
-		if stats.Delivered == 0 {
-			t.Fatal("network delivered nothing")
-		}
-		if counters.Value("partition-leader") > 0 && stats.DroppedPartition == 0 {
-			t.Error("partition applied but no partition drops counted")
-		}
-		// Loss must show as drops unless too little was sent under it: a plan
-		// can fire loss and clear-loss with no traffic in between.
-		odds := in.LossFreeOdds()
-		t.Logf("odds that the loss steps dropped nothing: %.3g", odds)
-		if counters.Value("loss") > 0 && stats.DroppedLoss == 0 && odds < 1e-4 {
-			t.Errorf("loss applied but no loss drops counted (odds of that by chance: %.3g)", odds)
-		}
+	stats := c.Net.Stats()
+	t.Logf("net stats: %+v", stats)
+	if stats.Delivered == 0 {
+		t.Fatal("network delivered nothing")
+	}
+	if counters.Value("partition-leader") > 0 && stats.DroppedPartition == 0 {
+		t.Error("partition applied but no partition drops counted")
+	}
+	// Loss must show as drops unless too little was sent under it: a plan
+	// can fire loss and clear-loss with no traffic in between.
+	odds := in.LossFreeOdds()
+	t.Logf("odds that the loss steps dropped nothing: %.3g", odds)
+	if counters.Value("loss") > 0 && stats.DroppedLoss == 0 && odds < 1e-4 {
+		t.Errorf("loss applied but no loss drops counted (odds of that by chance: %.3g)", odds)
 	}
 	kills := counters.Value("kill-leader") + counters.Value("kill-random")
 	restarts := counters.Value("restart") + counters.Value("restart-corrupt") + counters.Value("quiesce-restarts")

@@ -6,6 +6,11 @@
 // distinguish every drop cause, so tests assert on observable network state
 // instead of sleeping.
 //
+// Its fault filter (Network.Send) is the only one: it decides the fate of a
+// message and hands a survivor to a wire. An Endpoint's wire is its
+// destination's inbox; internal/tcpnet's is a socket, so a Network puts the
+// same faults on messages between real processes.
+//
 // All time flows through an injected vclock.Clock: artificial delays are
 // clock timers (virtual under simulation — zero real sleeps), every enqueue
 // is published to the simulation's idle actors, and loss/delay decisions
@@ -21,19 +26,22 @@ import (
 	"prognosticator/internal/vclock"
 )
 
-// Message is one delivered datagram.
+// Message is one datagram. Its payload is the sender's encoded message, which
+// the receiver owns once it is delivered.
 type Message struct {
 	From    string
 	To      string
-	Payload any
+	Payload []byte
 }
 
-// Stats counts delivery outcomes since the network was created. Every Send
-// increments exactly one field, so Delivered plus all drop counters equals
-// the number of Send calls whose destination was registered.
+// Stats counts delivery outcomes since the network was created. A message
+// sent increments exactly one field, unless its wire finds no destination
+// (an endpoint never registered, a TCP peer that cannot be reached).
 type Stats struct {
 	// Delivered counts messages placed in a destination inbox.
 	Delivered int64
+	// DeliveredBytes sums the payload lengths of the delivered messages.
+	DeliveredBytes int64
 	// DroppedLoss counts drops from the configured loss probability.
 	DroppedLoss int64
 	// DroppedOverflow counts drops from a full destination inbox
@@ -63,8 +71,8 @@ type Network struct {
 	dropProb  float64
 	minDelay  time.Duration
 	maxDelay  time.Duration
-	// blocked holds unordered name pairs that cannot communicate.
-	blocked map[[2]string]bool
+	// group numbers each node's side of the partition; nil when healed.
+	group map[string]int
 	// down holds nodes that are crashed: no traffic in or out.
 	down   map[string]bool
 	closed bool
@@ -91,7 +99,6 @@ func NewWithClock(seed int64, clk vclock.Clock) *Network {
 		clk:       vclock.Or(clk),
 		seed:      seed,
 		endpoints: map[string]*Endpoint{},
-		blocked:   map[[2]string]bool{},
 		down:      map[string]bool{},
 		pairCtr:   map[[2]string]uint64{},
 		pending:   map[string]map[uint64]*delayedSend{},
@@ -152,12 +159,10 @@ func (n *Network) SetDown(name string, down bool) {
 // process does not observe datagrams addressed to its previous life.
 func (n *Network) Drain(name string) int {
 	n.mu.Lock()
-	e, ok := n.endpoints[name]
-	if ok {
-		n.cancelPendingLocked(name, &n.stats.DroppedCanceled)
-	}
+	n.cancelPendingLocked(name, &n.stats.DroppedCanceled)
+	e := n.endpoints[name]
 	n.mu.Unlock()
-	if !ok {
+	if e == nil {
 		return 0
 	}
 	return n.drainInbox(e)
@@ -181,9 +186,7 @@ func (n *Network) drainInbox(e *Endpoint) int {
 func (n *Network) cancelPendingLocked(name string, counter *int64) {
 	for id, ds := range n.pending[name] {
 		ds.canceled = true
-		if ds.tm != nil {
-			ds.tm.Stop()
-		}
+		ds.tm.Stop()
 		delete(n.pending[name], id)
 		*counter++
 	}
@@ -197,26 +200,15 @@ func (n *Network) Stats() Stats {
 }
 
 // Partition splits the network into groups; messages only flow within a
-// group. Any previous partition is replaced.
+// group, and a node named in no group is in the first. Any previous
+// partition is replaced.
 func (n *Network) Partition(groups ...[]string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.blocked = map[[2]string]bool{}
-	groupOf := map[string]int{}
+	n.group = map[string]int{}
 	for gi, g := range groups {
 		for _, name := range g {
-			groupOf[name] = gi
-		}
-	}
-	names := make([]string, 0, len(n.endpoints))
-	for name := range n.endpoints {
-		names = append(names, name)
-	}
-	for i, a := range names {
-		for _, b := range names[i+1:] {
-			if groupOf[a] != groupOf[b] {
-				n.blocked[pair(a, b)] = true
-			}
+			n.group[name] = gi
 		}
 	}
 }
@@ -225,7 +217,7 @@ func (n *Network) Partition(groups ...[]string) {
 func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.blocked = map[[2]string]bool{}
+	n.group = nil
 }
 
 // Close stops delivery; subsequent sends are dropped.
@@ -234,15 +226,6 @@ func (n *Network) Close() {
 	defer n.mu.Unlock()
 	n.closed = true
 }
-
-func pair(a, b string) [2]string {
-	if a < b {
-		return [2]string{a, b}
-	}
-	return [2]string{b, a}
-}
-
-func strHash(s string) uint64 { return vclock.HashString(s) }
 
 // Endpoint is one addressable node on the network.
 type Endpoint struct {
@@ -257,85 +240,121 @@ func (e *Endpoint) Name() string { return e.name }
 // Inbox returns the delivery channel.
 func (e *Endpoint) Inbox() <-chan Message { return e.inbox }
 
-// delayedSend is one message riding a delay timer toward its destination.
+// Send delivers payload to the named endpoint's inbox through the network's
+// faults (see Network.Send). Delivery is asynchronous; a full inbox drops
+// the message (backpressure-as-loss, as UDP would).
+func (e *Endpoint) Send(to string, payload []byte) {
+	e.net.Send(Message{From: e.name, To: to, Payload: payload}, e.net.toInbox)
+}
+
+// delayedSend is one message riding a delay timer toward its wire.
 type delayedSend struct {
 	id       uint64
 	msg      Message
-	dst      *Endpoint
+	wire     func(Message)
 	tm       vclock.Timer
 	canceled bool
 }
 
-// Send delivers payload to the named endpoint, subject to the network's
-// loss, delay, partition and down configuration. Delivery is asynchronous; a
-// full inbox drops the message (backpressure-as-loss, as UDP would).
+// Send is the network's fault filter: it decides whether msg is dropped —
+// the network is closed, its sender or destination is down, a partition
+// separates them, or the loss draw says so — and hands a survivor to wire,
+// at once or when its delay has elapsed. Every drop is counted; wire, which
+// runs outside the network's lock, counts what it delivers (see Deliver).
 //
 // Loss and delay are drawn from a hash stream indexed by (seed, from, to,
 // ordinal): each link sees a deterministic fault pattern regardless of how
 // sends on different links interleave.
-func (e *Endpoint) Send(to string, payload any) {
-	n := e.net
+func (n *Network) Send(msg Message, wire func(Message)) {
 	n.mu.Lock()
-	if n.closed {
-		n.stats.DroppedClosed++
+	if !n.passLocked(msg) {
 		n.mu.Unlock()
 		return
 	}
-	if n.down[e.name] || n.down[to] {
-		n.stats.DroppedDown++
-		n.mu.Unlock()
-		return
-	}
-	if n.blocked[pair(e.name, to)] {
-		n.stats.DroppedPartition++
-		n.mu.Unlock()
-		return
-	}
-	link := [2]string{e.name, to}
+	from, to := vclock.HashString(msg.From), vclock.HashString(msg.To)
+	link := [2]string{msg.From, msg.To}
 	ctr := n.pairCtr[link]
 	n.pairCtr[link] = ctr + 1
 	if n.dropProb > 0 {
-		h := vclock.Hash64(uint64(n.seed), strHash(e.name), strHash(to), ctr, 0)
+		h := vclock.Hash64(uint64(n.seed), from, to, ctr, 0)
 		if float64(h%(1<<53))/(1<<53) < n.dropProb {
 			n.stats.DroppedLoss++
 			n.mu.Unlock()
 			return
 		}
 	}
-	dst, ok := n.endpoints[to]
-	if !ok {
-		n.mu.Unlock()
-		return
-	}
 	var delay time.Duration
 	if n.maxDelay > 0 {
-		h := vclock.Hash64(uint64(n.seed), strHash(e.name), strHash(to), ctr, 1)
+		h := vclock.Hash64(uint64(n.seed), from, to, ctr, 1)
 		delay = n.minDelay + time.Duration(h%uint64(n.maxDelay-n.minDelay+1))
 	}
-	msg := Message{From: e.name, To: to, Payload: payload}
 	if delay == 0 {
-		n.enqueueLocked(dst, msg)
+		n.mu.Unlock()
+		wire(msg)
 		return
 	}
 	n.pendingSeq++
-	ds := &delayedSend{id: n.pendingSeq, msg: msg, dst: dst}
+	ds := &delayedSend{id: n.pendingSeq, msg: msg, wire: wire}
 	// The AfterFunc is created under n.mu: timer creation never runs the
 	// callback inline, and holding the lock closes the window in which a
 	// Drain could miss a not-yet-registered timer.
 	ds.tm = n.clk.AfterFunc(delay, func() { n.deliverDelayed(ds) })
-	if n.pending[to] == nil {
-		n.pending[to] = map[uint64]*delayedSend{}
+	if n.pending[msg.To] == nil {
+		n.pending[msg.To] = map[uint64]*delayedSend{}
 	}
-	n.pending[to][ds.id] = ds
+	n.pending[msg.To][ds.id] = ds
 	n.mu.Unlock()
 }
 
-// enqueueLocked places msg in dst's inbox (or drops on overflow). Callers
-// hold n.mu; it is released here.
-func (n *Network) enqueueLocked(dst *Endpoint, msg Message) {
+// passLocked reports whether msg gets past a closed network, a down node and
+// a partition, counting the drop when it does not. Callers hold n.mu.
+func (n *Network) passLocked(msg Message) bool {
+	switch {
+	case n.closed:
+		n.stats.DroppedClosed++
+	case n.down[msg.From] || n.down[msg.To]:
+		n.stats.DroppedDown++
+	case n.group[msg.From] != n.group[msg.To]:
+		n.stats.DroppedPartition++
+	default:
+		return true
+	}
+	return false
+}
+
+// deliverDelayed is the delay-timer callback: re-check the fault state at
+// fire time (a partition, crash or close that happened while the message was
+// "on the wire" still applies) and hand the message to its wire.
+func (n *Network) deliverDelayed(ds *delayedSend) {
+	n.mu.Lock()
+	delete(n.pending[ds.msg.To], ds.id)
+	// A canceled send was counted by the canceling site (Drain or SetDown).
+	pass := !ds.canceled && n.passLocked(ds.msg)
+	n.mu.Unlock()
+	if pass {
+		ds.wire(ds.msg)
+	}
+}
+
+// toInbox is an Endpoint's wire: msg goes to the inbox of the endpoint it is
+// addressed to, and nowhere if there is none.
+func (n *Network) toInbox(msg Message) {
+	n.mu.Lock()
+	dst := n.endpoints[msg.To]
+	n.mu.Unlock()
+	if dst != nil {
+		n.Deliver(dst.inbox, msg)
+	}
+}
+
+// Deliver is the far end of a wire: it places msg in inbox, counted as
+// Delivered, or drops it as DroppedOverflow when inbox is full.
+func (n *Network) Deliver(inbox chan<- Message, msg Message) {
+	n.mu.Lock()
 	select {
-	case dst.inbox <- msg:
+	case inbox <- msg:
 		n.stats.Delivered++
+		n.stats.DeliveredBytes += int64(len(msg.Payload))
 	default:
 		n.stats.DroppedOverflow++
 		n.mu.Unlock()
@@ -345,30 +364,4 @@ func (n *Network) enqueueLocked(dst *Endpoint, msg Message) {
 	// On a simulated clock an enqueued message is a published event — idle
 	// poll-loop actors (the receiver among them) re-poll their inboxes.
 	vclock.Publish(n.clk)
-}
-
-// deliverDelayed is the delay-timer callback: re-check the fault state at
-// fire time (a partition, crash or close that happened while the message was
-// "on the wire" still applies) and deliver.
-func (n *Network) deliverDelayed(ds *delayedSend) {
-	n.mu.Lock()
-	if m := n.pending[ds.msg.To]; m != nil {
-		delete(m, ds.id)
-	}
-	switch {
-	case ds.canceled:
-		// Counted by the canceling site (Drain or SetDown).
-		n.mu.Unlock()
-	case n.closed:
-		n.stats.DroppedClosed++
-		n.mu.Unlock()
-	case n.down[ds.msg.From] || n.down[ds.msg.To]:
-		n.stats.DroppedDown++
-		n.mu.Unlock()
-	case n.blocked[pair(ds.msg.From, ds.msg.To)]:
-		n.stats.DroppedPartition++
-		n.mu.Unlock()
-	default:
-		n.enqueueLocked(ds.dst, ds.msg)
-	}
 }

@@ -20,9 +20,9 @@ func recvWithin(t *testing.T, e *Endpoint, d time.Duration) (Message, bool) {
 func TestBasicDelivery(t *testing.T) {
 	n := New(1)
 	a, b := n.Endpoint("a"), n.Endpoint("b")
-	a.Send("b", "hi")
+	a.Send("b", []byte("hi"))
 	m, ok := recvWithin(t, b, time.Second)
-	if !ok || m.From != "a" || m.To != "b" || m.Payload.(string) != "hi" {
+	if !ok || m.From != "a" || m.To != "b" || string(m.Payload) != "hi" {
 		t.Fatalf("got %+v, %v", m, ok)
 	}
 }
@@ -40,20 +40,20 @@ func TestEndpointIdentity(t *testing.T) {
 func TestUnknownDestinationDropped(t *testing.T) {
 	n := New(1)
 	a := n.Endpoint("a")
-	a.Send("ghost", "x") // must not panic or block
+	a.Send("ghost", []byte("x")) // must not panic or block
 }
 
 func TestPartitionBlocksAndHealRestores(t *testing.T) {
 	n := New(2)
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 	n.Partition([]string{"a"}, []string{"b"})
-	a.Send("b", "blocked")
+	a.Send("b", []byte("blocked"))
 	if _, ok := recvWithin(t, b, 50*time.Millisecond); ok {
 		t.Fatal("partitioned message delivered")
 	}
 	n.Heal()
-	a.Send("b", "open")
-	if m, ok := recvWithin(t, b, time.Second); !ok || m.Payload.(string) != "open" {
+	a.Send("b", []byte("open"))
+	if m, ok := recvWithin(t, b, time.Second); !ok || string(m.Payload) != "open" {
 		t.Fatal("healed network did not deliver")
 	}
 }
@@ -63,7 +63,7 @@ func TestPartitionWithinGroupFlows(t *testing.T) {
 	a, b, c := n.Endpoint("a"), n.Endpoint("b"), n.Endpoint("c")
 	_ = c
 	n.Partition([]string{"a", "b"}, []string{"c"})
-	a.Send("b", "peer")
+	a.Send("b", []byte("peer"))
 	if _, ok := recvWithin(t, b, time.Second); !ok {
 		t.Fatal("same-group message dropped")
 	}
@@ -74,7 +74,7 @@ func TestFullLoss(t *testing.T) {
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 	n.SetLoss(1.0)
 	for i := 0; i < 10; i++ {
-		a.Send("b", i)
+		a.Send("b", []byte{byte(i)})
 	}
 	if _, ok := recvWithin(t, b, 50*time.Millisecond); ok {
 		t.Fatal("message survived 100% loss")
@@ -86,7 +86,7 @@ func TestDelayedDelivery(t *testing.T) {
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 	n.SetDelay(20*time.Millisecond, 40*time.Millisecond)
 	start := time.Now()
-	a.Send("b", "slow")
+	a.Send("b", []byte("slow"))
 	if _, ok := recvWithin(t, b, time.Second); !ok {
 		t.Fatal("delayed message lost")
 	}
@@ -99,7 +99,7 @@ func TestCloseStopsDelivery(t *testing.T) {
 	n := New(6)
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 	n.Close()
-	a.Send("b", "dead")
+	a.Send("b", []byte("dead"))
 	if _, ok := recvWithin(t, b, 50*time.Millisecond); ok {
 		t.Fatal("closed network delivered")
 	}
@@ -109,21 +109,21 @@ func TestStatsDistinguishDropCauses(t *testing.T) {
 	n := New(8)
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 
-	a.Send("b", 1)
+	a.Send("b", []byte{1})
 	if _, ok := recvWithin(t, b, time.Second); !ok {
 		t.Fatal("delivery failed")
 	}
 
 	n.Partition([]string{"a"}, []string{"b"})
-	a.Send("b", 2)
+	a.Send("b", []byte{2})
 	n.Heal()
 
 	n.SetLoss(1.0)
-	a.Send("b", 3)
+	a.Send("b", []byte{3})
 	n.SetLoss(0)
 
 	n.SetDown("b", true)
-	a.Send("b", 4)
+	a.Send("b", []byte{4})
 	n.SetDown("b", false)
 
 	s := n.Stats()
@@ -135,7 +135,7 @@ func TestStatsDistinguishDropCauses(t *testing.T) {
 	}
 
 	n.Close()
-	a.Send("b", 5)
+	a.Send("b", []byte{5})
 	if got := n.Stats().DroppedClosed; got != 1 {
 		t.Fatalf("DroppedClosed = %d, want 1", got)
 	}
@@ -147,7 +147,7 @@ func TestStatsCountOverflowSeparatelyFromLoss(t *testing.T) {
 	n.Endpoint("b")    // registered, never read: the inbox fills up
 	const total = 1100 // inbox capacity is 1024
 	for i := 0; i < total; i++ {
-		a.Send("b", i)
+		a.Send("b", []byte{byte(i)})
 	}
 	s := n.Stats()
 	if s.Delivered != 1024 {
@@ -161,12 +161,41 @@ func TestStatsCountOverflowSeparatelyFromLoss(t *testing.T) {
 	}
 }
 
+// TestStatsCountDeliveredBytes: DeliveredBytes sums the payloads of the
+// delivered messages, and of no message lost, cut off by a partition or
+// dropped from a full inbox.
+func TestStatsCountDeliveredBytes(t *testing.T) {
+	n := New(14)
+	a, b := n.Endpoint("a"), n.Endpoint("b")
+	a.Send("b", []byte("four"))
+	a.Send("b", nil)
+	b.Send("a", []byte("sixsix"))
+	n.SetLoss(1)
+	a.Send("b", []byte("lost"))
+	n.SetLoss(0)
+	n.Partition([]string{"a"}, []string{"b"})
+	a.Send("b", []byte("cut"))
+	n.Heal()
+	n.Endpoint("full") // registered, never read
+	for i := 0; i < 1024; i++ {
+		a.Send("full", []byte{1})
+	}
+	a.Send("full", []byte("overflowing"))
+	s := n.Stats()
+	if s.Delivered != 3+1024 || s.DeliveredBytes != 10+1024 {
+		t.Fatalf("stats = %+v, want %d messages of %d bytes delivered", s, 3+1024, 10+1024)
+	}
+	if s.DroppedLoss != 1 || s.DroppedPartition != 1 || s.DroppedOverflow != 1 {
+		t.Fatalf("stats = %+v, want one loss, one partition and one overflow drop", s)
+	}
+}
+
 func TestSetDownBlocksBothDirections(t *testing.T) {
 	n := New(10)
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 	n.SetDown("a", true)
-	a.Send("b", "from-down")
-	b.Send("a", "to-down")
+	a.Send("b", []byte("from-down"))
+	b.Send("a", []byte("to-down"))
 	if _, ok := recvWithin(t, b, 50*time.Millisecond); ok {
 		t.Fatal("down node sent")
 	}
@@ -177,7 +206,7 @@ func TestSetDownBlocksBothDirections(t *testing.T) {
 		t.Fatalf("DroppedDown = %d, want 2", got)
 	}
 	n.SetDown("a", false)
-	a.Send("b", "recovered")
+	a.Send("b", []byte("recovered"))
 	if _, ok := recvWithin(t, b, time.Second); !ok {
 		t.Fatal("recovered node cannot send")
 	}
@@ -187,7 +216,7 @@ func TestDelayedMessageToDownNodeDropped(t *testing.T) {
 	n := New(11)
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 	n.SetDelay(50*time.Millisecond, 60*time.Millisecond)
-	a.Send("b", "in-flight")
+	a.Send("b", []byte("in-flight"))
 	n.SetDown("b", true)
 	if _, ok := recvWithin(t, b, 200*time.Millisecond); ok {
 		t.Fatal("in-flight message reached a node that crashed before delivery")
@@ -202,7 +231,7 @@ func TestDrainEmptiesInbox(t *testing.T) {
 	a := n.Endpoint("a")
 	b := n.Endpoint("b")
 	for i := 0; i < 5; i++ {
-		a.Send("b", i)
+		a.Send("b", []byte{byte(i)})
 	}
 	if got := n.Drain("b"); got != 5 {
 		t.Fatalf("Drain discarded %d, want 5", got)
@@ -219,7 +248,7 @@ func TestDelayedMessageRespectsLatePartition(t *testing.T) {
 	n := New(7)
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 	n.SetDelay(50*time.Millisecond, 60*time.Millisecond)
-	a.Send("b", "in-flight")
+	a.Send("b", []byte("in-flight"))
 	n.Partition([]string{"a"}, []string{"b"})
 	if _, ok := recvWithin(t, b, 200*time.Millisecond); ok {
 		t.Fatal("in-flight message crossed a partition applied before delivery")
@@ -234,7 +263,7 @@ func TestDrainCancelsInFlightDelayedSends(t *testing.T) {
 	n := New(13)
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 	n.SetDelay(30*time.Millisecond, 40*time.Millisecond)
-	a.Send("b", "stale")
+	a.Send("b", []byte("stale"))
 	if got := n.Drain("b"); got != 0 {
 		t.Fatalf("Drain discarded %d queued messages, want 0 (message was in flight)", got)
 	}
@@ -264,7 +293,7 @@ func TestSimDrainCancelsDelayedSend(t *testing.T) {
 		clk := n.Clock()
 		a, b := n.Endpoint("a"), n.Endpoint("b")
 		n.SetDelay(50*time.Millisecond, 60*time.Millisecond)
-		a.Send("b", "in-flight")
+		a.Send("b", []byte("in-flight"))
 		if got := n.Drain("b"); got != 0 {
 			t.Errorf("Drain discarded %d queued messages, want 0", got)
 		}
@@ -292,10 +321,10 @@ func TestSimDelayedDelivery(t *testing.T) {
 		a, b := n.Endpoint("a"), n.Endpoint("b")
 		n.SetDelay(20*time.Millisecond, 40*time.Millisecond)
 		start := clk.Now()
-		a.Send("b", "slow")
+		a.Send("b", []byte("slow"))
 
 		_, m, _ := vclock.Recv[Message, struct{}](clk, nil, b.Inbox(), nil)
-		if m.Payload.(string) != "slow" {
+		if string(m.Payload) != "slow" {
 			t.Errorf("payload = %v", m.Payload)
 		}
 		elapsed := clk.Since(start)
@@ -315,9 +344,9 @@ func TestSimSetDownDiscardsQueuedAndInFlight(t *testing.T) {
 	onSim(t, 3, func(sim *vclock.Sim, n *Network) {
 		clk := n.Clock()
 		a, b := n.Endpoint("a"), n.Endpoint("b")
-		a.Send("b", "queued") // immediate: sits in b's inbox
+		a.Send("b", []byte("queued")) // immediate: sits in b's inbox
 		n.SetDelay(50*time.Millisecond, 60*time.Millisecond)
-		a.Send("b", "in-flight")
+		a.Send("b", []byte("in-flight"))
 		n.SetDown("b", true)
 		clk.Sleep(time.Second)
 		select {

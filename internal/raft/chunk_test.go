@@ -111,13 +111,30 @@ func TestChunkedSnapshotTransfer(t *testing.T) {
 // handWire is a Transport that only queues what its node sends: the test
 // carries the messages across itself, so there are no timers, no elections
 // it did not ask for and no retransmissions, and message counts are exact.
+// The messages are the encoded bytes a real transport carries, and the
+// receiving node decodes them.
 type handWire struct {
 	from string
 	out  []memnet.Message
 }
 
-func (w *handWire) Send(to string, payload any) {
-	w.out = append(w.out, memnet.Message{From: w.from, To: to, Payload: payload})
+func (w *handWire) Send(to string, msg []byte) {
+	w.out = append(w.out, memnet.Message{From: w.from, To: to, Payload: msg})
+}
+
+// encoded is rpc from one node to another as a transport carries it.
+func encoded(from, to string, rpc message) memnet.Message {
+	return memnet.Message{From: from, To: to, Payload: rpc.appendTo(nil)}
+}
+
+// decoded is the RPC m carries.
+func decoded(t *testing.T, m memnet.Message) message {
+	t.Helper()
+	rpc, err := decodeMessage(m.Payload)
+	if err != nil {
+		t.Fatalf("message %+v from %s to %s does not decode: %v", m.Payload, m.From, m.To, err)
+	}
+	return rpc
 }
 
 func (w *handWire) Inbox() <-chan memnet.Message { return nil }

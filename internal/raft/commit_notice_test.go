@@ -43,10 +43,10 @@ func commitNotices(t *testing.T, when string, msgs []memnet.Message, to ...strin
 		t.Fatalf("%s: leader sent %d messages %+v, want %d commit notices", when, len(msgs), msgs, len(to))
 	}
 	for i, m := range msgs {
-		ae, ok := m.Payload.(AppendEntries)
+		ae, ok := decoded(t, m).(AppendEntries)
 		if !ok || m.To != to[i] || len(ae.Entries) != 0 || ae.PrevLogIndex != 1 || ae.LeaderCommit != 1 {
-			t.Fatalf("%s: message %d is %+v, want an entry-free AppendEntries to %s at index 1 with LeaderCommit 1",
-				when, i, m, to[i])
+			t.Fatalf("%s: message %d to %s is %+v, want an entry-free AppendEntries to %s at index 1 with LeaderCommit 1",
+				when, i, m.To, decoded(t, m), to[i])
 		}
 	}
 }
@@ -157,35 +157,35 @@ func TestCommitNotice(t *testing.T) {
 func TestFollowerCommitBoundedByMatch(t *testing.T) {
 	h := newHandCluster(64, "f", "old", "new")
 	f := h.nodes["f"]
-	h.carry(memnet.Message{From: "old", To: "f", Payload: AppendEntries{
+	h.carry(encoded("old", "f", AppendEntries{
 		Term: 1, Leader: "old",
 		Entries:      []Entry{{Term: 1, Cmd: []byte("kept")}, {Term: 1, Cmd: []byte("stale-2")}, {Term: 1, Cmd: []byte("stale-3")}},
 		LeaderCommit: 1,
-	}})
+	}))
 	if got := delivered(f); len(got) != 1 || string(got[0].Cmd) != "kept" {
 		t.Fatalf("set-up: follower delivered %+v, want entry 1 only", got)
 	}
 	// Term 2's leader shares entry 1 and has committed its own entries 2 and
 	// 3; all it knows of f is that entry 1 matches.
-	h.carry(memnet.Message{From: "new", To: "f", Payload: AppendEntries{
+	h.carry(encoded("new", "f", AppendEntries{
 		Term: 2, Leader: "new", PrevLogIndex: 1, PrevLogTerm: 1, LeaderCommit: 3,
-	}})
+	}))
 	if got := delivered(f); len(got) != 0 {
 		t.Fatalf("follower delivered %+v: entries of term 1 that term 2 never committed", got)
 	}
 	if got := f.CommitIndex(); got != 1 {
 		t.Fatalf("follower commit index %d, want 1", got)
 	}
-	reply, ok := h.take("f")[1].Payload.(AppendReply)
+	reply, ok := decoded(t, h.take("f")[1]).(AppendReply)
 	if !ok || !reply.Success || reply.MatchIndex != 1 {
 		t.Fatalf("follower answered %+v, want success at match index 1", reply)
 	}
 	// The real entries then arrive and are delivered in place of the stale ones.
-	h.carry(memnet.Message{From: "new", To: "f", Payload: AppendEntries{
+	h.carry(encoded("new", "f", AppendEntries{
 		Term: 2, Leader: "new", PrevLogIndex: 1, PrevLogTerm: 1,
 		Entries:      []Entry{{Term: 2, Cmd: []byte("new-2")}, {Term: 2, Cmd: []byte("new-3")}},
 		LeaderCommit: 3,
-	}})
+	}))
 	got := delivered(f)
 	if len(got) != 2 || string(got[0].Cmd) != "new-2" || string(got[1].Cmd) != "new-3" {
 		t.Fatalf("follower delivered %+v, want term 2's entries 2 and 3", got)

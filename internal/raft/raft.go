@@ -64,15 +64,17 @@ type Committed struct {
 	Snapshot []byte
 }
 
-// Transport moves RPC payloads between nodes. memnet.Endpoint implements it
-// in-process; internal/tcpnet implements it over real sockets. Payloads are
-// the exported wire types below (see WireTypes for codec registration).
+// Transport moves encoded RPCs between nodes: memnet.Endpoint in process,
+// internal/tcpnet over real sockets, both through one memnet fault filter.
+// Send takes msg over for good. Every message Inbox delivers has a buffer of
+// its own, which the commands decoded from it alias. A message that does not
+// decode is dropped, like a lost datagram.
 type Transport interface {
-	Send(to string, payload any)
+	Send(to string, msg []byte)
 	Inbox() <-chan memnet.Message
 }
 
-// RPC payload wire types.
+// RPC wire types; message describes their encoding.
 
 // RequestVote solicits a vote for Candidate in Term.
 type RequestVote struct {
@@ -287,39 +289,27 @@ func (n *Node) Err() error {
 	return n.persistErr
 }
 
-// persistStateLocked durably saves term/vote; on failure the node wedges
-// itself (it must not communicate unpersisted promises).
+// persistLocked makes one write to storage, if the node has any, and
+// reports whether everything persisted so far succeeded. On failure the
+// node wedges itself: it must not communicate unpersisted promises.
+func (n *Node) persistLocked(write func() error) bool {
+	if n.storage != nil && n.persistErr == nil {
+		n.persistErr = write()
+	}
+	return n.persistErr == nil
+}
+
+// persistStateLocked durably saves term/vote.
 func (n *Node) persistStateLocked() bool {
-	if n.storage == nil || n.persistErr != nil {
-		return n.persistErr == nil
-	}
-	if err := n.storage.SaveState(n.term, n.votedFor); err != nil {
-		n.persistErr = err
-		return false
-	}
-	return true
+	return n.persistLocked(func() error { return n.storage.SaveState(n.term, n.votedFor) })
 }
 
 func (n *Node) persistAppendLocked(first uint64, entries []Entry) bool {
-	if n.storage == nil || n.persistErr != nil {
-		return n.persistErr == nil
-	}
-	if err := n.storage.Append(first, entries); err != nil {
-		n.persistErr = err
-		return false
-	}
-	return true
+	return n.persistLocked(func() error { return n.storage.Append(first, entries) })
 }
 
 func (n *Node) persistSnapshotLocked() bool {
-	if n.storage == nil || n.persistErr != nil {
-		return n.persistErr == nil
-	}
-	if err := n.storage.SaveSnapshot(n.snap, n.log); err != nil {
-		n.persistErr = err
-		return false
-	}
-	return true
+	return n.persistLocked(func() error { return n.storage.SaveSnapshot(n.snap, n.log) })
 }
 
 // lastIndexLocked returns the logical index of the last entry (snapshot
@@ -516,7 +506,7 @@ func (n *Node) startElectionLocked() {
 	lastIdx, lastTerm := n.lastLogLocked()
 	req := RequestVote{Term: n.term, Candidate: n.id, LastLogIndex: lastIdx, LastLogTerm: lastTerm}
 	for _, p := range n.peers {
-		n.ep.Send(p, req)
+		n.send(p, req)
 	}
 	if n.hasMajorityLocked() { // single-node cluster
 		n.becomeLeaderLocked()
@@ -584,7 +574,7 @@ func (n *Node) sendAppendLocked(peer string) {
 	// The suffix always reaches the leader's last index, which the commit
 	// index never exceeds.
 	n.commitSent[peer] = n.commitIndex
-	n.ep.Send(peer, AppendEntries{
+	n.send(peer, AppendEntries{
 		Term: n.term, Leader: n.id,
 		PrevLogIndex: prevIdx, PrevLogTerm: prevTerm,
 		Entries: entries, LeaderCommit: n.commitIndex,
@@ -607,17 +597,26 @@ func (n *Node) notifyCommitLocked(peer string) {
 		return
 	}
 	n.commitSent[peer] = commit
-	n.ep.Send(peer, AppendEntries{
+	n.send(peer, AppendEntries{
 		Term: n.term, Leader: n.id,
 		PrevLogIndex: match, PrevLogTerm: n.termAtLocked(match),
 		LeaderCommit: n.commitIndex,
 	})
 }
 
+// send encodes rpc into a buffer of its own and hands it to the transport.
+func (n *Node) send(to string, rpc message) {
+	n.ep.Send(to, rpc.appendTo(nil))
+}
+
 func (n *Node) handle(msg memnet.Message) {
+	rpc, err := decodeMessage(msg.Payload)
+	if err != nil {
+		return
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	switch rpc := msg.Payload.(type) {
+	switch rpc := rpc.(type) {
 	case RequestVote:
 		n.onRequestVote(msg.From, rpc)
 	case VoteReply:
@@ -652,7 +651,7 @@ func (n *Node) onRequestVote(from string, rpc RequestVote) {
 			n.resetElectionDeadlineLocked()
 		}
 	}
-	n.ep.Send(from, VoteReply{Term: n.term, Granted: granted})
+	n.send(from, VoteReply{Term: n.term, Granted: granted})
 }
 
 func (n *Node) onVoteReply(from string, rpc VoteReply) {
@@ -674,7 +673,7 @@ func (n *Node) onAppendEntries(from string, rpc AppendEntries) {
 		n.stepDownLocked(rpc.Term)
 	}
 	if rpc.Term < n.term {
-		n.ep.Send(from, AppendReply{Term: n.term})
+		n.send(from, AppendReply{Term: n.term})
 		return
 	}
 	// Valid leader for the current term.
@@ -687,7 +686,7 @@ func (n *Node) onAppendEntries(from string, rpc AppendEntries) {
 	if rpc.PrevLogIndex < n.snap.Index {
 		skip := n.snap.Index - rpc.PrevLogIndex
 		if uint64(len(rpc.Entries)) <= skip {
-			n.ep.Send(from, AppendReply{Term: n.term, Success: true, MatchIndex: n.snap.Index})
+			n.send(from, AppendReply{Term: n.term, Success: true, MatchIndex: n.snap.Index})
 			return
 		}
 		rpc.Entries = rpc.Entries[skip:]
@@ -696,7 +695,7 @@ func (n *Node) onAppendEntries(from string, rpc AppendEntries) {
 	}
 	// Log matching check.
 	if rpc.PrevLogIndex > n.lastIndexLocked() {
-		n.ep.Send(from, AppendReply{Term: n.term, ConflictIndex: n.lastIndexLocked() + 1})
+		n.send(from, AppendReply{Term: n.term, ConflictIndex: n.lastIndexLocked() + 1})
 		return
 	}
 	if rpc.PrevLogIndex > n.snap.Index && n.termAtLocked(rpc.PrevLogIndex) != rpc.PrevLogTerm {
@@ -707,7 +706,7 @@ func (n *Node) onAppendEntries(from string, rpc AppendEntries) {
 		for ci > n.snap.Index+1 && n.termAtLocked(ci-1) == badTerm {
 			ci--
 		}
-		n.ep.Send(from, AppendReply{Term: n.term, ConflictIndex: ci})
+		n.send(from, AppendReply{Term: n.term, ConflictIndex: ci})
 		return
 	}
 	// Append / overwrite; persist from the first changed index.
@@ -731,7 +730,7 @@ func (n *Node) onAppendEntries(from string, rpc AppendEntries) {
 	}
 	if firstChanged > 0 {
 		if !n.persistAppendLocked(firstChanged, n.log[firstChanged-n.snap.Index-1:]) {
-			n.ep.Send(from, AppendReply{Term: n.term, ConflictIndex: firstChanged})
+			n.send(from, AppendReply{Term: n.term, ConflictIndex: firstChanged})
 			return
 		}
 	}
@@ -742,7 +741,7 @@ func (n *Node) onAppendEntries(from string, rpc AppendEntries) {
 	if lim := min(rpc.LeaderCommit, match); lim > n.commitIndex {
 		n.commitToLocked(lim)
 	}
-	n.ep.Send(from, AppendReply{Term: n.term, Success: true, MatchIndex: match})
+	n.send(from, AppendReply{Term: n.term, Success: true, MatchIndex: match})
 }
 
 // applySnapshotLocked installs a fully received snapshot: retains any
@@ -794,7 +793,7 @@ func (n *Node) sendChunkLocked(peer string, off uint64) {
 	}
 	n.xfers[peer] = off
 	n.chunksSent++
-	n.ep.Send(peer, InstallSnapshotChunk{
+	n.send(peer, InstallSnapshotChunk{
 		Term: n.term, Leader: n.id,
 		Index: n.snap.Index, SnapTerm: n.snap.Term,
 		Offset: off, Total: total, Data: n.snap.Data[off:end],
@@ -814,7 +813,7 @@ func (n *Node) onInstallSnapshotChunk(from string, rpc InstallSnapshotChunk) {
 		n.stepDownLocked(rpc.Term)
 	}
 	if rpc.Term < n.term {
-		n.ep.Send(from, InstallSnapshotChunkReply{Term: n.term, Index: rpc.Index})
+		n.send(from, InstallSnapshotChunkReply{Term: n.term, Index: rpc.Index})
 		return
 	}
 	n.role = Follower
@@ -823,7 +822,7 @@ func (n *Node) onInstallSnapshotChunk(from string, rpc InstallSnapshotChunk) {
 	if rpc.Index <= n.commitIndex {
 		// Stale transfer: everything the snapshot covers is already
 		// committed here. Report it complete so the leader moves to appends.
-		n.ep.Send(from, InstallSnapshotChunkReply{
+		n.send(from, InstallSnapshotChunkReply{
 			Term: n.term, Index: rpc.Index, NextOffset: rpc.Total, Done: true,
 		})
 		return
@@ -842,7 +841,7 @@ func (n *Node) onInstallSnapshotChunk(from string, rpc InstallSnapshotChunk) {
 	// Any other offset is a duplicate or a gap: the reply's NextOffset
 	// (the staging cursor) tells the leader where to resume.
 	if have := uint64(len(n.chunkBuf)); have < rpc.Total {
-		n.ep.Send(from, InstallSnapshotChunkReply{Term: n.term, Index: rpc.Index, NextOffset: have})
+		n.send(from, InstallSnapshotChunkReply{Term: n.term, Index: rpc.Index, NextOffset: have})
 		return
 	}
 	// Non-nil even when empty: Committed.Snapshot != nil is what marks the
@@ -852,7 +851,7 @@ func (n *Node) onInstallSnapshotChunk(from string, rpc InstallSnapshotChunk) {
 	if !n.applySnapshotLocked(rpc.Index, rpc.SnapTerm, data) {
 		return
 	}
-	n.ep.Send(from, InstallSnapshotChunkReply{
+	n.send(from, InstallSnapshotChunkReply{
 		Term: n.term, Index: rpc.Index, NextOffset: rpc.Total, Done: true,
 	})
 }
@@ -904,14 +903,7 @@ func (n *Node) onAppendReply(from string, rpc AppendReply) {
 		return
 	}
 	// Follower rejected: back up and retry.
-	next := rpc.ConflictIndex
-	if next == 0 {
-		next = 1
-	}
-	if next < 1 {
-		next = 1
-	}
-	n.nextIndex[from] = next
+	n.nextIndex[from] = max(rpc.ConflictIndex, 1)
 	n.sendAppendLocked(from)
 }
 
@@ -948,12 +940,4 @@ func (n *Node) commitToLocked(idx uint64) {
 		}
 		n.commitIndex = i
 	}
-}
-
-// WireTypes returns one zero value of every RPC payload type a Transport
-// must be able to carry; wire transports register them with their codec
-// (e.g. tcpnet's gob streams).
-func WireTypes() []any {
-	return []any{RequestVote{}, VoteReply{}, AppendEntries{}, AppendReply{},
-		InstallSnapshotChunk{}, InstallSnapshotChunkReply{}}
 }

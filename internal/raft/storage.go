@@ -106,12 +106,7 @@ func (rec *storageRecord) appendBinary(b []byte) []byte {
 		b = value.AppendBytes(b, rec.VotedFor)
 	case "append":
 		b = append(b, recAppend)
-		b = binary.AppendUvarint(b, rec.First)
-		b = binary.AppendUvarint(b, uint64(len(rec.Entries)))
-		for _, e := range rec.Entries {
-			b = binary.AppendUvarint(b, e.Term)
-			b = value.AppendBytes(b, e.Cmd)
-		}
+		b = appendEntryList(binary.AppendUvarint(b, rec.First), rec.Entries)
 	case "snap":
 		b = append(b, recSnap)
 		b = binary.AppendUvarint(b, rec.Snap.Index)
@@ -124,6 +119,31 @@ func (rec *storageRecord) appendBinary(b []byte) []byte {
 		panic(fmt.Sprintf("raft: storage record of kind %q", rec.Kind))
 	}
 	return b
+}
+
+// appendEntryList appends entries as a count followed by each entry's term
+// and command: the one entry-list layout, of the journal's append record and
+// of AppendEntries.
+func appendEntryList(b []byte, entries []Entry) []byte {
+	b = binary.AppendUvarint(b, uint64(len(entries)))
+	for _, e := range entries {
+		b = value.AppendBytes(binary.AppendUvarint(b, e.Term), e.Cmd)
+	}
+	return b
+}
+
+// readEntryList reads what appendEntryList wrote, nil for no entries. The
+// commands alias the reader's input.
+func readEntryList(r *value.Reader) []Entry {
+	n := r.Count(2) // a term and a command length each
+	if n == 0 {
+		return nil
+	}
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Term: r.Uvarint(), Cmd: r.Bytes()}
+	}
+	return entries
 }
 
 // decodeRecord reads one journal record, binary or JSON, keeping only the
@@ -159,12 +179,7 @@ func decodeRecord(payload []byte) (storageRecord, error) {
 		case recAppend:
 			rec.Kind = "append"
 			rec.First = r.Uvarint()
-			if n := r.Count(2); n > 0 { // a term and a command length each
-				rec.Entries = make([]Entry, n)
-				for i := range rec.Entries {
-					rec.Entries[i] = Entry{Term: r.Uvarint(), Cmd: r.Bytes()}
-				}
-			}
+			rec.Entries = readEntryList(&r)
 		case recSnap:
 			rec.Kind = "snap"
 			rec.Snap = &Snapshot{Index: r.Uvarint(), Term: r.Uvarint(), Data: r.Bytes()}

@@ -238,18 +238,18 @@ func TestNodeRestartRetainsLog(t *testing.T) {
 		}
 		committed = append(committed, idx)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && leader.CommitIndex() < committed[len(committed)-1] {
-		vclock.Wall.Sleep(5 * time.Millisecond)
-	}
-
-	// Crash a follower and restart it from its storage.
+	// Crash a follower and restart it from its storage, once it holds the
+	// entries: the leader commits when either follower does.
 	var followerID string
 	for _, id := range ids {
 		if nodes[id] != leader {
 			followerID = id
 			break
 		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && nodes[followerID].CommitIndex() < committed[len(committed)-1] {
+		vclock.Wall.Sleep(5 * time.Millisecond)
 	}
 	nodes[followerID].Stop()
 	restarted := start(followerID, 99)

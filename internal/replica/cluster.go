@@ -22,20 +22,24 @@ import (
 // Cluster is an in-process deployment: N Raft nodes with one replica each.
 // It is the top-level object the examples, tests, cmd/replicad and the
 // chaos harness drive. Consensus traffic flows over simulated channels
-// (memnet, the default) or real loopback TCP sockets (tcpnet). With DataDir
-// set, every node keeps one durable journal (its Raft storage, which also
-// holds its replica's applied-index hints) plus snapshot files, enabling
-// per-replica Crash and Restart. NodeAt and ReplicaAt return a member's
-// current node and replica; Restart replaces both.
+// (memnet, the default) or real loopback TCP sockets (tcpnet), through one
+// fault filter, Net, on either. With DataDir set, every node keeps one
+// durable journal (its Raft storage, which also holds its replica's
+// applied-index hints) plus snapshot files, enabling per-replica Crash and
+// Restart. NodeAt and ReplicaAt return a member's current node and replica;
+// Restart replaces both.
 type Cluster struct {
-	Net *memnet.Network // nil when running over TCP
+	// Net is the network every consensus message passes on either
+	// transport: its loss, delay, partitions and down nodes are the
+	// cluster's network faults, and its Stats count the traffic.
+	Net *memnet.Network
 
 	cfg      ClusterConfig
 	clk      vclock.Clock
 	ids      []string
 	dataDir  string
-	idPrefix string // boot nonce making batch IDs unique across cluster lifetimes
-	tcpDir   *tcpnet.Directory
+	idPrefix string            // boot nonce making batch IDs unique across cluster lifetimes
+	tcpDir   *tcpnet.Directory // TCP only
 
 	flow *flowctl.Controller
 
@@ -51,15 +55,12 @@ type Cluster struct {
 	mu          sync.Mutex
 	nodes       []*raft.Node
 	replicas    []*Replica
-	endpoints   []*tcpnet.Endpoint // TCP only
+	endpoints   []*tcpnet.Endpoint // nil entries over memnet
 	down        []bool
 	generations []int
 	recoveries  []RecoveryReport
 	batchSeq    uint64
 	applyDelays []time.Duration // reapplied on Restart (slow-apply fault)
-	lossProb    float64         // fault state reapplied to restarted endpoints
-	delayMin    time.Duration
-	delayMax    time.Duration
 
 	// floors tracks, per in-flight or abandoned batch ID, the leader commit
 	// index observed just before its FIRST proposal. By leader completeness
@@ -179,12 +180,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.generations = make([]int, n)
 	c.recoveries = make([]RecoveryReport, n)
 	c.applyDelays = make([]time.Duration, n)
+	c.endpoints = make([]*tcpnet.Endpoint, n)
+	c.Net = memnet.NewWithClock(cfg.Seed, clk)
 	if cfg.TCP {
-		tcpnet.Register(raft.WireTypes()...)
-		c.tcpDir = tcpnet.NewDirectory()
-		c.endpoints = make([]*tcpnet.Endpoint, n)
-	} else {
-		c.Net = memnet.NewWithClock(cfg.Seed, clk)
+		c.tcpDir = tcpnet.NewDirectoryOn(c.Net)
 	}
 	for i := range c.ids {
 		if err := c.startNode(i); err != nil {
@@ -265,16 +264,10 @@ func (c *Cluster) startNode(i int) error {
 	c.nodes[i] = node
 	c.replicas[i] = rep
 	c.recoveries[i] = recovered
-	// A restarted node rejoins with the cluster's standing fault state: the
-	// slow-apply throttle and, over TCP, the per-endpoint loss/delay (memnet
-	// keeps its own state across restarts; a fresh TCP endpoint starts clean).
+	// A restarted node rejoins with its standing slow-apply throttle; the
+	// network faults stay in Net across restarts.
 	rep.SetApplyDelay(c.applyDelays[i])
-	if c.cfg.TCP {
-		c.endpoints[i] = ep
-		if c.lossProb > 0 || c.delayMax > 0 {
-			ep.SetFault(c.lossProb, c.delayMin, c.delayMax, c.cfg.Seed+int64(i))
-		}
-	}
+	c.endpoints[i] = ep
 	c.mu.Unlock()
 	return nil
 }
@@ -363,8 +356,8 @@ func (c *Cluster) DownReplicas() []int {
 }
 
 // Crash stops replica i like a process kill: its apply loop and Raft node
-// halt, its network presence disappears (memnet SetDown, or the TCP endpoint
-// closes), and its journal is closed. State survives on
+// halt, its network presence disappears (it is down in Net, and over TCP its
+// endpoint closes), and its journal is closed. State survives on
 // disk; the node rejoins via Restart. Requires persistence (DataDir).
 func (c *Cluster) Crash(i int) error {
 	if c.dataDir == "" {
@@ -376,19 +369,13 @@ func (c *Cluster) Crash(i int) error {
 		return fmt.Errorf("replica: %s is already down", c.ids[i])
 	}
 	c.down[i] = true
-	node, rep := c.nodes[i], c.replicas[i]
-	var ep *tcpnet.Endpoint
-	if c.cfg.TCP {
-		ep = c.endpoints[i]
-	}
+	node, rep, ep := c.nodes[i], c.replicas[i], c.endpoints[i]
 	c.mu.Unlock()
 	// Cut network traffic first (the node is gone from the fabric), then
 	// stop the loops, then close the files they were writing. Over TCP the
 	// endpoint close kills the listener and every open connection; peers'
 	// sends fail and drop, exactly like datagrams to a dead host.
-	if c.Net != nil {
-		c.Net.SetDown(c.ids[i], true)
-	}
+	c.Net.SetDown(c.ids[i], true)
 	if ep != nil {
 		ep.Close()
 	}
@@ -413,16 +400,12 @@ func (c *Cluster) Restart(i int) error {
 	}
 	c.generations[i]++
 	c.mu.Unlock()
-	if c.Net != nil {
-		// A fresh process would not see datagrams addressed to its previous
-		// life: drain the inbox before rejoining the fabric.
-		c.Net.Drain(c.ids[i])
-		c.Net.SetDown(c.ids[i], false)
-	}
+	// A fresh process would not see datagrams addressed to its previous
+	// life: drain them before rejoining the fabric.
+	c.Net.Drain(c.ids[i])
+	c.Net.SetDown(c.ids[i], false)
 	if err := c.startNode(i); err != nil {
-		if c.Net != nil {
-			c.Net.SetDown(c.ids[i], true)
-		}
+		c.Net.SetDown(c.ids[i], true)
 		return err
 	}
 	c.launch(i)
@@ -491,9 +474,7 @@ func (c *Cluster) Stop() {
 			_ = r.journal.Close()
 		}
 	}
-	if c.Net != nil {
-		c.Net.Close()
-	}
+	c.Net.Close()
 	for _, ep := range eps {
 		if ep != nil {
 			ep.Close()
@@ -520,41 +501,12 @@ func (c *Cluster) SetApplyDelay(i int, d time.Duration) {
 	rep.SetApplyDelay(d)
 }
 
-// SetLoss sets the cluster-wide message-loss probability, on either
-// transport: the memnet fabric, or per-endpoint injection over real TCP
-// sockets. Restarted TCP endpoints rejoin with the standing fault.
-func (c *Cluster) SetLoss(p float64) {
-	c.mu.Lock()
-	c.lossProb = p
-	c.mu.Unlock()
-	c.applyNetFaults()
-}
+// SetLoss sets the cluster-wide message-loss probability (Net.SetLoss).
+func (c *Cluster) SetLoss(p float64) { c.Net.SetLoss(p) }
 
-// SetDelay sets the cluster-wide artificial delivery delay range on either
-// transport (0,0 clears it).
-func (c *Cluster) SetDelay(min, max time.Duration) {
-	c.mu.Lock()
-	c.delayMin, c.delayMax = min, max
-	c.mu.Unlock()
-	c.applyNetFaults()
-}
-
-func (c *Cluster) applyNetFaults() {
-	c.mu.Lock()
-	loss, dmin, dmax := c.lossProb, c.delayMin, c.delayMax
-	eps := slices.Clone(c.endpoints)
-	c.mu.Unlock()
-	if c.Net != nil {
-		c.Net.SetLoss(loss)
-		c.Net.SetDelay(dmin, dmax)
-		return
-	}
-	for i, ep := range eps {
-		if ep != nil && !c.IsDown(i) {
-			ep.SetFault(loss, dmin, dmax, c.cfg.Seed+int64(i))
-		}
-	}
-}
+// SetDelay sets the cluster-wide artificial delivery delay range
+// (Net.SetDelay; 0,0 clears it).
+func (c *Cluster) SetDelay(min, max time.Duration) { c.Net.SetDelay(min, max) }
 
 // WaitLeader blocks until some live node is leader, returning its index.
 // When several nodes claim leadership (a stale leader isolated in a minority

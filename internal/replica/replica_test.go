@@ -573,4 +573,8 @@ func TestClusterOverTCP(t *testing.T) {
 	if len(c.endpoints) != 3 {
 		t.Fatalf("endpoints = %d", len(c.endpoints))
 	}
+	// The frames passed the cluster's network, which counted them.
+	if st := c.Net.Stats(); st.Delivered == 0 || st.DeliveredBytes == 0 {
+		t.Fatalf("net stats over TCP = %+v, want deliveries counted", st)
+	}
 }

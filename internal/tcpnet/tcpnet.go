@@ -1,32 +1,36 @@
 // Package tcpnet implements the raft.Transport interface over real TCP
-// sockets with gob-framed messages. Where memnet simulates a network
-// in-process for fault-injection tests, tcpnet carries the same envelope
-// (memnet.Message) over loopback or LAN sockets, letting replicas run as
-// genuinely separate networked processes.
+// sockets, letting replicas run as genuinely separate networked processes.
+// Each message travels as one frame: the sender's name and the encoded
+// message, each length-prefixed.
 //
-// Concrete payload types must be registered with Register before use (for
-// Raft: Register(raft.WireTypes()...)).
+// tcpnet has no fault code of its own. Every endpoint sends through its
+// directory's memnet.Network, whose fault filter — loss, delay, partitions,
+// down nodes — decides before the socket write what reaches the wire, so
+// both transports share one, and whose Stats count what the endpoints'
+// inboxes took.
 package tcpnet
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"io"
 	"net"
 	"sync"
-	"time"
 
 	"prognosticator/internal/memnet"
-	"prognosticator/internal/vclock"
+	"prognosticator/internal/value"
 )
 
-// Register registers payload types with the gob codec; call once at startup
-// on every process, with the same types in the same order.
-func Register(types ...any) {
-	for _, t := range types {
-		gob.Register(t)
-	}
-}
+// maxField bounds each length-prefixed part of a frame; a longer one ends
+// the connection. It is the message limit of the gob streams tcpnet used to
+// write, so catch-up traffic that fitted then fits now.
+const maxField = 1 << 30
+
+// Register does nothing: messages travel as bytes, so there are no payload
+// types to register. It stays for callers outside this module that still
+// call it with raft.WireTypes.
+func Register(...any) {}
 
 // Directory maps endpoint names to dialable addresses. For single-process
 // tests, NewDirectory + Listen fill it automatically; distributed
@@ -34,11 +38,17 @@ func Register(types ...any) {
 type Directory struct {
 	mu    sync.RWMutex
 	addrs map[string]string
+	net   *memnet.Network
 }
 
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{addrs: map[string]string{}}
+// NewDirectory returns an empty directory whose endpoints send through a
+// network without faults.
+func NewDirectory() *Directory { return NewDirectoryOn(memnet.New(0)) }
+
+// NewDirectoryOn returns an empty directory whose endpoints send through
+// net: its faults apply to their messages, and its Stats count them.
+func NewDirectoryOn(net *memnet.Network) *Directory {
+	return &Directory{addrs: map[string]string{}, net: net}
 }
 
 // Set records the address of a named endpoint.
@@ -56,18 +66,6 @@ func (d *Directory) Lookup(name string) (string, bool) {
 	return a, ok
 }
 
-// Stats counts one endpoint's send-path outcomes. Sent + DroppedLoss equals
-// the Send calls that passed the closed/lookup checks; InboxOverflow counts
-// inbound messages dropped because the receive queue was full — the
-// backpressure signal a soak asserts stays at zero (or is at least bounded)
-// under admission control.
-type Stats struct {
-	Sent          int64
-	DroppedLoss   int64
-	Delayed       int64
-	InboxOverflow int64
-}
-
 // Endpoint is one TCP-backed transport endpoint. It implements
 // raft.Transport.
 type Endpoint struct {
@@ -76,30 +74,11 @@ type Endpoint struct {
 	ln    net.Listener
 	inbox chan memnet.Message
 
-	mu       sync.Mutex
-	outgoing map[string]*gob.Encoder
-	conns    []net.Conn
-	closed   bool
-	wg       sync.WaitGroup
-
-	// Injected fault state (chaos over real sockets): outbound messages are
-	// dropped with probability lossProb and delayed uniformly in
-	// [delayMin, delayMax], driven by a seeded rng for reproducible runs.
-	lossProb float64
-	delayMin time.Duration
-	delayMax time.Duration
-	rng      *rand.Rand
-	clk      vclock.Clock
-	stats    Stats
-}
-
-// SetClock sets the time source used for injected delays (default: wall
-// clock). The sockets themselves always run in real time; only the fault
-// timers are virtualized.
-func (e *Endpoint) SetClock(clk vclock.Clock) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.clk = vclock.Or(clk)
+	mu     sync.Mutex
+	out    map[string]net.Conn // the connection each peer is written on
+	conns  map[net.Conn]bool   // every open connection, dialed or accepted
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // Listen binds a new endpoint on addr ("127.0.0.1:0" for an ephemeral port)
@@ -111,8 +90,9 @@ func Listen(name, addr string, dir *Directory) (*Endpoint, error) {
 	}
 	e := &Endpoint{
 		name: name, dir: dir, ln: ln,
-		inbox:    make(chan memnet.Message, 1024),
-		outgoing: map[string]*gob.Encoder{},
+		inbox: make(chan memnet.Message, 1024),
+		out:   map[string]net.Conn{},
+		conns: map[net.Conn]bool{},
 	}
 	dir.Set(name, ln.Addr().String())
 	e.wg.Add(1)
@@ -126,92 +106,46 @@ func (e *Endpoint) Addr() string { return e.ln.Addr().String() }
 // Inbox implements raft.Transport.
 func (e *Endpoint) Inbox() <-chan memnet.Message { return e.inbox }
 
-// SetFault configures injected loss and delay on this endpoint's outbound
-// path (chaos testing over real sockets; memnet has the equivalent fabric-
-// wide switches). loss is a drop probability in [0,1]; deliveries are
-// delayed uniformly in [min, max] when max > 0. The seed makes the fault
-// pattern reproducible; SetFault(0, 0, 0, 0) clears all faults.
-func (e *Endpoint) SetFault(loss float64, min, max time.Duration, seed int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.lossProb = loss
-	e.delayMin, e.delayMax = min, max
-	if loss > 0 || max > 0 {
-		e.rng = rand.New(rand.NewSource(seed))
-	} else {
-		e.rng = nil
-	}
+// Send implements raft.Transport: the message passes the directory's fault
+// filter, then is written to the socket with datagram semantics — dial on
+// demand, drop on any error (Raft tolerates loss).
+func (e *Endpoint) Send(to string, msg []byte) {
+	e.dir.net.Send(memnet.Message{From: e.name, To: to, Payload: msg}, e.write)
 }
 
-// Stats returns a snapshot of this endpoint's send/receive outcome counters.
-func (e *Endpoint) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
-// Send implements raft.Transport: best-effort datagram semantics (dial on
-// demand, drop on any error — Raft tolerates loss). Injected faults
-// (SetFault) apply before the socket write: lost messages are never encoded,
-// delayed messages are written from a timer goroutine.
-func (e *Endpoint) Send(to string, payload any) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	if e.rng != nil {
-		if e.lossProb > 0 && e.rng.Float64() < e.lossProb {
-			e.stats.DroppedLoss++
-			e.mu.Unlock()
-			return
-		}
-		if e.delayMax > 0 {
-			d := e.delayMin + time.Duration(e.rng.Int63n(int64(e.delayMax-e.delayMin)+1))
-			e.stats.Delayed++
-			clk := vclock.Or(e.clk)
-			e.mu.Unlock()
-			clk.AfterFunc(d, func() { e.sendNow(to, payload) })
-			return
-		}
-	}
-	e.sendLocked(to, payload)
-	e.mu.Unlock()
-}
-
-// sendNow is the delayed-delivery path: re-checks closed under the lock.
-func (e *Endpoint) sendNow(to string, payload any) {
+// write puts msg on the wire as one frame. A connection the write fails on
+// is closed and forgotten, so the next message re-dials.
+func (e *Endpoint) write(msg memnet.Message) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return
 	}
-	e.sendLocked(to, payload)
-}
-
-// sendLocked writes one message to the wire; e.mu must be held.
-func (e *Endpoint) sendLocked(to string, payload any) {
-	enc, ok := e.outgoing[to]
-	if !ok {
-		addr, found := e.dir.Lookup(to)
+	conn := e.out[msg.To]
+	if conn == nil {
+		addr, found := e.dir.Lookup(msg.To)
 		if !found {
 			return
 		}
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
+		var err error
+		if conn, err = net.Dial("tcp", addr); err != nil {
 			return
 		}
-		enc = gob.NewEncoder(conn)
-		e.outgoing[to] = enc
-		e.conns = append(e.conns, conn)
+		e.out[msg.To] = conn
+		e.conns[conn] = true
 	}
-	msg := memnet.Message{From: e.name, To: to, Payload: payload}
-	if err := enc.Encode(&msg); err != nil {
-		// Connection broken: forget it so the next Send re-dials.
-		delete(e.outgoing, to)
-		return
+	head := binary.AppendUvarint(value.AppendBytes(nil, e.name), uint64(len(msg.Payload)))
+	frame := net.Buffers{head, msg.Payload}
+	if _, err := frame.WriteTo(conn); err != nil {
+		delete(e.out, msg.To)
+		e.dropLocked(conn)
 	}
-	e.stats.Sent++
+}
+
+// dropLocked closes conn and forgets it; e.mu must be held.
+func (e *Endpoint) dropLocked(conn net.Conn) {
+	_ = conn.Close()
+	delete(e.conns, conn)
 }
 
 // Close shuts the endpoint down.
@@ -223,7 +157,7 @@ func (e *Endpoint) Close() {
 	}
 	e.closed = true
 	_ = e.ln.Close()
-	for _, c := range e.conns {
+	for c := range e.conns {
 		_ = c.Close()
 	}
 	e.mu.Unlock()
@@ -243,32 +177,46 @@ func (e *Endpoint) acceptLoop() {
 			_ = conn.Close()
 			return
 		}
-		e.conns = append(e.conns, conn)
+		e.conns[conn] = true
 		e.mu.Unlock()
 		e.wg.Add(1)
 		go e.readLoop(conn)
 	}
 }
 
+// readLoop delivers the frames arriving on conn until it breaks. A full
+// inbox drops, as memnet's does: transports are lossy by contract, Raft
+// retries, and the network counts the drop as DroppedOverflow.
 func (e *Endpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
-	dec := gob.NewDecoder(conn)
+	r := bufio.NewReader(conn)
 	for {
-		var msg memnet.Message
-		if err := dec.Decode(&msg); err != nil {
-			_ = conn.Close()
+		from, err := readField(r)
+		var payload []byte
+		if err == nil {
+			payload, err = readField(r)
+		}
+		if err != nil {
+			e.mu.Lock()
+			e.dropLocked(conn)
+			e.mu.Unlock()
 			return
 		}
-		select {
-		case e.inbox <- msg:
-		default:
-			// Full inbox drops, like memnet: transports are lossy by
-			// contract and Raft retries. The counter is the backpressure
-			// signal — a soak asserts it stays bounded under admission
-			// control.
-			e.mu.Lock()
-			e.stats.InboxOverflow++
-			e.mu.Unlock()
-		}
+		e.dir.net.Deliver(e.inbox, memnet.Message{From: string(from), To: e.name, Payload: payload})
 	}
+}
+
+// readField reads one length-prefixed part of a frame into a buffer of its
+// own.
+func readField(r *bufio.Reader) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	if n > maxField {
+		return nil, fmt.Errorf("tcpnet: frame field of %d bytes", n)
+	}
+	b := make([]byte, n)
+	_, err = io.ReadFull(r, b)
+	return b, err
 }

@@ -1,21 +1,17 @@
 package tcpnet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
+	"prognosticator/internal/memnet"
 	"prognosticator/internal/raft"
 )
 
-type ping struct{ N int }
-
-func init() {
-	Register(ping{})
-	Register(raft.WireTypes()...)
-}
-
-func recvWithin(t *testing.T, e *Endpoint, d time.Duration) (any, bool) {
+func recvWithin(t *testing.T, e *Endpoint, d time.Duration) ([]byte, bool) {
 	t.Helper()
 	select {
 	case m := <-e.Inbox():
@@ -25,111 +21,109 @@ func recvWithin(t *testing.T, e *Endpoint, d time.Duration) (any, bool) {
 	}
 }
 
-func TestSendReceiveOverTCP(t *testing.T) {
-	dir := NewDirectory()
-	a, err := Listen("a", "127.0.0.1:0", dir)
+// listen binds name on an ephemeral loopback port, closed when the test ends.
+func listen(t *testing.T, name string, dir *Directory) *Endpoint {
+	t.Helper()
+	e, err := Listen(name, "127.0.0.1:0", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	b, err := Listen("b", "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	t.Cleanup(e.Close)
+	return e
+}
 
-	a.Send("b", ping{N: 42})
-	got, ok := recvWithin(t, b, 2*time.Second)
-	if !ok {
-		t.Fatal("message not delivered over TCP")
+// sendUntilHeard sends msg from e to the endpoint to until it arrives: the
+// first sends after to restarted may go to its previous life.
+func sendUntilHeard(t *testing.T, e, to *Endpoint, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		e.Send(to.name, []byte(msg))
+		if got, ok := recvWithin(t, to, 100*time.Millisecond); ok && string(got) == msg {
+			return
+		}
 	}
-	if p, ok := got.(ping); !ok || p.N != 42 {
-		t.Fatalf("payload = %#v", got)
+	t.Fatalf("%s never heard %q from %s", to.name, msg, e.name)
+}
+
+func TestSendReceiveOverTCP(t *testing.T) {
+	fabric := memnet.New(1)
+	dir := NewDirectoryOn(fabric)
+	a, b := listen(t, "a", dir), listen(t, "b", dir)
+
+	a.Send("b", []byte("ping"))
+	got, ok := recvWithin(t, b, 2*time.Second)
+	if !ok || string(got) != "ping" {
+		t.Fatalf("payload = %q, %v", got, ok)
 	}
 	// Reply flows back over a fresh connection.
-	b.Send("a", ping{N: 43})
-	got, ok = recvWithin(t, a, 2*time.Second)
-	if !ok || got.(ping).N != 43 {
-		t.Fatalf("reply = %#v, %v", got, ok)
+	b.Send("a", []byte("pong!"))
+	if got, ok = recvWithin(t, a, 2*time.Second); !ok || string(got) != "pong!" {
+		t.Fatalf("reply = %q, %v", got, ok)
+	}
+	if st := fabric.Stats(); st.Delivered != 2 || st.DeliveredBytes != 9 {
+		t.Fatalf("stats = %+v, want 2 messages of 9 bytes delivered", st)
 	}
 }
 
-// TestSetFaultLossAndDelay pins the injected-fault hooks: full loss drops
-// every send before it reaches a socket, injected delay still delivers, and
-// clearing faults restores immediate delivery. The counters attribute every
-// outcome.
-func TestSetFaultLossAndDelay(t *testing.T) {
-	dir := NewDirectory()
-	a, err := Listen("a", "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Listen("b", "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+// TestNetworkLossAndDelay: loss and delay set on the directory's network
+// apply over sockets. Full loss drops every send before it reaches a socket,
+// delay still delivers, and clearing them restores immediate delivery. The
+// network's counters attribute every outcome.
+func TestNetworkLossAndDelay(t *testing.T) {
+	fabric := memnet.New(7)
+	dir := NewDirectoryOn(fabric)
+	a, b := listen(t, "a", dir), listen(t, "b", dir)
 
 	// Certain loss: nothing arrives, every send is counted as dropped.
-	a.SetFault(1.0, 0, 0, 7)
+	fabric.SetLoss(1)
 	for i := 0; i < 5; i++ {
-		a.Send("b", ping{N: i})
+		a.Send("b", []byte{byte(i)})
 	}
 	if _, ok := recvWithin(t, b, 100*time.Millisecond); ok {
 		t.Fatal("message delivered despite loss probability 1.0")
 	}
-	if st := a.Stats(); st.DroppedLoss != 5 || st.Sent != 0 {
-		t.Fatalf("stats after full loss = %+v, want 5 dropped, 0 sent", st)
+	if st := fabric.Stats(); st.DroppedLoss != 5 || st.Delivered != 0 {
+		t.Fatalf("stats after full loss = %+v, want 5 dropped, 0 delivered", st)
 	}
 
 	// Delay only: the message arrives after the injected latency.
-	a.SetFault(0, 5*time.Millisecond, 10*time.Millisecond, 7)
+	fabric.SetLoss(0)
+	fabric.SetDelay(5*time.Millisecond, 10*time.Millisecond)
 	start := time.Now()
-	a.Send("b", ping{N: 99})
-	got, ok := recvWithin(t, b, 2*time.Second)
-	if !ok || got.(ping).N != 99 {
-		t.Fatalf("delayed message = %#v, %v", got, ok)
+	a.Send("b", []byte("late"))
+	if got, ok := recvWithin(t, b, 2*time.Second); !ok || string(got) != "late" {
+		t.Fatalf("delayed message = %q, %v", got, ok)
 	}
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
 		t.Fatalf("delivered in %v, want >= 5ms injected delay", elapsed)
 	}
-	if st := a.Stats(); st.Delayed != 1 || st.Sent != 1 {
-		t.Fatalf("stats after delay = %+v, want 1 delayed, 1 sent", st)
-	}
 
-	// Cleared: back to immediate delivery, counters unchanged.
-	a.SetFault(0, 0, 0, 0)
-	a.Send("b", ping{N: 100})
-	if got, ok := recvWithin(t, b, 2*time.Second); !ok || got.(ping).N != 100 {
-		t.Fatalf("post-clear message = %#v, %v", got, ok)
+	// Cleared: back to immediate delivery.
+	fabric.SetDelay(0, 0)
+	a.Send("b", []byte("prompt"))
+	if got, ok := recvWithin(t, b, 2*time.Second); !ok || string(got) != "prompt" {
+		t.Fatalf("post-clear message = %q, %v", got, ok)
 	}
-	if st := a.Stats(); st.DroppedLoss != 5 || st.Delayed != 1 || st.Sent != 2 {
-		t.Fatalf("final stats = %+v", st)
+	if st := fabric.Stats(); st.DroppedLoss != 5 || st.Delivered != 2 {
+		t.Fatalf("final stats = %+v, want 5 lost, 2 delivered", st)
 	}
 }
 
-// TestSetFaultSeededLossDeterministic pins that the same seed yields the
+// TestNetworkSeededLossDeterministic pins that the same seed yields the
 // same drop pattern, so chaos runs over real sockets replay identically.
-func TestSetFaultSeededLossDeterministic(t *testing.T) {
+func TestNetworkSeededLossDeterministic(t *testing.T) {
 	pattern := func(seed int64) []bool {
-		dir := NewDirectory()
-		a, err := Listen("a", "127.0.0.1:0", dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer a.Close()
-		b, err := Listen("b", "127.0.0.1:0", dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Close()
-		a.SetFault(0.5, 0, 0, seed)
+		fabric := memnet.New(seed)
+		dir := NewDirectoryOn(fabric)
+		a := listen(t, "a", dir)
+		listen(t, "b", dir)
+		fabric.SetLoss(0.5)
 		var out []bool
 		last := int64(0)
 		for i := 0; i < 16; i++ {
-			a.Send("b", ping{N: i})
-			st := a.Stats()
+			a.Send("b", []byte{byte(i)})
+			st := fabric.Stats()
 			out = append(out, st.DroppedLoss > last)
 			last = st.DroppedLoss
 		}
@@ -149,7 +143,31 @@ func TestSetFaultSeededLossDeterministic(t *testing.T) {
 		}
 	}
 	if !diff {
-		t.Fatal("different seeds produced identical drop patterns (rng not seeded?)")
+		t.Fatal("different seeds produced identical drop patterns")
+	}
+}
+
+// TestPartitionAndDownOverTCP: a partition and a down node on the
+// directory's network cut socket traffic, and healing restores it.
+func TestPartitionAndDownOverTCP(t *testing.T) {
+	fabric := memnet.New(3)
+	dir := NewDirectoryOn(fabric)
+	a, b := listen(t, "a", dir), listen(t, "b", dir)
+	fabric.Partition([]string{"a"}, []string{"b"})
+	a.Send("b", []byte("cut"))
+	fabric.Heal()
+	fabric.SetDown("b", true)
+	a.Send("b", []byte("down"))
+	if got, ok := recvWithin(t, b, 100*time.Millisecond); ok {
+		t.Fatalf("%q crossed a partition or reached a down node", got)
+	}
+	fabric.SetDown("b", false)
+	a.Send("b", []byte("healed"))
+	if got, ok := recvWithin(t, b, 2*time.Second); !ok || string(got) != "healed" {
+		t.Fatalf("after heal: %q, %v", got, ok)
+	}
+	if st := fabric.Stats(); st.DroppedPartition != 1 || st.DroppedDown != 1 || st.Delivered != 1 {
+		t.Fatalf("stats = %+v, want one partition drop, one down drop, one delivery", st)
 	}
 }
 
@@ -160,46 +178,63 @@ func TestSendToUnknownPeerDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.Send("ghost", ping{N: 1}) // must not panic or block
+	a.Send("ghost", []byte("x")) // must not panic or block
 }
 
 func TestSendAfterPeerClosedRedials(t *testing.T) {
 	dir := NewDirectory()
-	a, err := Listen("a", "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b1, err := Listen("b", "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Send("b", ping{N: 1})
+	a, b1 := listen(t, "a", dir), listen(t, "b", dir)
+	a.Send("b", []byte("first"))
 	if _, ok := recvWithin(t, b1, 2*time.Second); !ok {
 		t.Fatal("first message lost")
 	}
 	b1.Close()
 	// b restarts on a new port; the stale connection fails, and a later
 	// send re-dials via the directory.
-	b2, err := Listen("b", "127.0.0.1:0", dir)
+	sendUntilHeard(t, a, listen(t, "b", dir), "second")
+}
+
+// TestRestartedPeerLeaksNoConns restarts a peer again and again, each life
+// dialing the endpoint and being dialed by it. Every connection to a dead
+// life is closed and forgotten — the accepted one when its reader sees the
+// peer go, the dialed one when a write to it fails — so the endpoint holds
+// at most two per peer, not two per life.
+func TestRestartedPeerLeaksNoConns(t *testing.T) {
+	dir := NewDirectory()
+	a := listen(t, "a", dir)
+	for life := 0; life < 6; life++ {
+		b := listen(t, "b", dir)
+		sendUntilHeard(t, b, a, fmt.Sprintf("from life %d", life))
+		sendUntilHeard(t, a, b, fmt.Sprintf("to life %d", life))
+		b.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for a.OpenConns() > 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("endpoint holds %d open connections to one restarted peer, want at most 2", a.OpenConns())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestOversizedFrameEndsConnection: a frame part longer than maxField is
+// refused before anything is allocated for it, and the connection closes.
+func TestOversizedFrameEndsConnection(t *testing.T) {
+	a := listen(t, "a", NewDirectory())
+	conn, err := net.Dial("tcp", a.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b2.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	delivered := false
-	for time.Now().Before(deadline) && !delivered {
-		a.Send("b", ping{N: 2})
-		select {
-		case m := <-b2.Inbox():
-			if m.Payload.(ping).N == 2 {
-				delivered = true
-			}
-		case <-time.After(100 * time.Millisecond):
-		}
+	defer conn.Close()
+	if _, err := conn.Write(binary.AppendUvarint(nil, maxField+1)); err != nil {
+		t.Fatal(err)
 	}
-	if !delivered {
-		t.Fatal("send never recovered after peer restart")
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("read %d bytes from an endpoint sent an oversized frame; want the connection closed", n)
+	}
+	if _, ok := recvWithin(t, a, 50*time.Millisecond); ok {
+		t.Fatal("an oversized frame was delivered")
 	}
 }
 
