@@ -11,11 +11,10 @@ import (
 
 // TestAllocBudget pins what one transaction allocates on the engine's hot
 // path, at Workers: 1 so that goroutine scheduling does not move the count.
-// The ceilings are 15 % above what the frame-reuse change measured (150.3
-// allocations and 14.99 KB per TPC-C transaction, 11.5 and 1.60 KB on RUBiS,
-// against 442 / 35.2 KB and 26.6 / 2.68 KB before it; the counts repeat
-// exactly, with or without the race detector); a rise past them means a
-// per-transaction allocation came back.
+// The ceilings are 15 % above what the 24-byte value layout measured (123.8
+// allocations and 11.43 KB per TPC-C transaction, 10.7 and 1.35 KB on RUBiS;
+// the counts repeat exactly, and the race detector moves them by 0.1 at
+// most); a rise past them means a per-transaction allocation came back.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("populates 100 TPC-C warehouses")
@@ -24,8 +23,8 @@ func TestAllocBudget(t *testing.T) {
 		w                     testWorkload
 		maxAllocs, maxKBPerTx float64
 	}{
-		{tpccWorkload(tpcc.DefaultConfig(100), 100, 1), 172, 17.2},
-		{rubisBrowseWorkload(10000, 200, 1), 13.2, 1.84},
+		{tpccWorkload(tpcc.DefaultConfig(100), 100, 1), 142, 13.1},
+		{rubisBrowseWorkload(10000, 200, 1), 12.3, 1.55},
 	} {
 		t.Run(tc.w.name, func(t *testing.T) {
 			reg, err := engine.NewRegistry(tc.w.schema, tc.w.programs...)

@@ -5,6 +5,12 @@
 // read-only transactions and the prepare-indirect-keys phase read the state
 // as of the end of the previous batch, while update transactions read and
 // write the current batch's state (§III-C).
+//
+// A resident key costs a slot in its shard's map, which holds the key's
+// version chain inline, and the bytes of the key's encoding; its row costs
+// the value's block (see package value). The store adds no heap object of
+// its own per key. GC visits only the keys on each shard's dirty list —
+// those with history or a tombstone — never the whole map.
 package store
 
 import (
@@ -28,21 +34,18 @@ type Store struct {
 
 type shard struct {
 	mu    sync.RWMutex
-	items map[value.Encoded]*chain
-	// dirty lists every chain GC can change: those with more than one
-	// version or with a tombstone as their only one. A chain enters on the
-	// write that makes it so and leaves in the GC that finds it with one
-	// live version (or removes it), so GC never looks at the rest of items.
-	dirty []dirtyChain
+	items map[value.Encoded]chain
+	// dirty lists the key of every chain GC can change: those with more
+	// than one version or with a tombstone as their only one. A chain enters
+	// on the write that makes it so and leaves in the GC that finds it with
+	// one live version (or removes it), so GC never looks at the rest of
+	// items.
+	dirty []value.Encoded
 }
 
-type dirtyChain struct {
-	key value.Encoded // to remove the chain from items
-	c   *chain
-}
-
-// chain is the version history of one key. The newest version is inline, so
-// a key written once — nearly every key — is this one object.
+// chain is the version history of one key, held in the shard's map itself.
+// The newest version is inline, so a key written once — nearly every key —
+// costs its map slot and no object of its own.
 type chain struct {
 	version           // the newest
 	older   []version // the rest, ascending by epoch; nil for most keys
@@ -72,7 +75,7 @@ func (v version) tombstone() bool { return v.stamp&1 != 0 }
 func New() *Store {
 	s := &Store{}
 	for i := range s.shards {
-		s.shards[i].items = make(map[value.Encoded]*chain)
+		s.shards[i].items = make(map[value.Encoded]chain)
 	}
 	return s
 }
@@ -138,8 +141,7 @@ func (s *Store) putVersion(k value.Key, ver version) {
 	c, ok := sh.items[e]
 	switch {
 	case !ok:
-		c = &chain{version: ver}
-		sh.items[e] = c
+		c = chain{version: ver}
 	case c.epoch() == ver.epoch():
 		c.version = ver
 	default:
@@ -148,8 +150,9 @@ func (s *Store) putVersion(k value.Key, ver version) {
 	}
 	if !c.dirty && (len(c.older) > 0 || ver.tombstone()) {
 		c.dirty = true
-		sh.dirty = append(sh.dirty, dirtyChain{e, c})
+		sh.dirty = append(sh.dirty, e)
 	}
+	sh.items[e] = c
 }
 
 // Get returns the value of k visible at the given epoch: the newest version
@@ -178,8 +181,8 @@ func (s *Store) GC(keepFrom uint64) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		kept := sh.dirty[:0]
-		for _, d := range sh.dirty {
-			c := d.c
+		for _, e := range sh.dirty {
+			c := sh.items[e]
 			if c.epoch() <= keepFrom {
 				c.older = nil
 			} else {
@@ -196,14 +199,16 @@ func (s *Store) GC(keepFrom uint64) {
 			}
 			switch {
 			case len(c.older) > 0:
-				kept = append(kept, d)
+				kept = append(kept, e)
+				sh.items[e] = c
 			case c.tombstone():
-				delete(sh.items, d.key)
+				delete(sh.items, e)
 			default:
 				c.dirty = false
+				sh.items[e] = c
 			}
 		}
-		clear(sh.dirty[len(kept):]) // let go of the keys and chains that left
+		clear(sh.dirty[len(kept):]) // let go of the keys that left
 		sh.dirty = kept
 		sh.mu.Unlock()
 	}
@@ -235,14 +240,14 @@ func (s *Store) Restore(items map[value.Encoded]value.Value) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.items = make(map[value.Encoded]*chain)
+		sh.items = make(map[value.Encoded]chain)
 		sh.dirty = nil // every chain below is one live version
 		sh.mu.Unlock()
 	}
 	for e, v := range items {
 		sh := s.shardFor(e)
 		sh.mu.Lock()
-		sh.items[e] = &chain{version: newVersion(1, v, false)}
+		sh.items[e] = chain{version: newVersion(1, v, false)}
 		sh.mu.Unlock()
 	}
 	s.mu.Lock()

@@ -25,11 +25,11 @@ const MaxDepth = 100
 // Depth returns how many lists and records v nests at its deepest: 0 for a
 // scalar, 1 for a list or record of scalars.
 func (v Value) Depth() int {
-	if v.c == nil {
+	if v.kind < KindList {
 		return 0
 	}
 	d := 0
-	for _, e := range v.c.elems {
+	for _, e := range v.elems() {
 		d = max(d, e.Depth())
 	}
 	return d + 1
@@ -48,14 +48,15 @@ func (v Value) AppendBinary(b []byte) []byte {
 	case KindInt:
 		b = binary.AppendVarint(b, v.i)
 	case KindString:
-		b = AppendBytes(b, v.s)
+		b = AppendBytes(b, v.str())
 	case KindBool:
 		b = append(b, byte(v.i))
 	case KindList, KindRecord:
-		b = binary.AppendUvarint(b, uint64(len(v.c.elems)))
-		for i, e := range v.c.elems {
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		names := v.names()
+		for i, e := range v.elems() {
 			if v.kind == KindRecord {
-				b = AppendBytes(b, v.c.names[i])
+				b = AppendBytes(b, names[i])
 			}
 			b = e.AppendBinary(b)
 		}
@@ -198,14 +199,15 @@ func (r *Reader) value(depth, maxDepth int) Value {
 			return Value{}
 		}
 		if k == KindList {
-			elems := make([]Value, r.Count(1)) // a tag each
+			v, elems := newBlock(KindList, nil, r.Count(1)) // a tag each
 			for i := range elems {
 				elems[i] = r.value(depth+1, maxDepth)
 			}
-			return listOf(elems)
+			return v
 		}
 		n := r.Count(2) // a name length and a tag each
-		names, elems := make([]string, n), make([]Value, n)
+		names := make([]string, n)
+		v, elems := newBlock(KindRecord, names, n)
 		for i := range names {
 			names[i] = r.Str()
 			if i > 0 && names[i] <= names[i-1] {
@@ -213,7 +215,7 @@ func (r *Reader) value(depth, maxDepth int) Value {
 			}
 			elems[i] = r.value(depth+1, maxDepth)
 		}
-		return recordOf(names, elems)
+		return v
 	default:
 		r.Fail("unknown tag %d", k)
 		return Value{}

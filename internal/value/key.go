@@ -93,7 +93,7 @@ func encodeKey(table string, parts []Value) Encoded {
 			buf = strconv.AppendInt(buf, p.i, 10)
 		case KindString:
 			buf = append(buf, 's')
-			buf = append(buf, escape(p.s)...)
+			buf = append(buf, escape(p.str())...)
 		case KindBool:
 			buf = append(buf, 'b', '0'+byte(p.i))
 		default:

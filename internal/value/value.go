@@ -1,10 +1,13 @@
 // Package value implements the dynamically typed value system shared by the
 // stored-procedure language, the symbolic-execution engine and the data
-// store. Values are immutable: no exported operation changes a list or
-// record once it is built — WithField and Append copy, Fields and Elems
-// return copies — and the package relies on that to let a record share its
-// sorted field-name slice with every WithField copy of it and with every
-// other record built from the same Shape.
+// store. A Value is 24 bytes with one pointer word, and a list or record is
+// one allocation, its block: the store holds every row for the life of the
+// process, so what Go's collector marks per row is kept to that block.
+// Values are immutable: no exported operation changes a list or record once
+// it is built — WithField and Append copy, Fields and Elems return copies —
+// and the package relies on that to let a record share its sorted field-name
+// slice with every WithField copy of it and with every other record built
+// from the same Shape.
 package value
 
 import (
@@ -13,6 +16,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -48,30 +52,42 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed database value. The zero Value is invalid.
+//
+// A Value is three words and holds at most one pointer: an int or a bool
+// holds none, a string points at its bytes, and a non-empty list or record
+// points at its block. A block is one []Value allocation of n+1 elements:
+// the header, whose i is n and, in a record, whose p points at the first of
+// the n ascending, distinct field names; then the n elements, element i
+// being the value of name i. An empty list or record has no block.
 type Value struct {
+	_    [0]func()      // no ==: it would compare string addresses, not contents
+	p    unsafe.Pointer // a string's bytes, or a list's or record's block
+	i    int64          // the int; 0 or 1 for a bool; a string's length
 	kind Kind
-	i    int64     // the integer; 0 or 1 for a bool
-	s    string    // the string
-	c    *compound // the list or record; non-nil exactly for those kinds
 }
 
-// compound is the payload of a list (names nil) or of a record: names holds
-// the field names in ascending order without duplicates and elems[i] is the
-// value of names[i]. Neither slice is written after construction, which is
-// what allows names to be shared between records.
-type compound struct {
-	names []string
-	elems []Value
+// newBlock returns a list or record of n elements (names holds the n field
+// names of a record and is nil for a list) and the elements, to be filled in
+// before the value is handed out.
+func newBlock(kind Kind, names []string, n int) (Value, []Value) {
+	if n == 0 {
+		return Value{kind: kind}, nil
+	}
+	b := make([]Value, n+1)
+	b[0] = Value{p: unsafe.Pointer(unsafe.SliceData(names)), i: int64(n)}
+	return Value{kind: kind, p: unsafe.Pointer(&b[0])}, b[1:]
 }
-
-// empty is the payload of every empty list and record.
-var empty = &compound{}
 
 // Int returns an integer value.
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // Str returns a string value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+func Str(s string) Value {
+	if s == "" {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, p: unsafe.Pointer(unsafe.StringData(s)), i: int64(len(s))}
+}
 
 // Bool returns a boolean value.
 func Bool(b bool) Value {
@@ -83,14 +99,10 @@ func Bool(b bool) Value {
 }
 
 // List returns a list value holding the given elements. The slice is copied.
-func List(elems ...Value) Value { return listOf(slices.Clone(elems)) }
-
-// listOf wraps elems, which the caller gives up.
-func listOf(elems []Value) Value {
-	if len(elems) == 0 {
-		return Value{kind: KindList, c: empty}
-	}
-	return Value{kind: KindList, c: &compound{elems: elems}}
+func List(elems ...Value) Value {
+	v, dst := newBlock(KindList, nil, len(elems))
+	copy(dst, elems)
+	return v
 }
 
 // Record returns a record value with the given fields. The map is copied.
@@ -100,20 +112,11 @@ func Record(fields map[string]Value) Value {
 		names = append(names, k)
 	}
 	slices.Sort(names)
-	elems := make([]Value, len(names))
+	v, elems := newBlock(KindRecord, names, len(names))
 	for i, k := range names {
 		elems[i] = fields[k]
 	}
-	return recordOf(names, elems)
-}
-
-// recordOf wraps the ascending, distinct field names and their values, which
-// the caller gives up; names may be shared with other records.
-func recordOf(names []string, elems []Value) Value {
-	if len(elems) == 0 {
-		return Value{kind: KindRecord, c: empty}
-	}
-	return Value{kind: KindRecord, c: &compound{names: names, elems: elems}}
+	return v
 }
 
 // Shape is a fixed set of record field names. Every record built from one
@@ -144,11 +147,11 @@ func (sh *Shape) Record(vals ...Value) Value {
 	if len(vals) != len(sh.slot) {
 		panic(fmt.Sprintf("value: Shape.Record: %d values for %d fields", len(vals), len(sh.slot)))
 	}
-	elems := make([]Value, len(sh.names))
-	for i, v := range vals {
-		elems[sh.slot[i]] = v
+	v, elems := newBlock(KindRecord, sh.names, len(sh.names))
+	for i, f := range vals {
+		elems[sh.slot[i]] = f
 	}
-	return recordOf(sh.names, elems)
+	return v
 }
 
 // Kind reports the dynamic kind of v.
@@ -161,7 +164,12 @@ func (v Value) IsValid() bool { return v.kind != KindInvalid }
 func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
 
 // AsString returns the string payload. It reports false if v is not a string.
-func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
+func (v Value) AsString() (string, bool) {
+	if v.kind != KindString {
+		return "", false
+	}
+	return v.str(), true
+}
 
 // AsBool returns the boolean payload. It reports false if v is not a bool.
 func (v Value) AsBool() (bool, bool) { return v.kind == KindBool && v.i != 0, v.kind == KindBool }
@@ -180,7 +188,7 @@ func (v Value) MustString() string {
 	if v.kind != KindString {
 		panic(fmt.Sprintf("value: MustString on %s", v.kind))
 	}
-	return v.s
+	return v.str()
 }
 
 // MustBool returns the bool payload or panics.
@@ -191,30 +199,52 @@ func (v Value) MustBool() bool {
 	return v.i != 0
 }
 
+// str returns the string of a string value.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), v.i) }
+
+// block returns the block of a non-empty list or record, header first, and
+// nil for any other value.
+func (v Value) block() []Value {
+	if v.kind < KindList || v.p == nil {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.p), (*Value)(v.p).i+1)
+}
+
+// elems returns the elements of a list or record and nil for any other kind.
+func (v Value) elems() []Value {
+	b := v.block()
+	if b == nil {
+		return nil
+	}
+	return b[1:]
+}
+
+// names returns the sorted field names of a record and nil for any other
+// kind.
+func (v Value) names() []string {
+	if v.kind != KindRecord || v.p == nil {
+		return nil
+	}
+	h := (*Value)(v.p)
+	return unsafe.Slice((*string)(h.p), h.i)
+}
+
 // list returns the elements of a list and nil for any other kind.
 func (v Value) list() []Value {
 	if v.kind != KindList {
 		return nil
 	}
-	return v.c.elems
-}
-
-// record returns the sorted field names of a record and their values, and
-// nil slices for any other kind.
-func (v Value) record() ([]string, []Value) {
-	if v.kind != KindRecord {
-		return nil, nil
-	}
-	return v.c.names, v.c.elems
+	return v.elems()
 }
 
 // Len returns the number of elements of a list or fields of a record, and 0
 // for scalars.
 func (v Value) Len() int {
-	if v.c == nil {
+	if v.kind < KindList || v.p == nil {
 		return 0
 	}
-	return len(v.c.elems)
+	return int((*Value)(v.p).i)
 }
 
 // Index returns element i of a list value. It reports false when v is not a
@@ -230,12 +260,11 @@ func (v Value) Index(i int) (Value, bool) {
 // Field returns the named field of a record value. It reports false when v
 // is not a record or the field is absent.
 func (v Value) Field(name string) (Value, bool) {
-	names, elems := v.record()
-	i := find(names, name)
+	i := find(v.names(), name)
 	if i < 0 {
 		return Value{}, false
 	}
-	return elems[i], true
+	return v.elems()[i], true
 }
 
 // find returns the index of name in names, or -1. A hit needs equality only,
@@ -252,34 +281,29 @@ func find(names []string, name string) int {
 
 // WithField returns a copy of record v with field name set to f. If v is not
 // a record a fresh single-field record is returned. Replacing an existing
-// field copies the values and keeps sharing the names.
+// field copies the block, header and all, and so keeps sharing the names.
 func (v Value) WithField(name string, f Value) Value {
-	names, elems := v.record()
+	names := v.names()
 	if i := find(names, name); i >= 0 {
-		elems = slices.Clone(elems)
-		elems[i] = f
-	} else {
-		i, _ = slices.BinarySearch(names, name)
-		names = insertAt(names, i, name)
-		elems = insertAt(elems, i, f)
+		b := slices.Clone(v.block())
+		b[i+1] = f
+		return Value{kind: KindRecord, p: unsafe.Pointer(&b[0])}
 	}
-	return recordOf(names, elems)
-}
-
-// insertAt returns a copy of s with x inserted before index i.
-func insertAt[T any](s []T, i int, x T) []T {
-	out := make([]T, len(s)+1)
-	copy(out, s[:i])
-	out[i] = x
-	copy(out[i+1:], s[i:])
+	var old []Value // a list's elements are not fields
+	if names != nil {
+		old = v.elems()
+	}
+	i, _ := slices.BinarySearch(names, name)
+	names = slices.Insert(slices.Clip(names), i, name) // clipped: names may be shared
+	out, elems := newBlock(KindRecord, names, len(names))
+	copy(elems, old[:i])
+	elems[i] = f
+	copy(elems[i+1:], old[i:])
 	return out
 }
 
 // Fields returns the field names of a record in sorted order.
-func (v Value) Fields() []string {
-	names, _ := v.record()
-	return slices.Clone(names)
-}
+func (v Value) Fields() []string { return slices.Clone(v.names()) }
 
 // Elems returns a copy of the elements of a list value.
 func (v Value) Elems() []Value { return slices.Clone(v.list()) }
@@ -287,10 +311,9 @@ func (v Value) Elems() []Value { return slices.Clone(v.list()) }
 // Append returns a copy of list v with elems appended.
 func (v Value) Append(elems ...Value) Value {
 	l := v.list()
-	cp := make([]Value, 0, len(l)+len(elems))
-	cp = append(cp, l...)
-	cp = append(cp, elems...)
-	return listOf(cp)
+	out, dst := newBlock(KindList, nil, len(l)+len(elems))
+	copy(dst[copy(dst, l):], elems)
+	return out
 }
 
 // Equal reports deep equality of two values. Values of different kinds are
@@ -303,9 +326,9 @@ func (v Value) Equal(o Value) bool {
 	case KindInt, KindBool:
 		return v.i == o.i
 	case KindString:
-		return v.s == o.s
+		return v.str() == o.str()
 	case KindList, KindRecord:
-		return slices.Equal(v.c.names, o.c.names) && slices.EqualFunc(v.c.elems, o.c.elems, Value.Equal)
+		return slices.Equal(v.names(), o.names()) && slices.EqualFunc(v.elems(), o.elems(), Value.Equal)
 	default:
 		return true // two invalid values are equal
 	}
@@ -322,12 +345,13 @@ func (v Value) Compare(o Value) int {
 	case KindInt, KindBool:
 		return cmpInt(v.i, o.i)
 	case KindString:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.str(), o.str())
 	case KindList, KindRecord:
-		ve, oe := v.c.elems, o.c.elems
+		ve, oe := v.elems(), o.elems()
+		vn, on := v.names(), o.names()
 		for i := 0; i < len(ve) && i < len(oe); i++ {
 			if v.kind == KindRecord {
-				if c := strings.Compare(v.c.names[i], o.c.names[i]); c != 0 {
+				if c := strings.Compare(vn[i], on[i]); c != 0 {
 					return c
 				}
 			}
@@ -385,16 +409,17 @@ func (v Value) hash(h uint64) uint64 {
 			h = fnvByte(h, b)
 		}
 	case KindString:
-		h = fnvString(h, v.s)
+		h = fnvString(h, v.str())
 	case KindBool:
 		h = fnvByte(h, byte(v.i))
 	case KindList:
-		for _, e := range v.c.elems {
+		for _, e := range v.elems() {
 			h = e.hash(h)
 		}
 	case KindRecord:
-		for i, e := range v.c.elems {
-			h = e.hash(fnvString(h, v.c.names[i]))
+		names := v.names()
+		for i, e := range v.elems() {
+			h = e.hash(fnvString(h, names[i]))
 		}
 	}
 	return h
@@ -413,12 +438,12 @@ func (v Value) render(sb *strings.Builder) {
 	case KindInt:
 		sb.WriteString(strconv.FormatInt(v.i, 10))
 	case KindString:
-		sb.WriteString(strconv.Quote(v.s))
+		sb.WriteString(strconv.Quote(v.str()))
 	case KindBool:
 		sb.WriteString(strconv.FormatBool(v.i != 0))
 	case KindList:
 		sb.WriteByte('[')
-		for i, e := range v.c.elems {
+		for i, e := range v.elems() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -427,11 +452,12 @@ func (v Value) render(sb *strings.Builder) {
 		sb.WriteByte(']')
 	case KindRecord:
 		sb.WriteByte('{')
-		for i, e := range v.c.elems {
+		names := v.names()
+		for i, e := range v.elems() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			sb.WriteString(v.c.names[i])
+			sb.WriteString(names[i])
 			sb.WriteByte(':')
 			e.render(sb)
 		}
@@ -458,19 +484,20 @@ func (v Value) toJSON() jsonValue {
 	case KindInt:
 		jv.I = v.i
 	case KindString:
-		jv.S = v.s
+		jv.S = v.str()
 	case KindBool:
 		jv.B = v.i != 0
 	case KindList:
-		jv.L = make([]jsonValue, len(v.c.elems))
-		for i, e := range v.c.elems {
+		jv.L = make([]jsonValue, v.Len())
+		for i, e := range v.elems() {
 			jv.L[i] = e.toJSON()
 		}
 	case KindRecord:
-		jv.R = make(map[string]*jsonValue, len(v.c.elems))
-		for i, e := range v.c.elems {
+		jv.R = make(map[string]*jsonValue, v.Len())
+		names := v.names()
+		for i, e := range v.elems() {
 			ejv := e.toJSON()
-			jv.R[v.c.names[i]] = &ejv
+			jv.R[names[i]] = &ejv
 		}
 	}
 	return jv
@@ -485,17 +512,22 @@ func fromJSON(jv jsonValue) Value {
 	case KindBool:
 		return Bool(jv.B)
 	case KindList:
-		elems := make([]Value, len(jv.L))
+		v, elems := newBlock(KindList, nil, len(jv.L))
 		for i, e := range jv.L {
 			elems[i] = fromJSON(e)
 		}
-		return listOf(elems)
+		return v
 	case KindRecord:
-		rec := make(map[string]Value, len(jv.R))
-		for k, e := range jv.R {
-			rec[k] = fromJSON(*e)
+		names := make([]string, 0, len(jv.R))
+		for k := range jv.R {
+			names = append(names, k)
 		}
-		return Record(rec)
+		slices.Sort(names)
+		v, elems := newBlock(KindRecord, names, len(names))
+		for i, k := range names {
+			elems[i] = fromJSON(*jv.R[k])
+		}
+		return v
 	default:
 		return Value{}
 	}
