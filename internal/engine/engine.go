@@ -118,9 +118,10 @@ func (b *Batch) End(retain uint64) *BatchResult {
 //     prepared (by Queuer + Workers in MQ mode, Queuer alone in 1Q mode).
 //  2. The Queuer enqueues update transactions into the lock table — DTs
 //     ahead of ITs — seeding the ready queue.
-//  3. Workers drain the ready queue: DTs validate their pivot observations
-//     first and abort into the failed list on any change; executions are
-//     buffered and flushed before lock release.
+//  3. The Queuer pops the ready queue onto the workers and releases what
+//     they finish: DTs validate their pivot observations first and abort
+//     into the failed list on any change; executions are buffered and
+//     flushed before lock release.
 //  4. Failed transactions are re-executed sequentially (SF) or re-prepared
 //     and re-enqueued in rounds (MF).
 func (e *Engine) ExecuteBatch(batch []Request) (*BatchResult, error) {

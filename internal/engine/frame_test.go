@@ -2,7 +2,8 @@ package engine_test
 
 import (
 	"fmt"
-	"reflect"
+	"maps"
+	"slices"
 	"testing"
 
 	"prognosticator/internal/engine"
@@ -21,6 +22,14 @@ type comparableOutcome struct {
 	Emitted    map[string]value.Value
 	ReadSet    []engine.Access
 	WriteSet   []engine.Access
+}
+
+// equal compares emitted values with Equal: a value holds its string bytes
+// behind a pointer, which reflect.DeepEqual would compare by address.
+func (o comparableOutcome) equal(p comparableOutcome) bool {
+	return o.Seq == p.Seq && o.TxName == p.TxName && o.Aborts == p.Aborts && o.DirectKeys == p.DirectKeys &&
+		maps.EqualFunc(o.Emitted, p.Emitted, value.Value.Equal) &&
+		slices.Equal(o.ReadSet, p.ReadSet) && slices.Equal(o.WriteSet, p.WriteSet)
 }
 
 func comparableOutcomes(res *engine.BatchResult) []comparableOutcome {
@@ -74,7 +83,7 @@ func TestFrameReuseInvisible(t *testing.T) {
 							aborts += got.Aborts
 							g, f := comparableOutcomes(got), comparableOutcomes(want)
 							for i := range g {
-								if !reflect.DeepEqual(g[i], f[i]) {
+								if !g[i].equal(f[i]) {
 									t.Fatalf("batch %d outcome %d:\nreused frames: %+v\nfresh:         %+v", b, i, g[i], f[i])
 								}
 							}

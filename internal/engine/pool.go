@@ -1,11 +1,10 @@
 package engine
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"prognosticator/internal/lang"
@@ -58,13 +57,15 @@ type Pool interface {
 	// helpers, joined by each worker once its lane is done — runs the
 	// shared list (prep steps). Phase 1 of §III-C.
 	Lanes(lanes [][]*Task, exec Step, shared []*Task, prep Step, helpers bool) error
-	// Round enqueues the tasks' lock requests in slice order and drains
-	// the ready queue on all workers. It returns the tasks whose exec step
-	// reported Abort, in Seq order, and, when the lock table is tracing,
-	// the round's grant/release records. A non-nil reprep is run on every
-	// task first, in slice order (MF rounds). The Queuer does it while the
-	// workers wait; with helpers the virtual pool prices it as shared among
-	// the workers, which the threaded pool does not exploit.
+	// Round enqueues the tasks' lock requests in slice order and runs each
+	// task as the lock table grants it. The calling goroutine, the Queuer,
+	// does all the lock-table work (see queue); the workers only run exec
+	// steps. It returns the tasks whose exec step reported Abort, in Seq
+	// order, and, when the lock table is tracing, the round's grant/release
+	// records. A non-nil reprep is run on every task first, in slice order
+	// (MF rounds). The Queuer does it while the workers wait; with helpers
+	// the virtual pool prices it as shared among the workers, which the
+	// threaded pool does not exploit.
 	Round(tasks []*Task, reprep, exec Step, helpers bool, round int) ([]*Task, []locktable.Record, error)
 	// Serial runs the exec steps in slice order on one worker.
 	Serial(tasks []*Task, exec Step) error
@@ -72,10 +73,6 @@ type Pool interface {
 	table() *locktable.Table
 	begin()
 	end() time.Duration // the batch's virtual makespan
-}
-
-func sortBySeq(txs []*Task) {
-	sort.Slice(txs, func(i, j int) bool { return txs[i].Req.Seq < txs[j].Req.Seq })
 }
 
 func defaultWorkers(workers int) int {
@@ -178,46 +175,55 @@ func (p *threadPool) Round(tasks []*Task, reprep, exec Step, _ bool, round int) 
 			}
 		}
 	}
-	p.lt.Reset()
-	readyCh := make(chan *locktable.Entry, len(tasks)+1)
-	for _, t := range tasks {
-		t.Entry.Payload = t
-		if p.lt.Enqueue(t.Entry) {
-			readyCh <- t.Entry
-		}
-	}
-	var remaining atomic.Int32
-	remaining.Store(int32(len(tasks)))
-	var failedMu sync.Mutex
-	var failed []*Task
-	var first firstError
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
+	// Every ready task goes to the workers as soon as it is popped: a worker
+	// that finishes takes the next in pop order without waiting for the
+	// Queuer to release what it finished.
+	return queue(p.lt, startWorkers(p.workers, len(tasks), exec), len(tasks), tasks, 0, round)
+}
+
+// workers are a round's goroutines on the threaded pool. They only run exec
+// steps: they take the tasks the Queuer hands them in order and give each
+// back when it is done.
+type workers struct {
+	todo  chan *Task
+	done  chan finished
+	wg    sync.WaitGroup
+	count int // tasks finished so far
+}
+
+func startWorkers(n, tasks int, exec Step) *workers {
+	// Each task is sent once each way, so no send blocks.
+	w := &workers{todo: make(chan *Task, tasks), done: make(chan finished, tasks)}
+	w.wg.Add(n)
+	for i := 0; i < n; i++ {
 		go func() {
-			defer wg.Done()
-			for entry := range readyCh {
-				t := entry.Payload.(*Task)
+			defer w.wg.Done()
+			for t := range w.todo {
 				abort, err := timedExec(t, exec)
-				first.report(err)
-				if abort {
-					failedMu.Lock()
-					failed = append(failed, t)
-					failedMu.Unlock()
-				}
-				p.lt.Release(entry, func(n *locktable.Entry) { readyCh <- n })
-				if remaining.Add(-1) == 0 {
-					close(readyCh)
-				}
+				w.done <- finished{task: t, abort: abort, err: err}
 			}
 		}()
 	}
-	wg.Wait()
-	if first.err != nil {
-		return nil, nil, first.err
+	return w
+}
+
+func (w *workers) run(t *Task, _ time.Duration) { w.todo <- t }
+
+// wait stamps the finish with the number of tasks finished so far: threads
+// keep no clock, and that count orders releases as a clock would.
+func (w *workers) wait() finished {
+	f := <-w.done
+	w.count++
+	f.at = time.Duration(w.count)
+	return f
+}
+
+// stop drops the tasks no worker has taken yet and waits for the workers.
+func (w *workers) stop() {
+	close(w.todo)
+	for range w.todo {
 	}
-	sortBySeq(failed)
-	return failed, p.lt.CollectTrace(round), nil
+	w.wg.Wait()
 }
 
 func (p *threadPool) Serial(tasks []*Task, exec Step) error {
@@ -295,24 +301,11 @@ func (p *virtualPool) idle(n int) []time.Duration {
 
 // distribute charges c to the earliest clock (list scheduling).
 func distribute(clocks []time.Duration, c time.Duration) {
-	mi := 0
-	for i := 1; i < len(clocks); i++ {
-		if clocks[i] < clocks[mi] {
-			mi = i
-		}
-	}
-	clocks[mi] += c
+	clocks[earliest(clocks)] += c
 }
 
-func maxClock(clocks []time.Duration) time.Duration {
-	var m time.Duration
-	for _, c := range clocks {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
+// earliest returns the index of the first clock to stand at the minimum.
+func earliest(clocks []time.Duration) int { return slices.Index(clocks, slices.Min(clocks)) }
 
 // prepAll runs the prep steps in slice order, list-scheduled over clocks.
 func (p *virtualPool) prepAll(tasks []*Task, prep Step, clocks []time.Duration) error {
@@ -364,49 +357,116 @@ func (p *virtualPool) Lanes(lanes [][]*Task, exec Step, shared []*Task, prep Ste
 	if err := p.prepAll(shared, prep, preparers); err != nil {
 		return err
 	}
-	p.now = maxClock(clocks)
+	p.now = slices.Max(clocks)
 	return nil
-}
-
-// workerHeap is a min-heap of virtual worker free-times.
-type workerHeap []time.Duration
-
-func (h workerHeap) Len() int           { return len(h) }
-func (h workerHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h workerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *workerHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
-func (h *workerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // readyItem is a task that has reached the head of all its queues.
 type readyItem struct {
 	task  *Task
-	ready time.Duration // virtual instant it became ready
+	ready time.Duration // instant it became ready, as finished.at counts it
 }
 
-// readyHeap orders ready items by (ready, Seq) for deterministic dispatch.
+// readyHeap is a binary min-heap of ready items ordered by (ready, Seq),
+// for deterministic dispatch. It is typed, not a container/heap, which would
+// box every item it is handed.
 type readyHeap []readyItem
 
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
+func (h readyHeap) less(i, j int) bool {
 	if h[i].ready != h[j].ready {
 		return h[i].ready < h[j].ready
 	}
 	return h[i].task.Entry.Seq < h[j].task.Entry.Seq
 }
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *readyHeap) push(it readyItem) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0 && q.less(i, (i-1)/2); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+	}
+}
+
+// pop takes the next task to dispatch off the heap: the earliest ready, and
+// the lowest Seq among those.
+func (h *readyHeap) pop() readyItem {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0], q[n] = q[n], readyItem{}
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && q.less(c+1, c) {
+			c++
+		}
+		if c >= n || !q.less(c, i) {
+			return top
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+}
+
+// finished is a dispatched task as the Queuer gets it back: the instant it
+// finished and what its exec step reported.
+type finished struct {
+	task  *Task
+	at    time.Duration // virtual time; on threads, the tasks finished so far
+	abort bool
+	err   error
+}
+
+// dispatcher runs the tasks a round pops; it is all the two pools do
+// differently in a round.
+type dispatcher interface {
+	// run starts t, ready since the given instant.
+	run(t *Task, ready time.Duration)
+	// wait returns the next started task to finish.
+	wait() finished
+	// stop ends the round: no step runs once it returns.
+	stop()
+}
+
+// queue is the lock-table protocol of Pool.Round, for both pools. The
+// calling goroutine, the Queuer, does all of it: it enqueues the tasks in
+// slice order, ready at start; pops ready tasks and has d run them, up to
+// slots at once; and releases each as d returns it, which readies its
+// successors at the instant it finished. Nothing else touches the table.
+func queue(lt *locktable.Table, d dispatcher, slots int, tasks []*Task, start time.Duration, round int) ([]*Task, []locktable.Record, error) {
+	defer d.stop()
+	lt.Reset()
+	ready := make(readyHeap, 0, len(tasks))
+	for _, t := range tasks {
+		t.Entry.Payload = t
+		if lt.Enqueue(t.Entry) {
+			ready.push(readyItem{task: t, ready: start})
+		}
+	}
+	var failed []*Task
+	running := 0
+	for remaining := len(tasks); remaining > 0; remaining-- {
+		for ; running < slots && len(ready) > 0; running++ {
+			item := ready.pop()
+			d.run(item.task, item.ready)
+		}
+		if running == 0 {
+			return nil, nil, fmt.Errorf("engine: round stalled with %d tasks pending", remaining)
+		}
+		f := d.wait()
+		running--
+		if f.err != nil {
+			return nil, nil, f.err
+		}
+		if f.abort {
+			failed = append(failed, f.task)
+		}
+		lt.Release(f.task.Entry, func(n *locktable.Entry) {
+			ready.push(readyItem{task: n.Payload.(*Task), ready: f.at})
+		})
+	}
+	sort.Slice(failed, func(i, j int) bool { return failed[i].Req.Seq < failed[j].Req.Seq })
+	return failed, lt.CollectTrace(round), nil
 }
 
 func (p *virtualPool) Round(tasks []*Task, reprep, exec Step, helpers bool, round int) ([]*Task, []locktable.Record, error) {
@@ -422,45 +482,31 @@ func (p *virtualPool) Round(tasks []*Task, reprep, exec Step, helpers bool, roun
 		if err := p.prepAll(tasks, reprep, clocks); err != nil {
 			return nil, nil, err
 		}
-		p.now = maxClock(clocks)
+		p.now = slices.Max(clocks)
 	}
-	p.lt.Reset()
-	var ready readyHeap
-	for _, t := range tasks {
-		t.Entry.Payload = t
-		if p.lt.Enqueue(t.Entry) {
-			heap.Push(&ready, readyItem{task: t, ready: p.now})
-		}
-	}
-	free := workerHeap(p.idle(p.workers))
-	var failed []*Task
-	for remaining := len(tasks); remaining > 0; remaining-- {
-		if ready.Len() == 0 {
-			return nil, nil, fmt.Errorf("engine: virtual round stalled with %d tasks pending", remaining)
-		}
-		item := heap.Pop(&ready).(readyItem)
-		start := heap.Pop(&free).(time.Duration)
-		if item.ready > start {
-			start = item.ready
-		}
-		done, abort, err := p.execAt(item.task, exec, start)
-		if err != nil {
-			return nil, nil, err
-		}
-		heap.Push(&free, done)
-		if done > p.now {
-			p.now = done
-		}
-		if abort {
-			failed = append(failed, item.task)
-		}
-		p.lt.Release(item.task.Entry, func(n *locktable.Entry) {
-			heap.Push(&ready, readyItem{task: n.Payload.(*Task), ready: done})
-		})
-	}
-	sortBySeq(failed)
-	return failed, p.lt.CollectTrace(round), nil
+	// One task out at a time: it runs to its end on the earliest-free virtual
+	// worker, and is released, before the next is popped.
+	return queue(p.lt, &inline{p: p, exec: exec, free: p.idle(p.workers)}, 1, tasks, p.now, round)
 }
+
+// inline runs a round's tasks on the virtual pool's clocks.
+type inline struct {
+	p    *virtualPool
+	exec Step
+	free []time.Duration // each virtual worker's free instant
+	last finished
+}
+
+func (d *inline) run(t *Task, ready time.Duration) {
+	w := earliest(d.free)
+	done, abort, err := d.p.execAt(t, d.exec, max(d.free[w], ready))
+	d.free[w] = done
+	d.p.now = max(d.p.now, done)
+	d.last = finished{task: t, at: done, abort: abort, err: err}
+}
+
+func (d *inline) wait() finished { return d.last }
+func (d *inline) stop()          {}
 
 func (p *virtualPool) Serial(tasks []*Task, exec Step) error {
 	for _, t := range tasks {

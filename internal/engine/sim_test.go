@@ -111,9 +111,6 @@ func TestDistribute(t *testing.T) {
 	if clocks[0] != 5 || clocks[1] != 5 {
 		t.Fatalf("clocks = %v", clocks)
 	}
-	if maxClock(clocks) != 5 {
-		t.Fatal("maxClock")
-	}
 }
 
 func TestSimROTsDontBlockVirtualTime(t *testing.T) {

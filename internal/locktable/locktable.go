@@ -16,6 +16,10 @@
 // jump the queue, so the relative order of conflicting transactions is
 // exactly their enqueue order and determinism is preserved: concurrently
 // granted transactions are read-compatible and therefore commute.
+//
+// The engine calls the table from one goroutine, its Queuer, which enqueues
+// in the agreed order and releases each transaction once a worker reports it
+// finished; the grants of a round depend only on the order of those releases.
 package locktable
 
 import (
@@ -23,7 +27,6 @@ import (
 	"hash/maphash"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"prognosticator/internal/value"
 )
@@ -68,12 +71,12 @@ type Entry struct {
 	// Payload carries the engine's transaction object through the table.
 	Payload any
 
-	remaining atomic.Int32
+	remaining int32 // guarded by the table's lock
 }
 
 // Remaining returns the number of locks not yet granted (the paper's total
 // locks counter).
-func (e *Entry) Remaining() int32 { return e.remaining.Load() }
+func (e *Entry) Remaining() int32 { return e.remaining }
 
 // BuildKeys constructs a deduplicated lock-request list from read and write
 // key sets; a key in both takes a write lock. First-occurrence order is
@@ -149,14 +152,16 @@ func ExclusiveKeys(keys []value.Encoded) []LockKey {
 	return out
 }
 
-// tableShards is the number of queue-map shards.
-const tableShards = 64
-
-// Table is the lock table. Enqueue is intended to be called by the single
-// Queuer; Release may be called concurrently by workers. The two may
-// overlap: per-queue locking keeps grant hand-offs atomic.
+// Table is the lock table. One lock guards all of it: the engine and the
+// baselines call it from their Queuer alone, so the lock is uncontended there,
+// and it keeps Enqueue and Release safe for callers that release from several
+// goroutines.
 type Table struct {
-	shards [tableShards]tableShard
+	mu     sync.Mutex
+	queues map[value.Encoded]*keyQueue
+	// free holds the queues Reset emptied, with their entry arrays, for
+	// queueFor to hand out again: a round needs about as many as the last.
+	free []*keyQueue
 
 	// traceOn enables grant/release record collection. Set it before a
 	// batch starts executing (EnableTrace); it must not be toggled while
@@ -172,14 +177,6 @@ type Table struct {
 	unsafeLIFO bool
 }
 
-type tableShard struct {
-	mu     sync.Mutex
-	queues map[value.Encoded]*keyQueue
-	// free holds the queues Reset emptied, with their entry arrays, for
-	// queueFor to hand out again: a round needs about as many as the last.
-	free []*keyQueue
-}
-
 // qent is one entry's position in one key queue.
 type qent struct {
 	e        *Entry
@@ -189,7 +186,6 @@ type qent struct {
 }
 
 type keyQueue struct {
-	mu   sync.Mutex
 	key  value.Encoded
 	ents []qent
 	head int // first non-released position
@@ -200,101 +196,77 @@ type keyQueue struct {
 
 // New returns an empty lock table.
 func New() *Table {
-	t := &Table{}
-	for i := range t.shards {
-		t.shards[i].queues = make(map[value.Encoded]*keyQueue)
-	}
-	return t
+	return &Table{queues: make(map[value.Encoded]*keyQueue)}
 }
 
 // Len returns the number of key queues currently materialized.
 func (t *Table) Len() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.queues)
-		sh.mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.queues)
 }
 
-func shardOf(k value.Encoded) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= 16777619
-	}
-	return h & (tableShards - 1)
-}
-
+// queueFor returns k's queue. Callers hold t.mu.
 func (t *Table) queueFor(k value.Encoded) *keyQueue {
-	sh := &t.shards[shardOf(k)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	q, ok := sh.queues[k]
+	q, ok := t.queues[k]
 	if !ok {
-		if n := len(sh.free); n > 0 {
-			q, sh.free = sh.free[n-1], sh.free[:n-1]
+		if n := len(t.free); n > 0 {
+			q, t.free = t.free[n-1], t.free[:n-1]
 		} else {
 			q = &keyQueue{}
 		}
 		q.key = k
-		sh.queues[k] = q
+		t.queues[k] = q
 	}
 	return q
 }
 
-// record appends one trace event. Must be called with q.mu held.
+// record appends one trace event.
 func (q *keyQueue) record(seq uint64, write, grant bool) {
 	q.recs = append(q.recs, Record{Seq: seq, Key: string(q.key), Write: write, Grant: grant, Pos: q.pos})
 	q.pos++
 }
 
-// grantScan grants the longest compatible FIFO prefix. It must be called
-// with q.mu held; it returns the entries whose LAST outstanding lock was
-// granted by this scan (now ready to run). The table is passed for the
-// trace flag and the test-only LIFO mutation.
-func (q *keyQueue) grantScan(t *Table) []*Entry {
-	if t.unsafeLIFO {
-		return q.grantScanLIFO(t)
+// grant marks en granted and reports whether that was its entry's last
+// outstanding lock.
+func (q *keyQueue) grant(t *Table, en *qent) bool {
+	en.granted = true
+	if t.traceOn {
+		q.record(en.e.Seq, en.write, true)
 	}
-	var ready []*Entry
+	en.e.remaining--
+	return en.e.remaining == 0
+}
+
+// grantScan grants the longest compatible FIFO prefix and passes each entry
+// whose LAST outstanding lock it granted (now ready to run) to onReady, if
+// not nil. Callers hold t.mu.
+func (q *keyQueue) grantScan(t *Table, onReady func(*Entry)) {
+	if t.unsafeLIFO {
+		q.grantScanLIFO(t, onReady)
+		return
+	}
 	grantedWrites, grantedReads := 0, 0
 	for i := q.head; i < len(q.ents); i++ {
 		en := &q.ents[i]
 		if en.released {
 			continue
 		}
-		if en.granted {
-			if en.write {
-				grantedWrites++
-			} else {
-				grantedReads++
+		if !en.granted {
+			// FIFO: grant only while compatible with everything granted ahead.
+			if grantedWrites > 0 || (en.write && grantedReads > 0) {
+				break
 			}
-			continue
-		}
-		// FIFO: grant only while compatible with everything granted ahead.
-		if grantedWrites > 0 || (en.write && grantedReads > 0) {
-			break
-		}
-		en.granted = true
-		if t.traceOn {
-			q.record(en.e.Seq, en.write, true)
+			if q.grant(t, en) && onReady != nil {
+				onReady(en.e)
+			}
 		}
 		if en.write {
 			grantedWrites++
 		} else {
 			grantedReads++
 		}
-		if en.e.remaining.Add(-1) == 0 {
-			ready = append(ready, en.e)
-		}
-		if en.write {
-			break // a granted write blocks everything behind it
-		}
 	}
-	return ready
 }
 
 // grantScanLIFO is the planted-bug variant behind unsafeLIFO: it
@@ -303,7 +275,7 @@ func (q *keyQueue) grantScan(t *Table) []*Entry {
 // granted; a read only when no write is granted), so execution atomicity is
 // intact — but conflicting transactions run in reverse arrival order, which
 // silently breaks determinism's agreed serial order.
-func (q *keyQueue) grantScanLIFO(t *Table) []*Entry {
+func (q *keyQueue) grantScanLIFO(t *Table, onReady func(*Entry)) {
 	grantedWrites, grantedReads := 0, 0
 	for i := q.head; i < len(q.ents); i++ {
 		en := &q.ents[i]
@@ -324,52 +296,43 @@ func (q *keyQueue) grantScanLIFO(t *Table) []*Entry {
 		if grantedWrites > 0 || (en.write && grantedReads > 0) {
 			continue // incompatible; try an even older waiter
 		}
-		en.granted = true
-		if t.traceOn {
-			q.record(en.e.Seq, en.write, true)
+		if q.grant(t, en) && onReady != nil {
+			onReady(en.e)
 		}
-		if en.e.remaining.Add(-1) == 0 {
-			return []*Entry{en.e}
-		}
-		return nil
+		return
 	}
-	return nil
 }
 
 // Enqueue inserts e at the tail of every queue in e.Keys and initializes
 // its outstanding-lock counter. It reports whether e is immediately ready
 // (all locks granted). Entries with no keys are ready trivially.
 func (t *Table) Enqueue(e *Entry) bool {
-	e.remaining.Store(int32(len(e.Keys)))
-	if len(e.Keys) == 0 {
-		return true
-	}
-	ready := false
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e.remaining = int32(len(e.Keys))
 	for _, lk := range e.Keys {
 		q := t.queueFor(lk.Key)
-		q.mu.Lock()
 		q.ents = append(q.ents, qent{e: e, write: lk.Write})
-		granted := q.grantScan(t)
-		q.mu.Unlock()
-		for _, g := range granted {
-			if g == e {
-				ready = true
-			}
-			// Appending can only ever grant the appended entry: earlier
-			// entries' grant states are unchanged by a new tail.
-		}
+		// Appending can only ever grant the appended entry: earlier
+		// entries' grant states are unchanged by a new tail.
+		q.grantScan(t, nil)
 	}
-	return ready
+	return e.remaining == 0
 }
 
 // Release returns e's locks on all its queues. For every queue where
 // successors thereby acquire their last outstanding lock, they are passed
-// to onReady. Release panics if e does not hold a granted lock on one of
-// its queues — that would be a scheduling bug, not a recoverable condition.
+// to onReady, once the table is unlocked. Release panics if e does not hold a
+// granted lock on one of its queues — that would be a scheduling bug, not a
+// recoverable condition.
 func (t *Table) Release(e *Entry, onReady func(*Entry)) {
+	// What the release readies, kept for onReady until the lock is dropped;
+	// on the stack unless it is more than eight entries.
+	var buf [8]*Entry
+	ready := buf[:0]
+	t.mu.Lock()
 	for _, lk := range e.Keys {
 		q := t.queueFor(lk.Key)
-		q.mu.Lock()
 		found := false
 		for i := q.head; i < len(q.ents); i++ {
 			en := &q.ents[i]
@@ -387,17 +350,17 @@ func (t *Table) Release(e *Entry, onReady func(*Entry)) {
 			}
 		}
 		if !found {
-			q.mu.Unlock()
+			t.mu.Unlock()
 			panic(fmt.Sprintf("locktable: release of tx %d without granted lock on %s", e.Seq, lk.Key))
 		}
 		for q.head < len(q.ents) && q.ents[q.head].released {
 			q.head++
 		}
-		granted := q.grantScan(t)
-		q.mu.Unlock()
-		for _, g := range granted {
-			onReady(g)
-		}
+		q.grantScan(t, func(g *Entry) { ready = append(ready, g) })
+	}
+	t.mu.Unlock()
+	for _, g := range ready {
+		onReady(g)
 	}
 }
 
@@ -408,23 +371,18 @@ func (t *Table) EnableTrace(on bool) { t.traceOn = on }
 
 // CollectTrace returns every grant/release record accumulated since the
 // last Reset, stamped with the given engine round and sorted by (Key, Pos)
-// so the output is deterministic regardless of shard-map iteration order.
+// so the output is deterministic regardless of map iteration order.
 // Returns nil when tracing is off.
 func (t *Table) CollectTrace(round int) []Record {
 	if !t.traceOn {
 		return nil
 	}
+	t.mu.Lock()
 	var out []Record
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, q := range sh.queues {
-			q.mu.Lock()
-			out = append(out, q.recs...)
-			q.mu.Unlock()
-		}
-		sh.mu.Unlock()
+	for _, q := range t.queues {
+		out = append(out, q.recs...)
 	}
+	t.mu.Unlock()
 	for i := range out {
 		out[i].Round = round
 	}
@@ -439,51 +397,39 @@ func (t *Table) CollectTrace(round int) []Record {
 
 // Reset clears all queues (and any accumulated trace records — collect
 // before resetting) and keeps the emptied queues for the next round. The
-// engine calls it between rounds; it must not race with Enqueue/Release.
+// engine calls it between rounds.
 func (t *Table) Reset() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, q := range sh.queues {
-			// Drop what the entries and records point at; keep the arrays.
-			clear(q.ents)
-			clear(q.recs)
-			q.key, q.ents, q.head, q.recs, q.pos = "", q.ents[:0], 0, q.recs[:0], 0
-			sh.free = append(sh.free, q)
-		}
-		clear(sh.queues)
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, q := range t.queues {
+		// Drop what the entries and records point at; keep the arrays.
+		clear(q.ents)
+		clear(q.recs)
+		q.key, q.ents, q.head, q.recs, q.pos = "", q.ents[:0], 0, q.recs[:0], 0
+		t.free = append(t.free, q)
 	}
+	clear(t.queues)
 }
 
 // Clear empties the table and lets go of the queues Reset keeps: recycling
 // is for the rounds of one batch, and a table between batches holds nothing.
-// Like Reset, it must not race with Enqueue/Release.
 func (t *Table) Clear() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		clear(sh.queues)
-		sh.free = nil
-		sh.mu.Unlock()
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	clear(t.queues)
+	t.free = nil
 }
 
 // PendingKeys returns the number of queues that still hold unreleased
 // entries; used by tests to assert full drainage.
 func (t *Table) PendingKeys() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, q := range sh.queues {
-			q.mu.Lock()
-			if q.head < len(q.ents) {
-				n++
-			}
-			q.mu.Unlock()
+	for _, q := range t.queues {
+		if q.head < len(q.ents) {
+			n++
 		}
-		sh.mu.Unlock()
 	}
 	return n
 }

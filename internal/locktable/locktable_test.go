@@ -484,9 +484,9 @@ func TestResetRecyclesQueues(t *testing.T) {
 		}
 	}
 	cycle()
-	// What is left is grantScan's ready list, one per entry; seven queues and
-	// their entry arrays would come on top.
-	if n := testing.AllocsPerRun(20, cycle); n > float64(len(es)) {
+	// Seven queues and their entry arrays would be allocated without the
+	// free list.
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
 		t.Errorf("a round on recycled queues allocates %v times", n)
 	}
 
@@ -494,10 +494,8 @@ func TestResetRecyclesQueues(t *testing.T) {
 	if lt.Len() != 0 {
 		t.Fatalf("%d queues after Clear", lt.Len())
 	}
-	for i := range lt.shards {
-		if len(lt.shards[i].free) != 0 {
-			t.Fatalf("shard %d keeps %d queues after Clear", i, len(lt.shards[i].free))
-		}
+	if len(lt.free) != 0 {
+		t.Fatalf("%d queues kept after Clear", len(lt.free))
 	}
 	round("x")
 }

@@ -35,9 +35,15 @@ type Message struct {
 }
 
 // Stats counts delivery outcomes since the network was created. A message
-// sent increments exactly one field, unless its wire finds no destination
-// (an endpoint never registered, a TCP peer that cannot be reached).
+// sent increments exactly one of the Delivered and Dropped fields, unless its
+// wire finds no destination (an endpoint never registered, a TCP peer that
+// cannot be reached).
 type Stats struct {
+	// OfferedAcrossPartition counts the messages sent between two live nodes
+	// on different sides of a partition, whatever became of them: a check
+	// that a partition drops messages can demand drops only when some were
+	// offered to it.
+	OfferedAcrossPartition int64
 	// Delivered counts messages placed in a destination inbox.
 	Delivered int64
 	// DeliveredBytes sums the payload lengths of the delivered messages.
@@ -267,6 +273,9 @@ type delayedSend struct {
 // sends on different links interleave.
 func (n *Network) Send(msg Message, wire func(Message)) {
 	n.mu.Lock()
+	if !n.closed && !n.down[msg.From] && !n.down[msg.To] && n.group[msg.From] != n.group[msg.To] {
+		n.stats.OfferedAcrossPartition++
+	}
 	if !n.passLocked(msg) {
 		n.mu.Unlock()
 		return

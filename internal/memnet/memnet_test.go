@@ -133,6 +133,9 @@ func TestStatsDistinguishDropCauses(t *testing.T) {
 	if s.DroppedOverflow != 0 || s.DroppedClosed != 0 {
 		t.Fatalf("unexpected overflow/closed drops: %+v", s)
 	}
+	if s.OfferedAcrossPartition != 1 {
+		t.Fatalf("offered across the partition = %d, want 1", s.OfferedAcrossPartition)
+	}
 
 	n.Close()
 	a.Send("b", []byte{5})
@@ -362,4 +365,28 @@ func TestSimSetDownDiscardsQueuedAndInFlight(t *testing.T) {
 			t.Errorf("timer fires = %d, want 1 (the canceled delay timer must not fire)", got)
 		}
 	})
+}
+
+// TestOfferedAcrossPartition: a message counts as offered across a partition
+// when one separates two live nodes, whatever then becomes of it, and not
+// otherwise.
+func TestOfferedAcrossPartition(t *testing.T) {
+	n := New(9)
+	a := n.Endpoint("a")
+	n.Endpoint("b")
+	n.Endpoint("c")
+	n.Partition([]string{"a", "c"}, []string{"b"})
+	a.Send("c", []byte{1}) // same side
+	a.Send("b", []byte{2}) // across
+	n.SetLoss(1.0)
+	a.Send("b", []byte{3}) // across, under loss too
+	n.SetLoss(0)
+	n.SetDown("b", true)
+	a.Send("b", []byte{4}) // to a down node
+	n.SetDown("b", false)
+	n.Heal()
+	a.Send("b", []byte{5}) // healed
+	if s := n.Stats(); s.OfferedAcrossPartition != 2 || s.DroppedPartition != 2 || s.DroppedDown != 1 {
+		t.Fatalf("stats = %+v, want 2 offered across the partition and 2 dropped by it", s)
+	}
 }
