@@ -348,11 +348,11 @@ func (in *Injector) apply(f Fault) (bool, error) {
 		in.mu.Lock()
 		max := time.Duration(1+in.rng.Intn(4)) * time.Millisecond
 		in.mu.Unlock()
-		in.c.SetDelay(0, max)
+		in.c.Net.SetDelay(0, max)
 		return true, nil
 
 	case ClearDelay:
-		in.c.SetDelay(0, 0)
+		in.c.Net.SetDelay(0, 0)
 		return true, nil
 
 	case SlowApply:
@@ -401,7 +401,7 @@ func (in *Injector) setLoss(p float64) {
 	in.lossFreeLog += float64(decided-in.lossBase) * math.Log1p(-in.lossP)
 	in.lossBase = decided
 	in.lossP = p
-	in.c.SetLoss(p)
+	in.c.Net.SetLoss(p)
 }
 
 // LossFreeOdds returns the probability that the loss steps applied so far
@@ -442,7 +442,7 @@ func (in *Injector) Quiesce(within time.Duration) error {
 	in.partitioned = false
 	in.c.Net.Heal()
 	in.setLoss(0)
-	in.c.SetDelay(0, 0)
+	in.c.Net.SetDelay(0, 0)
 	if in.slowed {
 		for i := 0; i < in.c.Size(); i++ {
 			in.c.SetApplyDelay(i, 0)

@@ -510,12 +510,12 @@ func simSerializabilityRun(t *testing.T, seed int64, reg *engine.Registry, popul
 			if withFaults {
 				switch b {
 				case 3:
-					c.SetLoss(0.10)
+					c.Net.SetLoss(0.10)
 				case 6:
-					c.SetLoss(0)
-					c.SetDelay(0, 2*time.Millisecond)
+					c.Net.SetLoss(0)
+					c.Net.SetDelay(0, 2*time.Millisecond)
 				case 9:
-					c.SetDelay(0, 0)
+					c.Net.SetDelay(0, 0)
 					if li, lerr := c.WaitLeader(10 * time.Second); lerr == nil {
 						ids := c.IDs()
 						minority := []string{ids[li]}
@@ -537,8 +537,8 @@ func simSerializabilityRun(t *testing.T, seed int64, reg *engine.Registry, popul
 		}
 		if withFaults {
 			c.Net.Heal()
-			c.SetLoss(0)
-			c.SetDelay(0, 0)
+			c.Net.SetLoss(0)
+			c.Net.SetDelay(0, 0)
 		}
 		if err := c.WaitCaughtUp(30 * time.Second); err != nil {
 			t.Fatal(err)

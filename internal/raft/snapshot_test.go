@@ -85,13 +85,13 @@ func TestFileStorageCheckpointSupersedesWithoutDrop(t *testing.T) {
 	// Checkpoint WITHOUT rotating or dropping — exactly the journal a crash
 	// mid-SaveSnapshot leaves behind (old records still in front).
 	snap := Snapshot{Index: 4, Term: 1, Data: []byte("s")}
-	if err := fs.append(storageRecord{Kind: "state", Term: 2, VotedFor: "n0"}); err != nil {
+	if err := fs.append(storageRecord{Kind: recState, Term: 2, VotedFor: "n0"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.append(storageRecord{Kind: "snap", Snap: &snap}); err != nil {
+	if err := fs.append(storageRecord{Kind: recSnap, Snap: &snap}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.append(storageRecord{Kind: "append", First: 5, Entries: entries[4:]}); err != nil {
+	if err := fs.append(storageRecord{Kind: recAppend, First: 5, Entries: entries[4:]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Close(); err != nil {

@@ -2,7 +2,6 @@ package raft
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -15,9 +14,9 @@ import (
 // opaque serialized state covering every log entry up to and including
 // Index (whose term is Term).
 type Snapshot struct {
-	Index uint64 `json:"i"`
-	Term  uint64 `json:"t"`
-	Data  []byte `json:"d,omitempty"`
+	Index uint64
+	Term  uint64
+	Data  []byte
 }
 
 // Storage persists a node's durable Raft state: current term, vote,
@@ -75,21 +74,20 @@ type FileStorage struct {
 //	recApplied: index
 //
 // with integers and counts as uvarints and strings and byte strings
-// length-prefixed. A journal written before that encoding holds JSON
-// records, which begin with '{' (kind and field names in the json tags
-// below); Load reads both, in any mix. An applied hint has no JSON form:
-// no journal was written as JSON after hints existed.
+// length-prefixed. It is the only format read: a record written as JSON,
+// before that encoding existed, begins with '{' and is refused as an
+// unknown kind.
 type storageRecord struct {
-	Kind     string    `json:"k"` // "state" | "append" | "snap" | "applied"
-	Term     uint64    `json:"t,omitempty"`
-	VotedFor string    `json:"v,omitempty"`
-	First    uint64    `json:"f,omitempty"`
-	Entries  []Entry   `json:"e,omitempty"`
-	Snap     *Snapshot `json:"s,omitempty"`
-	Applied  uint64    `json:"-"`
+	Kind     byte // recState | recAppend | recSnap | recApplied
+	Term     uint64
+	VotedFor string
+	First    uint64
+	Entries  []Entry
+	Snap     *Snapshot
+	Applied  uint64
 }
 
-// Record kinds: the first byte of a binary journal record.
+// Record kinds: the first byte of a journal record.
 const (
 	recState   = 1
 	recAppend  = 2
@@ -99,24 +97,21 @@ const (
 
 // appendBinary appends rec's binary encoding to b.
 func (rec *storageRecord) appendBinary(b []byte) []byte {
+	b = append(b, rec.Kind)
 	switch rec.Kind {
-	case "state":
-		b = append(b, recState)
+	case recState:
 		b = binary.AppendUvarint(b, rec.Term)
 		b = value.AppendBytes(b, rec.VotedFor)
-	case "append":
-		b = append(b, recAppend)
+	case recAppend:
 		b = appendEntryList(binary.AppendUvarint(b, rec.First), rec.Entries)
-	case "snap":
-		b = append(b, recSnap)
+	case recSnap:
 		b = binary.AppendUvarint(b, rec.Snap.Index)
 		b = binary.AppendUvarint(b, rec.Snap.Term)
 		b = value.AppendBytes(b, rec.Snap.Data)
-	case "applied":
-		b = append(b, recApplied)
+	case recApplied:
 		b = binary.AppendUvarint(b, rec.Applied)
 	default:
-		panic(fmt.Sprintf("raft: storage record of kind %q", rec.Kind))
+		panic(fmt.Sprintf("raft: storage record of kind %d", rec.Kind))
 	}
 	return b
 }
@@ -146,54 +141,29 @@ func readEntryList(r *value.Reader) []Entry {
 	return entries
 }
 
-// decodeRecord reads one journal record, binary or JSON, keeping only the
-// fields its kind has. Entry commands and snapshot data of a binary record
-// share payload's memory.
+// decodeRecord reads one journal record, keeping only the fields its kind
+// has. Entry commands and snapshot data share payload's memory.
 func decodeRecord(payload []byte) (storageRecord, error) {
 	var rec storageRecord
-	if len(payload) > 0 && payload[0] == '{' {
-		var j storageRecord
-		if err := json.Unmarshal(payload, &j); err != nil {
-			return rec, err
-		}
-		switch rec.Kind = j.Kind; j.Kind {
-		case "state":
-			rec.Term, rec.VotedFor = j.Term, j.VotedFor
-		case "append":
-			rec.First, rec.Entries = j.First, j.Entries
-		case "snap":
-			rec.Snap = j.Snap
-			if rec.Snap == nil {
-				return rec, errors.New("snap record without snapshot")
-			}
-		default:
-			return rec, fmt.Errorf("record of kind %q", j.Kind)
-		}
-	} else {
-		r := value.NewReader(payload)
-		switch k := r.Byte(); k {
-		case recState:
-			rec.Kind = "state"
-			rec.Term = r.Uvarint()
-			rec.VotedFor = r.Str()
-		case recAppend:
-			rec.Kind = "append"
-			rec.First = r.Uvarint()
-			rec.Entries = readEntryList(&r)
-		case recSnap:
-			rec.Kind = "snap"
-			rec.Snap = &Snapshot{Index: r.Uvarint(), Term: r.Uvarint(), Data: r.Bytes()}
-		case recApplied:
-			rec.Kind = "applied"
-			rec.Applied = r.Uvarint()
-		default:
-			r.Fail("record kind %d", k)
-		}
-		if err := r.End(); err != nil {
-			return storageRecord{}, err
-		}
+	r := value.NewReader(payload)
+	switch rec.Kind = r.Byte(); rec.Kind {
+	case recState:
+		rec.Term = r.Uvarint()
+		rec.VotedFor = r.Str()
+	case recAppend:
+		rec.First = r.Uvarint()
+		rec.Entries = readEntryList(&r)
+	case recSnap:
+		rec.Snap = &Snapshot{Index: r.Uvarint(), Term: r.Uvarint(), Data: r.Bytes()}
+	case recApplied:
+		rec.Applied = r.Uvarint()
+	default:
+		r.Fail("record kind %#x", rec.Kind)
 	}
-	if rec.Kind == "append" && rec.First == 0 {
+	if err := r.End(); err != nil {
+		return storageRecord{}, err
+	}
+	if rec.Kind == recAppend && rec.First == 0 {
 		return storageRecord{}, errors.New("append with index 0")
 	}
 	return rec, nil
@@ -224,7 +194,7 @@ func (fs *FileStorage) Syncs() int64 { return fs.log.Syncs() }
 // append writes one record, fsynced unless it is an applied hint.
 func (fs *FileStorage) append(rec storageRecord) error {
 	write := fs.log.Append
-	if rec.Kind == "applied" {
+	if rec.Kind == recApplied {
 		write = fs.log.AppendNoSync
 	}
 	if err := write(rec.appendBinary(nil)); err != nil {
@@ -236,12 +206,12 @@ func (fs *FileStorage) append(rec storageRecord) error {
 // SaveState implements Storage.
 func (fs *FileStorage) SaveState(term uint64, votedFor string) error {
 	fs.term, fs.voted = term, votedFor
-	return fs.append(storageRecord{Kind: "state", Term: term, VotedFor: votedFor})
+	return fs.append(storageRecord{Kind: recState, Term: term, VotedFor: votedFor})
 }
 
 // Append implements Storage.
 func (fs *FileStorage) Append(firstIndex uint64, entries []Entry) error {
-	return fs.append(storageRecord{Kind: "append", First: firstIndex, Entries: entries})
+	return fs.append(storageRecord{Kind: recAppend, First: firstIndex, Entries: entries})
 }
 
 // SaveApplied records an applied-index hint: the application has applied
@@ -252,7 +222,7 @@ func (fs *FileStorage) Append(firstIndex uint64, entries []Entry) error {
 // run concurrently with them.
 func (fs *FileStorage) SaveApplied(index uint64) error {
 	fs.applied.Store(index)
-	return fs.append(storageRecord{Kind: "applied", Applied: index})
+	return fs.append(storageRecord{Kind: recApplied, Applied: index})
 }
 
 // SaveSnapshot implements Storage: rotate to a fresh segment, checkpoint
@@ -264,20 +234,20 @@ func (fs *FileStorage) SaveSnapshot(snap Snapshot, tail []Entry) error {
 		return fmt.Errorf("raft: storage rotate: %w", err)
 	}
 	first := fs.log.CurrentSegment()
-	if err := fs.append(storageRecord{Kind: "state", Term: fs.term, VotedFor: fs.voted}); err != nil {
+	if err := fs.append(storageRecord{Kind: recState, Term: fs.term, VotedFor: fs.voted}); err != nil {
 		return err
 	}
 	s := snap
-	if err := fs.append(storageRecord{Kind: "snap", Snap: &s}); err != nil {
+	if err := fs.append(storageRecord{Kind: recSnap, Snap: &s}); err != nil {
 		return err
 	}
 	if len(tail) > 0 {
-		if err := fs.append(storageRecord{Kind: "append", First: snap.Index + 1, Entries: tail}); err != nil {
+		if err := fs.append(storageRecord{Kind: recAppend, First: snap.Index + 1, Entries: tail}); err != nil {
 			return err
 		}
 	}
 	if applied := fs.applied.Load(); applied > snap.Index {
-		if err := fs.append(storageRecord{Kind: "applied", Applied: applied}); err != nil {
+		if err := fs.append(storageRecord{Kind: recApplied, Applied: applied}); err != nil {
 			return err
 		}
 	}
@@ -330,9 +300,9 @@ func ReadJournal(dir string) (Journal, error) {
 			return fmt.Errorf("raft: storage decode: %w", err)
 		}
 		switch rec.Kind {
-		case "state":
+		case recState:
 			j.Term, j.VotedFor = rec.Term, rec.VotedFor
-		case "append":
+		case recAppend:
 			first, entries := rec.First, rec.Entries
 			if first <= j.Snap.Index {
 				// Prefix already covered by a later-read snapshot
@@ -349,7 +319,7 @@ func ReadJournal(dir string) (Journal, error) {
 				j.Log = j.Log[:pos-1]
 			}
 			j.Log = append(j.Log, entries...)
-		case "snap":
+		case recSnap:
 			// Re-base the tail: keep only entries above the new
 			// snapshot index.
 			if drop := rec.Snap.Index - j.Snap.Index; drop < uint64(len(j.Log)) {
@@ -358,7 +328,7 @@ func ReadJournal(dir string) (Journal, error) {
 				j.Log = nil
 			}
 			j.Snap = *rec.Snap
-		case "applied":
+		case recApplied:
 			j.Applied = max(j.Applied, rec.Applied)
 		}
 		return nil

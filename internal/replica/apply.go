@@ -34,14 +34,16 @@ type Replica struct {
 	ID   string
 	exec engine.Executor
 	st   *store.Store
-	clk  vclock.Clock
+	clk  vclock.Clock // the wall clock unless set before Start
 	// journal takes an applied-index hint after every batch; nil without
 	// persistence. Set before Start.
 	journal *raft.FileStorage
 
 	// onApply, when non-nil, observes every non-duplicate batch application
-	// (index, batch ID, requests, outcomes) from the apply loop — the history
-	// recorder's tap. Set before Start.
+	// (index, batch ID, requests, outcomes) from the apply loop, in apply
+	// order — the history recorder's tap. Duplicate and re-delivered batches
+	// are not reported: it sees exactly the executed history. Set before
+	// Start.
 	onApply func(index uint64, id string, reqs []engine.Request, res *engine.BatchResult)
 
 	// applied is notified after every committed record the apply loop has
@@ -70,7 +72,15 @@ type Replica struct {
 	dedupWM    uint64
 	dedupDirty bool
 
-	snapCfg   SnapshotConfig
+	// snapEvery, when positive, takes a snapshot each time that many raft
+	// entries have been applied since the last one; snapDir is where the
+	// encoded snapshot files land, and compact, when non-nil, is handed
+	// each new snapshot (asynchronously) so the consensus log can truncate
+	// below it. Recovery restores the newer of the newest file in snapDir
+	// and the journal's snapshot record. Set before Start.
+	snapEvery uint64
+	snapDir   string
+	compact   func(index uint64, data []byte) error
 	lastSnap  uint64 // raft index of the newest taken or installed snapshot
 	snapTaken int
 	installed int // snapshots installed from a leader's InstallSnapshotChunk transfer
@@ -84,28 +94,6 @@ type Replica struct {
 	join     func() // waits for the apply loop to return; nil before Start
 }
 
-// SnapshotConfig enables periodic store snapshotting on a replica.
-type SnapshotConfig struct {
-	// Every takes a snapshot each time this many raft entries have been
-	// applied since the last one (0 disables snapshotting).
-	Every uint64
-	// Dir is where encoded snapshot files land. Recovery restores the newer
-	// of the newest file there and the journal's snapshot record.
-	Dir string
-	// Compact, when non-nil, is invoked (asynchronously) with each new
-	// snapshot so the consensus log can truncate below it — wire it to
-	// raft.Node.Compact.
-	Compact func(index uint64, data []byte) error
-}
-
-// EnableSnapshots configures periodic snapshotting. Must be called before
-// Start.
-func (r *Replica) EnableSnapshots(cfg SnapshotConfig) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.snapCfg = cfg
-}
-
 // New returns a replica applying batches through exec to st.
 func New(id string, exec engine.Executor, st *store.Store) *Replica {
 	return &Replica{
@@ -113,18 +101,6 @@ func New(id string, exec engine.Executor, st *store.Store) *Replica {
 		appliedIDs: map[string]uint64{},
 		stopCh:     make(chan struct{}),
 	}
-}
-
-// SetClock sets the replica's time source (default: wall clock). Must be
-// called before Start.
-func (r *Replica) SetClock(clk vclock.Clock) { r.clk = vclock.Or(clk) }
-
-// OnApply registers an observer called from the apply loop for every
-// non-duplicate batch application, in apply order. Must be set before Start.
-// Duplicate and re-delivered batches are not reported — the observer sees
-// exactly the executed history.
-func (r *Replica) OnApply(fn func(index uint64, id string, reqs []engine.Request, res *engine.BatchResult)) {
-	r.onApply = fn
 }
 
 // Start launches the apply loop consuming committed entries.
@@ -218,7 +194,7 @@ func (r *Replica) applyOne(c raft.Committed) error {
 		r.appliedIDs[b.ID] = c.Index
 	}
 	r.pruneDedupLocked()
-	if r.snapCfg.Every > 0 && r.lastApplied >= r.lastSnap+r.snapCfg.Every {
+	if r.snapEvery > 0 && r.lastApplied >= r.lastSnap+r.snapEvery {
 		err = r.snapshotLocked()
 	}
 	r.mu.Unlock()
@@ -261,14 +237,14 @@ func (r *Replica) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
-	if r.snapCfg.Dir != "" {
-		if err := WriteSnapshotFile(r.snapCfg.Dir, snap.Index, encoded); err != nil {
+	if r.snapDir != "" {
+		if err := WriteSnapshotFile(r.snapDir, snap.Index, encoded); err != nil {
 			return err
 		}
 	}
 	r.lastSnap = snap.Index
 	r.snapTaken++
-	if compact := r.snapCfg.Compact; compact != nil {
+	if compact := r.compact; compact != nil {
 		idx := snap.Index
 		// On a simulated clock this spawns a (short-lived) actor, so
 		// compaction timing — which decides whether a lagging follower is
@@ -292,8 +268,8 @@ func (r *Replica) installSnapshot(c raft.Committed) error {
 	}
 	r.mu.Unlock()
 	snap, err := DecodeSnapshot(c.Snapshot)
-	if err == nil && r.snapCfg.Dir != "" {
-		err = WriteSnapshotFile(r.snapCfg.Dir, snap.Index, c.Snapshot)
+	if err == nil && r.snapDir != "" {
+		err = WriteSnapshotFile(r.snapDir, snap.Index, c.Snapshot)
 	}
 	if err != nil {
 		return fmt.Errorf("replica %s: install snapshot at %d: %w", r.ID, c.Index, err)

@@ -246,19 +246,15 @@ func (c *Cluster) startNode(i int) error {
 		}
 		rep.journal = stg
 	}
-	rep.SetClock(c.clk)
+	rep.clk = c.clk
 	rep.applied = c.progress
 	if onApply := c.cfg.OnApply; onApply != nil {
-		rep.OnApply(func(index uint64, batchID string, reqs []engine.Request, res *engine.BatchResult) {
+		rep.onApply = func(index uint64, batchID string, reqs []engine.Request, res *engine.BatchResult) {
 			onApply(id, index, batchID, reqs, res)
-		})
+		}
 	}
 	if c.cfg.SnapshotEvery > 0 && c.dataDir != "" {
-		rep.EnableSnapshots(SnapshotConfig{
-			Every:   c.cfg.SnapshotEvery,
-			Dir:     c.SnapDir(i),
-			Compact: node.Compact,
-		})
+		rep.snapEvery, rep.snapDir, rep.compact = c.cfg.SnapshotEvery, c.SnapDir(i), node.Compact
 	}
 	c.mu.Lock()
 	c.nodes[i] = node
@@ -500,13 +496,6 @@ func (c *Cluster) SetApplyDelay(i int, d time.Duration) {
 	c.mu.Unlock()
 	rep.SetApplyDelay(d)
 }
-
-// SetLoss sets the cluster-wide message-loss probability (Net.SetLoss).
-func (c *Cluster) SetLoss(p float64) { c.Net.SetLoss(p) }
-
-// SetDelay sets the cluster-wide artificial delivery delay range
-// (Net.SetDelay; 0,0 clears it).
-func (c *Cluster) SetDelay(min, max time.Duration) { c.Net.SetDelay(min, max) }
 
 // WaitLeader blocks until some live node is leader, returning its index.
 // When several nodes claim leadership (a stale leader isolated in a minority

@@ -456,7 +456,7 @@ func TestStopBeforeStart(t *testing.T) {
 	stop := func(clk vclock.Clock) {
 		raft.NewNode("n0", []string{"n0"}, memnet.NewWithClock(1, clk), raft.Config{Clock: clk}, 1).Stop()
 		rep := New("r0", nil, store.New())
-		rep.SetClock(clk)
+		rep.clk = clk
 		rep.Stop()
 	}
 	t.Run("wall", func(t *testing.T) { stop(vclock.Wall) })

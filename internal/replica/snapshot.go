@@ -2,7 +2,6 @@ package replica
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -23,23 +22,23 @@ import (
 // shipped verbatim inside InstallSnapshotChunk to far-behind followers.
 type StoreSnapshot struct {
 	// Index is the raft index of the last batch reflected in Pairs.
-	Index uint64 `json:"index"`
+	Index uint64
 	// Batches is the replica's batch count at capture.
-	Batches int `json:"batches"`
+	Batches int
 	// Watermark is the dedup low-water mark at capture: IDs first applied
 	// at indices <= Watermark have been acknowledged and pruned.
-	Watermark uint64 `json:"watermark"`
+	Watermark uint64
 	// AppliedIDs are the surviving (unpruned) dedup entries.
-	AppliedIDs map[string]uint64 `json:"appliedIDs,omitempty"`
+	AppliedIDs map[string]uint64
 	// Pairs is the live state, sorted by key so the encoding — and hence
 	// the bytes raft replicates — is identical on every replica.
-	Pairs []SnapPair `json:"pairs"`
+	Pairs []SnapPair
 }
 
 // SnapPair is one live key/value pair.
 type SnapPair struct {
-	Key value.Encoded `json:"k"`
-	Val value.Value   `json:"v"`
+	Key value.Encoded
+	Val value.Value
 }
 
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -49,9 +48,9 @@ var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 // snapshot files are detected, not half-restored.
 const snapHeader = 8
 
-// snapFormat is the first payload byte of a binary snapshot. A snapshot
-// written before the binary encoding has a JSON payload (field names in the
-// json tags above), which begins with '{'; DecodeSnapshot reads both.
+// snapFormat is the first payload byte of a snapshot. A payload written as
+// JSON, before the binary encoding existed, begins with '{' and is refused as
+// an unknown format.
 const snapFormat = 0x01
 
 // EncodeSnapshot serializes s with a CRC frame. Pairs are sorted in place.
@@ -112,12 +111,6 @@ func DecodeSnapshot(data []byte) (*StoreSnapshot, error) {
 		return nil, fmt.Errorf("replica: snapshot CRC mismatch")
 	}
 	var s StoreSnapshot
-	if len(payload) > 0 && payload[0] == '{' {
-		if err := json.Unmarshal(payload, &s); err != nil {
-			return nil, fmt.Errorf("replica: decode snapshot: %w", err)
-		}
-		return &s, nil
-	}
 	r := value.NewReader(payload)
 	if f := r.Byte(); f != snapFormat {
 		r.Fail("snapshot format %#x", f)

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,8 +28,9 @@ import (
 // with a deleted flag: rows, scalars, nested and empty records and lists,
 // strings that need JSON and key escaping, and a key deleted before the
 // capture. The file must load and restore to the state hash that commit
-// printed. Its payload is JSON, written before snapshots were binary: the
-// re-encoding is pinned by digest, and must restore to the same state.
+// printed. Its payload was JSON, written before snapshots were binary; the
+// file now holds the binary re-encoding that commit da95f24 made of it,
+// which a capture of the restored store must reproduce byte for byte.
 func TestInstallsMapEraSnapshot(t *testing.T) {
 	dir := filepath.Join("testdata", "map_era_snapshot")
 	snap, err := LoadSnapshotFile(dir)
@@ -61,6 +64,9 @@ func TestInstallsMapEraSnapshot(t *testing.T) {
 	if got, want := fmt.Sprintf("%x", sha256.Sum256(enc)), "a0bcaca0957c1736398b45e3c1ba7ce6f6d255f3d44b9192b8598f6529dab60b"; got != want {
 		t.Errorf("binary re-encoding has digest %s, pinned %s", got, want)
 	}
+	if file, err := os.ReadFile(filepath.Join(dir, snapName(7))); err != nil || !bytes.Equal(file, enc) {
+		t.Errorf("the capture does not reproduce the file (%v)", err)
+	}
 	again, err := DecodeSnapshot(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -72,16 +78,13 @@ func TestInstallsMapEraSnapshot(t *testing.T) {
 	}
 }
 
-// TestRecoversJSONEraSnapshot recovers a replica from data written at
+// TestRecoversJSONEraSnapshot composes a journal from data written at
 // commit aaf8a05, when batches and snapshots were JSON: a snapshot at index
-// 4 (the dedup watermark at 1), and the batches that commit's replica logged
-// above it, 6 and 7 (5 was a duplicate and never logged). Here they sit in a
-// journal as raft holds them: the snapshot as its snap record, then a
-// duplicate of b-3 at 5, then 6 and 7. Recovery must reach the state hash
-// the fixture's writer printed, whether the snapshot comes from the journal
-// or from the file beside it; a binary batch appended to the journal then
-// makes a mixed one, which must recover to the state the live replica
-// reached.
+// 4, then a binary duplicate of b-3 at 5 and the JSON batches that commit's
+// replica logged at 6 and 7, as raft holds them. Only the binary encodings
+// are read, so recovery must refuse it, whether the snapshot would come from
+// the journal or from the file beside it, and a cluster booting over a data
+// directory holding it must fail without changing a byte there.
 func TestRecoversJSONEraSnapshot(t *testing.T) {
 	fixture := filepath.Join("testdata", "json_era_recovery")
 	snapFile := filepath.Join(fixture, "snap", snapName(4))
@@ -104,12 +107,13 @@ func TestRecoversJSONEraSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	cfg := clusterConfig(t, 1, nil)
+	cfg.DataDir = t.TempDir()
+	dir := filepath.Join(cfg.DataDir, "replica-0", "raft")
 	fs, err := raft.OpenFileStorage(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = fs.Close() }()
 	if err := fs.SaveSnapshot(raft.Snapshot{Index: 4, Term: 1, Data: snapData}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -119,51 +123,48 @@ func TestRecoversJSONEraSnapshot(t *testing.T) {
 	if err := fs.SaveApplied(7); err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, filepath.Dir(snapFile), filepath.Join(cfg.DataDir, "replica-0", "snap"))
 
 	reg := testRegistry(t)
-	wantIDs := map[string]uint64{"b-2": 2, "b-3": 3, "b-6": 6, "b-7": 7}
 	for _, snapDir := range []string{"", filepath.Dir(snapFile)} {
 		st := store.New()
 		rep, err := RecoverWithSnapshot(dir, snapDir, engine.New(reg, st, engine.Config{Workers: 2}), st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := st.StateHash(st.Epoch()), uint64(0x67b48a6e339d2f28); got != want {
-			t.Fatalf("snapshot dir %q: recovered state hashes to %#x, its writer printed %#x", snapDir, got, want)
-		}
-		if rep.Batches != 6 || rep.LastIndex != 7 || !rep.FromSnapshot || rep.SnapshotIndex != 4 ||
-			rep.Watermark != 1 || !maps.Equal(rep.AppliedIDs, wantIDs) {
-			t.Fatalf("snapshot dir %q: report = %+v", snapDir, rep)
+		if err == nil || !strings.Contains(err.Error(), "snapshot format 0x7b") {
+			t.Fatalf("snapshot dir %q: recovered %+v, %v", snapDir, rep, err)
 		}
 	}
+	before := readTree(t, cfg.DataDir)
+	if c, err := NewCluster(cfg); err == nil || !strings.Contains(err.Error(), "snapshot format 0x7b") {
+		if c != nil {
+			c.Stop()
+		}
+		t.Fatalf("NewCluster over a JSON-era data directory: %v", err)
+	}
+	if after := readTree(t, cfg.DataDir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatalf("the refused boot changed the data directory: %d entries before, %d after", len(before), len(after))
+	}
+}
 
-	st := store.New()
-	r := New("r0", engine.New(reg, st, engine.Config{Workers: 2}), st)
-	if _, err := r.recover(dir, ""); err != nil {
-		t.Fatal(err)
-	}
-	r.journal = fs
-	data, err := sequencer.EncodeBatchID("b-8", []engine.Request{
-		{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(3), "amt": value.Int(40)}},
-		{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(12), "amt": value.Int(1)}},
+// readTree returns every directory (as a nil entry) and file under root,
+// by path.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	tree := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			tree[path] = nil
+			return err
+		}
+		tree[path], err = os.ReadFile(path)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Append(8, []raft.Entry{{Term: 1, Cmd: data}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.applyOne(committedForTest(8, data)); err != nil {
-		t.Fatal(err)
-	}
-	st2 := store.New()
-	rep2, err := RecoverWithSnapshot(dir, "", engine.New(reg, st2, engine.Config{Workers: 4}), st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := st2.StateHash(st2.Epoch()), r.StateHash(); got != want || rep2.Batches != 7 || rep2.LastIndex != 8 || rep2.AppliedIDs["b-8"] != 8 {
-		t.Fatalf("mixed journal recovers to %#x (report %+v), live replica reached %#x", got, rep2, want)
-	}
+	return tree
 }
 
 // TestBootsTwoLogDataDir boots a data directory written at commit 3e99bb4,

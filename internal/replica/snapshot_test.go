@@ -272,7 +272,7 @@ func TestClusterChunkedInstallSnapshotCrashResume(t *testing.T) {
 	}
 	// Slow the fabric so the multi-chunk transfer is observable, rejoin the
 	// victim, and crash it again as soon as chunks are in flight.
-	c.SetDelay(1*time.Millisecond, 3*time.Millisecond)
+	c.Net.SetDelay(1*time.Millisecond, 3*time.Millisecond)
 	if err := c.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestClusterChunkedInstallSnapshotCrashResume(t *testing.T) {
 	}
 	midCrashChunks := totalChunks()
 
-	c.SetDelay(0, 0)
+	c.Net.SetDelay(0, 0)
 	if err := c.Restart(victim); err != nil {
 		t.Fatal(err)
 	}

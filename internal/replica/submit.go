@@ -55,16 +55,11 @@ type Request = struct {
 // flowctl.ErrOverload — shed batches were certainly never proposed or
 // applied — and each re-proposal spends the retry budget. The wait for the
 // apply is woken by the replicas' apply loops; waiting for a leader and
-// re-routing run on seeded jittered backoff. All of it is under the caller's
-// deadline.
+// re-routing run on seeded jittered backoff. All of it runs under the
+// caller's deadline: leader routing, the proposal and the apply wait share
+// one budget, and none waits past it.
 func (c *Cluster) SubmitBatch(reqs []Request, within time.Duration) error {
-	return c.SubmitBatchDeadline(reqs, flowctl.AfterClock(c.clk, within))
-}
-
-// SubmitBatchDeadline is SubmitBatch under an explicit propagated deadline:
-// leader routing, the proposal, and the apply wait all share dl's budget and
-// none waits past it.
-func (c *Cluster) SubmitBatchDeadline(reqs []Request, dl flowctl.Deadline) error {
+	dl := flowctl.AfterClock(c.clk, within)
 	release, err := c.flow.Admit()
 	if err != nil {
 		return fmt.Errorf("replica: submit: %w", err)

@@ -67,10 +67,11 @@ func sameRequests(a, b []engine.Request) bool {
 // numbers derived from the commit index — and re-encode byte-identically
 // (the codec is canonical, which is what lets idempotency IDs and dedup
 // hashes compare encoded bytes). Raw: DecodeBatch on the same bytes as an
-// arbitrary committed command, binary or JSON, must never panic, and
-// anything it accepts must itself round-trip; an accepted binary command
-// re-encodes to exactly its own bytes. testdata/fuzz/FuzzBatchRoundTrip holds
-// a raw command for each class of input the binary decoder rejects.
+// arbitrary committed command must never panic, and anything it accepts
+// must re-encode to exactly its own bytes, which refuses the JSON seeds,
+// commands as they were written before the binary encoding.
+// testdata/fuzz/FuzzBatchRoundTrip holds a raw command for each class of
+// input the decoder rejects.
 func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add("", uint64(1), []byte{})
 	f.Add("batch-7", uint64(7), []byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4})
@@ -108,7 +109,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 
 		// Raw direction: arbitrary bytes must decode cleanly or error, never
-		// panic; an accepted command must round-trip through the encoder.
+		// panic; an accepted command must re-encode to its own bytes.
 		rb, err := DecodeBatch(raft.Committed{Index: idx, Cmd: data})
 		if err != nil {
 			return
@@ -117,15 +118,8 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode accepted raw command: %v", err)
 		}
-		rb2, err := DecodeBatch(raft.Committed{Index: idx, Cmd: renc})
-		if err != nil {
-			t.Fatalf("decode re-encoded raw command: %v", err)
-		}
-		if rb2.ID != rb.ID || !sameRequests(rb.Requests, rb2.Requests) {
-			t.Fatalf("accepted raw command did not round-trip:\n1st: %+v\n2nd: %+v", rb, rb2)
-		}
-		if data[0] != '{' && !bytes.Equal(renc, data) {
-			t.Fatalf("accepted binary command %x re-encodes to %x", data, renc)
+		if !bytes.Equal(renc, data) {
+			t.Fatalf("accepted command %x re-encodes to %x", data, renc)
 		}
 	})
 }

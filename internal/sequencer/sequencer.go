@@ -9,13 +9,13 @@
 //
 // A batch is written in the binary encoding of internal/value (see
 // EncodeBatchID); every replica decodes every committed batch, so this codec
-// sits on the per-batch path of the whole cluster. Batches written as JSON,
-// before that encoding existed, are still read.
+// sits on the per-batch path of the whole cluster. It is the only format
+// read: a batch written as JSON, before that encoding existed, begins with
+// '{' and is refused as an unknown format.
 package sequencer
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -44,8 +44,7 @@ type Batch struct {
 // seqStride requests.
 const seqStride = 1 << 20
 
-// batchFormat is the first byte of a binary batch. A JSON batch begins with
-// '{', so the two never collide.
+// batchFormat is the first byte of a batch.
 const batchFormat = 0x01
 
 // EncodeBatchID serializes a batch carrying the given idempotency ID (empty
@@ -93,13 +92,7 @@ func EncodeBatchID(id string, reqs []engine.Request) ([]byte, error) {
 // with replica-consistent sequence numbers derived from the log index, and
 // the idempotency ID the submitter attached (empty when none).
 func DecodeBatch(c raft.Committed) (Batch, error) {
-	var b Batch
-	var err error
-	if len(c.Cmd) > 0 && c.Cmd[0] == '{' {
-		b, err = decodeJSON(c.Cmd)
-	} else {
-		b, err = decodeBinary(c.Cmd)
-	}
+	b, err := decodeBinary(c.Cmd)
 	if err != nil {
 		return Batch{}, fmt.Errorf("sequencer: decode batch at index %d: %w", c.Index, err)
 	}
@@ -154,31 +147,6 @@ func decodeBinary(cmd []byte) (Batch, error) {
 		return Batch{}, err
 	}
 	return Batch{ID: id, Requests: reqs}, nil
-}
-
-// jsonBatch is the JSON form batches were written in before the binary
-// encoding; it is only read.
-type jsonBatch struct {
-	ID       string `json:"id,omitempty"`
-	Requests []struct {
-		TxName string                 `json:"tx"`
-		Inputs map[string]value.Value `json:"in"`
-	} `json:"reqs"`
-}
-
-func decodeJSON(cmd []byte) (Batch, error) {
-	var jb jsonBatch
-	if err := json.Unmarshal(cmd, &jb); err != nil {
-		return Batch{}, err
-	}
-	if len(jb.Requests) > seqStride {
-		return Batch{}, fmt.Errorf("batch has %d requests (max %d)", len(jb.Requests), seqStride)
-	}
-	b := Batch{ID: jb.ID, Requests: make([]engine.Request, len(jb.Requests))}
-	for i, jr := range jb.Requests {
-		b.Requests[i] = engine.Request{TxName: jr.TxName, Inputs: jr.Inputs}
-	}
-	return b, nil
 }
 
 // Propose encodes reqs as one batch with the given idempotency ID and hands

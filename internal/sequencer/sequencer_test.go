@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,31 +178,25 @@ func TestBatchLayout(t *testing.T) {
 // and a request without inputs.
 const jsonEraBatch = "{\"id\":\"legacy/\\\"id\\\"\",\"reqs\":[{\"tx\":\"newOrder\",\"in\":{\"f\":{\"k\":3},\"items\":{\"k\":4,\"l\":[{\"k\":5,\"r\":{\"id\":{\"k\":1,\"i\":7},\"qty\":{\"k\":1,\"i\":3}}},{\"k\":4},{\"k\":5}]},\"s\":{\"k\":2,\"s\":\"a/b \\\"q\\\" \\u003c\\u0026\\u003e é\\n\"},\"t\":{\"k\":3,\"b\":true},\"w\":{\"k\":1,\"i\":-9223372036854775808}}},{\"tx\":\"audit\",\"in\":null},{\"tx\":\"pay\",\"in\":{\"x\":{\"k\":0}}}]}"
 
-// TestDecodesJSONEraBatch: a JSON batch committed before the binary codec
-// still decodes, and its binary re-encoding decodes to the same batch.
+// nestedJSON returns a one-request JSON-era batch whose only input is depth
+// lists, one inside the other.
+func nestedJSON(depth int) []byte {
+	in := strings.Repeat(`{"k":4,"l":[`, depth) + `{"k":1,"i":0}` + strings.Repeat(`]}`, depth)
+	return []byte(`{"reqs":[{"tx":"t","in":{"a":` + in + `}}]}`)
+}
+
+// TestDecodesJSONEraBatch: only the binary encoding is read, so a JSON batch
+// committed before it is refused at its first byte, '{' (0x7b): the batch
+// its writer printed, and one nested far past value.MaxDepth, which the JSON
+// reader once accepted.
 func TestDecodesJSONEraBatch(t *testing.T) {
-	want := []engine.Request{
-		{TxName: "newOrder", Inputs: map[string]value.Value{
-			"w": value.Int(math.MinInt64), "s": value.Str("a/b \"q\" <&> é\n"), "t": value.Bool(true), "f": value.Bool(false),
-			"items": value.List(value.Record(map[string]value.Value{"id": value.Int(7), "qty": value.Int(3)}), value.List(), value.Record(nil)),
-		}},
-		{TxName: "audit"},
-		{TxName: "pay", Inputs: map[string]value.Value{"x": {}}},
-	}
-	b, err := DecodeBatch(raft.Committed{Index: 5, Cmd: []byte(jsonEraBatch)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.ID != `legacy/"id"` || !sameRequests(b.Requests, want) || b.Requests[2].Seq != 5*seqStride+2 {
-		t.Fatalf("decoded %+v", b)
-	}
-	enc, err := EncodeBatchID(b.ID, b.Requests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := DecodeBatch(raft.Committed{Index: 5, Cmd: enc})
-	if err != nil || again.ID != b.ID || !sameRequests(again.Requests, want) {
-		t.Fatalf("binary re-encoding decodes to %+v, %v", again, err)
+	for name, cmd := range map[string][]byte{
+		"jsonEraBatch":    []byte(jsonEraBatch),
+		"nested 500 deep": nestedJSON(500),
+	} {
+		if b, err := DecodeBatch(raft.Committed{Index: 5, Cmd: cmd}); err == nil || !strings.Contains(err.Error(), "batch format 0x7b") {
+			t.Errorf("%s: decoded to %+v, %v", name, b, err)
+		}
 	}
 }
 
