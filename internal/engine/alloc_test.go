@@ -11,10 +11,11 @@ import (
 
 // TestAllocBudget pins what one transaction allocates on the engine's hot
 // path, at Workers: 1 so that goroutine scheduling does not move the count.
-// The ceilings are 15 % above what the 24-byte value layout measured (123.8
-// allocations and 11.43 KB per TPC-C transaction, 10.7 and 1.35 KB on RUBiS;
-// the counts repeat exactly, and the race detector moves them by 0.1 at
-// most); a rise past them means a per-transaction allocation came back.
+// The ceilings are 15 % above what compiled procedures and encoding-only
+// keys measured (107.1 allocations and 7.15 KB per TPC-C transaction, 8.8
+// and 1.13 KB on RUBiS; 120.0 and 11.26 KB, 10.0 and 1.37 KB before; the
+// counts repeat exactly, and the race detector moves them by 0.1 at most); a
+// rise past them means a per-transaction allocation came back.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("populates 100 TPC-C warehouses")
@@ -23,8 +24,8 @@ func TestAllocBudget(t *testing.T) {
 		w                     testWorkload
 		maxAllocs, maxKBPerTx float64
 	}{
-		{tpccWorkload(tpcc.DefaultConfig(100), 100, 1), 142, 13.1},
-		{rubisBrowseWorkload(10000, 200, 1), 12.3, 1.55},
+		{tpccWorkload(tpcc.DefaultConfig(100), 100, 1), 123, 8.22},
+		{rubisBrowseWorkload(10000, 200, 1), 10.1, 1.30},
 	} {
 		t.Run(tc.w.name, func(t *testing.T) {
 			reg, err := engine.NewRegistry(tc.w.schema, tc.w.programs...)

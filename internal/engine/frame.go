@@ -7,8 +7,8 @@ import (
 )
 
 // frame is what executing one transaction needs and the next can reuse: the
-// interpreter's state (locals, read/write lists, the slab key parts are
-// carved from) and the write-buffering overlay with its guard. Whatever must
+// interpreter's state (the slot array of parameters and locals, the
+// read/write lists) and the write-buffering overlay with its guard. Whatever must
 // outlive the execution is copied out of it — see DESIGN.md, "Transaction
 // hot path: ownership and reuse".
 type frame struct {

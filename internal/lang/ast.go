@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"sync"
 
 	"prognosticator/internal/value"
 )
@@ -229,11 +230,17 @@ func (s For) StmtPos() Pos { return s.Pos }
 // StmtPos implements Stmt.
 func (s Emit) StmtPos() Pos { return s.Pos }
 
-// Program is a complete stored procedure.
+// Program is a complete stored procedure. It is lowered to slot code the
+// first time it runs, and must not change after that.
 type Program struct {
 	Name   string
 	Params []Param
 	Body   []Stmt
+
+	lowered struct {
+		once sync.Once
+		code *code
+	}
 }
 
 // Param returns the declaration of the named parameter, or false.

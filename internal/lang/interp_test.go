@@ -426,10 +426,10 @@ func TestFrameReuse(t *testing.T) {
 		}
 		var b strings.Builder
 		for _, k := range res.Reads {
-			b.WriteString("R " + k.String() + "=" + string(value.Key{Table: k.Table, Parts: k.Parts}.Encode()) + " ")
+			b.WriteString("R " + k.String() + " ")
 		}
 		for _, k := range res.Writes {
-			b.WriteString("W " + k.String() + "=" + string(value.Key{Table: k.Table, Parts: k.Parts}.Encode()) + " ")
+			b.WriteString("W " + k.String() + " ")
 		}
 		return b.String() + value.Record(res.Emitted).String()
 	}

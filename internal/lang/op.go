@@ -5,6 +5,14 @@
 // boolean expressions, record field access, bounded loops, branches, and a
 // GET/PUT key/value interface — so that both a concrete interpreter
 // (internal/lang) and a symbolic executor (internal/symexec) can run them.
+//
+// The concrete interpreter runs a Program lowered once, the first time it
+// runs, to closures over one slot array per execution (compile.go): each
+// parameter and local has a slot, each statement its precomputed structural
+// path, and a record the execution built and still alone holds is updated in
+// place rather than copied. Run, Frame.Run and RunTrace all run that code;
+// the tree-walking evaluator it replaced lives on in the tests, as the
+// oracle the compiled form is fuzzed against.
 package lang
 
 import "fmt"

@@ -318,14 +318,13 @@ func (s selection) group(a *Access) int {
 // pivot-dependent conditions, by pivot reads) and evaluates the selected
 // accesses on it. It goes down the path once to evaluate the conditions and
 // size the result, then along the recorded path to fill it, so the key-set
-// is three allocations however long the path: the KeySet, its keys and the
-// parts of all of them.
+// is two allocations however long the path, the KeySet and its keys, besides
+// the keys' encodings.
 func (p *Profile) instantiate(inputs map[string]value.Value, pr PivotReader, sel selection, direct *KeySet) (*KeySet, error) {
 	inst := instantiator{inputs: inputs, pr: pr}
 	var pathBuf [32]*Node
 	path := pathBuf[:0]
 	var n [4]int // selected accesses per group
-	nparts := 0
 	if direct != nil {
 		n[0], n[2] = len(direct.Reads), len(direct.Writes)
 	}
@@ -334,7 +333,6 @@ func (p *Profile) instantiate(inputs map[string]value.Value, pr PivotReader, sel
 		for i := range nd.Seg {
 			if a := &nd.Seg[i]; sel.includes(a) {
 				n[sel.group(a)]++
-				nparts += len(a.Key)
 			}
 		}
 		if nd.Cond == nil {
@@ -367,14 +365,13 @@ func (p *Profile) instantiate(inputs map[string]value.Value, pr PivotReader, sel
 		copy(ks.Reads, direct.Reads)
 		copy(ks.Writes, direct.Writes)
 	}
-	inst.parts = make([]value.Value, nparts)
 	for _, nd := range path {
 		for i := range nd.Seg {
 			a := &nd.Seg[i]
 			if !sel.includes(a) {
 				continue
 			}
-			k, err := inst.key(a)
+			k, err := inst.keyOf(a.Table, a.Key)
 			if err != nil {
 				return nil, fmt.Errorf("profile %s: %w", p.TxName, err)
 			}
@@ -390,27 +387,26 @@ func (p *Profile) instantiate(inputs map[string]value.Value, pr PivotReader, sel
 type instantiator struct {
 	inputs map[string]value.Value
 	pr     PivotReader
-	// parts is the unused rest of the slab the path's key parts are carved
-	// from, sized by instantiate.
-	parts []value.Value
-	// pivotCache holds the pivot values read so far by variable name;
-	// allocated at the first pivot read.
-	pivotCache   map[string]value.Value
+	// observations are the pivot reads so far, in first-use order; a pivot
+	// variable read again takes its value from here. A path reads a handful
+	// of pivots, so a scan beats a map.
 	observations []PivotObservation
+	pivotVars    []string // pivotVars[i] is the variable observations[i] bound
 }
 
-func (in *instantiator) key(a *Access) (value.Key, error) {
-	n := len(a.Key)
-	parts := in.parts[:n:n]
-	in.parts = in.parts[n:]
-	for i, kt := range a.Key {
+// keyOf evaluates a key's parts into a buffer on the stack: the key keeps
+// only their encoding.
+func (in *instantiator) keyOf(table string, terms []sym.Term) (value.Key, error) {
+	var buf [8]value.Value
+	parts := buf[:0]
+	for _, kt := range terms {
 		v, err := in.eval(kt)
 		if err != nil {
 			return value.Key{}, err
 		}
-		parts[i] = v
+		parts = append(parts, v)
 	}
-	return value.KeyOf(a.Table, parts), nil
+	return value.KeyOf(table, parts), nil
 }
 
 func (in *instantiator) eval(t sym.Term) (value.Value, error) {
@@ -421,29 +417,23 @@ func (in *instantiator) eval(t sym.Term) (value.Value, error) {
 // variables through the PivotReader, caching and recording each pivot read.
 func (in *instantiator) lookup(v *sym.Var) (value.Value, bool) {
 	if v.Pivot != nil {
-		if cached, ok := in.pivotCache[v.Name]; ok {
-			return cached, true
+		for i, name := range in.pivotVars {
+			if name == v.Name {
+				return in.observations[i].Value, true
+			}
 		}
 		if in.pr == nil {
 			return value.Value{}, false
 		}
-		parts := make([]value.Value, len(v.Pivot.Key))
-		for i, kt := range v.Pivot.Key {
-			pv, err := sym.Eval(kt, in.lookup)
-			if err != nil {
-				return value.Value{}, false
-			}
-			parts[i] = pv
+		k, err := in.keyOf(v.Pivot.Table, v.Pivot.Key)
+		if err != nil {
+			return value.Value{}, false
 		}
-		k := value.KeyOf(v.Pivot.Table, parts)
 		pv, found := in.pr.ReadPivot(k, v.Pivot.Field)
 		if !found {
 			pv = value.Int(0)
 		}
-		if in.pivotCache == nil {
-			in.pivotCache = map[string]value.Value{}
-		}
-		in.pivotCache[v.Name] = pv
+		in.pivotVars = append(in.pivotVars, v.Name)
 		in.observations = append(in.observations, PivotObservation{Key: k, Field: v.Pivot.Field, Value: pv})
 		return pv, true
 	}

@@ -63,6 +63,9 @@ type FileStorage struct {
 	// SaveSnapshot reads it after rotating, so every hint lands in the
 	// checkpoint, in a segment after it, or in both.
 	applied atomic.Uint64
+	// opened is the journal as OpenFileStorage read it, which the first
+	// Load hands back instead of reading it again.
+	opened *Journal
 }
 
 // storageRecord is one journal record. It is written in the binary encoding
@@ -171,10 +174,17 @@ func decodeRecord(payload []byte) (storageRecord, error) {
 
 // OpenFileStorage opens (or creates) persistent Raft state in dir. Every
 // record but an applied hint is fsynced before the append returns (a node
-// must not communicate a term, vote or entry it could forget). Any torn or
-// corrupted tail left by a previous crash is truncated before the log is
-// reopened, so new appends always extend a verified-clean prefix.
+// must not communicate a term, vote or entry it could forget). The journal is
+// read first: one it cannot decode is refused with that error and dir is
+// left as it was, byte for byte. Then any torn or corrupted tail left by a
+// previous crash is truncated before the log is reopened, so new appends
+// always extend a verified-clean prefix; the read stopped at that same tail,
+// so it is what the first Load returns.
 func OpenFileStorage(dir string) (*FileStorage, error) {
+	j, err := ReadJournal(dir)
+	if err != nil {
+		return nil, err
+	}
 	if _, err := wal.Repair(dir); err != nil {
 		return nil, fmt.Errorf("raft: storage repair: %w", err)
 	}
@@ -182,7 +192,7 @@ func OpenFileStorage(dir string) (*FileStorage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("raft: storage: %w", err)
 	}
-	return &FileStorage{log: l, dir: dir}, nil
+	return &FileStorage{log: l, dir: dir, opened: &j}, nil
 }
 
 // Close releases the underlying log.
@@ -260,11 +270,17 @@ func (fs *FileStorage) SaveSnapshot(snap Snapshot, tail []Entry) error {
 	return nil
 }
 
-// Load implements Storage.
+// Load implements Storage. The first call returns the journal as
+// OpenFileStorage read it; a later one reads it again.
 func (fs *FileStorage) Load() (uint64, string, Snapshot, []Entry, error) {
-	j, err := ReadJournal(fs.dir)
-	if err != nil {
-		return 0, "", Snapshot{}, nil, err
+	j := fs.opened
+	fs.opened = nil
+	if j == nil {
+		read, err := ReadJournal(fs.dir)
+		if err != nil {
+			return 0, "", Snapshot{}, nil, err
+		}
+		j = &read
 	}
 	fs.term, fs.voted = j.Term, j.VotedFor
 	fs.applied.Store(j.Applied)

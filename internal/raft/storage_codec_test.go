@@ -2,6 +2,7 @@ package raft
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,28 +100,41 @@ func copyDir(t *testing.T, src, dst string) {
 // TestLoadsJSONEraStorage opens a journal written at commit aaf8a05, when
 // records were JSON: state, a snapshot checkpoint with its tail, appends
 // that overwrite a suffix, batch commands as entries. Only the binary
-// encoding is read, so Load must refuse it at its first record, kind '{'
-// (0x7b), and leave the segment as its writer left it.
+// encoding is read, so OpenFileStorage must refuse it at its first record,
+// kind '{' (0x7b), before it repairs or opens anything: the directory keeps
+// the files and the bytes its writer left, and gains no fresh segment.
 func TestLoadsJSONEraStorage(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "json_era_storage"), dir)
-	segment := filepath.Join(dir, "00000001.wal")
-	before, err := os.ReadFile(segment)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := dirContents(t, dir)
 	if _, err := ReadJournal(dir); err == nil || !strings.Contains(err.Error(), "record kind 0x7b") {
 		t.Fatalf("ReadJournal of a JSON-era journal: %v", err)
 	}
 	fs, err := OpenFileStorage(dir)
+	if err == nil {
+		_ = fs.Close()
+		t.Fatal("OpenFileStorage accepted a JSON-era journal")
+	}
+	if !strings.Contains(err.Error(), "record kind 0x7b") {
+		t.Fatalf("OpenFileStorage of a JSON-era journal: %v", err)
+	}
+	if after := dirContents(t, dir); !maps.EqualFunc(after, before, bytes.Equal) {
+		t.Fatalf("the refused open changed the directory: %d files, was %d", len(after), len(before))
+	}
+}
+
+// dirContents maps each file name in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = fs.Close() }()
-	if term, voted, snap, log, err := fs.Load(); err == nil || !strings.Contains(err.Error(), "record kind 0x7b") {
-		t.Fatalf("Load of a JSON-era journal = %d %q %+v %d entries, %v", term, voted, snap, len(log), err)
+	out := make(map[string][]byte, len(files))
+	for _, f := range files {
+		if out[f.Name()], err = os.ReadFile(filepath.Join(dir, f.Name())); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if after, err := os.ReadFile(segment); err != nil || !bytes.Equal(after, before) {
-		t.Fatalf("segment changed by the refused Load (%d bytes, was %d): %v", len(after), len(before), err)
-	}
+	return out
 }

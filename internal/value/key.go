@@ -1,66 +1,37 @@
 package value
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Key identifies a single data item: a table name plus a tuple of scalar key
 // parts. Keys are the unit of conflict detection throughout the system
 // (the paper assumes key granularity, §III-C footnote 3).
 //
-// A key built by KeyOf is immutable: it was encoded when it was built and
-// every later Encode — the lock table, the overlay, the store each ask —
-// returns that memo, so changing its Table or Parts would leave the memo
-// stale. A key without a memo (NewKey's, a Key{Table, Parts} literal, one
-// decoded from JSON) encodes on demand. Equal, Compare and JSON look at Table
-// and Parts only.
+// A key is its encoding and nothing else: KeyOf and NewKey encode the table
+// and parts they are given, keep none of them, and every later Encode — the
+// lock table, the overlay, the store each ask — returns that string. So a
+// key is two words, copying one shares nothing a caller could change, and
+// the parts can be built in a buffer the caller reuses at once. Keys are
+// equal when their encodings are; the zero Key encodes to "".
 type Key struct {
-	Table string
-	Parts []Value
-
-	enc Encoded // encodeKey(Table, Parts), or "" when not memoised
+	enc Encoded
 }
 
-// NewKey builds a key from a table name and scalar parts, copying parts. It
-// does not memoise: its callers (population, tools, tests) build a key to
-// use it once, and with the memo it is over the inline budget, which
-// populating a store (333 k keys on 100 TPC-C warehouses) shows.
-func NewKey(table string, parts ...Value) Key {
-	cp := make([]Value, len(parts))
-	copy(cp, parts)
-	return Key{Table: table, Parts: cp}
-}
+// NewKey builds a key from a table name and scalar parts.
+func NewKey(table string, parts ...Value) Key { return KeyOf(table, parts) }
 
-// KeyOf builds a key that takes ownership of parts — the caller has just
-// built the slice for this key and must not write to it afterwards — and
-// encodes it once, there and then. The hot paths (the interpreter's key
-// expressions, profile instantiation) build their keys with it: each is
-// encoded half a dozen times on its way through lock table, overlay and
-// store.
-func KeyOf(table string, parts []Value) Key {
-	return Key{Table: table, Parts: parts, enc: encodeKey(table, parts)}
-}
+// KeyOf builds a key from a table name and a slice of parts it reads once
+// and keeps nothing of, so the slice may live on the caller's stack and be
+// overwritten as soon as KeyOf returns. The hot paths (the interpreter's key
+// expressions, profile instantiation) build their keys with it.
+func KeyOf(table string, parts []Value) Key { return Key{enc: encodeKey(table, parts)} }
 
-// CloneKeys returns a copy of keys that shares no slice with them: the parts
-// of all the copies live in one new slice. It is how keys leave a buffer
-// that will be reused under them (lang.Frame). The memos are kept.
+// CloneKeys returns a copy of keys that shares no backing array with them:
+// how keys leave a buffer that will be reused under them (lang.Frame).
 func CloneKeys(keys []Key) []Key {
 	if len(keys) == 0 {
 		return nil
 	}
-	total := 0
-	for _, k := range keys {
-		total += len(k.Parts)
-	}
-	out := make([]Key, len(keys))
-	parts := make([]Value, total)
-	for i, k := range keys {
-		n := copy(parts, k.Parts)
-		out[i] = Key{Table: k.Table, Parts: parts[:n:n], enc: k.enc}
-		parts = parts[n:]
-	}
-	return out
+	return append([]Key(nil), keys...)
 }
 
 // Encoded is the canonical string form of a Key, usable as a map key. Two
@@ -69,22 +40,16 @@ type Encoded string
 
 // Encode returns the canonical encoding of k. Table names and string parts
 // are escaped so that distinct keys never collide. This sits on the hot
-// path of every lock-table, overlay and store operation: a key built by
-// KeyOf answers from its memo, without allocating.
-func (k Key) Encode() Encoded {
-	if k.enc != "" {
-		return k.enc
-	}
-	return encodeKey(k.Table, k.Parts)
-}
+// path of every lock-table, overlay and store operation, and allocates
+// nothing: the key is the encoding.
+func (k Key) Encode() Encoded { return k.enc }
 
 // encodeKey builds the encoding in a manual buffer that lives on the stack
 // for any key of ordinary length, so the returned string is the only
 // allocation.
 func encodeKey(table string, parts []Value) Encoded {
 	var stack [64]byte
-	buf := stack[:0]
-	buf = append(buf, escape(table)...)
+	buf := appendEscaped(stack[:0], table)
 	for _, p := range parts {
 		buf = append(buf, '/')
 		switch p.Kind() {
@@ -93,12 +58,12 @@ func encodeKey(table string, parts []Value) Encoded {
 			buf = strconv.AppendInt(buf, p.i, 10)
 		case KindString:
 			buf = append(buf, 's')
-			buf = append(buf, escape(p.str())...)
+			buf = appendEscaped(buf, p.str())
 		case KindBool:
 			buf = append(buf, 'b', '0'+byte(p.i))
 		default:
 			buf = append(buf, '?')
-			buf = append(buf, escape(p.String())...)
+			buf = appendEscaped(buf, p.String())
 		}
 	}
 	return Encoded(buf)
@@ -108,39 +73,32 @@ func encodeKey(table string, parts []Value) Encoded {
 // hash.
 func (e Encoded) Hash() uint64 { return fnvString(fnvOffset64, string(e)) }
 
-func escape(s string) string {
-	if !strings.ContainsAny(s, "/%") {
-		return s
+// appendEscaped appends s with '%' and '/' escaped, so that a table name or
+// string part never holds the separator. The byte scan comes first: almost
+// no name needs escaping, and then s is appended as is.
+func appendEscaped(buf []byte, s string) []byte {
+	clean := true
+	for i := 0; i < len(s) && clean; i++ {
+		clean = s[i] != '/' && s[i] != '%'
 	}
-	s = strings.ReplaceAll(s, "%", "%25")
-	return strings.ReplaceAll(s, "/", "%2F")
+	if clean {
+		return append(buf, s...)
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '%':
+			buf = append(buf, "%25"...)
+		case '/':
+			buf = append(buf, "%2F"...)
+		default:
+			buf = append(buf, s[i])
+		}
+	}
+	return buf
 }
 
 // String implements fmt.Stringer.
-func (k Key) String() string { return string(k.Encode()) }
+func (k Key) String() string { return string(k.enc) }
 
 // Equal reports whether two keys identify the same item.
-func (k Key) Equal(o Key) bool {
-	if k.Table != o.Table || len(k.Parts) != len(o.Parts) {
-		return false
-	}
-	for i := range k.Parts {
-		if !k.Parts[i].Equal(o.Parts[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Compare orders keys by table then parts; used for deterministic iteration.
-func (k Key) Compare(o Key) int {
-	if c := strings.Compare(k.Table, o.Table); c != 0 {
-		return c
-	}
-	for i := 0; i < len(k.Parts) && i < len(o.Parts); i++ {
-		if c := k.Parts[i].Compare(o.Parts[i]); c != 0 {
-			return c
-		}
-	}
-	return cmpInt(int64(len(k.Parts)), int64(len(o.Parts)))
-}
+func (k Key) Equal(o Key) bool { return k.enc == o.enc }

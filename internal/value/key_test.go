@@ -1,9 +1,10 @@
 package value
 
 import (
-	"encoding/json"
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -56,24 +57,12 @@ func TestKeyEqual(t *testing.T) {
 	}
 }
 
-func TestKeyCompare(t *testing.T) {
-	ks := []Key{
-		NewKey("A", Int(1)),
-		NewKey("A", Int(2)),
-		NewKey("A", Int(2), Int(0)),
-		NewKey("B"),
-	}
-	for i := range ks {
-		for j := range ks {
-			got := ks[i].Compare(ks[j])
-			if (got < 0) != (i < j) || (got > 0) != (i > j) {
-				t.Errorf("Compare(%v,%v) = %d", ks[i], ks[j], got)
-			}
-		}
-	}
+func randomKey(r *rand.Rand) Key {
+	table, parts := randomParts(r)
+	return NewKey(table, parts...)
 }
 
-func randomKey(r *rand.Rand) Key {
+func randomParts(r *rand.Rand) (string, []Value) {
 	tables := []string{"A", "B", "ORDER/LINE", "C%"}
 	n := r.Intn(3)
 	parts := make([]Value, n)
@@ -84,7 +73,7 @@ func randomKey(r *rand.Rand) Key {
 			parts[i] = Str(string(rune('a' + r.Intn(4))))
 		}
 	}
-	return NewKey(tables[r.Intn(len(tables))], parts...)
+	return tables[r.Intn(len(tables))], parts
 }
 
 func TestPropKeyEncodeInjective(t *testing.T) {
@@ -108,84 +97,109 @@ func TestQuickKeyStringParts(t *testing.T) {
 	}
 }
 
-// checkKeyMemo asserts that a memoised key cannot be told from the plain
-// Key{Table, Parts} literal, which encodes on demand, nor either from NewKey's: same
-// Encode, String and hash, Equal and Compare blind to the memo, same JSON.
-func checkKeyMemo(t *testing.T, table string, parts []Value) {
+// refKey is the key encoding written out plainly, as the parts would be
+// printed: the reference every constructor's encoding is held to.
+func refKey(table string, parts []Value) Encoded {
+	esc := strings.NewReplacer("%", "%25", "/", "%2F").Replace
+	var b strings.Builder
+	b.WriteString(esc(table))
+	for _, p := range parts {
+		b.WriteByte('/')
+		switch p.Kind() {
+		case KindInt:
+			fmt.Fprintf(&b, "i%d", p.MustInt())
+		case KindString:
+			b.WriteString("s" + esc(p.MustString()))
+		case KindBool:
+			if p.MustBool() {
+				b.WriteString("b1")
+			} else {
+				b.WriteString("b0")
+			}
+		default:
+			b.WriteString("?" + esc(p.String()))
+		}
+	}
+	return Encoded(b.String())
+}
+
+// checkKey asserts that every way of building a key encodes it as refKey
+// does, that the key is its encoding (String, Hash, Equal all read it), and
+// that nothing of the caller's parts is kept: overwriting them after KeyOf
+// returns leaves the key as it was.
+func checkKey(t *testing.T, table string, parts []Value) {
 	t.Helper()
-	plain := Key{Table: table, Parts: parts}
-	want := plain.Encode()
+	want := refKey(table, parts)
+	scratch := slices.Clone(parts)
+	viaKeyOf := KeyOf(table, scratch)
+	for i := range scratch {
+		scratch[i] = Str("overwritten/%")
+	}
 	for name, k := range map[string]Key{
-		"KeyOf":     KeyOf(table, slices.Clone(parts)),
+		"KeyOf":     viaKeyOf,
 		"NewKey":    NewKey(table, parts...),
-		"CloneKeys": CloneKeys([]Key{KeyOf(table, slices.Clone(parts))})[0],
+		"CloneKeys": CloneKeys([]Key{KeyOf(table, parts)})[0],
 	} {
 		if got := k.Encode(); got != want || k.String() != string(want) || got.Hash() != want.Hash() {
-			t.Fatalf("%s(%q, %v) encodes to %q, the literal to %q", name, table, parts, got, want)
+			t.Fatalf("%s(%q, %v) encodes to %q, want %q", name, table, parts, got, want)
 		}
-		if !k.Equal(plain) || !plain.Equal(k) || k.Compare(plain) != 0 || plain.Compare(k) != 0 {
-			t.Fatalf("%s(%q, %v) is not Equal/Compare-identical to the literal", name, table, parts)
-		}
-		// JSON carries Table and Parts and nothing of the memo; a decoded
-		// key has none and encodes on demand.
-		data, err := json.Marshal(k)
-		if err != nil {
-			t.Fatalf("marshal %s(%q, %v): %v", name, table, parts, err)
-		}
-		var fields map[string]json.RawMessage
-		var back Key
-		if err := json.Unmarshal(data, &fields); err != nil || len(fields) != 2 {
-			t.Fatalf("%s(%q, %v) marshals to %s", name, table, parts, data)
-		}
-		if err := json.Unmarshal(data, &back); err != nil || !back.Equal(plain) || back.Encode() != want {
-			t.Fatalf("%s decodes to %v (%v), want %v", data, back, err, plain)
+		if !k.Equal(NewKey(table, parts...)) {
+			t.Fatalf("%s(%q, %v) is not Equal to NewKey's", name, table, parts)
 		}
 	}
 }
 
-func TestKeyMemoMatchesLiteral(t *testing.T) {
-	// The zero key still encodes, memoised or not.
+func TestKeyConstructorsAgree(t *testing.T) {
 	if got := (Key{}).Encode(); got != "" {
 		t.Fatalf("zero key encodes to %q", got)
 	}
-	checkKeyMemo(t, "", nil)
-	checkKeyMemo(t, "t/%", []Value{{}})
+	checkKey(t, "", nil)
+	checkKey(t, "t/%", []Value{{}})
 	for _, c := range pinned {
-		checkKeyMemo(t, "t/%", []Value{c.v})
+		checkKey(t, "t/%", []Value{c.v})
 	}
 	r := rand.New(rand.NewSource(17))
 	for i := 0; i < 500; i++ {
-		k := randomKey(r)
-		checkKeyMemo(t, k.Table, k.Parts)
+		table, parts := randomParts(r)
+		checkKey(t, table, parts)
 	}
 	f := func(table string, s string, i int64, b bool) bool {
-		checkKeyMemo(t, table, []Value{Str(s), Int(i), Bool(b), List(Str(s), Int(i))})
+		checkKey(t, table, []Value{Str(s), Int(i), Bool(b), List(Str(s), Int(i))})
 		return !t.Failed()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Keys that differ only in having a memo order and compare alike, and
-	// differing keys are told apart whichever side carries one.
-	a, b := KeyOf("T", []Value{Int(1)}), Key{Table: "T", Parts: []Value{Int(2)}}
-	if a.Equal(b) || b.Equal(a) || a.Compare(b) >= 0 || b.Compare(a) <= 0 {
-		t.Fatalf("%v and %v must differ and order by parts", a, b)
+	// CloneKeys shares no backing array with its input.
+	in := []Key{NewKey("T", Int(1)), NewKey("T", Int(2))}
+	out := CloneKeys(in)
+	in[0] = NewKey("U")
+	if !out[0].Equal(NewKey("T", Int(1))) || CloneKeys(nil) != nil {
+		t.Fatalf("CloneKeys shares its input: %v", out)
 	}
 }
 
-// TestKeyEncodeAllocs: a key built by KeyOf is encoded once, when it is built.
+// TestKeyEncodeAllocs: a key is encoded once, when it is built, into its one
+// allocation; the parts may sit on the caller's stack, and Encode and Equal
+// allocate nothing.
 func TestKeyEncodeAllocs(t *testing.T) {
-	parts := []Value{Int(3), Int(17)}
-	k := KeyOf("STOCK", parts)
+	var k Key
+	if n := testing.AllocsPerRun(100, func() {
+		parts := [2]Value{Int(3), Int(17)}
+		k = KeyOf("STOCK", parts[:])
+	}); n != 1 {
+		t.Errorf("KeyOf from stack parts allocates %v times, want only the encoding", n)
+	}
 	var e Encoded
 	if n := testing.AllocsPerRun(100, func() { e = k.Encode() }); n != 0 || e != "STOCK/i3/i17" {
-		t.Errorf("Encode of a key built by KeyOf: %v allocations, %q", n, e)
+		t.Errorf("Encode: %v allocations, %q", n, e)
 	}
-	if n := testing.AllocsPerRun(100, func() { k = KeyOf("STOCK", parts) }); n > 1 {
-		t.Errorf("KeyOf allocates %v times, want only the encoding", n)
+	same := NewKey("STOCK", Int(3), Int(17))
+	eq := false
+	if n := testing.AllocsPerRun(100, func() { eq = k.Equal(same) }); n != 0 || !eq {
+		t.Errorf("Equal: %v allocations, %v", n, eq)
 	}
-	plain := Key{Table: "STOCK", Parts: parts}
-	if n := testing.AllocsPerRun(100, func() { e = plain.Encode() }); n > 1 {
-		t.Errorf("Encode of a literal key allocates %v times, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { k = NewKey("ORDER/LINE", Int(3)) }); n > 1 {
+		t.Errorf("NewKey allocates %v times, want only the encoding", n)
 	}
 }

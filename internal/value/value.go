@@ -3,11 +3,13 @@
 // store. A Value is 24 bytes with one pointer word, and a list or record is
 // one allocation, its block: the store holds every row for the life of the
 // process, so what Go's collector marks per row is kept to that block.
-// Values are immutable: no exported operation changes a list or record once
-// it is built — WithField and Append copy, Fields and Elems return copies —
-// and the package relies on that to let a record share its sorted field-name
-// slice with every WithField copy of it and with every other record built
-// from the same Shape.
+// Values are immutable to everyone but a record's sole holder: WithField and
+// Append copy, Fields and Elems return copies, and the one operation that
+// writes into a built record, SetInPlace, is for a caller that built the
+// record (or copied it) and has handed it to no one — the interpreter's
+// frame-owned records. It changes a field's value only, never the names, so
+// a record still shares its sorted field-name slice with every WithField
+// copy of it and with every other record built from the same Shape.
 package value
 
 import (
@@ -300,6 +302,20 @@ func (v Value) WithField(name string, f Value) Value {
 	elems[i] = f
 	copy(elems[i+1:], old[i:])
 	return out
+}
+
+// SetInPlace sets the existing field name of record v to f by writing into
+// v's block, and reports whether it did; it does nothing and reports false
+// when v is not a record or has no such field. Every holder of v sees the
+// change, so it is only for a record the caller built or copied itself and
+// has not handed on: anywhere else, use WithField.
+func (v Value) SetInPlace(name string, f Value) bool {
+	i := find(v.names(), name)
+	if i < 0 {
+		return false
+	}
+	v.elems()[i] = f
+	return true
 }
 
 // Fields returns the field names of a record in sorted order.

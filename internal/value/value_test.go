@@ -333,3 +333,30 @@ func TestQuickStringRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetInPlace: SetInPlace overwrites an existing field in the record's own
+// block — every holder sees it, nothing is allocated, the shared names are
+// untouched — and refuses a missing field or a value that is not a record.
+func TestSetInPlace(t *testing.T) {
+	sh := NewShape("a", "b")
+	rec, sibling := sh.Record(Int(1), Int(2)), sh.Record(Int(1), Int(2))
+	alias := rec
+	if n := testing.AllocsPerRun(10, func() {
+		if !rec.SetInPlace("b", Int(9)) {
+			t.Fatal("SetInPlace refused an existing field")
+		}
+	}); n != 0 {
+		t.Errorf("SetInPlace allocates %v times", n)
+	}
+	if alias.String() != "{a:1,b:9}" || sibling.String() != "{a:1,b:2}" {
+		t.Fatalf("after SetInPlace: holder %v, record of the same shape %v", alias, sibling)
+	}
+	for _, v := range []Value{rec, Record(nil), List(Int(1)), Int(3)} {
+		if v.SetInPlace("c", Int(0)) {
+			t.Errorf("SetInPlace of a missing field succeeded on %v", v)
+		}
+	}
+	if rec.String() != "{a:1,b:9}" {
+		t.Fatalf("a refused SetInPlace changed the record: %v", rec)
+	}
+}
