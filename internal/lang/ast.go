@@ -254,22 +254,13 @@ func (p *Program) Param(name string) (Param, bool) {
 }
 
 // IsReadOnly reports whether the program contains no Put or Del anywhere.
-func (p *Program) IsReadOnly() bool { return !anyWrite(p.Body) }
-
-func anyWrite(body []Stmt) bool {
-	for _, s := range body {
-		switch st := s.(type) {
+func (p *Program) IsReadOnly() bool {
+	ro := true
+	Walk(p.Root(), func(_ string, st Stmt) {
+		switch st.(type) {
 		case Put, Del:
-			return true
-		case If:
-			if anyWrite(st.Then) || anyWrite(st.Else) {
-				return true
-			}
-		case For:
-			if anyWrite(st.Body) {
-				return true
-			}
+			ro = false
 		}
-	}
-	return false
+	})
+	return ro
 }

@@ -68,7 +68,7 @@ func compile(p *Program) *code {
 		c.param(prm.Name)
 	}
 	c.code.declared = len(c.code.params)
-	c.code.body = c.block(p.Body, "body")
+	c.code.body = c.block(p.Root())
 	return c.code
 }
 
@@ -88,10 +88,10 @@ func (c *compiler) slot(slots map[string]int, names *[]named, name string) int {
 	return i
 }
 
-func (c *compiler) block(body []Stmt, label string) []step {
-	steps := make([]step, len(body))
-	for i, st := range body {
-		path := fmt.Sprintf("%s[%d]", label, i)
+func (c *compiler) block(b Block) []step {
+	steps := make([]step, len(b.Stmts))
+	for i, st := range b.Stmts {
+		path := b.Path(i)
 		steps[i] = step{path: path, run: c.stmt(st, path)}
 	}
 	return steps
@@ -175,7 +175,8 @@ func (c *compiler) stmt(st Stmt, path string) func(*Frame) error {
 		}
 	case If:
 		cond := c.expr(s.Cond)
-		then, els := c.block(s.Then, path+".then"), c.block(s.Else, path+".else")
+		arms := Nested(st, path)
+		then, els := c.block(arms[0]), c.block(arms[1])
 		return func(f *Frame) error {
 			cv, err := cond(f)
 			if err != nil {
@@ -192,7 +193,7 @@ func (c *compiler) stmt(st Stmt, path string) func(*Frame) error {
 		}
 	case For:
 		v, from, to := c.local(s.Var), c.integer(s.From), c.integer(s.To)
-		body := c.block(s.Body, path+".body")
+		body := c.block(Nested(st, path)[0])
 		return func(f *Frame) error {
 			lo, err := from(f)
 			if err != nil {

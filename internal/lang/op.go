@@ -13,6 +13,15 @@
 // place rather than copied. Run, Frame.Run and RunTrace all run that code;
 // the tree-walking evaluator it replaced lives on in the tests, as the
 // oracle the compiled form is fuzzed against.
+//
+// The offline analyses (internal/lint, internal/taint) walk the IR through
+// this package too (walk.go): Walk visits every statement in program order
+// with its structural path ("body[2].then[0]"), Exprs lists the expressions
+// a statement evaluates at its own node, and Inspect visits an expression's
+// sub-expressions, with pruning. A walk that needs context a path does not
+// carry recurses over Block and Nested. This package is the only place that
+// spells a path: the compiled code, the trace hook and the lint CFG take
+// theirs from Block.Path.
 package lang
 
 import "fmt"

@@ -145,7 +145,7 @@ func join(a, b AbsVal) AbsVal {
 		}
 		return absTop
 	case a.Kind == AbsRange && b.Kind == AbsRange:
-		return absRange(min64(a.Lo, b.Lo), max64(a.Hi, b.Hi))
+		return absRange(min(a.Lo, b.Lo), max(a.Hi, b.Hi))
 	default:
 		return absTop
 	}
@@ -189,31 +189,20 @@ func absEq(a, b AbsVal) bool {
 	}
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// satAdd adds with saturation at the sentinels, so overflow degrades to
-// "unbounded" rather than wrapping.
+// satAdd adds two bounds with saturation at the sentinels, for the interval
+// and the zone domain alike. A sentinel operand is absorbing: it yields the
+// sentinel of its own direction (+absInf before -absInf, since an unknown
+// bound stays unknown), so a widened bound never moves back into range.
+// Finite operands lie strictly inside ±absInf, so their raw sum cannot
+// overflow int64; a sum beyond the sentinels clamps to them.
 func satAdd(a, b int64) int64 {
-	s := a + b
-	if (b > 0 && s < a) || (b < 0 && s > a) || s > absInf {
+	switch {
+	case a >= absInf || b >= absInf:
 		return absInf
-	}
-	if s < -absInf {
+	case a <= -absInf || b <= -absInf:
 		return -absInf
 	}
-	return s
+	return max(-absInf, min(absInf, a+b))
 }
 
 // AbsEnv maps variable names to abstract values. Absent names are ⊥ for
@@ -252,8 +241,6 @@ func (e AbsEnv) clone() AbsEnv {
 type AbsState struct {
 	cfg *CFG
 	in  []AbsEnv
-	// byPath maps structural statement paths to node IDs.
-	byPath map[string]int
 
 	// Iterations counts worklist visits; FuzzAbsIntTermination asserts it
 	// stays under the analytic bound.
@@ -266,17 +253,11 @@ type AbsState struct {
 // EnvAt returns the entry environment of the statement at the given
 // structural path ("body[2].then[0]"), or false if the path names no node.
 func (a *AbsState) EnvAt(path string) (AbsEnv, bool) {
-	id, ok := a.byPath[path]
+	id, ok := a.cfg.NodeAt(path)
 	if !ok {
 		return nil, false
 	}
 	return a.in[id], true
-}
-
-// NodeAt returns the CFG node ID at the given structural path.
-func (a *AbsState) NodeAt(path string) (int, bool) {
-	id, ok := a.byPath[path]
-	return id, ok
 }
 
 // maxIterations is the hard cap: comfortably above the analytic bound of
@@ -291,16 +272,7 @@ func (a *AbsState) maxIterations() int {
 
 // SolveAbsInt runs the interval analysis to a fixed point over cfg.
 func SolveAbsInt(cfg *CFG) *AbsState {
-	a := &AbsState{
-		cfg:    cfg,
-		in:     make([]AbsEnv, len(cfg.Nodes)),
-		byPath: make(map[string]int, len(cfg.Nodes)),
-	}
-	for _, n := range cfg.Nodes {
-		if n.Path != "" {
-			a.byPath[n.Path] = n.ID
-		}
-	}
+	a := &AbsState{cfg: cfg, in: make([]AbsEnv, len(cfg.Nodes))}
 
 	// Entry environment: parameters at their declared domains.
 	entry := AbsEnv{}
@@ -312,42 +284,21 @@ func SolveAbsInt(cfg *CFG) *AbsState {
 		}
 	}
 	a.in[cfg.Entry] = entry
-
-	limit := a.maxIterations()
-	work := []int{cfg.Entry}
-	queued := map[int]bool{cfg.Entry: true}
-	for len(work) > 0 {
-		if a.Iterations++; a.Iterations > limit {
-			a.degradeToTop()
-			return a
-		}
-		id := work[0]
-		work, queued[id] = work[1:], false
-		n := cfg.Nodes[id]
-		out := transfer(cfg.Prog, n, a.in[id])
-		for _, succ := range n.Succs {
-			// Construction order makes every back edge point to a
-			// lower-or-equal ID (a For node precedes its body; an empty body
-			// yields a self-edge). Widen there, plain-join everywhere else.
-			back := id >= succ
-			merged := a.mergeInto(a.in[succ], out, back)
-			if merged != nil {
-				a.in[succ] = merged
-				if !queued[succ] {
-					work = append(work, succ)
-					queued[succ] = true
-				}
-			}
-		}
-	}
+	a.Iterations, a.Capped = fixpoint(cfg, a.in, a.maxIterations(), a)
 	return a
 }
 
-// mergeInto joins src into dst, widening when the edge is a back edge.
-// It returns the new environment if anything changed, nil otherwise.
-func (a *AbsState) mergeInto(dst, src AbsEnv, back bool) AbsEnv {
+// flow applies the node's statement once; every successor sees the result.
+func (a *AbsState) flow(n *Node) func(succ int) AbsEnv {
+	out := transfer(a.cfg.Prog, n, a.in[n.ID])
+	return func(int) AbsEnv { return out }
+}
+
+// merge joins src into dst, widening when the edge is a back edge. It
+// returns the new environment if anything changed, false otherwise.
+func (a *AbsState) merge(dst, src AbsEnv, back bool, _ int) (AbsEnv, bool) {
 	if dst == nil {
-		return src.clone()
+		return src.clone(), true
 	}
 	var out AbsEnv
 	for name, sv := range src {
@@ -363,22 +314,19 @@ func (a *AbsState) mergeInto(dst, src AbsEnv, back bool) AbsEnv {
 			out[name] = nv
 		}
 	}
-	return out
+	return out, out != nil
 }
 
-// degradeToTop is the cap fallback: forget everything, stay sound.
-func (a *AbsState) degradeToTop() {
-	a.Capped = true
-	for i, env := range a.in {
-		if env == nil {
-			continue
-		}
-		top := make(AbsEnv, len(env))
-		for name := range env {
-			top[name] = absTop
-		}
-		a.in[i] = top
+// top forgets everything a reached environment knows.
+func (a *AbsState) top(env AbsEnv) AbsEnv {
+	if env == nil {
+		return nil
 	}
+	top := make(AbsEnv, len(env))
+	for name := range env {
+		top[name] = absTop
+	}
+	return top
 }
 
 // transfer applies the node's statement to its entry environment.
@@ -536,7 +484,7 @@ func absArith(op lang.Op, l, r AbsVal) AbsVal {
 		}
 		lo, hi := l.Lo*r.Lo, l.Lo*r.Lo
 		for _, p := range []int64{l.Lo * r.Hi, l.Hi * r.Lo, l.Hi * r.Hi} {
-			lo, hi = min64(lo, p), max64(hi, p)
+			lo, hi = min(lo, p), max(hi, p)
 		}
 		return absRange(lo, hi)
 	}

@@ -123,6 +123,22 @@ transaction accum(n int[0..100]) {
 	}
 }
 
+func TestSatAddSentinelsAbsorb(t *testing.T) {
+	for _, c := range []struct{ a, b, want int64 }{
+		{3, 4, 7},
+		{absInf, -1, absInf},             // a widened upper bound stays widened
+		{-absInf, 1, -absInf},            // likewise a widened lower bound
+		{-1, absInf, absInf},             // either operand
+		{absInf, -absInf, absInf},        // an unknown bound stays unknown
+		{absInf - 1, absInf - 1, absInf}, // finite sums clamp
+		{-absInf + 1, -absInf + 1, -absInf},
+	} {
+		if got := satAdd(c.a, c.b); got != c.want {
+			t.Errorf("satAdd(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestAbsIntComparisonFolding(t *testing.T) {
 	p := mustParse(t, `
 transaction cmp(x int[0..9]) {

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"sort"
 
 	"prognosticator/internal/lang"
@@ -21,6 +20,10 @@ type Node struct {
 	Path string
 	// Succs and Preds are edge lists (node IDs), in construction order.
 	Succs, Preds []int
+	// Heads holds, for each block the statement holds (an If's then- and
+	// else-arm, a For's body; see lang.Nested), the ID of the block's first
+	// node, or -1 when the block is empty.
+	Heads []int
 
 	// Defs lists the locals this node assigns (Assign/Get/SetField dst,
 	// For induction variable). Uses lists the locals whose current value
@@ -34,6 +37,15 @@ type CFG struct {
 	Nodes []*Node
 	Entry int
 	Exit  int
+
+	byPath map[string]int
+}
+
+// NodeAt returns the ID of the node of the statement at the structural
+// path, or false if the path names no statement.
+func (c *CFG) NodeAt(path string) (int, bool) {
+	id, ok := c.byPath[path]
+	return id, ok
 }
 
 // BuildCFG constructs the CFG of p. The graph is a faithful rendering of the
@@ -41,10 +53,10 @@ type CFG struct {
 // past them when an arm is empty), For nodes test-and-branch to the body
 // head and to the loop exit, and body tails edge back to the For node.
 func BuildCFG(p *lang.Program) *CFG {
-	b := &cfgBuilder{cfg: &CFG{Prog: p}}
+	b := &cfgBuilder{cfg: &CFG{Prog: p, byPath: map[string]int{}}}
 	entry := b.newNode(nil, "")
 	b.cfg.Entry = entry.ID
-	frontier := b.block(p.Body, "body", []int{entry.ID})
+	frontier := b.block(p.Root(), []int{entry.ID})
 	exit := b.newNode(nil, "")
 	b.cfg.Exit = exit.ID
 	b.connect(frontier, exit.ID)
@@ -60,6 +72,7 @@ func (b *cfgBuilder) newNode(st lang.Stmt, path string) *Node {
 	if st != nil {
 		n.Pos = st.StmtPos()
 		n.Defs, n.Uses = stmtDefs(st), stmtUses(st)
+		b.cfg.byPath[path] = n.ID
 	}
 	b.cfg.Nodes = append(b.cfg.Nodes, n)
 	return n
@@ -75,24 +88,31 @@ func (b *cfgBuilder) connect(from []int, to int) {
 // block lays out a statement sequence, connecting preds to its head, and
 // returns the frontier: the node set from which control leaves the block.
 // An empty block returns preds unchanged.
-func (b *cfgBuilder) block(body []lang.Stmt, label string, preds []int) []int {
+func (b *cfgBuilder) block(blk lang.Block, preds []int) []int {
 	frontier := preds
-	for i, st := range body {
-		path := fmt.Sprintf("%s[%d]", label, i)
-		n := b.newNode(st, path)
+	for i, st := range blk.Stmts {
+		n := b.newNode(st, blk.Path(i))
 		b.connect(frontier, n.ID)
-		switch s := st.(type) {
+		// Each nested block hangs off n; control leaves through the union
+		// of their frontiers (n itself past an empty arm).
+		var out []int
+		for _, nb := range lang.Nested(st, n.Path) {
+			head := len(b.cfg.Nodes)
+			if len(nb.Stmts) == 0 {
+				head = -1
+			}
+			n.Heads = append(n.Heads, head)
+			out = append(out, b.block(nb, []int{n.ID})...)
+		}
+		switch st.(type) {
 		case lang.If:
-			thenF := b.block(s.Then, path+".then", []int{n.ID})
-			elseF := b.block(s.Else, path+".else", []int{n.ID})
 			// With an empty arm the sub-frontier is {n} itself; dedup so the
 			// join does not receive duplicate edges from a no-op If.
-			frontier = dedupIDs(append(append([]int{}, thenF...), elseF...))
+			frontier = dedupIDs(out)
 		case lang.For:
-			bodyF := b.block(s.Body, path+".body", []int{n.ID})
 			// Back edge: end of the body re-tests the loop condition. When
 			// the body is empty the self-edge still models re-testing.
-			b.connect(bodyF, n.ID)
+			b.connect(out, n.ID)
 			frontier = []int{n.ID}
 		default:
 			frontier = []int{n.ID}
@@ -134,60 +154,20 @@ func stmtDefs(st lang.Stmt) []string {
 // always defined and are excluded.
 func stmtUses(st lang.Stmt) []string {
 	var out []string
-	add := func(e lang.Expr) { out = exprLocals(e, out) }
-	switch s := st.(type) {
-	case lang.Assign:
-		add(s.E)
-	case lang.SetField:
+	if s, ok := st.(lang.SetField); ok {
 		// Reading-and-updating: the destination record is read before the
 		// field store, so it must already be defined.
 		out = append(out, s.Dst)
-		add(s.E)
-	case lang.Get:
-		for _, k := range s.Key {
-			add(k)
-		}
-	case lang.Put:
-		for _, k := range s.Key {
-			add(k)
-		}
-		add(s.Val)
-	case lang.Del:
-		for _, k := range s.Key {
-			add(k)
-		}
-	case lang.If:
-		add(s.Cond)
-	case lang.For:
-		add(s.From)
-		add(s.To)
-	case lang.Emit:
-		add(s.E)
+	}
+	for _, e := range lang.Exprs(st) {
+		lang.Inspect(e, func(x lang.Expr) bool {
+			if l, ok := x.(lang.LocalRef); ok {
+				out = append(out, l.Name)
+			}
+			return true
+		})
 	}
 	return sortDedup(out)
-}
-
-// exprLocals appends the LocalRef names in e to out.
-func exprLocals(e lang.Expr, out []string) []string {
-	switch x := e.(type) {
-	case lang.LocalRef:
-		return append(out, x.Name)
-	case lang.Bin:
-		return exprLocals(x.R, exprLocals(x.L, out))
-	case lang.Not:
-		return exprLocals(x.E, out)
-	case lang.Field:
-		return exprLocals(x.E, out)
-	case lang.Index:
-		return exprLocals(x.I, exprLocals(x.E, out))
-	case lang.Rec:
-		for _, f := range x.Fields {
-			out = exprLocals(f.E, out)
-		}
-		return out
-	default:
-		return out
-	}
 }
 
 func sortDedup(names []string) []string {

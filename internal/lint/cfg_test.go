@@ -67,6 +67,12 @@ transaction branches(x int[0..9]) {
 	if !reflect.DeepEqual(emit.Preds, []int{2, 3}) {
 		t.Fatalf("join preds = %v, want [2 3]", emit.Preds)
 	}
+	if !reflect.DeepEqual(ifNode.Heads, []int{2, 3}) {
+		t.Fatalf("if arm heads = %v, want [2 3]", ifNode.Heads)
+	}
+	if id, ok := cfg.NodeAt("body[0].else[0]"); !ok || id != 3 {
+		t.Fatalf("NodeAt(body[0].else[0]) = %d, %v; want 3", id, ok)
+	}
 }
 
 func TestBuildCFGEmptyArmNoDuplicateEdges(t *testing.T) {
@@ -82,6 +88,9 @@ transaction halfif(x int[0..9]) {
 	// frontier is {if} once, not twice.
 	if !reflect.DeepEqual(cfg.Nodes[3].Preds, []int{2}) {
 		t.Fatalf("emit preds = %v, want [2]", cfg.Nodes[3].Preds)
+	}
+	if !reflect.DeepEqual(cfg.Nodes[2].Heads, []int{-1, -1}) {
+		t.Fatalf("empty arm heads = %v, want [-1 -1]", cfg.Nodes[2].Heads)
 	}
 }
 
@@ -103,6 +112,9 @@ transaction looped(n int[1..5]) {
 	body := cfg.Nodes[3]
 	if !reflect.DeepEqual(body.Succs, []int{2}) {
 		t.Fatalf("body succs = %v, want back edge [2]", body.Succs)
+	}
+	if !reflect.DeepEqual(forNode.Heads, []int{3}) {
+		t.Fatalf("for body head = %v, want [3]", forNode.Heads)
 	}
 	if !reflect.DeepEqual(forNode.Defs, []string{"i"}) {
 		t.Fatalf("for defs = %v, want [i]", forNode.Defs)

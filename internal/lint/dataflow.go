@@ -158,3 +158,53 @@ func (r *ReachingDefs) DefsReaching(id int, v string) []Def {
 func (r *ReachingDefs) MaybeUndefined(id int, v string) bool {
 	return r.in[id][Def{Node: UndefNode, Var: v}]
 }
+
+// domain is what an abstract domain hands fixpoint: the interval analysis
+// (AbsState) and the zone analysis (ZoneState) run the same loop.
+type domain[S any] interface {
+	// flow returns what node n, visited with its stored entry state, passes
+	// along its edge to each successor.
+	flow(n *Node) func(succ int) S
+	// merge joins src into dst, the state stored at succ, widening on a
+	// back edge. It returns the new state, or false when nothing changed.
+	merge(dst, src S, back bool, succ int) (S, bool)
+	// top forgets everything a reached state knows (an unreached one stays
+	// unreached).
+	top(S) S
+}
+
+// fixpoint runs a forward worklist analysis over cfg to a fixed point. in
+// holds each node's entry state; the entry node's must be set, every other
+// node starts unreached. Construction order makes every back edge point to a
+// lower-or-equal ID (a For node precedes its body; an empty body yields a
+// self-edge), so an edge is widened exactly when it does. Past limit visits
+// the loop gives up, degrades every reached state to ⊤ — sound, maximally
+// imprecise — and reports capped, so termination does not rest on the
+// domain being bug-free.
+func fixpoint[S any](cfg *CFG, in []S, limit int, d domain[S]) (visits int, capped bool) {
+	work := []int{cfg.Entry}
+	queued := make([]bool, len(cfg.Nodes))
+	queued[cfg.Entry] = true
+	for len(work) > 0 {
+		if visits++; visits > limit {
+			for i := range in {
+				in[i] = d.top(in[i])
+			}
+			return visits, true
+		}
+		id := work[0]
+		work, queued[id] = work[1:], false
+		n := cfg.Nodes[id]
+		out := d.flow(n)
+		for _, succ := range n.Succs {
+			if merged, changed := d.merge(in[succ], out(succ), id >= succ, succ); changed {
+				in[succ] = merged
+				if !queued[succ] {
+					work = append(work, succ)
+					queued[succ] = true
+				}
+			}
+		}
+	}
+	return visits, false
+}

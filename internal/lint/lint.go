@@ -165,7 +165,7 @@ func (pc *ProgContext) Abs() *AbsState {
 // is the state dead-branch and loop-bound reasoning consult.
 func (pc *ProgContext) Zone() *ZoneState {
 	if pc.zone == nil {
-		pc.zone = SolveZoneOpts(pc.CFG(), ZoneOpts{AssumeGuards: true, Abs: pc.Abs()})
+		pc.zone = SolveGuardZone(pc.Abs())
 	}
 	return pc.zone
 }
@@ -177,7 +177,7 @@ func (pc *ProgContext) Zone() *ZoneState {
 // value, the symbolic executor's key term is input-only too.
 func (pc *ProgContext) AliasZone() *ZoneState {
 	if pc.aliasZone == nil {
-		pc.aliasZone = SolveZoneOpts(pc.CFG(), ZoneOpts{})
+		pc.aliasZone = SolveAliasZone(pc.CFG())
 	}
 	return pc.aliasZone
 }
@@ -345,32 +345,15 @@ func MaxSeverity(fs []Finding) Severity {
 func InferSchema(progs ...*lang.Program) *lang.Schema {
 	arity := map[string]int{}
 	var order []string
-	record := func(table string, key []lang.Expr) {
-		if _, ok := arity[table]; !ok {
-			arity[table] = len(key)
-			order = append(order, table)
-		}
-	}
-	var walk func(body []lang.Stmt)
-	walk = func(body []lang.Stmt) {
-		for _, st := range body {
-			switch s := st.(type) {
-			case lang.Get:
-				record(s.Table, s.Key)
-			case lang.Put:
-				record(s.Table, s.Key)
-			case lang.Del:
-				record(s.Table, s.Key)
-			case lang.If:
-				walk(s.Then)
-				walk(s.Else)
-			case lang.For:
-				walk(s.Body)
-			}
-		}
-	}
 	for _, p := range progs {
-		walk(p.Body)
+		lang.Walk(p.Root(), func(_ string, st lang.Stmt) {
+			if table, key, ok := access(st); ok {
+				if _, seen := arity[table]; !seen {
+					arity[table] = len(key)
+					order = append(order, table)
+				}
+			}
+		})
 	}
 	specs := make([]lang.TableSpec, 0, len(order))
 	for _, t := range order {

@@ -169,6 +169,26 @@ transaction storebound(id int[0..9]) {
 	}
 }
 
+func TestLoopBoundPassWidenedBoundStaysUnbounded(t *testing.T) {
+	// x is widened to [0,+∞] by the first loop, so y = x - 1 has no upper
+	// bound either: the second loop's bound is not derivable. An add that
+	// treats the +∞ sentinel as a number reads y ∈ [-1, 2^62-1] and reports
+	// a finite, absurd trip count instead.
+	fs := findingsOf(lintSrc(t, nil, `
+transaction wid(n int[0..9]) {
+    x = 0
+    for i = 0 .. n { x = x + x + 1 }
+    y = x - 1
+    s = 0
+    for j = 0 .. y { s = s + 1 }
+    emit out = s
+}`), "loop-bound")
+	if len(fs) != 1 || fs[0].Path != "body[4]" ||
+		!strings.Contains(fs[0].Message, `bounds of loop "j" are not derivable`) {
+		t.Fatalf("findings %v, want one underivable-bound error on loop j", fs)
+	}
+}
+
 func TestLoopBoundPassNeverExecutes(t *testing.T) {
 	fs := findingsOf(lintSrc(t, nil, `
 transaction empty(n int[0..9]) {

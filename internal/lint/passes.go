@@ -10,20 +10,17 @@ import (
 	"prognosticator/internal/value"
 )
 
-// walkStmts visits every statement with its structural path, recursing into
-// If arms and For bodies.
-func walkStmts(body []lang.Stmt, label string, fn func(st lang.Stmt, path string)) {
-	for i, st := range body {
-		path := fmt.Sprintf("%s[%d]", label, i)
-		fn(st, path)
-		switch s := st.(type) {
-		case lang.If:
-			walkStmts(s.Then, path+".then", fn)
-			walkStmts(s.Else, path+".else", fn)
-		case lang.For:
-			walkStmts(s.Body, path+".body", fn)
-		}
+// access returns the table and key of a GET, PUT or DEL.
+func access(st lang.Stmt) (table string, key []lang.Expr, ok bool) {
+	switch s := st.(type) {
+	case lang.Get:
+		return s.Table, s.Key, true
+	case lang.Put:
+		return s.Table, s.Key, true
+	case lang.Del:
+		return s.Table, s.Key, true
 	}
+	return "", nil, false
 }
 
 // --- schema: unknown tables and key-arity mismatches, positioned ---
@@ -37,7 +34,11 @@ func (schemaPass) Run(pc *ProgContext) []Finding {
 		return nil
 	}
 	var out []Finding
-	check := func(table string, key []lang.Expr, st lang.Stmt, path string) {
+	lang.Walk(pc.Prog.Root(), func(path string, st lang.Stmt) {
+		table, key, ok := access(st)
+		if !ok {
+			return
+		}
 		spec, ok := pc.Schema.Table(table)
 		if !ok {
 			out = append(out, Finding{
@@ -54,16 +55,6 @@ func (schemaPass) Run(pc *ProgContext) []Finding {
 				Message: fmt.Sprintf("table %q expects %d key parts, got %d",
 					table, spec.KeyArity, len(key)),
 			})
-		}
-	}
-	walkStmts(pc.Prog.Body, "body", func(st lang.Stmt, path string) {
-		switch s := st.(type) {
-		case lang.Get:
-			check(s.Table, s.Key, st, path)
-		case lang.Put:
-			check(s.Table, s.Key, st, path)
-		case lang.Del:
-			check(s.Table, s.Key, st, path)
 		}
 	})
 	return out
@@ -104,7 +95,7 @@ func (loopBoundPass) Name() string { return "loop-bound" }
 
 func (loopBoundPass) Run(pc *ProgContext) []Finding {
 	var out []Finding
-	walkStmts(pc.Prog.Body, "body", func(st lang.Stmt, path string) {
+	lang.Walk(pc.Prog.Root(), func(path string, st lang.Stmt) {
 		s, ok := st.(lang.For)
 		if !ok {
 			return
@@ -124,7 +115,7 @@ func (loopBoundPass) Run(pc *ProgContext) []Finding {
 				if !v.Bounded() {
 					v = zv
 				} else {
-					v = absRange(max64(v.Lo, zv.Lo), min64(v.Hi, zv.Hi))
+					v = absRange(max(v.Lo, zv.Lo), min(v.Hi, zv.Hi))
 				}
 			}
 			return v
@@ -181,7 +172,7 @@ func (pivotKeyPass) Run(pc *ProgContext) []Finding {
 	tr := pc.Taint()
 	kd := pc.KeyDet()
 	var out []Finding
-	walkStmts(pc.Prog.Body, "body", func(st lang.Stmt, path string) {
+	lang.Walk(pc.Prog.Root(), func(path string, st lang.Stmt) {
 		s, ok := st.(lang.Get)
 		if !ok {
 			return
@@ -216,7 +207,7 @@ func (deadBranchPass) Name() string { return "dead-branch" }
 
 func (deadBranchPass) Run(pc *ProgContext) []Finding {
 	var out []Finding
-	deadBranchWalk(pc, pc.Prog.Body, "body", nil, &out)
+	deadBranchWalk(pc, pc.Prog.Root(), nil, &out)
 	return out
 }
 
@@ -229,10 +220,11 @@ func (deadBranchPass) Run(pc *ProgContext) []Finding {
 // and assuming the condition in the relational zone state, where guards
 // comparing two locals — invisible to the interval relaxation — become
 // negative-cycle infeasibilities.
-func deadBranchWalk(pc *ProgContext, body []lang.Stmt, label string, cons []sym.Term, out *[]Finding) {
+func deadBranchWalk(pc *ProgContext, b lang.Block, cons []sym.Term, out *[]Finding) {
 	prog := pc.Prog
-	for i, st := range body {
-		path := fmt.Sprintf("%s[%d]", label, i)
+	for i, st := range b.Stmts {
+		path := b.Path(i)
+		nested := lang.Nested(st, path)
 		switch s := st.(type) {
 		case lang.If:
 			thenDead := pc.Zone().CondDead(path, s.Cond, false)
@@ -262,8 +254,8 @@ func deadBranchWalk(pc *ProgContext, body []lang.Stmt, label string, cons []sym.
 				// Condition depends on store state or unbounded locals: the
 				// solver cannot see it, but the zone verdicts still apply.
 				report(thenDead, elseDead)
-				deadBranchWalk(pc, s.Then, path+".then", cons, out)
-				deadBranchWalk(pc, s.Else, path+".else", cons, out)
+				deadBranchWalk(pc, nested[0], cons, out)
+				deadBranchWalk(pc, nested[1], cons, out)
 				continue
 			}
 			cond = sym.Fold(cond)
@@ -272,14 +264,14 @@ func deadBranchWalk(pc *ProgContext, body []lang.Stmt, label string, cons []sym.
 			elseCons := append(append([]sym.Term{}, cons...), neg)
 			report(thenDead || solver.Check(thenCons) == solver.Unsat,
 				elseDead || solver.Check(elseCons) == solver.Unsat)
-			deadBranchWalk(pc, s.Then, path+".then", thenCons, out)
-			deadBranchWalk(pc, s.Else, path+".else", elseCons, out)
+			deadBranchWalk(pc, nested[0], thenCons, out)
+			deadBranchWalk(pc, nested[1], elseCons, out)
 		case lang.For:
 			// The induction variable gets its interval from the abstract
 			// environment inside the body, so conditions on it are decidable
 			// when the bounds are. Empty-interval loops are the loop-bound
 			// pass's report ("never executes"), not duplicated here.
-			deadBranchWalk(pc, s.Body, path+".body", cons, out)
+			deadBranchWalk(pc, nested[0], cons, out)
 		}
 	}
 }
@@ -329,7 +321,7 @@ func exprTerm(e lang.Expr, prog *lang.Program) (sym.Term, bool) {
 // feasible set, so Unsat verdicts remain sound.
 func exprTermEnv(e lang.Expr, pc *ProgContext, path string) (sym.Term, bool) {
 	env, okEnv := pc.Abs().EnvAt(path)
-	id, okNode := pc.Abs().NodeAt(path)
+	id, okNode := pc.CFG().NodeAt(path)
 	var conv func(e lang.Expr) (sym.Term, bool)
 	conv = func(e lang.Expr) (sym.Term, bool) {
 		switch x := e.(type) {
@@ -432,53 +424,14 @@ func checkIntDomain(name string, lo, hi int64, report func(Severity, string, ...
 // including use as a list length parameter.
 func paramRefs(p *lang.Program) map[string]bool {
 	used := map[string]bool{}
-	var expr func(e lang.Expr)
-	expr = func(e lang.Expr) {
-		switch x := e.(type) {
-		case lang.ParamRef:
-			used[x.Name] = true
-		case lang.Bin:
-			expr(x.L)
-			expr(x.R)
-		case lang.Not:
-			expr(x.E)
-		case lang.Field:
-			expr(x.E)
-		case lang.Index:
-			expr(x.E)
-			expr(x.I)
-		case lang.Rec:
-			for _, f := range x.Fields {
-				expr(f.E)
-			}
-		}
-	}
-	walkStmts(p.Body, "body", func(st lang.Stmt, _ string) {
-		switch s := st.(type) {
-		case lang.Assign:
-			expr(s.E)
-		case lang.SetField:
-			expr(s.E)
-		case lang.Get:
-			for _, k := range s.Key {
-				expr(k)
-			}
-		case lang.Put:
-			for _, k := range s.Key {
-				expr(k)
-			}
-			expr(s.Val)
-		case lang.Del:
-			for _, k := range s.Key {
-				expr(k)
-			}
-		case lang.If:
-			expr(s.Cond)
-		case lang.For:
-			expr(s.From)
-			expr(s.To)
-		case lang.Emit:
-			expr(s.E)
+	lang.Walk(p.Root(), func(_ string, st lang.Stmt) {
+		for _, e := range lang.Exprs(st) {
+			lang.Inspect(e, func(x lang.Expr) bool {
+				if r, ok := x.(lang.ParamRef); ok {
+					used[r.Name] = true
+				}
+				return true
+			})
 		}
 	})
 	for _, prm := range p.Params {

@@ -343,10 +343,8 @@ type zoneVariant struct {
 func newZoneValidator(p *lang.Program) *zoneValidator {
 	cfg := BuildCFG(p)
 	return &zoneValidator{variants: []*zoneVariant{
-		{name: "zone", zs: SolveZoneOpts(cfg, ZoneOpts{AssumeGuards: true, Abs: SolveAbsInt(cfg)}),
-			closed: map[string]*Zone{}},
-		{name: "alias zone", zs: SolveZoneOpts(cfg, ZoneOpts{}),
-			closed: map[string]*Zone{}},
+		{name: "zone", zs: SolveGuardZone(SolveAbsInt(cfg)), closed: map[string]*Zone{}},
+		{name: "alias zone", zs: SolveAliasZone(cfg), closed: map[string]*Zone{}},
 	}}
 }
 
@@ -660,54 +658,22 @@ func randomValue(prm lang.Param, rng *rand.Rand) (value.Value, error) {
 // the store populator uses them to synthesize plausible records.
 func fieldNames(p *lang.Program) []string {
 	seen := map[string]bool{}
-	var expr func(e lang.Expr)
-	expr = func(e lang.Expr) {
-		switch x := e.(type) {
-		case lang.Field:
-			seen[x.Name] = true
-			expr(x.E)
-		case lang.Bin:
-			expr(x.L)
-			expr(x.R)
-		case lang.Not:
-			expr(x.E)
-		case lang.Index:
-			expr(x.E)
-			expr(x.I)
-		case lang.Rec:
-			for _, f := range x.Fields {
-				seen[f.Name] = true
-				expr(f.E)
-			}
-		}
-	}
-	walkStmts(p.Body, "body", func(st lang.Stmt, _ string) {
-		switch s := st.(type) {
-		case lang.Assign:
-			expr(s.E)
-		case lang.SetField:
+	lang.Walk(p.Root(), func(_ string, st lang.Stmt) {
+		if s, ok := st.(lang.SetField); ok {
 			seen[s.Field] = true
-			expr(s.E)
-		case lang.Get:
-			for _, k := range s.Key {
-				expr(k)
-			}
-		case lang.Put:
-			for _, k := range s.Key {
-				expr(k)
-			}
-			expr(s.Val)
-		case lang.Del:
-			for _, k := range s.Key {
-				expr(k)
-			}
-		case lang.If:
-			expr(s.Cond)
-		case lang.For:
-			expr(s.From)
-			expr(s.To)
-		case lang.Emit:
-			expr(s.E)
+		}
+		for _, e := range lang.Exprs(st) {
+			lang.Inspect(e, func(x lang.Expr) bool {
+				switch x := x.(type) {
+				case lang.Field:
+					seen[x.Name] = true
+				case lang.Rec:
+					for _, f := range x.Fields {
+						seen[f.Name] = true
+					}
+				}
+				return true
+			})
 		}
 	})
 	out := make([]string, 0, len(seen))

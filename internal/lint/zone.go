@@ -39,13 +39,13 @@ import (
 // looser than the interval solution's (guaranteed by construction: merges
 // clamp unary rows/columns with the completed interval solution).
 //
-// Two variants are solved per program (see ZoneOpts):
+// Two variants are solved per program:
 //
-//   - the guard zone (AssumeGuards=true, interval-clamped) refines along If
-//     edges and For trip-count splits; the dead-branch and loop-bound passes
-//     and the soundness validator consume it;
-//   - the alias zone (AssumeGuards=false, no interval coupling, assignment
-//     atoms only) tracks exactly the equalities v = u + c that arise from
+//   - the guard zone (SolveGuardZone: guards assumed, interval-clamped)
+//     refines along If edges and For trip-count splits; the dead-branch and
+//     loop-bound passes and the soundness validator consume it;
+//   - the alias zone (SolveAliasZone: no interval coupling, assignment atoms
+//     only) tracks exactly the equalities v = u + c that arise from
 //     assignment chains; taint.KeyDeterminism consumes it as an equality
 //     oracle to upgrade key parts to proven-direct. Restricting it to
 //     assignment atoms keeps the static claim aligned with the symbolic
@@ -112,8 +112,8 @@ func (z *Zone) shift(v int, c int64) {
 		if i == v {
 			continue
 		}
-		z.m[v*z.n+i] = dbmAdd(z.m[v*z.n+i], c)
-		z.m[i*z.n+v] = dbmAdd(z.m[i*z.n+v], -c)
+		z.m[v*z.n+i] = satAdd(z.m[v*z.n+i], c)
+		z.m[i*z.n+v] = satAdd(z.m[i*z.n+v], -c)
 	}
 }
 
@@ -141,7 +141,7 @@ func (z *Zone) close() {
 			}
 			io := i * n
 			for j := 0; j < n; j++ {
-				if s := dbmAdd(ik, z.m[ko+j]); s < z.m[io+j] {
+				if s := satAdd(ik, z.m[ko+j]); s < z.m[io+j] {
 					z.m[io+j] = s
 				}
 			}
@@ -153,23 +153,6 @@ func (z *Zone) close() {
 			return
 		}
 	}
-}
-
-// dbmAdd adds two bounds, treating ≥ +absInf as infinity and clamping the
-// result into [-absInf, absInf]. Finite operands are < absInf in magnitude,
-// so the raw sum cannot overflow int64.
-func dbmAdd(a, b int64) int64 {
-	if a >= absInf || b >= absInf {
-		return absInf
-	}
-	s := a + b
-	if s >= absInf {
-		return absInf
-	}
-	if s < -absInf {
-		return -absInf
-	}
-	return s
 }
 
 // joinZ is the least upper bound of two closed zones: entrywise max, with ⊥
@@ -189,27 +172,20 @@ func joinZ(a, b *Zone) *Zone {
 	return a
 }
 
-// ZoneOpts selects a zone variant.
-type ZoneOpts struct {
-	// AssumeGuards refines the zone along If edges (then: cond, else: ¬cond)
-	// and splits For edges by provable trip count. Disabled for the alias
-	// zone, whose equalities must come from assignment chains alone.
-	AssumeGuards bool
-	// Abs, when set, couples the zone to a completed interval solution: at
-	// every merge the unary row/column of each local is clamped with the
-	// interval bounds at that node. This is what makes the zone never less
-	// precise than the interval domain (FuzzZoneVsInterval's invariant) and
-	// caps the growth of unary entries.
-	Abs *AbsState
-}
-
 // ZoneState is the zone-analysis solution: for every CFG node, the zone
 // holding on entry (nil = never reached, Bottom = reached only along
 // infeasible paths).
 type ZoneState struct {
-	cfg    *CFG
-	opts   ZoneOpts
-	byPath map[string]int
+	cfg *CFG
+	// abs is the completed interval solution the guard zone is coupled to,
+	// and nil for the alias zone, whose equalities must come from assignment
+	// chains alone. The guard zone refines along If edges (then: cond, else:
+	// ¬cond), splits For edges by provable trip count, and at every merge
+	// clamps the unary row/column of each local with the interval bounds at
+	// that node. The clamp is what makes it never less precise than the
+	// interval domain (FuzzZoneVsInterval's invariant) and caps the growth
+	// of unary entries.
+	abs *AbsState
 
 	// Variable indexing: index 0 is the zero variable, 1..nParams the
 	// parameters in declaration order, the rest the sorted locals.
@@ -231,29 +207,24 @@ type ZoneState struct {
 	Capped     bool
 }
 
-// SolveZone solves the guard zone coupled to a fresh interval solution —
-// the configuration the dead-branch/loop-bound passes and the soundness
-// validator consume.
-func SolveZone(cfg *CFG) *ZoneState {
-	return SolveZoneOpts(cfg, ZoneOpts{AssumeGuards: true, Abs: SolveAbsInt(cfg)})
-}
+// SolveGuardZone solves the guard zone over the CFG abs was solved on,
+// assuming guards and clamped by abs: the variant the dead-branch and
+// loop-bound passes and the soundness validator consume.
+func SolveGuardZone(abs *AbsState) *ZoneState { return solveZone(abs.cfg, abs) }
 
-// SolveZoneOpts runs the zone analysis to a fixed point with explicit
-// options.
-func SolveZoneOpts(cfg *CFG, opts ZoneOpts) *ZoneState {
+// SolveAliasZone solves the alias zone over cfg: assignment chains only, no
+// guard assumptions and no interval coupling. It is the equality oracle of
+// taint.KeyDeterminismOracle.
+func SolveAliasZone(cfg *CFG) *ZoneState { return solveZone(cfg, nil) }
+
+func solveZone(cfg *CFG, abs *AbsState) *ZoneState {
 	zs := &ZoneState{
 		cfg:      cfg,
-		opts:     opts,
-		byPath:   make(map[string]int, len(cfg.Nodes)),
+		abs:      abs,
 		paramIdx: map[string]int{},
 		localIdx: map[string]int{},
 		in:       make([]*Zone, len(cfg.Nodes)),
 		bodyDefs: map[int]map[string]bool{},
-	}
-	for _, n := range cfg.Nodes {
-		if n.Path != "" {
-			zs.byPath[n.Path] = n.ID
-		}
 	}
 	zs.names = []string{"0"}
 	for _, prm := range cfg.Prog.Params {
@@ -280,57 +251,29 @@ func SolveZoneOpts(cfg *CFG, opts ZoneOpts) *ZoneState {
 		}
 	}
 	zs.in[cfg.Entry] = entry
-
-	limit := zs.maxIterations()
-	work := []int{cfg.Entry}
-	queued := map[int]bool{cfg.Entry: true}
-	for len(work) > 0 {
-		if zs.Iterations++; zs.Iterations > limit {
-			zs.degradeToTop()
-			return zs
-		}
-		id := work[0]
-		work, queued[id] = work[1:], false
-		n := cfg.Nodes[id]
-		cur := zs.in[id]
-		var base *Zone
-		if !cur.bottom {
-			base = cur.clone()
-			base.close()
-		}
-		for _, succ := range n.Succs {
-			var out *Zone
-			if base == nil || base.bottom {
-				// The node is unreachable (stored ⊥, or closure exposed a
-				// contradiction): propagate ⊥ so successors still count as
-				// visited, matching the interval analysis' reachable set.
-				out = &Zone{n: len(zs.names), m: base0(len(zs.names)), bottom: true}
-			} else {
-				out = zs.transferEdge(n, succ, base.clone())
-			}
-			back := id >= succ
-			if merged := zs.mergeInto(zs.in[succ], out, back, succ); merged != nil {
-				zs.in[succ] = merged
-				if !queued[succ] {
-					work = append(work, succ)
-					queued[succ] = true
-				}
-			}
-		}
-	}
+	zs.Iterations, zs.Capped = fixpoint(cfg, zs.in, zs.maxIterations(), zs)
 	return zs
 }
 
-// base0 is a throwaway matrix for ⊥ placeholders.
-func base0(n int) []int64 {
-	m := make([]int64, n*n)
-	for i := range m {
-		m[i] = absInf
+// flow closes the node's entry zone once and applies its statement per
+// out-edge.
+func (zs *ZoneState) flow(n *Node) func(succ int) *Zone {
+	var base *Zone
+	if cur := zs.in[n.ID]; !cur.bottom {
+		base = cur.clone()
+		base.close()
 	}
-	for i := 0; i < n; i++ {
-		m[i*n+i] = 0
+	return func(succ int) *Zone {
+		if base == nil || base.bottom {
+			// The node is unreachable (stored ⊥, or closure exposed a
+			// contradiction): propagate ⊥ so successors still count as
+			// visited, matching the interval analysis' reachable set.
+			bot := newZone(len(zs.names))
+			bot.bottom = true
+			return bot
+		}
+		return zs.transferEdge(n, succ, base.clone())
 	}
-	return m
 }
 
 // maxIterations is the hard cap, comfortably above the analytic bound: each
@@ -340,30 +283,25 @@ func (zs *ZoneState) maxIterations() int {
 	return (len(zs.cfg.Nodes) + 1) * (n + 2) * (n + 2) * 8
 }
 
-// degradeToTop is the cap fallback: forget everything, stay sound.
-func (zs *ZoneState) degradeToTop() {
-	zs.Capped = true
-	for i, z := range zs.in {
-		if z != nil {
-			zs.in[i] = newZone(len(zs.names))
-		}
-	}
-}
-
-// mergeInto joins src into the stored zone of succ, widening on back edges
-// and clamping unary entries with the interval solution. It returns the new
-// zone if anything changed, nil otherwise.
-func (zs *ZoneState) mergeInto(dst, src *Zone, back bool, succ int) *Zone {
-	if src == nil {
+// top forgets everything a reached zone knows.
+func (zs *ZoneState) top(z *Zone) *Zone {
+	if z == nil {
 		return nil
 	}
+	return newZone(len(zs.names))
+}
+
+// merge joins src into the stored zone dst of succ, widening on back edges
+// and clamping unary entries with the interval solution. It returns the new
+// zone if anything changed, false otherwise.
+func (zs *ZoneState) merge(dst, src *Zone, back bool, succ int) (*Zone, bool) {
 	if dst == nil || (dst.bottom && !src.bottom) {
 		out := src.clone()
 		zs.clamp(out, succ)
-		return out
+		return out, true
 	}
 	if src.bottom {
-		return nil
+		return nil, false
 	}
 	out := dst.clone()
 	for k, sv := range src.m {
@@ -378,10 +316,10 @@ func (zs *ZoneState) mergeInto(dst, src *Zone, back bool, succ int) *Zone {
 	zs.clamp(out, succ)
 	for k := range out.m {
 		if out.m[k] != dst.m[k] {
-			return out
+			return out, true
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // clamp strengthens the unary entries of every local with the interval
@@ -389,10 +327,10 @@ func (zs *ZoneState) mergeInto(dst, src *Zone, back bool, succ int) *Zone {
 // solution is complete and fixed, so the clamp ceiling never moves and
 // stored entries still grow monotonically.
 func (zs *ZoneState) clamp(z *Zone, node int) {
-	if zs.opts.Abs == nil || z.bottom {
+	if zs.abs == nil || z.bottom {
 		return
 	}
-	env := zs.opts.Abs.in[node]
+	env := zs.abs.in[node]
 	if env == nil {
 		return
 	}
@@ -431,7 +369,7 @@ func (zs *ZoneState) transferEdge(n *Node, succ int, z *Zone) *Zone {
 			return z
 		}
 		z.forget(dst)
-		if zs.opts.AssumeGuards {
+		if zs.abs != nil {
 			// Fall back to interval evaluation for unary bounds on the
 			// assigned variable. The alias zone skips this: an interval-
 			// derived singleton (v = u * 0 → v = 0) is not an assignment
@@ -458,19 +396,18 @@ func (zs *ZoneState) transferEdge(n *Node, succ int, z *Zone) *Zone {
 		}
 		return z
 	case lang.If:
-		if !zs.opts.AssumeGuards {
+		if zs.abs == nil {
 			return z
 		}
-		thenHead, hasThen := zs.byPath[n.Path+".then[0]"]
-		elseHead, hasElse := zs.byPath[n.Path+".else[0]"]
+		thenHead, elseHead := n.Heads[0], n.Heads[1]
 		switch {
-		case hasThen && succ == thenHead:
+		case thenHead >= 0 && succ == thenHead:
 			return zs.assume(z, s.Cond, false)
-		case hasElse && succ == elseHead:
+		case elseHead >= 0 && succ == elseHead:
 			return zs.assume(z, s.Cond, true)
-		case !hasThen && !hasElse:
+		case thenHead < 0 && elseHead < 0:
 			return z // no-op If: the edge carries both polarities
-		case !hasThen:
+		case thenHead < 0:
 			// Fall-through past an empty then-arm happens iff cond is true.
 			return zs.assume(z, s.Cond, false)
 		default:
@@ -482,12 +419,12 @@ func (zs *ZoneState) transferEdge(n *Node, succ int, z *Zone) *Zone {
 		if !ok {
 			return z
 		}
-		if !zs.opts.AssumeGuards {
+		if zs.abs == nil {
 			z.forget(v)
 			return z
 		}
-		bodyHead, hasBody := zs.byPath[n.Path+".body[0]"]
-		isBody := (hasBody && succ == bodyHead) || (!hasBody && succ == n.ID)
+		bodyHead := n.Heads[0]
+		isBody := succ == bodyHead || (bodyHead < 0 && succ == n.ID)
 		return zs.forTransfer(n, s, z, v, isBody)
 	default:
 		// Put/Del/Emit and the synthetic entry/exit define nothing.
@@ -557,26 +494,14 @@ func (zs *ZoneState) loopInvariant(n *Node, s lang.For, j, v int) bool {
 	defs, ok := zs.bodyDefs[n.ID]
 	if !ok {
 		defs = map[string]bool{}
-		collectDefs(s.Body, defs)
+		lang.Walk(lang.Nested(s, n.Path)[0], func(_ string, st lang.Stmt) {
+			for _, d := range stmtDefs(st) {
+				defs[d] = true
+			}
+		})
 		zs.bodyDefs[n.ID] = defs
 	}
 	return !defs[zs.names[j]]
-}
-
-// collectDefs gathers every local (re)assigned in a block, recursively.
-func collectDefs(body []lang.Stmt, out map[string]bool) {
-	for _, st := range body {
-		for _, d := range stmtDefs(st) {
-			out[d] = true
-		}
-		switch s := st.(type) {
-		case lang.If:
-			collectDefs(s.Then, out)
-			collectDefs(s.Else, out)
-		case lang.For:
-			collectDefs(s.Body, out)
-		}
-	}
 }
 
 // assume refines z with cond (negated flips the polarity) and returns it.
@@ -793,14 +718,14 @@ func (zs *ZoneState) exprBounds(z *Zone, e lang.Expr) AbsVal {
 			lo, hi = c, c
 		} else {
 			if ub := z.at(j, 0); ub < absInf {
-				hi = dbmAdd(ub, c)
+				hi = satAdd(ub, c)
 			}
 			if lb := z.at(0, j); lb < absInf {
-				lo = -dbmAdd(lb, -c)
+				lo = -satAdd(lb, -c)
 			}
 		}
 		if ab.Kind == AbsRange {
-			lo, hi = max64(lo, ab.Lo), min64(hi, ab.Hi)
+			lo, hi = max(lo, ab.Lo), min(hi, ab.Hi)
 		}
 		if lo <= hi && (lo > -absInf || hi < absInf) {
 			return AbsVal{Kind: AbsRange, Lo: lo, Hi: hi}
@@ -830,16 +755,10 @@ func (zs *ZoneState) absEnvOf(z *Zone) AbsEnv {
 
 // --- query API ---
 
-// NodeAt returns the CFG node ID at the given structural path.
-func (zs *ZoneState) NodeAt(path string) (int, bool) {
-	id, ok := zs.byPath[path]
-	return id, ok
-}
-
 // At returns the closed zone on entry to the statement at path, or nil when
 // the path names no node or the node was never reached.
 func (zs *ZoneState) At(path string) *Zone {
-	id, ok := zs.byPath[path]
+	id, ok := zs.cfg.NodeAt(path)
 	if !ok {
 		return nil
 	}
@@ -883,26 +802,6 @@ func (zs *ZoneState) ExprBoundsAt(path string, e lang.Expr) (AbsVal, bool) {
 		return absTop, false
 	}
 	return zs.exprBounds(z, e), true
-}
-
-// varBounds returns the closed unary bounds of a variable at a node, for
-// the differential fuzz target. Parameters resolve through paramIdx, locals
-// through localIdx (shadowing parameters, matching the interval env).
-func (zs *ZoneState) varBounds(z *Zone, name string) (lo, hi int64, ok bool) {
-	j, found := zs.localIdx[name]
-	if !found {
-		if j, found = zs.paramIdx[name]; !found {
-			return 0, 0, false
-		}
-	}
-	lo, hi = -absInf, absInf
-	if ub := z.at(j, 0); ub < absInf {
-		hi = ub
-	}
-	if lb := z.at(0, j); lb < absInf {
-		lo = -lb
-	}
-	return lo, hi, true
 }
 
 // InputResolvable implements taint.EqualityOracle over the alias zone: the

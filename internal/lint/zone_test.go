@@ -88,7 +88,7 @@ transaction accum(n int[0..100]) {
     }
     emit out = s
 }`)
-	zs := SolveZone(BuildCFG(p))
+	zs := SolveGuardZone(SolveAbsInt(BuildCFG(p)))
 	if zs.Capped {
 		t.Fatalf("iteration cap fired on a 4-statement loop (Iterations=%d)", zs.Iterations)
 	}
@@ -113,7 +113,7 @@ transaction deadRel(x int[0..100]) {
     }
     emit out = y
 }`)
-	zs := SolveZone(BuildCFG(p))
+	zs := SolveGuardZone(SolveAbsInt(BuildCFG(p)))
 	cond := p.Body[1].(lang.If).Cond
 	if !zs.CondDead("body[1]", cond, false) {
 		t.Error("x < y after y = x - 1 not proven dead")
@@ -137,7 +137,7 @@ transaction relLoop(n int[1..200]) {
     }
     emit out = 0
 }`)
-	zs := SolveZone(BuildCFG(p))
+	zs := SolveGuardZone(SolveAbsInt(BuildCFG(p)))
 	v, ok := zs.ExprBoundsAt("body[2]", lang.L("lim"))
 	if !ok || v.Kind != AbsRange {
 		t.Fatalf("no bounds for lim at the loop: %v %v", v, ok)
@@ -159,7 +159,7 @@ transaction res(u int[0..9]) {
     put T[id] = a
     emit out = 0
 }`)
-	zs := SolveZoneOpts(BuildCFG(p), ZoneOpts{})
+	zs := SolveAliasZone(BuildCFG(p))
 	if !zs.InputResolvable("body[1]", "id") {
 		t.Error("id = u not resolvable at the GET")
 	}
@@ -182,11 +182,11 @@ transaction guarded(u int[0..9]) {
     emit out = 0
 }`)
 	cfg := BuildCFG(p)
-	alias := SolveZoneOpts(cfg, ZoneOpts{})
+	alias := SolveAliasZone(cfg)
 	if alias.InputResolvable("body[2].then[0]", "v") {
 		t.Error("alias zone resolved a guard-derived equality")
 	}
-	guard := SolveZone(cfg)
+	guard := SolveGuardZone(SolveAbsInt(cfg))
 	z := guard.At("body[2].then[0]")
 	if z == nil || z.Bottom() {
 		t.Fatal("then-arm unreachable per guard zone")
@@ -209,7 +209,7 @@ transaction eqk(u int[0..9], amt int[1..50]) {
     emit out = 0
 }`)
 	plain := taint.KeyDeterminism(p)
-	oracle := taint.KeyDeterminismOracle(p, SolveZoneOpts(BuildCFG(p), ZoneOpts{}))
+	oracle := taint.KeyDeterminismOracle(p, SolveAliasZone(BuildCFG(p)))
 	if plain.DirectCount() >= oracle.DirectCount() {
 		t.Fatalf("oracle did not add direct accesses: plain=%d oracle=%d",
 			plain.DirectCount(), oracle.DirectCount())
@@ -248,8 +248,8 @@ func FuzzZoneVsInterval(f *testing.F) {
 		p := buildFuzzProgram(data)
 		cfg := BuildCFG(p)
 		abs := SolveAbsInt(cfg)
-		guard := SolveZoneOpts(cfg, ZoneOpts{AssumeGuards: true, Abs: abs})
-		alias := SolveZoneOpts(cfg, ZoneOpts{})
+		guard := SolveGuardZone(abs)
+		alias := SolveAliasZone(cfg)
 		for name, zs := range map[string]*ZoneState{"guard": guard, "alias": alias} {
 			if zs.Capped {
 				t.Fatalf("%s zone iteration cap fired (Iterations=%d, nodes=%d)",
@@ -278,7 +278,7 @@ func FuzzZoneVsInterval(f *testing.F) {
 				if v.Kind != AbsRange {
 					continue
 				}
-				lo, hi, tracked := guard.varBounds(z, name)
+				lo, hi, tracked := varBounds(guard, z, name)
 				if !tracked {
 					t.Fatalf("local %q interval-tracked but unknown to the zone at %s", name, n.Path)
 				}
@@ -369,4 +369,25 @@ func TestOracleAgreesWithProfiles(t *testing.T) {
 		}
 		walk(prof.Root)
 	}
+}
+
+// varBounds returns the closed unary bounds of a variable in z, a zone of
+// zs, for the differential fuzz target. Parameters resolve through
+// paramIdx, locals through localIdx (shadowing parameters, matching the
+// interval env).
+func varBounds(zs *ZoneState, z *Zone, name string) (lo, hi int64, ok bool) {
+	j, found := zs.localIdx[name]
+	if !found {
+		if j, found = zs.paramIdx[name]; !found {
+			return 0, 0, false
+		}
+	}
+	lo, hi = -absInf, absInf
+	if ub := z.at(j, 0); ub < absInf {
+		hi = ub
+	}
+	if lb := z.at(0, j); lb < absInf {
+		lo = -lb
+	}
+	return lo, hi, true
 }

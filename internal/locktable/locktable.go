@@ -142,16 +142,6 @@ func (ix *keyIndex) find(e value.Encoded, keys []LockKey) (slot int, found bool)
 	return slot, false
 }
 
-// ExclusiveKeys builds an all-write lock list (the ablation mode and the
-// table-granularity baselines).
-func ExclusiveKeys(keys []value.Encoded) []LockKey {
-	out := make([]LockKey, len(keys))
-	for i, k := range keys {
-		out[i] = LockKey{Key: k, Write: true}
-	}
-	return out
-}
-
 // Table is the lock table. One lock guards all of it: the engine and the
 // baselines call it from their Queuer alone, so the lock is uncontended there,
 // and it keeps Enqueue and Release safe for callers that release from several
@@ -432,19 +422,4 @@ func (t *Table) PendingKeys() int {
 		}
 	}
 	return n
-}
-
-// DedupKeys builds an encoded-key list from raw keys, removing duplicates
-// while preserving first-occurrence order.
-func DedupKeys(keys []value.Key) []value.Encoded {
-	seen := make(map[value.Encoded]bool, len(keys))
-	out := make([]value.Encoded, 0, len(keys))
-	for _, k := range keys {
-		e := k.Encode()
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -111,21 +111,6 @@ func TestEmptyKeysReadyTrivially(t *testing.T) {
 	lt.Release(e, func(*Entry) { t.Fatal("no successors") })
 }
 
-func TestDuplicateKeyPanicsAvoidedByDedup(t *testing.T) {
-	raw := []value.Key{
-		value.NewKey("T", value.Int(1)),
-		value.NewKey("T", value.Int(2)),
-		value.NewKey("T", value.Int(1)),
-	}
-	keys := DedupKeys(raw)
-	if len(keys) != 2 {
-		t.Fatalf("DedupKeys = %v", keys)
-	}
-	if keys[0] != raw[0].Encode() || keys[1] != raw[1].Encode() {
-		t.Fatal("DedupKeys must preserve first-occurrence order")
-	}
-}
-
 func TestBuildKeysWriteWins(t *testing.T) {
 	r := []value.Key{value.NewKey("T", value.Int(1)), value.NewKey("T", value.Int(2))}
 	w := []value.Key{value.NewKey("T", value.Int(2)), value.NewKey("T", value.Int(3))}

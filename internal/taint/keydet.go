@@ -1,7 +1,7 @@
 package taint
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"prognosticator/internal/lang"
@@ -188,32 +188,24 @@ func KeyDeterminismOracle(p *lang.Program, oracle EqualityOracle) *KeyDet {
 				changed = true
 			}
 		}
-		var walk func(body []lang.Stmt)
-		walk = func(body []lang.Stmt) {
-			for _, st := range body {
-				switch s := st.(type) {
-				case lang.Get:
+		lang.Walk(p.Root(), func(_ string, st lang.Stmt) {
+			switch s := st.(type) {
+			case lang.Get:
+				mark(s.Dst)
+			case lang.Assign:
+				if exprMentions(kd.PivotDerived, s.E) {
 					mark(s.Dst)
-				case lang.Assign:
-					if exprMentions(s.E, kd.PivotDerived) {
-						mark(s.Dst)
-					}
-				case lang.SetField:
-					if exprMentions(s.E, kd.PivotDerived) {
-						mark(s.Dst)
-					}
-				case lang.If:
-					walk(s.Then)
-					walk(s.Else)
-				case lang.For:
-					if exprMentions(s.From, kd.PivotDerived) || exprMentions(s.To, kd.PivotDerived) {
-						mark(s.Var)
-					}
-					walk(s.Body)
+				}
+			case lang.SetField:
+				if exprMentions(kd.PivotDerived, s.E) {
+					mark(s.Dst)
+				}
+			case lang.For:
+				if exprMentions(kd.PivotDerived, s.From, s.To) {
+					mark(s.Var)
 				}
 			}
-		}
-		walk(p.Body)
+		})
 	}
 
 	// Traversal pivots: a condition (or loop bound) that mentions a
@@ -227,40 +219,15 @@ func KeyDeterminismOracle(p *lang.Program, oracle EqualityOracle) *KeyDet {
 	// identical fork subtrees. A pivot condition is also discharged when
 	// the oracle proves every pivot-derived variable it mentions equal to
 	// an input-derived value at that point.
+	//
+	// Accesses are classified in the same walk, in statement order.
 	rel := Analyze(p)
 	inert := inertFields(p, rel)
-	var scan func(body []lang.Stmt, label string)
-	scan = func(body []lang.Stmt, label string) {
-		for i, st := range body {
-			path := fmt.Sprintf("%s[%d]", label, i)
-			switch s := st.(type) {
-			case lang.If:
-				if via := mentionsOf(s.Cond, kd.PivotDerived); len(via) > 0 &&
-					!(rwsInert(s.Then, rel, inert) && rwsInert(s.Else, rel, inert)) &&
-					!allResolvable(oracle, path, via) {
-					kd.TraversalPivot = true
-				}
-				scan(s.Then, path+".then")
-				scan(s.Else, path+".else")
-			case lang.For:
-				via := mentionsOf(s.From, kd.PivotDerived)
-				via = append(via, mentionsOf(s.To, kd.PivotDerived)...)
-				if len(via) > 0 && !rwsInert(s.Body, rel, inert) &&
-					!allResolvable(oracle, path, via) {
-					kd.TraversalPivot = true
-				}
-				scan(s.Body, path+".body")
-			}
-		}
-	}
-	scan(p.Body, "body")
-
-	// Per-access classification, in statement order.
 	classify := func(table string, op AccessOp, write bool, key []lang.Expr, pos lang.Pos, path string) {
 		ac := AccessClass{Path: path, Pos: pos, Table: table, Op: op, Write: write,
 			PartDirect: make([]bool, len(key)), PartVia: make([][]string, len(key))}
 		for i, k := range key {
-			via := mentionsOf(k, kd.PivotDerived)
+			via := mentionsOf(kd.PivotDerived, k)
 			if len(via) > 0 && allResolvable(oracle, path, via) {
 				// Every pivot-derived variable in this part provably equals
 				// an input-derived value at this point: the part is direct
@@ -272,26 +239,30 @@ func KeyDeterminismOracle(p *lang.Program, oracle EqualityOracle) *KeyDet {
 		}
 		kd.Accesses = append(kd.Accesses, ac)
 	}
-	var walkPath func(body []lang.Stmt, label string)
-	walkPath = func(body []lang.Stmt, label string) {
-		for i, st := range body {
-			path := fmt.Sprintf("%s[%d]", label, i)
-			switch s := st.(type) {
-			case lang.Get:
-				classify(s.Table, OpGet, false, s.Key, s.Pos, path)
-			case lang.Put:
-				classify(s.Table, OpPut, true, s.Key, s.Pos, path)
-			case lang.Del:
-				classify(s.Table, OpDel, true, s.Key, s.Pos, path)
-			case lang.If:
-				walkPath(s.Then, path+".then")
-				walkPath(s.Else, path+".else")
-			case lang.For:
-				walkPath(s.Body, path+".body")
+	pivot := func(path string, via []string, arms ...[]lang.Stmt) {
+		if len(via) == 0 || allResolvable(oracle, path, via) {
+			return
+		}
+		for _, arm := range arms {
+			if !rwsInert(arm, rel, inert) {
+				kd.TraversalPivot = true
 			}
 		}
 	}
-	walkPath(p.Body, "body")
+	lang.Walk(p.Root(), func(path string, st lang.Stmt) {
+		switch s := st.(type) {
+		case lang.If:
+			pivot(path, mentionsOf(kd.PivotDerived, s.Cond), s.Then, s.Else)
+		case lang.For:
+			pivot(path, mentionsOf(kd.PivotDerived, s.From, s.To), s.Body)
+		case lang.Get:
+			classify(s.Table, OpGet, false, s.Key, s.Pos, path)
+		case lang.Put:
+			classify(s.Table, OpPut, true, s.Key, s.Pos, path)
+		case lang.Del:
+			classify(s.Table, OpDel, true, s.Key, s.Pos, path)
+		}
+	})
 	return kd
 }
 
@@ -318,49 +289,27 @@ type fieldKey struct{ rec, field string }
 // influence chain from a field to the RWS ends in a leaking read, and
 // the deletions propagate backward along the chain.
 func inertFields(p *lang.Program, rel *Result) map[fieldKey]bool {
-	inert := map[fieldKey]bool{}
-	var seed func(body []lang.Stmt)
-	seed = func(body []lang.Stmt) {
-		for _, st := range body {
-			switch s := st.(type) {
-			case lang.SetField:
-				inert[fieldKey{s.Dst, s.Field}] = true
-			case lang.If:
-				seed(s.Then)
-				seed(s.Else)
-			case lang.For:
-				seed(s.Body)
-			}
-		}
-	}
-	seed(p.Body)
-	if len(inert) == 0 {
-		return inert
-	}
-
 	// Pre-order statement numbering: a PUT value can be re-read only by a
 	// same-table GET later in program order, or by any same-table GET when
 	// the PUT sits inside a loop (a later iteration's GET follows it).
+	inert := map[fieldKey]bool{}
 	maxGetOrder := map[string]int{}
+	looped := map[string]bool{}
 	order := 0
-	var number func(body []lang.Stmt)
-	number = func(body []lang.Stmt) {
-		for _, st := range body {
-			order++
-			switch s := st.(type) {
-			case lang.Get:
-				if order > maxGetOrder[s.Table] {
-					maxGetOrder[s.Table] = order
-				}
-			case lang.If:
-				number(s.Then)
-				number(s.Else)
-			case lang.For:
-				number(s.Body)
-			}
+	lang.Walk(p.Root(), func(path string, st lang.Stmt) {
+		order++
+		switch s := st.(type) {
+		case lang.SetField:
+			inert[fieldKey{s.Dst, s.Field}] = true
+		case lang.Get:
+			maxGetOrder[s.Table] = order
+		case lang.For:
+			lang.Walk(lang.Nested(st, path)[0], func(path string, _ lang.Stmt) { looped[path] = true })
 		}
+	})
+	if len(inert) == 0 {
+		return inert
 	}
-	number(p.Body)
 
 	for changed := true; changed; {
 		changed = false
@@ -370,80 +319,54 @@ func inertFields(p *lang.Program, rel *Result) map[fieldKey]bool {
 				changed = true
 			}
 		}
-		// leakExpr drops every field pair e reads: a direct Field read of a
-		// local drops that pair; a bare local read exposes all its fields.
-		var leakExpr func(e lang.Expr)
-		leakExpr = func(e lang.Expr) {
-			switch x := e.(type) {
-			case lang.LocalRef:
-				for k := range inert {
-					if k.rec == x.Name {
-						drop(k)
+		// leak drops every field pair the expressions read: a direct Field
+		// read of a local drops that pair; a bare local read exposes all its
+		// fields.
+		leak := func(es ...lang.Expr) {
+			for _, e := range es {
+				lang.Inspect(e, func(x lang.Expr) bool {
+					switch x := x.(type) {
+					case lang.LocalRef:
+						for k := range inert {
+							if k.rec == x.Name {
+								drop(k)
+							}
+						}
+					case lang.Field:
+						if base, ok := x.E.(lang.LocalRef); ok {
+							drop(fieldKey{base.Name, x.Name})
+							return false
+						}
 					}
-				}
-			case lang.Field:
-				if base, ok := x.E.(lang.LocalRef); ok {
-					drop(fieldKey{base.Name, x.Name})
-					return
-				}
-				leakExpr(x.E)
-			case lang.Bin:
-				leakExpr(x.L)
-				leakExpr(x.R)
-			case lang.Not:
-				leakExpr(x.E)
-			case lang.Index:
-				leakExpr(x.E)
-				leakExpr(x.I)
-			case lang.Rec:
-				for _, f := range x.Fields {
-					leakExpr(f.E)
-				}
+					return true
+				})
 			}
 		}
 		pos := 0
-		var walk func(body []lang.Stmt, inLoop bool)
-		walk = func(body []lang.Stmt, inLoop bool) {
-			for _, st := range body {
-				pos++
-				switch s := st.(type) {
-				case lang.Get:
-					for _, k := range s.Key {
-						leakExpr(k)
-					}
-				case lang.Put:
-					for _, k := range s.Key {
-						leakExpr(k)
-					}
-					if maxGetOrder[s.Table] > pos || (inLoop && maxGetOrder[s.Table] > 0) {
-						leakExpr(s.Val)
-					}
-				case lang.Del:
-					for _, k := range s.Key {
-						leakExpr(k)
-					}
-				case lang.Assign:
-					leakExpr(s.E)
-				case lang.SetField:
-					if !inert[fieldKey{s.Dst, s.Field}] {
-						leakExpr(s.E)
-					}
-				case lang.If:
-					if !rwsInert(s.Then, rel, inert) || !rwsInert(s.Else, rel, inert) {
-						leakExpr(s.Cond)
-					}
-					walk(s.Then, inLoop)
-					walk(s.Else, inLoop)
-				case lang.For:
-					if !rwsInert(s.Body, rel, inert) {
-						leakExpr(s.From)
-						leakExpr(s.To)
-					}
-					walk(s.Body, true)
+		lang.Walk(p.Root(), func(path string, st lang.Stmt) {
+			pos++
+			switch s := st.(type) {
+			case lang.Get, lang.Del, lang.Assign:
+				leak(lang.Exprs(st)...)
+			case lang.Put:
+				leak(s.Key...)
+				if maxGetOrder[s.Table] > pos || (looped[path] && maxGetOrder[s.Table] > 0) {
+					leak(s.Val)
+				}
+			case lang.SetField:
+				if !inert[fieldKey{s.Dst, s.Field}] {
+					leak(s.E)
+				}
+			case lang.If:
+				if !rwsInert(s.Then, rel, inert) || !rwsInert(s.Else, rel, inert) {
+					leak(s.Cond)
+				}
+			case lang.For:
+				if !rwsInert(s.Body, rel, inert) {
+					leak(s.From, s.To)
 				}
 			}
-		}
-		walk(p.Body, false)
+		})
 	}
 	return inert
 }
@@ -479,48 +402,21 @@ func rwsInert(body []lang.Stmt, rel *Result, inert map[fieldKey]bool) bool {
 	return true
 }
 
-// exprMentions reports whether e mentions any variable in set.
-func exprMentions(e lang.Expr, set map[string]bool) bool {
-	return len(mentionsOf(e, set)) > 0
+// exprMentions reports whether the expressions mention any variable in set.
+func exprMentions(set map[string]bool, es ...lang.Expr) bool {
+	return len(mentionsOf(set, es...)) > 0
 }
 
-// mentionsOf returns the variables of e that are in set, sorted.
-func mentionsOf(e lang.Expr, set map[string]bool) []string {
-	seen := map[string]bool{}
-	var walk func(e lang.Expr)
-	walk = func(e lang.Expr) {
-		switch x := e.(type) {
-		case lang.ParamRef:
-			if set[x.Name] {
-				seen[x.Name] = true
+// mentionsOf returns the variables of set the expressions mention, sorted.
+func mentionsOf(set map[string]bool, es ...lang.Expr) []string {
+	var out []string
+	for _, e := range es {
+		lang.Inspect(e, func(x lang.Expr) bool {
+			if name, ok := varName(x); ok && set[name] && !slices.Contains(out, name) {
+				out = append(out, name)
 			}
-		case lang.LocalRef:
-			if set[x.Name] {
-				seen[x.Name] = true
-			}
-		case lang.Bin:
-			walk(x.L)
-			walk(x.R)
-		case lang.Not:
-			walk(x.E)
-		case lang.Field:
-			walk(x.E)
-		case lang.Index:
-			walk(x.E)
-			walk(x.I)
-		case lang.Rec:
-			for _, f := range x.Fields {
-				walk(f.E)
-			}
-		}
-	}
-	walk(e)
-	if len(seen) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
+			return true
+		})
 	}
 	sort.Strings(out)
 	return out

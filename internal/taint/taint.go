@@ -49,76 +49,40 @@ func (r *Result) RelevantNames() []string {
 //     iteration count decides how many items are accessed).
 func Analyze(p *lang.Program) *Result {
 	r := &Result{relevant: map[string]bool{}}
-	for {
-		if !r.pass(p.Body) {
-			break
-		}
+	for changed := true; changed; {
+		changed = false
+		lang.Walk(p.Root(), func(_ string, st lang.Stmt) {
+			if r.stmt(st) {
+				changed = true
+			}
+		})
 	}
 	return r
 }
 
-// pass walks the body once, returning true if the relevant set grew.
-func (r *Result) pass(body []lang.Stmt) bool {
-	changed := false
-	for _, st := range body {
-		if r.stmt(st) {
-			changed = true
-		}
-	}
-	return changed
-}
-
+// stmt applies the rules to one statement, returning true if the relevant
+// set grew. Nested statements are visited on their own.
 func (r *Result) stmt(st lang.Stmt) bool {
 	switch s := st.(type) {
 	case lang.Assign:
-		if r.relevant[s.Dst] {
-			return r.markExpr(s.E)
-		}
-		return false
+		return r.relevant[s.Dst] && r.markExpr(s.E)
 	case lang.SetField:
-		if r.relevant[s.Dst] {
-			return r.markExpr(s.E)
-		}
-		return false
-	case lang.Get:
-		changed := r.markKey(s.Key)
+		return r.relevant[s.Dst] && r.markExpr(s.E)
+	case lang.Get, lang.Del:
 		// The GET result is a potential pivot: if it is relevant, the key
-		// identifying it is already marked above; nothing further flows.
-		return changed
+		// identifying it is marked here; nothing further flows.
+		return r.markExpr(lang.Exprs(st)...)
 	case lang.Put:
 		// Only the key identity matters; the stored value does not flow
 		// into any key by itself (that is the whole point of the
 		// optimization: value-only variables are irrelevant).
-		return r.markKey(s.Key)
-	case lang.Del:
-		return r.markKey(s.Key)
+		return r.markExpr(s.Key...)
 	case lang.If:
-		changed := r.pass(s.Then)
-		if r.pass(s.Else) {
-			changed = true
-		}
-		if blockTouchesKeys(s.Then, r) || blockTouchesKeys(s.Else, r) {
-			if r.markExpr(s.Cond) {
-				changed = true
-			}
-		}
-		return changed
+		return (blockTouchesKeys(s.Then, r) || blockTouchesKeys(s.Else, r)) && r.markExpr(s.Cond)
 	case lang.For:
-		changed := r.pass(s.Body)
-		if blockTouchesKeys(s.Body, r) {
-			if r.markExpr(s.From) {
-				changed = true
-			}
-			if r.markExpr(s.To) {
-				changed = true
-			}
-		}
-		return changed
-	case lang.Emit:
-		return false
-	default:
-		return false
+		return blockTouchesKeys(s.Body, r) && r.markExpr(s.From, s.To)
 	}
+	return false
 }
 
 // BlockTouchesKeys reports whether the block contains any store operation
@@ -161,57 +125,31 @@ func blockTouchesKeys(body []lang.Stmt, r *Result) bool {
 	return false
 }
 
-func (r *Result) markKey(key []lang.Expr) bool {
+// markExpr marks every variable the expressions mention as relevant,
+// returning true if the set grew.
+func (r *Result) markExpr(es ...lang.Expr) bool {
 	changed := false
-	for _, e := range key {
-		if r.markExpr(e) {
-			changed = true
-		}
+	for _, e := range es {
+		lang.Inspect(e, func(x lang.Expr) bool {
+			if name, ok := varName(x); ok && !r.relevant[name] {
+				r.relevant[name] = true
+				changed = true
+			}
+			return true
+		})
 	}
 	return changed
 }
 
-// markExpr marks every variable mentioned by e as relevant, returning true
-// if the set grew.
-func (r *Result) markExpr(e lang.Expr) bool {
+// varName returns the parameter or local an expression reads directly.
+func varName(e lang.Expr) (string, bool) {
 	switch x := e.(type) {
-	case lang.Const:
-		return false
 	case lang.ParamRef:
-		return r.mark(x.Name)
+		return x.Name, true
 	case lang.LocalRef:
-		return r.mark(x.Name)
-	case lang.Bin:
-		c1 := r.markExpr(x.L)
-		c2 := r.markExpr(x.R)
-		return c1 || c2
-	case lang.Not:
-		return r.markExpr(x.E)
-	case lang.Field:
-		return r.markExpr(x.E)
-	case lang.Index:
-		c1 := r.markExpr(x.E)
-		c2 := r.markExpr(x.I)
-		return c1 || c2
-	case lang.Rec:
-		changed := false
-		for _, f := range x.Fields {
-			if r.markExpr(f.E) {
-				changed = true
-			}
-		}
-		return changed
-	default:
-		return false
+		return x.Name, true
 	}
-}
-
-func (r *Result) mark(name string) bool {
-	if r.relevant[name] {
-		return false
-	}
-	r.relevant[name] = true
-	return true
+	return "", false
 }
 
 // SampleValue returns a deterministic concrete value for an irrelevant
