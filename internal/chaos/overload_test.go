@@ -33,6 +33,7 @@ type overloadHarness struct {
 	mu       sync.Mutex
 	admitted int
 	shed     int
+	running  int // submitOne calls that have not returned
 	badErrs  []error
 }
 
@@ -60,16 +61,20 @@ func depositBatch(rng *rand.Rand, txs int) []replica.Request {
 // surface flowctl.ErrOverload or flowctl.ErrDeadlineExceeded — anything
 // else is recorded as a protocol violation and fails the test later.
 func (h *overloadHarness) submitOne(reqs []replica.Request, within time.Duration) {
+	h.mu.Lock()
+	h.running++
+	h.mu.Unlock()
 	err := h.c.SubmitBatch(reqs, within)
 	if err == nil {
 		h.mirror(reqs)
-		h.mu.Lock()
-		h.admitted++
-		h.mu.Unlock()
-		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.running--
+	if err == nil {
+		h.admitted++
+		return
+	}
 	h.shed++
 	if !errors.Is(err, flowctl.ErrOverload) && !errors.Is(err, flowctl.ErrDeadlineExceeded) {
 		h.badErrs = append(h.badErrs, err)
@@ -118,12 +123,18 @@ func (h *overloadHarness) finalBatch(rng *rand.Rand) {
 	}
 }
 
-// verify asserts the overload invariants after quiesce: typed errors only,
-// exactly-once application of exactly the admitted set, inflight batches
-// within the admission bound, drained dedup tables, and convergence to the
-// reference state.
+// verify asserts the overload invariants after quiesce: no submit still
+// running, typed errors only, exactly-once application of exactly the
+// admitted set, inflight batches within the admission bound, drained dedup
+// tables, and convergence to the reference state.
 func (h *overloadHarness) verify(maxInflight int) {
 	h.t.Helper()
+	h.mu.Lock()
+	running := h.running
+	h.mu.Unlock()
+	if running != 0 {
+		h.t.Fatalf("%d submits still running at verify: the harness did not wait for them", running)
+	}
 	// QuorumSubmit acks on a majority: wait for the laggard before comparing
 	// all three states.
 	if err := h.c.WaitCaughtUp(20 * time.Second); err != nil {
@@ -247,8 +258,10 @@ func TestOverloadSoak(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
+	// The schedule's Overload steps add burst submits to wg: wait for the
+	// schedule to finish before waiting on wg, or a late burst goes unwaited.
 	<-stepDone
+	wg.Wait()
 
 	if err := in.Quiesce(60 * time.Second); err != nil {
 		t.Fatal(err)
@@ -348,8 +361,10 @@ func overloadPropertyRun(t *testing.T, seed int64) {
 			}
 		}(w)
 	}
-	wg.Wait()
+	// The schedule's Overload steps add burst submits to wg: wait for the
+	// schedule to finish before waiting on wg, or a late burst goes unwaited.
 	<-stepDone
+	wg.Wait()
 
 	if err := in.Quiesce(60 * time.Second); err != nil {
 		t.Fatal(err)

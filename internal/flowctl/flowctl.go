@@ -1,10 +1,9 @@
-// Package flowctl is the end-to-end flow-control and retry subsystem for the
-// submit path: admission control (a cluster-wide inflight-batch limit and
-// token-bucket rate limiting), deadline propagation (a Deadline carried from
-// SubmitBatch through every wait loop so no layer waits past the caller's
-// budget), and a retry policy (seeded jittered exponential backoff, a
-// per-client retry budget, and a circuit breaker tripping on consecutive
-// leader-routing failures).
+// Package flowctl is the flow-control and retry subsystem of the submit
+// path: admission control (a cluster-wide inflight-batch limit, token-bucket
+// rate limiting and a circuit breaker on leader routing), deadline
+// propagation (a Deadline carried from SubmitBatch through every wait loop
+// so no layer waits past the caller's budget), and a retry policy (seeded
+// jittered exponential backoff and a per-client retry budget).
 //
 // The paper's speedup only matters if the deterministic pipeline stays up
 // under sustained traffic; without bounds, a slow replica or a retry stampede
@@ -15,13 +14,17 @@
 // (ErrDeadlineExceeded / ErrRetryBudgetExhausted after a proposal — the
 // outcome is ambiguous and only the idempotency layer makes retry safe).
 //
-// Determinism contract: admission (Admit) never blocks — it sheds
-// immediately — and every wait in the package (Backoff.Sleep, deadline
-// waits) goes through the injected vclock.Clock, with jitter drawn from
-// vclock.Hash64 over (seed, attempt) rather than a shared rng. On a simulated
-// clock (vclock.Sim.Run) those clock calls are the actor's yield points,
-// which is what makes the simulated overload soak's admit/shed sequence
-// bit-replayable from a seed.
+// All admission state — the inflight count, the token bucket, the retry
+// balance and the breaker — lives in one Controller under one lock, and
+// Admit decides breaker, inflight cap and bucket in one critical section.
+//
+// Determinism contract: Admit never blocks — it sheds immediately — and
+// every wait in the package (Backoff.Sleep, deadline waits) goes through the
+// injected vclock.Clock. Each Backoff draws its jitter from its own
+// math/rand stream, seeded from Config.Seed and the backoff's ordinal, so
+// concurrent waiters share no rng. On a simulated clock (vclock.Sim.Run)
+// those clock calls are the actor's yield points, which is what makes the
+// simulated overload soak's admit/shed sequence bit-replayable from a seed.
 package flowctl
 
 import (
@@ -57,38 +60,35 @@ var (
 // rejection happens before any proposal, so the request was never applied.
 var ErrCircuitOpen = fmt.Errorf("%w: circuit breaker open", ErrOverload)
 
+const (
+	// retryRatio is the retry-budget deposit per acknowledged submit:
+	// sustained retries above 10% of throughput drain the budget.
+	retryRatio = 0.1
+	// breakerCooldown is how long the breaker stays open before it admits
+	// a half-open probe.
+	breakerCooldown = 250 * time.Millisecond
+)
+
 // Config parameterizes a Controller. The zero value disables every limit:
-// unbounded inflight, unlimited rate, unlimited retries, no breaker —
-// exactly the pre-flow-control behavior, so existing deployments opt in knob
-// by knob.
+// unbounded inflight, unlimited rate, unlimited retries, no breaker.
 type Config struct {
 	// MaxInflight bounds concurrently admitted submit batches cluster-wide
 	// (0 = unbounded).
 	MaxInflight int
 	// SubmitRate is the token-bucket admission rate in batches/second; with
 	// no token available the batch is shed, never queued (0 = unlimited).
+	// The bucket holds max(1, SubmitRate/4) tokens.
 	SubmitRate float64
-	// SubmitBurst is the token-bucket capacity (default: max(1,
-	// SubmitRate/4)).
-	SubmitBurst float64
 	// RetryBudget caps the stored retry tokens; every retry withdraws one
-	// and every acknowledged submit deposits RetryRatio (0 = unlimited
-	// retries, bounded only by the deadline).
+	// and every acknowledged submit deposits 0.1 (0 = unlimited retries,
+	// bounded only by the deadline).
 	RetryBudget float64
-	// RetryRatio is the budget deposit per acknowledged submit (default
-	// 0.1: sustained retries above 10% of throughput drain the budget).
-	RetryRatio float64
 	// BreakerThreshold trips the circuit breaker after this many
-	// consecutive leader-routing failures (0 = breaker disabled).
+	// consecutive leader-routing failures (0 = breaker disabled). An open
+	// breaker sheds for 250ms, then admits one probe.
 	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before a half-open
-	// probe (default 250ms).
-	BreakerCooldown time.Duration
-	// Backoff tunes the jittered exponential backoff used by every retry
-	// and poll loop.
-	Backoff BackoffConfig
-	// Seed drives backoff jitter; per-use Backoff instances derive distinct
-	// deterministic seeds from it.
+	// Seed drives backoff jitter; each Backoff derives a distinct
+	// deterministic seed from it.
 	Seed int64
 	// Clock is the time source for the token bucket, breaker cooldown, and
 	// backoff sleeps. Nil uses the wall clock; a vclock.Sim clock makes every
@@ -97,102 +97,93 @@ type Config struct {
 }
 
 // Controller enforces one deployment's admission and retry policy. All
-// methods are safe for concurrent use; a nil *Controller behaves as fully
-// permissive so call sites need no guards.
+// methods are safe for concurrent use.
 type Controller struct {
 	cfg      Config
+	burst    float64
 	counters *metrics.CounterSet
-	budget   *RetryBudget
-	breaker  *Breaker
-	seedCtr  atomic.Int64
+	backoffs atomic.Int64
 
-	mu         sync.Mutex
-	inflight   int
-	inflightHW int
-	tokens     float64
-	lastRefill time.Time
+	mu          sync.Mutex
+	inflight    int
+	inflightHW  int
+	tokens      float64
+	lastRefill  time.Time
+	retryTokens float64
+	// The breaker: open since openedAt after failures consecutive route
+	// failures reached the threshold. probe is the ordinal of the admitted
+	// half-open probe (0 when none is out); probes counts them.
+	open     bool
+	failures int
+	openedAt time.Time
+	probe    uint64
+	probes   uint64
 }
 
 // NewController builds a controller from cfg (see Config for zero-value
 // semantics).
 func NewController(cfg Config) *Controller {
-	if cfg.RetryRatio == 0 {
-		cfg.RetryRatio = 0.1
-	}
-	if cfg.SubmitBurst == 0 {
-		cfg.SubmitBurst = cfg.SubmitRate / 4
-		if cfg.SubmitBurst < 1 {
-			cfg.SubmitBurst = 1
-		}
-	}
-	if cfg.BreakerCooldown == 0 {
-		cfg.BreakerCooldown = 250 * time.Millisecond
-	}
 	cfg.Clock = vclock.Or(cfg.Clock)
-	c := &Controller{
-		cfg:      cfg,
-		counters: metrics.NewCounterSet(),
-		tokens:   cfg.SubmitBurst,
+	burst := cfg.SubmitRate / 4
+	if burst < 1 {
+		burst = 1
 	}
-	c.lastRefill = cfg.Clock.Now()
-	if cfg.RetryBudget > 0 {
-		c.budget = NewRetryBudget(cfg.RetryBudget, cfg.RetryRatio)
+	return &Controller{
+		cfg:         cfg,
+		burst:       burst,
+		counters:    metrics.NewCounterSet(),
+		tokens:      burst,
+		lastRefill:  cfg.Clock.Now(),
+		retryTokens: cfg.RetryBudget,
 	}
-	if cfg.BreakerThreshold > 0 {
-		c.breaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock)
-	}
-	return c
 }
 
 // Counters returns the controller's counter set: admitted, shed-inflight,
 // shed-rate, shed-breaker, retries, retry-budget-exhausted, breaker-trips,
 // backoffs (wait loops that had to start backing off).
-func (c *Controller) Counters() *metrics.CounterSet {
-	if c == nil {
-		return nil
-	}
-	return c.counters
-}
+func (c *Controller) Counters() *metrics.CounterSet { return c.counters }
 
-// Admit runs the admission pipeline — breaker, inflight limit, rate bucket —
-// and returns a release func for the inflight slot, or a typed shed error
-// (always wrapping ErrOverload). Shedding is deterministic: a request is
-// rejected immediately when over a limit, never queued.
+// Admit decides breaker, inflight limit and rate bucket in one critical
+// section and returns a release func for the inflight slot, or a typed shed
+// error (always wrapping ErrOverload). Shedding is deterministic: a request
+// is rejected immediately when over a limit, never queued. Only an admitted
+// request can be the breaker's half-open probe; if its release runs before
+// any route outcome was recorded, the probe counts as failed.
 func (c *Controller) Admit() (release func(), err error) {
-	if c == nil {
-		return func() {}, nil
-	}
-	if c.breaker != nil {
-		if err := c.breaker.Allow(); err != nil {
-			c.counters.Add("shed-breaker", 1)
-			return nil, err
-		}
-	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	probing := c.open
+	if probing && (c.probe != 0 || c.cfg.Clock.Since(c.openedAt) < breakerCooldown) {
+		c.counters.Add("shed-breaker", 1)
+		return nil, ErrCircuitOpen
+	}
 	if c.cfg.MaxInflight > 0 && c.inflight >= c.cfg.MaxInflight {
-		c.mu.Unlock()
 		c.counters.Add("shed-inflight", 1)
 		return nil, fmt.Errorf("%w: %d batches inflight (limit %d)",
 			ErrOverload, c.cfg.MaxInflight, c.cfg.MaxInflight)
 	}
 	if c.cfg.SubmitRate > 0 && !c.takeTokenLocked() {
-		c.mu.Unlock()
 		c.counters.Add("shed-rate", 1)
 		return nil, fmt.Errorf("%w: submit rate limit (%.3g/s) exceeded",
 			ErrOverload, c.cfg.SubmitRate)
 	}
-	c.inflight++
-	if c.inflight > c.inflightHW {
-		c.inflightHW = c.inflight
+	var probe uint64
+	if probing {
+		c.probes++
+		probe, c.probe = c.probes, c.probes
 	}
-	c.mu.Unlock()
+	c.inflight++
+	c.inflightHW = max(c.inflightHW, c.inflight)
 	c.counters.Add("admitted", 1)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			c.mu.Lock()
+			defer c.mu.Unlock()
 			c.inflight--
-			c.mu.Unlock()
+			if probe != 0 && c.probe == probe {
+				c.routeFailureLocked()
+			}
 		})
 	}, nil
 }
@@ -203,8 +194,8 @@ func (c *Controller) takeTokenLocked() bool {
 	now := c.cfg.Clock.Now()
 	if elapsed := now.Sub(c.lastRefill); elapsed > 0 {
 		c.tokens += elapsed.Seconds() * c.cfg.SubmitRate
-		if c.tokens > c.cfg.SubmitBurst {
-			c.tokens = c.cfg.SubmitBurst
+		if c.tokens > c.burst {
+			c.tokens = c.burst
 		}
 	}
 	c.lastRefill = now
@@ -215,21 +206,8 @@ func (c *Controller) takeTokenLocked() bool {
 	return true
 }
 
-// Inflight returns the number of currently admitted batches.
-func (c *Controller) Inflight() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
-}
-
 // InflightHighWater returns the highest concurrent admission observed.
 func (c *Controller) InflightHighWater() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.inflightHW
@@ -240,24 +218,23 @@ func (c *Controller) InflightHighWater() int {
 // waiters don't share one jitter stream but a fixed-seed run still produces a
 // reproducible family of sequences.
 func (c *Controller) NewBackoff() *Backoff {
-	if c == nil {
-		return NewBackoff(BackoffConfig{}, 1)
-	}
-	ord := c.seedCtr.Add(1)
+	ord := c.backoffs.Add(1)
 	c.counters.Add("backoffs", 1)
-	return NewBackoffClock(c.cfg.Backoff, c.cfg.Seed+ord*2654435761, c.cfg.Clock)
+	return newBackoff(c.cfg.Seed+ord*2654435761, c.cfg.Clock)
 }
 
 // AllowRetry withdraws one retry token, returning ErrRetryBudgetExhausted if
 // the budget is dry (nil when no budget is configured).
 func (c *Controller) AllowRetry() error {
-	if c == nil {
-		return nil
-	}
-	if c.budget != nil && !c.budget.Withdraw() {
-		c.counters.Add("retry-budget-exhausted", 1)
-		return fmt.Errorf("%w (cap %.3g, deposit %.3g per acknowledged submit)",
-			ErrRetryBudgetExhausted, c.cfg.RetryBudget, c.cfg.RetryRatio)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cfg.RetryBudget > 0 {
+		if c.retryTokens < 1 {
+			c.counters.Add("retry-budget-exhausted", 1)
+			return fmt.Errorf("%w (cap %.3g, deposit %.3g per acknowledged submit)",
+				ErrRetryBudgetExhausted, c.cfg.RetryBudget, retryRatio)
+		}
+		c.retryTokens--
 	}
 	c.counters.Add("retries", 1)
 	return nil
@@ -266,51 +243,43 @@ func (c *Controller) AllowRetry() error {
 // RecordSuccess reports an acknowledged submit: deposits into the retry
 // budget and closes the breaker.
 func (c *Controller) RecordSuccess() {
-	if c == nil {
-		return
-	}
-	if c.budget != nil {
-		c.budget.Deposit()
-	}
-	if c.breaker != nil {
-		c.breaker.Success()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.retryTokens = min(c.retryTokens+retryRatio, c.cfg.RetryBudget)
+	c.routeSuccessLocked()
 }
 
-// RecordRouteFailure reports one leader-routing failure to the breaker,
-// counting a trip when this failure opens it.
+// RecordRouteFailure reports one leader-routing failure to the breaker: it
+// trips the breaker at the threshold, and re-opens it on a failed probe.
 func (c *Controller) RecordRouteFailure() {
-	if c == nil || c.breaker == nil {
-		return
-	}
-	if c.breaker.Failure() {
-		c.counters.Add("breaker-trips", 1)
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.routeFailureLocked()
 }
 
-// RecordRouteSuccess reports a successful proposal route to the breaker
-// (resets the consecutive-failure count, closes a half-open probe).
+// RecordRouteSuccess reports a successful proposal route to the breaker: it
+// resets the consecutive-failure count and closes the breaker.
 func (c *Controller) RecordRouteSuccess() {
-	if c == nil || c.breaker == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.routeSuccessLocked()
+}
+
+func (c *Controller) routeSuccessLocked() {
+	c.open, c.failures, c.probe = false, 0, 0
+}
+
+// routeFailureLocked counts one consecutive failure. It opens a closed
+// breaker at the threshold and re-opens one whose probe is out, restarting
+// the cooldown; a failure while open with no probe out changes nothing.
+func (c *Controller) routeFailureLocked() {
+	if c.cfg.BreakerThreshold == 0 {
 		return
 	}
-	c.breaker.Success()
-}
-
-// RetryBudgetBalance returns the current retry token balance (or -1 with no
-// budget configured).
-func (c *Controller) RetryBudgetBalance() float64 {
-	if c == nil || c.budget == nil {
-		return -1
+	c.failures++
+	if c.probe == 0 && (c.open || c.failures < c.cfg.BreakerThreshold) {
+		return
 	}
-	return c.budget.Balance()
-}
-
-// BreakerState returns the breaker state (Closed when no breaker is
-// configured).
-func (c *Controller) BreakerState() BreakerState {
-	if c == nil || c.breaker == nil {
-		return Closed
-	}
-	return c.breaker.State()
+	c.open, c.openedAt, c.probe = true, c.cfg.Clock.Now(), 0
+	c.counters.Add("breaker-trips", 1)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,20 +16,20 @@ import (
 // runs that log a seed are reproducible down to individual sleep durations.
 func TestBackoffJitterDeterministic(t *testing.T) {
 	want := []time.Duration{686514, 1066000, 3208187, 4835274, 8350547, 22131092, 58012068, 44302267}
-	b := NewBackoff(BackoffConfig{}, 42)
+	b := newBackoff(42, nil)
 	for i, w := range want {
 		if got := b.Next(); got != w {
 			t.Fatalf("seed 42 step %d: got %v want %v", i, got, w)
 		}
 	}
 	// Same seed replays the identical sequence; a different seed diverges.
-	b2 := NewBackoff(BackoffConfig{}, 42)
+	b2 := newBackoff(42, nil)
 	for i, w := range want {
 		if got := b2.Next(); got != w {
 			t.Fatalf("replay step %d: got %v want %v", i, got, w)
 		}
 	}
-	b3 := NewBackoff(BackoffConfig{}, 43)
+	b3 := newBackoff(43, nil)
 	same := true
 	for _, w := range want {
 		if b3.Next() != w {
@@ -41,111 +42,75 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 }
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	cfg := BackoffConfig{Base: time.Millisecond, Cap: 8 * time.Millisecond, Multiplier: 2, Jitter: 0.5}
-	b := NewBackoff(cfg, 7)
+	b := newBackoff(7, nil)
 	prevMax := time.Duration(0)
 	for i := 0; i < 20; i++ {
 		d := b.Next()
-		// With jitter 0.5 every step lies in [step/2, step], step <= Cap.
-		if d > cfg.Cap {
-			t.Fatalf("step %d: %v exceeds cap %v", i, d, cfg.Cap)
+		// With jitter 0.5 every step lies in [step/2, step], step <= cap.
+		if d > backoffCap {
+			t.Fatalf("step %d: %v exceeds cap %v", i, d, backoffCap)
 		}
-		if d < cfg.Base/2 {
+		if d < backoffBase/2 {
 			t.Fatalf("step %d: %v below base/2", i, d)
 		}
 		if d > prevMax {
 			prevMax = d
 		}
 	}
-	if prevMax < cfg.Cap/2 {
+	if prevMax < backoffCap/2 {
 		t.Fatalf("never reached capped range: max %v", prevMax)
-	}
-	if got := b.Attempts(); got != 20 {
-		t.Fatalf("Attempts = %d, want 20", got)
-	}
-	b.Reset()
-	if got := b.Attempts(); got != 0 {
-		t.Fatalf("Attempts after Reset = %d, want 0", got)
-	}
-	if d := b.Next(); d > cfg.Base {
-		t.Fatalf("first step after Reset %v exceeds base %v", d, cfg.Base)
 	}
 }
 
 func TestBackoffSleepDeadline(t *testing.T) {
-	b := NewBackoff(BackoffConfig{Base: time.Hour, Cap: time.Hour}, 1)
-	// Expired deadline: immediate typed error, no sleep.
-	start := time.Now()
-	if err := b.Sleep(At(time.Now().Add(-time.Second))); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Sleep(expired) = %v, want ErrDeadlineExceeded", err)
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("Sleep(expired) actually slept")
-	}
-	// Live deadline truncates a huge backoff step to the remaining budget.
-	start = time.Now()
-	if err := b.Sleep(After(10 * time.Millisecond)); err != nil {
-		t.Fatalf("Sleep(live) = %v", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("Sleep not truncated to deadline: slept %v", el)
-	}
+	onSim(t, 1, func(clk vclock.Clock) {
+		b := newBackoff(1, clk)
+		// Expired deadline: immediate typed error, no sleep.
+		start := clk.Now()
+		if err := b.Sleep(AfterClock(clk, -time.Second)); !errors.Is(err, ErrDeadlineExceeded) {
+			t.Errorf("Sleep(expired) = %v, want ErrDeadlineExceeded", err)
+		}
+		if clk.Since(start) != 0 {
+			t.Error("Sleep(expired) actually slept")
+		}
+		// Live deadline truncates a capped backoff step to the remaining budget.
+		for i := 0; i < 10; i++ {
+			b.Next()
+		}
+		if err := b.Sleep(AfterClock(clk, time.Millisecond)); err != nil {
+			t.Errorf("Sleep(live) = %v", err)
+		}
+		if el := clk.Since(start); el != time.Millisecond {
+			t.Errorf("Sleep not truncated to deadline: slept %v", el)
+		}
+	})
 }
 
 func TestDeadlineSemantics(t *testing.T) {
-	var zero Deadline
-	if !zero.IsZero() || zero.Expired() || zero.Check() != nil {
-		t.Fatal("zero Deadline must never expire")
-	}
-	if zero.Remaining() <= 0 {
-		t.Fatal("zero Deadline must report large Remaining")
-	}
-	if !None().IsZero() {
-		t.Fatal("None() not zero")
-	}
-	past := At(time.Now().Add(-time.Minute))
-	if !past.Expired() || !errors.Is(past.Check(), ErrDeadlineExceeded) || past.Remaining() > 0 {
+	past := AfterClock(nil, -time.Minute)
+	if !past.Expired() || past.Remaining() > 0 {
 		t.Fatal("past deadline not expired")
 	}
-	fut := After(time.Hour)
-	if fut.Expired() || fut.Check() != nil || fut.Time().IsZero() {
+	fut := AfterClock(nil, time.Hour)
+	if fut.Expired() || fut.Remaining() < 59*time.Minute {
 		t.Fatal("future deadline misreported")
 	}
 	// Bound: window earlier than deadline wins; deadline earlier than window wins.
 	if b := fut.Bound(time.Millisecond); b.Remaining() > time.Second {
 		t.Fatalf("Bound(1ms) kept far deadline: %v", b.Remaining())
 	}
-	near := After(time.Millisecond)
+	near := AfterClock(nil, time.Millisecond)
 	if b := near.Bound(time.Hour); b.Remaining() > time.Second {
 		t.Fatalf("Bound(1h) extended near deadline: %v", b.Remaining())
 	}
-	if b := zero.Bound(time.Minute); b.IsZero() || b.Remaining() > 2*time.Minute {
-		t.Fatal("Bound on zero deadline must produce the window")
-	}
-}
-
-func TestNilControllerPermissive(t *testing.T) {
-	var c *Controller
-	release, err := c.Admit()
-	if err != nil {
-		t.Fatalf("nil Admit = %v", err)
-	}
-	release()
-	if err := c.AllowRetry(); err != nil {
-		t.Fatalf("nil AllowRetry = %v", err)
-	}
-	c.RecordSuccess()
-	c.RecordRouteFailure()
-	c.RecordRouteSuccess()
-	if c.Counters() != nil || c.Inflight() != 0 || c.InflightHighWater() != 0 {
-		t.Fatal("nil controller accessors not zero")
-	}
-	if c.RetryBudgetBalance() != -1 || c.BreakerState() != Closed {
-		t.Fatal("nil controller budget/breaker not disabled")
-	}
-	if c.NewBackoff() == nil {
-		t.Fatal("nil controller NewBackoff returned nil")
-	}
+	// A derived deadline keeps its parent's clock.
+	onSim(t, 1, func(clk vclock.Clock) {
+		d := AfterClock(clk, time.Hour).Bound(time.Second)
+		clk.Sleep(time.Second)
+		if !d.Expired() || d.Remaining() != 0 {
+			t.Errorf("bounded sim deadline: expired=%v remaining=%v", d.Expired(), d.Remaining())
+		}
+	})
 }
 
 func TestZeroConfigUnlimited(t *testing.T) {
@@ -157,9 +122,10 @@ func TestZeroConfigUnlimited(t *testing.T) {
 		if err := c.AllowRetry(); err != nil {
 			t.Fatalf("zero-config AllowRetry %d = %v", i, err)
 		}
+		c.RecordRouteFailure()
 	}
-	if c.BreakerState() != Closed || c.RetryBudgetBalance() != -1 {
-		t.Fatal("zero config enabled a limiter")
+	if breakerState(c) != "closed" {
+		t.Fatal("zero config enabled the breaker")
 	}
 }
 
@@ -176,8 +142,8 @@ func TestInflightLimit(t *testing.T) {
 	if _, err := c.Admit(); !errors.Is(err, ErrOverload) {
 		t.Fatalf("third Admit = %v, want ErrOverload", err)
 	}
-	if c.Inflight() != 2 || c.InflightHighWater() != 2 {
-		t.Fatalf("inflight=%d hw=%d", c.Inflight(), c.InflightHighWater())
+	if c.inflight != 2 || c.InflightHighWater() != 2 {
+		t.Fatalf("inflight=%d hw=%d", c.inflight, c.InflightHighWater())
 	}
 	r1()
 	r1() // idempotent release must not free a second slot
@@ -194,6 +160,46 @@ func TestInflightLimit(t *testing.T) {
 	}
 }
 
+// TestConcurrentAdmission drives every controller method from several
+// goroutines at once, with route failures tripping the breaker: the
+// cap holds, every admission is released, and the counters add up.
+func TestConcurrentAdmission(t *testing.T) {
+	const workers, ops = 8, 200
+	c := NewController(Config{MaxInflight: 3, RetryBudget: 5, BreakerThreshold: 2})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				rel, err := c.Admit()
+				if err != nil {
+					continue
+				}
+				switch (w + i) % 4 {
+				case 0:
+					c.RecordRouteFailure()
+				case 1:
+					c.RecordRouteSuccess()
+				case 2:
+					_ = c.AllowRetry()
+				default:
+					c.RecordSuccess()
+				}
+				rel()
+			}
+		}(w)
+	}
+	wg.Wait()
+	snap := c.Counters().Snapshot()
+	if c.inflight != 0 || c.InflightHighWater() > 3 {
+		t.Fatalf("inflight=%d hw=%d after every release", c.inflight, c.InflightHighWater())
+	}
+	if got := snap["admitted"] + snap["shed-inflight"] + snap["shed-rate"] + snap["shed-breaker"]; got != workers*ops {
+		t.Fatalf("admit outcomes %d, want %d: %v", got, workers*ops, snap)
+	}
+}
+
 // onSim runs body as the root actor of a fresh simulated clock: virtual
 // Sleeps are the actor's gates, so the script runs in zero real time. body
 // runs on an actor goroutine and must report with t.Error, not t.Fatal.
@@ -207,8 +213,9 @@ func onSim(t *testing.T, seed int64, body func(clk vclock.Clock)) {
 
 func TestRateLimitFakeClock(t *testing.T) {
 	onSim(t, 1, func(clk vclock.Clock) {
-		c := NewController(Config{SubmitRate: 10, SubmitBurst: 2, Clock: clk})
-		// Burst of 2 admits, third sheds.
+		// 10/s holds max(1, 10/4) = 2.5 tokens: a burst of 2 admits, the
+		// third sheds with half a token left.
+		c := NewController(Config{SubmitRate: 10, Clock: clk})
 		for i := 0; i < 2; i++ {
 			rel, err := c.Admit()
 			if err != nil {
@@ -221,7 +228,7 @@ func TestRateLimitFakeClock(t *testing.T) {
 			t.Errorf("over-burst Admit = %v, want ErrOverload", err)
 			return
 		}
-		// 100ms at 10/s refills exactly one token.
+		// 100ms at 10/s refills one token.
 		clk.Sleep(100 * time.Millisecond)
 		rel, err := c.Admit()
 		if err != nil {
@@ -255,10 +262,7 @@ func TestRateLimitFakeClock(t *testing.T) {
 }
 
 func TestRetryBudget(t *testing.T) {
-	c := NewController(Config{RetryBudget: 2, RetryRatio: 0.5})
-	if c.RetryBudgetBalance() != 2 {
-		t.Fatalf("initial balance %v", c.RetryBudgetBalance())
-	}
+	c := NewController(Config{RetryBudget: 2})
 	if err := c.AllowRetry(); err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +272,11 @@ func TestRetryBudget(t *testing.T) {
 	if err := c.AllowRetry(); !errors.Is(err, ErrRetryBudgetExhausted) {
 		t.Fatalf("drained AllowRetry = %v, want ErrRetryBudgetExhausted", err)
 	}
-	// Two successes deposit 2×0.5 = one retry token.
-	c.RecordSuccess()
-	c.RecordSuccess()
+	// Each success deposits 0.1; ten sum to just under one token in
+	// floating point, eleven to one retry.
+	for i := 0; i < 11; i++ {
+		c.RecordSuccess()
+	}
 	if err := c.AllowRetry(); err != nil {
 		t.Fatalf("post-deposit AllowRetry = %v", err)
 	}
@@ -281,8 +287,8 @@ func TestRetryBudget(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.RecordSuccess()
 	}
-	if c.RetryBudgetBalance() != 2 {
-		t.Fatalf("balance after 100 deposits = %v, want cap 2", c.RetryBudgetBalance())
+	if c.retryTokens != 2 {
+		t.Fatalf("balance after 100 deposits = %v, want cap 2", c.retryTokens)
 	}
 	snap := c.Counters().Snapshot()
 	if snap["retries"] != 3 || snap["retry-budget-exhausted"] != 2 {
@@ -290,15 +296,36 @@ func TestRetryBudget(t *testing.T) {
 	}
 }
 
+// breakerState names the breaker's state: closed, open, or half-open while
+// an admitted probe is out.
+func breakerState(c *Controller) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case !c.open:
+		return "closed"
+	case c.probe != 0:
+		return "half-open"
+	default:
+		return "open"
+	}
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	onSim(t, 1, func(clk vclock.Clock) {
-		c := NewController(Config{BreakerThreshold: 3, BreakerCooldown: time.Second, Clock: clk})
+		c := NewController(Config{BreakerThreshold: 3, Clock: clk})
+		want := func(state string) bool {
+			if got := breakerState(c); got != state {
+				t.Errorf("breaker %s, want %s", got, state)
+				return false
+			}
+			return true
+		}
 
 		// Failures below the threshold keep the breaker closed.
 		c.RecordRouteFailure()
 		c.RecordRouteFailure()
-		if c.BreakerState() != Closed {
-			t.Error("tripped below threshold")
+		if !want("closed") {
 			return
 		}
 		if _, err := c.Admit(); err != nil {
@@ -307,8 +334,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 		// Third consecutive failure trips it open; admissions shed.
 		c.RecordRouteFailure()
-		if c.BreakerState() != Open {
-			t.Error("did not trip at threshold")
+		if !want("open") {
 			return
 		}
 		if _, err := c.Admit(); !errors.Is(err, ErrOverload) || !errors.Is(err, ErrCircuitOpen) {
@@ -316,54 +342,109 @@ func TestBreakerLifecycle(t *testing.T) {
 			return
 		}
 		// After the cooldown one half-open probe is admitted, a second sheds.
-		clk.Sleep(2 * time.Second)
+		clk.Sleep(breakerCooldown)
 		rel, err := c.Admit()
 		if err != nil {
 			t.Errorf("half-open probe Admit = %v", err)
 			return
 		}
-		rel()
-		if c.BreakerState() != HalfOpen {
-			t.Errorf("state after probe admit = %v", c.BreakerState())
+		if !want("half-open") {
 			return
 		}
 		if _, err := c.Admit(); !errors.Is(err, ErrCircuitOpen) {
 			t.Error("second half-open probe admitted")
 			return
 		}
-		// A failed probe re-opens; cooldown restarts.
+		// A failed probe re-opens; cooldown restarts. Releasing the probe
+		// after its outcome changes nothing.
 		c.RecordRouteFailure()
-		if c.BreakerState() != Open {
-			t.Error("failed probe did not re-open")
+		rel()
+		if !want("open") {
 			return
 		}
-		clk.Sleep(2 * time.Second)
+		clk.Sleep(breakerCooldown)
 		rel, err = c.Admit()
 		if err != nil {
 			t.Errorf("second probe Admit = %v", err)
 			return
 		}
-		rel()
 		// A successful probe closes the breaker and resets the failure count.
 		c.RecordRouteSuccess()
-		if c.BreakerState() != Closed {
-			t.Error("successful probe did not close")
+		rel()
+		if !want("closed") {
 			return
 		}
 		c.RecordRouteFailure()
 		c.RecordRouteFailure()
-		if c.BreakerState() != Closed {
-			t.Error("failure count not reset after close")
+		if !want("closed") {
 			return
 		}
 		snap := c.Counters().Snapshot()
 		if snap["breaker-trips"] != 2 || snap["shed-breaker"] != 2 {
 			t.Errorf("counters = %v", snap)
+		}
+	})
+}
+
+// TestShedProbeDoesNotWedgeBreaker: once the cooldown is over, a request
+// the inflight cap sheds must not take the half-open probe with it — the
+// next request that is admitted is the probe.
+func TestShedProbeDoesNotWedgeBreaker(t *testing.T) {
+	onSim(t, 1, func(clk vclock.Clock) {
+		c := NewController(Config{MaxInflight: 1, BreakerThreshold: 1, Clock: clk})
+		hold, err := c.Admit()
+		if err != nil {
+			t.Errorf("first Admit = %v", err)
 			return
 		}
-		if Closed.String() != "closed" || Open.String() != "open" || HalfOpen.String() != "half-open" {
-			t.Error("BreakerState.String mismatch")
+		c.RecordRouteFailure()
+		clk.Sleep(time.Second)
+		if _, err := c.Admit(); err == nil || errors.Is(err, ErrCircuitOpen) {
+			t.Errorf("Admit over the inflight cap = %v, want an inflight shed", err)
 			return
+		}
+		hold()
+		clk.Sleep(time.Second)
+		rel, err := c.Admit()
+		if err != nil {
+			t.Errorf("Admit after the cooldown = %v, want the half-open probe", err)
+			return
+		}
+		c.RecordRouteSuccess()
+		rel()
+		if _, err := c.Admit(); err != nil {
+			t.Errorf("Admit after a successful probe = %v", err)
+		}
+	})
+}
+
+// TestUnresolvedProbeReopens: a probe released with no route outcome (its
+// submit found no leader before the deadline, say) is a failed probe. It
+// re-opens the breaker, and the next cooldown admits a new probe.
+func TestUnresolvedProbeReopens(t *testing.T) {
+	onSim(t, 1, func(clk vclock.Clock) {
+		c := NewController(Config{BreakerThreshold: 1, Clock: clk})
+		c.RecordRouteFailure()
+		clk.Sleep(time.Second)
+		probe, err := c.Admit()
+		if err != nil {
+			t.Errorf("probe Admit = %v", err)
+			return
+		}
+		probe()
+		if _, err := c.Admit(); !errors.Is(err, ErrCircuitOpen) {
+			t.Errorf("Admit right after an unresolved probe = %v, want ErrCircuitOpen", err)
+			return
+		}
+		clk.Sleep(time.Second)
+		rel, err := c.Admit()
+		if err != nil {
+			t.Errorf("Admit a cooldown after an unresolved probe = %v, want a new probe", err)
+			return
+		}
+		rel()
+		if trips := c.Counters().Value("breaker-trips"); trips != 3 {
+			t.Errorf("breaker-trips = %d, want 3", trips)
 		}
 	})
 }
@@ -402,9 +483,7 @@ func TestAdmitShedSequenceReplayable(t *testing.T) {
 			c := NewController(Config{
 				MaxInflight:      2,
 				SubmitRate:       20,
-				SubmitBurst:      3,
 				BreakerThreshold: 2,
-				BreakerCooldown:  40 * time.Millisecond,
 				Seed:             seed,
 				Clock:            clk,
 			})

@@ -122,27 +122,6 @@ func (c *Counter) Value() int64 {
 	return c.v
 }
 
-// Gauge is a concurrency-safe instantaneous value (dedup table size, WAL
-// segment count, snapshot index, ...). Unlike Counter it can move both ways.
-type Gauge struct {
-	mu sync.Mutex
-	v  int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
 // CounterSet is a named collection of counters, created on first use. The
 // chaos harness and the replica layer use one set per deployment to account
 // for faults injected and recoveries performed (kills, restarts, partitions,

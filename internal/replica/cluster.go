@@ -109,10 +109,11 @@ type ClusterConfig struct {
 	// the right semantics when callers compare all state hashes immediately
 	// after submit.
 	QuorumSubmit bool
-	// Flow is the admission/retry policy enforced on the submit path. The
-	// zero value disables every limit (unbounded inflight, unlimited retries),
-	// preserving pre-flow-control behavior; Flow.Seed defaults to Seed so a
-	// seeded cluster has fully deterministic backoff jitter.
+	// Flow is the admission/retry policy enforced on the submit path: the
+	// inflight cap, the submit rate, the retry budget and the breaker
+	// threshold. The zero value disables every limit. Flow.Seed defaults to
+	// Seed and Flow.Clock to Clock, so a seeded cluster has fully
+	// deterministic backoff jitter.
 	Flow flowctl.Config
 	// SubmitWindow bounds how long one proposal is waited on before the
 	// batch is re-proposed (idempotently) through the then-current leader
@@ -479,7 +480,7 @@ func (c *Cluster) Stop() {
 }
 
 // Flow returns the cluster's flow-control controller (admission counters,
-// inflight gauges, breaker state).
+// inflight high water).
 func (c *Cluster) Flow() *flowctl.Controller { return c.flow }
 
 // Clock returns the cluster's time source — the injected simulated clock in
@@ -566,23 +567,6 @@ func (c *Cluster) WaitCaughtUp(within time.Duration) error {
 				target, within, flowctl.ErrDeadlineExceeded)
 		}
 		c.progress.Wait(woken, rem)
-	}
-}
-
-// WaitSnapshot blocks until node i's raft log has been compacted at or above
-// minIndex — the handshake a test (or operator) uses to know the replica's
-// snapshot both exists on disk and has truncated the consensus log.
-func (c *Cluster) WaitSnapshot(i int, minIndex uint64, within time.Duration) error {
-	dl := flowctl.AfterClock(c.clk, within)
-	bo := c.flow.NewBackoff()
-	for {
-		if got := c.node(i).SnapshotIndex(); got >= minIndex {
-			return nil
-		}
-		if err := bo.Sleep(dl); err != nil {
-			return fmt.Errorf("replica: %s not compacted to %d within %v (at %d): %w",
-				c.ids[i], minIndex, within, c.node(i).SnapshotIndex(), err)
-		}
 	}
 }
 

@@ -53,9 +53,12 @@ type Request = struct {
 // The ClusterConfig.Flow policy gates the whole call: admission (inflight
 // limit, rate bucket, circuit breaker) may shed it with an error wrapping
 // flowctl.ErrOverload — shed batches were certainly never proposed or
-// applied — and each re-proposal spends the retry budget. The wait for the
-// apply is woken by the replicas' apply loops; waiting for a leader and
-// re-routing run on seeded jittered backoff. All of it runs under the
+// applied — and each re-proposal spends the retry budget. A call admitted as
+// the breaker's half-open probe that returns before any route outcome (no
+// leader within the deadline, say) counts as a failed probe when it releases
+// its admission, so the breaker re-opens instead of waiting on it. The wait
+// for the apply is woken by the replicas' apply loops; waiting for a leader
+// and re-routing run on seeded jittered backoff. All of it runs under the
 // caller's deadline: leader routing, the proposal and the apply wait share
 // one budget, and none waits past it.
 func (c *Cluster) SubmitBatch(reqs []Request, within time.Duration) error {
