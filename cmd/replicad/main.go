@@ -38,6 +38,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -199,6 +200,10 @@ func run() error {
 			if got := cluster.ReplicaAt(i).Batches(); got != *batches {
 				return fmt.Errorf("replica %d reflects %d batches, want %d", i, got, *batches)
 			}
+			// The dedup table is built from the log alone, so it agrees too.
+			if !bytes.Equal(cluster.ReplicaAt(i).DedupTable(), cluster.ReplicaAt(0).DedupTable()) {
+				return fmt.Errorf("DIVERGENCE after quiesce: replica %d's dedup table differs from replica 0's", i)
+			}
 		}
 		fmt.Printf("\nchaos: converged after quiesce, state hash %016x, every batch applied exactly once\n", hashes[0])
 		fmt.Printf("chaos: faults %s\n", injector.Counters())
@@ -210,9 +215,9 @@ func run() error {
 	if *snapshotEvery > 0 {
 		for i := 0; i < cluster.Size(); i++ {
 			rep := cluster.ReplicaAt(i)
-			fmt.Printf("replica %d: snapshots taken=%d installed=%d raft compacted to %d, dedup entries=%d (watermark %d)\n",
+			fmt.Printf("replica %d: snapshots taken=%d installed=%d raft compacted to %d, dedup entries=%d\n",
 				i, rep.Snapshots(), rep.SnapshotsInstalled(), cluster.NodeAt(i).SnapshotIndex(),
-				rep.DedupSize(), rep.DedupWatermark())
+				rep.DedupSize())
 		}
 	}
 	elapsed := time.Since(start)

@@ -174,7 +174,8 @@ func runSimChaosSoak(t *testing.T, seed int64) (string, uint64) {
 		}
 		tr.add("quiesced")
 
-		// Final all-live batch: propagates the dedup watermark everywhere.
+		// Final all-live batch, submitted alone: it retires every earlier
+		// batch from the dedup tables.
 		final := bankBatch(workRng, txsPerBatch)
 		if err := c.SubmitBatch(final, 60*time.Second); err != nil {
 			t.Fatalf("final batch: %v", err)
@@ -201,6 +202,7 @@ func runSimChaosSoak(t *testing.T, seed int64) (string, uint64) {
 				t.Errorf("replica %d reflects %d batches, want %d", i, got, batches+1)
 			}
 		}
+		checkDedupTables(t, c, 1)
 		tr.add("converged hash=%016x", want)
 	}); err != nil {
 		t.Fatal(err)
@@ -337,7 +339,7 @@ func runSimOverloadSoak(t *testing.T, seed int64) (string, uint64) {
 		}
 
 		// Drain: wait for token-bucket refill (virtual time!) and land one final
-		// batch so the dedup watermark propagates.
+		// batch, which retires every earlier one from the dedup tables.
 		var finalErr error
 		for tries := 0; tries < 50; tries++ {
 			reqs := bankBatch(workRng, 4)
@@ -376,6 +378,7 @@ func runSimOverloadSoak(t *testing.T, seed int64) (string, uint64) {
 				t.Errorf("replica %d reflects %d batches, want exactly the %d admitted", i, got, admitted)
 			}
 		}
+		checkDedupTables(t, c, 1)
 		tr.add("converged hash=%016x", want)
 	}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"prognosticator/internal/vclock"
@@ -226,8 +227,8 @@ func soakRun(t *testing.T, tcp bool) {
 		t.Fatal(err)
 	}
 
-	// One final batch with every replica live: its acknowledgment propagates
-	// the dedup watermark everywhere, so the tables must be empty afterwards.
+	// One final batch with every replica live, submitted alone: its Low is
+	// its own Seq, so it retires every earlier batch from the dedup tables.
 	final := makeBatch()
 	if err := c.SubmitBatch(final, 60*time.Second); err != nil {
 		t.Fatalf("final batch: %v", err)
@@ -261,15 +262,7 @@ func soakRun(t *testing.T, tcp bool) {
 		}
 	}
 
-	// Bounded dedup memory: the final all-live acknowledgment pruned every
-	// entry at or below the watermark, which covers every submitted batch.
-	for i := 0; i < c.Size(); i++ {
-		rep := c.ReplicaAt(i)
-		if size := rep.DedupSize(); size != 0 {
-			t.Errorf("replica %d dedup table holds %d entries after final ack (watermark %d)",
-				i, size, rep.DedupWatermark())
-		}
-	}
+	checkDedupTables(t, c, 1)
 
 	// Snapshotting must have run: the batch count spans several snapshot
 	// intervals, so replicas captured snapshots and compacted their raft logs.
@@ -314,5 +307,23 @@ func soakRun(t *testing.T, tcp bool) {
 	restarts := counters.Value("restart") + counters.Value("restart-corrupt") + counters.Value("quiesce-restarts")
 	if kills > restarts {
 		t.Errorf("%d kills but only %d restarts — a replica was left down", kills, restarts)
+	}
+}
+
+// checkDedupTables requires every replica, all caught up to one index, to
+// hold the same dedup table, and no more entries than running, the submits
+// that were running when the last batch was encoded: every batch below the
+// last batch's Low is forgotten, and that Low is the lowest running Seq.
+func checkDedupTables(t testing.TB, c *replica.Cluster, running int) {
+	t.Helper()
+	want := c.ReplicaAt(0).DedupTable()
+	for i := 0; i < c.Size(); i++ {
+		rep := c.ReplicaAt(i)
+		if got := rep.DedupTable(); !bytes.Equal(got, want) {
+			t.Errorf("replica %d dedup table %x, replica 0 %x", i, got, want)
+		}
+		if size := rep.DedupSize(); size > running {
+			t.Errorf("replica %d dedup table holds %d entries after the final batch, submitted alone", i, size)
+		}
 	}
 }

@@ -30,6 +30,7 @@ package flowctl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +48,8 @@ var (
 	ErrOverload = errors.New("flowctl: overloaded: shed by admission control")
 	// ErrDeadlineExceeded marks a wait that ran out of the caller's budget.
 	// If the request had already been proposed, its outcome is ambiguous —
-	// it may still commit; resubmission must reuse the idempotency ID.
+	// it may still commit, once at most; submitting it again makes a new
+	// batch, which may apply as well.
 	ErrDeadlineExceeded = errors.New("flowctl: deadline exceeded")
 	// ErrRetryBudgetExhausted marks a retry denied because the per-client
 	// retry budget ran dry — the cluster is likely unhealthy and a retry
@@ -61,9 +63,10 @@ var (
 var ErrCircuitOpen = fmt.Errorf("%w: circuit breaker open", ErrOverload)
 
 const (
-	// retryRatio is the retry-budget deposit per acknowledged submit:
-	// sustained retries above 10% of throughput drain the budget.
-	retryRatio = 0.1
+	// retryCost is what a retry withdraws from the retry budget, which is
+	// kept in tenths of a retry: an acknowledged submit deposits one tenth,
+	// so sustained retries above 10% of throughput drain the budget.
+	retryCost = 10
 	// breakerCooldown is how long the breaker stays open before it admits
 	// a half-open probe.
 	breakerCooldown = 250 * time.Millisecond
@@ -81,7 +84,8 @@ type Config struct {
 	SubmitRate float64
 	// RetryBudget caps the stored retry tokens; every retry withdraws one
 	// and every acknowledged submit deposits 0.1 (0 = unlimited retries,
-	// bounded only by the deadline).
+	// bounded only by the deadline). The balance is kept in whole tenths,
+	// so the cap is rounded to the nearest tenth.
 	RetryBudget float64
 	// BreakerThreshold trips the circuit breaker after this many
 	// consecutive leader-routing failures (0 = breaker disabled). An open
@@ -109,7 +113,8 @@ type Controller struct {
 	inflightHW  int
 	tokens      float64
 	lastRefill  time.Time
-	retryTokens float64
+	retryTenths int64 // the retry budget's balance; retryCap caps it
+	retryCap    int64
 	// The breaker: open since openedAt after failures consecutive route
 	// failures reached the threshold. probe is the ordinal of the admitted
 	// half-open probe (0 when none is out); probes counts them.
@@ -128,13 +133,15 @@ func NewController(cfg Config) *Controller {
 	if burst < 1 {
 		burst = 1
 	}
+	retryCap := int64(math.Round(cfg.RetryBudget * retryCost))
 	return &Controller{
 		cfg:         cfg,
 		burst:       burst,
 		counters:    metrics.NewCounterSet(),
 		tokens:      burst,
 		lastRefill:  cfg.Clock.Now(),
-		retryTokens: cfg.RetryBudget,
+		retryTenths: retryCap,
+		retryCap:    retryCap,
 	}
 }
 
@@ -229,12 +236,12 @@ func (c *Controller) AllowRetry() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cfg.RetryBudget > 0 {
-		if c.retryTokens < 1 {
+		if c.retryTenths < retryCost {
 			c.counters.Add("retry-budget-exhausted", 1)
 			return fmt.Errorf("%w (cap %.3g, deposit %.3g per acknowledged submit)",
-				ErrRetryBudgetExhausted, c.cfg.RetryBudget, retryRatio)
+				ErrRetryBudgetExhausted, c.cfg.RetryBudget, 1.0/retryCost)
 		}
-		c.retryTokens--
+		c.retryTenths -= retryCost
 	}
 	c.counters.Add("retries", 1)
 	return nil
@@ -245,7 +252,7 @@ func (c *Controller) AllowRetry() error {
 func (c *Controller) RecordSuccess() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.retryTokens = min(c.retryTokens+retryRatio, c.cfg.RetryBudget)
+	c.retryTenths = min(c.retryTenths+1, c.retryCap)
 	c.routeSuccessLocked()
 }
 

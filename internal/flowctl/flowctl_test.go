@@ -272,11 +272,14 @@ func TestRetryBudget(t *testing.T) {
 	if err := c.AllowRetry(); !errors.Is(err, ErrRetryBudgetExhausted) {
 		t.Fatalf("drained AllowRetry = %v, want ErrRetryBudgetExhausted", err)
 	}
-	// Each success deposits 0.1; ten sum to just under one token in
-	// floating point, eleven to one retry.
-	for i := 0; i < 11; i++ {
+	// Each success deposits a tenth of a retry: ten make exactly one.
+	for i := 0; i < 9; i++ {
 		c.RecordSuccess()
 	}
+	if err := c.AllowRetry(); !errors.Is(err, ErrRetryBudgetExhausted) {
+		t.Fatal("nine deposits bought a retry")
+	}
+	c.RecordSuccess()
 	if err := c.AllowRetry(); err != nil {
 		t.Fatalf("post-deposit AllowRetry = %v", err)
 	}
@@ -287,11 +290,11 @@ func TestRetryBudget(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.RecordSuccess()
 	}
-	if c.retryTokens != 2 {
-		t.Fatalf("balance after 100 deposits = %v, want cap 2", c.retryTokens)
+	if c.retryTenths != 20 {
+		t.Fatalf("balance after 100 deposits = %d tenths, want cap 20", c.retryTenths)
 	}
 	snap := c.Counters().Snapshot()
-	if snap["retries"] != 3 || snap["retry-budget-exhausted"] != 2 {
+	if snap["retries"] != 3 || snap["retry-budget-exhausted"] != 3 {
 		t.Fatalf("counters = %v", snap)
 	}
 }

@@ -4,7 +4,7 @@
 //
 // The recorder taps the replica apply path (replica.ClusterConfig.OnApply):
 // every replica reports every applied batch, and the recorder deduplicates
-// by batch ID — replicas are deterministic, so any one replica's report of a
+// by batch name — replicas are deterministic, so any one replica's report of a
 // batch is as good as another's. Footprints come from the engine's
 // RecordFootprints mode: per committed transaction, the first read of each
 // key (a value fingerprint observed in committed state) and the final write
@@ -100,7 +100,7 @@ func NewRecorder() *Recorder {
 }
 
 // Observe records one applied batch. Every replica reports every batch it
-// applies; only the first report of a batch ID is kept. Pending outcomes
+// applies; only the first report of a batch name is kept. Pending outcomes
 // (carry-over transactions that did not commit in this batch) are skipped.
 func (r *Recorder) Observe(replicaID string, index uint64, batchID string, reqs []engine.Request, res *engine.BatchResult) {
 	_ = replicaID

@@ -103,8 +103,8 @@ func TestSubmitAcknowledgedAcrossRestart(t *testing.T) {
 	if c.ReplicaAt(bounced) == before {
 		t.Fatal("Restart did not replace the replica")
 	}
-	if got := len(c.LastRecovery(bounced).AppliedIDs); got != 1 {
-		t.Fatalf("restarted replica recovered %d batch IDs, want the one in flight", got)
+	if !c.ReplicaAt(bounced).appliedSeq(c.session, 1) {
+		t.Fatal("restarted replica did not recover the batch in flight")
 	}
 	select {
 	case err := <-done:

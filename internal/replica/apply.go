@@ -7,17 +7,18 @@
 // examples, tests and cmd/replicad — including per-replica crash and
 // rejoin: a crashed node's store is rebuilt from its newest snapshot plus a
 // replay of the journal above it (recovery.go), then caught up through Raft
-// to the live commit index, while apply-time batch-ID deduplication makes
-// client resubmission after an ambiguous leader change idempotent. With snapshots enabled a replica periodically captures
-// its store (see snapshot.go), compacts its raft log below the snapshot
-// index, and prunes acknowledged entries from the dedup table, so recovery
-// time, log size and dedup memory all stay bounded in a long-lived
-// deployment.
+// to the live commit index, while apply-time deduplication by client
+// session makes resubmission after an ambiguous leader change idempotent.
+// The dedup table is built from the committed batches alone, so every
+// replica holds the same table at the same index. With snapshots enabled a
+// replica periodically captures its store and that table (see snapshot.go)
+// and compacts its raft log below the snapshot index, so recovery time and
+// log size stay bounded in a long-lived deployment.
 package replica
 
 import (
 	"fmt"
-	"maps"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +41,7 @@ type Replica struct {
 	journal *raft.FileStorage
 
 	// onApply, when non-nil, observes every non-duplicate batch application
-	// (index, batch ID, requests, outcomes) from the apply loop, in apply
+	// (index, batch name, requests, outcomes) from the apply loop, in apply
 	// order — the history recorder's tap. Duplicate and re-delivered batches
 	// are not reported: it sees exactly the executed history. Set before
 	// Start.
@@ -55,22 +56,12 @@ type Replica struct {
 	mu          sync.Mutex
 	lastApplied uint64 // raft index of last applied batch
 	batches     int
-	// appliedIDs maps each applied batch's idempotency ID to the raft index
-	// of its first (and only executed) occurrence. Recovery rebuilds it by
-	// replaying the journal through applyOne, so deduplication decisions are
-	// identical across crashes and across replicas: every replica sees the same committed sequence and
-	// skips the same duplicates.
-	appliedIDs  map[string]uint64
+	// sessions is the dedup table, a function of the committed batches
+	// alone: snapshots carry it and recovery replays the journal through
+	// applyOne, so every replica, crashed or not, skips the same duplicates.
+	sessions    Sessions
 	deduped     int // duplicate batches skipped (idempotent resubmission)
 	redelivered int // already-applied entries re-delivered by raft after restart
-
-	// dedupWM is the acknowledged low-water mark: every ID first applied at
-	// an index <= dedupWM has been acknowledged to its client, so no further
-	// committed occurrence of it can exist and its dedup entry can go.
-	// Pruning waits until lastApplied >= dedupWM — a duplicate occurrence
-	// can commit anywhere up to the watermark.
-	dedupWM    uint64
-	dedupDirty bool
 
 	// snapEvery, when positive, takes a snapshot each time that many raft
 	// entries have been applied since the last one; snapDir is where the
@@ -94,12 +85,53 @@ type Replica struct {
 	join     func() // waits for the apply loop to return; nil before Start
 }
 
+// Session is one client session's part of the dedup table.
+type Session struct {
+	// Low is the highest Low of the session's executed batches: every Seq
+	// below it has finished, and a batch carrying one is skipped.
+	Low uint64
+	// Applied maps each executed Seq at or above Low to its raft index.
+	Applied map[uint64]uint64
+}
+
+// Sessions is the dedup table: client sessions by ID.
+type Sessions map[string]Session
+
+// done reports whether b is a duplicate: its session has executed b's Seq,
+// or b's Seq is below the session's Low. A batch without a session never is.
+func (s Sessions) done(b sequencer.Batch) bool {
+	ss := s[b.ID]
+	_, ok := ss.Applied[b.Seq]
+	return b.ID != "" && (ok || b.Seq < ss.Low)
+}
+
+// record notes that b executed at index, then drops the Seqs below b's Low.
+func (s Sessions) record(b sequencer.Batch, index uint64) {
+	if b.ID == "" {
+		return
+	}
+	ss := s[b.ID]
+	if ss.Applied == nil {
+		ss.Applied = map[uint64]uint64{}
+	}
+	ss.Applied[b.Seq] = index
+	if b.Low > ss.Low {
+		ss.Low = b.Low
+		for seq := range ss.Applied {
+			if seq < ss.Low {
+				delete(ss.Applied, seq)
+			}
+		}
+	}
+	s[b.ID] = ss
+}
+
 // New returns a replica applying batches through exec to st.
 func New(id string, exec engine.Executor, st *store.Store) *Replica {
 	return &Replica{
 		ID: id, exec: exec, st: st, clk: vclock.Wall,
-		appliedIDs: map[string]uint64{},
-		stopCh:     make(chan struct{}),
+		sessions: Sessions{},
+		stopCh:   make(chan struct{}),
 	}
 }
 
@@ -167,17 +199,15 @@ func (r *Replica) applyOne(c raft.Committed) error {
 		r.mu.Unlock()
 		return nil
 	}
-	if b.ID != "" {
-		if _, dup := r.appliedIDs[b.ID]; dup {
-			// A resubmitted batch committed twice (ambiguous leader change
-			// mid-submit): execute the first occurrence only. Recovery
-			// replays the journal through here and skips it again.
-			r.deduped++
-			r.lastApplied = c.Index
-			r.pruneDedupLocked()
-			r.mu.Unlock()
-			return r.hint(c.Index)
-		}
+	if r.sessions.done(b) {
+		// A resubmitted batch committed twice (ambiguous leader change
+		// mid-submit), or one its session had given up on: execute the first
+		// occurrence only. Recovery replays the journal through here and
+		// skips it again.
+		r.deduped++
+		r.lastApplied = c.Index
+		r.mu.Unlock()
+		return r.hint(c.Index)
 	}
 	r.mu.Unlock()
 	res, err := r.exec.ExecuteBatch(b.Requests)
@@ -185,15 +215,16 @@ func (r *Replica) applyOne(c raft.Committed) error {
 		return fmt.Errorf("replica %s: apply batch %d: %w", r.ID, c.Index, err)
 	}
 	if r.onApply != nil {
-		r.onApply(c.Index, b.ID, b.Requests, res)
+		name := ""
+		if b.ID != "" {
+			name = b.ID + "-" + strconv.FormatUint(b.Seq, 10)
+		}
+		r.onApply(c.Index, name, b.Requests, res)
 	}
 	r.mu.Lock()
 	r.lastApplied = c.Index
 	r.batches++
-	if b.ID != "" {
-		r.appliedIDs[b.ID] = c.Index
-	}
-	r.pruneDedupLocked()
+	r.sessions.record(b, c.Index)
 	if r.snapEvery > 0 && r.lastApplied >= r.lastSnap+r.snapEvery {
 		err = r.snapshotLocked()
 	}
@@ -223,29 +254,19 @@ func (r *Replica) hint(index uint64) error {
 // holding its lock, so calling back into it synchronously from the apply
 // loop could deadlock on a full apply channel.
 func (r *Replica) snapshotLocked() error {
-	snap := &StoreSnapshot{
-		Index:      r.lastApplied,
-		Batches:    r.batches,
-		Watermark:  r.dedupWM,
-		AppliedIDs: make(map[string]uint64, len(r.appliedIDs)),
-	}
-	for id, idx := range r.appliedIDs {
-		snap.AppliedIDs[id] = idx
-	}
-	snap.Pairs = CaptureStore(r.st)
-	encoded, err := EncodeSnapshot(snap)
+	encoded, err := r.encodeLocked()
 	if err != nil {
 		return err
 	}
+	idx := r.lastApplied
 	if r.snapDir != "" {
-		if err := WriteSnapshotFile(r.snapDir, snap.Index, encoded); err != nil {
+		if err := WriteSnapshotFile(r.snapDir, idx, encoded); err != nil {
 			return err
 		}
 	}
-	r.lastSnap = snap.Index
+	r.lastSnap = idx
 	r.snapTaken++
 	if compact := r.compact; compact != nil {
-		idx := snap.Index
 		// On a simulated clock this spawns a (short-lived) actor, so
 		// compaction timing — which decides whether a lagging follower is
 		// caught up by entry replay or a snapshot install — replays from the
@@ -253,6 +274,11 @@ func (r *Replica) snapshotLocked() error {
 		vclock.Go(r.clk, "compact:"+r.ID, func() { _ = compact(idx, encoded) })
 	}
 	return nil
+}
+
+// encodeLocked encodes the replica's snapshot at its apply position.
+func (r *Replica) encodeLocked() ([]byte, error) {
+	return EncodeSnapshot(&StoreSnapshot{Index: r.lastApplied, Batches: r.batches, Sessions: r.sessions, Pairs: CaptureStore(r.st)})
 }
 
 // installSnapshot restores the store from a leader-shipped snapshot — the
@@ -289,46 +315,16 @@ func (r *Replica) restore(snap *StoreSnapshot) {
 	r.lastApplied = snap.Index
 	r.lastSnap = snap.Index
 	r.batches = snap.Batches
-	r.appliedIDs = make(map[string]uint64, len(snap.AppliedIDs))
-	maps.Copy(r.appliedIDs, snap.AppliedIDs)
-	if snap.Watermark > r.dedupWM {
-		r.dedupWM = snap.Watermark
-	}
+	r.sessions = snap.Sessions
 }
 
-// SetDedupWatermark raises the acknowledged low-water mark: the caller
-// asserts that every batch ID first applied at an index <= wm has been
-// acknowledged to its client, so no further committed occurrence of it can
-// appear and its dedup entry may be dropped once this replica has applied
-// through wm.
-func (r *Replica) SetDedupWatermark(wm uint64) {
+// appliedSeq reports whether this replica has executed batch seq of session
+// id. An entry is dropped only once a later batch's Low passes seq, which
+// cannot happen while seq's submit is still running.
+func (r *Replica) appliedSeq(id string, seq uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if wm > r.dedupWM {
-		r.dedupWM = wm
-		r.dedupDirty = true
-	}
-	r.pruneDedupLocked()
-}
-
-func (r *Replica) pruneDedupLocked() {
-	if !r.dedupDirty || r.lastApplied < r.dedupWM {
-		return
-	}
-	for id, idx := range r.appliedIDs {
-		if idx <= r.dedupWM {
-			delete(r.appliedIDs, id)
-		}
-	}
-	r.dedupDirty = false
-}
-
-// AppliedID reports whether a batch with the given idempotency ID has been
-// applied by this replica (and not yet pruned past the dedup watermark).
-func (r *Replica) AppliedID(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.appliedIDs[id]
+	_, ok := r.sessions[id].Applied[seq]
 	return ok
 }
 
@@ -365,19 +361,25 @@ func (r *Replica) Redelivered() int {
 	return r.redelivered
 }
 
-// DedupSize returns the number of live entries in the dedup table — bounded
-// by watermark pruning, not by deployment lifetime.
+// DedupSize returns the number of executed batches the dedup table still
+// remembers: per session, those at or above its Low, which is bounded by the
+// session's concurrent submits, not by deployment lifetime.
 func (r *Replica) DedupSize() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.appliedIDs)
+	n := 0
+	for _, s := range r.sessions {
+		n += len(s.Applied)
+	}
+	return n
 }
 
-// DedupWatermark returns the acknowledged low-water mark.
-func (r *Replica) DedupWatermark() uint64 {
+// DedupTable returns the dedup table as a snapshot encodes it: replicas
+// that have applied the same prefix of the log return the same bytes.
+func (r *Replica) DedupTable() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dedupWM
+	return r.sessions.append(nil)
 }
 
 // Snapshots returns how many snapshots this replica captured itself.

@@ -34,12 +34,12 @@ type Cluster struct {
 	// cluster's network faults, and its Stats count the traffic.
 	Net *memnet.Network
 
-	cfg      ClusterConfig
-	clk      vclock.Clock
-	ids      []string
-	dataDir  string
-	idPrefix string            // boot nonce making batch IDs unique across cluster lifetimes
-	tcpDir   *tcpnet.Directory // TCP only
+	cfg     ClusterConfig
+	clk     vclock.Clock
+	ids     []string
+	dataDir string
+	session string            // boot nonce: the session every batch of this cluster belongs to
+	tcpDir  *tcpnet.Directory // TCP only
 
 	flow *flowctl.Controller
 
@@ -59,16 +59,9 @@ type Cluster struct {
 	down        []bool
 	generations []int
 	recoveries  []RecoveryReport
-	batchSeq    uint64
-	applyDelays []time.Duration // reapplied on Restart (slow-apply fault)
-
-	// floors tracks, per in-flight or abandoned batch ID, the leader commit
-	// index observed just before its FIRST proposal. By leader completeness
-	// every committed occurrence of that ID sits at an index above its floor,
-	// so min(floors) bounds how far the dedup watermark may advance while
-	// submissions run concurrently (see ackCommit).
-	floorMu sync.Mutex
-	floors  map[string]*submitFloor
+	applyDelays []time.Duration     // reapplied on Restart (slow-apply fault)
+	batchSeq    uint64              // the session's last Seq
+	running     map[uint64]struct{} // the Seqs whose SubmitBatch has not returned
 
 	errMu sync.Mutex
 	err   error
@@ -130,7 +123,8 @@ type ClusterConfig struct {
 	Clock vclock.Clock
 	// OnApply, when non-nil, observes every non-duplicate batch application
 	// on every replica (the history recorder's tap): replica ID, raft index,
-	// batch idempotency ID, the ordered requests and their outcomes.
+	// batch name ("<session>-<seq>", empty for a batch without a session),
+	// the ordered requests and their outcomes.
 	OnApply func(replicaID string, index uint64, batchID string, reqs []engine.Request, res *engine.BatchResult)
 }
 
@@ -163,12 +157,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		clk:     clk,
 		dataDir: cfg.DataDir,
 		// The boot nonce comes from the injected clock: under simulation the
-		// virtual epoch is fixed, so batch IDs — and everything derived from
-		// them — are identical across same-seed runs.
-		idPrefix: fmt.Sprintf("%x", clk.Now().UnixNano()),
+		// virtual epoch is fixed, so batch sessions — and everything derived
+		// from them — are identical across same-seed runs.
+		session:  fmt.Sprintf("%x", clk.Now().UnixNano()),
 		flow:     flowctl.NewController(cfg.Flow),
 		progress: vclock.NewSignal(clk),
-		floors:   map[string]*submitFloor{},
+		running:  map[uint64]struct{}{},
 	}
 	n := cfg.Replicas
 	c.ids = make([]string, n)

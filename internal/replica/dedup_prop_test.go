@@ -1,9 +1,10 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
-	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,138 +41,211 @@ func (e *countingExec) count(tx string) int {
 	return e.counts[tx]
 }
 
-// dedupSchedule is one randomized committed sequence: every batch ID appears
-// at 1-3 distinct raft indices (the first occurrence is the real commit, the
-// rest are ambiguous resubmissions that also committed).
-type dedupSchedule struct {
-	events []string // events[i] = batch ID committed at raft index i+1
-	first  map[string]uint64
-	last   map[string]uint64
+// sessionRun is one committed log played out by the clients of two
+// sessions, each with up to three concurrent submits, as Cluster.SubmitBatch
+// runs them: a submit takes the next Seq of its session, proposes it any
+// number of times with Low the lowest Seq of its session's running submits,
+// and returns either after a proposal committed or on giving up. A proposal
+// commits in any order with the others or is lost, and a session-less batch
+// now and then commits between them. Every batch executes one transaction
+// named after its session and Seq.
+type sessionRun struct {
+	cmds [][]byte // the committed log, index i+1 at cmds[i]
+	// once are the transactions whose first occurrence committed while
+	// their submit was running: each must execute exactly once. Every other
+	// transaction in the log (abandoned submits) executes at most once.
+	once map[string]bool
+	all  map[string]bool
 }
 
-func genSchedule(rng *rand.Rand) dedupSchedule {
-	n := 5 + rng.Intn(20)
-	var events []string
-	for k := 0; k < n; k++ {
-		id := fmt.Sprintf("batch-%d", k)
-		for o := 0; o < 1+rng.Intn(3); o++ {
-			events = append(events, id)
+// genSessionRun plays steps random steps, each choice drawn from pick(n),
+// which returns a number in [0, n).
+func genSessionRun(t testing.TB, steps int, pick func(n int) int) sessionRun {
+	type proposal struct {
+		id       string
+		seq, low uint64
+	}
+	run := sessionRun{once: map[string]bool{}, all: map[string]bool{}}
+	ids := []string{"s0", "s1"}
+	last := map[string]uint64{}
+	running := map[string][]uint64{}
+	var pending []proposal
+	name := func(id string, seq uint64) string { return fmt.Sprintf("%s/%d", id, seq) }
+	commit := func(b sequencer.Batch) {
+		cmd, err := sequencer.EncodeBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.cmds = append(run.cmds, cmd)
+		run.all[b.Requests[0].TxName] = true
+	}
+	for step := 0; step < steps; step++ {
+		id := ids[pick(len(ids))]
+		switch pick(6) {
+		case 0: // a submit starts
+			if len(running[id]) < 3 {
+				last[id]++
+				running[id] = append(running[id], last[id])
+			}
+		case 1: // a running submit proposes
+			if r := running[id]; len(r) > 0 {
+				pending = append(pending, proposal{id, r[pick(len(r))], slices.Min(r)})
+			}
+		case 2, 3: // a proposal commits
+			if len(pending) == 0 {
+				continue
+			}
+			i := pick(len(pending))
+			p := pending[i]
+			pending = slices.Delete(pending, i, i+1)
+			tx := name(p.id, p.seq)
+			if slices.Contains(running[p.id], p.seq) && !run.all[tx] {
+				run.once[tx] = true
+			}
+			commit(sequencer.Batch{ID: p.id, Seq: p.seq, Low: p.low, Requests: []engine.Request{{TxName: tx}}})
+		case 4: // a submit returns: acknowledged or given up on
+			if r := running[id]; len(r) > 0 {
+				i := pick(len(r))
+				running[id] = slices.Delete(r, i, i+1)
+			}
+		case 5: // a proposal is lost, or a batch without a session commits
+			if len(pending) > 0 && pick(2) == 0 {
+				i := pick(len(pending))
+				pending = slices.Delete(pending, i, i+1)
+			} else {
+				tx := fmt.Sprintf("free/%d", len(run.cmds))
+				run.once[tx] = true
+				commit(sequencer.Batch{Requests: []engine.Request{{TxName: tx}}})
+			}
 		}
 	}
-	rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
-	s := dedupSchedule{events: events, first: map[string]uint64{}, last: map[string]uint64{}}
-	for i, id := range events {
-		idx := uint64(i + 1)
-		if _, ok := s.first[id]; !ok {
-			s.first[id] = idx
-		}
-		s.last[id] = idx
-	}
-	return s
+	return run
 }
 
-// safeWatermark reports whether wm is a valid acknowledgment point: no ID
-// acknowledged at or below wm may still have a committed duplicate above it.
-// (The cluster guarantees this by acking at the leader's commit index under
-// serial submission; the property test enumerates the same invariant.)
-func (s dedupSchedule) safeWatermark(wm uint64) bool {
-	for id, f := range s.first {
-		if f <= wm && s.last[id] > wm {
-			return false
+// applyLog feeds entries from through to (raft indices) to r.
+func applyLog(t testing.TB, r *Replica, cmds [][]byte, from, to int) {
+	t.Helper()
+	for idx := from; idx <= to; idx++ {
+		if err := r.applyOne(raft.Committed{Index: uint64(idx), Term: 1, Cmd: cmds[idx-1]}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return true
 }
 
-// liveAbove counts distinct IDs first applied above wm among indices <= upto —
-// exactly the entries the dedup table must still hold after pruning at wm.
-func (s dedupSchedule) liveAbove(wm, upto uint64) int {
-	n := 0
-	for _, f := range s.first {
-		if f > wm && f <= upto {
-			n++
+// checkSessionRun applies run's log to three replicas: one fed the whole
+// log, one recovered from a journal whose applied hint stops at mid and then
+// fed the rest, and one restored from the first's snapshot at snap and then
+// fed the rest. All three must end with byte-identical snapshots, and the
+// first two must execute each transaction as run allows.
+func checkSessionRun(t testing.TB, run sessionRun, mid, snap int) {
+	t.Helper()
+	n := len(run.cmds)
+	exec := newCountingExec()
+	live := New("live", exec, store.New())
+	applyLog(t, live, run.cmds, 1, snap)
+	taken := live.snapshotBytes(t)
+	applyLog(t, live, run.cmds, snap+1, n)
+
+	dir := t.TempDir()
+	fs, err := raft.OpenFileStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]raft.Entry, n)
+	for i, cmd := range run.cmds {
+		entries[i] = raft.Entry{Term: 1, Cmd: cmd}
+	}
+	if n > 0 {
+		err = fs.Append(1, entries)
+	}
+	if err == nil {
+		err = fs.SaveApplied(uint64(mid))
+	}
+	if err == nil {
+		err = fs.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rexec := newCountingExec()
+	recovered := New("recovered", rexec, store.New())
+	if _, err := recovered.recover(dir, ""); err != nil {
+		t.Fatal(err)
+	}
+	applyLog(t, recovered, run.cmds, mid+1, n)
+
+	decoded, err := DecodeSnapshot(taken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New("restored", newCountingExec(), store.New())
+	restored.restore(decoded)
+	applyLog(t, restored, run.cmds, snap+1, n)
+
+	want := live.snapshotBytes(t)
+	for _, r := range []*Replica{recovered, restored} {
+		if got := r.snapshotBytes(t); !bytes.Equal(got, want) {
+			t.Fatalf("%s replica (journal hint %d, snapshot %d) ends with snapshot\n%x\nthe live replica with\n%x", r.ID, mid, snap, got, want)
 		}
 	}
-	return n
+	for tx := range run.all {
+		for _, e := range []*countingExec{exec, rexec} {
+			if got := e.count(tx); got > 1 || (run.once[tx] && got != 1) {
+				t.Fatalf("%s executed %d times (in flight when it committed: %v)", tx, got, run.once[tx])
+			}
+		}
+	}
+	if got, want := live.Batches()+live.Deduped(), n; got != want {
+		t.Fatalf("%d executed + %d deduplicated of %d batches", live.Batches(), live.Deduped(), n)
+	}
 }
 
-// TestDedupExactlyOnceProperty is the randomized property test for batch-ID
-// deduplication: across random interleavings of duplicate SubmitBatch
-// re-proposals, every batch executes exactly once, the watermark only moves
-// forward, and watermark pruning keeps the dedup table at exactly the set of
-// unacknowledged IDs (zero once everything is acknowledged).
+// TestDedupExactlyOnceProperty is the randomized property test for session
+// deduplication: over random committed logs of concurrent submitters, with
+// duplicates, Seqs out of order and abandoned submits, every batch whose
+// submit was running when it committed executes exactly once and every
+// other at most once; and a replica that recovered mid-way through journal
+// replay and one restored from a snapshot end with the same snapshot, dedup
+// table included, as a replica fed the whole log.
 func TestDedupExactlyOnceProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			s := genSchedule(rng)
-			exec := newCountingExec()
-			r := New("prop", exec, store.New())
-
-			lastWM := uint64(0)
-			for i, id := range s.events {
-				idx := uint64(i + 1)
-				data, err := sequencer.EncodeBatchID(id, []engine.Request{{TxName: id}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.applyOne(raft.Committed{Index: idx, Term: 1, Cmd: data}); err != nil {
-					t.Fatal(err)
-				}
-				// At random safe points, acknowledge through idx — exactly
-				// what ackWatermark does at the leader's commit index.
-				if rng.Intn(3) == 0 && s.safeWatermark(idx) {
-					r.SetDedupWatermark(idx)
-					wm := r.DedupWatermark()
-					if wm < lastWM {
-						t.Fatalf("watermark moved backward: %d -> %d", lastWM, wm)
-					}
-					lastWM = wm
-					if got, want := r.DedupSize(), s.liveAbove(wm, idx); got != want {
-						t.Fatalf("after ack at %d: dedup table has %d entries, want %d", idx, got, want)
-					}
-				}
-			}
-
-			// Exactly-once: every ID executed once regardless of duplicates.
-			for id := range s.first {
-				if got := exec.count(id); got != 1 {
-					t.Fatalf("batch %s executed %d times, want exactly 1", id, got)
-				}
-			}
-			if got, want := r.Deduped(), len(s.events)-len(s.first); got != want {
-				t.Fatalf("deduped = %d, want %d (duplicate occurrences)", got, want)
-			}
-
-			// A stale watermark must not move the mark backward.
-			r.SetDedupWatermark(lastWM / 2)
-			if r.DedupWatermark() != lastWM {
-				t.Fatalf("stale watermark lowered the mark to %d", r.DedupWatermark())
-			}
-
-			// Final acknowledgment empties the table: dedup memory is bounded
-			// by the ack horizon, not by deployment lifetime.
-			final := uint64(len(s.events))
-			r.SetDedupWatermark(final)
-			if r.DedupWatermark() != final {
-				t.Fatalf("final watermark = %d, want %d", r.DedupWatermark(), final)
-			}
-			if r.DedupSize() != 0 {
-				t.Fatalf("dedup table holds %d entries after full acknowledgment", r.DedupSize())
-			}
+			run := genSessionRun(t, 40+rng.Intn(160), rng.Intn)
+			n := len(run.cmds)
+			checkSessionRun(t, run, rng.Intn(n+1), rng.Intn(n+1))
 		})
 	}
 }
 
+// FuzzDedupSessions is TestDedupExactlyOnceProperty with the schedule, the
+// journal hint and the snapshot index drawn from the fuzzer's bytes.
+func FuzzDedupSessions(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 4, 0, 1, 0, 2, 0})
+	f.Add([]byte("\x00\x00\x00\x00\x01\x00\x01\x01\x02\x00\x03\x00\x04\x00\x01\x00\x02\x01\x05\x01"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pick := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0]) % n
+			data = data[1:]
+			return v
+		}
+		run := genSessionRun(t, len(data)/2, pick)
+		n := len(run.cmds)
+		checkSessionRun(t, run, pick(n+1), pick(n+1))
+	})
+}
+
 // TestDedupReplayFromJournal: a journal holds every committed occurrence of
-// a batch ID, duplicates included, unlike a log of executed batches. Replaying
-// it must execute each ID once and rebuild the live replica's Batches,
-// Deduped and dedup table, for random duplicate schedules.
+// a batch, duplicates included, unlike a log of executed batches. Replaying
+// it must execute each batch at most once and rebuild the live replica's
+// Batches, Deduped and dedup table, for random session schedules.
 func TestDedupReplayFromJournal(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s := genSchedule(rand.New(rand.NewSource(seed)))
+			run := genSessionRun(t, 120, rand.New(rand.NewSource(seed)).Intn)
 			dir := t.TempDir()
 			fs, err := raft.OpenFileStorage(dir)
 			if err != nil {
@@ -179,16 +253,12 @@ func TestDedupReplayFromJournal(t *testing.T) {
 			}
 			live := New("live", newCountingExec(), store.New())
 			live.journal = fs
-			for i, id := range s.events {
+			for i, cmd := range run.cmds {
 				idx := uint64(i + 1)
-				data, err := sequencer.EncodeBatchID(id, []engine.Request{{TxName: id}})
-				if err != nil {
+				if err := fs.Append(idx, []raft.Entry{{Term: 1, Cmd: cmd}}); err != nil {
 					t.Fatal(err)
 				}
-				if err := fs.Append(idx, []raft.Entry{{Term: 1, Cmd: data}}); err != nil {
-					t.Fatal(err)
-				}
-				if err := live.applyOne(raft.Committed{Index: idx, Term: 1, Cmd: data}); err != nil {
+				if err := live.applyOne(raft.Committed{Index: idx, Term: 1, Cmd: cmd}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -202,17 +272,17 @@ func TestDedupReplayFromJournal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id := range s.first {
-				if got := exec.count(id); got != 1 {
-					t.Fatalf("replay executed %s %d times, want 1", id, got)
+			for tx := range run.all {
+				if got := exec.count(tx); got > 1 || (run.once[tx] && got != 1) {
+					t.Fatalf("replay executed %s %d times", tx, got)
 				}
 			}
-			if rep.Batches != live.Batches() || r.Deduped() != live.Deduped() || rep.LastIndex != uint64(len(s.events)) {
+			if rep.Batches != live.Batches() || r.Deduped() != live.Deduped() || rep.LastIndex != uint64(len(run.cmds)) {
 				t.Fatalf("recovered %d batches (%d deduped) through %d, live %d (%d) through %d",
-					rep.Batches, r.Deduped(), rep.LastIndex, live.Batches(), live.Deduped(), len(s.events))
+					rep.Batches, r.Deduped(), rep.LastIndex, live.Batches(), live.Deduped(), len(run.cmds))
 			}
-			if !maps.Equal(rep.AppliedIDs, live.appliedIDs) {
-				t.Fatalf("recovered dedup table %v, live %v", rep.AppliedIDs, live.appliedIDs)
+			if got, want := r.DedupTable(), live.DedupTable(); !bytes.Equal(got, want) {
+				t.Fatalf("recovered dedup table %x, live %x", got, want)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"testing"
 	"time"
 
 	"prognosticator/internal/flowctl"
@@ -25,4 +26,16 @@ func (c *Cluster) WaitSnapshot(i int, minIndex uint64, within time.Duration) err
 				c.ids[i], minIndex, within, c.node(i).SnapshotIndex(), err)
 		}
 	}
+}
+
+// snapshotBytes returns the snapshot r would take at its apply position.
+func (r *Replica) snapshotBytes(t testing.TB) []byte {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b, err := r.encodeLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -2,7 +2,6 @@ package replica
 
 import (
 	"fmt"
-	"maps"
 
 	"prognosticator/internal/engine"
 	"prognosticator/internal/raft"
@@ -24,10 +23,6 @@ type RecoveryReport struct {
 	// were replayed.
 	FromSnapshot  bool
 	SnapshotIndex uint64
-	// Watermark is the recovered dedup low-water mark.
-	Watermark uint64
-	// AppliedIDs maps recovered batch idempotency IDs to their raft index.
-	AppliedIDs map[string]uint64
 	// Journal describes the journal scan: whether a torn or corrupted tail
 	// followed the last intact record, and how many bytes it held. Raft's
 	// storage truncates it when it opens the journal.
@@ -80,7 +75,6 @@ func (r *Replica) recover(dir, snapDir string) (RecoveryReport, error) {
 			return rep, fmt.Errorf("replica: recover: %w", err)
 		}
 	}
-	rep.Batches, rep.LastIndex, rep.Watermark = r.batches, r.lastApplied, r.dedupWM
-	rep.AppliedIDs = maps.Clone(r.appliedIDs)
+	rep.Batches, rep.LastIndex = r.batches, r.lastApplied
 	return rep, nil
 }

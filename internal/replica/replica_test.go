@@ -321,15 +321,16 @@ func TestApplyDeduplicatesBatchID(t *testing.T) {
 	}
 
 	st2 := store.New()
-	rec, err := RecoverWithSnapshot(dir, "", engine.New(testRegistry(t), st2, engine.Config{Workers: 2}), st2)
+	r2 := New("recovery", engine.New(testRegistry(t), st2, engine.Config{Workers: 2}), st2)
+	rec, err := r2.recover(dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Batches != 1 || rec.LastIndex != 2 {
 		t.Fatalf("recovered %d batches through %d, want 1 through 2", rec.Batches, rec.LastIndex)
 	}
-	if idx, ok := rec.AppliedIDs["batch-A"]; !ok || idx != 1 {
-		t.Fatalf("dedup table not rebuilt: %v", rec.AppliedIDs)
+	if idx, ok := r2.sessions["batch-A"].Applied[0]; !ok || idx != 1 {
+		t.Fatalf("dedup table not rebuilt: %v", r2.sessions)
 	}
 	if got := st2.StateHash(st2.Epoch()); got != hashes[0] {
 		t.Fatalf("recovered state %x != original %x", got, hashes[0])
@@ -511,9 +512,9 @@ func TestClusterSurvivesLeaderCrash(t *testing.T) {
 		}
 		if leaderIdx >= 0 {
 			var err error
-			idx, err = sequencer.Propose(c.NodeAt(leaderIdx), "", []engine.Request{
+			idx, err = sequencer.Propose(c.NodeAt(leaderIdx), sequencer.Batch{Requests: []engine.Request{
 				{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(3), "amt": value.Int(7)}},
-			})
+			}})
 			if err == nil {
 				break
 			}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,22 +17,20 @@ import (
 
 // StoreSnapshot is the application-level snapshot a replica takes of its
 // store: the full live state at a raft index, plus the apply-side metadata
-// needed to resume exactly where the snapshot was taken. The same encoded
-// form serves three purposes — it is written to the replica's data dir
-// (crash recovery), handed to raft.Compact as the compaction payload, and
-// shipped verbatim inside InstallSnapshotChunk to far-behind followers.
+// needed to resume exactly where the snapshot was taken. Every field is a
+// function of the log prefix through Index, so every replica encodes the
+// snapshot at one index to the same bytes. The same encoded form serves
+// three purposes — it is written to the replica's data dir (crash
+// recovery), handed to raft.Compact as the compaction payload, and shipped
+// verbatim inside InstallSnapshotChunk to far-behind followers.
 type StoreSnapshot struct {
 	// Index is the raft index of the last batch reflected in Pairs.
 	Index uint64
 	// Batches is the replica's batch count at capture.
 	Batches int
-	// Watermark is the dedup low-water mark at capture: IDs first applied
-	// at indices <= Watermark have been acknowledged and pruned.
-	Watermark uint64
-	// AppliedIDs are the surviving (unpruned) dedup entries.
-	AppliedIDs map[string]uint64
-	// Pairs is the live state, sorted by key so the encoding — and hence
-	// the bytes raft replicates — is identical on every replica.
+	// Sessions is the dedup table at capture.
+	Sessions Sessions
+	// Pairs is the live state, sorted by key when encoded.
 	Pairs []SnapPair
 }
 
@@ -48,41 +47,37 @@ var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 // snapshot files are detected, not half-restored.
 const snapHeader = 8
 
-// snapFormat is the first payload byte of a snapshot. A payload written as
-// JSON, before the binary encoding existed, begins with '{' and is refused as
-// an unknown format.
-const snapFormat = 0x01
+// snapFormat is the first payload byte of a snapshot. snapFormatV1, a
+// payload written before sessions, is still read: its dedup watermark is
+// dropped and each batch ID it remembers becomes a session whose Seq 0
+// executed, as a batch of that format decodes. A payload written as JSON,
+// before the binary encoding existed, begins with '{' and is refused as an
+// unknown format.
+const (
+	snapFormatV1 = 0x01
+	snapFormat   = 0x02
+)
 
 // EncodeSnapshot serializes s with a CRC frame. Pairs are sorted in place.
 // The payload is
 //
-//	snapFormat | Index | Batches | Watermark | ID count | (ID | index)... |
-//	pair count | (key | value)...
+//	snapFormat | Index | Batches | sessions | pair count | (key | value)...
+//	sessions = session count | (ID | Low | entry count | (Seq | index)...)...
 //
 // in the binary encoding of internal/value (unsigned integers and counts as
 // uvarints, Batches as a zigzag varint, strings length-prefixed, values as
-// value.AppendBinary writes them), IDs and keys in ascending order, so every
-// replica encodes the same state to the same bytes. Two pairs with one key
-// are an error. A value is written however deep it nests, since a snapshot
-// that refused a row the engine stored would stop every apply loop at the
-// same index.
+// value.AppendBinary writes them), session IDs, Seqs and keys in ascending
+// order, so every replica encodes the same state to the same bytes. Two
+// pairs with one key are an error. A value is written however deep it
+// nests, since a snapshot that refused a row the engine stored would stop
+// every apply loop at the same index.
 func EncodeSnapshot(s *StoreSnapshot) ([]byte, error) {
 	sort.Slice(s.Pairs, func(i, j int) bool { return s.Pairs[i].Key < s.Pairs[j].Key })
-	ids := make([]string, 0, len(s.AppliedIDs))
-	for id := range s.AppliedIDs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	b := make([]byte, snapHeader, snapHeader+64+32*len(s.Pairs))
 	b = append(b, snapFormat)
 	b = binary.AppendUvarint(b, s.Index)
 	b = binary.AppendVarint(b, int64(s.Batches))
-	b = binary.AppendUvarint(b, s.Watermark)
-	b = binary.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = value.AppendBytes(b, id)
-		b = binary.AppendUvarint(b, s.AppliedIDs[id])
-	}
+	b = s.Sessions.append(b)
 	b = binary.AppendUvarint(b, uint64(len(s.Pairs)))
 	for i, p := range s.Pairs {
 		if i > 0 && p.Key == s.Pairs[i-1].Key {
@@ -112,24 +107,16 @@ func DecodeSnapshot(data []byte) (*StoreSnapshot, error) {
 	}
 	var s StoreSnapshot
 	r := value.NewReader(payload)
-	if f := r.Byte(); f != snapFormat {
+	f := r.Byte()
+	if f != snapFormat && f != snapFormatV1 {
 		r.Fail("snapshot format %#x", f)
 	}
 	s.Index = r.Uvarint()
 	s.Batches = int(r.Varint())
-	s.Watermark = r.Uvarint()
-	if n := r.Count(2); n > 0 { // an ID length and an index each
-		s.AppliedIDs = make(map[string]uint64, n)
-		prev := ""
-		for i := 0; i < n; i++ {
-			id := r.Str()
-			if i > 0 && id <= prev {
-				r.Fail("batch ID %q after %q", id, prev)
-			}
-			s.AppliedIDs[id] = r.Uvarint()
-			prev = id
-		}
+	if f == snapFormatV1 {
+		r.Uvarint() // the dedup watermark, which sessions replace
 	}
+	s.Sessions = readSessions(&r, f)
 	if n := r.Count(2); n > 0 { // a key length and a tag each
 		s.Pairs = make([]SnapPair, n)
 		for i := range s.Pairs {
@@ -146,6 +133,69 @@ func DecodeSnapshot(data []byte) (*StoreSnapshot, error) {
 		return nil, fmt.Errorf("replica: decode snapshot: %w", err)
 	}
 	return &s, nil
+}
+
+// append writes the table as a snapshot payload holds it.
+func (s Sessions) append(b []byte) []byte {
+	ids := make([]string, 0, len(s))
+	for id := range s {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	b = binary.AppendUvarint(b, uint64(len(ids)))
+	var seqs []uint64
+	for _, id := range ids {
+		ss := s[id]
+		b = value.AppendBytes(b, id)
+		b = binary.AppendUvarint(b, ss.Low)
+		seqs = seqs[:0]
+		for seq := range ss.Applied {
+			seqs = append(seqs, seq)
+		}
+		slices.Sort(seqs)
+		b = binary.AppendUvarint(b, uint64(len(seqs)))
+		for _, seq := range seqs {
+			b = binary.AppendUvarint(b, seq)
+			b = binary.AppendUvarint(b, ss.Applied[seq])
+		}
+	}
+	return b
+}
+
+// readSessions reads the dedup table of a payload in format f: what
+// Sessions.append writes, or in the first format (ID | index) pairs, each
+// an executed batch, read as Seq 0 of session ID.
+func readSessions(r *value.Reader, f byte) Sessions {
+	each := 3 // an ID length, a Low and an entry count
+	if f == snapFormatV1 {
+		each = 2 // an ID length and an index
+	}
+	n := r.Count(each)
+	s := make(Sessions, n)
+	prev := ""
+	for i := 0; i < n; i++ {
+		id := r.Str()
+		if i > 0 && id <= prev {
+			r.Fail("session %q after %q", id, prev)
+		}
+		prev = id
+		if f == snapFormatV1 {
+			s[id] = Session{Applied: map[uint64]uint64{0: r.Uvarint()}}
+			continue
+		}
+		ss := Session{Low: r.Uvarint(), Applied: map[uint64]uint64{}}
+		last := uint64(0)
+		for j, m := 0, r.Count(2); j < m; j++ { // a Seq and an index each
+			seq := r.Uvarint()
+			if seq < ss.Low || (j > 0 && seq <= last) {
+				r.Fail("session %q seq %d after %d (low %d)", id, seq, last, ss.Low)
+			}
+			ss.Applied[seq] = r.Uvarint()
+			last = seq
+		}
+		s[id] = ss
+	}
+	return s
 }
 
 // CaptureStore flattens the store's live state at its current epoch into

@@ -10,6 +10,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -29,15 +30,18 @@ import (
 // strings that need JSON and key escaping, and a key deleted before the
 // capture. The file must load and restore to the state hash that commit
 // printed. Its payload was JSON, written before snapshots were binary; the
-// file now holds the binary re-encoding that commit da95f24 made of it,
-// which a capture of the restored store must reproduce byte for byte.
+// file now holds the re-encoding that commit da95f24 made of it in the first
+// binary format, whose two batch IDs load as sessions. A capture of the
+// restored store is written in the current format, with sessions in place
+// of the IDs and the dedup watermark, so it is pinned by its own digest; it
+// must equal the re-encoding of what the file holds.
 func TestInstallsMapEraSnapshot(t *testing.T) {
 	dir := filepath.Join("testdata", "map_era_snapshot")
 	snap, err := LoadSnapshotFile(dir)
 	if err != nil || snap == nil {
 		t.Fatalf("LoadSnapshotFile = %v, %v", snap, err)
 	}
-	if snap.Index != 7 || snap.Batches != 3 || snap.Watermark != 2 || snap.AppliedIDs["b-7"] != 7 {
+	if snap.Index != 7 || snap.Batches != 3 || len(snap.Sessions) != 2 || snap.Sessions["b-7"].Applied[0] != 7 {
 		t.Fatalf("metadata = %+v", snap)
 	}
 	st := store.New()
@@ -56,16 +60,20 @@ func TestInstallsMapEraSnapshot(t *testing.T) {
 		t.Fatalf("escaped-key row = %v, %v", row, ok)
 	}
 
+	file, err := EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap.Pairs = CaptureStore(st)
 	enc, err := EncodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%x", sha256.Sum256(enc)), "a0bcaca0957c1736398b45e3c1ba7ce6f6d255f3d44b9192b8598f6529dab60b"; got != want {
-		t.Errorf("binary re-encoding has digest %s, pinned %s", got, want)
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(enc)), "577c0e3c2801d71affdbd116b0bf69b05028296b00b53e4582c6d112444d9683"; got != want {
+		t.Errorf("re-encoding has digest %s, pinned %s", got, want)
 	}
-	if file, err := os.ReadFile(filepath.Join(dir, snapName(7))); err != nil || !bytes.Equal(file, enc) {
-		t.Errorf("the capture does not reproduce the file (%v)", err)
+	if !bytes.Equal(file, enc) {
+		t.Error("the capture does not reproduce what the file holds")
 	}
 	again, err := DecodeSnapshot(enc)
 	if err != nil {
@@ -73,8 +81,8 @@ func TestInstallsMapEraSnapshot(t *testing.T) {
 	}
 	st2 := store.New()
 	RestoreStore(st2, again)
-	if got, want := st2.StateHash(st2.Epoch()), uint64(0x4cb366a31944c7d0); got != want || again.AppliedIDs["b-6"] != 6 {
-		t.Fatalf("binary re-encoding restores to %#x (IDs %v), want %#x", got, again.AppliedIDs, want)
+	if got, want := st2.StateHash(st2.Epoch()), uint64(0x4cb366a31944c7d0); got != want || again.Sessions["b-6"].Applied[0] != 6 {
+		t.Fatalf("re-encoding restores to %#x (sessions %v), want %#x", got, again.Sessions, want)
 	}
 }
 
@@ -246,16 +254,24 @@ func framed(payload []byte) []byte {
 }
 
 // TestSnapshotRejectsHostilePayload: payloads whose CRC frame is intact but
-// whose content the decoder must refuse, one per class.
+// whose content the decoder must refuse, one per class, in both formats.
 func TestSnapshotRejectsHostilePayload(t *testing.T) {
-	enc, err := EncodeSnapshot(&StoreSnapshot{Index: 3, Batches: 2, Watermark: 1,
-		AppliedIDs: map[string]uint64{"a": 1}, Pairs: []SnapPair{{Key: "k", Val: value.Int(5)}}})
+	sessions := Sessions{"a": {Low: 1, Applied: map[uint64]uint64{1: 1}}}
+	enc, err := EncodeSnapshot(&StoreSnapshot{Index: 3, Batches: 2, Sessions: sessions,
+		Pairs: []SnapPair{{Key: "k", Val: value.Int(5)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	valid := enc[snapHeader:]
-	if got := hex.EncodeToString(valid); got != "01"+"03"+"04"+"01"+"01"+"0161"+"01"+"01"+"016b"+"010a" {
+	if got := hex.EncodeToString(valid); got != "02"+"03"+"04"+"01"+"0161"+"01"+"01"+"0101"+"01"+"016b"+"010a" {
 		t.Fatalf("payload layout %s", got)
+	}
+	// The first format held batch IDs and a watermark: each ID loads as a
+	// session whose Seq 0 executed at the ID's index.
+	v1 := []byte{snapFormatV1, 3, 4, 1, 1, 1, 'a', 1, 1, 1, 'k', 1, 10}
+	if s, err := DecodeSnapshot(framed(v1)); err != nil || s.Index != 3 || s.Batches != 2 ||
+		!reflect.DeepEqual(s.Sessions, Sessions{"a": {Applied: map[uint64]uint64{0: 1}}}) || len(s.Pairs) != 1 {
+		t.Fatalf("first-format payload decoded to %+v, %v", s, err)
 	}
 	cases := []struct {
 		name    string
@@ -263,25 +279,30 @@ func TestSnapshotRejectsHostilePayload(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"truncated", valid[:len(valid)-1]},
-		{"unknown format", append([]byte{0x02}, valid[1:]...)},
+		{"unknown format", append([]byte{0x03}, valid[1:]...)},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
-		{"ID count past end", []byte{snapFormat, 3, 4, 1, 0x80, 0x80, 0x40, 1, 'a', 1}},
-		{"pair count past end", []byte{snapFormat, 3, 4, 1, 0, 0x80, 0x80, 0x40, 1, 'k', 0}},
-		{"key length past end", []byte{snapFormat, 3, 4, 1, 0, 1, 0x7f, 'k', 0}},
-		{"unknown value tag", []byte{snapFormat, 3, 4, 1, 0, 1, 1, 'k', 7}},
-		{"keys out of order", []byte{snapFormat, 3, 4, 1, 0, 2, 1, 'k', 0, 1, 'j', 0}},
-		{"key twice", []byte{snapFormat, 3, 4, 1, 0, 2, 1, 'k', 0, 1, 'k', 0}},
-		{"IDs out of order", []byte{snapFormat, 3, 4, 1, 2, 1, 'b', 1, 1, 'a', 1, 0}},
+		{"session count past end", []byte{snapFormat, 3, 4, 0x80, 0x80, 0x40, 1, 'a', 0, 0}},
+		{"entry count past end", []byte{snapFormat, 3, 4, 1, 1, 'a', 0, 0x80, 0x80, 0x40, 1, 1, 0}},
+		{"sessions out of order", []byte{snapFormat, 3, 4, 2, 1, 'b', 0, 0, 1, 'a', 0, 0, 0}},
+		{"seqs out of order", []byte{snapFormat, 3, 4, 1, 1, 'a', 0, 2, 2, 1, 1, 1, 0}},
+		{"seq below low", []byte{snapFormat, 3, 4, 1, 1, 'a', 2, 1, 1, 1, 0}},
+		{"pair count past end", []byte{snapFormat, 3, 4, 0, 0x80, 0x80, 0x40, 1, 'k', 0}},
+		{"key length past end", []byte{snapFormat, 3, 4, 0, 1, 0x7f, 'k', 0}},
+		{"unknown value tag", []byte{snapFormat, 3, 4, 0, 1, 1, 'k', 7}},
+		{"keys out of order", []byte{snapFormat, 3, 4, 0, 2, 1, 'k', 0, 1, 'j', 0}},
+		{"key twice", []byte{snapFormat, 3, 4, 0, 2, 1, 'k', 0, 1, 'k', 0}},
+		{"first format: ID count past end", []byte{snapFormatV1, 3, 4, 1, 0x80, 0x80, 0x40, 1, 'a', 1}},
+		{"first format: IDs out of order", []byte{snapFormatV1, 3, 4, 1, 2, 1, 'b', 1, 1, 'a', 1, 0}},
 	}
 	for _, c := range cases {
 		if s, err := DecodeSnapshot(framed(c.payload)); err == nil {
 			t.Errorf("%s: %x decoded to %+v", c.name, c.payload, s)
 		}
 	}
-	// A million pairs claimed in ten bytes: refused before they are made.
+	// A million pairs claimed in nine bytes: refused before they are made.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = DecodeSnapshot(framed([]byte{snapFormat, 3, 4, 1, 0, 0x80, 0x80, 0x40, 1, 'k'}))
+	_, err = DecodeSnapshot(framed([]byte{snapFormat, 3, 4, 0, 0x80, 0x80, 0x40, 1, 'k'}))
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; err == nil || got > 4096 {
 		t.Fatalf("err %v after allocating %d bytes", err, got)

@@ -1,6 +1,11 @@
 package replica
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,10 +23,9 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		deep = value.Record(map[string]value.Value{"f": deep})
 	}
 	s := &StoreSnapshot{
-		Index:      42,
-		Batches:    7,
-		Watermark:  40,
-		AppliedIDs: map[string]uint64{"b-41": 41, "b-42": 42},
+		Index:    42,
+		Batches:  7,
+		Sessions: Sessions{"a": {Low: 3, Applied: map[uint64]uint64{3: 41, 5: 42}}, "b": {Applied: map[uint64]uint64{0: 40}}},
 		Pairs: []SnapPair{
 			{Key: value.NewKey("ACC", value.Int(2)).Encode(), Val: value.Int(5)},
 			{Key: value.NewKey("ACC", value.Int(1)).Encode(), Val: value.Int(9)},
@@ -40,8 +44,8 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Index != 42 || got.Batches != 7 || got.Watermark != 40 ||
-		len(got.AppliedIDs) != 2 || len(got.Pairs) != 3 || !got.Pairs[2].Val.Equal(deep) {
+	if got.Index != 42 || got.Batches != 7 || !reflect.DeepEqual(got.Sessions, s.Sessions) ||
+		len(got.Pairs) != 3 || !got.Pairs[2].Val.Equal(deep) {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 
@@ -171,6 +175,69 @@ func TestClusterSnapshotRecovery(t *testing.T) {
 	}
 	if c.Err() != nil {
 		t.Fatal(c.Err())
+	}
+}
+
+// TestSnapshotsIdenticalAcrossReplicas: a snapshot is a function of the log
+// prefix it reflects, dedup table included, so three concurrent submitters
+// must leave every replica's snapshot at one index byte-identical, even the
+// snapshots of a replica that applies slowly and so applies batches only
+// after they were acknowledged: a dedup table that acknowledgements changed
+// from outside the log would differ on that replica.
+func TestSnapshotsIdenticalAcrossReplicas(t *testing.T) {
+	const submitters, each = 3, 40
+	cfg := clusterConfig(t, 3, nil)
+	cfg.DataDir = t.TempDir()
+	cfg.SnapshotEvery = 4
+	cfg.QuorumSubmit = true
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if _, err := c.WaitLeader(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.SetApplyDelay(2, 3*time.Millisecond)
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := c.SubmitBatch([]Request{deposit(int64(s), 1)}, 20*time.Second); err != nil {
+					t.Errorf("submitter %d batch %d: %v", s, i, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	if err := c.WaitCaughtUp(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{} // the first replica's bytes under each name
+	compared := 0
+	for i := 0; i < c.Size(); i++ {
+		names, err := filepath.Glob(filepath.Join(c.SnapDir(i), "*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := filepath.Base(name)
+			if first, ok := files[base]; !ok {
+				files[base] = data
+			} else if compared++; !bytes.Equal(first, data) {
+				t.Errorf("replica %d's snapshot %s differs from an earlier replica's", i, base)
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatalf("no snapshot index is on two replicas (%d files)", len(files))
 	}
 }
 

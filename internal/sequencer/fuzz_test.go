@@ -62,16 +62,16 @@ func sameRequests(a, b []engine.Request) bool {
 }
 
 // FuzzBatchRoundTrip drives the sequencer wire codec from two directions.
-// Structured: a batch built from the fuzz bytes must survive
-// EncodeBatchID -> DecodeBatch exactly — same ID, same requests, sequence
-// numbers derived from the commit index — and re-encode byte-identically
-// (the codec is canonical, which is what lets idempotency IDs and dedup
-// hashes compare encoded bytes). Raw: DecodeBatch on the same bytes as an
-// arbitrary committed command must never panic, and anything it accepts
-// must re-encode to exactly its own bytes, which refuses the JSON seeds,
-// commands as they were written before the binary encoding.
-// testdata/fuzz/FuzzBatchRoundTrip holds a raw command for each class of
-// input the decoder rejects.
+// Structured: a batch built from the fuzz bytes, with Seq idx and Low idx/2,
+// must survive EncodeBatch -> DecodeBatch exactly — same session, same
+// requests, sequence numbers derived from the commit index — and re-encode
+// byte-identically (the codec is canonical). Raw: DecodeBatch on the same
+// bytes as an arbitrary committed command must never panic, and anything it
+// accepts must re-encode to exactly its own bytes, which refuses the JSON
+// seeds, commands as they were written before the binary encoding. A
+// command of the first binary format re-encodes in the current one, as Seq
+// 0 and Low 0 of its ID's session. testdata/fuzz/FuzzBatchRoundTrip holds a
+// raw command for each class of input the decoder rejects.
 func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add("", uint64(1), []byte{})
 	f.Add("batch-7", uint64(7), []byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4})
@@ -79,9 +79,11 @@ func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add("", uint64(0), []byte(`{"id":"x","reqs":[{"tx":"t","in":null}]}`))
 	f.Add("dup", uint64(9), []byte(`{"reqs":[]}`))
 	f.Add("bin", uint64(2), []byte("\x01\x01x\x01\x01t\x01\x01a\x01\x0e"))
+	f.Add("session", uint64(5), []byte("\x02\x01x\x05\x02\x01\x01t\x01\x01a\x01\x0e"))
+	f.Add("late", uint64(1<<33), []byte("\x02\x00\x80\x80\x80\x80\x20\x80\x80\x80\x80\x10\x00"))
 	f.Fuzz(func(t *testing.T, id string, idx uint64, data []byte) {
 		reqs := buildFuzzBatch(data)
-		enc, err := EncodeBatchID(id, reqs)
+		enc, err := EncodeBatch(Batch{ID: id, Seq: idx, Low: idx / 2, Requests: reqs})
 		if err != nil {
 			t.Fatalf("encode built batch: %v", err)
 		}
@@ -89,8 +91,8 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode own encoding: %v", err)
 		}
-		if b.ID != id {
-			t.Fatalf("ID %q round-tripped to %q", id, b.ID)
+		if b.ID != id || b.Seq != idx || b.Low != idx/2 {
+			t.Fatalf("session %q seq %d low %d round-tripped to %q %d %d", id, idx, idx/2, b.ID, b.Seq, b.Low)
 		}
 		if !sameRequests(reqs, b.Requests) {
 			t.Fatalf("requests did not round-trip:\nin:  %+v\nout: %+v", reqs, b.Requests)
@@ -100,7 +102,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 				t.Fatalf("request %d: Seq = %d, want %d (index %d)", i, r.Seq, want, idx)
 			}
 		}
-		enc2, err := EncodeBatchID(b.ID, b.Requests)
+		enc2, err := EncodeBatch(b)
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
@@ -114,9 +116,16 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		renc, err := EncodeBatchID(rb.ID, rb.Requests)
+		renc, err := EncodeBatch(rb)
 		if err != nil {
 			t.Fatalf("re-encode accepted raw command: %v", err)
+		}
+		if data[0] == batchFormatV1 {
+			again, err := DecodeBatch(raft.Committed{Index: idx, Cmd: renc})
+			if err != nil || again.ID != rb.ID || again.Seq != 0 || again.Low != 0 || !sameRequests(again.Requests, rb.Requests) {
+				t.Fatalf("first-format command %x re-encodes to %x, which decodes to %+v, %v", data, renc, again, err)
+			}
+			return
 		}
 		if !bytes.Equal(renc, data) {
 			t.Fatalf("accepted command %x re-encodes to %x", data, renc)

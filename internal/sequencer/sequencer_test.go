@@ -66,8 +66,12 @@ func TestEncodeRejectsOverlongBatch(t *testing.T) {
 		t.Fatalf("EncodeBatchID accepted %d requests (max %d)", len(big), seqStride)
 	}
 	// Propose fails the same way, without touching the node.
-	if _, err := Propose(nil, "big", big); err == nil || errors.Is(err, ErrNotLeader) {
+	if _, err := Propose(nil, Batch{ID: "big", Requests: big}); err == nil || errors.Is(err, ErrNotLeader) {
 		t.Fatalf("Propose of an over-long batch: err = %v, want an encode error", err)
+	}
+	// So is a Low above its Seq, which no running submit can carry.
+	if _, err := EncodeBatch(Batch{ID: "s", Seq: 3, Low: 4}); err == nil {
+		t.Fatal("encoded a batch whose Low is above its Seq")
 	}
 }
 
@@ -111,10 +115,10 @@ func TestProposeThroughRaft(t *testing.T) {
 		}
 		vclock.Wall.Sleep(5 * time.Millisecond)
 	}
-	idx, err := Propose(node, "b1", []engine.Request{
+	idx, err := Propose(node, Batch{ID: "b1", Seq: 9, Low: 4, Requests: []engine.Request{
 		{TxName: "tx1", Inputs: map[string]value.Value{"x": value.Int(7)}},
 		{TxName: "tx2"},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +132,7 @@ func TestProposeThroughRaft(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reqs := b.Requests; b.ID != "b1" || len(reqs) != 2 || reqs[0].TxName != "tx1" || reqs[1].TxName != "tx2" {
+		if reqs := b.Requests; b.ID != "b1" || b.Seq != 9 || b.Low != 4 || len(reqs) != 2 || reqs[0].TxName != "tx1" || reqs[1].TxName != "tx2" {
 			t.Fatalf("decoded %+v", b)
 		}
 	case <-vclock.Wall.After(2 * time.Second):
@@ -148,28 +152,39 @@ func TestProposeNotLeader(t *testing.T) {
 	node.Start()
 	defer node.Stop()
 	defer net.Close()
-	_, err := Propose(node, "b1", []engine.Request{{TxName: "tx"}})
+	_, err := Propose(node, Batch{ID: "b1", Requests: []engine.Request{{TxName: "tx"}}})
 	if !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("err = %v, want ErrNotLeader", err)
 	}
 }
 
-// TestBatchLayout pins a batch byte for byte: committed raft entries and
-// replica WALs hold this layout. Inputs are written in name order whatever
-// order the map yields them in.
+// TestBatchLayout pins a batch byte for byte: committed raft entries hold
+// this layout. Inputs are written in name order whatever order the map
+// yields them in. A batch of the first format, which had no Seq or Low,
+// decodes as Seq 0 and Low 0 of its ID's session.
 func TestBatchLayout(t *testing.T) {
-	got, err := EncodeBatchID("b-1", []engine.Request{
+	reqs := []engine.Request{
 		{TxName: "deposit", Inputs: map[string]value.Value{"k": value.Int(1), "amt": value.Int(-2)}},
 		{TxName: "audit"},
-	})
+	}
+	got, err := EncodeBatch(Batch{ID: "b-1", Seq: 300, Low: 5, Requests: reqs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "01" + "03622d31" + "02" + // format, ID, two requests
+	body := "02" + // two requests
 		"076465706f736974" + "02" + "03616d74" + "0103" + "016b" + "0102" + // deposit{amt:-2,k:1}
 		"0561756469" + "74" + "00" // audit, no inputs
+	want := "02" + "03622d31" + "ac02" + "05" + body // format, ID, Seq, Low
 	if hex.EncodeToString(got) != want {
 		t.Fatalf("batch encodes to %x\nwant             %s", got, want)
+	}
+	v1, _ := hex.DecodeString("01" + "03622d31" + body)
+	b, err := DecodeBatch(raft.Committed{Index: 1, Cmd: v1})
+	if err != nil || b.ID != "b-1" || b.Seq != 0 || b.Low != 0 || !sameRequests(b.Requests, reqs) {
+		t.Fatalf("first-format batch decoded to %+v, %v", b, err)
+	}
+	if again, err := EncodeBatchID(b.ID, b.Requests); err != nil || hex.EncodeToString(again) != "02"+"03622d31"+"00"+"00"+body {
+		t.Fatalf("first-format batch re-encodes to %x, %v", again, err)
 	}
 }
 
@@ -203,7 +218,7 @@ func TestDecodesJSONEraBatch(t *testing.T) {
 // nestedInput returns a one-request binary batch whose only input is depth
 // lists, one inside the other.
 func nestedInput(depth int) []byte {
-	cmd := []byte{batchFormat, 0, 1, 1, 't', 1, 1, 'a'}
+	cmd := []byte{batchFormat, 0, 0, 0, 1, 1, 't', 1, 1, 'a'}
 	cmd = append(cmd, bytes.Repeat([]byte{byte(value.KindList), 1}, depth)...)
 	return append(cmd, byte(value.KindInt), 0)
 }
@@ -222,15 +237,18 @@ func TestDecodeRejectsHostileBatch(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"truncated", valid[:len(valid)-1]},
-		{"unknown format", append([]byte{0x02}, valid[1:]...)},
-		{"unknown value tag", []byte{batchFormat, 0, 1, 1, 't', 1, 1, 'a', 9}},
+		{"unknown format", append([]byte{0x03}, valid[1:]...)},
+		{"unknown value tag", []byte{batchFormat, 0, 0, 0, 1, 1, 't', 1, 1, 'a', 9}},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
-		{"request count past end", []byte{batchFormat, 0, 0x80, 0x80, 0x40, 0, 0}},
-		{"input count past end", []byte{batchFormat, 0, 1, 1, 't', 0x80, 0x80, 0x40, 1, 'a', 0}},
+		{"low above seq", []byte{batchFormat, 1, 's', 3, 4, 0}},
+		{"request count past end", []byte{batchFormat, 0, 0, 0, 0x80, 0x80, 0x40, 0, 0}},
+		{"input count past end", []byte{batchFormat, 0, 0, 0, 1, 1, 't', 0x80, 0x80, 0x40, 1, 'a', 0}},
 		{"ID length past end", []byte{batchFormat, 0xff, 0xff, 0x03, 'x'}},
 		{"nested past the bound", nestedInput(value.MaxDepth + 1)},
-		{"inputs out of order", []byte{batchFormat, 0, 1, 1, 't', 2, 1, 'b', 0, 1, 'a', 0}},
-		{"input named twice", []byte{batchFormat, 0, 1, 1, 't', 2, 1, 'a', 0, 1, 'a', 0}},
+		{"inputs out of order", []byte{batchFormat, 0, 0, 0, 1, 1, 't', 2, 1, 'b', 0, 1, 'a', 0}},
+		{"input named twice", []byte{batchFormat, 0, 0, 0, 1, 1, 't', 2, 1, 'a', 0, 1, 'a', 0}},
+		{"first format: request count past end", []byte{batchFormatV1, 0, 0x80, 0x80, 0x40, 0, 0}},
+		{"first format: inputs out of order", []byte{batchFormatV1, 0, 1, 1, 't', 2, 1, 'b', 0, 1, 'a', 0}},
 	}
 	for _, c := range cases {
 		if b, err := DecodeBatch(raft.Committed{Index: 1, Cmd: c.cmd}); err == nil {
@@ -241,7 +259,7 @@ func TestDecodeRejectsHostileBatch(t *testing.T) {
 		t.Errorf("nested to the bound: %v", err)
 	}
 	// Over seqStride requests, each of them well-formed.
-	big := binary.AppendUvarint([]byte{batchFormat, 0}, seqStride+1)
+	big := binary.AppendUvarint([]byte{batchFormat, 0, 0, 0}, seqStride+1)
 	big = append(big, make([]byte, 2*(seqStride+1))...)
 	if _, err := DecodeBatch(raft.Committed{Index: 1, Cmd: big}); err == nil {
 		t.Error("decoded a batch of seqStride+1 requests")
@@ -249,9 +267,9 @@ func TestDecodeRejectsHostileBatch(t *testing.T) {
 }
 
 // TestDecodeCountCheckedBeforeAllocating: a million requests claimed by a
-// seven-byte command are refused before a million-request slice exists.
+// nine-byte command are refused before a million-request slice exists.
 func TestDecodeCountCheckedBeforeAllocating(t *testing.T) {
-	cmd := []byte{batchFormat, 0, 0x80, 0x80, 0x40, 0, 0}
+	cmd := []byte{batchFormat, 0, 0, 0, 0x80, 0x80, 0x40, 0, 0}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := DecodeBatch(raft.Committed{Index: 1, Cmd: cmd})
