@@ -15,13 +15,14 @@
 // close and re-listen real sockets.
 //
 // With -snapshot-every N (requires -datadir, implied under -chaos), each
-// replica captures a store snapshot every N applied batches and compacts its
-// raft journal below it, so crashed replicas recover from the snapshot plus
-// the journal above it instead of replaying from index 1.
+// replica captures a store snapshot every N applied batches, which raft
+// checkpoints in its journal before compacting the journal below it, so
+// crashed replicas recover from the snapshot plus the journal above it
+// instead of replaying from index 1.
 //
 // With -datadir, each replica keeps one durable journal, its raft storage
-// under DIR/<id>/raft, which also holds the replica's applied-index hints;
-// snapshot files go to DIR/<id>/snap.
+// under DIR/<id>/raft, which also holds the replica's snapshots and
+// applied-index hints.
 //
 // Flow-control flags (-max-inflight, -submit-rate, -retry-budget) bound the
 // submit path: excess load is shed synchronously with a typed error instead
@@ -72,7 +73,7 @@ func run() error {
 	chaosOn := flag.Bool("chaos", false, "run a fault schedule alongside the workload (every fault runs over either transport)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault schedule seed (with -chaos)")
 	chaosSteps := flag.Int("chaos-steps", 0, "fault schedule length (0 = one step per two batches, with -chaos)")
-	dataDir := flag.String("datadir", "", "keep each replica's journal (raft state, batches, applied-index hints) and snapshots under this directory (required for crash/restart faults; temp dir when -chaos is set and this is empty)")
+	dataDir := flag.String("datadir", "", "keep each replica's journal (raft state, batches, snapshots, applied-index hints) under this directory (required for crash/restart faults; temp dir when -chaos is set and this is empty)")
 	snapshotEvery := flag.Uint64("snapshot-every", 0, "capture a store snapshot and compact the raft log every N applied batches (0 disables; requires -datadir)")
 	maxInflight := flag.Int("max-inflight", 0, "bound concurrently admitted submit batches cluster-wide (0 = unbounded)")
 	submitRate := flag.Float64("submit-rate", 0, "token-bucket admission rate in batches/second; without a token the batch is shed, never queued (0 = unlimited)")
@@ -81,7 +82,7 @@ func run() error {
 	flag.Parse()
 
 	if *snapshotEvery > 0 && *dataDir == "" && !*chaosOn {
-		return fmt.Errorf("-snapshot-every requires -datadir (snapshot files must land somewhere durable)")
+		return fmt.Errorf("-snapshot-every requires -datadir (a snapshot is kept only in the journal there)")
 	}
 	if *chaosOn && *dataDir == "" {
 		d, err := os.MkdirTemp("", "replicad-chaos-")

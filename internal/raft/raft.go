@@ -399,9 +399,11 @@ func (n *Node) SnapshotIndex() uint64 {
 
 // Compact discards the log prefix up to and including index, recording data
 // as the state-machine snapshot at that point. index must be committed;
-// compacting at or below the current snapshot index is a no-op. The
-// application calls this after it has durably captured its own state at
-// index.
+// compacting at or below the current snapshot index is a no-op. On a node
+// with storage, its checkpoint is the durable copy of data, which the
+// application need not keep elsewhere: SaveSnapshot records it before it
+// drops the log below it, so until then the log still holds every entry
+// data covers.
 func (n *Node) Compact(index uint64, data []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()

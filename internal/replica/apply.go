@@ -5,15 +5,16 @@
 // replica adds an applied-index hint after every batch. A Cluster helper
 // assembles a full in-process deployment (N replicas + dispatchers) for the
 // examples, tests and cmd/replicad — including per-replica crash and
-// rejoin: a crashed node's store is rebuilt from its newest snapshot plus a
+// rejoin: a crashed node's store is rebuilt from the journal's snapshot plus a
 // replay of the journal above it (recovery.go), then caught up through Raft
 // to the live commit index, while apply-time deduplication by client
 // session makes resubmission after an ambiguous leader change idempotent.
 // The dedup table is built from the committed batches alone, so every
 // replica holds the same table at the same index. With snapshots enabled a
 // replica periodically captures its store and that table (see snapshot.go)
-// and compacts its raft log below the snapshot index, so recovery time and
-// log size stay bounded in a long-lived deployment.
+// and hands it to raft, whose journal checkpoint is the snapshot's one
+// durable copy and which compacts its log below the snapshot index, so
+// recovery time and log size stay bounded in a long-lived deployment.
 package replica
 
 import (
@@ -64,13 +65,11 @@ type Replica struct {
 	redelivered int // already-applied entries re-delivered by raft after restart
 
 	// snapEvery, when positive, takes a snapshot each time that many raft
-	// entries have been applied since the last one; snapDir is where the
-	// encoded snapshot files land, and compact, when non-nil, is handed
-	// each new snapshot (asynchronously) so the consensus log can truncate
-	// below it. Recovery restores the newer of the newest file in snapDir
-	// and the journal's snapshot record. Set before Start.
+	// entries have been applied since the last one, and compact is handed
+	// each new snapshot (asynchronously): raft journals it, the one durable
+	// copy recovery restores, and truncates its log below it. Set before
+	// Start.
 	snapEvery uint64
-	snapDir   string
 	compact   func(index uint64, data []byte) error
 	lastSnap  uint64 // raft index of the newest taken or installed snapshot
 	snapTaken int
@@ -247,23 +246,20 @@ func (r *Replica) hint(index uint64) error {
 	return nil
 }
 
-// snapshotLocked captures the store at the current apply position, persists
-// the snapshot, and hands it to the consensus layer for log compaction.
-// Called from the apply loop, so the store is quiescent. The raft Compact
-// call runs on its own goroutine: raft delivers committed entries while
-// holding its lock, so calling back into it synchronously from the apply
-// loop could deadlock on a full apply channel.
+// snapshotLocked captures the store at the current apply position and hands
+// the encoded snapshot to the consensus layer, whose journal checkpoint is
+// its durable copy. Called from the apply loop, so the store is quiescent.
+// The raft Compact call runs on its own goroutine: raft delivers committed
+// entries while holding its lock, so calling back into it synchronously
+// from the apply loop could deadlock on a full apply channel. Until the
+// checkpoint lands the journal still holds every entry the snapshot
+// covers, so a crash before then recovers by replaying them.
 func (r *Replica) snapshotLocked() error {
 	encoded, err := r.encodeLocked()
 	if err != nil {
 		return err
 	}
 	idx := r.lastApplied
-	if r.snapDir != "" {
-		if err := WriteSnapshotFile(r.snapDir, idx, encoded); err != nil {
-			return err
-		}
-	}
 	r.lastSnap = idx
 	r.snapTaken++
 	if compact := r.compact; compact != nil {
@@ -294,9 +290,6 @@ func (r *Replica) installSnapshot(c raft.Committed) error {
 	}
 	r.mu.Unlock()
 	snap, err := DecodeSnapshot(c.Snapshot)
-	if err == nil && r.snapDir != "" {
-		err = WriteSnapshotFile(r.snapDir, snap.Index, c.Snapshot)
-	}
 	if err != nil {
 		return fmt.Errorf("replica %s: install snapshot at %d: %w", r.ID, c.Index, err)
 	}

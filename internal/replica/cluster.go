@@ -25,7 +25,7 @@ import (
 // (memnet, the default) or real loopback TCP sockets (tcpnet), through one
 // fault filter, Net, on either. With DataDir set, every node keeps one
 // durable journal (its Raft storage, which also holds its replica's
-// applied-index hints) plus snapshot files, enabling per-replica Crash and
+// snapshots and applied-index hints), enabling per-replica Crash and
 // Restart. NodeAt and ReplicaAt return a member's current node and replica;
 // Restart replaces both.
 type Cluster struct {
@@ -82,15 +82,16 @@ type ClusterConfig struct {
 	// Restart re-listens on a fresh port and the directory re-routes peers.
 	TCP bool
 	// SnapshotEvery, with DataDir set, makes each replica capture a store
-	// snapshot every N applied entries and compact its raft journal below it
-	// (0 disables snapshotting).
+	// snapshot every N applied entries and hand it to raft, which checkpoints
+	// it in the journal and compacts the journal below it (0 disables
+	// snapshotting).
 	SnapshotEvery uint64
 	// DataDir enables durability: node i keeps its journal (Raft state,
-	// entries and applied-index hints) under DataDir/<id>/raft and its
-	// snapshot files under DataDir/<id>/snap. A wal directory left there by
-	// a version that kept a second log per replica is ignored. Required for
-	// Crash/Restart (a node restarting without persisted term/vote could
-	// double-vote).
+	// entries, snapshots and applied-index hints) under DataDir/<id>/raft.
+	// A wal directory left there by a version that kept a second log per
+	// replica is ignored, as is a snap directory left by one that also wrote
+	// snapshot files. Required for Crash/Restart (a node restarting without
+	// persisted term/vote could double-vote).
 	DataDir string
 	// WALSync is read by nothing. It selected the fsync policy of a
 	// per-replica log that no longer exists; the journal always fsyncs what
@@ -194,7 +195,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // startNode builds (or rebuilds, on restart) node i: a fresh store
-// recovered from the node's snapshot and journal, transport endpoint, and a
+// recovered from the node's journal, transport endpoint, and a
 // raft node over the same journal. It does not start the event loops.
 // Callers hold no cluster lock; the built components are installed under
 // c.mu.
@@ -211,7 +212,7 @@ func (c *Cluster) startNode(i int) error {
 	rep := New(id, exec, st)
 	var recovered RecoveryReport
 	if c.dataDir != "" {
-		if recovered, err = rep.recover(c.WALDir(i), c.SnapDir(i)); err != nil {
+		if recovered, err = rep.recover(c.WALDir(i)); err != nil {
 			return fmt.Errorf("replica: cluster recovery for %s: %w", id, err)
 		}
 	}
@@ -249,7 +250,7 @@ func (c *Cluster) startNode(i int) error {
 		}
 	}
 	if c.cfg.SnapshotEvery > 0 && c.dataDir != "" {
-		rep.snapEvery, rep.snapDir, rep.compact = c.cfg.SnapshotEvery, c.SnapDir(i), node.Compact
+		rep.snapEvery, rep.compact = c.cfg.SnapshotEvery, node.Compact
 	}
 	c.mu.Lock()
 	c.nodes[i] = node
@@ -310,7 +311,9 @@ func (c *Cluster) WALDir(i int) string {
 	return filepath.Join(c.dataDir, c.ids[i], "raft")
 }
 
-// SnapDir returns replica i's snapshot directory ("" without persistence).
+// SnapDir returns where replica i's snapshot files were kept ("" without
+// persistence). No replica reads or writes there: the journal's checkpoint
+// is a snapshot's one durable copy. It stays for the benchmark.
 func (c *Cluster) SnapDir(i int) string {
 	if c.dataDir == "" {
 		return ""
@@ -378,7 +381,7 @@ func (c *Cluster) Crash(i int) error {
 }
 
 // Restart rejoins a crashed replica: a fresh store is rebuilt from its
-// newest snapshot plus the journal above it, the Raft node reloads its
+// journal's snapshot plus the entries above it, the Raft node reloads its
 // persisted term/vote/snapshot/log from the same (repaired) journal, and re-delivery from the
 // live leader catches the replica up to the commit index. The executor is
 // rebuilt through the NewExecutor factory. Over TCP the node re-listens on a

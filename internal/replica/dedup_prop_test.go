@@ -169,7 +169,7 @@ func checkSessionRun(t testing.TB, run sessionRun, mid, snap int) {
 	}
 	rexec := newCountingExec()
 	recovered := New("recovered", rexec, store.New())
-	if _, err := recovered.recover(dir, ""); err != nil {
+	if _, err := recovered.recover(dir); err != nil {
 		t.Fatal(err)
 	}
 	applyLog(t, recovered, run.cmds, mid+1, n)
@@ -268,7 +268,7 @@ func TestDedupReplayFromJournal(t *testing.T) {
 
 			exec := newCountingExec()
 			r := New("recovered", exec, store.New())
-			rep, err := r.recover(dir, "")
+			rep, err := r.recover(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,3 +39,14 @@ func (r *Replica) snapshotBytes(t testing.TB) []byte {
 	}
 	return b
 }
+
+// setCompact replaces what replica i hands each snapshot it takes to:
+// wrap receives raft's Compact (nil if snapshots are off) and returns the
+// replacement, nil to drop every snapshot before it reaches the journal. A
+// replica that Restart builds hands its snapshots to raft again.
+func (c *Cluster) setCompact(i int, wrap func(compact func(uint64, []byte) error) func(uint64, []byte) error) {
+	r := c.replica(i)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.compact = wrap(r.compact)
+}

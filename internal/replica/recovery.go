@@ -30,36 +30,32 @@ type RecoveryReport struct {
 }
 
 // RecoverWithSnapshot rebuilds, into st through exec, the state of a
-// replica whose journal (its raft FileStorage) is in dir and whose snapshot
-// files are in snapDir. It reads both without changing them, and is the
-// same recovery a Cluster member runs at boot and on Restart.
+// replica whose journal (its raft FileStorage) is in dir. It reads the
+// journal without changing it, and is the same recovery a Cluster member
+// runs at boot and on Restart. snapDir is read by nothing: it named a
+// directory of snapshot files, which the journal's checkpoint replaced.
 func RecoverWithSnapshot(dir, snapDir string, exec engine.Executor, st *store.Store) (RecoveryReport, error) {
-	return New("recovery", exec, st).recover(dir, snapDir)
+	return New("recovery", exec, st).recover(dir)
 }
 
-// recover rebuilds r before Start. It restores the newer of two snapshots:
-// the newest file in snapDir, or the journal's snapshot record, which is
-// newer when raft persisted a leader's snapshot that the apply loop had not
-// installed yet. It then replays the journal's entries above that snapshot,
-// up to the applied-index hint, through applyOne: the code that applied
-// them live makes the same dedup decisions and rebuilds Batches and the
-// dedup table. Entries past the hint are left to raft's redelivery.
-func (r *Replica) recover(dir, snapDir string) (RecoveryReport, error) {
+// recover rebuilds r before Start. It restores the journal's snapshot, if
+// there is one, then replays the journal's entries above it, up to the
+// applied-index hint, through applyOne: the code that applied them live
+// makes the same dedup decisions and rebuilds Batches and the dedup table.
+// Entries past the hint are left to raft's redelivery. A snapshot the
+// replica took whose checkpoint had not landed is not lost: the journal
+// still holds the entries it covers.
+func (r *Replica) recover(dir string) (RecoveryReport, error) {
 	j, err := raft.ReadJournal(dir)
 	if err != nil {
 		return RecoveryReport{}, fmt.Errorf("replica: recover: %w", err)
 	}
 	rep := RecoveryReport{Journal: j.Stats}
-	snap, err := LoadSnapshotFile(snapDir)
-	if err != nil {
-		return rep, fmt.Errorf("replica: recover: %w", err)
-	}
-	if j.Snap.Index > 0 && (snap == nil || j.Snap.Index > snap.Index) {
-		if snap, err = DecodeSnapshot(j.Snap.Data); err != nil {
+	if j.Snap.Index > 0 {
+		snap, err := DecodeSnapshot(j.Snap.Data)
+		if err != nil {
 			return rep, fmt.Errorf("replica: recover journal snapshot at %d: %w", j.Snap.Index, err)
 		}
-	}
-	if snap != nil {
 		r.restore(snap)
 		rep.FromSnapshot, rep.SnapshotIndex = true, snap.Index
 	}

@@ -322,7 +322,7 @@ func TestApplyDeduplicatesBatchID(t *testing.T) {
 
 	st2 := store.New()
 	r2 := New("recovery", engine.New(testRegistry(t), st2, engine.Config{Workers: 2}), st2)
-	rec, err := r2.recover(dir, "")
+	rec, err := r2.recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

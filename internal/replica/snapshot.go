@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"prognosticator/internal/store"
 	"prognosticator/internal/value"
@@ -20,8 +18,8 @@ import (
 // needed to resume exactly where the snapshot was taken. Every field is a
 // function of the log prefix through Index, so every replica encodes the
 // snapshot at one index to the same bytes. The same encoded form serves
-// three purposes — it is written to the replica's data dir (crash
-// recovery), handed to raft.Compact as the compaction payload, and shipped
+// two purposes: it is handed to raft.Compact, whose journal checkpoint is
+// its durable copy and what crash recovery restores, and it is shipped
 // verbatim inside InstallSnapshotChunk to far-behind followers.
 type StoreSnapshot struct {
 	// Index is the raft index of the last batch reflected in Pairs.
@@ -43,8 +41,8 @@ type SnapPair struct {
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // snapHeader frames an encoded snapshot: 4-byte little-endian payload
-// length, then a CRC32-C of the payload. Mirrors the WAL frame so torn
-// snapshot files are detected, not half-restored.
+// length, then a CRC32-C of the payload. Mirrors the WAL frame so a torn or
+// corrupted snapshot is detected, not half-restored.
 const snapHeader = 8
 
 // snapFormat is the first payload byte of a snapshot. snapFormatV1, a
@@ -217,13 +215,10 @@ func RestoreStore(st *store.Store, s *StoreSnapshot) {
 	st.Restore(items)
 }
 
-// snapSuffix names snapshot files "<raft index>.snap".
-const snapSuffix = ".snap"
-
-func snapName(index uint64) string { return fmt.Sprintf("%016d%s", index, snapSuffix) }
-
 // WriteSnapshotFile durably writes an encoded snapshot to dir under its
-// index name (tmp + rename, fsynced) and removes older snapshot files.
+// index name (tmp + fsync + rename). No replica reads or writes such a file:
+// the journal's checkpoint is a snapshot's one durable copy. It stays for
+// the benchmark's snapshot rung.
 func WriteSnapshotFile(dir string, index uint64, encoded []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("replica: snapshot dir: %w", err)
@@ -244,58 +239,8 @@ func WriteSnapshotFile(dir string, index uint64, encoded []byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("replica: snapshot close: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapName(index))); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, fmt.Sprintf("%016d.snap", index))); err != nil {
 		return fmt.Errorf("replica: snapshot rename: %w", err)
 	}
-	// Older snapshots are superseded; best-effort cleanup.
-	for _, idx := range listSnapshotIndices(dir) {
-		if idx < index {
-			_ = os.Remove(filepath.Join(dir, snapName(idx)))
-		}
-	}
 	return nil
-}
-
-func listSnapshotIndices(dir string) []uint64 {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		idx, err := strconv.ParseUint(strings.TrimSuffix(name, snapSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, idx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// LoadSnapshotFile returns the newest parseable snapshot in dir, or nil if
-// none exists (an empty or missing dir is not an error — the replica simply
-// recovers from the WAL alone). A torn newest file falls back to the next
-// older one, which the superseding write had not yet removed.
-func LoadSnapshotFile(dir string) (*StoreSnapshot, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	idxs := listSnapshotIndices(dir)
-	for i := len(idxs) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(filepath.Join(dir, snapName(idxs[i])))
-		if err != nil {
-			continue
-		}
-		s, err := DecodeSnapshot(data)
-		if err != nil {
-			continue
-		}
-		return s, nil
-	}
-	return nil, nil
 }

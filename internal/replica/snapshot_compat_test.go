@@ -36,10 +36,13 @@ import (
 // of the IDs and the dedup watermark, so it is pinned by its own digest; it
 // must equal the re-encoding of what the file holds.
 func TestInstallsMapEraSnapshot(t *testing.T) {
-	dir := filepath.Join("testdata", "map_era_snapshot")
-	snap, err := LoadSnapshotFile(dir)
-	if err != nil || snap == nil {
-		t.Fatalf("LoadSnapshotFile = %v, %v", snap, err)
+	data, err := os.ReadFile(filepath.Join("testdata", "map_era_snapshot", "0000000000000007.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if snap.Index != 7 || snap.Batches != 3 || len(snap.Sessions) != 2 || snap.Sessions["b-7"].Applied[0] != 7 {
 		t.Fatalf("metadata = %+v", snap)
@@ -90,12 +93,12 @@ func TestInstallsMapEraSnapshot(t *testing.T) {
 // commit aaf8a05, when batches and snapshots were JSON: a snapshot at index
 // 4, then a binary duplicate of b-3 at 5 and the JSON batches that commit's
 // replica logged at 6 and 7, as raft holds them. Only the binary encodings
-// are read, so recovery must refuse it, whether the snapshot would come from
-// the journal or from the file beside it, and a cluster booting over a data
-// directory holding it must fail without changing a byte there.
+// are read, so recovery must refuse it, and a cluster booting over a data
+// directory holding it, with that commit's snapshot file beside the
+// journal, must fail without changing a byte there.
 func TestRecoversJSONEraSnapshot(t *testing.T) {
 	fixture := filepath.Join("testdata", "json_era_recovery")
-	snapFile := filepath.Join(fixture, "snap", snapName(4))
+	snapFile := filepath.Join(fixture, "snap", "0000000000000004.snap")
 	snapData, err := os.ReadFile(snapFile)
 	if err != nil {
 		t.Fatal(err)
@@ -136,13 +139,10 @@ func TestRecoversJSONEraSnapshot(t *testing.T) {
 	}
 	copyDir(t, filepath.Dir(snapFile), filepath.Join(cfg.DataDir, "replica-0", "snap"))
 
-	reg := testRegistry(t)
-	for _, snapDir := range []string{"", filepath.Dir(snapFile)} {
-		st := store.New()
-		rep, err := RecoverWithSnapshot(dir, snapDir, engine.New(reg, st, engine.Config{Workers: 2}), st)
-		if err == nil || !strings.Contains(err.Error(), "snapshot format 0x7b") {
-			t.Fatalf("snapshot dir %q: recovered %+v, %v", snapDir, rep, err)
-		}
+	st := store.New()
+	rep, err := RecoverWithSnapshot(dir, "", engine.New(testRegistry(t), st, engine.Config{Workers: 2}), st)
+	if err == nil || !strings.Contains(err.Error(), "snapshot format 0x7b") {
+		t.Fatalf("recovered %+v, %v", rep, err)
 	}
 	before := readTree(t, cfg.DataDir)
 	if c, err := NewCluster(cfg); err == nil || !strings.Contains(err.Error(), "snapshot format 0x7b") {
@@ -177,9 +177,10 @@ func readTree(t *testing.T, root string) map[string][]byte {
 
 // TestBootsTwoLogDataDir boots a data directory written at commit 3e99bb4,
 // when each replica kept a log of its own beside raft's: three replicas
-// that took 6 batches, with a snapshot at 4 and both logs holding 5 and 6.
-// The journals hold no applied hints, and the wal directories are ignored,
-// so each replica boots at its snapshot. Raft has no leader no-op: 5 and 6
+// that took 6 batches, with a snapshot at 4 (in the journal, and in a file
+// beside it) and both logs holding 5 and 6. The journals hold no applied
+// hints, and the snap and wal directories are ignored, so each replica boots
+// at its journal's snapshot. Raft has no leader no-op: 5 and 6
 // apply once the new leader commits an entry of its own term, the batch the
 // test submits. The cluster must then equal a run that never restarted.
 func TestBootsTwoLogDataDir(t *testing.T) {

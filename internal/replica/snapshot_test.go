@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -58,27 +59,6 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	// A truncated file must be rejected too.
 	if _, err := DecodeSnapshot(enc[:len(enc)/2]); err == nil {
 		t.Fatal("truncated snapshot decoded without error")
-	}
-}
-
-func TestSnapshotFileNewestParseableWins(t *testing.T) {
-	dir := t.TempDir()
-	for _, idx := range []uint64{4, 8} {
-		enc, err := EncodeSnapshot(&StoreSnapshot{Index: idx, Batches: int(idx)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteSnapshotFile(dir, idx, enc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := LoadSnapshotFile(dir)
-	if err != nil || s == nil || s.Index != 8 {
-		t.Fatalf("load = %+v, %v (want index 8)", s, err)
-	}
-	// Older snapshots are pruned by the superseding write.
-	if idxs := listSnapshotIndices(dir); len(idxs) != 1 || idxs[0] != 8 {
-		t.Fatalf("snapshot files = %v, want [8]", idxs)
 	}
 }
 
@@ -180,10 +160,10 @@ func TestClusterSnapshotRecovery(t *testing.T) {
 
 // TestSnapshotsIdenticalAcrossReplicas: a snapshot is a function of the log
 // prefix it reflects, dedup table included, so three concurrent submitters
-// must leave every replica's snapshot at one index byte-identical, even the
-// snapshots of a replica that applies slowly and so applies batches only
-// after they were acknowledged: a dedup table that acknowledgements changed
-// from outside the log would differ on that replica.
+// must leave the bytes every replica hands raft at one index identical, even
+// on a replica that applies slowly and so applies batches only after they
+// were acknowledged: a dedup table that acknowledgements changed from
+// outside the log would differ on that replica.
 func TestSnapshotsIdenticalAcrossReplicas(t *testing.T) {
 	const submitters, each = 3, 40
 	cfg := clusterConfig(t, 3, nil)
@@ -197,6 +177,21 @@ func TestSnapshotsIdenticalAcrossReplicas(t *testing.T) {
 	defer c.Stop()
 	if _, err := c.WaitLeader(5 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	taken := map[uint64]map[int][]byte{} // by index, each replica's snapshot
+	for i := 0; i < c.Size(); i++ {
+		c.setCompact(i, func(compact func(uint64, []byte) error) func(uint64, []byte) error {
+			return func(index uint64, data []byte) error {
+				mu.Lock()
+				if taken[index] == nil {
+					taken[index] = map[int][]byte{}
+				}
+				taken[index][i] = data
+				mu.Unlock()
+				return compact(index, data)
+			}
+		})
 	}
 	c.SetApplyDelay(2, 3*time.Millisecond)
 	var wg sync.WaitGroup
@@ -216,28 +211,81 @@ func TestSnapshotsIdenticalAcrossReplicas(t *testing.T) {
 	if err := c.WaitCaughtUp(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	files := map[string][]byte{} // the first replica's bytes under each name
+	mu.Lock()
+	defer mu.Unlock()
 	compared := 0
-	for i := 0; i < c.Size(); i++ {
-		names, err := filepath.Glob(filepath.Join(c.SnapDir(i), "*.snap"))
-		if err != nil {
-			t.Fatal(err)
+	for index, byReplica := range taken {
+		if len(byReplica) < 2 {
+			continue
 		}
-		for _, name := range names {
-			data, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := filepath.Base(name)
-			if first, ok := files[base]; !ok {
-				files[base] = data
-			} else if compared++; !bytes.Equal(first, data) {
-				t.Errorf("replica %d's snapshot %s differs from an earlier replica's", i, base)
+		compared++
+		first := -1
+		for i := 0; i < c.Size(); i++ {
+			data, ok := byReplica[i]
+			switch {
+			case !ok:
+			case first < 0:
+				first = i
+			case !bytes.Equal(byReplica[first], data):
+				t.Errorf("replica %d's snapshot at %d differs from replica %d's", i, index, first)
 			}
 		}
 	}
 	if compared == 0 {
-		t.Fatalf("no snapshot index is on two replicas (%d files)", len(files))
+		t.Fatalf("no snapshot index is on two replicas (%d indices)", len(taken))
+	}
+}
+
+// TestRecoversSnapshotNeverJournaled: a replica's snapshot becomes durable
+// only when raft checkpoints it in the journal. A replica whose snapshots
+// never got there (the compaction had not run when it crashed) must recover
+// by replaying the journal, which still holds every entry those snapshots
+// covered, and reach its peers' state. No replica writes a snap directory.
+func TestRecoversSnapshotNeverJournaled(t *testing.T) {
+	const every = 4
+	cfg := clusterConfig(t, 3, nil)
+	cfg.DataDir = t.TempDir()
+	cfg.SnapshotEvery = every
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	li, err := c.WaitLeader(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := (li + 1) % c.Size()
+	c.setCompact(k, func(func(uint64, []byte) error) func(uint64, []byte) error { return nil })
+	submitDeposits(t, c, 0, 3*every)
+	if got := c.ReplicaAt(k).Snapshots(); got < 3 {
+		t.Fatalf("replica %d took %d snapshots, want >= 3", k, got)
+	}
+	if got := c.NodeAt(k).SnapshotIndex(); got != 0 {
+		t.Fatalf("replica %d's journal holds a snapshot at %d, want none", k, got)
+	}
+	if err := c.Crash(k); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart(k); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitCaughtUp(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := c.LastRecovery(k); rec.FromSnapshot || rec.Batches != 3*every {
+		t.Fatalf("replica %d recovered %+v, want %d batches replayed from the journal alone", k, rec, 3*every)
+	}
+	if !c.Converged() {
+		t.Fatalf("replica %d diverged from its peers: %x", k, c.StateHashes())
+	}
+	for _, id := range c.IDs() {
+		if _, err := os.Stat(filepath.Join(cfg.DataDir, id, "snap")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s has a snap directory (%v)", id, err)
+		}
 	}
 }
 

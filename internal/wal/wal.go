@@ -84,6 +84,9 @@ type Log struct {
 	// its last fsync.
 	unsynced    bool
 	syncedCount int64
+	// dirSyncs counts fsyncs of dir, kept apart from syncedCount so that
+	// Syncs still counts the fsyncs of records.
+	dirSyncs int64
 }
 
 // Options configures Open.
@@ -113,6 +116,9 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, segmentSize: opts.SegmentSize, curIdx: next, sync: opts.Sync}
 	if err := l.openSegment(); err != nil {
+		if l.cur != nil {
+			_ = l.cur.Close()
+		}
 		return nil, err
 	}
 	return l, nil
@@ -167,6 +173,28 @@ func (l *Log) openSegment() error {
 	l.cur = f
 	l.curSize = 0
 	l.unsynced = false
+	return l.syncDirLocked()
+}
+
+// syncDirLocked fsyncs the log's directory on a SyncAlways log, making a
+// segment's creation or removal durable: fsync(2) on a file does not persist
+// its directory entry. A SyncOS log promises nothing after a machine crash,
+// so it skips this as it skips the fsync of records.
+func (l *Log) syncDirLocked() error {
+	if l.sync != SyncAlways {
+		return nil
+	}
+	d, err := os.Open(l.dir)
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("wal: sync dir: %w", err)
+	}
+	l.dirSyncs++
 	return nil
 }
 
@@ -283,7 +311,10 @@ func (l *Log) CurrentSegment() int {
 // self-contained first (write a checkpoint, Rotate, then drop below the new
 // current segment): replay only ever sees segments in index order, so a
 // crash between the checkpoint append and the drop replays old records
-// followed by the checkpoint that supersedes them, never a gap.
+// followed by the checkpoint that supersedes them, never a gap. A SyncAlways
+// log fsyncs its directory after removing any, as it does after creating a
+// segment, so a machine crash cannot keep the drops and lose the checkpoint
+// segment's directory entry.
 func (l *Log) DropSegmentsBelow(idx int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -294,14 +325,19 @@ func (l *Log) DropSegmentsBelow(idx int) error {
 	if err != nil {
 		return err
 	}
+	dropped := false
 	for _, s := range segs {
 		if s < idx && s != l.curIdx {
 			if err := os.Remove(filepath.Join(l.dir, segmentName(s))); err != nil {
 				return fmt.Errorf("wal: drop segment: %w", err)
 			}
+			dropped = true
 		}
 	}
-	return nil
+	if !dropped {
+		return nil
+	}
+	return l.syncDirLocked()
 }
 
 // Close flushes and closes the log.

@@ -386,6 +386,45 @@ func TestRotateSyncsUnsyncedRecords(t *testing.T) {
 	step("unsynced write filling the segment", func() error { return l.AppendNoSync(make([]byte, 64)) }, 1)
 }
 
+// TestDirSyncOnSegmentCreateAndDrop: fsync(2) on a segment does not make its
+// directory entry durable, so a SyncAlways log fsyncs its directory once
+// after creating a segment and once after a drop that removed any, and never
+// counts these among Syncs. Without them a machine crash after a compaction
+// could keep the drops and lose the segment holding the checkpoint.
+func TestDirSyncOnSegmentCreateAndDrop(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{Sync: SyncAlways})
+	if got := l.DirSyncs(); got != 1 {
+		t.Fatalf("Open: %d directory syncs, want 1", got)
+	}
+	step := func(what string, op func() error, want int64) {
+		t.Helper()
+		before := l.DirSyncs()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.DirSyncs() - before; got != want {
+			t.Fatalf("%s: %d directory syncs, want %d", what, got, want)
+		}
+	}
+	step("rotate", l.Rotate, 1)
+	step("drop below the current segment", func() error { return l.DropSegmentsBelow(l.CurrentSegment()) }, 1)
+	step("drop that removes nothing", func() error { return l.DropSegmentsBelow(l.CurrentSegment()) }, 0)
+	if got := l.Syncs(); got != 0 {
+		t.Fatalf("directory syncs counted among Syncs (%d)", got)
+	}
+
+	lazy := openT(t, t.TempDir(), Options{})
+	if err := lazy.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.DropSegmentsBelow(lazy.CurrentSegment()); err != nil {
+		t.Fatal(err)
+	}
+	if got := lazy.DirSyncs(); got != 0 {
+		t.Fatalf("SyncOS log issued %d directory syncs, want 0", got)
+	}
+}
+
 func TestSegmentPaths(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{SegmentSize: 16})
