@@ -80,16 +80,16 @@ func (e *Entry) Remaining() int32 { return e.remaining }
 
 // BuildKeys constructs a deduplicated lock-request list from read and write
 // key sets; a key in both takes a write lock. First-occurrence order is
-// preserved (reads first). The list is the only allocation for a key-set of
-// ordinary size.
+// preserved (reads first). For up to 64 keys (reads and writes together)
+// the list is the only allocation.
 func BuildKeys(reads, writes []value.Key) []LockKey {
 	out := make([]LockKey, 0, len(reads)+len(writes))
-	var ix keyIndex
-	ix.init(cap(out))
+	var buf [128]int32
+	ix := newKeyIndex(buf[:], cap(out))
 	for _, k := range reads {
 		e := k.Encode()
 		if slot, found := ix.find(e, out); !found {
-			ix.slots[slot] = int32(len(out) + 1)
+			ix[slot] = int32(len(out) + 1)
 			out = append(out, LockKey{Key: e})
 		}
 	}
@@ -97,45 +97,44 @@ func BuildKeys(reads, writes []value.Key) []LockKey {
 		e := k.Encode()
 		slot, found := ix.find(e, out)
 		if found {
-			out[ix.slots[slot]-1].Write = true
+			out[ix[slot]-1].Write = true
 			continue
 		}
-		ix.slots[slot] = int32(len(out) + 1)
+		ix[slot] = int32(len(out) + 1)
 		out = append(out, LockKey{Key: e, Write: true})
 	}
 	return out
 }
 
 // keyIndex finds a key's position in one transaction's lock list: an
-// open-addressing table at most half full, on the stack for up to
-// len(stack)/2 keys — a Go map here was an allocation per transaction and
-// one per few keys.
-type keyIndex struct {
-	slots []int32 // position in the list + 1; 0 marks an empty slot
-	stack [128]int32
-}
+// open-addressing table at most half full, whose slots hold a position in
+// the list + 1 and 0 for empty. BuildKeys keeps it in a local array for up
+// to 64 keys — a Go map here was an allocation per transaction and one per
+// few keys. The array must not be a field of a value that also holds the
+// slice: that value would point into itself and move to the heap.
+type keyIndex []int32
 
 var keyIndexSeed = maphash.MakeSeed()
 
-// init sizes the table for a list of up to n keys.
-func (ix *keyIndex) init(n int) {
+// newKeyIndex returns an empty table for a list of up to n keys, in buf
+// (all zero) when it is large enough.
+func newKeyIndex(buf []int32, n int) keyIndex {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	if size <= len(ix.stack) {
-		ix.slots = ix.stack[:size]
-	} else {
-		ix.slots = make([]int32, size)
+	if size <= len(buf) {
+		return buf[:size]
 	}
+	return make(keyIndex, size)
 }
 
 // find returns the slot holding e's position in keys, or the empty slot
 // where it belongs.
-func (ix *keyIndex) find(e value.Encoded, keys []LockKey) (slot int, found bool) {
-	mask := len(ix.slots) - 1
-	for slot = int(maphash.String(keyIndexSeed, string(e))) & mask; ix.slots[slot] != 0; slot = (slot + 1) & mask {
-		if keys[ix.slots[slot]-1].Key == e {
+func (ix keyIndex) find(e value.Encoded, keys []LockKey) (slot int, found bool) {
+	mask := len(ix) - 1
+	for slot = int(maphash.String(keyIndexSeed, string(e))) & mask; ix[slot] != 0; slot = (slot + 1) & mask {
+		if keys[ix[slot]-1].Key == e {
 			return slot, true
 		}
 	}

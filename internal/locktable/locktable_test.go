@@ -414,6 +414,25 @@ func TestBuildKeysMatchesMapModel(t *testing.T) {
 	}
 }
 
+// TestBuildKeysAllocs: for up to 64 keys the lock list is BuildKeys' only
+// allocation; its dedup index lives on the stack. Run without the race
+// detector, which changes allocation counts.
+func TestBuildKeysAllocs(t *testing.T) {
+	keys := make([]value.Key, 48)
+	for i := range keys {
+		keys[i] = value.NewKey("T", value.Int(int64(i)))
+	}
+	// 40 reads and 24 writes, 16 keys in both: 64 requests, 48 keys.
+	reads, writes := keys[:40], keys[24:]
+	if n := len(BuildKeys(reads, writes)); n != 48 {
+		t.Fatalf("BuildKeys = %d lock keys, want 48", n)
+	}
+	got := testing.AllocsPerRun(100, func() { BuildKeys(reads, writes) })
+	if got != 1 {
+		t.Fatalf("BuildKeys of 64 requests: %v allocations, want 1", got)
+	}
+}
+
 // TestResetRecyclesQueues: a round after Reset runs on the queues the last
 // round left — nothing of that round shows in them, and nothing is allocated
 // for them — and Clear lets them go.

@@ -210,7 +210,9 @@ func (a *analysis) bindParams(st *state) error {
 type state struct {
 	a      *analysis
 	locals map[string]symval
-	pc     []sym.Term
+	// pc is the path constraint, prepared for the solver as it grows; the
+	// children of a fork share their parent's.
+	pc *solver.Path
 	// writes is the symbolic write buffer for read-own-write resolution:
 	// a GET whose key is syntactically identical to an earlier PUT's key
 	// returns the symbolic value written, not a pivot (the store cannot
@@ -262,13 +264,15 @@ func (s *state) lookupOwnWrite(table string, key []sym.Term) (symval, bool) {
 }
 
 // provablyDistinct reports whether two key tuples cannot be equal under the
-// current path constraint.
+// current path constraint. The solver answers a constant atom before it
+// looks at a variable, so a part whose equality folds to false (two distinct
+// constants, the common case) costs its fold and no solving.
 func (s *state) provablyDistinct(a, b []sym.Term) bool {
-	conj := append([]sym.Term{}, s.pc...)
+	eqs := make([]sym.Term, len(a))
 	for j := range a {
-		conj = append(conj, sym.Fold(sym.Bin{Op: lang.OpEq, L: a[j], R: b[j]}))
+		eqs[j] = sym.Bin{Op: lang.OpEq, L: a[j], R: b[j]}
 	}
-	return solver.Check(conj) == solver.Unsat
+	return s.pc.Check(eqs...) == solver.Unsat
 }
 
 // clone copies the state for a fork child.
@@ -277,11 +281,9 @@ func (s *state) clone() *state {
 	for k, v := range s.locals {
 		locals[k] = v
 	}
-	pc := make([]sym.Term, len(s.pc))
-	copy(pc, s.pc)
 	writes := make([]symWrite, len(s.writes))
 	copy(writes, s.writes)
-	return &state{a: s.a, locals: locals, pc: pc, writes: writes, nForks: s.nForks, nConds: s.nConds}
+	return &state{a: s.a, locals: locals, pc: s.pc, writes: writes, nForks: s.nForks, nConds: s.nConds}
 }
 
 // kont is the continuation of execution: invoked when the current block
@@ -460,14 +462,17 @@ func (s *state) branch(cond sym.Term, onTrue, onFalse kont) (*profile.Node, erro
 		return onFalse(s)
 	}
 	negCond := sym.Negate(cond)
-	trueSat := solver.Check(append(append([]sym.Term{}, s.pc...), cond)) != solver.Unsat
-	falseSat := solver.Check(append(append([]sym.Term{}, s.pc...), negCond)) != solver.Unsat
+	// Each arm's path constraint is prepared once, for its check and for
+	// the arm's later queries.
+	truePC, falsePC := s.pc.And(cond), s.pc.And(negCond)
+	trueSat := truePC.Check() != solver.Unsat
+	falseSat := falsePC.Check() != solver.Unsat
 	switch {
 	case trueSat && !falseSat:
-		s.pc = append(s.pc, cond)
+		s.pc = truePC
 		return onTrue(s)
 	case !trueSat && falseSat:
-		s.pc = append(s.pc, negCond)
+		s.pc = falsePC
 		return onFalse(s)
 	case !trueSat && !falseSat:
 		// Contradictory path constraint: the whole path is infeasible.
@@ -480,7 +485,7 @@ func (s *state) branch(cond sym.Term, onTrue, onFalse kont) (*profile.Node, erro
 	if s.a.states > s.a.opts.MaxStates {
 		if s.a.opts.TruncateOnBudget {
 			s.a.truncated = true
-			s.pc = append(s.pc, cond)
+			s.pc = truePC
 			return onTrue(s)
 		}
 		return nil, fmt.Errorf("%w (limit %d)", ErrBudget, s.a.opts.MaxStates)
@@ -489,14 +494,14 @@ func (s *state) branch(cond sym.Term, onTrue, onFalse kont) (*profile.Node, erro
 
 	tState := s.clone()
 	tState.nForks++
-	tState.pc = append(tState.pc, cond)
+	tState.pc = truePC
 	tTree, err := onTrue(tState)
 	if err != nil {
 		return nil, err
 	}
 	fState := s.clone()
 	fState.nForks++
-	fState.pc = append(fState.pc, negCond)
+	fState.pc = falsePC
 	fTree, err := onFalse(fState)
 	if err != nil {
 		return nil, err
@@ -659,39 +664,48 @@ func accessEqual(a, b profile.Access) bool {
 }
 
 // countUniqueKeySets counts distinct cumulative RWS over all root-to-leaf
-// paths (the paper's "unique key-sets" column).
+// paths (the paper's "unique key-sets" column). Each access is rendered
+// once, at its node; a leaf's key-set is the sorted renderings of the
+// accesses on its path.
 func countUniqueKeySets(root *profile.Node) int {
 	seen := map[string]bool{}
-	var walk func(n *profile.Node, prefix []profile.Access)
-	walk = func(n *profile.Node, prefix []profile.Access) {
+	var path, sorted []string
+	var walk func(n *profile.Node)
+	walk = func(n *profile.Node) {
 		if n == nil {
 			return
 		}
-		acc := append(append([]profile.Access{}, prefix...), n.Seg...)
-		if n.Cond == nil {
-			strs := make([]string, len(acc))
-			for i, a := range acc {
-				strs[i] = a.String()
-			}
-			sort.Strings(strs)
-			seen[strings.Join(strs, ";")] = true
-			return
+		mark := len(path)
+		for _, a := range n.Seg {
+			path = append(path, a.String())
 		}
-		walk(n.True, acc)
-		walk(n.False, acc)
+		if n.Cond == nil {
+			sorted = append(sorted[:0], path...)
+			sort.Strings(sorted)
+			seen[strings.Join(sorted, ";")] = true
+		} else {
+			walk(n.True)
+			walk(n.False)
+		}
+		path = path[:mark]
 	}
-	walk(root, nil)
+	walk(root)
 	return len(seen)
 }
 
 // countIndirectKeys counts distinct pivot references appearing anywhere in
-// the tree (key expressions and conditions).
+// the tree (key expressions and conditions). A pivot variable's name is its
+// reference's ID behind a fixed prefix (sym.NewPivot), so the names count
+// the references without rendering them again.
 func countIndirectKeys(root *profile.Node) int {
 	seen := map[string]bool{}
-	var addTerm func(t sym.Term)
-	addTerm = func(t sym.Term) {
-		for _, ref := range sym.Pivots(t) {
-			seen[ref.ID()] = true
+	var vars []*sym.Var
+	addTerm := func(t sym.Term) {
+		vars = sym.Vars(t, vars[:0])
+		for _, v := range vars {
+			if v.Pivot != nil {
+				seen[v.Name] = true
+			}
 		}
 	}
 	var walk func(n *profile.Node)

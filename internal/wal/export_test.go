@@ -6,3 +6,7 @@ func (l *Log) DirSyncs() int64 {
 	defer l.mu.Unlock()
 	return l.dirSyncs
 }
+
+// Syncs returns how many fsyncs of the cut segment and of the directory the
+// Repair that returned s issued.
+func (s Stats) Syncs() (file, dir int) { return s.fileSyncs, s.dirSyncs }

@@ -184,7 +184,16 @@ func (l *Log) syncDirLocked() error {
 	if l.sync != SyncAlways {
 		return nil
 	}
-	d, err := os.Open(l.dir)
+	if err := syncDir(l.dir); err != nil {
+		return err
+	}
+	l.dirSyncs++
+	return nil
+}
+
+// syncDir fsyncs directory dir.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err == nil {
 		err = d.Sync()
 		if cerr := d.Close(); err == nil {
@@ -194,7 +203,6 @@ func (l *Log) syncDirLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: sync dir: %w", err)
 	}
-	l.dirSyncs++
 	return nil
 }
 
@@ -369,6 +377,9 @@ type Stats struct {
 	// BadOffset is the byte offset of the first corrupt frame within
 	// BadSegment (-1 when the log is clean).
 	BadOffset int64
+
+	// fileSyncs and dirSyncs count the fsyncs Repair issued.
+	fileSyncs, dirSyncs int
 }
 
 // Replay invokes fn for every intact record across all segments in order.
@@ -395,26 +406,55 @@ func Verify(dir string) (Stats, error) {
 // removed. After Repair, Replay sees a clean log and a reopened Log appends
 // records that extend the verified prefix. The returned Stats describe what
 // was discarded. A clean (or missing) log is left untouched.
+//
+// The cut segment is fsynced, and the directory once the removals are done,
+// whatever the log's sync policy: a repair that a crash undid would bring
+// the damaged suffix back behind records appended after it.
 func Repair(dir string) (Stats, error) {
 	st, err := Verify(dir)
 	if err != nil || !st.Truncated {
 		return st, err
 	}
-	if err := os.Truncate(filepath.Join(dir, segmentName(st.BadSegment)), st.BadOffset); err != nil {
+	if err := truncateSynced(filepath.Join(dir, segmentName(st.BadSegment)), st.BadOffset); err != nil {
 		return st, fmt.Errorf("wal: repair truncate: %w", err)
 	}
+	st.fileSyncs++
 	segs, err := listSegments(dir)
 	if err != nil {
 		return st, err
 	}
+	removed := false
 	for _, idx := range segs {
 		if idx > st.BadSegment {
 			if err := os.Remove(filepath.Join(dir, segmentName(idx))); err != nil {
 				return st, fmt.Errorf("wal: repair remove segment: %w", err)
 			}
+			removed = true
 		}
 	}
+	if removed {
+		if err := syncDir(dir); err != nil {
+			return st, err
+		}
+		st.dirSyncs++
+	}
 	return st, nil
+}
+
+// truncateSynced cuts the file at path to size bytes and fsyncs it.
+func truncateSynced(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	err = f.Truncate(size)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func scan(dir string, fn func(payload []byte) error) (Stats, error) {

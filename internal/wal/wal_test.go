@@ -295,6 +295,56 @@ func TestRepairTruncatesCorruptSuffix(t *testing.T) {
 	}
 }
 
+// TestRepairSyncsCutAndRemovals: a Repair that cuts one segment and removes
+// the segments after it fsyncs the cut segment once and the directory once.
+// Only the fsync calls are counted; no machine crash is simulated.
+func TestRepairSyncsCutAndRemovals(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{})
+	for _, rec := range []string{"aaaa", "bbbb"} {
+		if err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append([]byte("later")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segmentName(0))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[frameHeader+4+frameHeader] ^= 0xFF // the second record's payload
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Repair(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := listSegments(dir); err != nil || len(segs) != 1 || !st.Truncated {
+		t.Fatalf("repair = %+v, segments left %v (%v), want one cut segment", st, segs, err)
+	}
+	if f, d := st.Syncs(); f != 1 || d != 1 {
+		t.Fatalf("repair issued %d segment and %d directory fsyncs, want 1 and 1", f, d)
+	}
+	st, err = Repair(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, d := st.Syncs(); f != 0 || d != 0 {
+		t.Fatalf("repair of a clean log issued %d segment and %d directory fsyncs", f, d)
+	}
+}
+
 func TestCRCCoversLengthHeader(t *testing.T) {
 	// A bit flip in the length field alone must be detected even when the
 	// payload bytes it frames happen to be readable.
