@@ -66,7 +66,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeAnalysisAndProfileCodec(t *testing.T) {
-	p, err := prog.AnalyzeOptimized(facadeProgram())
+	p, err := prog.Analyze(facadeProgram())
 	if err != nil {
 		t.Fatal(err)
 	}

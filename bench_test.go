@@ -15,7 +15,6 @@ import (
 	"prognosticator/internal/solver"
 	"prognosticator/internal/store"
 	"prognosticator/internal/sym"
-	"prognosticator/internal/symexec"
 	"prognosticator/internal/value"
 	"prognosticator/internal/workload/rubis"
 	"prognosticator/internal/workload/tpcc"
@@ -36,7 +35,6 @@ func benchOpts() harness.Options {
 		Warmup:        3,
 		Workers:       20,
 		Seed:          1,
-		Virtual:       true,
 	}
 }
 
@@ -147,30 +145,6 @@ func BenchmarkAblationLockSharing(b *testing.B) {
 				makespan = res.VirtualMakespan
 			}
 			b.ReportMetric(float64(makespan.Microseconds()), "vmakespan_µs")
-		})
-	}
-}
-
-// BenchmarkAblationSEOptimizations measures the SE analysis with the
-// paper's two optimizations toggled (taint-driven concolic execution and
-// subtree pruning).
-func BenchmarkAblationSEOptimizations(b *testing.B) {
-	prog := tpcc.NewOrderProg(benchTPCCConfig(10))
-	fixed := map[string]value.Value{"olCnt": value.Int(6)}
-	for _, mode := range []struct {
-		name string
-		opts symexec.Options
-	}{
-		{"taint+prune", symexec.Options{UseTaint: true, Prune: true, SkipUnoptimized: true, FixedInputs: fixed}},
-		{"prune-only", symexec.Options{Prune: true, SkipUnoptimized: true, FixedInputs: fixed}},
-		{"none", symexec.Options{SkipUnoptimized: true, FixedInputs: fixed}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := symexec.Analyze(prog, mode.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -63,7 +63,6 @@ func run() error {
 			Growth:        1.5,
 			Workers:       *workers,
 			Seed:          1,
-			Virtual:       true,
 		}
 		warehouses = []int{100, 10, 1}
 		tpccSize = tpcc.DefaultConfig
@@ -78,7 +77,6 @@ func run() error {
 			Growth:        1.5,
 			Workers:       *workers,
 			Seed:          1,
-			Virtual:       true,
 		}
 		warehouses = []int{100, 10, 1}
 		tpccSize = func(w int) tpcc.Config {

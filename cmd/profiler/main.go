@@ -33,7 +33,7 @@ func analyzeFile(path string) error {
 		return err
 	}
 	for _, p := range progs {
-		prof, err := symexec.AnalyzeOptimized(p)
+		prof, err := symexec.Analyze(p)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
@@ -90,7 +90,7 @@ func run() error {
 		if !ok {
 			return fmt.Errorf("unknown transaction %q", *tree)
 		}
-		prof, err := symexec.AnalyzeOptimized(prog)
+		prof, err := symexec.Analyze(prog)
 		if err != nil {
 			return err
 		}

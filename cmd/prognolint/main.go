@@ -234,14 +234,13 @@ func workloadCatalog(name string) (*lang.Schema, []*lang.Program, error) {
 	}
 }
 
-// checkSoundness derives the profile with the optimized symbolic execution
-// (profile only — the unoptimized comparison run would dominate the lint's
-// runtime on loop-heavy transactions) and cross-validates it against the
-// concrete interpreter. Analysis failures are reported as findings, not
-// fatal errors: a file that defeats the symbolic executor is precisely what
-// the lint run should surface.
+// checkSoundness derives the profile with the symbolic execution the
+// registry runs and cross-validates it against the concrete interpreter.
+// Analysis failures are reported as findings, not fatal errors: a file that
+// defeats the symbolic executor is precisely what the lint run should
+// surface.
 func checkSoundness(path string, p *lang.Program, samples int, seed int64, stderr io.Writer) []fileFinding {
-	prof, err := symexec.AnalyzeProfileOnly(p)
+	prof, err := symexec.Analyze(p)
 	if err != nil {
 		return []fileFinding{{File: path, Finding: lint.Finding{
 			Prog: p.Name, Pass: "profile-soundness", Path: "profile",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"prognosticator/internal/lang"
@@ -722,5 +723,28 @@ func TestReconKeySetOutlivesFrame(t *testing.T) {
 		if want := render(&profile.KeySet{Reads: res.Reads, Writes: res.Writes}); prepared[i] != want {
 			t.Errorf("key-set of %s(seq %d) = %s, a fresh run touches %s", tx.Req.TxName, tx.Req.Seq, prepared[i], want)
 		}
+	}
+}
+
+// TestRegistryRejectsSchemaMisuse exercises the lang.Schema.Validate path
+// end-to-end: registration must reject unknown tables and key-arity
+// mismatches before any analysis runs.
+func TestRegistryRejectsSchemaMisuse(t *testing.T) {
+	unknown := &lang.Program{
+		Name:   "ghost",
+		Params: []lang.Param{lang.IntParam("id", 0, 9)},
+		Body:   []lang.Stmt{lang.GetS("x", "NOPE", lang.P("id"))},
+	}
+	if _, err := NewRegistry(bankSchema(), unknown); err == nil || !strings.Contains(err.Error(), "unknown table") {
+		t.Fatalf("unknown table not rejected: %v", err)
+	}
+
+	arity := &lang.Program{
+		Name:   "arity",
+		Params: []lang.Param{lang.IntParam("id", 0, 9)},
+		Body:   []lang.Stmt{lang.GetS("x", "ACC", lang.P("id"), lang.P("id"))},
+	}
+	if _, err := NewRegistry(bankSchema(), arity); err == nil || !strings.Contains(err.Error(), "expects 1 key part") {
+		t.Fatalf("key-arity mismatch not rejected: %v", err)
 	}
 }

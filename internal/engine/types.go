@@ -8,11 +8,9 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"prognosticator/internal/lang"
-	"prognosticator/internal/lint"
 	"prognosticator/internal/locktable"
 	"prognosticator/internal/profile"
 	"prognosticator/internal/symexec"
@@ -226,33 +224,9 @@ type Registry struct {
 	PivotFree map[string]bool
 }
 
-// RegistryOptions configures registration.
-type RegistryOptions struct {
-	// StrictLint runs the static-analysis passes (internal/lint) over each
-	// program before analysis and rejects registration on any error-severity
-	// finding — use-before-assign, schema misuse, unbounded loops. Opt-in:
-	// warnings and info findings never block registration.
-	StrictLint bool
-	// SoundnessSamples, when positive with StrictLint, additionally
-	// cross-validates each derived profile against the concrete interpreter
-	// on that many random samples (plus boundary samples) and rejects
-	// registration when the profile under- or over-approximates the
-	// read/write-set.
-	SoundnessSamples int
-}
-
 // NewRegistry validates and analyzes the given programs with the optimized
 // symbolic execution (taint + pruning), building the shared catalog.
 func NewRegistry(schema *lang.Schema, programs ...*lang.Program) (*Registry, error) {
-	return NewRegistryWith(schema, RegistryOptions{}, programs...)
-}
-
-// NewRegistryWith is NewRegistry with explicit options.
-func NewRegistryWith(schema *lang.Schema, opts RegistryOptions, programs ...*lang.Program) (*Registry, error) {
-	var linter *lint.Linter
-	if opts.StrictLint {
-		linter = lint.New(schema)
-	}
 	r := &Registry{
 		Schema:     schema,
 		Programs:   make(map[string]*lang.Program, len(programs)),
@@ -266,25 +240,9 @@ func NewRegistryWith(schema *lang.Schema, opts RegistryOptions, programs ...*lan
 		if err := schema.Validate(p); err != nil {
 			return nil, fmt.Errorf("engine: registry: %w", err)
 		}
-		if linter != nil {
-			if fs := linter.Run(p); lint.MaxSeverity(fs) >= lint.SevError {
-				return nil, fmt.Errorf("engine: registry: %s rejected by strict lint:\n%s",
-					p.Name, formatErrorFindings(fs))
-			}
-		}
-		prof, err := symexec.AnalyzeProfileOnly(p)
+		prof, err := symexec.Analyze(p)
 		if err != nil {
 			return nil, fmt.Errorf("engine: registry: analyze %s: %w", p.Name, err)
-		}
-		if linter != nil && opts.SoundnessSamples > 0 {
-			rep, err := lint.CheckSoundness(p, prof, lint.SoundnessOptions{Samples: opts.SoundnessSamples})
-			if err != nil {
-				return nil, fmt.Errorf("engine: registry: soundness %s: %w", p.Name, err)
-			}
-			if !rep.Sound() {
-				return nil, fmt.Errorf("engine: registry: %s rejected by strict lint:\n%s",
-					p.Name, formatErrorFindings(rep.Findings()))
-			}
 		}
 		r.Programs[p.Name] = p
 		r.Profiles[p.Name] = prof
@@ -304,17 +262,6 @@ func NewRegistryWith(schema *lang.Schema, opts RegistryOptions, programs ...*lan
 		r.TableLocks[p.Name] = locks
 	}
 	return r, nil
-}
-
-// formatErrorFindings renders the error-severity findings, one per line.
-func formatErrorFindings(fs []lint.Finding) string {
-	var lines []string
-	for _, f := range fs {
-		if f.Severity >= lint.SevError {
-			lines = append(lines, "\t"+f.String())
-		}
-	}
-	return strings.Join(lines, "\n")
 }
 
 // Class returns the class of the named transaction.

@@ -193,9 +193,7 @@ type TableIRow struct {
 
 // analyzeRow runs the optimized + unoptimized analysis of one program.
 func analyzeRow(name string, prog *lang.Program, fixed map[string]value.Value) (TableIRow, error) {
-	prof, err := symexec.Analyze(prog, symexec.Options{
-		UseTaint: true, Prune: true, FixedInputs: fixed,
-	})
+	prof, err := symexec.Measure(prog, fixed)
 	if err != nil {
 		return TableIRow{}, fmt.Errorf("harness: table I %s: %w", name, err)
 	}

@@ -40,7 +40,7 @@ func TestVirtualGolden(t *testing.T) {
 	}
 	opts := Options{
 		BatchInterval: 10 * time.Millisecond, P99SLA: 10 * time.Millisecond,
-		Batches: 32, Warmup: 4, Workers: 8, Seed: 7, Virtual: true,
+		Batches: 32, Warmup: 4, Workers: 8, Seed: 7,
 	}
 	got := map[string]goldenPoint{}
 	for _, wl := range []Workload{tp, rb} {

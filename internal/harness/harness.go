@@ -31,8 +31,8 @@ type Workload struct {
 	NewGen func(seed int64) RequestGen
 }
 
-// System names an executor construction on the worker pool the harness
-// builds from Options.Workers and Options.Virtual.
+// System names an executor construction on the virtual worker pool the
+// harness builds from Options.Workers.
 type System struct {
 	Name string
 	New  func(reg *engine.Registry, st *store.Store, pool engine.Pool) engine.Executor
@@ -50,12 +50,6 @@ type Options struct {
 	Growth        float64       // batch-size multiplier between points
 	Workers       int           // paper: 20 threads
 	Seed          int64
-	// Virtual runs every system on engine.NewVirtualPool instead of
-	// engine.NewThreadPool: real executions scheduled across Workers
-	// virtual workers, latency and throughput read off VDone /
-	// VirtualMakespan. This reproduces the paper's 20-core testbed on any
-	// host and runs without wall-clock pacing.
-	Virtual bool
 }
 
 func (o Options) withDefaults() Options {
@@ -147,17 +141,16 @@ func MaxSustainable(sys System, wl Workload, opts Options) (*Sweep, error) {
 const maxConsecutiveFails = 2
 
 // RunPoint measures one (system, workload, batch size) configuration: it
-// dispatches Batches+Warmup batches paced at BatchInterval and reports
+// dispatches Batches+Warmup batches arriving every BatchInterval and reports
 // latency, throughput, abort rate and time breakdowns over the measured
-// window.
+// window. Every system runs on engine.NewVirtualPool: real executions
+// scheduled across Workers virtual workers, latency and throughput read off
+// VDone and VirtualMakespan. This reproduces the paper's 20-core testbed on
+// any host, with no wall-clock pacing.
 func RunPoint(sys System, wl Workload, batchSize int, opts Options) (*Point, error) {
 	opts = opts.withDefaults()
 	st := wl.NewStore()
-	pool := engine.NewThreadPool(opts.Workers)
-	if opts.Virtual {
-		pool = engine.NewVirtualPool(opts.Workers)
-	}
-	exec := sys.New(wl.Registry, st, pool)
+	exec := sys.New(wl.Registry, st, engine.NewVirtualPool(opts.Workers))
 	gen := wl.NewGen(opts.Seed)
 
 	lat := metrics.NewHistogram()
@@ -165,44 +158,30 @@ func RunPoint(sys System, wl Workload, batchSize int, opts Options) (*Point, err
 	var prepSum, reexecSum time.Duration
 	var prepN, reexecN int
 
-	arrivals := map[uint64]time.Time{}
-	arrivalsV := map[uint64]time.Duration{}
+	arrivals := map[uint64]time.Duration{}
 	seq := uint64(0)
-	start := time.Now()
 	var vclock time.Duration
 	total := opts.Warmup + opts.Batches
 	for b := 0; b < total; b++ {
-		vArrival := time.Duration(b) * opts.BatchInterval
-		var batchStartV time.Duration
-		if opts.Virtual {
-			// Virtual pacing: the batch starts when it arrives or when
-			// the previous batch's makespan ends, whichever is later.
-			if vclock < vArrival {
-				vclock = vArrival
-			}
-			batchStartV = vclock
-		} else {
-			target := start.Add(vArrival)
-			if d := time.Until(target); d > 0 {
-				time.Sleep(d)
-			}
+		arrival := time.Duration(b) * opts.BatchInterval
+		// The batch starts when it arrives or when the previous batch's
+		// makespan ends, whichever is later.
+		if vclock < arrival {
+			vclock = arrival
 		}
+		batchStart := vclock
 		batch := make([]engine.Request, batchSize)
-		now := time.Now()
 		for i := range batch {
 			seq++
 			tx, inputs := gen.Next()
 			batch[i] = engine.Request{Seq: seq, TxName: tx, Inputs: inputs}
-			arrivals[seq] = now
-			arrivalsV[seq] = vArrival
+			arrivals[seq] = arrival
 		}
 		res, err := exec.ExecuteBatch(batch)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s/%s size %d: %w", sys.Name, wl.Name, batchSize, err)
 		}
-		if opts.Virtual {
-			vclock = batchStartV + res.VirtualMakespan
-		}
+		vclock = batchStart + res.VirtualMakespan
 		measured := b >= opts.Warmup
 		for i := range res.Outcomes {
 			o := &res.Outcomes[i]
@@ -215,27 +194,20 @@ func RunPoint(sys System, wl Workload, batchSize int, opts Options) (*Point, err
 					processed++
 					aborts += o.Aborts
 				}
-				arrivals[o.Seq] = time.Now().Add(opts.BatchInterval)
-				arrivalsV[o.Seq] = vArrival + opts.BatchInterval
+				arrivals[o.Seq] = arrival + opts.BatchInterval
 				continue
 			}
 			arr, ok := arrivals[o.Seq]
 			if !ok {
 				continue
 			}
-			arrV := arrivalsV[o.Seq]
 			delete(arrivals, o.Seq)
-			delete(arrivalsV, o.Seq)
 			if !measured {
 				continue
 			}
 			processed++
 			committed++
-			if opts.Virtual {
-				lat.Observe(batchStartV + o.VDone - arrV)
-			} else {
-				lat.Observe(o.Done.Sub(arr))
-			}
+			lat.Observe(batchStart + o.VDone - arr)
 			aborts += o.Aborts
 			if o.Prepare > 0 {
 				prepSum += o.Prepare

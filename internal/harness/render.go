@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -96,32 +95,6 @@ func TableICSV(rows []TableIRow) string {
 	return sb.String()
 }
 
-// Speedups summarises, per workload, each system's throughput relative to
-// the slowest — the "who wins by how much" shape check for EXPERIMENTS.md.
-func Speedups(rows []ComparisonRow) map[string]map[string]float64 {
-	byWL := map[string][]ComparisonRow{}
-	for _, r := range rows {
-		byWL[r.Workload] = append(byWL[r.Workload], r)
-	}
-	out := map[string]map[string]float64{}
-	for wl, rs := range byWL {
-		minT := rs[0].Throughput
-		for _, r := range rs {
-			if r.Throughput < minT && r.Throughput > 0 {
-				minT = r.Throughput
-			}
-		}
-		if minT <= 0 {
-			continue
-		}
-		out[wl] = map[string]float64{}
-		for _, r := range rs {
-			out[wl][r.System] = r.Throughput / minT
-		}
-	}
-	return out
-}
-
 func fmtBig(v float64) string {
 	switch {
 	case v >= 1e12:
@@ -165,14 +138,4 @@ func fmtDur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%dµs", d.Microseconds())
 	}
-}
-
-// SortRows orders comparison rows by workload then system for stable output.
-func SortRows(rows []ComparisonRow) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Workload != rows[j].Workload {
-			return rows[i].Workload < rows[j].Workload
-		}
-		return rows[i].System < rows[j].System
-	})
 }

@@ -18,7 +18,6 @@ func virtualOpts() Options {
 		Growth:        2,
 		Workers:       8,
 		Seed:          1,
-		Virtual:       true,
 	}
 }
 

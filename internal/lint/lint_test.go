@@ -131,8 +131,8 @@ transaction big(n int[0..1000]) {
     }
     emit out = s
 }`), "loop-bound")
-	if len(fs) != 1 {
-		t.Fatalf("got %d findings, want 1: %v", len(fs), fs)
+	if len(fs) != 1 || fs[0].Severity != SevError {
+		t.Fatalf("got %v, want one error finding", fs)
 	}
 	if !strings.Contains(fs[0].Message, "symexec.ErrBudget") {
 		t.Errorf("message should mention symexec.ErrBudget: %q", fs[0].Message)
@@ -333,7 +333,7 @@ func TestParamDomainPassUnusedParam(t *testing.T) {
 transaction unused(x int[0..9], y int[0..9]) {
     emit out = x
 }`), "param-domain")
-	if len(fs) != 1 || !strings.Contains(fs[0].Message, `parameter "y" is never used`) {
+	if len(fs) != 1 || fs[0].Severity != SevWarning || !strings.Contains(fs[0].Message, `parameter "y" is never used`) {
 		t.Fatalf("findings %v, want one unused-param warning", fs)
 	}
 }

@@ -83,9 +83,10 @@ type SoundnessOptions struct {
 	Samples int
 	// Seed drives the deterministic RNG. 0 means 1.
 	Seed int64
-	// MaxMismatches caps the reported mismatches. 0 means 32.
-	MaxMismatches int
 }
+
+// maxMismatches caps each list of reported mismatches and errors.
+const maxMismatches = 32
 
 func (o SoundnessOptions) withDefaults() SoundnessOptions {
 	if o.Samples == 0 {
@@ -93,9 +94,6 @@ func (o SoundnessOptions) withDefaults() SoundnessOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MaxMismatches == 0 {
-		o.MaxMismatches = 32
 	}
 	return o
 }
@@ -179,7 +177,7 @@ func CheckSoundness(p *lang.Program, prof *profile.Profile, opts SoundnessOption
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rep := &SoundnessReport{TxName: p.Name}
-	checkDirectMarks(prof, rep, opts)
+	checkDirectMarks(prof, rep)
 	fields := fieldNames(p)
 	zv := newZoneValidator(p)
 
@@ -194,7 +192,7 @@ func CheckSoundness(p *lang.Program, prof *profile.Profile, opts SoundnessOption
 
 	for _, inputs := range samples {
 		// State 1: empty store.
-		if err := checkOne(p, prof, inputs, newStoreKV(), false, rep, opts, zv); err != nil {
+		if err := checkOne(p, prof, inputs, newStoreKV(), false, rep, zv); err != nil {
 			return nil, err
 		}
 		// State 2: populate the keys the execution reads on the empty store
@@ -213,7 +211,7 @@ func CheckSoundness(p *lang.Program, prof *profile.Profile, opts SoundnessOption
 			}
 			populated.Put(k, value.Record(rec))
 		}
-		if err := checkOne(p, prof, inputs, populated, true, rep, opts, zv); err != nil {
+		if err := checkOne(p, prof, inputs, populated, true, rep, zv); err != nil {
 			return nil, err
 		}
 	}
@@ -230,14 +228,14 @@ const maxFieldValue = 1 << 12
 // claims against live states (states observed before an execution error are
 // still reachable states, so tracing a failing run is fine).
 func checkOne(p *lang.Program, prof *profile.Profile, inputs map[string]value.Value,
-	st *storeKV, populated bool, rep *SoundnessReport, opts SoundnessOptions, zv *zoneValidator) error {
+	st *storeKV, populated bool, rep *SoundnessReport, zv *zoneValidator) error {
 	rep.SamplesRun++
 
 	// Instantiate against the pristine store: pivot reads must see the
 	// state the concrete execution starts from.
 	ks, ierr := prof.Instantiate(inputs, st)
 	// The oracle runs on a clone; the concrete execution mutates its store.
-	res, rerr := lang.RunTrace(p, inputs, st.clone(), zv.trace(inputs, rep, opts))
+	res, rerr := lang.RunTrace(p, inputs, st.clone(), zv.trace(inputs, rep))
 	switch {
 	case ierr != nil && rerr != nil:
 		// Both reject the input (e.g. an out-of-domain boundary combination
@@ -245,16 +243,16 @@ func checkOne(p *lang.Program, prof *profile.Profile, inputs map[string]value.Va
 		return nil
 	case ierr != nil:
 		rep.addError(fmt.Sprintf("profile instantiation failed where execution succeeds: %v (inputs %s)",
-			ierr, renderInputs(inputs)), opts)
+			ierr, renderInputs(inputs)))
 		return nil
 	case rerr != nil:
-		rep.addError(fmt.Sprintf("concrete execution failed: %v (inputs %s)", rerr, renderInputs(inputs)), opts)
+		rep.addError(fmt.Sprintf("concrete execution failed: %v (inputs %s)", rerr, renderInputs(inputs)))
 		return nil
 	}
 
-	diffKeySets(ks.Reads, res.Reads, false, inputs, populated, rep, opts)
-	diffKeySets(ks.Writes, res.Writes, true, inputs, populated, rep, opts)
-	checkSplitInstantiation(prof, inputs, st, ks, rep, opts)
+	diffKeySets(ks.Reads, res.Reads, false, inputs, populated, rep)
+	diffKeySets(ks.Writes, res.Writes, true, inputs, populated, rep)
+	checkSplitInstantiation(prof, inputs, st, ks, rep)
 	return nil
 }
 
@@ -265,7 +263,7 @@ func checkOne(p *lang.Program, prof *profile.Profile, inputs map[string]value.Va
 // it costs the client-side-prediction optimization, not correctness — so it
 // is not reported here; the symbolic executor's own cross-check catches it at
 // analysis time.)
-func checkDirectMarks(prof *profile.Profile, rep *SoundnessReport, opts SoundnessOptions) {
+func checkDirectMarks(prof *profile.Profile, rep *SoundnessReport) {
 	var walk func(n *profile.Node)
 	walk = func(n *profile.Node) {
 		if n == nil {
@@ -273,7 +271,7 @@ func checkDirectMarks(prof *profile.Profile, rep *SoundnessReport, opts Soundnes
 		}
 		for _, a := range n.Seg {
 			if a.Direct && a.Indirect() {
-				rep.addError(fmt.Sprintf("access %s is marked Direct but its key depends on a pivot", a), opts)
+				rep.addError(fmt.Sprintf("access %s is marked Direct but its key depends on a pivot", a))
 			}
 		}
 		walk(n.True)
@@ -287,19 +285,19 @@ func checkDirectMarks(prof *profile.Profile, rep *SoundnessReport, opts Soundnes
 // reproduce the full instantiation — same keys, same pivot observations, and
 // no store access from the direct half.
 func checkSplitInstantiation(prof *profile.Profile, inputs map[string]value.Value,
-	st *storeKV, full *profile.KeySet, rep *SoundnessReport, opts SoundnessOptions) {
+	st *storeKV, full *profile.KeySet, rep *SoundnessReport) {
 	if !prof.PivotFreeTraversal() {
 		return
 	}
 	direct, err := prof.InstantiateDirect(inputs)
 	if err != nil {
 		rep.addError(fmt.Sprintf("direct instantiation failed where full instantiation succeeds: %v (inputs %s)",
-			err, renderInputs(inputs)), opts)
+			err, renderInputs(inputs)))
 		return
 	}
 	if len(direct.Pivots) != 0 {
 		rep.addError(fmt.Sprintf("direct instantiation recorded %d pivot observations (inputs %s)",
-			len(direct.Pivots), renderInputs(inputs)), opts)
+			len(direct.Pivots), renderInputs(inputs)))
 	}
 	// Both ways the engine prepares: the direct part evaluated in the same
 	// traversal, and handed in from an earlier one.
@@ -307,19 +305,19 @@ func checkSplitInstantiation(prof *profile.Profile, inputs map[string]value.Valu
 		split, err := prof.InstantiateSplit(inputs, st, given)
 		if err != nil {
 			rep.addError(fmt.Sprintf("split instantiation failed where full instantiation succeeds: %v (inputs %s)",
-				err, renderInputs(inputs)), opts)
+				err, renderInputs(inputs)))
 			return
 		}
 		if len(split.Pivots) != len(full.Pivots) {
 			rep.addError(fmt.Sprintf("split instantiation observed %d pivots, full observed %d (inputs %s)",
-				len(split.Pivots), len(full.Pivots), renderInputs(inputs)), opts)
+				len(split.Pivots), len(full.Pivots), renderInputs(inputs)))
 		}
 		if split.DirectReads != len(direct.Reads) || split.DirectWrites != len(direct.Writes) {
 			rep.addError(fmt.Sprintf("split instantiation marks %d+%d keys direct, direct instantiation yields %d+%d (inputs %s)",
-				split.DirectReads, split.DirectWrites, len(direct.Reads), len(direct.Writes), renderInputs(inputs)), opts)
+				split.DirectReads, split.DirectWrites, len(direct.Reads), len(direct.Writes), renderInputs(inputs)))
 		}
-		sameKeySet(split.Reads, full.Reads, "read", inputs, rep, opts)
-		sameKeySet(split.Writes, full.Writes, "write", inputs, rep, opts)
+		sameKeySet(split.Reads, full.Reads, "read", inputs, rep)
+		sameKeySet(split.Writes, full.Writes, "write", inputs, rep)
 	}
 }
 
@@ -358,10 +356,10 @@ func (v *zoneVariant) at(path string) *Zone {
 }
 
 // trace returns the statement-entry hook for one sampled run.
-func (zv *zoneValidator) trace(inputs map[string]value.Value, rep *SoundnessReport, opts SoundnessOptions) lang.TraceFunc {
+func (zv *zoneValidator) trace(inputs map[string]value.Value, rep *SoundnessReport) lang.TraceFunc {
 	return func(path string, locals map[string]value.Value) {
 		for _, v := range zv.variants {
-			validateZone(v, path, inputs, locals, rep, opts)
+			validateZone(v, path, inputs, locals, rep)
 		}
 	}
 }
@@ -373,7 +371,7 @@ func (zv *zoneValidator) trace(inputs map[string]value.Value, rep *SoundnessRepo
 // live interpreter state). Variables that are unassigned or non-integer at
 // the point are skipped: constraints on them are not concretely observable.
 func validateZone(v *zoneVariant, path string, inputs, locals map[string]value.Value,
-	rep *SoundnessReport, opts SoundnessOptions) {
+	rep *SoundnessReport) {
 	if v.zs.Capped {
 		return // a capped solution claims nothing
 	}
@@ -381,7 +379,7 @@ func validateZone(v *zoneVariant, path string, inputs, locals map[string]value.V
 	if z == nil || z.Bottom() {
 		rep.addZoneViolation(path, fmt.Sprintf(
 			"%s claims this statement unreachable, but a concrete execution reached it (inputs %s)",
-			v.name, renderInputs(inputs)), opts)
+			v.name, renderInputs(inputs)))
 		return
 	}
 	vals := make([]int64, z.n)
@@ -417,14 +415,14 @@ func validateZone(v *zoneVariant, path string, inputs, locals map[string]value.V
 			if vals[i]-vals[j] > c {
 				rep.addZoneViolation(path, fmt.Sprintf(
 					"%s claims %s - %s ≤ %d, but a concrete execution has %d - %d here (inputs %s)",
-					v.name, v.zs.names[i], v.zs.names[j], c, vals[i], vals[j], renderInputs(inputs)), opts)
+					v.name, v.zs.names[i], v.zs.names[j], c, vals[i], vals[j], renderInputs(inputs)))
 			}
 		}
 	}
 }
 
-func (r *SoundnessReport) addZoneViolation(path, msg string, opts SoundnessOptions) {
-	if len(r.ZoneViolations) < opts.MaxMismatches {
+func (r *SoundnessReport) addZoneViolation(path, msg string) {
+	if len(r.ZoneViolations) < maxMismatches {
 		r.ZoneViolations = append(r.ZoneViolations, ZoneViolation{Path: path, Msg: msg})
 	}
 }
@@ -432,18 +430,18 @@ func (r *SoundnessReport) addZoneViolation(path, msg string, opts SoundnessOptio
 // sameKeySet reports an error for every key on which the split and full
 // instantiations disagree.
 func sameKeySet(split, full []value.Key, op string, inputs map[string]value.Value,
-	rep *SoundnessReport, opts SoundnessOptions) {
+	rep *SoundnessReport) {
 	s, f := keySet(split), keySet(full)
 	for e, k := range s {
 		if _, ok := f[e]; !ok {
 			rep.addError(fmt.Sprintf("split instantiation predicts %s of %s that the full instantiation does not (inputs %s)",
-				op, k, renderInputs(inputs)), opts)
+				op, k, renderInputs(inputs)))
 		}
 	}
 	for e, k := range f {
 		if _, ok := s[e]; !ok {
 			rep.addError(fmt.Sprintf("split instantiation misses %s of %s that the full instantiation predicts (inputs %s)",
-				op, k, renderInputs(inputs)), opts)
+				op, k, renderInputs(inputs)))
 		}
 	}
 }
@@ -451,18 +449,18 @@ func sameKeySet(split, full []value.Key, op string, inputs map[string]value.Valu
 // diffKeySets compares predicted against observed keys as sets (program
 // order and duplicates are not part of the soundness contract).
 func diffKeySets(predicted, observed []value.Key, write bool,
-	inputs map[string]value.Value, populated bool, rep *SoundnessReport, opts SoundnessOptions) {
+	inputs map[string]value.Value, populated bool, rep *SoundnessReport) {
 	pred := keySet(predicted)
 	obs := keySet(observed)
 	for _, k := range predicted {
 		if _, ok := obs[k.Encode()]; !ok {
-			rep.addMismatch(Mismatch{Kind: Over, Key: k, Write: write, Inputs: inputs, Populated: populated}, opts)
+			rep.addMismatch(Mismatch{Kind: Over, Key: k, Write: write, Inputs: inputs, Populated: populated})
 			obs[k.Encode()] = k // report each key once per sample
 		}
 	}
 	for _, k := range observed {
 		if _, ok := pred[k.Encode()]; !ok {
-			rep.addMismatch(Mismatch{Kind: Under, Key: k, Write: write, Inputs: inputs, Populated: populated}, opts)
+			rep.addMismatch(Mismatch{Kind: Under, Key: k, Write: write, Inputs: inputs, Populated: populated})
 			pred[k.Encode()] = k
 		}
 	}
@@ -476,20 +474,20 @@ func keySet(keys []value.Key) map[value.Encoded]value.Key {
 	return m
 }
 
-func (r *SoundnessReport) addMismatch(m Mismatch, opts SoundnessOptions) {
+func (r *SoundnessReport) addMismatch(m Mismatch) {
 	if m.Kind == Over {
-		if len(r.Over) < opts.MaxMismatches {
+		if len(r.Over) < maxMismatches {
 			r.Over = append(r.Over, m)
 		}
 		return
 	}
-	if len(r.Under) < opts.MaxMismatches {
+	if len(r.Under) < maxMismatches {
 		r.Under = append(r.Under, m)
 	}
 }
 
-func (r *SoundnessReport) addError(msg string, opts SoundnessOptions) {
-	if len(r.Errors) < opts.MaxMismatches {
+func (r *SoundnessReport) addError(msg string) {
+	if len(r.Errors) < maxMismatches {
 		r.Errors = append(r.Errors, msg)
 	}
 }

@@ -15,9 +15,9 @@ import (
 func analyze(t *testing.T, src string) (*lang.Program, *profile.Profile) {
 	t.Helper()
 	p := mustParse(t, src)
-	prof, err := symexec.AnalyzeOptimized(p)
+	prof, err := symexec.Analyze(p)
 	if err != nil {
-		t.Fatalf("AnalyzeOptimized: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
 	return p, prof
 }
@@ -326,9 +326,9 @@ transaction batchGet(n int[0..4], ids list[int[0..9]; 8; n]) {
 
 	// End-to-end: the SE-derived profile must stay sound under
 	// effective-length sampling.
-	prof, err := symexec.AnalyzeOptimized(p)
+	prof, err := symexec.Analyze(p)
 	if err != nil {
-		t.Fatalf("AnalyzeOptimized: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
 	rep, err := CheckSoundness(p, prof, SoundnessOptions{Samples: 16})
 	if err != nil {

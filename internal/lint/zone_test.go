@@ -294,7 +294,6 @@ func FuzzZoneVsInterval(f *testing.F) {
 		// the failure point; those states are reachable and count.
 		zv := newZoneValidator(p)
 		rep := &SoundnessReport{TxName: p.Name}
-		opts := SoundnessOptions{}.withDefaults()
 		rng := rand.New(rand.NewSource(1))
 		samples := boundarySamples(p)
 		for i := 0; i < 8; i++ {
@@ -306,7 +305,7 @@ func FuzzZoneVsInterval(f *testing.F) {
 		}
 		fields := fieldNames(p)
 		for _, inputs := range samples {
-			res, err := lang.RunTrace(p, inputs, newStoreKV(), zv.trace(inputs, rep, opts))
+			res, err := lang.RunTrace(p, inputs, newStoreKV(), zv.trace(inputs, rep))
 			if err != nil {
 				continue
 			}
@@ -318,7 +317,7 @@ func FuzzZoneVsInterval(f *testing.F) {
 				}
 				populated.Put(k, value.Record(rec))
 			}
-			_, _ = lang.RunTrace(p, inputs, populated, zv.trace(inputs, rep, opts))
+			_, _ = lang.RunTrace(p, inputs, populated, zv.trace(inputs, rep))
 		}
 		if len(rep.ZoneViolations) > 0 {
 			v := rep.ZoneViolations[0]
@@ -338,9 +337,9 @@ func TestOracleAgreesWithProfiles(t *testing.T) {
 	progs = append(progs, tpcc.Programs(tpcc.DefaultConfig(2))...)
 	progs = append(progs, rubis.Programs(rubis.DefaultConfig())...)
 	for _, p := range progs {
-		prof, err := symexec.AnalyzeProfileOnly(p)
+		prof, err := symexec.Analyze(p)
 		if err != nil {
-			t.Fatalf("%s: AnalyzeProfileOnly: %v", p.Name, err)
+			t.Fatalf("%s: Analyze: %v", p.Name, err)
 		}
 		pc := &ProgContext{Prog: p}
 		kd := pc.KeyDet()

@@ -37,7 +37,7 @@ func TestInstantiateAllocs(t *testing.T) {
 			for _, p := range tpcc.Programs(cfg) {
 				if p.Name == tc.prog {
 					var err error
-					if prof, err = symexec.AnalyzeProfileOnly(p); err != nil {
+					if prof, err = symexec.Analyze(p); err != nil {
 						t.Fatal(err)
 					}
 				}

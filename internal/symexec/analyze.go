@@ -1,10 +1,10 @@
 package symexec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"prognosticator/internal/lang"
@@ -15,34 +15,28 @@ import (
 	"prognosticator/internal/value"
 )
 
-// Options configures one analysis run.
-type Options struct {
-	// UseTaint enables the irrelevant-variable (concolic) optimization.
-	UseTaint bool
-	// Prune enables merging of sibling subtrees that produce identical
+// options configures one analysis run. Analyze and Measure fix them; the
+// package's tests set them to compare the optimizations and budgets.
+type options struct {
+	// useTaint enables the irrelevant-variable (concolic) optimization.
+	useTaint bool
+	// prune enables merging of sibling subtrees that produce identical
 	// RWS (the paper's depth-first pruning).
-	Prune bool
-	// MaxStates caps the number of symbolic states; 0 means DefaultMaxStates.
-	MaxStates int
-	// MaxLoopUnroll caps iterations of any single loop; 0 means
-	// DefaultMaxLoopUnroll.
-	MaxLoopUnroll int
-	// FixedInputs pins selected parameters to concrete values (e.g. fixing
+	prune bool
+	// maxStates caps the number of symbolic states; 0 means DefaultMaxStates.
+	maxStates int
+	// fixedInputs pins selected parameters to concrete values (e.g. fixing
 	// olCnt to reproduce the per-iteration rows of Table I).
-	FixedInputs map[string]value.Value
-	// TruncateOnBudget stops forking (exploring only the true arm) once
+	fixedInputs map[string]value.Value
+	// truncateOnBudget stops forking (exploring only the true arm) once
 	// the state budget is reached instead of failing. The resulting
 	// profile is INCOMPLETE and must only be used for cost measurement
 	// (Table I extrapolation), never for scheduling.
-	TruncateOnBudget bool
-	// SkipUnoptimized suppresses the comparison run that fills the
-	// unoptimized columns of Stats.
-	SkipUnoptimized bool
+	truncateOnBudget bool
 }
 
-// Default budget values. UnoptComparisonBudget caps the automatic
-// unoptimized comparison run (see Analyze); callers wanting deeper
-// unoptimized exploration run Analyze without optimizations themselves.
+// Budgets. DefaultMaxLoopUnroll caps the iterations of any single loop;
+// UnoptComparisonBudget caps Measure's unoptimized comparison run.
 const (
 	DefaultMaxStates      = 1 << 20
 	DefaultMaxLoopUnroll  = 64
@@ -53,22 +47,59 @@ const (
 // budget.
 var ErrBudget = fmt.Errorf("symexec: state budget exhausted")
 
-// Analyze symbolically executes p and returns its transaction profile. With
-// Options zero value the analysis runs unoptimized; production callers want
-// UseTaint and Prune (see AnalyzeOptimized).
-func Analyze(p *lang.Program, opts Options) (*profile.Profile, error) {
-	if opts.MaxStates == 0 {
-		opts.MaxStates = DefaultMaxStates
+// Analyze symbolically executes p with both of the paper's optimizations
+// (taint and pruning) and returns its transaction profile. Stats holds the
+// counts and the duration; the memory figures and the unoptimized columns
+// are Measure's.
+func Analyze(p *lang.Program) (*profile.Profile, error) {
+	return analyze(p, options{useTaint: true, prune: true})
+}
+
+// Measure is Table I's analysis: Analyze with the parameters in fixed pinned
+// to concrete values, plus the memory it allocated and a capped run without
+// the optimizations for the unoptimized columns of Stats. The profile is the
+// one Analyze derives under the same inputs.
+func Measure(p *lang.Program, fixed map[string]value.Value) (*profile.Profile, error) {
+	prof, mem, err := analyzeMeasured(p, options{useTaint: true, prune: true, fixedInputs: fixed})
+	if err != nil {
+		return nil, err
 	}
-	if opts.MaxLoopUnroll == 0 {
-		opts.MaxLoopUnroll = DefaultMaxLoopUnroll
+	prof.Stats.MemoryBytes = mem
+	// The comparison run's budget is capped: beyond UnoptComparisonBudget
+	// states the unoptimized analysis is exactly the infeasible case the
+	// paper reports by extrapolation (newOrder at 15 iterations would take
+	// ~35 days under JPF), so the run is truncated and the caller
+	// extrapolates from TotalStates. A failed run leaves the columns at zero.
+	unopt, mem, err := analyzeMeasured(p, options{
+		maxStates: UnoptComparisonBudget, truncateOnBudget: true, fixedInputs: fixed,
+	})
+	if err == nil {
+		prof.Stats.MemoryBytesUnopt = mem
+		prof.Stats.DurationUnopt = unopt.Stats.Duration
+		prof.Stats.StatesUnopt = unopt.Stats.StatesExplored
+		prof.Stats.UnoptTruncated = unopt.Stats.Truncated
 	}
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
+	return prof, nil
+}
+
+// analyzeMeasured runs analyze and reports the bytes it allocated.
+func analyzeMeasured(p *lang.Program, opts options) (*profile.Profile, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prof, err := analyze(p, opts)
+	runtime.ReadMemStats(&after)
+	return prof, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// analyze is one symbolic execution of p under opts.
+func analyze(p *lang.Program, opts options) (*profile.Profile, error) {
+	if opts.maxStates == 0 {
+		opts.maxStates = DefaultMaxStates
+	}
 	start := time.Now()
 
 	a := &analysis{prog: p, opts: opts}
-	if opts.UseTaint {
+	if opts.useTaint {
 		a.taint = taint.Analyze(p)
 	}
 	st := &state{a: a, locals: map[string]symval{}}
@@ -82,9 +113,6 @@ func Analyze(p *lang.Program, opts Options) (*profile.Profile, error) {
 	if root == nil {
 		root = &profile.Node{}
 	}
-
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
 
 	// Cross-check the per-access Direct marks against the static
 	// key-determinism analysis: a pivot-keyed access in a table the static
@@ -102,54 +130,10 @@ func Analyze(p *lang.Program, opts Options) (*profile.Profile, error) {
 		DepthMax:       a.depthMax,
 		UniqueKeySets:  countUniqueKeySets(root),
 		IndirectKeys:   countIndirectKeys(root),
-		MemoryBytes:    memAfter.TotalAlloc - memBefore.TotalAlloc,
 		Duration:       time.Since(start),
 		Truncated:      a.truncated,
 	}
-
-	// Comparison run without the optimizations, for the Table I columns.
-	// Its budget is capped: beyond UnoptComparisonBudget states the
-	// unoptimized analysis is exactly the infeasible case the paper
-	// reports by extrapolation (newOrder at 15 iterations would take ~35
-	// days under JPF), so the columns are left at zero and the caller
-	// extrapolates from TotalStates.
-	if (opts.UseTaint || opts.Prune) && !opts.SkipUnoptimized {
-		unopt := opts
-		unopt.UseTaint = false
-		unopt.Prune = false
-		unopt.SkipUnoptimized = true
-		unopt.TruncateOnBudget = true
-		if unopt.MaxStates > UnoptComparisonBudget {
-			unopt.MaxStates = UnoptComparisonBudget
-		}
-		if up, err := Analyze(p, unopt); err == nil {
-			prof.Stats.MemoryBytesUnopt = up.Stats.MemoryBytes
-			prof.Stats.DurationUnopt = up.Stats.Duration
-			prof.Stats.StatesUnopt = up.Stats.StatesExplored
-			prof.Stats.UnoptTruncated = up.Stats.Truncated
-		}
-		// Budget exhaustion in the unoptimized run leaves the columns at
-		// zero; callers report the analytic TotalStates instead, as the
-		// paper does for the infeasible newOrder runs.
-	}
 	return prof, nil
-}
-
-// AnalyzeOptimized runs Analyze with both optimizations on.
-func AnalyzeOptimized(p *lang.Program) (*profile.Profile, error) {
-	return Analyze(p, Options{UseTaint: true, Prune: true})
-}
-
-// AnalyzeProfileOnly runs the optimized analysis WITHOUT the capped
-// unoptimized comparison run that fills the Table I columns of Stats. The
-// resulting profile is identical to AnalyzeOptimized's; only the comparison
-// statistics are missing. This is the right entry point for callers that
-// need the profile and not the paper's measurements — soundness linting, the
-// engine registry — where the comparison run is pure overhead (for loop-heavy
-// transactions like TPC-C newOrder it dominates the analysis by orders of
-// magnitude).
-func AnalyzeProfileOnly(p *lang.Program) (*profile.Profile, error) {
-	return Analyze(p, Options{UseTaint: true, Prune: true, SkipUnoptimized: true})
 }
 
 func pow2(n int) float64 {
@@ -163,7 +147,7 @@ func pow2(n int) float64 {
 // analysis is the per-run shared context.
 type analysis struct {
 	prog  *lang.Program
-	opts  Options
+	opts  options
 	taint *taint.Result
 
 	states     int // symbolic states created
@@ -177,11 +161,11 @@ type analysis struct {
 // bindParams initializes the symbolic store from the parameter declarations.
 func (a *analysis) bindParams(st *state) error {
 	for _, prm := range a.prog.Params {
-		if fixed, ok := a.opts.FixedInputs[prm.Name]; ok {
+		if fixed, ok := a.opts.fixedInputs[prm.Name]; ok {
 			st.locals[prm.Name] = concreteSymval(fixed)
 			continue
 		}
-		if a.opts.UseTaint && !a.taint.Relevant(prm.Name) {
+		if a.opts.useTaint && !a.taint.Relevant(prm.Name) {
 			st.locals[prm.Name] = concreteSymval(taint.SampleValue(prm))
 			continue
 		}
@@ -342,7 +326,7 @@ func (s *state) execBlock(stmts []lang.Stmt, k kont) (*profile.Node, error) {
 			s.locals[st.Dst] = own
 			return restK(s)
 		}
-		dstConcrete := s.a.opts.UseTaint && !s.a.taint.Relevant(st.Dst)
+		dstConcrete := s.a.opts.useTaint && !s.a.taint.Relevant(st.Dst)
 		s.locals[st.Dst] = &pivotRecVal{table: st.Table, key: key, concrete: dstConcrete}
 		return restK(s)
 	case lang.Put:
@@ -390,7 +374,7 @@ func (s *state) execBlock(stmts []lang.Stmt, k kont) (*profile.Node, error) {
 		// This is the branch-level counterpart of the paper's irrelevant-
 		// variable concolic rule and is what keeps e.g. TPC-C newOrder's
 		// remote-warehouse conditional from exploding the analysis.
-		if _, isConst := sym.IsConst(cond); !isConst && s.a.opts.UseTaint &&
+		if _, isConst := sym.IsConst(cond); !isConst && s.a.opts.useTaint &&
 			!s.a.taint.BlockTouchesKeys(st.Then) && !s.a.taint.BlockTouchesKeys(st.Else) {
 			s.nConds++
 			return s.execBlock(st.Then, restK)
@@ -433,8 +417,8 @@ func (s *state) execBlock(stmts []lang.Stmt, k kont) (*profile.Node, error) {
 // execLoop executes one iteration test of a For statement with concrete
 // induction value i (bounds are evaluated once at loop entry).
 func (s *state) execLoop(st lang.For, from, i int64, to sym.Term, k kont) (*profile.Node, error) {
-	if i-from > int64(s.a.opts.MaxLoopUnroll) {
-		return nil, fmt.Errorf("loop %q: exceeded unroll bound %d", st.Var, s.a.opts.MaxLoopUnroll)
+	if i-from > DefaultMaxLoopUnroll {
+		return nil, fmt.Errorf("loop %q: exceeded unroll bound %d", st.Var, DefaultMaxLoopUnroll)
 	}
 	cond := sym.Fold(sym.Bin{Op: lang.OpLt, L: sym.Const{V: value.Int(i)}, R: to})
 	iterate := func(t *state) (*profile.Node, error) {
@@ -482,13 +466,13 @@ func (s *state) branch(cond sym.Term, onTrue, onFalse kont) (*profile.Node, erro
 	// Both sides feasible: fork.
 	s.a.forks++
 	s.a.states += 2
-	if s.a.states > s.a.opts.MaxStates {
-		if s.a.opts.TruncateOnBudget {
+	if s.a.states > s.a.opts.maxStates {
+		if s.a.opts.truncateOnBudget {
 			s.a.truncated = true
 			s.pc = truePC
 			return onTrue(s)
 		}
-		return nil, fmt.Errorf("%w (limit %d)", ErrBudget, s.a.opts.MaxStates)
+		return nil, fmt.Errorf("%w (limit %d)", ErrBudget, s.a.opts.maxStates)
 	}
 	seg := s.seg
 
@@ -506,7 +490,7 @@ func (s *state) branch(cond sym.Term, onTrue, onFalse kont) (*profile.Node, erro
 	if err != nil {
 		return nil, err
 	}
-	if s.a.opts.Prune && treesEqual(tTree, fTree) {
+	if s.a.opts.prune && treesEqual(tTree, fTree) {
 		// Both outcomes produce the same accesses: the conditional cannot
 		// affect the RWS. Graft the (identical) subtree onto the current
 		// segment, discarding the condition — the paper's pruning rule.
@@ -665,11 +649,13 @@ func accessEqual(a, b profile.Access) bool {
 
 // countUniqueKeySets counts distinct cumulative RWS over all root-to-leaf
 // paths (the paper's "unique key-sets" column). Each access is rendered
-// once, at its node; a leaf's key-set is the sorted renderings of the
-// accesses on its path.
+// once, at its node, and interned to an integer; a leaf's key-set is the
+// sorted integers of the accesses on its path.
 func countUniqueKeySets(root *profile.Node) int {
+	ids := map[string]uint32{}
 	seen := map[string]bool{}
-	var path, sorted []string
+	var path, sorted []uint32
+	var key []byte
 	var walk func(n *profile.Node)
 	walk = func(n *profile.Node) {
 		if n == nil {
@@ -677,12 +663,22 @@ func countUniqueKeySets(root *profile.Node) int {
 		}
 		mark := len(path)
 		for _, a := range n.Seg {
-			path = append(path, a.String())
+			r := a.String()
+			id, ok := ids[r]
+			if !ok {
+				id = uint32(len(ids))
+				ids[r] = id
+			}
+			path = append(path, id)
 		}
 		if n.Cond == nil {
 			sorted = append(sorted[:0], path...)
-			sort.Strings(sorted)
-			seen[strings.Join(sorted, ";")] = true
+			slices.Sort(sorted)
+			key = key[:0]
+			for _, id := range sorted {
+				key = binary.LittleEndian.AppendUint32(key, id)
+			}
+			seen[string(key)] = true
 		} else {
 			walk(n.True)
 			walk(n.False)

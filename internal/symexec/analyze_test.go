@@ -86,7 +86,7 @@ func progLoop(lo, hi int64) *lang.Program {
 }
 
 func TestStraightLineProfile(t *testing.T) {
-	p, err := AnalyzeOptimized(progStraight())
+	p, err := Analyze(progStraight())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestStraightLineProfile(t *testing.T) {
 }
 
 func TestBranchOnKeyForks(t *testing.T) {
-	p, err := AnalyzeOptimized(progBranchKey())
+	p, err := Analyze(progBranchKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBranchOnKeyForks(t *testing.T) {
 func TestValueBranchConcolicNoForks(t *testing.T) {
 	// With taint: the condition depends only on irrelevant data, so the
 	// branch never forks and the profile is a single node.
-	p, err := AnalyzeOptimized(progBranchValue())
+	p, err := Analyze(progBranchValue())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestValueBranchConcolicNoForks(t *testing.T) {
 func TestValueBranchPruningMergesWithoutTaint(t *testing.T) {
 	// Without taint the branch forks (condition is symbolic via the
 	// pivot), but both sides produce the same RWS so pruning merges them.
-	p, err := Analyze(progBranchValue(), Options{Prune: true})
+	p, err := analyze(progBranchValue(), options{prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestValueBranchPruningMergesWithoutTaint(t *testing.T) {
 		t.Fatalf("states = %d, want 3", p.Stats.StatesExplored)
 	}
 	// Without pruning the tree keeps both (identical) subtrees.
-	u, err := Analyze(progBranchValue(), Options{})
+	u, err := analyze(progBranchValue(), options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestValueBranchPruningMergesWithoutTaint(t *testing.T) {
 }
 
 func TestPivotKeyDetection(t *testing.T) {
-	p, err := AnalyzeOptimized(progPivotKey())
+	p, err := Analyze(progPivotKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func (s *staticPivots) ReadPivot(k value.Key, field string) (value.Value, bool) 
 }
 
 func TestSymbolicLoopBoundEnumeratesLengths(t *testing.T) {
-	p, err := AnalyzeOptimized(progLoop(2, 4))
+	p, err := Analyze(progLoop(2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +238,9 @@ func TestSymbolicLoopBoundEnumeratesLengths(t *testing.T) {
 }
 
 func TestFixedInputsCollapseLoop(t *testing.T) {
-	p, err := Analyze(progLoop(2, 4), Options{
-		UseTaint: true, Prune: true,
-		FixedInputs: map[string]value.Value{"n": value.Int(3)},
+	p, err := analyze(progLoop(2, 4), options{
+		useTaint: true, prune: true,
+		fixedInputs: map[string]value.Value{"n": value.Int(3)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestInfeasiblePathsPruned(t *testing.T) {
 			),
 		},
 	}
-	prof, err := Analyze(p, Options{Prune: false})
+	prof, err := analyze(p, options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestContradictoryRangeNoFork(t *testing.T) {
 			lang.PutS("T", lang.Key(lang.C(2)), lang.RecE(lang.F("v", lang.C(0)))),
 		},
 	}
-	prof, err := AnalyzeOptimized(p)
+	prof, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,21 +322,29 @@ func TestStateBudgetExceeded(t *testing.T) {
 			lang.PutS("T", lang.Key(lang.C(int64(i))), lang.RecE(lang.F("v", lang.C(0))))))
 	}
 	p := &lang.Program{Name: "wide", Params: []lang.Param{lang.IntParam("x", 0, 100)}, Body: body}
-	_, err := Analyze(p, Options{MaxStates: 4})
+	_, err := analyze(p, options{maxStates: 4})
 	if err == nil || !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want budget error", err)
 	}
 }
 
 func TestLoopUnrollBound(t *testing.T) {
-	p := progLoop(2, 4)
-	if _, err := Analyze(p, Options{MaxLoopUnroll: 2}); err == nil {
+	loop := func(n int64) *lang.Program {
+		return &lang.Program{Name: "long", Body: []lang.Stmt{
+			lang.ForS("i", lang.C(0), lang.C(n),
+				lang.PutS("T", lang.Key(lang.L("i")), lang.RecE(lang.F("v", lang.C(0))))),
+		}}
+	}
+	if _, err := Analyze(loop(DefaultMaxLoopUnroll)); err != nil {
+		t.Fatalf("loop at the unroll bound: %v", err)
+	}
+	if _, err := Analyze(loop(DefaultMaxLoopUnroll + 1)); err == nil {
 		t.Fatal("expected unroll bound error")
 	}
 }
 
 func TestUnoptimizedComparisonRun(t *testing.T) {
-	p, err := Analyze(progBranchValue(), Options{UseTaint: true, Prune: true})
+	p, err := Measure(progBranchValue(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +383,7 @@ func TestExponentialCollapseLikeNewOrder(t *testing.T) {
 			),
 		},
 	}
-	opt, err := Analyze(p, Options{UseTaint: true, Prune: true, SkipUnoptimized: true})
+	opt, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +391,7 @@ func TestExponentialCollapseLikeNewOrder(t *testing.T) {
 		t.Fatalf("optimized: states=%d leaves=%d, want 1/1",
 			opt.Stats.StatesExplored, opt.NumLeaves())
 	}
-	unopt, err := Analyze(p, Options{SkipUnoptimized: true})
+	unopt, err := analyze(p, options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +400,7 @@ func TestExponentialCollapseLikeNewOrder(t *testing.T) {
 		t.Fatalf("unoptimized states = %d, want %d", unopt.Stats.StatesExplored, wantStates)
 	}
 	// Pruning alone (no taint) still collapses the tree to one leaf.
-	pruned, err := Analyze(p, Options{Prune: true, SkipUnoptimized: true})
+	pruned, err := analyze(p, options{prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +417,7 @@ func TestProfileMatchesConcreteExecution(t *testing.T) {
 	// equals the keys the concrete interpreter actually touches.
 	progs := []*lang.Program{progStraight(), progBranchKey(), progBranchValue(), progLoop(1, 3)}
 	for _, pg := range progs {
-		prof, err := AnalyzeOptimized(pg)
+		prof, err := Analyze(pg)
 		if err != nil {
 			t.Fatalf("%s: %v", pg.Name, err)
 		}

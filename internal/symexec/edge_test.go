@@ -24,7 +24,7 @@ func TestSymbolicListIndexRejected(t *testing.T) {
 			lang.GetS("r", "T", lang.Idx(lang.P("xs"), lang.P("i"))),
 		},
 	}
-	_, err := AnalyzeOptimized(p)
+	_, err := Analyze(p)
 	if err == nil || !strings.Contains(err.Error(), "symbolic list index") {
 		t.Fatalf("err = %v", err)
 	}
@@ -39,7 +39,7 @@ func TestSymbolicLoopLowerBoundRejected(t *testing.T) {
 				lang.PutS("T", lang.Key(lang.L("i")), lang.RecE(lang.F("v", lang.C(0))))),
 		},
 	}
-	_, err := AnalyzeOptimized(p)
+	_, err := Analyze(p)
 	if err == nil || !strings.Contains(err.Error(), "lower bound") {
 		t.Fatalf("err = %v", err)
 	}
@@ -55,7 +55,7 @@ func TestRecordInArithmeticRejected(t *testing.T) {
 			lang.PutS("T", lang.Key(lang.L("bad")), lang.RecE(lang.F("v", lang.C(0)))),
 		},
 	}
-	if _, err := AnalyzeOptimized(p); err == nil {
+	if _, err := Analyze(p); err == nil {
 		t.Fatal("record operand in + must be rejected")
 	}
 }
@@ -73,7 +73,7 @@ func TestStringKeyedTables(t *testing.T) {
 			lang.PutS("IDS", lang.Key(lang.Cs("users")), lang.L("ids")),
 		},
 	}
-	prof, err := AnalyzeOptimized(p)
+	prof, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestStringEqualityBranch(t *testing.T) {
 			),
 		},
 	}
-	prof, err := AnalyzeOptimized(p)
+	prof, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestNestedPivotChainProgram(t *testing.T) {
 			lang.PutS("NODE", lang.Key(lang.Fld(lang.L("z"), "next")), lang.RecE(lang.F("v", lang.C(1)))),
 		},
 	}
-	prof, err := AnalyzeOptimized(p)
+	prof, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestDeleteTrackedAsWrite(t *testing.T) {
 		Params: []lang.Param{lang.IntParam("k", 0, 3)},
 		Body:   []lang.Stmt{lang.DelS("T", lang.P("k"))},
 	}
-	prof, err := AnalyzeOptimized(p)
+	prof, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDeleteTrackedAsWrite(t *testing.T) {
 
 func TestEmptyProgramProfile(t *testing.T) {
 	p := &lang.Program{Name: "empty"}
-	prof, err := AnalyzeOptimized(p)
+	prof, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestBoolParam(t *testing.T) {
 			),
 		},
 	}
-	prof, err := AnalyzeOptimized(p)
+	prof, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,12 +150,12 @@ func TestFuzzProfilesCoverConcreteExecution(t *testing.T) {
 			continue
 		}
 		tried++
-		for _, opts := range []Options{
-			{UseTaint: true, Prune: true, SkipUnoptimized: true},
-			{Prune: true, SkipUnoptimized: true},
-			{SkipUnoptimized: true},
+		for _, opts := range []options{
+			{useTaint: true, prune: true},
+			{prune: true},
+			{},
 		} {
-			prof, err := Analyze(p, opts)
+			prof, err := analyze(p, opts)
 			if err != nil {
 				// Budget or unsupported constructs: acceptable for fuzz
 				// programs, but must be an explicit error, not a panic.
@@ -247,8 +247,8 @@ func TestFuzzFormatParseRoundTrip(t *testing.T) {
 		if err := schema.Validate(back); err != nil {
 			t.Fatalf("seed %d: re-parsed program invalid: %v", seed, err)
 		}
-		a, errA := AnalyzeOptimized(p)
-		b, errB := AnalyzeOptimized(back)
+		a, errA := Analyze(p)
+		b, errB := Analyze(back)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("seed %d: analyze disagreement after round trip", seed)
 		}
@@ -271,8 +271,8 @@ func TestFuzzDeterministicProfiles(t *testing.T) {
 		if err := schema.Validate(p); err != nil {
 			continue
 		}
-		a, errA := AnalyzeOptimized(p)
-		b, errB := AnalyzeOptimized(p)
+		a, errA := Analyze(p)
+		b, errB := Analyze(p)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("seed %d: nondeterministic analyze error", seed)
 		}

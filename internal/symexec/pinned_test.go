@@ -34,9 +34,9 @@ func pinnedCatalogs(t testing.TB) map[string][]*lang.Program {
 // pinnedModes are the two analyses a catalog goes through: the optimized
 // one that serves scheduling, and the capped unoptimized comparison run
 // behind Table I's unoptimized columns.
-var pinnedModes = map[string]Options{
-	"opt":   {UseTaint: true, Prune: true, SkipUnoptimized: true},
-	"unopt": {MaxStates: UnoptComparisonBudget, TruncateOnBudget: true, SkipUnoptimized: true},
+var pinnedModes = map[string]options{
+	"opt":   {useTaint: true, prune: true},
+	"unopt": {maxStates: UnoptComparisonBudget, truncateOnBudget: true},
 }
 
 // pinnedProfile is what an analysis must reproduce exactly: the digest of
@@ -123,7 +123,7 @@ func TestAnalysisProfilesPinned(t *testing.T) {
 		for mode, opts := range pinnedModes {
 			for _, p := range progs {
 				name := cat + "." + mode + "." + p.Name
-				prof, err := Analyze(p, opts)
+				prof, err := analyze(p, opts)
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
 					continue
@@ -134,6 +134,40 @@ func TestAnalysisProfilesPinned(t *testing.T) {
 						name, got, want, name, got.digest, got.states, got.total,
 						got.depth, got.depthMax, got.keySets, got.indirects, got.truncated)
 				}
+			}
+		}
+	}
+}
+
+// TestMeasureMatchesAnalyze: Table I's analysis derives the profile the
+// registry's does, and only it pays for the memory figures and the
+// unoptimized comparison run.
+func TestMeasureMatchesAnalyze(t *testing.T) {
+	cats := pinnedCatalogs(t)
+	for _, cat := range []string{"tpcc1", "rubis"} {
+		for _, p := range cats[cat] {
+			name := cat + "." + p.Name
+			a, err := Analyze(p)
+			if err != nil {
+				t.Fatalf("%s: Analyze: %v", name, err)
+			}
+			m, err := Measure(p, nil)
+			if err != nil {
+				t.Fatalf("%s: Measure: %v", name, err)
+			}
+			if got, want := pin(t, m), pin(t, a); got != want {
+				t.Errorf("%s: Measure %#v, Analyze %#v", name, got, want)
+			}
+			if a.Stats.Duration <= 0 || m.Stats.Duration <= 0 {
+				t.Errorf("%s: durations %v / %v, want both set", name, a.Stats.Duration, m.Stats.Duration)
+			}
+			as := a.Stats
+			if as.MemoryBytes != 0 || as.MemoryBytesUnopt != 0 || as.DurationUnopt != 0 || as.StatesUnopt != 0 || as.UnoptTruncated {
+				t.Errorf("%s: Analyze filled Measure's columns: %+v", name, as)
+			}
+			ms := m.Stats
+			if ms.MemoryBytes == 0 || ms.MemoryBytesUnopt == 0 || ms.DurationUnopt == 0 || ms.StatesUnopt == 0 {
+				t.Errorf("%s: Measure left a column empty: %+v", name, ms)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func TestProgramsValidate(t *testing.T) {
 func TestAllUpdateTransactionsAreDT(t *testing.T) {
 	cfg := smallConfig()
 	for _, p := range UpdatePrograms(cfg) {
-		prof, err := symexec.AnalyzeOptimized(p)
+		prof, err := symexec.Analyze(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -42,16 +42,8 @@ func TestAllUpdateTransactionsAreDT(t *testing.T) {
 
 func TestViewsAreROT(t *testing.T) {
 	cfg := smallConfig()
-	for _, p := range []interface{ Name() string }{} {
-		_ = p
-	}
-	for _, prog := range []*struct {
-		name string
-	}{} {
-		_ = prog
-	}
 	for _, prog := range Programs(cfg)[5:] {
-		prof, err := symexec.AnalyzeOptimized(prog)
+		prof, err := symexec.Analyze(prog)
 		if err != nil {
 			t.Fatal(err)
 		}

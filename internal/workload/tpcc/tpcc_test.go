@@ -54,9 +54,7 @@ func TestClassificationMatchesPaper(t *testing.T) {
 
 func TestNewOrderProfileShape(t *testing.T) {
 	cfg := smallConfig(2)
-	prof, err := symexec.Analyze(NewOrderProg(cfg), symexec.Options{
-		UseTaint: true, Prune: true, SkipUnoptimized: true,
-	})
+	prof, err := symexec.Analyze(NewOrderProg(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +80,7 @@ func TestNewOrderFixedItersCollapses(t *testing.T) {
 	cfg := smallConfig(2)
 	// iters=5: the unoptimized run (2 forks per iteration) fits in the
 	// comparison budget and must report exactly 2*(2^10-1)+1 states.
-	prof, err := symexec.Analyze(NewOrderProg(cfg), symexec.Options{
-		UseTaint: true, Prune: true,
-		FixedInputs: map[string]value.Value{"olCnt": value.Int(5)},
-	})
+	prof, err := symexec.Measure(NewOrderProg(cfg), map[string]value.Value{"olCnt": value.Int(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +96,7 @@ func TestNewOrderFixedItersCollapses(t *testing.T) {
 	// iters=10: 2^20 unoptimized states exceed the comparison budget; the
 	// run is truncated (the "paper extrapolates" case) but the analytic
 	// total still reports the blow-up.
-	prof10, err := symexec.Analyze(NewOrderProg(cfg), symexec.Options{
-		UseTaint: true, Prune: true,
-		FixedInputs: map[string]value.Value{"olCnt": value.Int(10)},
-	})
+	prof10, err := symexec.Measure(NewOrderProg(cfg), map[string]value.Value{"olCnt": value.Int(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +115,7 @@ func TestDeliveryProfileShape(t *testing.T) {
 	// The paper's Table I: delivery has 1024 unique key-sets (one binary
 	// "undelivered order exists" decision per district).
 	cfg := smallConfig(1)
-	prof, err := symexec.Analyze(DeliveryProg(cfg), symexec.Options{
-		UseTaint: true, Prune: true, SkipUnoptimized: true,
-	})
+	prof, err := symexec.Analyze(DeliveryProg(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +138,7 @@ func TestDeliveryProfileShape(t *testing.T) {
 
 func TestPaymentProfileShape(t *testing.T) {
 	cfg := smallConfig(2)
-	prof, err := symexec.Analyze(PaymentProg(cfg), symexec.Options{
-		UseTaint: true, Prune: true, SkipUnoptimized: true,
-	})
+	prof, err := symexec.Analyze(PaymentProg(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

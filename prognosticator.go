@@ -111,8 +111,6 @@ type (
 	KeySet = profile.KeySet
 	// Class is the ROT/IT/DT taxonomy.
 	Class = profile.Class
-	// AnalysisOptions configures the symbolic execution.
-	AnalysisOptions = symexec.Options
 )
 
 // Transaction classes.
@@ -124,10 +122,9 @@ const (
 
 // Analysis entry points.
 var (
-	// Analyze runs the symbolic execution with explicit options.
+	// Analyze runs the symbolic execution the registry runs, with taint
+	// and pruning on.
 	Analyze = symexec.Analyze
-	// AnalyzeOptimized runs it with taint + pruning on (production mode).
-	AnalyzeOptimized = symexec.AnalyzeOptimized
 	// MarshalProfile / UnmarshalProfile serialize profiles.
 	MarshalProfile   = profile.Marshal
 	UnmarshalProfile = profile.Unmarshal
@@ -165,15 +162,11 @@ type (
 
 // Engine construction.
 var (
-	NewRegistry     = engine.NewRegistry
-	NewRegistryWith = engine.NewRegistryWith
-	NewEngine       = engine.New
-	NewThreadPool   = engine.NewThreadPool
-	NewVirtualPool  = engine.NewVirtualPool
+	NewRegistry    = engine.NewRegistry
+	NewEngine      = engine.New
+	NewThreadPool  = engine.NewThreadPool
+	NewVirtualPool = engine.NewVirtualPool
 )
-
-// RegistryOptions configures registration (strict lint, soundness checks).
-type RegistryOptions = engine.RegistryOptions
 
 // Static analysis (see cmd/prognolint for the command-line front end).
 type (
