@@ -290,6 +290,17 @@ func TestCalvinStalenessCausesAborts(t *testing.T) {
 	}
 }
 
+// A request that lacks a declared input fails Calvin's batch, as it fails
+// the engine's.
+func TestCalvinMissingInputErrors(t *testing.T) {
+	for _, inputs := range []map[string]value.Value{ival("amt", 5), ival("p", 3)} {
+		calvin := NewCalvin(registry(t), freshStore(), engine.NewThreadPool(2), 0, "Calvin-0")
+		if _, err := calvin.ExecuteBatch([]engine.Request{{Seq: 1, TxName: "chase", Inputs: inputs}}); err == nil {
+			t.Fatalf("chase%v must error", inputs)
+		}
+	}
+}
+
 func TestCalvinZeroStalenessNoAborts(t *testing.T) {
 	// With staleness 0 Calvin prepares against the previous batch — only
 	// same-batch invalidations can abort. A cross-batch redirect+chase

@@ -74,7 +74,7 @@ func (c *Calvin) ExecuteBatch(batch []engine.Request) (*engine.BatchResult, erro
 	// dedicated client thread did this N ms ago, off the replica's critical
 	// path, so it is not pool work — only the stale snapshot matters.
 	for _, tx := range b.Tasks {
-		ks, err := tx.Prof.Instantiate(tx.Req.Inputs, snap)
+		ks, err := tx.Prof.InstantiateArgs(tx.Args, snap, nil)
 		if err != nil {
 			return nil, fmt.Errorf("calvin: instantiate %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}
@@ -91,7 +91,7 @@ func (c *Calvin) ExecuteBatch(batch []engine.Request) (*engine.BatchResult, erro
 	failed, _, err := c.pool.Round(b.Tasks, nil, func(tx *engine.Task) (engine.Work, error) {
 		ov := engine.NewOverlay(writer)
 		ov.Guard(tx.KS.Reads, tx.KS.Writes)
-		resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
+		resu, err := new(lang.Frame).Run(tx.Prog, tx.Args, ov)
 		if err != nil {
 			return engine.Work{}, fmt.Errorf("calvin: execute %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}

@@ -43,7 +43,7 @@ func (n *NODO) ExecuteBatch(batch []engine.Request) (*engine.BatchResult, error)
 	}
 	_, _, err = n.pool.Round(b.Tasks, nil, func(tx *engine.Task) (engine.Work, error) {
 		ov := engine.NewOverlay(writer)
-		resu, err := lang.Run(tx.Prog, tx.Req.Inputs, ov)
+		resu, err := new(lang.Frame).Run(tx.Prog, tx.Args, ov)
 		if err != nil {
 			return engine.Work{}, fmt.Errorf("nodo: execute %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}
@@ -89,7 +89,7 @@ func (s *SEQ) ExecuteBatch(batch []engine.Request) (*engine.BatchResult, error) 
 	}
 	writer := b.Writer
 	err = s.pool.Serial(b.Tasks, func(tx *engine.Task) (engine.Work, error) {
-		resu, err := lang.Run(tx.Prog, tx.Req.Inputs, writer)
+		resu, err := new(lang.Frame).Run(tx.Prog, tx.Args, writer)
 		if err != nil {
 			return engine.Work{}, fmt.Errorf("seq: execute %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}

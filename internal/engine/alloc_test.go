@@ -11,11 +11,13 @@ import (
 
 // TestAllocBudget pins what one transaction allocates on the engine's hot
 // path, at Workers: 1 so that goroutine scheduling does not move the count.
-// The ceilings are 15 % above what compiled procedures and encoding-only
-// keys measured (107.1 allocations and 7.15 KB per TPC-C transaction, 8.8
-// and 1.13 KB on RUBiS; 120.0 and 11.26 KB, 10.0 and 1.37 KB before; the
-// counts repeat exactly, and the race detector moves them by 0.1 at most); a
-// rise past them means a per-transaction allocation came back.
+// The ceilings are 15 % above what inputs bound once per batch, compiled
+// profiles and re-preparations into the last round's arrays measured (82.3
+// allocations and 6.51 KB per TPC-C transaction, 7.0 and 0.95 KB on RUBiS;
+// 107.1 and 7.15 KB, 8.8 and 1.13 KB with compiled procedures and
+// encoding-only keys alone; 120.0 and 11.26 KB, 10.0 and 1.37 KB before
+// those; the counts repeat exactly, and the race detector moves them by 0.1
+// at most); a rise past them means a per-transaction allocation came back.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("populates 100 TPC-C warehouses")
@@ -24,8 +26,8 @@ func TestAllocBudget(t *testing.T) {
 		w                     testWorkload
 		maxAllocs, maxKBPerTx float64
 	}{
-		{tpccWorkload(tpcc.DefaultConfig(100), 100, 1), 123, 8.22},
-		{rubisBrowseWorkload(10000, 200, 1), 10.1, 1.30},
+		{tpccWorkload(tpcc.DefaultConfig(100), 100, 1), 94.6, 7.49},
+		{rubisBrowseWorkload(10000, 200, 1), 8.05, 1.09},
 	} {
 		t.Run(tc.w.name, func(t *testing.T) {
 			reg, err := engine.NewRegistry(tc.w.schema, tc.w.programs...)

@@ -70,13 +70,26 @@ func BeginBatch(pool Pool, reg *Registry, st *store.Store, carry []*Task, batch 
 	res := &BatchResult{Epoch: epoch, Start: start, Outcomes: make([]TxOutcome, n)}
 	tasks := append(make([]*Task, 0, n), carry...)
 	fresh := make([]Task, len(batch))
+	nargs := 0
 	for i, req := range batch {
-		prog, ok := reg.Programs[req.TxName]
+		t, ok := reg.txns[req.TxName]
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown transaction %q", req.TxName)
 		}
-		fresh[i] = Task{Req: req, Prog: prog, Prof: reg.Profiles[req.TxName], Class: reg.Classes[req.TxName]}
-		tasks = append(tasks, &fresh[i])
+		fresh[i] = Task{Req: req, Prog: t.prog, Prof: t.prof, Class: t.class, pivotFree: t.pivotFree}
+		nargs += t.nargs
+	}
+	// Every request's inputs, bound once into the batch's one args slab.
+	slab := make([]value.Value, 0, nargs)
+	for i := range fresh {
+		tx := &fresh[i]
+		from := len(slab)
+		var err error
+		if slab, err = tx.Prog.Bind(slab, tx.Req.Inputs); err != nil {
+			return nil, fmt.Errorf("engine: %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
+		}
+		tx.Args = slab[from:len(slab):len(slab)]
+		tasks = append(tasks, tx)
 	}
 	for i, tx := range tasks {
 		res.Outcomes[i] = TxOutcome{Seq: tx.Req.Seq, TxName: tx.Req.TxName, Class: tx.Class}
@@ -222,7 +235,7 @@ func (e *Engine) execROT(tx *Task, snap *store.ReadView) (Work, error) {
 		ov.Record()
 		kv = ov
 	}
-	resu, err := f.run.Run(tx.Prog, tx.Req.Inputs, kv)
+	resu, err := f.run.Run(tx.Prog, tx.Args, kv)
 	if err != nil {
 		return Work{}, fmt.Errorf("engine: ROT %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 	}
@@ -247,7 +260,7 @@ func (e *Engine) prepare(tx *Task, kv lang.KV, pr profile.PivotReader) (Work, er
 		// execution per preparation, vs only pivot reads for SE profiles.
 		f := e.frames.get()
 		defer e.frames.put(f)
-		resu, err := f.run.Run(tx.Prog, tx.Req.Inputs, f.overlay(kv))
+		resu, err := f.run.Run(tx.Prog, tx.Args, f.overlay(kv))
 		if err != nil {
 			return Work{}, fmt.Errorf("engine: reconnaissance %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
 		}
@@ -255,23 +268,20 @@ func (e *Engine) prepare(tx *Task, kv lang.KV, pr profile.PivotReader) (Work, er
 		tx.KS = &profile.KeySet{Reads: value.CloneKeys(resu.Reads), Writes: value.CloneKeys(resu.Writes)}
 		work = Work{Reads: len(resu.Reads), Writes: len(resu.Writes)}
 	default:
+		// An MF re-preparation hands the instantiation the key-set it
+		// replaces, whose arrays take the new one when they fit.
 		var err error
-		if e.reg.PivotFree[tx.Req.TxName] {
+		if tx.pivotFree {
 			// §III-C client-side prediction: the traversal is proven
 			// pivot-free, so the direct part of the key-set is instantiated
-			// from the inputs alone — once: an MF re-preparation round takes
-			// it from the key-set it replaces — and only pivot-dependent
-			// accesses touch the store.
-			var direct *profile.KeySet
-			if tx.KS != nil {
-				direct = tx.KS.Direct()
-			}
-			tx.KS, err = tx.Prof.InstantiateSplit(tx.Req.Inputs, pr, direct)
+			// from the inputs alone — once: a re-preparation keeps it in
+			// place — and only pivot-dependent accesses touch the store.
+			tx.KS, err = tx.Prof.InstantiateSplitArgs(tx.Args, pr, tx.KS)
 			if err == nil {
 				tx.Out.DirectKeys = tx.KS.DirectReads + tx.KS.DirectWrites
 			}
 		} else {
-			tx.KS, err = tx.Prof.Instantiate(tx.Req.Inputs, pr)
+			tx.KS, err = tx.Prof.InstantiateArgs(tx.Args, pr, tx.KS)
 		}
 		if err != nil {
 			return Work{}, fmt.Errorf("engine: instantiate %s(seq %d): %w", tx.Req.TxName, tx.Req.Seq, err)
@@ -279,8 +289,10 @@ func (e *Engine) prepare(tx *Task, kv lang.KV, pr profile.PivotReader) (Work, er
 		work = Work{Reads: len(tx.KS.Pivots), Traversal: true}
 	}
 	// The lock requests double as the execution guard: reads ∪ writes,
-	// deduplicated, with the write bit.
-	tx.guard = locktable.BuildKeys(tx.KS.Reads, tx.KS.Writes)
+	// deduplicated, with the write bit. A re-preparation builds them in the
+	// arrays of the last round's, which the lock table has let go of: every
+	// entry of a round is released, and a released entry is dropped.
+	tx.guard = locktable.AppendKeys(tx.guard[:0], tx.KS.Reads, tx.KS.Writes)
 	lockKeys := tx.guard
 	if e.cfg.ExclusiveLocks {
 		lockKeys = make([]locktable.LockKey, len(tx.guard))
@@ -288,7 +300,10 @@ func (e *Engine) prepare(tx *Task, kv lang.KV, pr profile.PivotReader) (Work, er
 			lockKeys[i] = locktable.LockKey{Key: lk.Key, Write: true}
 		}
 	}
-	tx.Entry = &locktable.Entry{Seq: tx.Req.Seq, Keys: lockKeys}
+	if tx.Entry == nil {
+		tx.Entry = new(locktable.Entry)
+	}
+	*tx.Entry = locktable.Entry{Seq: tx.Req.Seq, Keys: lockKeys}
 	return work, nil
 }
 
@@ -348,7 +363,7 @@ func (e *Engine) run(f *frame, ov *Overlay, tx *Task, what string) (*lang.Result
 	if e.cfg.RecordFootprints {
 		ov.Record()
 	}
-	resu, err := f.run.Run(tx.Prog, tx.Req.Inputs, ov)
+	resu, err := f.run.Run(tx.Prog, tx.Args, ov)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %s %s(seq %d): %w", what, tx.Req.TxName, tx.Req.Seq, err)
 	}

@@ -364,6 +364,28 @@ func TestUnknownTransactionErrors(t *testing.T) {
 	}
 }
 
+// A request that lacks a declared input fails its batch, whether the input
+// names a key or only a value, on every variant; a name that is no input is
+// ignored.
+func TestMissingInputErrors(t *testing.T) {
+	for _, cfg := range []Config{{}, {Fail: FailSequential}, {Prepare: PrepareRecon}} {
+		for _, inputs := range []map[string]value.Value{ival("amt", 5), ival("k", 5)} {
+			e := New(bankRegistry(t), bankStore(), cfg)
+			if _, err := e.ExecuteBatch([]Request{req(1, "deposit", ival("k", 1, "amt", 1)), req(2, "deposit", inputs)}); err == nil {
+				t.Fatalf("%s: deposit%v must error", cfg.VariantName(), inputs)
+			}
+		}
+		st := bankStore()
+		e := New(bankRegistry(t), st, cfg)
+		if _, err := e.ExecuteBatch([]Request{req(1, "deposit", ival("k", 1, "amt", 7, "memo", 3))}); err != nil {
+			t.Fatalf("%s: an extra name must be ignored: %v", cfg.VariantName(), err)
+		}
+		if got := bal(t, st, 1); got != 107 {
+			t.Fatalf("%s: ACC/1 = %d, want 107", cfg.VariantName(), got)
+		}
+	}
+}
+
 // randomBatches builds a deterministic random workload mixing all four
 // transaction types, heavy on pointer churn to force aborts.
 func randomBatches(seed int64, batches, perBatch int) [][]Request {

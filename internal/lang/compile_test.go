@@ -74,9 +74,12 @@ func TestSetFieldInPlaceAllocs(t *testing.T) {
 	kv.Put(value.NewKey("ACC", value.Int(1)), acct(0))
 	var f Frame
 	allocs := func(n int64) float64 {
-		in := map[string]value.Value{"n": value.Int(n)}
+		args, err := p.Bind(nil, map[string]value.Value{"n": value.Int(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return testing.AllocsPerRun(50, func() {
-			if _, err := f.Run(p, in, kv); err != nil {
+			if _, err := f.Run(p, args, kv); err != nil {
 				t.Fatal(err)
 			}
 		})

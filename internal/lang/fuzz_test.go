@@ -86,7 +86,7 @@ func checkRandomProgram(t *testing.T, src *byteSource) {
 	var fr lang.Frame
 	for range 2 {
 		kv := seededKV()
-		again, err := fr.Run(p, inputs, kv)
+		again, err := frameRun(&fr, p, inputs, kv)
 		compareRuns(t, label+"\n(frame reused)", again, err, want, wantErr)
 		if !maps.EqualFunc(kv.m, kvWant.m, value.Value.Equal) {
 			t.Fatalf("%s\nreused frame's store %v\ntree-walk store %v", label, kv.m, kvWant.m)
@@ -107,7 +107,7 @@ func checkWorkloadSequence(t *testing.T, src *byteSource) {
 		if i == 0 {
 			more = src.intn(4)
 		}
-		got, gotErr := fr.Run(p, inputs, kvGot)
+		got, gotErr := frameRun(&fr, p, inputs, kvGot)
 		want, wantErr := lang.TreeWalk(p, inputs, kvWant, nil)
 		compareRuns(t, fmt.Sprintf("%s%v", p.Name, inputs), got, gotErr, want, wantErr)
 		if stGot.StateHash(1) != stWant.StateHash(1) {
@@ -347,4 +347,13 @@ func (g *progGen) boolExpr(depth int) lang.Expr {
 	default:
 		return lang.Neg(g.boolExpr(depth - 1))
 	}
+}
+
+// frameRun runs p on fr with the inputs bound as lang.Run binds them.
+func frameRun(fr *lang.Frame, p *lang.Program, inputs map[string]value.Value, kv lang.KV) (*lang.Result, error) {
+	args, err := p.Bind(nil, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return fr.Run(p, args, kv)
 }

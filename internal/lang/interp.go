@@ -33,8 +33,38 @@ const MaxLoopIterations = 1 << 16
 // Run executes p concretely with the given inputs against kv. Inputs must
 // contain a value for every declared parameter. The interpreter is
 // deterministic: identical inputs and store state produce identical effects.
+// Run binds the inputs (Bind) and runs them on a fresh Frame.
 func Run(p *Program, inputs map[string]value.Value, kv KV) (*Result, error) {
 	return RunTrace(p, inputs, kv, nil)
+}
+
+// Bind appends p's arguments to dst: the value inputs holds for each of
+// p's parameters, in p's one parameter order (ParamNames). A declared
+// parameter that inputs lacks is an error; a name in inputs that is no
+// parameter is ignored. What Bind returns is what Frame.Run runs, and what
+// the program's profile instantiates from once it is given ParamNames.
+func (p *Program) Bind(dst []value.Value, inputs map[string]value.Value) ([]value.Value, error) {
+	c := p.lower()
+	for i, prm := range c.params {
+		v, ok := inputs[prm.name]
+		if !ok && i < c.declared {
+			return dst, fmt.Errorf("lang: %s: missing input %q", p.Name, prm.name)
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
+
+// ParamNames returns p's parameter order, the positions Bind gives the
+// inputs: the declared parameters in declaration order, duplicates dropped,
+// then any name the body reads as a parameter without declaring it.
+func (p *Program) ParamNames() []string {
+	c := p.lower()
+	names := make([]string, len(c.params))
+	for i, prm := range c.params {
+		names[i] = prm.name
+	}
+	return names
 }
 
 // TraceFunc observes one statement about to execute: its structural path
@@ -51,7 +81,12 @@ type TraceFunc func(path string, locals map[string]value.Value)
 // It runs the same compiled code as Run, and builds the locals map the hook
 // is shown only when there is a hook.
 func RunTrace(p *Program, inputs map[string]value.Value, kv KV, trace TraceFunc) (*Result, error) {
-	return new(Frame).run(p, inputs, kv, trace)
+	var buf [16]value.Value
+	args, err := p.Bind(buf[:0], inputs)
+	if err != nil {
+		return nil, err
+	}
+	return new(Frame).run(p, args, kv, trace)
 }
 
 // Frame is the interpreter state one execution needs and the next can reuse:
@@ -72,15 +107,20 @@ type Frame struct {
 	code   *code
 }
 
-// Run is lang.Run on the frame's buffers. The returned Result and its Reads
-// and Writes belong to the frame and are valid until its next Run: copy what
-// must outlive that. Emitted is allocated per run and is the caller's.
-func (f *Frame) Run(p *Program, inputs map[string]value.Value, kv KV) (*Result, error) {
-	return f.run(p, inputs, kv, nil)
+// Run is lang.Run on the frame's buffers, from arguments already bound
+// (Program.Bind): args[i] is the value of parameter i, and an invalid
+// Value is a missing one. The returned Result and its Reads and Writes
+// belong to the frame and are valid until its next Run: copy what must
+// outlive that. Emitted is allocated per run and is the caller's.
+func (f *Frame) Run(p *Program, args []value.Value, kv KV) (*Result, error) {
+	return f.run(p, args, kv, nil)
 }
 
-func (f *Frame) run(p *Program, inputs map[string]value.Value, kv KV, trace TraceFunc) (*Result, error) {
+func (f *Frame) run(p *Program, args []value.Value, kv KV, trace TraceFunc) (*Result, error) {
 	c := p.lower()
+	if len(args) != len(c.params) {
+		return nil, fmt.Errorf("lang: %s: %d arguments for %d parameters", p.Name, len(args), len(c.params))
+	}
 	// Reset at entry, not exit, so that a run that failed half-way leaves
 	// nothing behind. Clearing drops the last run's values and keys.
 	if len(f.slots) < c.nslots {
@@ -90,8 +130,8 @@ func (f *Frame) run(p *Program, inputs map[string]value.Value, kv KV, trace Trac
 		clear(f.state)
 	}
 	for i, prm := range c.params {
-		v, ok := inputs[prm.name]
-		if !ok {
+		v := args[i]
+		if !v.IsValid() {
 			if i < c.declared {
 				return nil, fmt.Errorf("lang: %s: missing input %q", p.Name, prm.name)
 			}

@@ -444,7 +444,7 @@ func TestFrameReuse(t *testing.T) {
 	var kept []map[string]value.Value
 	var wantKept []string
 	for i, c := range calls {
-		got, gotErr := f.Run(c.p, c.inputs, kvFrame)
+		got, gotErr := runFrame(&f, c.p, c.inputs, kvFrame)
 		want, wantErr := Run(c.p, c.inputs, kvFresh)
 		if g, w := render(got, gotErr), render(want, wantErr); g != w {
 			t.Fatalf("call %d (%s):\nreused frame: %s\nfresh:        %s", i, c.p.Name, g, w)
@@ -464,4 +464,13 @@ func TestFrameReuse(t *testing.T) {
 			t.Fatalf("state diverged at %s", k)
 		}
 	}
+}
+
+// runFrame runs p on f with the inputs bound as Run binds them.
+func runFrame(f *Frame, p *Program, inputs map[string]value.Value, kv KV) (*Result, error) {
+	args, err := p.Bind(nil, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return f.Run(p, args, kv)
 }

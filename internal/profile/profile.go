@@ -88,6 +88,12 @@ type Node struct {
 	Seg         []Access
 	Cond        sym.Term
 	True, False *Node
+
+	// seg and cond are Seg and Cond compiled (compile.go), shared with the
+	// other nodes of the tree that hold the same; set by the profile's one
+	// compile, before its first instantiation reads them.
+	seg  *segment
+	cond expr
 }
 
 // Stats records the cost of the symbolic-execution analysis that produced a
@@ -126,9 +132,19 @@ type Profile struct {
 	TxName string
 	Root   *Node
 	Stats  Stats
+	// Params is the order of the args the positional entry points
+	// (InstantiateArgs, InstantiateSplitArgs) read: the program's parameter
+	// order (lang.Program.ParamNames), which engine.NewRegistry sets, so
+	// that a request bound once serves the program and its profile. Nil
+	// means the names of the inputs the tree reads, sorted. It must be set,
+	// if at all, before the first instantiation, which compiles the profile
+	// against it.
+	Params []string
 
 	factsOnce sync.Once
 	facts     walker
+	codeOnce  sync.Once
+	code      *code
 }
 
 // treeFacts walks the tree once per profile. Every access costs a
@@ -229,13 +245,6 @@ type KeySet struct {
 	DirectReads, DirectWrites int
 }
 
-// Direct returns the input-only prefix of a split key-set, sharing its keys:
-// what InstantiateSplit takes back when the same request is prepared again.
-func (ks *KeySet) Direct() *KeySet {
-	dr, dw := ks.DirectReads, ks.DirectWrites
-	return &KeySet{Reads: ks.Reads[:dr:dr], Writes: ks.Writes[:dw:dw], DirectReads: dr, DirectWrites: dw}
-}
-
 // Keys returns the union of reads and writes, deduplicated, in
 // deterministic order (reads first).
 func (ks *KeySet) Keys() []value.Key {
@@ -254,9 +263,9 @@ func (ks *KeySet) Keys() []value.Key {
 // variables through pr, and returns the concrete key-set of this invocation
 // in program order. For IT/ROT profiles pr may be nil. Missing pivot items
 // read as integer zero fields, matching the concrete interpreter's semantics
-// for absent records.
+// for absent records. It binds the inputs and runs InstantiateArgs.
 func (p *Profile) Instantiate(inputs map[string]value.Value, pr PivotReader) (*KeySet, error) {
-	return p.instantiate(inputs, pr, selection{direct: true, indirect: true}, nil)
+	return p.instantiate(p.bind(inputs), pr, selection{direct: true, indirect: true}, nil, nil)
 }
 
 // InstantiateDirect traverses the profile with inputs alone and returns the
@@ -267,7 +276,7 @@ func (p *Profile) InstantiateDirect(inputs map[string]value.Value) (*KeySet, err
 	if !p.PivotFreeTraversal() {
 		return nil, fmt.Errorf("profile %s: InstantiateDirect on a profile with pivot-dependent conditions", p.TxName)
 	}
-	return p.instantiate(inputs, nil, selection{direct: true, split: true}, nil)
+	return p.instantiate(p.bind(inputs), nil, selection{direct: true, split: true}, nil, nil)
 }
 
 // InstantiateSplit is Instantiate for a profile with a pivot-free traversal,
@@ -276,14 +285,49 @@ func (p *Profile) InstantiateDirect(inputs map[string]value.Value) (*KeySet, err
 // ones after, each group in program order. As sets of keys, and in its pivot
 // observations, the result equals Instantiate's: direct accesses never read
 // pivots. A non-nil direct is the direct part already known for these inputs
-// — InstantiateDirect's result, or an earlier result's Direct() — and is
+// — InstantiateDirect's result, or an earlier result's direct prefix — and is
 // copied in instead of being evaluated again, so a repeated preparation
 // pays only for the pivot-dependent accesses.
 func (p *Profile) InstantiateSplit(inputs map[string]value.Value, pr PivotReader, direct *KeySet) (*KeySet, error) {
 	if !p.PivotFreeTraversal() {
 		return nil, fmt.Errorf("profile %s: InstantiateSplit on a profile with pivot-dependent conditions", p.TxName)
 	}
-	return p.instantiate(inputs, pr, selection{direct: direct == nil, indirect: true, split: true}, direct)
+	return p.instantiate(p.bind(inputs), pr, selection{direct: direct == nil, indirect: true, split: true}, direct, nil)
+}
+
+// InstantiateArgs is Instantiate on inputs already bound to positions:
+// args[i] is the value of the i-th name of Params (lang.Program.Bind lays a
+// request out so), and an invalid Value is a missing input. A non-nil into
+// is an earlier result of the same call for the same args, which the call
+// may reuse: when the new path has as many reads and as many writes, its
+// keys and pivots are written into into's arrays and into is returned. So
+// nothing may still hold into's arrays, and into must not be used after an
+// error.
+func (p *Profile) InstantiateArgs(args []value.Value, pr PivotReader, into *KeySet) (*KeySet, error) {
+	return p.instantiate(args, pr, selection{direct: true, indirect: true}, nil, into)
+}
+
+// InstantiateSplitArgs is InstantiateSplit on bound args (InstantiateArgs).
+// A non-nil into is an earlier InstantiateSplitArgs result for the same
+// args: its direct part is taken as it is — in place, when into's arrays
+// are reused — and only the pivot-dependent accesses are evaluated again.
+func (p *Profile) InstantiateSplitArgs(args []value.Value, pr PivotReader, into *KeySet) (*KeySet, error) {
+	if !p.PivotFreeTraversal() {
+		return nil, fmt.Errorf("profile %s: InstantiateSplit on a profile with pivot-dependent conditions", p.TxName)
+	}
+	sel := selection{direct: into == nil, indirect: true, split: true}
+	return p.instantiate(args, pr, sel, into, into)
+}
+
+// bind lays inputs out as the compiled code reads them: the one place the
+// package reads an input map.
+func (p *Profile) bind(inputs map[string]value.Value) []value.Value {
+	params := p.compiled().params
+	args := make([]value.Value, len(params))
+	for i, name := range params {
+		args[i] = inputs[name]
+	}
+	return args
 }
 
 // selection says which accesses of the path an instantiation evaluates, and
@@ -293,52 +337,64 @@ type selection struct {
 	split            bool
 }
 
-func (s selection) includes(a *Access) bool {
-	if a.Direct {
+// includes reports whether accesses of the kind are evaluated.
+func (s selection) includes(kind int) bool {
+	if kind&1 == 0 {
 		return s.direct
 	}
 	return s.indirect
 }
 
-// group is the region of the key-set's array an access goes to. Reads and
-// Writes share the array, in this order: direct reads, other reads, direct
-// writes, other writes — the direct regions empty unless the layout is split.
-func (s selection) group(a *Access) int {
-	g := 0
-	if a.Write {
-		g = 2
+// group is the region of the key-set an access of the kind goes to: direct
+// reads, other reads, direct writes, other writes — the direct regions
+// empty unless the layout is split.
+func (s selection) group(kind int) int {
+	if s.split {
+		return kind
 	}
-	if !(s.split && a.Direct) {
-		g++
-	}
-	return g
+	return kind | 1
 }
 
-// instantiate walks the root-to-leaf path selected by the inputs (and, for
-// pivot-dependent conditions, by pivot reads) and evaluates the selected
-// accesses on it. It goes down the path once to evaluate the conditions and
-// size the result, then along the recorded path to fill it, so the key-set
-// is two allocations however long the path, the KeySet and its keys, besides
-// the keys' encodings.
-func (p *Profile) instantiate(inputs map[string]value.Value, pr PivotReader, sel selection, direct *KeySet) (*KeySet, error) {
-	inst := instantiator{inputs: inputs, pr: pr}
+// instantiate runs the compiled profile: it goes down the path the args
+// (and, for pivot-dependent conditions, pivot reads) select, evaluating the
+// conditions and counting the selected accesses, then along the recorded
+// path to encode their keys, all into one buffer that becomes one string:
+// each key is a substring of it. The result is then the KeySet, its key
+// array and that string, besides the pivot observations; into saves the
+// first two when its arrays fit, and the observations' array when it is
+// as large as the slots. direct supplies the direct regions (a split
+// layout whose direct accesses are not selected).
+func (p *Profile) instantiate(args []value.Value, pr PivotReader, sel selection, direct, into *KeySet) (*KeySet, error) {
+	c := p.compiled()
+	if len(args) != len(c.params) {
+		return nil, fmt.Errorf("profile %s: %d arguments for %d inputs", p.TxName, len(args), len(c.params))
+	}
+	in := newInst(c, args, pr)
+	defer in.release()
+	if into != nil && len(c.pivots) > 0 && cap(into.Pivots) >= len(c.pivots) {
+		in.obs = into.Pivots[:0]
+	}
+	var dr, dw []value.Key // the direct regions, as given
+	if direct != nil {
+		dr, dw = direct.Reads, direct.Writes
+		if direct == into {
+			dr, dw = dr[:into.DirectReads], dw[:into.DirectWrites]
+		}
+	}
 	var pathBuf [32]*Node
 	path := pathBuf[:0]
-	var n [4]int // selected accesses per group
-	if direct != nil {
-		n[0], n[2] = len(direct.Reads), len(direct.Writes)
-	}
+	n := [4]int{len(dr), 0, len(dw), 0} // keys per region
 	for nd := p.Root; nd != nil; {
 		path = append(path, nd)
-		for i := range nd.Seg {
-			if a := &nd.Seg[i]; sel.includes(a) {
-				n[sel.group(a)]++
+		for k, cnt := range nd.seg.count {
+			if cnt > 0 && sel.includes(k) {
+				n[sel.group(k)] += cnt
 			}
 		}
 		if nd.Cond == nil {
 			break
 		}
-		cv, err := inst.eval(nd.Cond)
+		cv, err := nd.cond(in)
 		if err != nil {
 			return nil, fmt.Errorf("profile %s: condition %s: %w", p.TxName, nd.Cond, err)
 		}
@@ -353,97 +409,62 @@ func (p *Profile) instantiate(inputs map[string]value.Value, pr PivotReader, sel
 		}
 	}
 
-	// at[g] is where the next key of group g goes.
-	at := [4]int{0, n[0], n[0] + n[1], n[0] + n[1] + n[2]}
-	ks := &KeySet{DirectReads: n[0], DirectWrites: n[2]}
-	var keys []value.Key
-	if total := at[3] + n[3]; total > 0 {
-		keys = make([]value.Key, total)
-		ks.Reads, ks.Writes = keys[:at[2]:at[2]], keys[at[2]:]
-	}
-	if direct != nil {
-		copy(ks.Reads, direct.Reads)
-		copy(ks.Writes, direct.Writes)
-	}
+	// Encode the selected keys, in path order, recording where each ends.
+	var encBuf [2048]byte
+	var endBuf [256]int32
+	enc, ends := encBuf[:0], endBuf[:0]
 	for _, nd := range path {
-		for i := range nd.Seg {
-			a := &nd.Seg[i]
-			if !sel.includes(a) {
+		for i := range nd.seg.accesses {
+			a := &nd.seg.accesses[i]
+			if !sel.includes(a.kind) {
 				continue
 			}
-			k, err := inst.keyOf(a.Table, a.Key)
+			var partBuf [8]value.Value
+			parts, err := in.parts(partBuf[:0], a.key)
 			if err != nil {
 				return nil, fmt.Errorf("profile %s: %w", p.TxName, err)
 			}
-			g := sel.group(a)
-			keys[at[g]] = k
+			enc = value.AppendKey(enc, a.table, parts)
+			ends = append(ends, int32(len(enc)))
+		}
+	}
+
+	nr, nw := n[0]+n[1], n[2]+n[3]
+	ks := into
+	if ks == nil {
+		ks = &KeySet{}
+	}
+	if into == nil || len(into.Reads) != nr || len(into.Writes) != nw || into.DirectReads != n[0] || into.DirectWrites != n[2] {
+		var keys []value.Key
+		if nr+nw > 0 {
+			keys = make([]value.Key, nr+nw)
+		}
+		reads, writes := keys[:nr:nr], keys[nr:]
+		copy(reads, dr)
+		copy(writes, dw)
+		ks.Reads, ks.Writes = reads, writes
+	}
+	ks.DirectReads, ks.DirectWrites = n[0], n[2]
+	all := string(enc)
+	at := [4]int{0, n[0], 0, n[2]} // where the next key of each region goes
+	from, j := int32(0), 0
+	for _, nd := range path {
+		for i := range nd.seg.accesses {
+			a := &nd.seg.accesses[i]
+			if !sel.includes(a.kind) {
+				continue
+			}
+			k := value.KeyOfEncoded(value.Encoded(all[from:ends[j]]))
+			from, j = ends[j], j+1
+			g := sel.group(a.kind)
+			if g < 2 {
+				ks.Reads[at[g]] = k
+			} else {
+				ks.Writes[at[g]] = k
+			}
 			at[g]++
 		}
 	}
-	ks.Pivots = inst.observations
+	ks.Pivots = in.obs
 	return ks, nil
-}
-
-type instantiator struct {
-	inputs map[string]value.Value
-	pr     PivotReader
-	// observations are the pivot reads so far, in first-use order; a pivot
-	// variable read again takes its value from here. A path reads a handful
-	// of pivots, so a scan beats a map.
-	observations []PivotObservation
-	pivotVars    []string // pivotVars[i] is the variable observations[i] bound
-}
-
-// keyOf evaluates a key's parts into a buffer on the stack: the key keeps
-// only their encoding.
-func (in *instantiator) keyOf(table string, terms []sym.Term) (value.Key, error) {
-	var buf [8]value.Value
-	parts := buf[:0]
-	for _, kt := range terms {
-		v, err := in.eval(kt)
-		if err != nil {
-			return value.Key{}, err
-		}
-		parts = append(parts, v)
-	}
-	return value.KeyOf(table, parts), nil
-}
-
-func (in *instantiator) eval(t sym.Term) (value.Value, error) {
-	return sym.Eval(t, in.lookup)
-}
-
-// lookup resolves input variables from the concrete inputs and pivot
-// variables through the PivotReader, caching and recording each pivot read.
-func (in *instantiator) lookup(v *sym.Var) (value.Value, bool) {
-	if v.Pivot != nil {
-		for i, name := range in.pivotVars {
-			if name == v.Name {
-				return in.observations[i].Value, true
-			}
-		}
-		if in.pr == nil {
-			return value.Value{}, false
-		}
-		k, err := in.keyOf(v.Pivot.Table, v.Pivot.Key)
-		if err != nil {
-			return value.Value{}, false
-		}
-		pv, found := in.pr.ReadPivot(k, v.Pivot.Field)
-		if !found {
-			pv = value.Int(0)
-		}
-		in.pivotVars = append(in.pivotVars, v.Name)
-		in.observations = append(in.observations, PivotObservation{Key: k, Field: v.Pivot.Field, Value: pv})
-		return pv, true
-	}
-	if v.List != "" {
-		lst, ok := in.inputs[v.List]
-		if !ok {
-			return value.Value{}, false
-		}
-		return lst.Index(v.Idx)
-	}
-	val, ok := in.inputs[v.Name]
-	return val, ok
 }

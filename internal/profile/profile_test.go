@@ -392,8 +392,9 @@ func TestInstantiateSplit(t *testing.T) {
 		if pr.reads != 1 || len(ks.Pivots) != 1 || ks.Pivots[0].Key.String() != "DIST/i3" {
 			t.Errorf("%s: %d pivot reads, observations %v", name, pr.reads, ks.Pivots)
 		}
-		// Direct() is what a re-preparation hands back in.
-		again, err := p.InstantiateSplit(inputs, &fakePivots{vals: map[string]value.Value{"DIST/i3.next": value.Int(50)}}, ks.Direct())
+		// The direct prefix, handed back in by a re-preparation.
+		direct := &KeySet{Reads: ks.Reads[:ks.DirectReads], Writes: ks.Writes[:ks.DirectWrites]}
+		again, err := p.InstantiateSplit(inputs, &fakePivots{vals: map[string]value.Value{"DIST/i3.next": value.Int(50)}}, direct)
 		if err != nil {
 			t.Fatalf("%s: re-preparation: %v", name, err)
 		}

@@ -21,7 +21,9 @@
 package solver
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"prognosticator/internal/lang"
 	"prognosticator/internal/sym"
@@ -624,12 +626,11 @@ func (q *query) search() Result {
 			order = append(order, int32(i))
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := q.domains[order[i]].size(), q.domains[order[j]].size()
-		if di != dj {
-			return di < dj
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(q.domains[a].size(), q.domains[b].size()); c != 0 {
+			return c
 		}
-		return q.vars[order[i]].Name < q.vars[order[j]].Name
+		return strings.Compare(q.vars[a].Name, q.vars[b].Name)
 	})
 	space := int64(1)
 	for _, v := range order {

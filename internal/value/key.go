@@ -49,7 +49,15 @@ func (k Key) Encode() Encoded { return k.enc }
 // allocation.
 func encodeKey(table string, parts []Value) Encoded {
 	var stack [64]byte
-	buf := appendEscaped(stack[:0], table)
+	return Encoded(AppendKey(stack[:0], table, parts))
+}
+
+// AppendKey appends to buf the encoding KeyOf(table, parts) would hold. A
+// caller that builds many keys at once (profile instantiation) appends
+// them all to one buffer, makes one string of it, and takes each key as a
+// substring with KeyOfEncoded: one allocation for all of them.
+func AppendKey(buf []byte, table string, parts []Value) []byte {
+	buf = appendEscaped(buf, table)
 	for _, p := range parts {
 		buf = append(buf, '/')
 		switch p.Kind() {
@@ -66,8 +74,13 @@ func encodeKey(table string, parts []Value) Encoded {
 			buf = appendEscaped(buf, p.String())
 		}
 	}
-	return Encoded(buf)
+	return buf
 }
+
+// KeyOfEncoded returns the key whose encoding is e, which must be one that
+// AppendKey or Encode produced. The key is e: if e is a substring of a
+// larger string, the key keeps all of that string alive.
+func KeyOfEncoded(e Encoded) Key { return Key{enc: e} }
 
 // Hash returns the FNV-1a hash of the encoding: the key's share of a state
 // hash.
